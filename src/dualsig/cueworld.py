@@ -108,9 +108,10 @@ class CueWorld:
             raise ValidationError("cue precisions must be finite and positive")
         if hset.size and (hset.min() < 0 or hset.max() >= self.n_cues):
             raise ValidationError("human_set indices out of range")
-        if np.unique(hset).size != hset.size:
+        hset = np.sort(hset)
+        if np.any(hset[1:] == hset[:-1]):
             raise ValidationError("human_set indices must be unique")
-        for name, arr in (("precisions", prec), ("accessible", acc), ("human_set", np.sort(hset))):
+        for name, arr in (("precisions", prec), ("accessible", acc), ("human_set", hset)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -141,8 +142,12 @@ class ConcentrationSummary:
 
 
 def _as_index_set(indices: Iterable[int], n_cues: int, name: str) -> np.ndarray:
-    idx = np.unique(np.asarray(list(indices) if not isinstance(indices, np.ndarray) else indices,
-                               dtype=np.int64))
+    idx = np.asarray(list(indices) if not isinstance(indices, np.ndarray) else indices,
+                     dtype=np.int64)
+    # Sets drawn by this module arrive sorted and unique; one O(n) pass
+    # confirms that and skips the sort inside np.unique.
+    if idx.ndim != 1 or not np.all(idx[1:] > idx[:-1]):
+        idx = np.unique(idx)
     if idx.size and (idx.min() < 0 or idx.max() >= n_cues):
         raise ValidationError(f"{name} indices out of range for n_cues={n_cues}")
     return idx
@@ -218,12 +223,18 @@ def signal_precision(world: CueWorld, indices: Iterable[int]) -> float:
     return float(np.sum(world.precisions[idx])) / world.n_cues
 
 
+def _membership(n_cues: int, idx: np.ndarray) -> np.ndarray:
+    """Boolean mask over ``range(n_cues)`` that is True on ``idx``."""
+    mask = np.zeros(n_cues, dtype=bool)
+    mask[idx] = True
+    return mask
+
+
 def domain_overlap_rate(world: CueWorld) -> float:
     """Pool-level overlap target: precision mass of human-held accessible
     cues over total accessible precision mass (count ratio when homogeneous)."""
     acc = world.accessible
-    in_h = np.zeros(world.n_cues, dtype=bool)
-    in_h[world.human_set] = True
+    in_h = _membership(world.n_cues, world.human_set)
     if world.homogeneous:
         return float(np.count_nonzero(acc & in_h)) / float(np.count_nonzero(acc))
     t_acc = float(np.sum(world.precisions[acc]))
@@ -242,7 +253,7 @@ def empirical_lambda(world: CueWorld, human_set: Iterable[int],
     a_idx = _as_index_set(ai_set, world.n_cues, "ai_set")
     if a_idx.size == 0:
         raise ValidationError("ai_set must be nonempty")
-    both = np.intersect1d(a_idx, h_idx, assume_unique=True)
+    both = a_idx[_membership(world.n_cues, h_idx)[a_idx]]
     if world.homogeneous:
         return both.size / a_idx.size
     return float(np.sum(world.precisions[both])) / float(np.sum(world.precisions[a_idx]))

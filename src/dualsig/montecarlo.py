@@ -205,7 +205,10 @@ def verify_closed_forms(env: Environment, tau_h: float,
     skipped; feasible cells get one check row per rule, passing when
     ``|mc - closed| <= sigma_mult * se``.  Each cell uses the substream
     ``rng.split(cell_index)`` so cell results do not depend on grid order.
+    ``n`` must be at least 2, the fewest draws with a standard error.
     """
+    if n < 2:
+        raise ValidationError(f"n must be >= 2, got {n}")
     checks: list[ClosedFormCheck] = []
     cell = 0
     for lam in lambda_grid:

@@ -68,6 +68,12 @@ def _check_lambda(lam: float, lo_open: bool) -> float:
     return lam
 
 
+def _check_tau_h(tau_h: float) -> None:
+    # A scalar test: thresholds calls it three times per overlap level.
+    if not math.isfinite(tau_h) or tau_h <= 0.0:
+        raise ValidationError(f"tau_h must be finite and strictly positive, got {tau_h}")
+
+
 def tau_aug(env: Environment, tau_h: float, lam: float) -> float:
     """Assistant precision above which the combination beats the own signal.
 
@@ -75,8 +81,7 @@ def tau_aug(env: Environment, tau_h: float, lam: float) -> float:
     reads as "any positive assistant precision already augments".
     """
     lam = _check_lambda(lam, lo_open=False)
-    if tau_h <= 0.0:
-        raise ValidationError(f"tau_h must be strictly positive, got {tau_h}")
+    _check_tau_h(tau_h)
     return (env.tau0 + tau_h) * (2.0 * lam - 1.0)
 
 
@@ -88,16 +93,14 @@ def tau_auto(env: Environment, tau_h: float, lam: float) -> float:
     crossing exists and callers must not ask for one).
     """
     lam = _check_lambda(lam, lo_open=True)
-    if tau_h <= 0.0:
-        raise ValidationError(f"tau_h must be strictly positive, got {tau_h}")
+    _check_tau_h(tau_h)
     b = tau_h - 2.0 * lam * env.tau0
     return (b + math.sqrt(b * b + 8.0 * lam * tau_h * (env.tau0 + tau_h))) / (4.0 * lam)
 
 
 def lambda_bar(env: Environment, tau_h: float) -> float:
     """Overlap level above which the combination is never the best choice."""
-    if tau_h <= 0.0:
-        raise ValidationError(f"tau_h must be strictly positive, got {tau_h}")
+    _check_tau_h(tau_h)
     return 0.5 + tau_h / (2.0 * (env.tau0 + tau_h))
 
 
@@ -201,8 +204,7 @@ def phase_sweep(env: Environment, tau_h: float,
     not an error).  Cells are independent; results are stored in a fixed
     overlap-major order regardless of how they are computed.
     """
-    if tau_h <= 0.0:
-        raise ValidationError(f"tau_h must be strictly positive, got {tau_h}")
+    _check_tau_h(tau_h)
     ta_axis = _check_axis(tau_a_axis, "tau_a_axis")
     lam_axis = _check_axis(lambda_axis, "lambda_axis")
     rows = []

@@ -31,8 +31,9 @@ Generator algorithm (fixed; do not change without bumping output versions):
   IEEE-exact and log is the single libm call in the pipeline.
 
 * Uniform k-subsets of ``range(n)`` are the indices of the k smallest of n
-  i.i.d. uniforms (stable argsort), which is exchangeable and therefore
-  uniform over k-subsets.
+  i.i.d. uniforms, ties to the lower index, found by selection.  The rule is
+  exchangeable and therefore uniform over k-subsets, and it selects the same
+  set as the first k entries of a stable argsort.
 
 Derived streams for parallel or repeated work come from
 :func:`derive_seed` / :meth:`RngHandle.split`, both of which hash the parent
@@ -131,6 +132,23 @@ def normal_ppf(p) -> np.ndarray:
     return x
 
 
+def _smallest_k(u: np.ndarray, k: int) -> np.ndarray:
+    """Ascending indices of the ``k`` smallest entries of ``u``.
+
+    Ties at the k-th smallest value go to the lower indices, so the result
+    equals ``np.sort(np.argsort(u, kind="stable")[:k])``; a partition finds
+    the k-th value in O(n) instead of sorting.
+    """
+    if k == 0:
+        return np.empty(0, dtype=np.intp)
+    kth = np.partition(u, k - 1)[k - 1]
+    chosen = u <= kth
+    extra = int(np.count_nonzero(chosen)) - k
+    if extra:
+        chosen[np.flatnonzero(u == kth)[-extra:]] = False
+    return np.flatnonzero(chosen)
+
+
 @dataclass
 class RngHandle:
     """Counter-based random stream identified by ``(seed, stream)``.
@@ -178,9 +196,7 @@ class RngHandle:
         """
         if not 0 <= k <= pool_size:
             raise ValueError(f"need 0 <= k <= pool_size, got k={k}, pool={pool_size}")
-        u = self.uniforms(pool_size)
-        order = np.argsort(u, kind="stable")
-        return np.sort(order[:k])
+        return _smallest_k(self.uniforms(pool_size), k)
 
     def split(self, index: int) -> "RngHandle":
         """Child handle on a derived stream; see :func:`derive_seed`."""

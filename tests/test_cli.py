@@ -51,6 +51,11 @@ class TestThresholds:
         assert lines[3] == "0.67,0.68,1.10139823,0.75"
         assert lines[4] == "0.75,1,1,0.75"
 
+    @pytest.mark.parametrize("tau_h", ["nan", "inf"])
+    def test_nonfinite_tau_h_exits_2(self, capsys, tau_h):
+        assert main(["thresholds", f"--tauH={tau_h}", "--lambda", "0.5"]) == 2
+        assert "tau_h" in capsys.readouterr().err
+
     def test_lambda_axis_fallback(self, tmp_path):
         code, data = run(tmp_path, "thr.csv",
                          ["thresholds", "--lambda-min", "0.1", "--lambda-max", "0.9",
@@ -120,6 +125,14 @@ class TestVerify:
         code, _ = run(tmp_path, "cf.csv",
                       ["verify", "--suite", "closed_forms", "--n", "2000"])
         assert code == 0
+
+    @pytest.mark.parametrize("suite", ["closed_forms", "gap", "lemma"])
+    @pytest.mark.parametrize("n", ["1", "0"])
+    def test_monte_carlo_suites_need_two_draws(self, capsys, suite, n):
+        assert main(["verify", "--suite", suite, "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert "n must be >= 2" in captured.err
+        assert captured.out == ""
 
 
 class TestDeterminism:

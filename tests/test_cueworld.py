@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualsig.core import ValidationError
 from dualsig.cueworld import (
@@ -153,6 +155,27 @@ class TestOverlapMeasures:
         world = build_world(60, PLAN, mode="heterogeneous", seed=2)
         ai = sample_ai_set(world, 0.3, seed=2)
         assert abs(covariance_lambda(world, ai, ai) - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("mode", ["homogeneous", "heterogeneous"])
+    @settings(max_examples=50, deadline=None)
+    @given(rnd=st.randoms(use_true_random=False), extra=st.integers(0, 30))
+    def test_unsorted_and_duplicated_lists_match_sorted_sets(self, mode, rnd, extra):
+        world = build_world(300, PLAN, mode=mode, seed=4)
+        ai = sample_ai_set(world, 0.3, seed=4)
+        hset = world.human_set
+
+        def scrambled(idx):
+            out = [int(i) for i in idx] + rnd.choices([int(i) for i in idx], k=extra)
+            rnd.shuffle(out)
+            return out
+
+        h_list, a_list = scrambled(hset), scrambled(ai)
+        for measure in (empirical_lambda, covariance_lambda):
+            expected = measure(world, hset, ai)
+            assert measure(world, h_list, a_list) == expected
+            assert measure(world, np.array(h_list), np.array(a_list)) == expected
+            # sorted but with repeats: ascending order alone is not a set
+            assert measure(world, sorted(h_list), sorted(a_list)) == expected
 
     def test_empty_ai_set_rejected(self):
         world = build_world(60, PLAN, seed=2)

@@ -51,6 +51,18 @@ class TestTauAug:
             tau_aug(ENV, 0.0, 0.5)
 
 
+@pytest.mark.parametrize("tau_h", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("call", [
+    lambda tau_h: tau_aug(ENV, tau_h, 0.5),
+    lambda tau_h: tau_auto(ENV, tau_h, 0.5),
+    lambda tau_h: lambda_bar(ENV, tau_h),
+    lambda tau_h: phase_sweep(ENV, tau_h, [0.5], [0.1]),
+], ids=["tau_aug", "tau_auto", "lambda_bar", "phase_sweep"])
+def test_tau_h_must_be_finite_and_positive(call, tau_h):
+    with pytest.raises(ValidationError, match="tau_h"):
+        call(tau_h)
+
+
 class TestTauAuto:
     def test_examples(self):
         assert abs(tau_auto(ENV, 1.0, 0.5) - math.sqrt(2.0)) < 1e-12

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dualsig.rng import RngHandle, derive_seed, mix64, normal_ppf
+from dualsig.rng import RngHandle, _smallest_k, derive_seed, mix64, normal_ppf
 
 from helpers import refined_normal_ppf
 
@@ -72,6 +74,48 @@ def test_subset_edge_sizes():
     assert np.array_equal(RngHandle(1, 0).subset(5, 5), np.arange(5))
     with pytest.raises(ValueError):
         rng.subset(5, 6)
+
+
+def stable_argsort_subset(u, k):
+    """Reference selection rule: the first k entries of a stable argsort."""
+    return np.sort(np.argsort(u, kind="stable")[:k])
+
+
+POOL_AND_K = st.integers(0, 400).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), pool_and_k=POOL_AND_K)
+@example(seed=0, pool_and_k=(0, 0))
+@example(seed=3, pool_and_k=(50, 0))
+@example(seed=3, pool_and_k=(50, 50))
+def test_subset_equals_stable_argsort_prefix(seed, pool_and_k):
+    pool_size, k = pool_and_k
+    u = RngHandle(seed, 7).uniforms(pool_size)
+    rng = RngHandle(seed, 7)
+    got = rng.subset(pool_size, k)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, stable_argsort_subset(u, k))
+    # exactly pool_size uniforms consumed, whatever k is
+    assert np.array_equal(rng.uniforms(3), RngHandle(seed, 7).uniforms(pool_size + 3)[-3:])
+
+
+def test_smallest_k_breaks_ties_by_lowest_index():
+    u = np.array([0.5, 0.2, 0.5, 0.1, 0.5, 0.9, 0.5])
+    # 0.1 and 0.2 are below the 4th smallest value 0.5; of the four 0.5s
+    # at indices 0, 2, 4, 6 the two lowest fill the remaining slots.
+    assert np.array_equal(_smallest_k(u, 4), [0, 1, 2, 3])
+    assert np.array_equal(_smallest_k(u, 3), [0, 1, 3])
+    assert np.array_equal(_smallest_k(u, 6), [0, 1, 2, 3, 4, 6])
+    assert np.array_equal(_smallest_k(np.full(5, 0.25), 2), [0, 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=st.lists(st.sampled_from([0.125, 0.25, 0.5, 0.75]), max_size=40), data=st.data())
+def test_smallest_k_ties_match_stable_argsort(u, data):
+    u = np.array(u, dtype=np.float64)
+    k = data.draw(st.integers(0, u.size), label="k")
+    assert np.array_equal(_smallest_k(u, k), stable_argsort_subset(u, k))
 
 
 def test_normal_ppf_against_erfc_refinement():
