@@ -13,11 +13,8 @@ from .core import (
     DegenerateDecompositionError,
     Environment,
     LossProfile,
-    SignalPair,
     SignalSpec,
     ValidationError,
-    bayes_decision,
-    cn_decision,
     innovation_precision,
     loss_ai,
     loss_human,
@@ -83,7 +80,7 @@ from .bregman import (
 )
 from .montecarlo import (
     Estimate,
-    estimate_loss,
+    accumulate,
     paired_loss_estimates,
     sample_triple,
     verify_closed_forms,

@@ -231,19 +231,12 @@ def gap_check_gaussian_cn(env: Environment, spec: SignalSpec, n: int,
         raise ValidationError(f"n must be >= 2, got {n}")
     lhs = loss_human(env, spec) - loss_joint_cn(env, spec)
     marg = marginal_value(env, spec)
-    rng = RngHandle(seed, stream=3)
-    sums: list[float] = []
-    sums_sq: list[float] = []
-    done = 0
-    while done < n:
-        m = min(montecarlo.CHUNK, n - done)
-        _, h, a = montecarlo.sample_triple(env, spec, rng, size=m)
-        gap = (bayes_posterior_mean(env, spec, h, a)
-               - cn_posterior_mean(env, spec, h, a)) ** 2
-        sums.append(float(np.sum(gap)))
-        sums_sq.append(float(np.sum(gap * gap)))
-        done += m
-    est = montecarlo._estimate_from_sums(sums, sums_sq, n)
+
+    def misuse(y, h, a):
+        return (bayes_posterior_mean(env, spec, h, a) - cn_posterior_mean(env, spec, h, a)) ** 2
+
+    est = montecarlo.accumulate(env, spec, n, RngHandle(seed, stream=3),
+                                {"penalty": misuse})["penalty"]
     return GapReport(lhs=lhs, marginal=marg, penalty=est.mean,
                      residual=lhs - (marg - est.mean), penalty_se=est.std_error)
 

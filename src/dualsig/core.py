@@ -35,7 +35,6 @@ __all__ = [
     "DegenerateDecompositionError",
     "Environment",
     "SignalSpec",
-    "SignalPair",
     "LossProfile",
     "innovation_precision",
     "loss_human",
@@ -44,8 +43,6 @@ __all__ = [
     "loss_joint_cn",
     "marginal_value",
     "loss_profile",
-    "cn_decision",
-    "bayes_decision",
     "cn_posterior_mean",
     "bayes_posterior_mean",
 ]
@@ -71,6 +68,13 @@ def _require_finite(value: float, name: str) -> float:
     if not math.isfinite(x):
         raise ValidationError(f"{name} must be finite, got {x}")
     return x
+
+
+def _finite_total(total: float, name: str) -> float:
+    # A loss divided by an overflowed total would read as a silent 0.
+    if not math.isfinite(total):
+        raise ValidationError(f"{name} = {total} is not finite; the precisions are too large")
+    return total
 
 
 def _require_positive(value: float, name: str) -> float:
@@ -125,18 +129,6 @@ class SignalSpec:
 
 
 @dataclass(frozen=True)
-class SignalPair:
-    """One realization of the two signals."""
-
-    h: float
-    a: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "h", _require_finite(self.h, "h"))
-        object.__setattr__(self, "a", _require_finite(self.a, "a"))
-
-
-@dataclass(frozen=True)
 class LossProfile:
     """The four expected losses plus the marginal value of the assistant."""
 
@@ -181,12 +173,12 @@ def innovation_precision(spec: SignalSpec) -> float:
 
 def loss_human(env: Environment, spec: SignalSpec) -> float:
     """Expected loss using the own signal alone: ``1 / (tau0 + tau_h)``."""
-    return 1.0 / (env.tau0 + spec.tau_h)
+    return 1.0 / _finite_total(env.tau0 + spec.tau_h, "tau0 + tau_h")
 
 
 def loss_ai(env: Environment, spec: SignalSpec) -> float:
     """Expected loss using the assistant signal alone: ``1 / (tau0 + tau_a)``."""
-    return 1.0 / (env.tau0 + spec.tau_a)
+    return 1.0 / _finite_total(env.tau0 + spec.tau_a, "tau0 + tau_a")
 
 
 def loss_joint_bayes(env: Environment, spec: SignalSpec) -> float:
@@ -195,7 +187,8 @@ def loss_joint_bayes(env: Environment, spec: SignalSpec) -> float:
     Equals ``1 / (tau0 + tau_h + tilde_tau)``: only the innovation part of
     the assistant signal adds precision.
     """
-    return 1.0 / (env.tau0 + spec.tau_h + innovation_precision(spec))
+    return 1.0 / _finite_total(env.tau0 + spec.tau_h + innovation_precision(spec),
+                               "tau0 + tau_h + tilde_tau")
 
 
 def loss_joint_cn(env: Environment, spec: SignalSpec) -> float:
@@ -206,7 +199,7 @@ def loss_joint_cn(env: Environment, spec: SignalSpec) -> float:
     closed feasibility region (no innovation decomposition involved).
     """
     T = env.tau0 + spec.tau_h + spec.tau_a
-    return 1.0 / T + 2.0 * spec.lam * spec.tau_a / (T * T)
+    return 1.0 / T + 2.0 * spec.lam * spec.tau_a / _finite_total(T * T, "T**2")
 
 
 def marginal_value(env: Environment, spec: SignalSpec) -> float:
@@ -218,9 +211,14 @@ def marginal_value(env: Environment, spec: SignalSpec) -> float:
 
 
 def loss_profile(env: Environment, spec: SignalSpec) -> LossProfile:
-    """All four losses and the marginal value for one parameter point."""
+    """All four losses and the marginal value for one parameter point.
+
+    Covers the whole closed feasibility region: at full overlap (lam = 1)
+    the assistant signal carries no innovation, so the optimal combination
+    equals the own-signal posterior and the marginal value is 0.
+    """
     lh = loss_human(env, spec)
-    ljb = loss_joint_bayes(env, spec)
+    ljb = lh if spec.lam == 1.0 else loss_joint_bayes(env, spec)
     return LossProfile(
         l_human=lh,
         l_ai=loss_ai(env, spec),
@@ -252,12 +250,3 @@ def bayes_posterior_mean(env: Environment, spec: SignalSpec, h, a):
     total = env.tau0 + spec.tau_h + tilde
     return (env.tau0 * env.mu0 + spec.tau_h * h + tilde * innov) / total
 
-
-def cn_decision(env: Environment, spec: SignalSpec, sig: SignalPair) -> float:
-    """Decision of the correlation-neglect rule for one signal pair."""
-    return float(cn_posterior_mean(env, spec, sig.h, sig.a))
-
-
-def bayes_decision(env: Environment, spec: SignalSpec, sig: SignalPair) -> float:
-    """Decision of the Bayes-optimal rule for one signal pair."""
-    return float(bayes_posterior_mean(env, spec, sig.h, sig.a))

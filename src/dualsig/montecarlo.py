@@ -8,16 +8,17 @@ reproducible bit-for-bit for a given ``(seed, stream)``.
 
 Draw order: each batch of ``size`` triples consumes three consecutive blocks
 of normals from the handle (state, own-signal noise, innovation noise).
-Batched estimators stream fixed chunks of ``CHUNK`` triples and combine
-per-chunk sums with a pairwise tree, so the result is independent of any
-parallel execution plan that preserves chunk indexing.
+:func:`accumulate` is the one chunked estimator: it streams fixed chunks of
+``CHUNK`` triples, evaluates every named statistic on each chunk, and
+combines the per-chunk sums with a pairwise tree, so the result is
+independent of any parallel execution plan that preserves chunk indexing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,7 +43,7 @@ __all__ = [
     "ClosedFormCheck",
     "MomentCheck",
     "sample_triple",
-    "estimate_loss",
+    "accumulate",
     "paired_loss_estimates",
     "verify_closed_forms",
     "verify_decomposition",
@@ -128,48 +129,38 @@ def sample_triple(env: Environment, spec: SignalSpec, rng: RngHandle, size: int 
     return y, h, a
 
 
-def _rule_decisions(rule: str, env: Environment, spec: SignalSpec, h, a):
-    if rule == "human_only":
-        return (env.tau0 * env.mu0 + spec.tau_h * h) / (env.tau0 + spec.tau_h)
-    if rule == "ai_only":
-        return (env.tau0 * env.mu0 + spec.tau_a * a) / (env.tau0 + spec.tau_a)
-    if rule == "bayes_joint":
-        return bayes_posterior_mean(env, spec, h, a)
-    if rule == "cn_joint":
-        return cn_posterior_mean(env, spec, h, a)
-    raise ValidationError(f"unknown rule {rule!r}; expected one of {RULES}")
+def accumulate(env: Environment, spec: SignalSpec, n: int, rng: RngHandle,
+               stats: Mapping[str, Callable]) -> dict[str, Estimate]:
+    """Monte Carlo means of several statistics on one shared set of draws.
 
-
-def _estimate_from_sums(sums: list[float], sums_sq: list[float], n: int) -> Estimate:
-    total = _pairwise_total(sums)
-    total_sq = _pairwise_total(sums_sq)
-    mean = total / n
-    if n > 1:
-        var = max((total_sq - n * mean * mean) / (n - 1), 0.0)
-        se = math.sqrt(var / n)
-    else:
-        se = float("nan")
-    return Estimate(mean=mean, std_error=se, n=n)
-
-
-def estimate_loss(rule: str, env: Environment, spec: SignalSpec, n: int,
-                  rng: RngHandle) -> Estimate:
-    """Monte Carlo estimate of the expected squared loss of one rule."""
-    if rule not in RULES:
-        raise ValidationError(f"unknown rule {rule!r}; expected one of {RULES}")
+    Streams ``n`` triples from :func:`sample_triple` in chunks of ``CHUNK``;
+    each ``stats[name](y, h, a)`` maps a chunk to per-draw values.  Per-chunk
+    sums of the values and of their squares are reduced by a fixed pairwise
+    tree.  The standard error is NaN when ``n == 1``.
+    """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    sums: list[float] = []
-    sums_sq: list[float] = []
+    sums = {name: [] for name in stats}
+    sums_sq = {name: [] for name in stats}
     done = 0
     while done < n:
         m = min(CHUNK, n - done)
         y, h, a = sample_triple(env, spec, rng, size=m)
-        err = (_rule_decisions(rule, env, spec, h, a) - y) ** 2
-        sums.append(float(np.sum(err)))
-        sums_sq.append(float(np.sum(err * err)))
+        for name, stat in stats.items():
+            x = stat(y, h, a)
+            sums[name].append(float(np.sum(x)))
+            sums_sq[name].append(float(np.sum(x * x)))
         done += m
-    return _estimate_from_sums(sums, sums_sq, n)
+    out = {}
+    for name in stats:
+        mean = _pairwise_total(sums[name]) / n
+        if n > 1:
+            var = max((_pairwise_total(sums_sq[name]) - n * mean * mean) / (n - 1), 0.0)
+            se = math.sqrt(var / n)
+        else:
+            se = float("nan")
+        out[name] = Estimate(mean=mean, std_error=se, n=n)
+    return out
 
 
 def paired_loss_estimates(env: Environment, spec: SignalSpec, n: int,
@@ -179,20 +170,18 @@ def paired_loss_estimates(env: Environment, spec: SignalSpec, n: int,
     Shared draws make ordering comparisons (e.g. Bayes-joint never worse
     than the correlation-neglect joint) far tighter than independent runs.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    sums = {rule: [] for rule in RULES}
-    sums_sq = {rule: [] for rule in RULES}
-    done = 0
-    while done < n:
-        m = min(CHUNK, n - done)
-        y, h, a = sample_triple(env, spec, rng, size=m)
-        for rule in RULES:
-            err = (_rule_decisions(rule, env, spec, h, a) - y) ** 2
-            sums[rule].append(float(np.sum(err)))
-            sums_sq[rule].append(float(np.sum(err * err)))
-        done += m
-    return {rule: _estimate_from_sums(sums[rule], sums_sq[rule], n) for rule in RULES}
+    def own(y, h, a):
+        return ((env.tau0 * env.mu0 + spec.tau_h * h) / (env.tau0 + spec.tau_h) - y) ** 2
+
+    def assistant(y, h, a):
+        return ((env.tau0 * env.mu0 + spec.tau_a * a) / (env.tau0 + spec.tau_a) - y) ** 2
+
+    return accumulate(env, spec, n, rng, {
+        "human_only": own,
+        "ai_only": assistant,
+        "bayes_joint": lambda y, h, a: (bayes_posterior_mean(env, spec, h, a) - y) ** 2,
+        "cn_joint": lambda y, h, a: (cn_posterior_mean(env, spec, h, a) - y) ** 2,
+    })
 
 
 def verify_closed_forms(env: Environment, tau_h: float,

@@ -180,21 +180,6 @@ def _check_axis(values: Iterable[float], name: str) -> tuple[float, ...]:
     return axis
 
 
-def _cell_profile(env: Environment, spec: SignalSpec) -> LossProfile:
-    if spec.lam == 1.0:
-        # Full overlap: the assistant signal carries no innovation, so the
-        # optimal combination equals the own-signal posterior exactly.
-        lh = loss_human(env, spec)
-        return LossProfile(
-            l_human=lh,
-            l_ai=loss_ai(env, spec),
-            l_joint_bayes=lh,
-            l_joint_cn=loss_joint_cn(env, spec),
-            v_marginal=0.0,
-        )
-    return loss_profile(env, spec)
-
-
 def phase_sweep(env: Environment, tau_h: float,
                 tau_a_axis: Sequence[float],
                 lambda_axis: Sequence[float]) -> PhaseGrid:
@@ -220,7 +205,7 @@ def phase_sweep(env: Environment, tau_h: float,
             spec = SignalSpec(tau_h=tau_h, tau_a=tau_a, lam=lam)
             row.append(PhaseCell(
                 tau_a=tau_a, lam=lam, feasible=True,
-                profile=_cell_profile(env, spec),
+                profile=loss_profile(env, spec),
                 regime=classify(env, spec),
             ))
         rows.append(tuple(row))

@@ -203,7 +203,3 @@ class RngHandle:
         if index < 0:
             raise ValueError(f"split index must be nonnegative, got {index}")
         return RngHandle(self.seed, mix64(self.stream ^ ((index + 1) * _GAMMA & _MASK)))
-
-    def clone(self) -> "RngHandle":
-        """Fresh handle at counter 0 for the same (seed, stream)."""
-        return RngHandle(self.seed, self.stream)

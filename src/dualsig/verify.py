@@ -1,0 +1,243 @@
+"""Verification suites: every closed form and identity against an oracle.
+
+Suites
+------
+closed_forms  the four Gaussian losses against paired Monte Carlo estimates
+gap           the gap identity, exactly on random discrete problems and by
+              Monte Carlo for the Gaussian correlation-neglect rule
+voi           discrete value of information against brute force, a worked
+              clinical example, and information-theoretic identities
+lemma         simulated conditional moments, the three-point identity,
+              conditional-mean optimality, and the cue-pool overlap ratio
+
+:func:`run` returns one :class:`Check` per comparison.  The Monte Carlo
+suites (``closed_forms``, ``gap``, ``lemma``) need ``n >= 2`` draws, the
+fewest with a standard error; ``run`` rejects smaller ``n`` before any work.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import bregman, cueworld, montecarlo, voi
+from .core import Environment, SignalSpec, ValidationError
+from .rng import RngHandle, derive_seed
+
+__all__ = ["Check", "SUITES", "run"]
+
+
+@dataclass(frozen=True)
+class Check:
+    """One comparison, passing iff ``|observed - expected| <= tol``.
+
+    A skipped comparison has no observed value and counts as passing.
+    """
+
+    suite: str
+    name: str
+    observed: float | None = None
+    expected: float | None = None
+    tol: float | None = None
+
+    @property
+    def delta(self) -> float | None:
+        return None if self.observed is None else abs(self.observed - self.expected)
+
+    @property
+    def ok(self) -> bool:
+        return self.observed is None or self.delta <= self.tol
+
+
+_GENERATORS = (("squared", 1), ("negative_entropy", 2))
+
+
+def _closed_forms(n, seed, sigma_mult, tau0, tau_h):
+    env = Environment(mu0=0.0, tau0=tau0)
+    tau_a_grid = [round(0.2 * i, 10) for i in range(1, 11)]
+    lambda_grid = [0.0, 0.25, 0.45, 0.5, 0.67, 0.75, 0.85]
+    for c in montecarlo.verify_closed_forms(env, tau_h, tau_a_grid, lambda_grid, n,
+                                            RngHandle(seed, stream=0),
+                                            sigma_mult=sigma_mult):
+        cell = f"tauA={c.tau_a:g},lam={c.lam:g}"
+        if c.feasible:
+            yield Check("closed_forms", f"loss[{c.rule}][{cell}]", c.mc_mean,
+                        c.closed_form, sigma_mult * c.mc_se)
+        else:
+            yield Check("closed_forms", f"skip[{cell}]")
+
+
+def _random_discrete_problem(rng: RngHandle, numeric_states: bool):
+    """Small random joint over 2 states x 2x2 or 2x3 signal alphabets."""
+    n_h = 2 + (rng.uniforms(1)[0] > 0.5)
+    shape = (2, int(n_h), 2)
+    raw = rng.uniforms(int(np.prod(shape))).reshape(shape)
+    probs = raw / raw.sum()
+    states = (0.0, 1.0) if numeric_states else (0, 1)
+    return voi.DiscreteProblem(
+        states=states, signal_names=("h", "a"),
+        alphabets=(tuple(range(shape[1])), (0, 1)),
+        probs=probs, loss=voi.TableLoss(decisions=(0, 1), loss=lambda y, d: float(y != d)))
+
+
+def _random_rule(problem, gen, rng: RngHandle):
+    rule = {}
+    for h in problem.alphabets[0]:
+        for a in problem.alphabets[1]:
+            u = rng.uniforms(gen.dimension)
+            if gen.kind == "squared":
+                rule[(h, a)] = 2.0 * u - 0.5
+            else:
+                rule[(h, a)] = u / u.sum()
+    return rule
+
+
+def _worst_discrete_residual(rng: RngHandle, count: int, rule_offset: int, gen) -> float:
+    """Largest ``|residual|`` of the exact gap identity over ``count`` random
+    problems (substreams ``i``) and rules (substreams ``rule_offset + i``)."""
+    worst = 0.0
+    for i in range(count):
+        problem = _random_discrete_problem(rng.split(i), numeric_states=(gen.kind == "squared"))
+        rule = _random_rule(problem, gen, rng.split(rule_offset + i))
+        worst = max(worst, abs(bregman.gap_check_discrete(problem, rule, gen).residual))
+    return worst
+
+
+def _random_feasible_specs(seed: int, count: int):
+    rng = RngHandle(seed, stream=11)
+    out = []
+    while len(out) < count:
+        tau0, tau_h, tau_a, frac = rng.uniforms(4)
+        tau0 = 0.2 + 2.0 * tau0
+        tau_h = 0.2 + 2.0 * tau_h
+        tau_a = 0.1 + 2.0 * tau_a
+        lam = (0.05 + 0.85 * frac) * min(tau_h / tau_a, 1.0)
+        out.append((Environment(mu0=0.0, tau0=tau0),
+                    SignalSpec(tau_h=tau_h, tau_a=tau_a, lam=lam)))
+    return out
+
+
+def _gap(n, seed, sigma_mult, tau0, tau_h):
+    rng = RngHandle(seed, stream=10)
+    for kind, dim in _GENERATORS:
+        gen = bregman.BregmanGenerator(kind=kind, dimension=dim)
+        yield Check("gap", f"discrete_residual[{kind}]",
+                    _worst_discrete_residual(rng, 100, 1000, gen), 0.0, 1e-12)
+
+    report = bregman.gap_check_gaussian_cn(Environment(mu0=0.0, tau0=1.0),
+                                           SignalSpec(tau_h=1.0, tau_a=1.0, lam=0.5),
+                                           n, seed=seed)
+    yield Check("gap", "gaussian_penalty[1,1,1,0.5]", report.penalty, 1.0 / 63.0,
+                sigma_mult * report.penalty_se)
+    for i, (env_i, spec_i) in enumerate(_random_feasible_specs(derive_seed(seed, 7), 20)):
+        report = bregman.gap_check_gaussian_cn(env_i, spec_i, n, seed=derive_seed(seed, 8, i))
+        yield Check("gap", f"gaussian_residual[{i}]", report.residual, 0.0,
+                    sigma_mult * report.penalty_se)
+
+
+def _mutual_information_bits(problem, signals) -> float:
+    """I(state; signals) from entropies (oracle independent of risk path)."""
+    axes = problem.signal_axes(signals)
+    drop = tuple(ax for ax in range(1, problem.probs.ndim) if ax not in axes)
+    marg = problem.probs.sum(axis=drop) if drop else problem.probs
+    flat = marg.reshape(len(problem.states), -1)
+    p_y = flat.sum(axis=1)
+    p_s = flat.sum(axis=0)
+    total = 0.0
+    for i in range(flat.shape[0]):
+        for j in range(flat.shape[1]):
+            p = flat[i, j]
+            if p > 0.0:
+                total += p * math.log2(p / (p_y[i] * p_s[j]))
+    return total
+
+
+def _voi(n, seed, sigma_mult, tau0, tau_h):
+    for target in (0.0, 0.3, 1.0, 2.0, 10.0):
+        problem = voi.ratio_construction(target)
+        report = voi.marginal_value_discrete(problem)
+        ratio = 0.0 if report.v_a_given_h == 0.0 else report.ratio
+        yield Check("voi", f"ratio_target[{target:g}]", ratio, target, 1e-9)
+        brute = voi.brute_force_voi(problem)
+        brute_ratio = 0.0 if brute.v_a_given_h <= 1e-12 else brute.ratio
+        yield Check("voi", f"ratio_bruteforce[{target:g}]", brute_ratio, ratio, 1e-9)
+
+    single, both = voi.posterior_two_tests(0.001, 0.7, 0.01)
+    yield Check("voi", "clinical_single_positive", single, 0.0655, 5e-4)
+    yield Check("voi", "clinical_both_positive", both, 0.8306, 5e-4)
+
+    problem = voi.xor_construction(0.1, 0.25)
+    for name, signals in (("mi_identity[h]", ("h",)), ("mi_identity[a]", ("a",)),
+                          ("mi_identity[h,a]", ("h", "a"))):
+        yield Check("voi", name, voi.value_of_information(problem, signals),
+                    _mutual_information_bits(problem, signals), 1e-12)
+
+    quad = voi.DiscreteProblem(
+        states=(-1.0, 0.5, 2.0), signal_names=("h", "a"),
+        alphabets=((0, 1), (0, 1, 2)),
+        probs=np.array([[[0.10, 0.05, 0.05], [0.02, 0.08, 0.03]],
+                        [[0.06, 0.04, 0.10], [0.07, 0.03, 0.04]],
+                        [[0.05, 0.09, 0.02], [0.08, 0.05, 0.04]]]),
+        loss=voi.QuadraticLoss())
+    prior = quad.probs.sum(axis=(1, 2))
+    y = np.array([-1.0, 0.5, 2.0])
+    var_y = float(prior @ (y * y) - (prior @ y) ** 2)
+    yield Check("voi", "variance_reduction_identity",
+                voi.value_of_information(quad, ("h", "a")),
+                var_y - voi.bayes_risk(quad, ("h", "a")), 1e-12)
+
+
+def _lemma(n, seed, sigma_mult, tau0, tau_h):
+    env = Environment(mu0=0.0, tau0=1.0)
+    for i, spec in enumerate((SignalSpec(1.0, 1.0, 0.5),
+                              SignalSpec(2.0, 1.0, 0.5),
+                              SignalSpec(1.5, 0.8, 0.3))):
+        for c in montecarlo.verify_decomposition(
+                env, spec, n, RngHandle(derive_seed(seed, 20, i), stream=0),
+                sigma_mult=sigma_mult):
+            yield Check("lemma", f"{c.name}[spec{i}]", c.observed, c.expected,
+                        sigma_mult * c.std_error)
+
+    rng = RngHandle(seed, stream=21)
+    for kind, dim in _GENERATORS:
+        gen = bregman.BregmanGenerator(kind=kind, dimension=dim)
+        # the three-point identity residual equals the gap residual up to sign
+        yield Check("lemma", f"three_point_residual[{kind}]",
+                    _worst_discrete_residual(rng, 50, 500, gen), 0.0, 1e-12)
+        problem = _random_discrete_problem(rng.split(999), numeric_states=(kind == "squared"))
+        opt = bregman.conditional_mean_optimality(problem, gen)
+        yield Check("lemma", f"conditional_mean_optimal[{kind}]",
+                    opt.max_advantage, 0.0, opt.tolerance)
+
+    plan = cueworld.SamplingPlan(a=0.3, m=0.5, k=0.25, h_total=0.5)
+    for mode in cueworld.MODES:
+        world = cueworld.build_world(200, plan, mode=mode, seed=derive_seed(seed, 30))
+        ai = cueworld.sample_ai_set(world, plan.a, seed=derive_seed(seed, 31))
+        yield Check("lemma", f"overlap_ratio_vs_covariance[{mode}]",
+                    cueworld.empirical_lambda(world, world.human_set, ai),
+                    cueworld.covariance_lambda(world, world.human_set, ai), 1e-13)
+
+
+SUITES = {
+    "closed_forms": _closed_forms,
+    "gap": _gap,
+    "voi": _voi,
+    "lemma": _lemma,
+}
+
+
+def run(suite: str, *, n: int, seed: int, sigma_mult: float, tau0: float,
+        tau_h: float) -> list[Check]:
+    """All checks of one suite, in a fixed order.
+
+    ``n`` is the Monte Carlo draws per check and ``sigma_mult`` the number
+    of standard errors a Monte Carlo check accepts; ``tau0`` and ``tau_h``
+    set the closed-form grid of ``closed_forms``.  Seeds fix every draw.
+    """
+    if suite not in SUITES:
+        raise ValidationError(f"unknown suite {suite!r}; expected one of {sorted(SUITES)}")
+    if suite != "voi" and n < 2:
+        raise ValidationError(f"n must be >= 2, got {n}")
+    return list(SUITES[suite](n, seed, sigma_mult, tau0, tau_h))

@@ -32,6 +32,13 @@ class TestLosses:
         err = capsys.readouterr().err
         assert "feasibility" in err
 
+    @pytest.mark.parametrize("tau, lam", [("1e308", "0"), ("1e200", "0.5")])
+    def test_overflowing_precisions_exit_2(self, capsys, tau, lam):
+        assert main(["losses", "--tauH", tau, "--tauA", tau, "--lambda", lam]) == 2
+        captured = capsys.readouterr()
+        assert "not finite" in captured.err
+        assert captured.out == ""
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["losses", "--tauA", "1"])  # missing --lambda

@@ -7,11 +7,10 @@ from dualsig.core import (
     DegenerateDecompositionError,
     Environment,
     LossProfile,
-    SignalPair,
     SignalSpec,
     ValidationError,
-    bayes_decision,
-    cn_decision,
+    bayes_posterior_mean,
+    cn_posterior_mean,
     innovation_precision,
     loss_ai,
     loss_human,
@@ -20,7 +19,7 @@ from dualsig.core import (
     loss_profile,
     marginal_value,
 )
-from dualsig.montecarlo import estimate_loss, paired_loss_estimates
+from dualsig.montecarlo import paired_loss_estimates
 from dualsig.rng import RngHandle
 
 ENV = Environment(mu0=0.0, tau0=1.0)
@@ -61,6 +60,17 @@ class TestValidation:
     def test_spec_accepts_closed_feasibility_boundary(self):
         SignalSpec(tau_h=1.0, tau_a=4.0, lam=0.25)
         SignalSpec(tau_h=1.0, tau_a=0.5, lam=1.0)
+
+    def test_overflowing_totals_raise(self):
+        # each loss divides by a total that overflows only for extreme precisions
+        huge_env = Environment(mu0=0.0, tau0=1e308)
+        huge = SignalSpec(tau_h=1e308, tau_a=1e308, lam=0.0)
+        for loss in (loss_human, loss_ai, loss_joint_bayes):
+            with pytest.raises(ValidationError, match="not finite"):
+                loss(huge_env, huge)
+        with pytest.raises(ValidationError, match=r"T\*\*2 = inf"):
+            loss_joint_cn(ENV, SignalSpec(tau_h=1e200, tau_a=1e200, lam=0.5))
+        assert loss_joint_bayes(ENV, SignalSpec(tau_h=1e200, tau_a=1e200, lam=0.5)) > 0.0
 
     def test_loss_profile_invariants_enforced(self):
         with pytest.raises(ValidationError):
@@ -130,27 +140,28 @@ class TestClosedFormLosses:
 
 class TestDecisionRules:
     def test_cn_decision_substitution(self):
-        assert cn_decision(ENV, SignalSpec(1.0, 1.0, 0.0), SignalPair(3.0, 0.0)) == 1.0
+        assert cn_posterior_mean(ENV, SignalSpec(1.0, 1.0, 0.0), 3.0, 0.0) == 1.0
 
     def test_agreement_fixed_point(self):
         env = Environment(mu0=2.5, tau0=1.3)
         spec = SignalSpec(0.7, 0.4, 0.3)
-        assert abs(cn_decision(env, spec, SignalPair(2.5, 2.5)) - 2.5) < ATOL
-        assert abs(bayes_decision(env, spec, SignalPair(2.5, 2.5)) - 2.5) < ATOL
+        assert abs(cn_posterior_mean(env, spec, 2.5, 2.5) - 2.5) < ATOL
+        assert abs(bayes_posterior_mean(env, spec, 2.5, 2.5) - 2.5) < ATOL
 
     def test_cn_reduces_to_own_posterior_for_weak_assistant(self):
         spec = SignalSpec(1.0, 1e-12, 0.0)
-        got = cn_decision(ENV, spec, SignalPair(4.0, -100.0))
+        got = cn_posterior_mean(ENV, spec, 4.0, -100.0)
         assert abs(got - 4.0 / 2.0) < 1e-9
 
     def test_bayes_equals_cn_at_zero_overlap(self):
         spec = SignalSpec(1.3, 0.8, 0.0)
-        for h, a in ((0.0, 1.0), (-2.0, 3.5), (7.0, 7.0)):
-            pair = SignalPair(h, a)
-            assert abs(bayes_decision(ENV, spec, pair) - cn_decision(ENV, spec, pair)) < ATOL
+        h = np.array([0.0, -2.0, 7.0])
+        a = np.array([1.0, 3.5, 7.0])
+        np.testing.assert_allclose(bayes_posterior_mean(ENV, spec, h, a),
+                                   cn_posterior_mean(ENV, spec, h, a), rtol=0.0, atol=ATOL)
 
     def test_bayes_decision_substitution(self):
-        got = bayes_decision(ENV, SignalSpec(1.0, 1.0, 0.5), SignalPair(2.0, 1.0))
+        got = bayes_posterior_mean(ENV, SignalSpec(1.0, 1.0, 0.5), 2.0, 1.0)
         assert abs(got - 6.0 / 7.0) < ATOL
 
     def test_decision_weights_sum_to_one(self):
@@ -158,13 +169,12 @@ class TestDecisionRules:
         rng = RngHandle(11, 0)
         for _ in range(50):
             env, spec = random_feasible(rng)
-            pair = SignalPair(float(rng.uniforms(1)[0]), float(rng.uniforms(1)[0]))
+            h, a = float(rng.uniforms(1)[0]), float(rng.uniforms(1)[0])
             shift = 3.7
             shifted_env = Environment(env.mu0 + shift, env.tau0)
-            shifted = SignalPair(pair.h + shift, pair.a + shift)
-            for rule in (cn_decision, bayes_decision):
-                assert abs(rule(shifted_env, spec, shifted)
-                           - rule(env, spec, pair) - shift) < 1e-10
+            for rule in (cn_posterior_mean, bayes_posterior_mean):
+                assert abs(rule(shifted_env, spec, h + shift, a + shift)
+                           - rule(env, spec, h, a) - shift) < 1e-10
 
     def test_bayes_beats_cn_empirically(self):
         env = Environment(0.0, 1.0)
@@ -236,7 +246,8 @@ def test_monte_carlo_oracle_agrees_with_closed_forms():
     env = Environment(0.0, 1.0)
     spec = SignalSpec(1.0, 1.0, 0.5)
     n = 400_000
+    estimates = paired_loss_estimates(env, spec, n, RngHandle(9, 1))
     for rule, closed in (("human_only", 0.5), ("bayes_joint", 3.0 / 7.0),
                          ("cn_joint", 4.0 / 9.0)):
-        est = estimate_loss(rule, env, spec, n, RngHandle(9, 1))
+        est = estimates[rule]
         assert abs(est.mean - closed) <= 4.0 * est.std_error

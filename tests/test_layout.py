@@ -1,0 +1,51 @@
+"""No module of the package reaches into a sibling module's private names.
+
+A private name (leading underscore) is an implementation detail of its own
+module.  Two forms of reaching in are rejected: ``from .x import _name`` and
+``x._name`` where ``x`` is a sibling module imported with ``from . import x``.
+The private module ``_search`` is itself importable; only its public names
+are used.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dualsig"
+
+
+def private_reaches(source: str) -> list[str]:
+    """Every sibling-private name that ``source`` imports or reads."""
+    tree = ast.parse(source)
+    siblings = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level >= 1:
+            for alias in node.names:
+                if node.module is None:
+                    siblings.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    found.append(f"from .{node.module} import {alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_checker_flags_both_forms():
+    source = ("from . import montecarlo\n"
+              "from .regimes import _cell_profile, classify\n"
+              "from ._search import minimize_grid_refine\n"
+              "est = montecarlo._estimate_from_sums([], [], 1)\n"
+              "ok = montecarlo.CHUNK\n")
+    assert private_reaches(source) == ["from .regimes import _cell_profile",
+                                       "montecarlo._estimate_from_sums"]
+
+
+def test_no_module_uses_a_sibling_private_name():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    found = {path.name: private_reaches(path.read_text(encoding="utf-8"))
+             for path in modules}
+    assert {name: hits for name, hits in found.items() if hits} == {}

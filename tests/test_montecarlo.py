@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from dualsig.core import DegenerateDecompositionError, Environment, SignalSpec, ValidationError
+from dualsig.core import bayes_posterior_mean
 from dualsig.montecarlo import (
+    CHUNK,
     RULES,
     Estimate,
-    estimate_loss,
+    accumulate,
     paired_loss_estimates,
     sample_triple,
     verify_closed_forms,
@@ -55,27 +57,49 @@ class TestSampleTriple:
 
 class TestEstimateLoss:
     def test_matches_closed_forms_at_reference_point(self):
+        estimates = paired_loss_estimates(ENV, SPEC, 1_000_000, RngHandle(5, 0))
         for rule, closed in (("cn_joint", 4.0 / 9.0), ("human_only", 0.5),
                              ("ai_only", 0.5), ("bayes_joint", 3.0 / 7.0)):
-            est = estimate_loss(rule, ENV, SPEC, 1_000_000, RngHandle(5, 0))
+            est = estimates[rule]
             assert abs(est.mean - closed) <= 4.0 * est.std_error
 
     def test_deterministic_estimates(self):
-        a = estimate_loss("cn_joint", ENV, SPEC, 200_000, RngHandle(6, 1))
-        b = estimate_loss("cn_joint", ENV, SPEC, 200_000, RngHandle(6, 1))
-        assert a == b  # bit-identical, including the standard error
+        a = paired_loss_estimates(ENV, SPEC, 200_000, RngHandle(6, 1))
+        b = paired_loss_estimates(ENV, SPEC, 200_000, RngHandle(6, 1))
+        assert a == b  # bit-identical, including the standard errors
 
-    def test_unknown_rule_rejected(self):
+    def test_empty_run_rejected(self):
         with pytest.raises(ValidationError):
-            estimate_loss("oracle", ENV, SPEC, 10, RngHandle(0, 0))
+            paired_loss_estimates(ENV, SPEC, 0, RngHandle(0, 0))
         with pytest.raises(ValidationError):
-            estimate_loss("cn_joint", ENV, SPEC, 0, RngHandle(0, 0))
+            accumulate(ENV, SPEC, 0, RngHandle(0, 0), {"y": lambda y, h, a: y})
 
     def test_estimate_fields(self):
-        est = estimate_loss("human_only", ENV, SPEC, 1000, RngHandle(7, 0))
+        est = paired_loss_estimates(ENV, SPEC, 1000, RngHandle(7, 0))["human_only"]
         assert isinstance(est, Estimate)
         assert est.n == 1000
         assert est.std_error > 0.0
+
+
+class TestAccumulate:
+    def test_one_statistic_equals_its_paired_entry_bit_for_bit(self):
+        # a statistic's estimate does not depend on what else shares the draws
+        n = CHUNK + 1234  # a partial second chunk
+        paired = paired_loss_estimates(ENV, SPEC, n, RngHandle(15, 2))
+        alone = accumulate(ENV, SPEC, n, RngHandle(15, 2), {
+            "bayes": lambda y, h, a: (bayes_posterior_mean(ENV, SPEC, h, a) - y) ** 2})
+        assert alone["bayes"] == paired["bayes_joint"]
+
+    def test_moments_of_the_state(self):
+        est = accumulate(ENV, SPEC, 200_000, RngHandle(16, 0),
+                         {"y": lambda y, h, a: y, "y2": lambda y, h, a: y * y})
+        assert list(est) == ["y", "y2"]
+        assert abs(est["y"].mean) <= 4.0 * est["y"].std_error
+        assert abs(est["y2"].mean - 1.0) <= 4.0 * est["y2"].std_error
+
+    def test_single_draw_has_no_standard_error(self):
+        est = accumulate(ENV, SPEC, 1, RngHandle(17, 0), {"y": lambda y, h, a: y})["y"]
+        assert est.n == 1 and math.isnan(est.std_error)
 
 
 class TestPairedOrderings:

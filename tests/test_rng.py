@@ -38,12 +38,14 @@ def test_streams_and_seeds_differ():
     assert not np.array_equal(base, RngHandle(43, 0).uniforms(100))
 
 
-def test_split_and_clone():
+def test_split_is_a_fresh_handle_on_a_derived_stream():
     parent = RngHandle(7, 5)
     child = parent.split(0)
     assert (child.seed, child.stream) != (parent.seed, parent.stream)
-    assert np.array_equal(parent.split(0).uniforms(50), child.clone().uniforms(50))
-    assert not np.array_equal(parent.split(1).uniforms(50), child.clone().uniforms(50))
+    fresh = RngHandle(child.seed, child.stream)
+    assert np.array_equal(parent.split(0).uniforms(50), fresh.uniforms(50))
+    assert not np.array_equal(parent.split(1).uniforms(50),
+                              RngHandle(child.seed, child.stream).uniforms(50))
 
 
 def test_derive_seed_distinct_and_deterministic():
