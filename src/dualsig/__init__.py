@@ -15,6 +15,7 @@ from .core import (
     LossProfile,
     SignalSpec,
     ValidationError,
+    feasible,
     innovation_precision,
     loss_ai,
     loss_human,
@@ -24,16 +25,13 @@ from .core import (
     marginal_value,
 )
 from .regimes import (
-    PhaseCell,
     PhaseGrid,
     Regime,
-    ThresholdReport,
     classify,
     lambda_bar,
     phase_sweep,
     tau_aug,
     tau_auto,
-    thresholds,
 )
 from .cueworld import (
     ConcentrationSummary,

@@ -82,14 +82,13 @@ def cmd_losses(args) -> int:
 
 def cmd_thresholds(args) -> int:
     env = Environment(mu0=0.0, tau0=args.tau0)
-    lambdas = args.lam if args.lam else _linspace(
-        args.lambda_min, args.lambda_max, args.lambda_steps, "lambda")
-    rows = []
-    for lam in lambdas:
-        aug = regimes.tau_aug(env, args.tauH, lam)
-        auto = regimes.tau_auto(env, args.tauH, lam) if lam > 0.0 else None
-        rows.append([lam, aug, auto, regimes.lambda_bar(env, args.tauH)])
-    _write_csv(args.out, ["lambda", "tau_aug", "tau_auto", "lambda_bar"], rows)
+    lam = np.array(args.lam if args.lam else _linspace(
+        args.lambda_min, args.lambda_max, args.lambda_steps, "lambda"))
+    auto = np.full(lam.shape, np.nan)  # blank at lam = 0: no crossing exists there
+    auto[lam > 0.0] = regimes.tau_auto(env, args.tauH, lam[lam > 0.0])
+    rows = np.column_stack([lam, regimes.tau_aug(env, args.tauH, lam), auto,
+                            np.full(lam.shape, regimes.lambda_bar(env, args.tauH))])
+    _write_csv(args.out, ["lambda", "tau_aug", "tau_auto", "lambda_bar"], rows.tolist())
     return 0
 
 
@@ -98,19 +97,9 @@ def cmd_phase(args) -> int:
     tau_a_axis = _linspace(args.tauA_min, args.tauA_max, args.tauA_steps, "tauA")
     lambda_axis = _linspace(args.lambda_min, args.lambda_max, args.lambda_steps, "lambda")
     grid = regimes.phase_sweep(env, args.tauH, tau_a_axis, lambda_axis)
-    rows = []
-    for row in grid.cells:
-        for cell in row:
-            if cell.feasible:
-                p = cell.profile
-                rows.append([cell.lam, cell.tau_a, True, p.l_human, p.l_ai,
-                             p.l_joint_cn, p.l_joint_bayes, p.v_marginal,
-                             cell.regime.value])
-            else:
-                rows.append([cell.lam, cell.tau_a, False,
-                             None, None, None, None, None, None])
     _write_csv(args.out, ["lambda", "tauA", "feasible", "L_H", "L_AI",
-                          "L_HA_CN", "L_HA_Bayes", "v_marg", "regime"], rows)
+                          "L_HA_CN", "L_HA_Bayes", "v_marg", "regime"],
+               (rec for row in grid.cells for rec in row.tolist()))
     return 0
 
 

@@ -22,13 +22,15 @@ conditionally independent and thereby double-counts shared evidence:
 
     loss_joint_cn = 1/T + 2*lam*tau_a / T**2,   T = tau0 + tau_h + tau_a.
 
-All functions are pure and thread-safe; parameters are 64-bit floats.
+All functions are pure and thread-safe.  Parameters are 64-bit floats, or
+float64 arrays of points, on which every formula acts element-wise.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 __all__ = [
     "ValidationError",
@@ -36,6 +38,9 @@ __all__ = [
     "Environment",
     "SignalSpec",
     "LossProfile",
+    "require",
+    "finite_total",
+    "feasible",
     "innovation_precision",
     "loss_human",
     "loss_ai",
@@ -60,28 +65,44 @@ class DegenerateDecompositionError(ValidationError):
     """
 
 
-def _require_finite(value: float, name: str) -> float:
+def require(ok, message: str, *values, error: type[ValidationError] = ValidationError) -> None:
+    """Raise ``error`` unless ``ok`` (a bool or bool array) holds everywhere;
+    ``message`` is formatted with ``values`` at the first failing element."""
+    if not np.all(ok):
+        i = np.flatnonzero(np.logical_not(ok))[0]
+        raise error(message.format(*(np.broadcast_to(v, np.shape(ok)).flat[i] for v in values)))
+
+
+def _native(x):
+    # numpy gives 0-d results for float inputs; hand those back as floats.
+    return x if np.ndim(x) else float(x)
+
+
+def _checked(value, name: str, positive: bool = False):
+    """``value`` as a float, or a float64 array if array-like; finite and,
+    if ``positive``, strictly positive."""
     try:
-        x = float(value)
+        x = float(value) if np.ndim(value) == 0 else np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} must be a real number, got {value!r}") from exc
-    if not math.isfinite(x):
-        raise ValidationError(f"{name} must be finite, got {x}")
+    require(np.isfinite(x), name + " must be finite, got {}", x)
+    if positive:
+        require(x > 0.0, name + " must be strictly positive, got {}", x)
     return x
 
 
-def _finite_total(total: float, name: str) -> float:
-    # A loss divided by an overflowed total would read as a silent 0.
-    if not math.isfinite(total):
-        raise ValidationError(f"{name} = {total} is not finite; the precisions are too large")
+def finite_total(total, name: str):
+    """``total`` if finite everywhere, else a :class:`ValidationError` naming it:
+    a loss or threshold computed from an overflowed total would read 0 or inf."""
+    require(np.isfinite(total), name + " = {} is not finite; the precisions are too large",
+            total)
     return total
 
 
-def _require_positive(value: float, name: str) -> float:
-    x = _require_finite(value, name)
-    if x <= 0.0:
-        raise ValidationError(f"{name} must be strictly positive, got {x}")
-    return x
+@np.errstate(over="ignore")  # tau_h/tau_a may overflow to inf; the bound is then 1
+def feasible(tau_h, tau_a, lam):
+    """The feasibility rule ``0 <= lam <= min(tau_h/tau_a, 1)``, element-wise."""
+    return (lam >= 0.0) & (lam <= np.minimum(tau_h / tau_a, 1.0))
 
 
 @dataclass(frozen=True)
@@ -92,106 +113,111 @@ class Environment:
     tau0: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mu0", _require_finite(self.mu0, "mu0"))
-        object.__setattr__(self, "tau0", _require_positive(self.tau0, "tau0"))
+        object.__setattr__(self, "mu0", _checked(self.mu0, "mu0"))
+        object.__setattr__(self, "tau0", _checked(self.tau0, "tau0", positive=True))
 
 
 @dataclass(frozen=True)
 class SignalSpec:
     """Joint law of the two signals given the state: (tau_h, tau_a, lam).
 
-    Accepts the closed feasibility region ``0 <= lam <= min(tau_h/tau_a, 1)``.
-    Operations that need the innovation decomposition additionally require
-    ``lam < 1`` and a strictly positive innovation-variance denominator and
-    raise :class:`DegenerateDecompositionError` otherwise.
+    Floats, or three float arrays of one shape holding one spec per element.
+    Accepts the closed region :func:`feasible`.  Operations that need the
+    innovation decomposition additionally require ``lam < 1`` and raise
+    :class:`DegenerateDecompositionError` otherwise.
     """
 
-    tau_h: float
-    tau_a: float
-    lam: float
+    tau_h: float | np.ndarray
+    tau_a: float | np.ndarray
+    lam: float | np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tau_h", _require_positive(self.tau_h, "tau_h"))
-        object.__setattr__(self, "tau_a", _require_positive(self.tau_a, "tau_a"))
-        object.__setattr__(self, "lam", _require_finite(self.lam, "lam"))
-        if self.lam < 0.0:
-            raise ValidationError(f"lam must be nonnegative, got {self.lam}")
-        bound = min(self.tau_h / self.tau_a, 1.0)
-        if self.lam > bound:
-            raise ValidationError(
-                f"overlap lam={self.lam} exceeds the feasibility bound "
-                f"min(tau_h/tau_a, 1) = {bound} (tau_h={self.tau_h}, tau_a={self.tau_a})"
-            )
-
-    def innovation_denominator(self) -> float:
-        """``1/tau_a - lam**2 / tau_h``; positive iff the decomposition exists."""
-        return 1.0 / self.tau_a - self.lam ** 2 / self.tau_h
+        tau_h = _checked(self.tau_h, "tau_h", positive=True)
+        tau_a = _checked(self.tau_a, "tau_a", positive=True)
+        lam = _checked(self.lam, "lam")
+        if not np.shape(tau_h) == np.shape(tau_a) == np.shape(lam):
+            raise ValidationError("tau_h, tau_a and lam must be floats or arrays of one shape")
+        require(lam >= 0.0, "lam must be nonnegative, got {}", lam)
+        require(feasible(tau_h, tau_a, lam),
+                "overlap lam={} exceeds the feasibility bound min(tau_h/tau_a, 1) "
+                "(tau_h={}, tau_a={})", lam, tau_h, tau_a)
+        for name, value in (("tau_h", tau_h), ("tau_a", tau_a), ("lam", lam)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
 class LossProfile:
-    """The four expected losses plus the marginal value of the assistant."""
+    """The four expected losses plus the marginal value of the assistant
+    (floats, or arrays checked element-wise)."""
 
-    l_human: float
-    l_ai: float
-    l_joint_bayes: float
-    l_joint_cn: float
-    v_marginal: float
+    l_human: float | np.ndarray
+    l_ai: float | np.ndarray
+    l_joint_bayes: float | np.ndarray
+    l_joint_cn: float | np.ndarray
+    v_marginal: float | np.ndarray
 
     def __post_init__(self) -> None:
         tol = 1e-9
         for name in ("l_human", "l_ai", "l_joint_bayes", "l_joint_cn", "v_marginal"):
-            value = _require_finite(getattr(self, name), name)
-            if value < -tol:
-                raise ValidationError(f"{name} must be nonnegative, got {value}")
-        if self.l_joint_bayes > self.l_human + tol:
-            raise ValidationError("l_joint_bayes cannot exceed l_human")
-        if self.l_joint_bayes > self.l_joint_cn + tol:
-            raise ValidationError("l_joint_bayes cannot exceed l_joint_cn")
-        if abs(self.v_marginal - (self.l_human - self.l_joint_bayes)) > tol:
-            raise ValidationError("v_marginal must equal l_human - l_joint_bayes")
+            value = _checked(getattr(self, name), name)
+            require(value >= -tol, name + " must be nonnegative, got {}", value)
+        require(self.l_joint_bayes <= self.l_human + tol,
+                "l_joint_bayes cannot exceed l_human")
+        require(self.l_joint_bayes <= self.l_joint_cn + tol,
+                "l_joint_bayes cannot exceed l_joint_cn")
+        require(abs(self.v_marginal - (self.l_human - self.l_joint_bayes)) <= tol,
+                "v_marginal must equal l_human - l_joint_bayes")
 
 
-def innovation_precision(spec: SignalSpec) -> float:
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value fails a check
+def innovation_precision(spec: SignalSpec):
     """Precision of the assistant's innovation component.
 
     ``tilde_tau = (1 - lam)**2 / (1/tau_a - lam**2 / tau_h)``; equals
-    ``tau_a`` at lam = 0.
+    ``tau_a`` at lam = 0.  Where the denominator cancels to <= 0 (on the
+    boundary ``lam = tau_h/tau_a`` with ``tau_a`` a few ulps above ``tau_h``;
+    it is positive for every feasible ``lam < 1``), the equal form
+    ``((1-lam)*(1+lam) + lam**2*(tau_h-tau_a)/tau_h) / tau_a`` replaces it.
+    Squares use ``float_power``, the C library's pow that Python floats use:
+    numpy's ``x**2`` multiplies, which differs in the last bit at times.
     """
-    if spec.lam >= 1.0:
-        raise DegenerateDecompositionError(
-            f"innovation decomposition requires lam < 1, got lam={spec.lam}"
-        )
-    den = spec.innovation_denominator()
-    if den <= 0.0:
-        raise DegenerateDecompositionError(
-            f"innovation-variance denominator 1/tau_a - lam^2/tau_h = {den} "
-            "must be strictly positive"
-        )
-    return (1.0 - spec.lam) ** 2 / den
+    lam, tau_h, tau_a = spec.lam, spec.tau_h, spec.tau_a
+    require(lam < 1.0, "innovation decomposition requires lam < 1, got lam={}", lam,
+            error=DegenerateDecompositionError)
+    lam2 = np.float_power(lam, 2.0)
+    den = 1.0 / tau_a - lam2 / tau_h
+    den = np.where(den > 0.0, den,
+                   ((1.0 - lam) * (1.0 + lam) + lam2 * (tau_h - tau_a) / tau_h) / tau_a)
+    require(den > 0.0, "innovation-variance denominator 1/tau_a - lam^2/tau_h = {} "
+            "must be strictly positive", den, error=DegenerateDecompositionError)
+    return _native(np.float_power(1.0 - lam, 2.0) / den)
 
 
-def loss_human(env: Environment, spec: SignalSpec) -> float:
+@np.errstate(over="ignore")
+def loss_human(env: Environment, spec: SignalSpec):
     """Expected loss using the own signal alone: ``1 / (tau0 + tau_h)``."""
-    return 1.0 / _finite_total(env.tau0 + spec.tau_h, "tau0 + tau_h")
+    return 1.0 / finite_total(env.tau0 + spec.tau_h, "tau0 + tau_h")
 
 
-def loss_ai(env: Environment, spec: SignalSpec) -> float:
+@np.errstate(over="ignore")
+def loss_ai(env: Environment, spec: SignalSpec):
     """Expected loss using the assistant signal alone: ``1 / (tau0 + tau_a)``."""
-    return 1.0 / _finite_total(env.tau0 + spec.tau_a, "tau0 + tau_a")
+    return 1.0 / finite_total(env.tau0 + spec.tau_a, "tau0 + tau_a")
 
 
-def loss_joint_bayes(env: Environment, spec: SignalSpec) -> float:
+@np.errstate(over="ignore")
+def loss_joint_bayes(env: Environment, spec: SignalSpec):
     """Expected loss of the Bayes-optimal combination of both signals.
 
     Equals ``1 / (tau0 + tau_h + tilde_tau)``: only the innovation part of
     the assistant signal adds precision.
     """
-    return 1.0 / _finite_total(env.tau0 + spec.tau_h + innovation_precision(spec),
-                               "tau0 + tau_h + tilde_tau")
+    return 1.0 / finite_total(env.tau0 + spec.tau_h + innovation_precision(spec),
+                              "tau0 + tau_h + tilde_tau")
 
 
-def loss_joint_cn(env: Environment, spec: SignalSpec) -> float:
+@np.errstate(over="ignore")
+def loss_joint_cn(env: Environment, spec: SignalSpec):
     """Expected loss under correlation neglect: ``1/T + 2*lam*tau_a/T**2``.
 
     The second term is the overlap penalty; it vanishes at lam = 0, where
@@ -199,10 +225,10 @@ def loss_joint_cn(env: Environment, spec: SignalSpec) -> float:
     closed feasibility region (no innovation decomposition involved).
     """
     T = env.tau0 + spec.tau_h + spec.tau_a
-    return 1.0 / T + 2.0 * spec.lam * spec.tau_a / _finite_total(T * T, "T**2")
+    return 1.0 / T + 2.0 * spec.lam * spec.tau_a / finite_total(T * T, "T**2")
 
 
-def marginal_value(env: Environment, spec: SignalSpec) -> float:
+def marginal_value(env: Environment, spec: SignalSpec):
     """Risk reduction from adding the assistant signal under optimal use.
 
     ``1/(tau0 + tau_h) - 1/(tau0 + tau_h + tilde_tau)``, in [0, loss_human).
@@ -211,14 +237,17 @@ def marginal_value(env: Environment, spec: SignalSpec) -> float:
 
 
 def loss_profile(env: Environment, spec: SignalSpec) -> LossProfile:
-    """All four losses and the marginal value for one parameter point.
+    """All four losses and the marginal value for a spec (floats or arrays).
 
     Covers the whole closed feasibility region: at full overlap (lam = 1)
     the assistant signal carries no innovation, so the optimal combination
     equals the own-signal posterior and the marginal value is 0.
     """
     lh = loss_human(env, spec)
-    ljb = lh if spec.lam == 1.0 else loss_joint_bayes(env, spec)
+    full = spec.lam == 1.0
+    # lam = 0 stands in where lam = 1; those cells keep lh instead.
+    innovating = replace(spec, lam=_native(np.where(full, 0.0, spec.lam)))
+    ljb = _native(np.where(full, lh, loss_joint_bayes(env, innovating)))
     return LossProfile(
         l_human=lh,
         l_ai=loss_ai(env, spec),

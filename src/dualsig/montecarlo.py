@@ -28,6 +28,7 @@ from .core import (
     ValidationError,
     bayes_posterior_mean,
     cn_posterior_mean,
+    feasible,
     innovation_precision,
     loss_ai,
     loss_human,
@@ -203,7 +204,7 @@ def verify_closed_forms(env: Environment, tau_h: float,
     for lam in lambda_grid:
         for tau_a in tau_a_grid:
             cell += 1
-            if lam < 0.0 or lam > min(1.0, tau_h / tau_a) or lam >= 1.0:
+            if lam >= 1.0 or not feasible(tau_h, tau_a, lam):
                 checks.append(ClosedFormCheck(
                     tau_a=tau_a, lam=lam, feasible=False, rule="",
                     mc_mean=float("nan"), mc_se=float("nan"),

@@ -23,161 +23,143 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .core import (
     Environment,
-    LossProfile,
     SignalSpec,
     ValidationError,
+    feasible,
+    finite_total,
     loss_ai,
     loss_human,
     loss_joint_cn,
     loss_profile,
+    require,
 )
 
 __all__ = [
     "Regime",
-    "ThresholdReport",
-    "PhaseCell",
     "PhaseGrid",
     "tau_aug",
     "tau_auto",
     "lambda_bar",
-    "thresholds",
     "classify",
     "phase_sweep",
 ]
 
 
-class Regime(enum.Enum):
-    """Which deployment achieves the lowest expected loss."""
+class Regime(str, enum.Enum):
+    """Which deployment achieves the lowest expected loss (a str: its value)."""
 
     IMPAIRMENT = "Impairment"
     COMPLEMENTARITY = "Complementarity"
     AUTOMATION = "Automation"
 
 
-def _check_lambda(lam: float, lo_open: bool) -> float:
-    lam = float(lam)
-    if not math.isfinite(lam):
-        raise ValidationError(f"lam must be finite, got {lam}")
-    if lam < 0.0 or lam > 1.0 or (lo_open and lam == 0.0):
-        bounds = "(0, 1]" if lo_open else "[0, 1]"
-        raise ValidationError(f"lam must lie in {bounds}, got {lam}")
+# classify picks the first of these whose deployment is (weakly) best.
+_TIE_ORDER = np.array([Regime.IMPAIRMENT, Regime.AUTOMATION, Regime.COMPLEMENTARITY],
+                      dtype=object)
+
+# PhaseGrid.cells record layout: the CSV column order of ``dualsig phase``.
+_CELL = np.dtype([("lam", float), ("tau_a", float), ("feasible", bool),
+                  ("l_human", float), ("l_ai", float), ("l_joint_cn", float),
+                  ("l_joint_bayes", float), ("v_marginal", float), ("regime", object)])
+
+
+def _check_lambda(lam, lo_open: bool):
+    lam = np.asarray(lam, dtype=float) if np.ndim(lam) else float(lam)
+    above = lam > 0.0 if lo_open else lam >= 0.0
+    require(above & (lam <= 1.0),
+            "lam must lie in " + ("(0, 1]" if lo_open else "[0, 1]") + ", got {}", lam)
     return lam
 
 
 def _check_tau_h(tau_h: float) -> None:
-    # A scalar test: thresholds calls it three times per overlap level.
-    if not math.isfinite(tau_h) or tau_h <= 0.0:
-        raise ValidationError(f"tau_h must be finite and strictly positive, got {tau_h}")
+    require(math.isfinite(tau_h) and tau_h > 0.0,
+            "tau_h must be finite and strictly positive, got {}", tau_h)
 
 
-def tau_aug(env: Environment, tau_h: float, lam: float) -> float:
+def tau_aug(env: Environment, tau_h: float, lam):
     """Assistant precision above which the combination beats the own signal.
 
     ``(tau0 + tau_h) * (2*lam - 1)``; negative or zero for lam <= 1/2, which
     reads as "any positive assistant precision already augments".
+    Broadcasts over an array ``lam``.
     """
     lam = _check_lambda(lam, lo_open=False)
     _check_tau_h(tau_h)
-    return (env.tau0 + tau_h) * (2.0 * lam - 1.0)
+    return finite_total(env.tau0 + tau_h, "tau0 + tau_h") * (2.0 * lam - 1.0)
 
 
-def tau_auto(env: Environment, tau_h: float, lam: float) -> float:
+@np.errstate(over="ignore")  # an overflow fails the finiteness checks below
+def tau_auto(env: Environment, tau_h: float, lam):
     """Assistant precision above which going assistant-only beats the combination.
 
     Positive root of a quadratic; requires lam > 0 (at lam = 0 the
     combination dominates the assistant alone for every capability, so no
-    crossing exists and callers must not ask for one).
+    crossing exists and callers must not ask for one).  Broadcasts over an
+    array ``lam``; raises where the discriminant or the root is not finite,
+    or the root is not positive.
     """
     lam = _check_lambda(lam, lo_open=True)
     _check_tau_h(tau_h)
     b = tau_h - 2.0 * lam * env.tau0
-    return (b + math.sqrt(b * b + 8.0 * lam * tau_h * (env.tau0 + tau_h))) / (4.0 * lam)
+    disc = finite_total(b * b + 8.0 * lam * tau_h * (env.tau0 + tau_h),
+                        "the tau_auto discriminant")
+    root = (b + np.sqrt(disc)) / (4.0 * lam)
+    require((root > 0.0) & np.isfinite(root),
+            "tau_auto = {} at lam = {} is not a positive finite number; "
+            "the precisions are out of range", root, lam)
+    return root
 
 
 def lambda_bar(env: Environment, tau_h: float) -> float:
     """Overlap level above which the combination is never the best choice."""
     _check_tau_h(tau_h)
-    return 0.5 + tau_h / (2.0 * (env.tau0 + tau_h))
+    return 0.5 + tau_h / finite_total(2.0 * (env.tau0 + tau_h), "2*(tau0 + tau_h)")
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
-    """Both capability thresholds plus the critical overlap, for one lam > 0."""
-
-    tau_aug: float
-    tau_auto: float
-    lambda_bar: float
-
-    def __post_init__(self) -> None:
-        if not self.tau_auto > 0.0:
-            raise ValidationError(f"tau_auto must be positive, got {self.tau_auto}")
-        if not 0.5 < self.lambda_bar < 1.0:
-            raise ValidationError(f"lambda_bar must lie in (1/2, 1), got {self.lambda_bar}")
-
-
-def thresholds(env: Environment, tau_h: float, lam: float) -> ThresholdReport:
-    """Threshold report for one overlap level (lam in (0, 1])."""
-    return ThresholdReport(
-        tau_aug=tau_aug(env, tau_h, lam),
-        tau_auto=tau_auto(env, tau_h, lam),
-        lambda_bar=lambda_bar(env, tau_h),
-    )
-
-
-def classify(env: Environment, spec: SignalSpec) -> Regime:
+def classify(env: Environment, spec: SignalSpec):
     """Regime of the strict loss argmin among the three deployments.
 
     Ties prefer the simpler system: own signal alone, then assistant alone,
-    then the combination.
+    then the combination.  A :class:`Regime` for a float spec, an object
+    array of them for an array spec.
     """
     lh = loss_human(env, spec)
     la = loss_ai(env, spec)
     lcn = loss_joint_cn(env, spec)
-    if lh <= la and lh <= lcn:
-        return Regime.IMPAIRMENT
-    if la <= lcn:
-        return Regime.AUTOMATION
-    return Regime.COMPLEMENTARITY
+    return _TIE_ORDER[np.where((lh <= la) & (lh <= lcn), 0, np.where(la <= lcn, 1, 2))]
 
 
-@dataclass(frozen=True)
-class PhaseCell:
-    """One grid cell: parameters, feasibility, losses, and regime tag."""
-
-    tau_a: float
-    lam: float
-    feasible: bool
-    profile: LossProfile | None
-    regime: Regime | None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseGrid:
     """Loss profiles and regimes over a (tau_a, lam) grid.
 
-    ``cells[i][j]`` corresponds to ``lambda_axis[i]`` and ``tau_a_axis[j]``
-    (overlap-major ordering, matching the CSV emitted by the CLI).
+    ``cells`` is a read-only 2-D structured array; ``cells[i, j]`` belongs to
+    ``lambda_axis[i]`` and ``tau_a_axis[j]`` (overlap-major, like the CSV
+    emitted by the CLI).  Its fields, in CSV column order, are ``lam``,
+    ``tau_a``, ``feasible``, ``l_human``, ``l_ai``, ``l_joint_cn``,
+    ``l_joint_bayes``, ``v_marginal`` and ``regime`` (a :class:`Regime`).
+    Infeasible cells hold NaN losses and a ``None`` regime.
     """
 
     tau_a_axis: tuple[float, ...]
     lambda_axis: tuple[float, ...]
-    cells: tuple[tuple[PhaseCell, ...], ...]
+    cells: np.ndarray
 
 
-def _check_axis(values: Iterable[float], name: str) -> tuple[float, ...]:
-    axis = tuple(float(v) for v in values)
-    if not axis:
-        raise ValidationError(f"{name} must be nonempty")
-    for v in axis:
-        if not math.isfinite(v):
-            raise ValidationError(f"{name} values must be finite, got {v}")
-    if any(b <= a for a, b in zip(axis, axis[1:])):
+def _check_axis(values: Sequence[float], name: str) -> tuple[float, ...]:
+    axis = np.asarray(values, dtype=float)
+    if axis.ndim != 1 or not axis.size:
+        raise ValidationError(f"{name} must be a nonempty sequence")
+    require(np.isfinite(axis), name + " values must be finite, got {}", axis)
+    if np.any(axis[1:] <= axis[:-1]):
         raise ValidationError(f"{name} must be strictly increasing")
-    return axis
+    return tuple(axis.tolist())
 
 
 def phase_sweep(env: Environment, tau_h: float,
@@ -186,27 +168,23 @@ def phase_sweep(env: Environment, tau_h: float,
     """Evaluate losses and regimes over the product grid.
 
     Cells with ``lam > min(1, tau_h/tau_a)`` are marked infeasible (data,
-    not an error).  Cells are independent; results are stored in a fixed
-    overlap-major order regardless of how they are computed.
+    not an error).  The feasible cells are evaluated together, as one array
+    spec, and give the same bits as evaluating each cell on its own.
     """
     _check_tau_h(tau_h)
     ta_axis = _check_axis(tau_a_axis, "tau_a_axis")
     lam_axis = _check_axis(lambda_axis, "lambda_axis")
-    rows = []
-    for lam in lam_axis:
-        row = []
-        for tau_a in ta_axis:
-            if tau_a <= 0.0:
-                raise ValidationError(f"tau_a grid values must be positive, got {tau_a}")
-            if lam < 0.0 or lam > min(1.0, tau_h / tau_a):
-                row.append(PhaseCell(tau_a=tau_a, lam=lam, feasible=False,
-                                     profile=None, regime=None))
-                continue
-            spec = SignalSpec(tau_h=tau_h, tau_a=tau_a, lam=lam)
-            row.append(PhaseCell(
-                tau_a=tau_a, lam=lam, feasible=True,
-                profile=loss_profile(env, spec),
-                regime=classify(env, spec),
-            ))
-        rows.append(tuple(row))
-    return PhaseGrid(tau_a_axis=ta_axis, lambda_axis=lam_axis, cells=tuple(rows))
+    if ta_axis[0] <= 0.0:
+        raise ValidationError(f"tau_a grid values must be positive, got {ta_axis[0]}")
+    cells = np.empty((len(lam_axis), len(ta_axis)), dtype=_CELL)  # regime: None
+    cells["lam"], cells["tau_a"] = np.meshgrid(lam_axis, ta_axis, indexing="ij")
+    ok = feasible(tau_h, cells["tau_a"], cells["lam"])
+    cells["feasible"] = ok
+    lam = cells["lam"][ok]
+    spec = SignalSpec(tau_h=np.full(lam.shape, tau_h), tau_a=cells["tau_a"][ok], lam=lam)
+    for name, value in vars(loss_profile(env, spec)).items():
+        cells[name] = np.nan
+        cells[name][ok] = value
+    cells["regime"][ok] = classify(env, spec)
+    cells.flags.writeable = False
+    return PhaseGrid(tau_a_axis=ta_axis, lambda_axis=lam_axis, cells=cells)

@@ -69,16 +69,16 @@ def test_criterion_2_regime_boundaries():
 
     # lam = 0.45: no impairment region anywhere on the feasible slice
     slice45 = phase_sweep(ENV, TAU_H, np.linspace(0.02, 2.2, 221), [0.45])
-    ok &= all(c.regime is not Regime.IMPAIRMENT
-              for c in slice45.cells[0] if c.feasible)
+    ok &= all(c["regime"] is not Regime.IMPAIRMENT
+              for c in slice45.cells[0] if c["feasible"])
 
     # lam = 0.85: direct transition with the boundary exactly at tau_a = 1
     ok &= classify(ENV, SignalSpec(TAU_H, 1.0, 0.85)) is Regime.IMPAIRMENT
     ok &= classify(ENV, SignalSpec(TAU_H, 1.0 - 1e-9, 0.85)) is Regime.IMPAIRMENT
     ok &= classify(ENV, SignalSpec(TAU_H, 1.0 + 1e-9, 0.85)) is Regime.AUTOMATION
     slice85 = phase_sweep(ENV, TAU_H, np.linspace(0.02, 1.15, 200), [0.85])
-    ok &= all(c.regime is not Regime.COMPLEMENTARITY
-              for c in slice85.cells[0] if c.feasible)
+    ok &= all(c["regime"] is not Regime.COMPLEMENTARITY
+              for c in slice85.cells[0] if c["feasible"])
     report("regime boundaries at lam in {0.67, 0.45, 0.85}", ok,
            f"tau_aug={aug:.12g}, tau_auto={auto:.12g}")
 
@@ -93,7 +93,7 @@ def test_criterion_3_phase_diagram_structure():
                        np.linspace(0.02, 2.2, 111), np.linspace(0.0, 1.0, 101))
     patterns_ok = True
     for row, lam in zip(grid.cells, grid.lambda_axis):
-        tags = [c.regime for c in row if c.feasible]
+        tags = [c["regime"] for c in row if c["feasible"]]
         collapsed = [t for i, t in enumerate(tags) if i == 0 or tags[i - 1] is not t]
         if lam <= 0.5:
             expected = [Regime.COMPLEMENTARITY, Regime.AUTOMATION]

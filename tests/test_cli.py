@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from dualsig.cli import main
+
+SRC = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                                    os.environ.get("PYTHONPATH")]))
 
 
 def run(tmp_path, name, args):
@@ -63,6 +71,17 @@ class TestThresholds:
         assert main(["thresholds", f"--tauH={tau_h}", "--lambda", "0.5"]) == 2
         assert "tau_h" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--tau0", "1e-300", "--tauH", "1e-300", "--lambda", "0.5"],  # printed tau_auto = 0
+        ["--tauH", "1e200", "--lambda", "0.5"],                       # printed inf
+        ["--tau0", "1e308", "--tauH", "1e308"],                       # blank tau_aug, 0.5
+    ])
+    def test_out_of_range_precisions_exit_2(self, capsys, argv):
+        assert main(["thresholds", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_lambda_axis_fallback(self, tmp_path):
         code, data = run(tmp_path, "thr.csv",
                          ["thresholds", "--lambda-min", "0.1", "--lambda-max", "0.9",
@@ -90,6 +109,17 @@ class TestPhase:
                 assert parts[3:] == [""] * 6
             else:
                 assert parts[-1] in {"Impairment", "Complementarity", "Automation"}
+
+    def test_overflow_exits_2_with_one_error_line(self):
+        # a fresh interpreter, so that numpy's warnings reach stderr as they would
+        proc = subprocess.run(
+            [sys.executable, "-m", "dualsig.cli", "phase", "--tauH", "1e200",
+             "--tauA-min", "1e199", "--tauA-max", "1e201"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: T**2 = inf is not finite")
+        assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
 
     def test_lambda_major_ordering(self, tmp_path):
         _, data = run(tmp_path, "phase.csv",

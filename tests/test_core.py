@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dualsig.core import (
     ValidationError,
     bayes_posterior_mean,
     cn_posterior_mean,
+    feasible,
     innovation_precision,
     loss_ai,
     loss_human,
@@ -81,6 +83,124 @@ class TestValidation:
                         l_joint_cn=0.5, v_marginal=0.2)
 
 
+def boundary_specs(count, seed=0):
+    """Specs on the boundary lam = tau_h/tau_a with tau_a 1-4 ulps above tau_h."""
+    rng = np.random.default_rng(seed)
+    tau_h = np.exp(rng.uniform(math.log(1e-4), math.log(1e4), count))
+    tau_a = tau_h.copy()
+    for step in range(4):
+        tau_a = np.where(np.arange(count) % 4 >= step, np.nextafter(tau_a, np.inf), tau_a)
+    return tau_h, tau_a, tau_h / tau_a
+
+
+def exact_denominator(tau_h, tau_a, lam):
+    return 1 / Fraction(tau_a) - Fraction(lam) ** 2 / Fraction(tau_h)
+
+
+def exact_tilde(spec):
+    return (1 - Fraction(spec.lam)) ** 2 / exact_denominator(spec.tau_h, spec.tau_a, spec.lam)
+
+
+class TestArraySpecs:
+    def test_floats_stay_python_floats(self):
+        spec = SignalSpec(np.float64(1.0), 2, 0.25)
+        assert all(type(x) is float for x in (spec.tau_h, spec.tau_a, spec.lam))
+        p = loss_profile(ENV, spec)
+        assert all(type(getattr(p, f)) is float
+                   for f in ("l_human", "l_ai", "l_joint_bayes", "l_joint_cn", "v_marginal"))
+        assert type(innovation_precision(spec)) is float
+
+    def test_array_spec_matches_floats_bit_for_bit(self):
+        rng = RngHandle(11, 0)
+        points = [random_feasible(rng) for _ in range(200)]
+        tau_h, tau_a, lam = (np.array([getattr(s, f) for _, s in points])
+                             for f in ("tau_h", "tau_a", "lam"))
+        lam[:20] = 0.0
+        lam[20:40] = np.minimum(tau_h / tau_a, 1.0)[20:40]
+        spec = SignalSpec(tau_h, tau_a, lam)
+        p = loss_profile(ENV, spec)
+        for i in range(len(lam)):
+            one = SignalSpec(float(tau_h[i]), float(tau_a[i]), float(lam[i]))
+            q = loss_profile(ENV, one)
+            assert (p.l_human[i], p.l_ai[i], p.l_joint_bayes[i], p.l_joint_cn[i],
+                    p.v_marginal[i]) == (q.l_human, q.l_ai, q.l_joint_bayes,
+                                         q.l_joint_cn, q.v_marginal)
+
+    def test_full_overlap_cells_in_an_array(self):
+        spec = SignalSpec(np.array([1.0, 1.0, 2.0]), np.array([1.0, 0.5, 1.0]),
+                          np.array([1.0, 1.0, 0.3]))
+        p = loss_profile(ENV, spec)
+        assert p.l_joint_bayes[:2].tolist() == p.l_human[:2].tolist()
+        assert p.v_marginal[:2].tolist() == [0.0, 0.0]
+        assert p.v_marginal[2] > 0.0
+        with pytest.raises(DegenerateDecompositionError, match="lam=1.0"):
+            innovation_precision(spec)
+
+    def test_shapes_must_agree(self):
+        with pytest.raises(ValidationError, match="one shape"):
+            SignalSpec(np.ones(3), np.ones(3), 0.5)
+        with pytest.raises(ValidationError, match="one shape"):
+            SignalSpec(np.ones(3), np.ones(2), np.zeros(3))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("tau_h", math.nan, "tau_h must be finite, got nan"),
+        ("tau_a", -2.0, "tau_a must be strictly positive, got -2.0"),
+        ("lam", -0.5, "lam must be nonnegative, got -0.5"),
+        ("lam", 0.75, "overlap lam=0.75 exceeds the feasibility bound"),
+    ])
+    def test_element_checks_name_the_first_bad_value(self, field, value, message):
+        fields = {"tau_h": np.ones(4), "tau_a": np.full(4, 2.0), "lam": np.full(4, 0.25)}
+        fields[field][2] = value
+        with pytest.raises(ValidationError) as exc:
+            SignalSpec(**fields)
+        assert str(exc.value).startswith(message)
+        assert "[" not in str(exc.value)
+
+    def test_non_real_input_rejected(self):
+        with pytest.raises(ValidationError, match="real"):
+            SignalSpec(np.array(["1.0", "x"]), np.ones(2), np.zeros(2))
+        with pytest.raises(ValidationError, match="real"):
+            SignalSpec(1.0, 1.0, 1j)
+
+    def test_overflow_in_arrays_raises_one_line_without_warnings(self):
+        spec = SignalSpec(np.full(3, 1e200), np.array([1e199, 1e200, 1e201]), np.zeros(3))
+        with pytest.raises(ValidationError, match=r"^T\*\*2 = inf is not finite"):
+            loss_joint_cn(ENV, spec)
+        with pytest.raises(ValidationError, match=r"^tau0 \+ tau_h = inf"):
+            loss_human(Environment(0.0, 1e308), SignalSpec(np.full(2, 1e308), np.ones(2),
+                                                           np.zeros(2)))
+
+    def test_loss_profile_invariants_checked_element_wise(self):
+        good = dict(l_human=0.5, l_ai=0.5, l_joint_bayes=0.4, l_joint_cn=0.45,
+                    v_marginal=0.1)
+        LossProfile(**{k: np.full(3, v) for k, v in good.items()})
+        bad = {k: np.full(3, v) for k, v in good.items()}
+        bad["v_marginal"][1] = 0.2
+        with pytest.raises(ValidationError, match="v_marginal must equal"):
+            LossProfile(**bad)
+        bad = {k: np.full(3, v) for k, v in good.items()}
+        bad["l_joint_bayes"][2] = 0.47
+        bad["v_marginal"][2] = 0.03
+        with pytest.raises(ValidationError, match="cannot exceed l_joint_cn"):
+            LossProfile(**bad)
+
+
+class TestFeasible:
+    def test_is_the_closed_region(self):
+        assert feasible(1.0, 4.0, 0.25) and feasible(1.0, 0.5, 1.0) and feasible(1.0, 2.0, 0.0)
+        assert not feasible(1.0, 4.0, 0.26)
+        assert not feasible(1.0, 0.5, 1.0 + 1e-9)
+        assert not feasible(1.0, 1.0, -0.1)
+
+    def test_broadcasts(self):
+        ok = feasible(1.0, np.array([[0.5], [2.0]]), np.array([0.0, 0.5, 0.6, 1.0]))
+        assert ok.tolist() == [[True, True, True, True], [True, True, False, False]]
+
+    def test_tiny_assistant_precision_gives_bound_one(self):
+        assert feasible(1e300, 1e-300, 1.0)
+        assert feasible(np.full(2, 1e300), np.full(2, 1e-300), np.ones(2)).all()
+
+
 class TestInnovationPrecision:
     def test_zero_overlap_returns_assistant_precision(self):
         assert innovation_precision(SignalSpec(1.0, 1.0, 0.0)) == 1.0
@@ -90,6 +210,40 @@ class TestInnovationPrecision:
 
     def test_stronger_own_signal(self):
         assert abs(innovation_precision(SignalSpec(2.0, 1.0, 0.5)) - 2.0 / 7.0) < ATOL
+
+    def test_boundary_denominator_against_exact_rationals(self):
+        # the direct denominator 1/tau_a - lam**2/tau_h computes to 0.0 here
+        spec = SignalSpec(0.002893041894429604, 0.0028930418944296044, 0.9999999999999999)
+        exact_den = exact_denominator(spec.tau_h, spec.tau_a, spec.lam)
+        assert 2e-14 < exact_den < 3e-14
+        assert abs(Fraction(innovation_precision(spec)) - exact_tilde(spec)) \
+            <= 2e-15 * exact_tilde(spec)
+        # wherever the direct form cancels to <= 0 the stable one is accurate
+        tau_h, tau_a, lam = boundary_specs(2000, seed=1)
+        tilde = innovation_precision(SignalSpec(tau_h, tau_a, lam))
+        assert (tilde > 0.0).all()
+        cancelled = np.flatnonzero(1.0 / tau_a - np.float_power(lam, 2.0) / tau_h <= 0.0)
+        assert len(cancelled) > 20
+        for i in cancelled:
+            exact = exact_tilde(SignalSpec(float(tau_h[i]), float(tau_a[i]), float(lam[i])))
+            assert abs(Fraction(tilde[i]) - exact) <= 2e-15 * exact
+
+    def test_ulp_adjacent_boundary_sweep_through_loss_profile(self):
+        tau_h, tau_a, lam = boundary_specs(20000)
+        assert (lam < 1.0).all()
+        direct = 1.0 / tau_a - np.float_power(lam, 2.0) / tau_h
+        assert (direct <= 0.0).sum() > 100  # the sweep reaches the cancelling specs
+        p = loss_profile(ENV, SignalSpec(tau_h, tau_a, lam))
+        assert (p.v_marginal >= 0.0).all() and (p.l_joint_bayes <= p.l_human).all()
+        for i in np.flatnonzero(direct <= 0.0)[:300]:
+            q = loss_profile(ENV, SignalSpec(float(tau_h[i]), float(tau_a[i]), float(lam[i])))
+            assert (q.l_joint_bayes, q.v_marginal) == (p.l_joint_bayes[i], p.v_marginal[i])
+
+    def test_direct_form_kept_off_the_boundary(self):
+        for spec in (SignalSpec(1.0, 1.0, 0.5), SignalSpec(2.0, 1.0, 0.5),
+                     SignalSpec(0.37, 2.2, 0.16), SignalSpec(1.0, 1.0 + 1e-9, 0.999999)):
+            direct = (1.0 - spec.lam) ** 2 / (1.0 / spec.tau_a - spec.lam ** 2 / spec.tau_h)
+            assert innovation_precision(spec) == direct
 
     def test_degenerate_cases_raise(self):
         with pytest.raises(DegenerateDecompositionError):

@@ -7,11 +7,12 @@ drawn at ``lam = 0``, in the interior, and on the boundary (which is
 
 import math
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dualsig.core import Environment, SignalSpec, loss_profile
-from dualsig.regimes import Regime, classify, lambda_bar, tau_auto, tau_aug
+from dualsig.core import Environment, SignalSpec, feasible, loss_profile
+from dualsig.regimes import Regime, classify, lambda_bar, phase_sweep, tau_auto, tau_aug
 
 PRECISIONS = st.floats(1e-3, 1e3)
 
@@ -62,3 +63,45 @@ def test_thresholds_meet_at_tau_h_at_the_critical_overlap(tau0, tau_h):
     lam = lambda_bar(env, tau_h)
     assert math.isclose(tau_aug(env, tau_h, lam), tau_h, rel_tol=1e-8)
     assert math.isclose(tau_auto(env, tau_h, lam), tau_h, rel_tol=1e-8)
+
+
+def axis(size):
+    return st.lists(PRECISIONS, min_size=1, max_size=size, unique=True).map(sorted)
+
+
+LAMBDAS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8, unique=True).map(sorted)
+LOSSES = ("l_human", "l_ai", "l_joint_cn", "l_joint_bayes", "v_marginal")
+
+
+@settings(max_examples=100, deadline=None)
+@given(tau0=PRECISIONS, tau_h=PRECISIONS, tau_a_axis=axis(8), lambda_axis=LAMBDAS)
+@example(tau0=1.0, tau_h=1.0, tau_a_axis=[0.5, 1.0, 2.0], lambda_axis=[0.0, 0.5, 1.0])
+def test_phase_sweep_cells_equal_the_scalar_closed_forms(tau0, tau_h, tau_a_axis,
+                                                         lambda_axis):
+    env = Environment(mu0=0.0, tau0=tau0)
+    grid = phase_sweep(env, tau_h, tau_a_axis, lambda_axis)
+    assert grid.cells.shape == (len(lambda_axis), len(tau_a_axis))
+    for cell in grid.cells.ravel():
+        lam, tau_a = float(cell["lam"]), float(cell["tau_a"])
+        assert cell["feasible"] == feasible(tau_h, tau_a, lam)
+        if not cell["feasible"]:
+            assert all(math.isnan(cell[name]) for name in LOSSES)
+            assert cell["regime"] is None
+            continue
+        spec = SignalSpec(tau_h=tau_h, tau_a=tau_a, lam=lam)
+        p = loss_profile(env, spec)
+        assert [float(cell[name]) for name in LOSSES] == [getattr(p, name) for name in LOSSES]
+        assert cell["regime"] is classify(env, spec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tau0=PRECISIONS, tau_h=PRECISIONS,
+       lam=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=20))
+@example(tau0=2.5, tau_h=0.4, lam=[0.0, 0.5, 1.0])
+def test_thresholds_broadcast_over_lambda_bit_for_bit(tau0, tau_h, lam):
+    env = Environment(mu0=0.0, tau0=tau0)
+    lam = np.array(lam)
+    assert tau_aug(env, tau_h, lam).tolist() == [tau_aug(env, tau_h, x) for x in lam.tolist()]
+    positive = lam[lam > 0.0]
+    assert (tau_auto(env, tau_h, positive).tolist()
+            == [tau_auto(env, tau_h, x) for x in positive.tolist()])

@@ -7,13 +7,11 @@ from dualsig.core import Environment, SignalSpec, ValidationError, loss_ai, loss
 from dualsig.regimes import (
     PhaseGrid,
     Regime,
-    ThresholdReport,
     classify,
     lambda_bar,
     phase_sweep,
     tau_aug,
     tau_auto,
-    thresholds,
 )
 
 from helpers import bisect_root
@@ -95,12 +93,39 @@ class TestLambdaBar:
         assert abs(lambda_bar(ENV, 1e9) - 1.0) < 1e-8
 
     def test_report_invariants(self):
-        rep = thresholds(ENV, 1.0, 0.6)
-        assert isinstance(rep, ThresholdReport)
-        assert rep.tau_aug < rep.tau_auto
-        for lam in (0.05, 0.3, 0.55, 0.7, 0.74):
-            rep = thresholds(ENV, 1.0, lam)
-            assert rep.tau_aug < rep.tau_auto
+        # below lambda_bar the augmentation threshold lies under the automation one
+        for lam in (0.05, 0.3, 0.55, 0.6, 0.7, 0.74):
+            assert 0.0 < tau_auto(ENV, 1.0, lam)
+            assert tau_aug(ENV, 1.0, lam) < tau_auto(ENV, 1.0, lam)
+        assert 0.5 < lambda_bar(ENV, 1.0) < 1.0
+
+
+class TestThresholdArrays:
+    def test_array_domain_errors_name_one_value(self):
+        with pytest.raises(ValidationError, match=r"\(0, 1\], got 0.0$"):
+            tau_auto(ENV, 1.0, np.array([0.5, 0.0, 0.0]))
+        with pytest.raises(ValidationError, match=r"\[0, 1\], got 1.5$"):
+            tau_aug(ENV, 1.0, np.array([0.5, 1.5, 2.0]))
+
+    @pytest.mark.parametrize("tau0, tau_h, call", [
+        (1e-300, 1e-300, "tau_auto"),   # the discriminant underflows: the root reads 0
+        (1.0, 1e200, "tau_auto"),       # the discriminant overflows: the root reads inf
+        (1e308, 1e308, "tau_aug"),      # tau0 + tau_h overflows: tau_aug reads nan
+        (1e308, 1e308, "lambda_bar"),   # ... and lambda_bar reads 1/2
+        (1.0, 1.7e308, "lambda_bar"),   # 2*(tau0 + tau_h) overflows
+    ])
+    def test_out_of_range_precisions_raise(self, tau0, tau_h, call):
+        env = Environment(mu0=0.0, tau0=tau0)
+        fn = {"tau_aug": lambda lam: tau_aug(env, tau_h, lam),
+              "tau_auto": lambda lam: tau_auto(env, tau_h, lam),
+              "lambda_bar": lambda lam: lambda_bar(env, tau_h)}[call]
+        for lam in (0.5, np.array([0.25, 0.5])):
+            with pytest.raises(ValidationError, match="finite"):
+                fn(lam)
+
+    def test_tiny_overlap_root_overflow_raises(self):
+        with pytest.raises(ValidationError, match="tau_auto = inf"):
+            tau_auto(ENV, 1.0, 1e-310)  # 2 / 4e-310 overflows
 
 
 class TestClassify:
@@ -138,6 +163,17 @@ class TestClassify:
                 Regime.IMPAIRMENT if tau_a <= lo else Regime.AUTOMATION)
             assert classify(ENV, spec) is expected
 
+    def test_array_spec_gives_array_of_regimes(self):
+        # the tie cases above and one cell of each regime, classified together
+        tau_a = np.array([0.3, 0.9, 2.0, 1.0, 0.68])
+        lam = np.array([0.67, 0.67, 0.45, 0.85, 0.67])
+        tags = classify(ENV, SignalSpec(np.ones(5), tau_a, lam))
+        assert tags.dtype == object and tags.shape == (5,)
+        assert list(tags) == [Regime.IMPAIRMENT, Regime.COMPLEMENTARITY, Regime.AUTOMATION,
+                              Regime.IMPAIRMENT, Regime.IMPAIRMENT]
+        assert list(tags) == [classify(ENV, SignalSpec(1.0, float(t), float(x)))
+                              for t, x in zip(tau_a, lam)]
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
@@ -150,49 +186,57 @@ class TestClassify:
                 assert scaled is base
 
 
+def feasible_cells(grid, row=0):
+    cells = grid.cells[row]
+    return cells[cells["feasible"]]
+
+
 class TestPhaseSweep:
     def test_slice_intermediate_overlap(self):
         # three regions with boundaries {0.68, tau_auto(0.67)}
         axis = np.linspace(0.02, 1.7, 400)
         grid = phase_sweep(ENV, 1.0, axis, [0.67])
-        feasible = [c for c in grid.cells[0] if c.feasible]
+        feasible = feasible_cells(grid)
         for cell in feasible:
-            expected = (Regime.IMPAIRMENT if cell.tau_a <= 0.68 + 1e-12 else
-                        Regime.COMPLEMENTARITY if cell.tau_a < TAU_AUTO_067 else
+            expected = (Regime.IMPAIRMENT if cell["tau_a"] <= 0.68 + 1e-12 else
+                        Regime.COMPLEMENTARITY if cell["tau_a"] < TAU_AUTO_067 else
                         Regime.AUTOMATION)
-            assert cell.regime is expected
-        tags = {c.regime for c in feasible}
+            assert cell["regime"] is expected
+        tags = set(feasible["regime"])
         assert tags == {Regime.IMPAIRMENT, Regime.COMPLEMENTARITY, Regime.AUTOMATION}
 
     def test_slice_low_overlap_two_regions(self):
         grid = phase_sweep(ENV, 1.0, np.linspace(0.02, 2.2, 300), [0.45])
-        tags = [c.regime for c in grid.cells[0] if c.feasible]
+        tags = list(feasible_cells(grid)["regime"])
         assert Regime.IMPAIRMENT not in tags
         assert tags == sorted(tags, key=[Regime.COMPLEMENTARITY, Regime.AUTOMATION].index)
 
     def test_slice_high_overlap_boundary_at_tau_h(self):
         axis = [0.5, 0.9, 0.999999, 1.0, 1.000001, 1.1]
         grid = phase_sweep(ENV, 1.0, axis, [0.85])
-        tags = [c.regime for c in grid.cells[0] if c.feasible]
+        tags = list(feasible_cells(grid)["regime"])
         expected = [Regime.IMPAIRMENT] * 4 + [Regime.AUTOMATION] * 2
         assert tags == expected
 
     def test_infeasible_cells_flagged_not_raised(self):
         grid = phase_sweep(ENV, 1.0, [0.5, 2.0], [0.3, 0.6, 1.0])
-        flags = {(c.lam, c.tau_a): c.feasible for row in grid.cells for c in row}
-        assert flags[(0.3, 2.0)] is True
-        assert flags[(0.6, 2.0)] is False  # 0.6 > 1/2
-        assert flags[(1.0, 2.0)] is False
-        assert flags[(1.0, 0.5)] is True
-        infeasible = [c for row in grid.cells for c in row if not c.feasible]
-        assert all(c.profile is None and c.regime is None for c in infeasible)
+        flags = {(c["lam"], c["tau_a"]): c["feasible"] for c in grid.cells.ravel()}
+        assert flags[(0.3, 2.0)]
+        assert not flags[(0.6, 2.0)]  # 0.6 > 1/2
+        assert not flags[(1.0, 2.0)]
+        assert flags[(1.0, 0.5)]
+        infeasible = grid.cells[~grid.cells["feasible"]]
+        assert len(infeasible) == 2
+        for name in ("l_human", "l_ai", "l_joint_cn", "l_joint_bayes", "v_marginal"):
+            assert np.isnan(infeasible[name]).all()
+        assert all(r is None for r in infeasible["regime"])
 
     def test_full_overlap_cells_have_zero_marginal_value(self):
         grid = phase_sweep(ENV, 1.0, [0.4, 0.8, 1.0], [1.0])
         for cell in grid.cells[0]:
-            assert cell.feasible
-            assert cell.profile.v_marginal == 0.0
-            assert cell.profile.l_joint_bayes == cell.profile.l_human
+            assert cell["feasible"]
+            assert cell["v_marginal"] == 0.0
+            assert cell["l_joint_bayes"] == cell["l_human"]
 
     def test_deterministic_and_ordered(self):
         axis_t = np.linspace(0.1, 2.0, 7)
@@ -200,17 +244,33 @@ class TestPhaseSweep:
         a = phase_sweep(ENV, 1.0, axis_t, axis_l)
         b = phase_sweep(ENV, 1.0, axis_t, axis_l)
         assert isinstance(a, PhaseGrid)
-        assert a == b
+        assert a.cells.shape == (5, 7)
+        for name in a.cells.dtype.names:
+            if name == "regime":
+                assert (a.cells[name] == b.cells[name]).all()
+            else:
+                assert np.array_equal(a.cells[name], b.cells[name], equal_nan=True)
         assert a.lambda_axis == tuple(float(x) for x in axis_l)
+        assert (a.cells["lam"] == np.array(a.lambda_axis)[:, None]).all()
+        assert (a.cells["tau_a"] == np.array(a.tau_a_axis)[None, :]).all()
+
+    def test_cells_are_read_only_records_in_csv_column_order(self):
+        grid = phase_sweep(ENV, 1.0, [0.3, 0.9], [0.2, 0.67])
+        assert grid.cells.dtype.names == (
+            "lam", "tau_a", "feasible", "l_human", "l_ai", "l_joint_cn",
+            "l_joint_bayes", "v_marginal", "regime")
+        assert sum(len(row) for row in grid.cells) == 4
+        with pytest.raises(ValueError):
+            grid.cells["l_human"][0, 0] = 0.0
 
     def test_cells_match_direct_losses(self):
         grid = phase_sweep(ENV, 1.0, [0.3, 0.9], [0.2, 0.67])
         for row in grid.cells:
             for cell in row:
-                spec = SignalSpec(1.0, cell.tau_a, cell.lam)
-                assert cell.profile.l_human == loss_human(ENV, spec)
-                assert cell.profile.l_ai == loss_ai(ENV, spec)
-                assert cell.profile.l_joint_cn == loss_joint_cn(ENV, spec)
+                spec = SignalSpec(1.0, cell["tau_a"], cell["lam"])
+                assert cell["l_human"] == loss_human(ENV, spec)
+                assert cell["l_ai"] == loss_ai(ENV, spec)
+                assert cell["l_joint_cn"] == loss_joint_cn(ENV, spec)
 
     def test_axis_validation(self):
         with pytest.raises(ValidationError):
