@@ -12,11 +12,20 @@ of normals from the handle (state, own-signal noise, innovation noise).
 ``CHUNK`` triples, evaluates every named statistic on each chunk, and
 combines the per-chunk sums with a pairwise tree, so the result is
 independent of any parallel execution plan that preserves chunk indexing.
+
+:func:`verify_closed_forms` runs its grid cells through :func:`parallel_map`
+on ``min(cells, usable CPUs)`` forked worker processes.  Each cell draws
+from its own substream ``rng.split(cell)`` and the results come back in
+input order, so the output bytes do not depend on the worker count; one
+usable CPU (for example under ``taskset -c 0``) gives the serial loop.  A
+command's peak RSS as reported by ``wait4`` covers the workers, because it
+is the maximum over the process and its waited-for descendants.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -46,6 +55,7 @@ __all__ = [
     "sample_triple",
     "accumulate",
     "paired_loss_estimates",
+    "parallel_map",
     "verify_closed_forms",
     "verify_decomposition",
 ]
@@ -185,6 +195,40 @@ def paired_loss_estimates(env: Environment, spec: SignalSpec, n: int,
     })
 
 
+def parallel_map(fn: Callable, items: Iterable[Sequence]) -> list:
+    """``[fn(*args) for args in items]``, spread over forked worker processes.
+
+    Uses ``min(len(items), usable CPUs)`` workers, the CPUs being those of
+    this process's affinity mask, and runs the plain loop in this process
+    when that is fewer than 2 or the platform cannot fork.  Results keep the
+    order of ``items``, and an exception raised by ``fn`` in a worker is
+    raised here as itself.  ``fn`` and the arguments must pickle, so ``fn``
+    is a module-level function.  Forked workers need no fresh import and
+    see the module attributes as this process has them, but forking is
+    safe only from a process that has not started threads.
+    """
+    items = list(items)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(items), cpus)
+    if workers >= 2:
+        # imported here, so that importing the package starts no pool machinery
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                return list(pool.map(fn, *zip(*items)))
+    return [fn(*args) for args in items]
+
+
+def _cell_losses(env: Environment, spec: SignalSpec, n: int,
+                 rng: RngHandle) -> list[tuple[str, float, float, float]]:
+    """``(rule, mc_mean, mc_se, closed_form)`` of the four rules at one cell."""
+    estimates = paired_loss_estimates(env, spec, n, rng)
+    return [(rule, estimates[rule].mean, estimates[rule].std_error,
+             _CLOSED_FORMS[rule](env, spec)) for rule in RULES]
+
+
 def verify_closed_forms(env: Environment, tau_h: float,
                         tau_a_grid: Iterable[float], lambda_grid: Iterable[float],
                         n: int, rng: RngHandle,
@@ -193,33 +237,33 @@ def verify_closed_forms(env: Environment, tau_h: float,
 
     Infeasible (tau_a, lam) cells are reported with ``feasible=False`` and
     skipped; feasible cells get one check row per rule, passing when
-    ``|mc - closed| <= sigma_mult * se``.  Each cell uses the substream
-    ``rng.split(cell_index)`` so cell results do not depend on grid order.
-    ``n`` must be at least 2, the fewest draws with a standard error.
+    ``|mc - closed| <= sigma_mult * se``.  Cells are numbered from 1 in
+    lambda-major order, and cell ``i`` uses the substream ``rng.split(i)``,
+    so cell results do not depend on grid order or on which worker of
+    :func:`parallel_map` runs them.  ``n`` must be at least 2, the fewest
+    draws with a standard error.
     """
     if n < 2:
         raise ValidationError(f"n must be >= 2, got {n}")
+    cells = [(tau_a, lam, SignalSpec(tau_h=tau_h, tau_a=tau_a, lam=lam)
+              if lam < 1.0 and feasible(tau_h, tau_a, lam) else None)
+             for lam in lambda_grid for tau_a in tau_a_grid]
+    losses = iter(parallel_map(_cell_losses, [(env, spec, n, rng.split(cell))
+                                              for cell, (_, _, spec) in enumerate(cells, 1)
+                                              if spec is not None]))
     checks: list[ClosedFormCheck] = []
-    cell = 0
-    for lam in lambda_grid:
-        for tau_a in tau_a_grid:
-            cell += 1
-            if lam >= 1.0 or not feasible(tau_h, tau_a, lam):
-                checks.append(ClosedFormCheck(
-                    tau_a=tau_a, lam=lam, feasible=False, rule="",
-                    mc_mean=float("nan"), mc_se=float("nan"),
-                    closed_form=float("nan"), ok=True))
-                continue
-            spec = SignalSpec(tau_h=tau_h, tau_a=tau_a, lam=lam)
-            estimates = paired_loss_estimates(env, spec, n, rng.split(cell))
-            for rule in RULES:
-                est = estimates[rule]
-                cf = _CLOSED_FORMS[rule](env, spec)
-                ok = abs(est.mean - cf) <= sigma_mult * est.std_error
-                checks.append(ClosedFormCheck(
-                    tau_a=tau_a, lam=lam, feasible=True, rule=rule,
-                    mc_mean=est.mean, mc_se=est.std_error,
-                    closed_form=cf, ok=ok))
+    for tau_a, lam, spec in cells:
+        if spec is None:
+            checks.append(ClosedFormCheck(
+                tau_a=tau_a, lam=lam, feasible=False, rule="",
+                mc_mean=float("nan"), mc_se=float("nan"),
+                closed_form=float("nan"), ok=True))
+            continue
+        for rule, mean, se, cf in next(losses):
+            checks.append(ClosedFormCheck(
+                tau_a=tau_a, lam=lam, feasible=True, rule=rule,
+                mc_mean=mean, mc_se=se, closed_form=cf,
+                ok=abs(mean - cf) <= sigma_mult * se))
     return checks
 
 

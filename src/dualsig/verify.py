@@ -12,7 +12,11 @@ lemma         simulated conditional moments, the three-point identity,
 
 :func:`run` returns one :class:`Check` per comparison.  The Monte Carlo
 suites (``closed_forms``, ``gap``, ``lemma``) need ``n >= 2`` draws, the
-fewest with a standard error; ``run`` rejects smaller ``n`` before any work.
+fewest with a standard error; ``run`` rejects smaller ``n``, and any
+``tau0``/``tau_h`` that is not finite and positive or ``sigma_mult`` that is
+not finite and nonnegative, before any work.  The cells of ``closed_forms``
+and the tasks of ``gap`` run on :func:`montecarlo.parallel_map`; their rows
+come out in the same order and with the same bytes whatever the worker count.
 """
 
 from __future__ import annotations
@@ -119,20 +123,29 @@ def _random_feasible_specs(seed: int, count: int):
     return out
 
 
-def _gap(n, seed, sigma_mult, tau0, tau_h):
-    rng = RngHandle(seed, stream=10)
-    for kind, dim in _GENERATORS:
-        gen = bregman.BregmanGenerator(kind=kind, dimension=dim)
-        yield Check("gap", f"discrete_residual[{kind}]",
-                    _worst_discrete_residual(rng, 100, 1000, gen), 0.0, 1e-12)
+def _call(fn, *args):
+    """``fn(*args)``, so that one :func:`montecarlo.parallel_map` runs tasks
+    of different kinds."""
+    return fn(*args)
 
-    report = bregman.gap_check_gaussian_cn(Environment(mu0=0.0, tau0=1.0),
-                                           SignalSpec(tau_h=1.0, tau_a=1.0, lam=0.5),
-                                           n, seed=seed)
+
+def _gap(n, seed, sigma_mult, tau0, tau_h):
+    specs = [(Environment(mu0=0.0, tau0=1.0), SignalSpec(tau_h=1.0, tau_a=1.0, lam=0.5), seed)]
+    specs += [(env_i, spec_i, derive_seed(seed, 8, i)) for i, (env_i, spec_i)
+              in enumerate(_random_feasible_specs(derive_seed(seed, 7), 20))]
+    # The discrete residuals are the longest tasks, so the pool starts them first.
+    tasks = [(_worst_discrete_residual, RngHandle(seed, stream=10), 100, 1000,
+              bregman.BregmanGenerator(kind=kind, dimension=dim)) for kind, dim in _GENERATORS]
+    tasks += [(bregman.gap_check_gaussian_cn, env_i, spec_i, n, seed_i)
+              for env_i, spec_i, seed_i in specs]
+    results = montecarlo.parallel_map(_call, tasks)
+
+    for (kind, _), worst in zip(_GENERATORS, results):
+        yield Check("gap", f"discrete_residual[{kind}]", worst, 0.0, 1e-12)
+    report, *reports = results[len(_GENERATORS):]
     yield Check("gap", "gaussian_penalty[1,1,1,0.5]", report.penalty, 1.0 / 63.0,
                 sigma_mult * report.penalty_se)
-    for i, (env_i, spec_i) in enumerate(_random_feasible_specs(derive_seed(seed, 7), 20)):
-        report = bregman.gap_check_gaussian_cn(env_i, spec_i, n, seed=derive_seed(seed, 8, i))
+    for i, report in enumerate(reports):
         yield Check("gap", f"gaussian_residual[{i}]", report.residual, 0.0,
                     sigma_mult * report.penalty_se)
 
@@ -240,4 +253,9 @@ def run(suite: str, *, n: int, seed: int, sigma_mult: float, tau0: float,
         raise ValidationError(f"unknown suite {suite!r}; expected one of {sorted(SUITES)}")
     if suite != "voi" and n < 2:
         raise ValidationError(f"n must be >= 2, got {n}")
+    for name, value in (("tau0", tau0), ("tau_h", tau_h)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValidationError(f"{name} must be finite and > 0, got {value}")
+    if not (math.isfinite(sigma_mult) and sigma_mult >= 0.0):
+        raise ValidationError(f"sigma_mult must be finite and >= 0, got {sigma_mult}")
     return list(SUITES[suite](n, seed, sigma_mult, tau0, tau_h))

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from dualsig import montecarlo
 from dualsig.cli import main
 
 SRC = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
@@ -169,6 +170,21 @@ class TestVerify:
         assert main(["verify", "--suite", suite, "--n", n]) == 2
         captured = capsys.readouterr()
         assert "n must be >= 2" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tauH", "nan"), ("--tauH", "-1"), ("--tauH", "0"), ("--tau0", "inf"),
+        ("--sigma-mult", "nan"), ("--sigma-mult", "-1"), ("--sigma-mult", "inf"),
+    ])
+    def test_out_of_range_parameters_exit_2_before_any_work(self, monkeypatch, capsys,
+                                                            flag, value):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("suite ran before its parameters were checked")
+
+        monkeypatch.setattr(montecarlo, "parallel_map", forbidden)
+        assert main(["verify", "--suite", "closed_forms", "--n", "100", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert "must be finite" in captured.err
         assert captured.out == ""
 
 

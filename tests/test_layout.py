@@ -5,9 +5,16 @@ module.  Two forms of reaching in are rejected: ``from .x import _name`` and
 ``x._name`` where ``x`` is a sibling module imported with ``from . import x``.
 The private module ``_search`` is itself importable; only its public names
 are used.
+
+Importing the command line loads no process-pool machinery: the pool of
+``montecarlo.parallel_map`` imports it on first use, so start-up stays as
+cheap for commands that never use it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dualsig"
@@ -49,3 +56,14 @@ def test_no_module_uses_a_sibling_private_name():
     found = {path.name: private_reaches(path.read_text(encoding="utf-8"))
              for path in modules}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_importing_the_cli_loads_no_pool_machinery():
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    probe = ("import sys, dualsig.cli; "
+             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+             "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from dualsig.montecarlo import (
     Estimate,
     accumulate,
     paired_loss_estimates,
+    parallel_map,
     sample_triple,
     verify_closed_forms,
     verify_decomposition,
@@ -19,6 +22,16 @@ from dualsig.rng import RngHandle
 
 ENV = Environment(mu0=0.0, tau0=1.0)
 SPEC = SignalSpec(tau_h=1.0, tau_a=1.0, lam=0.5)
+
+
+def _pid_and_square(i):
+    return os.getpid(), i * i
+
+
+def _reject_five(i):
+    if i == 5:
+        raise ValidationError(f"item {i} rejected in process {os.getpid()}")
+    return i
 
 
 class TestSampleTriple:
@@ -162,3 +175,33 @@ class TestVerifyDecomposition:
         var_a = [c for c in checks if c.name == "var_a_given_y"][0]
         assert abs(var_a.observed - 1.0) < 0.02
         assert not (abs(var_a.observed - 2.0) <= 4.0 * var_a.std_error)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the pool needs the fork start method")
+class TestParallelMap:
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Set the number of CPUs that ``parallel_map`` sees as usable."""
+        def use(count):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                                raising=False)
+        return use
+
+    def test_keeps_input_order_with_more_items_than_workers(self, cpus):
+        cpus(2)
+        results = parallel_map(_pid_and_square, [(i,) for i in range(40)])
+        assert [square for _, square in results] == [i * i for i in range(40)]
+        assert os.getpid() not in {pid for pid, _ in results}
+
+    def test_one_cpu_runs_the_plain_loop_in_this_process(self, cpus):
+        cpus(1)
+        results = parallel_map(_pid_and_square, [(i,) for i in range(5)])
+        assert results == [(os.getpid(), i * i) for i in range(5)]
+
+    def test_validation_error_in_a_worker_reaches_the_caller_as_itself(self, cpus):
+        cpus(2)
+        with pytest.raises(ValidationError, match="item 5 rejected in process") as exc:
+            parallel_map(_reject_five, [(i,) for i in range(8)])
+        assert type(exc.value) is ValidationError
+        assert f"process {os.getpid()}" not in str(exc.value)

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from dualsig import bregman, verify
@@ -33,6 +35,15 @@ def test_zero_sigma_mult_fails_checks_and_the_cli_exits_1(capsys):
     assert main(["verify", "--suite", "closed_forms", "--n", "100", "--sigma-mult", "0"]) == 1
     rows = capsys.readouterr().out.splitlines()[1:]
     assert sum(row.endswith(",0") for row in rows) == sum(not c.ok for c in checks)
+
+
+@pytest.mark.parametrize("suite", ["closed_forms", "gap"])
+def test_pool_and_serial_loop_give_equal_checks(monkeypatch, suite):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pooled = run(suite, n=500, seed=3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    serial = run(suite, n=500, seed=3)
+    assert pooled == serial
 
 
 @pytest.mark.parametrize("suite", ["gap", "lemma"])
