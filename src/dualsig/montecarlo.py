@@ -195,30 +195,40 @@ def paired_loss_estimates(env: Environment, spec: SignalSpec, n: int,
     })
 
 
-def parallel_map(fn: Callable, items: Iterable[Sequence]) -> list:
-    """``[fn(*args) for args in items]``, spread over forked worker processes.
+def parallel_map(tasks: Iterable[Sequence], local: int = 0) -> list:
+    """``[fn(*args) for fn, *args in tasks]``, spread over forked processes.
 
-    Uses ``min(len(items), usable CPUs)`` workers, the CPUs being those of
-    this process's affinity mask, and runs the plain loop in this process
-    when that is fewer than 2 or the platform cannot fork.  Results keep the
-    order of ``items``, and an exception raised by ``fn`` in a worker is
-    raised here as itself.  ``fn`` and the arguments must pickle, so ``fn``
-    is a module-level function.  Forked workers need no fresh import and
-    see the module attributes as this process has them, but forking is
-    safe only from a process that has not started threads.
+    The first ``local`` tasks run in this process, one after another, while
+    ``min(len(tasks) - local, usable CPUs)`` forked workers run the others,
+    the CPUs being those of this process's affinity mask.  A task kept local
+    costs no pickling, and its calls stay visible to anything that patches
+    this process's module attributes, such as an in-process tracer; a task
+    run in a worker grows the worker's memory, not this process's.  With one
+    usable CPU, with too few tasks to use two processes, or on a platform
+    that cannot fork, the plain loop runs in this process.  Results keep the
+    order of ``tasks``.  An exception raised by a task, here or in a worker,
+    is raised here as itself, and the tasks not yet started are cancelled.
+    A worker task's function and arguments must pickle, so the function is
+    module-level.  Forked workers need no fresh import and see the module
+    attributes as this process has them, but forking is safe only from a
+    process that has not started threads.
     """
-    items = list(items)
+    tasks = list(tasks)
+    here, rest = tasks[:local], tasks[local:]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(items), cpus)
-    if workers >= 2:
+    workers = min(len(rest), cpus)
+    if cpus >= 2 and workers + bool(here) >= 2:
         # imported here, so that importing the package starts no pool machinery
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                return list(pool.map(fn, *zip(*items)))
-    return [fn(*args) for args in items]
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                futures = [pool.submit(*task) for task in rest]
+                return [fn(*args) for fn, *args in here] + [f.result() for f in futures]
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return [fn(*args) for fn, *args in tasks]
 
 
 def _cell_losses(env: Environment, spec: SignalSpec, n: int,
@@ -248,9 +258,9 @@ def verify_closed_forms(env: Environment, tau_h: float,
     cells = [(tau_a, lam, SignalSpec(tau_h=tau_h, tau_a=tau_a, lam=lam)
               if lam < 1.0 and feasible(tau_h, tau_a, lam) else None)
              for lam in lambda_grid for tau_a in tau_a_grid]
-    losses = iter(parallel_map(_cell_losses, [(env, spec, n, rng.split(cell))
-                                              for cell, (_, _, spec) in enumerate(cells, 1)
-                                              if spec is not None]))
+    losses = iter(parallel_map([(_cell_losses, env, spec, n, rng.split(cell))
+                                for cell, (_, _, spec) in enumerate(cells, 1)
+                                if spec is not None]))
     checks: list[ClosedFormCheck] = []
     for tau_a, lam, spec in cells:
         if spec is None:

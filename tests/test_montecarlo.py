@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -28,10 +29,24 @@ def _pid_and_square(i):
     return os.getpid(), i * i
 
 
-def _reject_five(i):
-    if i == 5:
-        raise ValidationError(f"item {i} rejected in process {os.getpid()}")
+def _reject(i, bad):
+    if i == bad:
+        raise ValidationError(f"task {i} rejected in process {os.getpid()}")
     return i
+
+
+def _total(*values):
+    return sum(values)
+
+
+def _pair(a, b):
+    return a, b
+
+
+def _touch(directory, i):
+    """Mark task ``i`` as run by a file, then take 50 ms."""
+    (directory / f"{i}").touch()
+    time.sleep(0.05)
 
 
 class TestSampleTriple:
@@ -188,20 +203,45 @@ class TestParallelMap:
                                 raising=False)
         return use
 
-    def test_keeps_input_order_with_more_items_than_workers(self, cpus):
+    def test_keeps_input_order_with_more_tasks_than_workers(self, cpus):
         cpus(2)
-        results = parallel_map(_pid_and_square, [(i,) for i in range(40)])
+        results = parallel_map([(_pid_and_square, i) for i in range(40)])
         assert [square for _, square in results] == [i * i for i in range(40)]
         assert os.getpid() not in {pid for pid, _ in results}
 
-    def test_one_cpu_runs_the_plain_loop_in_this_process(self, cpus):
+    def test_local_tasks_run_in_this_process(self, cpus):
+        cpus(2)
+        results = parallel_map([(_pid_and_square, i) for i in range(6)], local=2)
+        assert [square for _, square in results] == [i * i for i in range(6)]
+        assert [pid == os.getpid() for pid, _ in results] == [True] * 2 + [False] * 4
+
+    @pytest.mark.parametrize("local", [0, 2])
+    def test_one_cpu_runs_the_plain_loop_in_this_process(self, cpus, local):
         cpus(1)
-        results = parallel_map(_pid_and_square, [(i,) for i in range(5)])
+        results = parallel_map([(_pid_and_square, i) for i in range(5)], local=local)
         assert results == [(os.getpid(), i * i) for i in range(5)]
 
-    def test_validation_error_in_a_worker_reaches_the_caller_as_itself(self, cpus):
+    def test_tasks_of_unequal_arity_match_the_plain_loop(self, cpus):
+        tasks = [(_total, 1, 2, 3), (_pair, 4, 5), (_total,), (_total, 6), (_pair, 7, 8)]
         cpus(2)
-        with pytest.raises(ValidationError, match="item 5 rejected in process") as exc:
-            parallel_map(_reject_five, [(i,) for i in range(8)])
+        pooled = parallel_map(tasks), parallel_map(tasks, local=1)
+        cpus(1)
+        assert pooled == (parallel_map(tasks),) * 2
+        assert parallel_map(tasks) == [6, (4, 5), 0, 6, (7, 8)]
+
+    @pytest.mark.parametrize("bad", [0, 5])
+    def test_validation_error_reaches_the_caller_as_itself(self, cpus, bad):
+        cpus(2)
+        with pytest.raises(ValidationError, match=f"task {bad} rejected in process") as exc:
+            parallel_map([(_reject, i, bad) for i in range(8)], local=1)
         assert type(exc.value) is ValidationError
-        assert f"process {os.getpid()}" not in str(exc.value)
+        # task 0 runs in this process, the others in workers
+        assert (f"process {os.getpid()}" in str(exc.value)) == (bad == 0)
+
+    def test_an_error_cancels_the_tasks_not_yet_started(self, cpus, tmp_path):
+        cpus(2)
+        tasks = [(_reject, 0, 0)] + [(_touch, tmp_path, i) for i in range(40)]
+        with pytest.raises(ValidationError, match="task 0 rejected"):
+            parallel_map(tasks)
+        # at most the tasks already handed to the two workers still run
+        assert len(list(tmp_path.iterdir())) <= 10
