@@ -36,7 +36,6 @@ from .regimes import (
 from .cueworld import (
     ConcentrationSummary,
     CueWorld,
-    OverlapEstimate,
     SamplingPlan,
     aggregate_signals,
     build_world,
@@ -61,8 +60,6 @@ from .voi import (
     erasure_construction,
     marginal_value_discrete,
     posterior_two_tests,
-    problem_from_table,
-    problem_to_table,
     ratio_construction,
     value_of_information,
     xor_construction,
@@ -70,7 +67,6 @@ from .voi import (
 from .bregman import (
     BregmanGenerator,
     GapReport,
-    OptimalityReport,
     bregman_loss,
     conditional_mean_optimality,
     gap_check_discrete,
@@ -82,7 +78,6 @@ from .montecarlo import (
     paired_loss_estimates,
     sample_triple,
     verify_closed_forms,
-    verify_decomposition,
 )
 from .rng import RngHandle, derive_seed
 

@@ -51,7 +51,6 @@ from .voi import DiscreteProblem
 __all__ = [
     "BregmanGenerator",
     "GapReport",
-    "OptimalityReport",
     "bregman_loss",
     "gap_check_discrete",
     "gap_check_gaussian_cn",
@@ -125,15 +124,6 @@ class GapReport:
     penalty: float
     residual: float
     penalty_se: float | None = None
-
-
-@dataclass(frozen=True)
-class OptimalityReport:
-    """Outcome of searching for a decision better than the conditional mean."""
-
-    passed: bool
-    max_advantage: float
-    tolerance: float
 
 
 DecisionRule = Mapping | Callable
@@ -241,14 +231,15 @@ def gap_check_gaussian_cn(env: Environment, spec: SignalSpec, n: int,
                      residual=lhs - (marg - est.mean), penalty_se=est.std_error)
 
 
-def conditional_mean_optimality(problem: DiscreteProblem, gen: BregmanGenerator,
-                                tolerance: float = 1e-9) -> OptimalityReport:
-    """Search for any decision that beats the conditional mean.
+def conditional_mean_optimality(problem: DiscreteProblem, gen: BregmanGenerator) -> float:
+    """Largest advantage of any searched decision over the conditional mean.
 
     For every realization of the full signal tuple, a grid scan plus ternary
     refinement looks for a decision with lower conditional expected Bregman
-    loss than the conditional mean.  Supported searches: scalar decisions
-    for the squared generator, binary distributions for negative entropy.
+    loss than the conditional mean.  Returns the largest reduction found, or
+    0.0 when the conditional mean is never beaten; it should vanish up to
+    rounding.  Supported searches: scalar decisions for the squared
+    generator, binary distributions for negative entropy.
     """
     enc = _encode_states(problem, gen)
     if gen.kind == "squared" and gen.dimension != 1:
@@ -277,5 +268,4 @@ def conditional_mean_optimality(problem: DiscreteProblem, gen: BregmanGenerator,
             _, best = minimize_grid_refine(
                 lambda t: expected(np.array([t, 1.0 - t])), 1e-12, 1.0 - 1e-12)
         max_advantage = max(max_advantage, expected(d_star) - best)
-    return OptimalityReport(passed=max_advantage <= tolerance,
-                            max_advantage=max_advantage, tolerance=tolerance)
+    return max_advantage

@@ -57,6 +57,18 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> No
             fh.write(text)
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: an integer in ``[0, 2**64)``, the seeds of
+    :class:`dualsig.rng.RngHandle`."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def _linspace(lo: float, hi: float, steps: int, name: str) -> list[float]:
     if steps < 1:
         raise ValidationError(f"{name} steps must be >= 1, got {steps}")
@@ -135,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seed=False):
         p.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
         if seed:
-            p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+            p.add_argument("--seed", type=_seed, default=0,
+                           help="RNG seed in [0, 2**64) (default 0)")
 
     p = sub.add_parser("losses", help="losses and regime at one parameter point")
     p.add_argument("--tau0", type=float, default=1.0)

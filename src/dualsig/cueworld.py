@@ -41,7 +41,6 @@ from .rng import RngHandle, derive_seed
 __all__ = [
     "SamplingPlan",
     "CueWorld",
-    "OverlapEstimate",
     "ConcentrationSummary",
     "round_half_away",
     "build_world",
@@ -118,15 +117,6 @@ class CueWorld:
     @property
     def accessible_indices(self) -> np.ndarray:
         return np.flatnonzero(self.accessible)
-
-
-@dataclass(frozen=True)
-class OverlapEstimate:
-    """One measured overlap against its pool-level target."""
-
-    lambda_hat: float
-    target: float
-    abs_error: float
 
 
 @dataclass(frozen=True)
@@ -330,21 +320,17 @@ def aggregate_signals(world: CueWorld, human_set: Iterable[int],
     return float(h[0]), float(a[0])
 
 
-def overlap_estimates(world: CueWorld, a: float, reps: int, seed: int,
-                      target: float) -> list[OverlapEstimate]:
-    """Measured overlap of ``reps`` independent assistant draws vs a target.
+def overlap_estimates(world: CueWorld, a: float, reps: int, seed: int) -> np.ndarray:
+    """Measured overlap ``lambda_hat`` of ``reps`` independent assistant
+    draws, as a float array.
 
     Repetition ``rep`` uses the child seed ``derive_seed(seed, rep)``.
     """
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
-    out = []
-    for rep in range(reps):
-        ai = sample_ai_set(world, a, seed=derive_seed(seed, rep))
-        lam = empirical_lambda(world, world.human_set, ai)
-        out.append(OverlapEstimate(lambda_hat=lam, target=target,
-                                   abs_error=abs(lam - target)))
-    return out
+    return np.array([empirical_lambda(world, world.human_set,
+                                      sample_ai_set(world, a, seed=derive_seed(seed, rep)))
+                     for rep in range(reps)], dtype=np.float64)
 
 
 def concentration_experiment(n_values: Sequence[int], plan: SamplingPlan,
@@ -365,8 +351,7 @@ def concentration_experiment(n_values: Sequence[int], plan: SamplingPlan,
         world = build_world(n_cues, plan, mode=mode, tau=tau, tau_bounds=tau_bounds,
                             seed=derive_seed(seed, i))
         target = plan.k / plan.m if mode == "homogeneous" else domain_overlap_rate(world)
-        estimates = overlap_estimates(world, plan.a, reps, derive_seed(seed, i), target)
-        errors = [e.abs_error for e in estimates]
+        errors = np.abs(overlap_estimates(world, plan.a, reps, derive_seed(seed, i)) - target)
         out.append(ConcentrationSummary(
             n_cues=n_cues, reps=reps, mode=mode, target=target,
             mean_abs_error=float(np.mean(errors)),

@@ -4,14 +4,19 @@ This is the universal numerical oracle for the closed forms in
 :mod:`dualsig.core`: it simulates the joint law through the innovation
 decomposition and estimates expected squared losses for the four decision
 rules.  Everything draws from :class:`dualsig.rng.RngHandle`, so results are
-reproducible bit-for-bit for a given ``(seed, stream)``.
+reproducible bit-for-bit for a given ``(seed, stream)``.  The module returns
+measurements only, as :class:`Estimate` means with their standard errors;
+:class:`dualsig.verify.Check` alone decides whether a measurement passes.
 
 Draw order: each batch of ``size`` triples consumes three consecutive blocks
 of normals from the handle (state, own-signal noise, innovation noise).
 :func:`accumulate` is the one chunked estimator: it streams fixed chunks of
 ``CHUNK`` triples, evaluates every named statistic on each chunk, and
 combines the per-chunk sums with a pairwise tree, so the result is
-independent of any parallel execution plan that preserves chunk indexing.
+independent of any parallel execution plan that preserves chunk indexing,
+and memory stays bounded by one chunk whatever the number of draws.  Every
+Monte Carlo estimate of the package, losses, misuse penalties and the
+conditional moments of ``verify --suite lemma``, goes through it.
 
 :func:`verify_closed_forms` runs its grid cells through :func:`parallel_map`
 on ``min(cells, usable CPUs)`` forked worker processes.  Each cell draws
@@ -50,14 +55,11 @@ __all__ = [
     "CHUNK",
     "RULES",
     "Estimate",
-    "ClosedFormCheck",
-    "MomentCheck",
     "sample_triple",
     "accumulate",
     "paired_loss_estimates",
     "parallel_map",
     "verify_closed_forms",
-    "verify_decomposition",
 ]
 
 CHUNK = 1 << 16
@@ -79,31 +81,6 @@ class Estimate:
     mean: float
     std_error: float
     n: int
-
-
-@dataclass(frozen=True)
-class ClosedFormCheck:
-    """One cell/rule comparison of Monte Carlo against a closed form."""
-
-    tau_a: float
-    lam: float
-    feasible: bool
-    rule: str
-    mc_mean: float
-    mc_se: float
-    closed_form: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class MomentCheck:
-    """One simulated conditional moment against its model value."""
-
-    name: str
-    observed: float
-    expected: float
-    std_error: float
-    ok: bool
 
 
 def _pairwise_total(values: Sequence[float]) -> float:
@@ -232,26 +209,25 @@ def parallel_map(tasks: Iterable[Sequence], local: int = 0) -> list:
 
 
 def _cell_losses(env: Environment, spec: SignalSpec, n: int,
-                 rng: RngHandle) -> list[tuple[str, float, float, float]]:
-    """``(rule, mc_mean, mc_se, closed_form)`` of the four rules at one cell."""
+                 rng: RngHandle) -> list[tuple[str, Estimate, float]]:
+    """``(rule, estimate, closed_form)`` of the four rules at one cell."""
     estimates = paired_loss_estimates(env, spec, n, rng)
-    return [(rule, estimates[rule].mean, estimates[rule].std_error,
-             _CLOSED_FORMS[rule](env, spec)) for rule in RULES]
+    return [(rule, estimates[rule], _CLOSED_FORMS[rule](env, spec)) for rule in RULES]
 
 
 def verify_closed_forms(env: Environment, tau_h: float,
                         tau_a_grid: Iterable[float], lambda_grid: Iterable[float],
-                        n: int, rng: RngHandle,
-                        sigma_mult: float = 4.0) -> list[ClosedFormCheck]:
-    """Compare all four closed-form losses against Monte Carlo on a grid.
+                        n: int, rng: RngHandle) -> list[tuple]:
+    """Monte Carlo and closed-form losses of all four rules on a grid.
 
-    Infeasible (tau_a, lam) cells are reported with ``feasible=False`` and
-    skipped; feasible cells get one check row per rule, passing when
-    ``|mc - closed| <= sigma_mult * se``.  Cells are numbered from 1 in
-    lambda-major order, and cell ``i`` uses the substream ``rng.split(i)``,
-    so cell results do not depend on grid order or on which worker of
-    :func:`parallel_map` runs them.  ``n`` must be at least 2, the fewest
-    draws with a standard error.
+    Returns one ``(tau_a, lam, losses)`` per cell, in lambda-major order.
+    ``losses`` is None for a cell that is infeasible or has ``lam = 1``, and
+    otherwise ``[(rule, estimate, closed_form), ...]`` in ``RULES`` order;
+    judging the difference is left to the caller.  Cells are numbered from 1
+    in lambda-major order, and cell ``i`` uses the substream
+    ``rng.split(i)``, so cell results do not depend on grid order or on which
+    worker of :func:`parallel_map` runs them.  ``n`` must be at least 2, the
+    fewest draws with a standard error.
     """
     if n < 2:
         raise ValidationError(f"n must be >= 2, got {n}")
@@ -261,51 +237,5 @@ def verify_closed_forms(env: Environment, tau_h: float,
     losses = iter(parallel_map([(_cell_losses, env, spec, n, rng.split(cell))
                                 for cell, (_, _, spec) in enumerate(cells, 1)
                                 if spec is not None]))
-    checks: list[ClosedFormCheck] = []
-    for tau_a, lam, spec in cells:
-        if spec is None:
-            checks.append(ClosedFormCheck(
-                tau_a=tau_a, lam=lam, feasible=False, rule="",
-                mc_mean=float("nan"), mc_se=float("nan"),
-                closed_form=float("nan"), ok=True))
-            continue
-        for rule, mean, se, cf in next(losses):
-            checks.append(ClosedFormCheck(
-                tau_a=tau_a, lam=lam, feasible=True, rule=rule,
-                mc_mean=mean, mc_se=se, closed_form=cf,
-                ok=abs(mean - cf) <= sigma_mult * se))
-    return checks
-
-
-def verify_decomposition(env: Environment, spec: SignalSpec, n: int,
-                         rng: RngHandle, sigma_mult: float = 4.0) -> list[MomentCheck]:
-    """Check the simulated conditional moments of (h, a) given y.
-
-    Verifies Var(h|y) = 1/tau_h, Var(a|y) = 1/tau_a, Cov(h,a|y) = lam/tau_h,
-    and that the reconstructed innovation is uncorrelated with ``h`` given
-    ``y``, all within ``sigma_mult`` standard errors.
-    """
-    if n < 2:
-        raise ValidationError(f"n must be >= 2, got {n}")
-    y, h, a = sample_triple(env, spec, rng, size=n)
-    eh = h - y
-    ea = a - y
-    checks = []
-    for name, values, expected in (
-        ("var_h_given_y", eh * eh, 1.0 / spec.tau_h),
-        ("var_a_given_y", ea * ea, 1.0 / spec.tau_a),
-        ("cov_ha_given_y", eh * ea, spec.lam / spec.tau_h),
-    ):
-        mean = float(np.mean(values))
-        se = float(np.std(values, ddof=1)) / math.sqrt(n)
-        checks.append(MomentCheck(name=name, observed=mean, expected=expected,
-                                  std_error=se, ok=abs(mean - expected) <= sigma_mult * se))
-    # Innovation noise is orthogonal to own-signal noise given y, so their
-    # sample correlation should vanish at the 1/sqrt(n) scale.
-    e_innov = (ea - spec.lam * eh) / (1.0 - spec.lam)
-    corr = float(np.corrcoef(eh, e_innov)[0, 1])
-    se = 1.0 / math.sqrt(n)
-    checks.append(MomentCheck(name="corr_innovation_h_given_y", observed=corr,
-                              expected=0.0, std_error=se,
-                              ok=abs(corr) <= sigma_mult * se))
-    return checks
+    return [(tau_a, lam, None if spec is None else next(losses))
+            for tau_a, lam, spec in cells]

@@ -73,6 +73,13 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _checked_seed(seed: int) -> int:
+    seed = int(seed)
+    if not 0 <= seed <= _MASK:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def derive_seed(seed: int, *indices: int) -> int:
     """Fold integer indices into a parent seed, one mix round per index.
 
@@ -81,7 +88,7 @@ def derive_seed(seed: int, *indices: int) -> int:
     composes (``derive_seed(derive_seed(s, i), j) == derive_seed(s, i, j)``)
     so nested experiments can derive further children from a child seed.
     """
-    out = int(seed) & _MASK
+    out = _checked_seed(seed)
     for ix in indices:
         if ix < 0:
             raise ValueError(f"split index must be nonnegative, got {ix}")
@@ -166,7 +173,7 @@ class RngHandle:
     def __post_init__(self) -> None:
         if self.stream < 0:
             raise ValueError(f"stream must be nonnegative, got {self.stream}")
-        self.seed = int(self.seed) & _MASK
+        self.seed = _checked_seed(self.seed)
         self.stream = int(self.stream)
         self._key = mix64(mix64(self.seed + _GAMMA) ^ mix64(self.stream + _STREAM_SALT))
 

@@ -10,13 +10,18 @@ voi           discrete value of information against brute force, a worked
 lemma         simulated conditional moments, the three-point identity,
               conditional-mean optimality, and the cue-pool overlap ratio
 
-:func:`run` returns one :class:`Check` per comparison.  The Monte Carlo
-suites (``closed_forms``, ``gap``, ``lemma``) need ``n >= 2`` draws, the
-fewest with a standard error; ``run`` rejects smaller ``n``, and any
-``tau0``/``tau_h`` that is not finite and positive or ``sigma_mult`` that is
-not finite and nonnegative, before any work.  The cells of ``closed_forms``
-and the tasks of ``gap`` run on :func:`montecarlo.parallel_map`; their rows
-come out in the same order and with the same bytes whatever the worker count.
+:func:`run` returns one :class:`Check` per comparison, and :attr:`Check.ok`
+is the one pass rule: the oracles in :mod:`dualsig.montecarlo` and
+:mod:`dualsig.bregman` return measurements only, and each suite here gives
+them their tolerance.  The Monte Carlo suites (``closed_forms``, ``gap``,
+``lemma``) need ``n >= 2`` draws, the fewest with a standard error; ``run``
+rejects smaller ``n``, and any ``tau0``/``tau_h`` that is not finite and
+positive or ``sigma_mult`` that is not finite and nonnegative, before any
+work.  The cells of ``closed_forms`` and the tasks of ``gap`` run on
+:func:`montecarlo.parallel_map`; their rows come out in the same order and
+with the same bytes whatever the worker count.  The ``lemma`` moments stream
+through :func:`montecarlo.accumulate`, so their memory does not grow with
+``n``.
 """
 
 from __future__ import annotations
@@ -62,15 +67,15 @@ def _closed_forms(n, seed, sigma_mult, tau0, tau_h):
     env = Environment(mu0=0.0, tau0=tau0)
     tau_a_grid = [round(0.2 * i, 10) for i in range(1, 11)]
     lambda_grid = [0.0, 0.25, 0.45, 0.5, 0.67, 0.75, 0.85]
-    for c in montecarlo.verify_closed_forms(env, tau_h, tau_a_grid, lambda_grid, n,
-                                            RngHandle(seed, stream=0),
-                                            sigma_mult=sigma_mult):
-        cell = f"tauA={c.tau_a:g},lam={c.lam:g}"
-        if c.feasible:
-            yield Check("closed_forms", f"loss[{c.rule}][{cell}]", c.mc_mean,
-                        c.closed_form, sigma_mult * c.mc_se)
-        else:
+    for tau_a, lam, losses in montecarlo.verify_closed_forms(
+            env, tau_h, tau_a_grid, lambda_grid, n, RngHandle(seed, stream=0)):
+        cell = f"tauA={tau_a:g},lam={lam:g}"
+        if losses is None:
             yield Check("closed_forms", f"skip[{cell}]")
+            continue
+        for rule, est, closed_form in losses:
+            yield Check("closed_forms", f"loss[{rule}][{cell}]", est.mean, closed_form,
+                        sigma_mult * est.std_error)
 
 
 def _random_discrete_problem(rng: RngHandle, numeric_states: bool):
@@ -203,16 +208,43 @@ def _voi(n, seed, sigma_mult, tau0, tau_h):
                 var_y - voi.bayes_risk(quad, ("h", "a")), 1e-12)
 
 
+def _moment_stats(spec: SignalSpec) -> dict:
+    """Per-draw statistics whose means give the conditional moments of
+    ``(h, a)`` given ``y`` and the innovation correlation."""
+    def innov(y, h, a):
+        return ((a - y) - spec.lam * (h - y)) / (1.0 - spec.lam)
+
+    return {
+        "var_h_given_y": lambda y, h, a: (h - y) * (h - y),
+        "var_a_given_y": lambda y, h, a: (a - y) * (a - y),
+        "cov_ha_given_y": lambda y, h, a: (h - y) * (a - y),
+        "eh": lambda y, h, a: h - y,
+        "innov": innov,
+        "innov_sq": lambda y, h, a: innov(y, h, a) ** 2,
+        "eh_innov": lambda y, h, a: (h - y) * innov(y, h, a),
+    }
+
+
 def _lemma(n, seed, sigma_mult, tau0, tau_h):
     env = Environment(mu0=0.0, tau0=1.0)
     for i, spec in enumerate((SignalSpec(1.0, 1.0, 0.5),
                               SignalSpec(2.0, 1.0, 0.5),
                               SignalSpec(1.5, 0.8, 0.3))):
-        for c in montecarlo.verify_decomposition(
-                env, spec, n, RngHandle(derive_seed(seed, 20, i), stream=0),
-                sigma_mult=sigma_mult):
-            yield Check("lemma", f"{c.name}[spec{i}]", c.observed, c.expected,
-                        sigma_mult * c.std_error)
+        est = montecarlo.accumulate(env, spec, n, RngHandle(derive_seed(seed, 20, i), stream=0),
+                                    _moment_stats(spec))
+        for name, expected in (("var_h_given_y", 1.0 / spec.tau_h),
+                               ("var_a_given_y", 1.0 / spec.tau_a),
+                               ("cov_ha_given_y", spec.lam / spec.tau_h)):
+            yield Check("lemma", f"{name}[spec{i}]", est[name].mean, expected,
+                        sigma_mult * est[name].std_error)
+        # Innovation noise is orthogonal to own-signal noise given y, so their
+        # sample correlation should vanish at the 1/sqrt(n) scale.
+        m_h, m_i = est["eh"].mean, est["innov"].mean
+        corr = ((est["eh_innov"].mean - m_h * m_i)
+                / math.sqrt((est["var_h_given_y"].mean - m_h * m_h)
+                            * (est["innov_sq"].mean - m_i * m_i)))
+        se = 1.0 / math.sqrt(n)
+        yield Check("lemma", f"corr_innovation_h_given_y[spec{i}]", corr, 0.0, sigma_mult * se)
 
     rng = RngHandle(seed, stream=21)
     for kind, dim in _GENERATORS:
@@ -221,9 +253,8 @@ def _lemma(n, seed, sigma_mult, tau0, tau_h):
         yield Check("lemma", f"three_point_residual[{kind}]",
                     _worst_discrete_residual(rng, 50, 500, gen), 0.0, 1e-12)
         problem = _random_discrete_problem(rng.split(999), numeric_states=(kind == "squared"))
-        opt = bregman.conditional_mean_optimality(problem, gen)
         yield Check("lemma", f"conditional_mean_optimal[{kind}]",
-                    opt.max_advantage, 0.0, opt.tolerance)
+                    bregman.conditional_mean_optimality(problem, gen), 0.0, 1e-9)
 
     plan = cueworld.SamplingPlan(a=0.3, m=0.5, k=0.25, h_total=0.5)
     for mode in cueworld.MODES:

@@ -20,7 +20,6 @@ Two binary constructions make the ratio of conditional to standalone value
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -48,8 +47,6 @@ __all__ = [
     "ratio_construction",
     "posterior_two_tests",
     "brute_force_voi",
-    "problem_to_table",
-    "problem_from_table",
 ]
 
 NULL_SIGNAL = "null"
@@ -388,69 +385,3 @@ def brute_force_voi(problem: DiscreteProblem) -> VoiReport:
         _brute_risk(problem, (a,)),
         _brute_risk(problem, (h, a)),
     )
-
-
-def _format_symbol(symbol) -> str:
-    return repr(symbol) if isinstance(symbol, float) else str(symbol)
-
-
-def _parse_symbol(token: str):
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        return token
-
-
-def problem_to_table(problem: DiscreteProblem) -> str:
-    """Serialize the joint table: one (state, signal tuple, probability) row."""
-    out = io.StringIO()
-    out.write("state," + ",".join(problem.signal_names) + ",prob\n")
-    for index in np.ndindex(problem.probs.shape):
-        symbols = [problem.states[index[0]]]
-        symbols += [ab[j] for ab, j in zip(problem.alphabets, index[1:])]
-        out.write(",".join(_format_symbol(s) for s in symbols))
-        out.write(f",{float(problem.probs[index])!r}\n")
-    return out.getvalue()
-
-
-def problem_from_table(text: str, loss: Loss) -> DiscreteProblem:
-    """Rebuild a problem from :func:`problem_to_table` output plus a loss.
-
-    States and alphabet symbols come back as ints, floats, or strings,
-    ordered by first appearance (which preserves the original order).
-    """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValidationError("empty problem table")
-    header = lines[0].split(",")
-    if header[0] != "state" or header[-1] != "prob" or len(header) < 3:
-        raise ValidationError(f"malformed header {lines[0]!r}")
-    signal_names = tuple(header[1:-1])
-    states: list = []
-    alphabets: list[list] = [[] for _ in signal_names]
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise ValidationError(f"malformed row {ln!r}")
-        state = _parse_symbol(parts[0])
-        symbols = [_parse_symbol(tok) for tok in parts[1:-1]]
-        prob = float(parts[-1])
-        if state not in states:
-            states.append(state)
-        for ab, sym in zip(alphabets, symbols):
-            if sym not in ab:
-                ab.append(sym)
-        rows.append((state, symbols, prob))
-    probs = np.zeros((len(states),) + tuple(len(ab) for ab in alphabets))
-    for state, symbols, prob in rows:
-        index = (states.index(state),) + tuple(
-            ab.index(sym) for ab, sym in zip(alphabets, symbols))
-        probs[index] = prob
-    return DiscreteProblem(states=tuple(states), signal_names=signal_names,
-                           alphabets=tuple(tuple(ab) for ab in alphabets),
-                           probs=probs, loss=loss)

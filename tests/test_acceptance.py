@@ -9,10 +9,10 @@ import time
 import numpy as np
 
 from dualsig.bregman import gap_check_discrete, gap_check_gaussian_cn, BregmanGenerator
+from dualsig import verify
 from dualsig.cli import main
 from dualsig.core import Environment, SignalSpec, marginal_value
 from dualsig.cueworld import SamplingPlan, concentration_experiment
-from dualsig.montecarlo import verify_closed_forms
 from dualsig.regimes import Regime, classify, lambda_bar, phase_sweep, tau_aug, tau_auto
 from dualsig.rng import RngHandle
 from dualsig.voi import (
@@ -43,14 +43,13 @@ def cn_loss(tau_a, lam):
 
 
 def test_criterion_1_closed_form_agreement():
-    tau_a_grid = [round(0.2 * i, 10) for i in range(1, 11)]
-    lambda_grid = [0.0, 0.25, 0.45, 0.5, 0.67, 0.75, 0.85]
+    # tau_a in {0.2, ..., 2.0} x lam in {0, 0.25, 0.45, 0.5, 0.67, 0.75, 0.85}
     start = time.perf_counter()
-    checks = verify_closed_forms(ENV, TAU_H, tau_a_grid, lambda_grid,
-                                 n=1_000_000, rng=RngHandle(0, 0), sigma_mult=4.0)
+    checks = verify.run("closed_forms", n=1_000_000, seed=0, sigma_mult=4.0,
+                        tau0=ENV.tau0, tau_h=TAU_H)
     elapsed = time.perf_counter() - start
-    tested = [c for c in checks if c.feasible]
-    ok = all(c.ok for c in tested) and elapsed <= 60.0
+    tested = [c for c in checks if c.observed is not None]
+    ok = len(tested) == 4 * 58 and all(c.ok for c in tested) and elapsed <= 60.0
     report("closed-form agreement (4 s.e., n=1e6/cell)", ok,
            f"{len(tested)} checks, {elapsed:.1f}s")
 

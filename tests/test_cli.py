@@ -188,6 +188,32 @@ class TestVerify:
         assert captured.out == ""
 
 
+class TestSeed:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "voi"],
+        ["verify", "--suite", "closed_forms", "--n", "100"],
+        ["simulate", "--n", "100", "--reps", "2"],
+    ])
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "1.5"])
+    def test_seed_outside_the_uint64_range_exits_2(self, capsys, argv, seed):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", seed])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--seed" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "closed_forms", "--n", "100"],
+        ["simulate", "--n", "100", "--reps", "2"],
+    ])
+    def test_largest_seed_is_accepted_and_differs_from_seed_0(self, tmp_path, argv):
+        code, top = run(tmp_path, "top.csv", argv + ["--seed", str(2**64 - 1)])
+        assert code == 0
+        _, zero = run(tmp_path, "zero.csv", argv + ["--seed", "0"])
+        assert top != zero
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("args", [
         ["losses", "--tauA", "0.9", "--lambda", "0.67"],

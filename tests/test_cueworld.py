@@ -268,10 +268,19 @@ class TestConcentration:
 
     def test_per_rep_estimates_back_the_summary(self):
         world = build_world(1000, PLAN, seed=4)
-        estimates = overlap_estimates(world, PLAN.a, reps=25, seed=4, target=0.5)
-        assert len(estimates) == 25
-        assert all(e.abs_error == abs(e.lambda_hat - 0.5) for e in estimates)
-        assert all(0.0 <= e.lambda_hat <= 1.0 for e in estimates)
+        estimates = overlap_estimates(world, PLAN.a, reps=25, seed=4)
+        assert estimates.shape == (25,) and estimates.dtype == np.float64
+        assert estimates.tolist() == [
+            empirical_lambda(world, world.human_set,
+                             sample_ai_set(world, PLAN.a, seed=derive_seed(4, rep)))
+            for rep in range(25)]
+        assert np.all((0.0 <= estimates) & (estimates <= 1.0))
+        # concentration_experiment summarizes the same estimates of pool 0
+        summary, = concentration_experiment([1000], PLAN, reps=25, seed=4)
+        errors = np.abs(overlap_estimates(build_world(1000, PLAN, seed=derive_seed(4, 0)),
+                                          PLAN.a, 25, derive_seed(4, 0)) - summary.target)
+        assert summary.mean_abs_error == float(np.mean(errors))
+        assert summary.max_abs_error == float(np.max(errors))
 
 
 def test_domain_overlap_rate_matches_plan():

@@ -9,15 +9,21 @@ are used.
 Importing the command line loads no process-pool machinery: the pool of
 ``montecarlo.parallel_map`` imports it on first use, so start-up stays as
 cheap for commands that never use it.
+
+The benchmark's tracer (``bench/spans.py``) patches program functions by
+module and name.  Every name it patches must still exist where it looks, so
+that a refactor that moves one fails here and not only in a traced run.
 """
 
 import ast
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dualsig"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "dualsig"
 
 
 def private_reaches(source: str) -> list[str]:
@@ -67,3 +73,16 @@ def test_importing_the_cli_loads_no_pool_machinery():
                           env={**os.environ, "PYTHONPATH": path}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_traced_name_resolves():
+    # executed from its source text, so nothing is imported or cached from bench/
+    path = ROOT / "bench" / "spans.py"
+    spans = types.ModuleType("bench_spans")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), spans.__dict__)
+    missing = []
+    for module, attr, _ in spans.Tracer().patches():
+        owner, name = spans.target(module, attr)
+        if name not in vars(owner):
+            missing.append(f"{module}.{attr}")
+    assert missing == []

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from dualsig import bregman, verify
 from dualsig.core import DegenerateDecompositionError, Environment, SignalSpec, ValidationError
 from dualsig.core import bayes_posterior_mean
 from dualsig.montecarlo import (
@@ -17,9 +18,8 @@ from dualsig.montecarlo import (
     parallel_map,
     sample_triple,
     verify_closed_forms,
-    verify_decomposition,
 )
-from dualsig.rng import RngHandle
+from dualsig.rng import RngHandle, derive_seed
 
 ENV = Environment(mu0=0.0, tau0=1.0)
 SPEC = SignalSpec(tau_h=1.0, tau_a=1.0, lam=0.5)
@@ -145,23 +145,32 @@ class TestPairedOrderings:
         assert abs(est["bayes_joint"].mean - est["cn_joint"].mean) < 1e-12
 
 
+def _losses(cells, rule=None, tau_a=None):
+    """``(rule, estimate, closed_form)`` of the feasible cells, optionally
+    only one rule and one ``tau_a``."""
+    return [loss for t, _, losses in cells if losses is not None and tau_a in (None, t)
+            for loss in losses if rule in (None, loss[0])]
+
+
 class TestVerifyClosedForms:
     def test_smoke_grid_runs_fast_and_flags_infeasible(self):
         import time
         start = time.perf_counter()
-        checks = verify_closed_forms(ENV, 1.0, [0.5, 2.0], [0.0, 0.67], n=100,
-                                     rng=RngHandle(10, 0))
+        cells = verify_closed_forms(ENV, 1.0, [0.5, 2.0], [0.0, 0.67], n=100,
+                                    rng=RngHandle(10, 0))
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0
-        skipped = [c for c in checks if not c.feasible]
-        assert [(c.tau_a, c.lam) for c in skipped] == [(2.0, 0.67)]
-        tested = [c for c in checks if c.feasible]
+        assert [(t, lam) for t, lam, losses in cells if losses is None] == [(2.0, 0.67)]
+        tested = _losses(cells)
         assert len(tested) == 3 * len(RULES)
+        assert [rule for rule, _, _ in tested] == list(RULES) * 3
+        assert all(isinstance(est, Estimate) and est.n == 100 for _, est, _ in tested)
 
     def test_all_pass_with_moderate_samples(self):
-        checks = verify_closed_forms(ENV, 1.0, [0.4, 1.0, 1.8], [0.0, 0.45, 0.67],
-                                     n=200_000, rng=RngHandle(11, 0))
-        assert all(c.ok for c in checks)
+        cells = verify_closed_forms(ENV, 1.0, [0.4, 1.0, 1.8], [0.0, 0.45, 0.67],
+                                    n=200_000, rng=RngHandle(11, 0))
+        assert all(abs(est.mean - closed) <= 4.0 * est.std_error
+                   for _, est, closed in _losses(cells))
 
     def test_cell_results_independent_of_grid_shape(self):
         rng = RngHandle(12, 0)
@@ -169,27 +178,63 @@ class TestVerifyClosedForms:
         single = verify_closed_forms(ENV, 1.0, [1.0], [0.25], n=1000,
                                      rng=RngHandle(12, 0))
         # the (1.0, 0.25) cell keeps its substream even when the grid changes
-        full_cell = [c for c in full if c.tau_a == 1.0 and c.rule == "cn_joint"][0]
-        single_cell = [c for c in single if c.rule == "cn_joint"][0]
-        assert full_cell.mc_mean != single_cell.mc_mean  # different cell index
+        (_, full_cell, _), = _losses(full, "cn_joint", 1.0)
+        (_, single_cell, _), = _losses(single, "cn_joint")
+        assert full_cell.mean != single_cell.mean  # different cell index
         again = verify_closed_forms(ENV, 1.0, [0.5, 1.0], [0.25], n=1000,
                                     rng=RngHandle(12, 0))
-        assert [c.mc_mean for c in again] == [c.mc_mean for c in full]
+        assert again == full
 
 
 class TestVerifyDecomposition:
-    def test_reference_spec_moments(self):
-        checks = verify_decomposition(ENV, SPEC, 500_000, RngHandle(13, 0))
-        assert all(c.ok for c in checks)
-        names = {c.name for c in checks}
-        assert "var_a_given_y" in names and "corr_innovation_h_given_y" in names
+    """The conditional moments of the simulated triples, as the ``lemma``
+    suite of :func:`dualsig.verify.run` measures them through
+    :func:`accumulate`."""
 
-    def test_detects_wrong_expectations(self):
-        # same machinery, deliberately broken expectation: must fail
-        checks = verify_decomposition(ENV, SPEC, 200_000, RngHandle(14, 0))
-        var_a = [c for c in checks if c.name == "var_a_given_y"][0]
+    MOMENTS = ("var_h_given_y", "var_a_given_y", "cov_ha_given_y",
+               "corr_innovation_h_given_y")
+    SPECS = (SignalSpec(1.0, 1.0, 0.5), SignalSpec(2.0, 1.0, 0.5), SignalSpec(1.5, 0.8, 0.3))
+
+    def moments(self, monkeypatch, n, seed, sigma_mult=4.0):
+        """The 12 moment rows of the suite, in order.  The optimality search,
+        which they do not use and which dominates the suite, is replaced by a
+        constant."""
+        monkeypatch.setattr(bregman, "conditional_mean_optimality", lambda problem, gen: 0.0)
+        checks = verify.run("lemma", n=n, seed=seed, sigma_mult=sigma_mult, tau0=1.0, tau_h=1.0)
+        rows = [c for c in checks if c.name.split("[")[0] in self.MOMENTS]
+        assert [c.name for c in rows] == [f"{name}[spec{i}]" for i in range(3)
+                                          for name in self.MOMENTS]
+        return rows
+
+    def test_reference_spec_moments(self, monkeypatch):
+        assert all(c.ok for c in self.moments(monkeypatch, 500_000, 13))
+
+    def test_detects_wrong_expectations(self, monkeypatch):
+        # same measurement, deliberately broken expectation: must fail
+        var_a = self.moments(monkeypatch, 200_000, 14)[1]
+        assert var_a.name == "var_a_given_y[spec0]"
         assert abs(var_a.observed - 1.0) < 0.02
-        assert not (abs(var_a.observed - 2.0) <= 4.0 * var_a.std_error)
+        assert not verify.Check("lemma", var_a.name, var_a.observed, 2.0, var_a.tol).ok
+
+    @pytest.mark.parametrize("sigma_mult, ok", [(4.0, True), (0.0, False)])
+    def test_chunked_rows_pass_at_4_sigma_and_fail_at_0(self, monkeypatch, sigma_mult, ok):
+        rows = self.moments(monkeypatch, 2 * CHUNK + 1, 0, sigma_mult)
+        assert [c.ok for c in rows] == [ok] * 12
+
+    def test_chunked_rows_match_numpy_on_the_same_draws(self, monkeypatch):
+        # reference: the same chunk-ordered draws, held whole, through
+        # np.mean and np.corrcoef
+        rows = iter(self.moments(monkeypatch, 2 * CHUNK + 1, 5))
+        for i, spec in enumerate(self.SPECS):
+            rng = RngHandle(derive_seed(5, 20, i), stream=0)
+            y, h, a = map(np.concatenate, zip(*(sample_triple(ENV, spec, rng, size=m)
+                                                for m in (CHUNK, CHUNK, 1))))
+            eh, ea = h - y, a - y
+            innov = (ea - spec.lam * eh) / (1.0 - spec.lam)
+            expected = [np.mean(eh * eh), np.mean(ea * ea), np.mean(eh * ea),
+                        np.corrcoef(eh, innov)[0, 1]]
+            for check, value in zip([next(rows) for _ in range(4)], expected):
+                assert check.observed == pytest.approx(value, rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),

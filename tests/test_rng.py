@@ -158,3 +158,10 @@ def test_invalid_arguments():
         RngHandle(0, 0).split(-1)
     with pytest.raises(ValueError):
         derive_seed(0, -2)
+    # seeds are not reduced mod 2**64, so no two seeds alias one stream
+    for seed in (-1, MASK + 1):
+        with pytest.raises(ValueError, match="seed must lie in"):
+            RngHandle(seed)
+        with pytest.raises(ValueError, match="seed must lie in"):
+            derive_seed(seed, 1)
+    assert RngHandle(MASK).seed == MASK and derive_seed(MASK) == MASK

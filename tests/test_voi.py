@@ -5,7 +5,6 @@ from dualsig.core import ValidationError
 from dualsig.voi import (
     DiscreteProblem,
     LogLoss,
-    NULL_SIGNAL,
     QuadraticLoss,
     TableLoss,
     VoiReport,
@@ -15,8 +14,6 @@ from dualsig.voi import (
     erasure_construction,
     marginal_value_discrete,
     posterior_two_tests,
-    problem_from_table,
-    problem_to_table,
     ratio_construction,
     value_of_information,
     xor_construction,
@@ -251,26 +248,3 @@ class TestBruteForce:
                                   probs=probs, loss=QuadraticLoss())
         with pytest.raises(ValidationError):
             brute_force_voi(problem)
-
-
-class TestSerialization:
-    def test_round_trip_xor(self):
-        problem = xor_construction(0.1, 0.25)
-        text = problem_to_table(problem)
-        back = problem_from_table(text, LogLoss())
-        assert back.states == problem.states
-        assert back.signal_names == problem.signal_names
-        assert back.alphabets == problem.alphabets
-        assert np.array_equal(back.probs, problem.probs)
-
-    def test_round_trip_with_null_symbol(self):
-        problem = erasure_construction(0.1, 0.4)
-        back = problem_from_table(problem_to_table(problem), LogLoss())
-        assert NULL_SIGNAL in back.alphabets[0]
-        assert np.array_equal(back.probs, problem.probs)
-
-    def test_malformed_tables_rejected(self):
-        with pytest.raises(ValidationError):
-            problem_from_table("", LogLoss())
-        with pytest.raises(ValidationError):
-            problem_from_table("state,h,a,prob\n0,0\n", LogLoss())
