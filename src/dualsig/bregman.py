@@ -24,6 +24,16 @@ i.e. information gain minus a misuse penalty.  ``gap_check_discrete``
 verifies this exactly by enumeration on finite problems;
 ``gap_check_gaussian_cn`` verifies it for the Gaussian correlation-neglect
 rule with a Monte Carlo estimate of the penalty term.
+
+Stacked convention: :func:`bregman_loss`, ``BregmanGenerator.phi`` and
+``BregmanGenerator.grad`` take one vector of the generator's dimension or
+a stack of them, shape ``(..., dimension)`` (a scalar is one vector of
+dimension 1), and ``bregman_loss`` broadcasts ``y`` against ``d``.  Each
+call validates its whole input once: the trailing dimension, finiteness
+and the negative-entropy domain, where one bad row rejects the stack.
+One vector gives a float, a stack an array.  Every inner product goes
+through ``np.vecdot``, which rounds as ``np.dot`` does, so a stacked loss
+equals the per-vector losses bit for bit.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ from .core import (
     loss_human,
     loss_joint_cn,
     marginal_value,
+    native,
 )
 from ._search import minimize_grid_refine
 from .rng import RngHandle
@@ -73,42 +84,50 @@ class BregmanGenerator:
         if self.dimension < 1:
             raise ValidationError(f"dimension must be >= 1, got {self.dimension}")
 
-    def _domain_check(self, d: np.ndarray) -> None:
-        if self.kind == "negative_entropy" and np.any(d <= 0.0):
-            raise ValidationError(
-                "negative-entropy decisions must have strictly positive entries")
+    def phi(self, x):
+        """``phi`` of each vector of ``x``: a float for one vector, else an array."""
+        return native(self._phi(self._stack(x)))
 
-    def phi(self, x: np.ndarray) -> float:
-        x = self._vector(x)
-        if self.kind == "squared":
-            return float(np.dot(x, x))
-        if np.any(x < 0.0):
-            raise ValidationError("negative-entropy arguments must be nonnegative")
-        mask = x > 0.0
-        return float(np.sum(x[mask] * np.log(x[mask])))
+    def grad(self, x) -> np.ndarray:
+        """``grad phi`` of each vector of ``x``, in the shape of ``x``."""
+        return self._grad(self._stack(x))
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        x = self._vector(x)
-        if self.kind == "squared":
-            return 2.0 * x
-        self._domain_check(x)
-        return np.log(x) + 1.0
-
-    def _vector(self, x) -> np.ndarray:
+    def _stack(self, x) -> np.ndarray:
         v = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        if v.shape != (self.dimension,):
-            raise ValidationError(f"expected a vector of length {self.dimension}, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if v.shape[-1] != self.dimension:
+            raise ValidationError(
+                f"expected vectors of length {self.dimension}, got shape {v.shape}")
+        if not np.isfinite(v).all():
             raise ValidationError("vector entries must be finite")
         return v
 
+    def _phi(self, x: np.ndarray) -> np.ndarray:
+        if self.kind == "squared":
+            return np.vecdot(x, x)
+        if (x < 0.0).any():
+            raise ValidationError("negative-entropy arguments must be nonnegative")
+        # 0 log 0 = 0: zero entries take log(1) = 0, never log(0)
+        return np.sum(x * np.log(np.where(x > 0.0, x, 1.0)), axis=-1)
 
-def bregman_loss(gen: BregmanGenerator, y, d) -> float:
-    """``phi(y) - phi(d) - <y - d, grad phi(d)>``; >= 0, zero only at y = d."""
-    yv = gen._vector(y)
-    dv = gen._vector(d)
-    gen._domain_check(dv)
-    return gen.phi(yv) - gen.phi(dv) - float(np.dot(yv - dv, gen.grad(dv)))
+    def _grad(self, x: np.ndarray) -> np.ndarray:
+        if self.kind == "squared":
+            return 2.0 * x
+        if not (x > 0.0).all():
+            raise ValidationError(
+                "negative-entropy decisions must have strictly positive entries")
+        return np.log(x) + 1.0
+
+
+def bregman_loss(gen: BregmanGenerator, y, d):
+    """``phi(y) - phi(d) - <y - d, grad phi(d)>``; >= 0, zero only at y = d.
+
+    ``y`` and ``d`` are vectors or broadcasting stacks of them; a float for
+    one pair, else an array of the broadcast leading shape.
+    """
+    yv = gen._stack(y)
+    dv = gen._stack(d)
+    grad = gen._grad(dv)  # rejects decisions outside the domain
+    return native(gen._phi(yv) - gen._phi(dv) - np.vecdot(yv - dv, grad))
 
 
 @dataclass(frozen=True)
@@ -129,13 +148,15 @@ class GapReport:
 DecisionRule = Mapping | Callable
 
 
-def _encode_states(problem: DiscreteProblem, gen: BregmanGenerator) -> list[np.ndarray]:
+def _encode_states(problem: DiscreteProblem, gen: BregmanGenerator) -> np.ndarray:
+    """One row per state: one-hot for negative entropy, the state's value
+    for the squared generator."""
     if gen.kind == "negative_entropy":
         if gen.dimension != len(problem.states):
             raise ValidationError(
                 f"one-hot encoding needs dimension {len(problem.states)}, "
                 f"generator has {gen.dimension}")
-        return [np.eye(len(problem.states))[i] for i in range(len(problem.states))]
+        return np.eye(len(problem.states))
     encoded = []
     for s in problem.states:
         v = np.atleast_1d(np.asarray(s, dtype=np.float64))
@@ -143,19 +164,37 @@ def _encode_states(problem: DiscreteProblem, gen: BregmanGenerator) -> list[np.n
             raise ValidationError(
                 f"state {s!r} does not encode to dimension {gen.dimension}")
         encoded.append(v)
-    return encoded
+    return np.stack(encoded)
 
 
-def _rule_lookup(delta_hat: DecisionRule, h, a, gen: BregmanGenerator) -> np.ndarray:
-    if callable(delta_hat):
-        value = delta_hat(h, a)
-    else:
-        try:
-            value = delta_hat[(h, a)]
-        except KeyError as exc:
+def _mixture(weights: np.ndarray, enc: np.ndarray) -> np.ndarray:
+    """``sum(w * e for w, e in zip(weights, enc))`` for each column of the
+    ``(states, k)`` weights: ``k`` rows, each summed in state order."""
+    out = 0.0
+    for w, e in zip(weights, enc):
+        out = out + w[:, None] * e
+    return out
+
+
+def _rule_table(delta_hat: DecisionRule, pairs, gen: BregmanGenerator) -> np.ndarray:
+    """The decisions of ``delta_hat`` at ``pairs``, one validated row each."""
+    rows = []
+    for h, a in pairs:
+        if callable(delta_hat):
+            value = delta_hat(h, a)
+        else:
+            try:
+                value = delta_hat[(h, a)]
+            except KeyError as exc:
+                raise ValidationError(
+                    f"decision rule table has no entry for signal pair ({h!r}, {a!r})") from exc
+        v = np.atleast_1d(np.asarray(value, dtype=np.float64))
+        if v.shape != (gen.dimension,):
             raise ValidationError(
-                f"decision rule table has no entry for signal pair ({h!r}, {a!r})") from exc
-    return gen._vector(value)
+                f"decision for signal pair ({h!r}, {a!r}) must be a vector of length "
+                f"{gen.dimension}, got shape {v.shape}")
+        rows.append(v)
+    return np.stack(rows)
 
 
 def gap_check_discrete(problem: DiscreteProblem, delta_hat: DecisionRule,
@@ -165,43 +204,50 @@ def gap_check_discrete(problem: DiscreteProblem, delta_hat: DecisionRule,
     ``delta_hat`` maps each signal pair to a decision, as a mapping keyed by
     ``(h, a)`` or a callable; it must cover every pair with positive
     probability.  States are one-hot encoded for the negative-entropy
-    generator and used as numeric vectors for the squared one.
+    generator and used as numeric vectors for the squared one.  The losses
+    of all (state, pair) terms are four stacked :func:`bregman_loss` calls;
+    the expectations add them up in ``(h, a, state)`` order.
     """
     if len(problem.signal_names) != 2:
         raise ValidationError(f"need exactly two signals, got {problem.signal_names}")
     enc = _encode_states(problem, gen)
-    probs = problem.probs
-    n_states = len(problem.states)
-    flat = probs.reshape(n_states, len(problem.alphabets[0]), len(problem.alphabets[1]))
+    alphabet_h, alphabet_a = problem.alphabets
+    n_a = len(alphabet_a)
+    flat = problem.probs.reshape(len(problem.states), len(alphabet_h), n_a)
 
-    # Conditional means given h alone and given the pair.
+    # Conditional means given h alone, for every h with positive probability.
     p_h = flat.sum(axis=(0, 2))
-    mean_h = {}
-    for i_h, h in enumerate(problem.alphabets[0]):
-        if p_h[i_h] > 0.0:
-            cond = flat[:, i_h, :].sum(axis=1) / p_h[i_h]
-            mean_h[i_h] = sum(c * e for c, e in zip(cond, enc))
+    live_h = p_h > 0.0
+    d_h = np.zeros((len(alphabet_h), gen.dimension))
+    d_h[live_h] = _mixture(flat.sum(axis=2)[:, live_h] / p_h[live_h], enc)
 
+    # ... and given the pair, for every pair with positive probability.
+    by_pair = flat.reshape(len(problem.states), -1)
+    p_pair = by_pair.sum(axis=0)
+    live = np.flatnonzero(p_pair > 0.0)
+    cond = by_pair[:, live] / p_pair[live]
+    d_star = _mixture(cond, enc)
+    d_hat = _rule_table(delta_hat, [(alphabet_h[j // n_a], alphabet_a[j % n_a]) for j in live],
+                        gen)
+
+    e = enc[:, None, :]
+    terms = zip(cond.T.tolist(),
+                bregman_loss(gen, e, d_h[live // n_a]).T.tolist(),
+                bregman_loss(gen, e, d_hat).T.tolist(),
+                bregman_loss(gen, e, d_star).T.tolist())
+    penalties = bregman_loss(gen, d_star, d_hat).tolist()
     l_human_term = 0.0
     l_hat = 0.0
     l_star = 0.0
     penalty = 0.0
-    for i_h, h in enumerate(problem.alphabets[0]):
-        for i_a, a in enumerate(problem.alphabets[1]):
-            col = flat[:, i_h, i_a]
-            p_ha = float(col.sum())
-            if p_ha == 0.0:
-                continue
-            cond = col / p_ha
-            d_star = sum(c * e for c, e in zip(cond, enc))
-            d_hat = _rule_lookup(delta_hat, h, a, gen)
-            d_h = mean_h[i_h]
-            for c, e in zip(cond, enc):
-                if c > 0.0:
-                    l_human_term += p_ha * c * bregman_loss(gen, e, d_h)
-                    l_hat += p_ha * c * bregman_loss(gen, e, d_hat)
-                    l_star += p_ha * c * bregman_loss(gen, e, d_star)
-            penalty += p_ha * bregman_loss(gen, d_star, d_hat)
+    for p_ha, (conds, to_h, to_hat, to_star), pen in zip(p_pair[live].tolist(), terms,
+                                                         penalties):
+        for c, loss_h, loss_hat, loss_star in zip(conds, to_h, to_hat, to_star):
+            if c > 0.0:
+                l_human_term += p_ha * c * loss_h
+                l_hat += p_ha * c * loss_hat
+                l_star += p_ha * c * loss_star
+        penalty += p_ha * pen
     lhs = l_human_term - l_hat
     marginal = l_human_term - l_star
     return GapReport(lhs=lhs, marginal=marginal, penalty=penalty,
@@ -254,14 +300,16 @@ def conditional_mean_optimality(problem: DiscreteProblem, gen: BregmanGenerator)
         if p == 0.0:
             continue
         cond = col / p
-        d_star = sum(c * e for c, e in zip(cond, enc))
+        d_star = _mixture(cond[:, None], enc)[0]
+        live = cond > 0.0
+        weights, states = cond[live].tolist(), enc[live]
 
         def expected(decision: np.ndarray) -> float:
-            return sum(c * bregman_loss(gen, e, decision)
-                       for c, e in zip(cond, enc) if c > 0.0)
+            return sum(c * loss for c, loss in zip(weights,
+                                                   bregman_loss(gen, states, decision).tolist()))
 
         if gen.kind == "squared":
-            values = [float(e[0]) for e in enc]
+            values = enc[:, 0].tolist()
             lo, hi = min(values) - 1.0, max(values) + 1.0
             _, best = minimize_grid_refine(lambda t: expected(np.array([t])), lo, hi)
         else:

@@ -39,6 +39,7 @@ __all__ = [
     "SignalSpec",
     "LossProfile",
     "require",
+    "native",
     "finite_total",
     "feasible",
     "innovation_precision",
@@ -73,8 +74,9 @@ def require(ok, message: str, *values, error: type[ValidationError] = Validation
         raise error(message.format(*(np.broadcast_to(v, np.shape(ok)).flat[i] for v in values)))
 
 
-def _native(x):
-    # numpy gives 0-d results for float inputs; hand those back as floats.
+def native(x):
+    """``x`` as a float if it is 0-d, as numpy gives for float inputs;
+    arrays pass through."""
     return x if np.ndim(x) else float(x)
 
 
@@ -190,7 +192,7 @@ def innovation_precision(spec: SignalSpec):
                    ((1.0 - lam) * (1.0 + lam) + lam2 * (tau_h - tau_a) / tau_h) / tau_a)
     require(den > 0.0, "innovation-variance denominator 1/tau_a - lam^2/tau_h = {} "
             "must be strictly positive", den, error=DegenerateDecompositionError)
-    return _native(np.float_power(1.0 - lam, 2.0) / den)
+    return native(np.float_power(1.0 - lam, 2.0) / den)
 
 
 @np.errstate(over="ignore")
@@ -246,8 +248,8 @@ def loss_profile(env: Environment, spec: SignalSpec) -> LossProfile:
     lh = loss_human(env, spec)
     full = spec.lam == 1.0
     # lam = 0 stands in where lam = 1; those cells keep lh instead.
-    innovating = replace(spec, lam=_native(np.where(full, 0.0, spec.lam)))
-    ljb = _native(np.where(full, lh, loss_joint_bayes(env, innovating)))
+    innovating = replace(spec, lam=native(np.where(full, 0.0, spec.lam)))
+    ljb = native(np.where(full, lh, loss_joint_bayes(env, innovating)))
     return LossProfile(
         l_human=lh,
         l_ai=loss_ai(env, spec),

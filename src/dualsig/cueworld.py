@@ -30,7 +30,7 @@ with :func:`dualsig.rng.derive_seed`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -87,13 +87,19 @@ class SamplingPlan:
 
 @dataclass(frozen=True, eq=False)
 class CueWorld:
-    """Immutable cue pool: per-cue precisions, accessibility mask, human set."""
+    """Immutable cue pool: per-cue precisions, accessibility mask, human set.
+
+    ``human_mask`` (True on ``human_set``) and ``accessible_indices`` are
+    derived once, at construction, for the per-repetition draws.
+    """
 
     n_cues: int
     precisions: np.ndarray
     accessible: np.ndarray
     human_set: np.ndarray
     homogeneous: bool
+    human_mask: np.ndarray = field(init=False, repr=False)
+    accessible_indices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_cues < 1:
@@ -110,13 +116,11 @@ class CueWorld:
         hset = np.sort(hset)
         if np.any(hset[1:] == hset[:-1]):
             raise ValidationError("human_set indices must be unique")
-        for name, arr in (("precisions", prec), ("accessible", acc), ("human_set", hset)):
+        for name, arr in (("precisions", prec), ("accessible", acc), ("human_set", hset),
+                          ("human_mask", _membership(self.n_cues, hset)),
+                          ("accessible_indices", np.flatnonzero(acc))):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def accessible_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.accessible)
 
 
 @dataclass(frozen=True)
@@ -224,7 +228,7 @@ def domain_overlap_rate(world: CueWorld) -> float:
     """Pool-level overlap target: precision mass of human-held accessible
     cues over total accessible precision mass (count ratio when homogeneous)."""
     acc = world.accessible
-    in_h = _membership(world.n_cues, world.human_set)
+    in_h = world.human_mask
     if world.homogeneous:
         return float(np.count_nonzero(acc & in_h)) / float(np.count_nonzero(acc))
     t_acc = float(np.sum(world.precisions[acc]))
@@ -239,11 +243,14 @@ def empirical_lambda(world: CueWorld, human_set: Iterable[int],
     Count ratio ``|A∩H| / |A|`` in homogeneous worlds (exact); precision-mass
     ratio ``T(A∩H) / T(A)`` otherwise.
     """
-    h_idx = _as_index_set(human_set, world.n_cues, "human_set")
+    if human_set is world.human_set:
+        in_h = world.human_mask  # validated when the world was built
+    else:
+        in_h = _membership(world.n_cues, _as_index_set(human_set, world.n_cues, "human_set"))
     a_idx = _as_index_set(ai_set, world.n_cues, "ai_set")
     if a_idx.size == 0:
         raise ValidationError("ai_set must be nonempty")
-    both = a_idx[_membership(world.n_cues, h_idx)[a_idx]]
+    both = a_idx[in_h[a_idx]]
     if world.homogeneous:
         return both.size / a_idx.size
     return float(np.sum(world.precisions[both])) / float(np.sum(world.precisions[a_idx]))

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dualsig import verify
 from dualsig.bregman import (
     BregmanGenerator,
     GapReport,
@@ -12,7 +15,8 @@ from dualsig.bregman import (
     gap_check_gaussian_cn,
 )
 from dualsig.core import Environment, SignalSpec, ValidationError
-from dualsig.voi import DiscreteProblem, LogLoss, QuadraticLoss
+from dualsig.rng import RngHandle
+from dualsig.voi import DiscreteProblem, LogLoss, QuadraticLoss, TableLoss
 
 SQUARED = BregmanGenerator(kind="squared", dimension=1)
 NEGENT = BregmanGenerator(kind="negative_entropy", dimension=2)
@@ -79,6 +83,130 @@ class TestBregmanLoss:
             BregmanGenerator(kind="huber", dimension=1)
 
 
+def reference_loss(gen, y, d):
+    """The per-vector loss as it was computed before the stacked one."""
+    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
+    d = np.atleast_1d(np.asarray(d, dtype=np.float64))
+
+    def phi(x):
+        if gen.kind == "squared":
+            return float(np.dot(x, x))
+        mask = x > 0.0
+        return float(np.sum(x[mask] * np.log(x[mask])))
+
+    grad = 2.0 * d if gen.kind == "squared" else np.log(d) + 1.0
+    return phi(y) - phi(d) - float(np.dot(y - d, grad))
+
+
+def reference_gap(problem, rule, gen):
+    """(lhs, marginal, penalty, residual) by the per-term loop that preceded
+    the stacked :func:`gap_check_discrete`."""
+    if gen.kind == "negative_entropy":
+        enc = [np.eye(len(problem.states))[i] for i in range(len(problem.states))]
+    else:
+        enc = [np.atleast_1d(np.asarray(s, dtype=np.float64)) for s in problem.states]
+    flat = problem.probs.reshape(len(problem.states), len(problem.alphabets[0]),
+                                 len(problem.alphabets[1]))
+    p_h = flat.sum(axis=(0, 2))
+    mean_h = {i_h: sum(c * e for c, e in zip(flat[:, i_h, :].sum(axis=1) / p_h[i_h], enc))
+              for i_h in range(len(p_h)) if p_h[i_h] > 0.0}
+    l_human = l_hat = l_star = penalty = 0.0
+    for i_h, h in enumerate(problem.alphabets[0]):
+        for i_a, a in enumerate(problem.alphabets[1]):
+            col = flat[:, i_h, i_a]
+            p_ha = float(col.sum())
+            if p_ha == 0.0:
+                continue
+            cond = col / p_ha
+            d_star = sum(c * e for c, e in zip(cond, enc))
+            d_hat = rule[(h, a)]
+            for c, e in zip(cond, enc):
+                if c > 0.0:
+                    l_human += p_ha * c * reference_loss(gen, e, mean_h[i_h])
+                    l_hat += p_ha * c * reference_loss(gen, e, d_hat)
+                    l_star += p_ha * c * reference_loss(gen, e, d_star)
+            penalty += p_ha * reference_loss(gen, d_star, d_hat)
+    lhs, marginal = l_human - l_hat, l_human - l_star
+    return lhs, marginal, penalty, lhs - (marginal - penalty)
+
+
+@st.composite
+def stacked_pairs(draw):
+    """A generator and two equal-shape stacks of vectors in its domain."""
+    kind = draw(st.sampled_from(("squared", "negative_entropy")))
+    dim = draw(st.integers(1, 3) if kind == "squared" else st.integers(2, 3))
+    rows = draw(st.integers(1, 6))
+    if kind == "squared":
+        y_entry = d_entry = st.floats(-1e3, 1e3)
+    else:
+        y_entry = st.one_of(st.just(0.0), st.floats(1e-9, 1.0))
+        d_entry = st.floats(1e-9, 1.0)
+    y = draw(st.lists(st.lists(y_entry, min_size=dim, max_size=dim),
+                      min_size=rows, max_size=rows))
+    d = draw(st.lists(st.lists(d_entry, min_size=dim, max_size=dim),
+                      min_size=rows, max_size=rows))
+    return BregmanGenerator(kind=kind, dimension=dim), np.array(y), np.array(d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=stacked_pairs())
+def test_stacked_loss_equals_the_per_vector_loss_exactly(case):
+    gen, y, d = case
+    expected = [reference_loss(gen, yi, di) for yi, di in zip(y, d)]
+    assert bregman_loss(gen, y, d).tolist() == expected
+    # broadcasting every y against every d gives the same bits
+    grid = bregman_loss(gen, y[:, None, :], d[None, :, :])
+    assert grid.tolist() == [[reference_loss(gen, yi, di) for di in d] for yi in y]
+    assert [bregman_loss(gen, yi, di) for yi, di in zip(y, d)] == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_gap_check_equals_the_per_term_loop_exactly(seed):
+    rng = RngHandle(seed, stream=10)
+    for kind, dim in (("squared", 1), ("negative_entropy", 2)):
+        gen = BregmanGenerator(kind=kind, dimension=dim)
+        for i in range(100):
+            problem = verify._random_discrete_problem(rng.split(i), kind == "squared")
+            rule = verify._random_rule(problem, gen, rng.split(1000 + i))
+            report = gap_check_discrete(problem, rule, gen)
+            assert (report.lhs, report.marginal, report.penalty,
+                    report.residual) == reference_gap(problem, rule, gen)
+
+
+class TestStackedApi:
+    def test_one_vector_gives_a_float(self):
+        for value in (bregman_loss(SQUARED, 3.0, 1.0),
+                      bregman_loss(NEGENT, [0.3, 0.7], [0.6, 0.4]),
+                      NEGENT.phi([0.3, 0.7]), SQUARED.phi(2.0)):
+            assert type(value) is float
+        assert bregman_loss(SQUARED, [[3.0], [1.0]], [1.0]).tolist() == [4.0, 0.0]
+        assert NEGENT.grad([[0.5, 0.5]]).shape == (1, 2)
+
+    def test_zero_entries_are_zero_log_zero(self):
+        assert NEGENT.phi([[1.0, 0.0], [0.0, 1.0]]).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("gen, y, d", [
+        (SQUARED, [[1.0], [np.inf]], [[0.0], [0.0]]),
+        (SQUARED, [[1.0], [2.0]], [[0.0], [np.nan]]),
+        (NEGENT, [[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.0, 1.0]]),
+        (NEGENT, [[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [-0.2, 1.2]]),
+        (NEGENT, [[0.5, 0.5], [-0.5, 1.5]], [[0.5, 0.5], [0.5, 0.5]]),
+        (NEGENT, [[0.2, 0.3, 0.5]], [[0.2, 0.3, 0.5]]),
+        (SQUARED, [[1.0, 2.0]], [[1.0, 2.0]]),
+    ])
+    def test_one_bad_row_rejects_the_stack(self, gen, y, d):
+        with pytest.raises(ValidationError):
+            bregman_loss(gen, np.array(y), np.array(d))
+
+    def test_phi_and_grad_validate(self):
+        with pytest.raises(ValidationError):
+            NEGENT.phi([[0.5, 0.5], [-0.1, 1.1]])
+        with pytest.raises(ValidationError):
+            NEGENT.grad([[0.5, 0.5], [0.0, 1.0]])
+        with pytest.raises(ValidationError):
+            SQUARED.grad([[np.inf]])
+
+
 class TestGapCheckDiscrete:
     def test_optimal_rule_has_no_penalty(self):
         rng = np.random.default_rng(5)
@@ -130,6 +258,52 @@ class TestGapCheckDiscrete:
         problem = random_problem(rng, True)
         with pytest.raises(ValidationError):
             gap_check_discrete(problem, {(0, 0): 0.5}, SQUARED)
+
+    def test_zero_probability_pair_needs_no_rule(self):
+        problem = random_problem(np.random.default_rng(13), True)
+        probs = problem.probs.copy()
+        probs[:, 1, 1] = 0.0
+        problem = DiscreteProblem(states=problem.states, signal_names=("h", "a"),
+                                  alphabets=problem.alphabets, probs=probs / probs.sum(),
+                                  loss=QuadraticLoss())
+        rule = conditional_means(problem, SQUARED)
+        assert (1, 1) not in rule
+        assert abs(gap_check_discrete(problem, rule, SQUARED).residual) < 1e-12
+
+    @pytest.mark.parametrize("gen, bad", [
+        (SQUARED, np.inf),
+        (SQUARED, np.array([0.2, 0.4])),
+        (NEGENT, np.array([0.5, np.nan])),
+        (NEGENT, np.array([0.3, 0.3, 0.4])),
+        (NEGENT, np.array([0.0, 1.0])),
+        (NEGENT, np.array([-0.5, 1.5])),
+    ])
+    def test_bad_rule_value_rejected(self, gen, bad):
+        problem = random_problem(np.random.default_rng(14), gen is SQUARED)
+        rule = conditional_means(problem, gen)
+        rule[(1, 0)] = bad
+        with pytest.raises(ValidationError):
+            gap_check_discrete(problem, rule, gen)
+
+    def test_degenerate_conditional_rejected_for_negative_entropy(self):
+        # state 1 never occurs with h = 0, so d_h and d_star there have a
+        # zero entry, outside the negative-entropy domain
+        probs = np.full((2, 2, 2), 0.125)
+        probs[1, 0, :] = 0.0
+        problem = DiscreteProblem(states=(0, 1), signal_names=("h", "a"),
+                                  alphabets=((0, 1), (0, 1)), probs=probs / probs.sum(),
+                                  loss=LogLoss())
+        rule = {pair: np.array([0.5, 0.5]) for pair in ((0, 0), (0, 1), (1, 0), (1, 1))}
+        with pytest.raises(ValidationError):
+            gap_check_discrete(problem, rule, NEGENT)
+
+    def test_needs_exactly_two_signals(self):
+        problem = DiscreteProblem(states=(0.0, 1.0), signal_names=("h",),
+                                  alphabets=((0, 1),), probs=np.full((2, 2), 0.25),
+                                  loss=TableLoss(decisions=(0, 1),
+                                                 loss=lambda y, d: float(y != d)))
+        with pytest.raises(ValidationError):
+            gap_check_discrete(problem, {}, SQUARED)
 
 
 class TestGapCheckGaussian:

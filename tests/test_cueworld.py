@@ -93,6 +93,15 @@ class TestBuildWorld:
                      human_set=np.array([5]), homogeneous=True)
 
 
+    def test_derived_arrays_are_read_only_and_match_their_definitions(self):
+        world = build_world(300, PLAN, mode="heterogeneous", seed=2)
+        assert np.array_equal(world.accessible_indices, np.flatnonzero(world.accessible))
+        assert np.array_equal(np.flatnonzero(world.human_mask), world.human_set)
+        for arr in (world.human_mask, world.accessible_indices):
+            with pytest.raises(ValueError):
+                arr[0] = arr[1]
+
+
 class TestSampleAiSet:
     def test_exhausting_the_pool(self):
         world = build_world(100, PLAN, seed=0)
@@ -124,6 +133,14 @@ class TestSampleAiSet:
 
 
 class TestOverlapMeasures:
+    @pytest.mark.parametrize("mode", ["homogeneous", "heterogeneous"])
+    def test_the_worlds_own_human_set_and_a_copy_agree(self, mode):
+        world = build_world(500, PLAN, mode=mode, seed=4)
+        for rep in range(5):
+            ai = sample_ai_set(world, PLAN.a, seed=derive_seed(4, rep))
+            assert (empirical_lambda(world, world.human_set, ai)
+                    == empirical_lambda(world, world.human_set.tolist(), ai))
+
     def test_homogeneous_extremes(self):
         world = build_world(100, PLAN, seed=0)
         hset = world.human_set

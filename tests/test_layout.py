@@ -13,6 +13,10 @@ cheap for commands that never use it.
 The benchmark's tracer (``bench/spans.py``) patches program functions by
 module and name.  Every name it patches must still exist where it looks, so
 that a refactor that moves one fails here and not only in a traced run.
+
+``bregman`` takes every inner product through ``np.vecdot``, so a single
+vector and a stack of them round through one kernel: ``np.dot``,
+``einsum`` and ``@`` are rejected there.
 """
 
 import ast
@@ -73,6 +77,38 @@ def test_importing_the_cli_loads_no_pool_machinery():
                           env={**os.environ, "PYTHONPATH": path}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def other_inner_products(source: str) -> list[str]:
+    """Every ``dot``/``einsum`` reference and ``@`` operator in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("dot", "einsum"):
+            found.append(f"{node.attr} at line {node.lineno}")
+        elif isinstance(node, ast.Name) and node.id in ("dot", "einsum"):
+            found.append(f"{node.id} at line {node.lineno}")
+        elif isinstance(node, ast.alias) and node.name in ("dot", "einsum"):
+            found.append(f"import {node.name}")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"@ at line {node.lineno}")
+    return found
+
+
+def test_inner_product_checker_flags_every_form():
+    source = ("import numpy as np\n"
+              "from numpy import einsum\n"
+              "a = np.dot(x, y)\n"
+              "b = x @ y\n"
+              "c @= y\n"
+              "d = np.vecdot(x, y)\n")
+    assert sorted(other_inner_products(source)) == ["@ at line 4", "@ at line 5",
+                                                    "dot at line 3", "import einsum"]
+
+
+def test_bregman_takes_inner_products_only_through_vecdot():
+    source = (PACKAGE / "bregman.py").read_text(encoding="utf-8")
+    assert other_inner_products(source) == []
+    assert "np.vecdot" in source
 
 
 def test_every_traced_name_resolves():
