@@ -52,7 +52,6 @@ from .voi import (
     LogLoss,
     NULL_SIGNAL,
     QuadraticLoss,
-    TableLoss,
     VoiReport,
     bayes_risk,
     binary_entropy,

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 from typing import Callable
 
+GRID_CELLS = 10_000
 
-def bisect(f: Callable[[float], float], lo: float, hi: float,
-           tol: float = 1e-12, max_iter: int = 200) -> float:
+
+def bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of a sign-changing continuous function on [lo, hi].
 
-    Iterates until the bracket width falls below ``tol`` (or float
-    resolution), keeping the endpoint ordering given by the caller.
+    Halves the bracket for at most 200 steps or until it reaches float
+    resolution, keeping the endpoint ordering given by the caller.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -19,9 +20,9 @@ def bisect(f: Callable[[float], float], lo: float, hi: float,
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise ValueError(f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi or hi - lo < tol:
+        if mid == lo or mid == hi:
             break
         fmid = f(mid)
         if fmid == 0.0:
@@ -33,18 +34,18 @@ def bisect(f: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (lo + hi)
 
 
-def minimize_grid_refine(f: Callable[[float], float], lo: float, hi: float,
-                         resolution: float = 1e-4, iters: int = 90) -> tuple[float, float]:
+def minimize_grid_refine(f: Callable[[float], float], lo: float,
+                         hi: float) -> tuple[float, float]:
     """Minimize a unimodal function: coarse grid scan, then ternary refine.
 
-    Returns ``(argmin, min_value)``.  The grid step is
-    ``resolution * (hi - lo)`` capped at 10**5 cells; refinement shrinks the
-    best bracket by 2/3 per iteration.
+    Returns ``(argmin, min_value)``.  The scan evaluates ``GRID_CELLS + 1``
+    evenly spaced points and keeps the first minimum; 90 ternary steps then
+    shrink the bracket around it by 2/3 each.
     """
     span = hi - lo
     if span <= 0.0:
         raise ValueError("need lo < hi")
-    n = min(int(round(1.0 / resolution)), 100_000)
+    n = GRID_CELLS
     best_i, best_v = 0, f(lo)
     for i in range(1, n + 1):
         x = lo + span * i / n
@@ -53,7 +54,7 @@ def minimize_grid_refine(f: Callable[[float], float], lo: float, hi: float,
             best_i, best_v = i, v
     a = lo + span * max(best_i - 1, 0) / n
     b = lo + span * min(best_i + 1, n) / n
-    for _ in range(iters):
+    for _ in range(90):
         m1 = a + (b - a) / 3.0
         m2 = b - (b - a) / 3.0
         if f(m1) <= f(m2):

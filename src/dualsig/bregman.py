@@ -39,7 +39,7 @@ equals the per-vector losses bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -145,26 +145,14 @@ class GapReport:
     penalty_se: float | None = None
 
 
-DecisionRule = Mapping | Callable
-
-
 def _encode_states(problem: DiscreteProblem, gen: BregmanGenerator) -> np.ndarray:
-    """One row per state: one-hot for negative entropy, the state's value
-    for the squared generator."""
-    if gen.kind == "negative_entropy":
-        if gen.dimension != len(problem.states):
-            raise ValidationError(
-                f"one-hot encoding needs dimension {len(problem.states)}, "
-                f"generator has {gen.dimension}")
-        return np.eye(len(problem.states))
-    encoded = []
-    for s in problem.states:
-        v = np.atleast_1d(np.asarray(s, dtype=np.float64))
-        if v.shape != (gen.dimension,):
-            raise ValidationError(
-                f"state {s!r} does not encode to dimension {gen.dimension}")
-        encoded.append(v)
-    return np.stack(encoded)
+    """One row per state: one-hot for negative entropy, else the state's value."""
+    one_hot = gen.kind == "negative_entropy"
+    dimension = len(problem.states) if one_hot else 1
+    if gen.dimension != dimension:
+        raise ValidationError(f"{gen.kind} states need dimension {dimension}, "
+                              f"generator has {gen.dimension}")
+    return np.eye(dimension) if one_hot else np.array(problem.states)[:, None]
 
 
 def _mixture(weights: np.ndarray, enc: np.ndarray) -> np.ndarray:
@@ -176,18 +164,15 @@ def _mixture(weights: np.ndarray, enc: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rule_table(delta_hat: DecisionRule, pairs, gen: BregmanGenerator) -> np.ndarray:
+def _rule_table(delta_hat: Mapping, pairs, gen: BregmanGenerator) -> np.ndarray:
     """The decisions of ``delta_hat`` at ``pairs``, one validated row each."""
     rows = []
     for h, a in pairs:
-        if callable(delta_hat):
-            value = delta_hat(h, a)
-        else:
-            try:
-                value = delta_hat[(h, a)]
-            except KeyError as exc:
-                raise ValidationError(
-                    f"decision rule table has no entry for signal pair ({h!r}, {a!r})") from exc
+        try:
+            value = delta_hat[(h, a)]
+        except KeyError as exc:
+            raise ValidationError(
+                f"decision rule table has no entry for signal pair ({h!r}, {a!r})") from exc
         v = np.atleast_1d(np.asarray(value, dtype=np.float64))
         if v.shape != (gen.dimension,):
             raise ValidationError(
@@ -197,16 +182,16 @@ def _rule_table(delta_hat: DecisionRule, pairs, gen: BregmanGenerator) -> np.nda
     return np.stack(rows)
 
 
-def gap_check_discrete(problem: DiscreteProblem, delta_hat: DecisionRule,
+def gap_check_discrete(problem: DiscreteProblem, delta_hat: Mapping,
                        gen: BregmanGenerator) -> GapReport:
     """Evaluate every gap-identity term exactly on a finite problem.
 
-    ``delta_hat`` maps each signal pair to a decision, as a mapping keyed by
-    ``(h, a)`` or a callable; it must cover every pair with positive
-    probability.  States are one-hot encoded for the negative-entropy
-    generator and used as numeric vectors for the squared one.  The losses
-    of all (state, pair) terms are four stacked :func:`bregman_loss` calls;
-    the expectations add them up in ``(h, a, state)`` order.
+    ``delta_hat`` maps each signal pair ``(h, a)`` to a decision; it must
+    cover every pair with positive probability.  States are one-hot encoded
+    for negative entropy and are scalars for the squared generator; the
+    problem's own loss is not read.  The losses of all (state, pair) terms
+    are four stacked :func:`bregman_loss` calls, summed in
+    ``(h, a, state)`` order.
     """
     if len(problem.signal_names) != 2:
         raise ValidationError(f"need exactly two signals, got {problem.signal_names}")

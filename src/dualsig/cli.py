@@ -14,7 +14,8 @@ writes byte-identical files.  ``losses``/``thresholds``/``phase`` are pure
 closed forms; ``simulate`` consumes only integer-derived uniforms; only
 ``verify`` draws normal deviates.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or validation error.
+Exit codes: 0 success, 1 verification failure, 2 usage or validation error,
+including an ``--out`` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -52,9 +53,12 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> No
     text += "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
 
 
 def _seed(text: str) -> int:

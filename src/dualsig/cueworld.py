@@ -59,6 +59,8 @@ MODES = ("homogeneous", "heterogeneous")
 
 def round_half_away(x: float) -> int:
     """Round to the nearest integer, halves away from zero."""
+    if not math.isfinite(x):
+        raise ValidationError(f"cannot round {x} to an integer")
     return int(math.floor(x + 0.5)) if x >= 0.0 else -int(math.floor(-x + 0.5))
 
 
@@ -106,7 +108,7 @@ class CueWorld:
             raise ValidationError(f"n_cues must be >= 1, got {self.n_cues}")
         prec = np.asarray(self.precisions, dtype=np.float64)
         acc = np.asarray(self.accessible, dtype=bool)
-        hset = np.asarray(self.human_set, dtype=np.int64)
+        hset = _index_array(self.human_set, "human_set")
         if prec.shape != (self.n_cues,) or acc.shape != (self.n_cues,):
             raise ValidationError("precisions and accessible must have length n_cues")
         if not np.all(np.isfinite(prec)) or np.any(prec <= 0.0):
@@ -135,9 +137,17 @@ class ConcentrationSummary:
     max_abs_error: float
 
 
+def _index_array(indices: Iterable[int], name: str) -> np.ndarray:
+    """``indices`` as an int64 array; any non-integer dtype (float, bool, ...)
+    is rejected rather than truncated.  An empty sequence is an empty set."""
+    idx = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices))
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValidationError(f"{name} indices must be integers, got dtype {idx.dtype}")
+    return idx.astype(np.int64, copy=False)
+
+
 def _as_index_set(indices: Iterable[int], n_cues: int, name: str) -> np.ndarray:
-    idx = np.asarray(list(indices) if not isinstance(indices, np.ndarray) else indices,
-                     dtype=np.int64)
+    idx = _index_array(indices, name)
     # Sets drawn by this module arrive sorted and unique; one O(n) pass
     # confirms that and skips the sort inside np.unique.
     if idx.ndim != 1 or not np.all(idx[1:] > idx[:-1]):

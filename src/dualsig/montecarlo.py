@@ -96,24 +96,22 @@ def _pairwise_total(values: Sequence[float]) -> float:
     return vals[0]
 
 
-def sample_triple(env: Environment, spec: SignalSpec, rng: RngHandle, size: int | None = None):
-    """Draw (y, h, a) from the joint model.
+def sample_triple(env: Environment, spec: SignalSpec, rng: RngHandle, size: int):
+    """Draw ``size`` triples (y, h, a) from the joint model, as three float64
+    arrays of length ``size``.
 
     The state and own-signal noise are independent normals; the assistant
     signal composes the overlap share of ``h`` with an independent
-    innovation: ``a = lam*h + (1-lam)*(y + innovation noise)``.  Returns
-    scalars when ``size`` is None, else float64 arrays of length ``size``.
+    innovation: ``a = lam*h + (1-lam)*(y + innovation noise)``.
     """
     tilde = innovation_precision(spec)
-    n = 1 if size is None else int(size)
+    n = int(size)
     if n < 1:
         raise ValidationError(f"size must be >= 1, got {size}")
     y = env.mu0 + rng.normals(n) / math.sqrt(env.tau0)
     h = y + rng.normals(n) / math.sqrt(spec.tau_h)
     a_innov = y + rng.normals(n) / math.sqrt(tilde)
     a = spec.lam * h + (1.0 - spec.lam) * a_innov
-    if size is None:
-        return float(y[0]), float(h[0]), float(a[0])
     return y, h, a
 
 

@@ -78,17 +78,15 @@ def _closed_forms(n, seed, sigma_mult, tau0, tau_h):
                         sigma_mult * est.std_error)
 
 
-def _random_discrete_problem(rng: RngHandle, numeric_states: bool):
-    """Small random joint over 2 states x 2x2 or 2x3 signal alphabets."""
+def _random_discrete_problem(rng: RngHandle):
+    """Small random joint over the states 0, 1 and 2x2 or 2x3 signal alphabets."""
     n_h = 2 + (rng.uniforms(1)[0] > 0.5)
     shape = (2, int(n_h), 2)
     raw = rng.uniforms(int(np.prod(shape))).reshape(shape)
     probs = raw / raw.sum()
-    states = (0.0, 1.0) if numeric_states else (0, 1)
     return voi.DiscreteProblem(
-        states=states, signal_names=("h", "a"),
-        alphabets=(tuple(range(shape[1])), (0, 1)),
-        probs=probs, loss=voi.TableLoss(decisions=(0, 1), loss=lambda y, d: float(y != d)))
+        states=(0.0, 1.0), signal_names=("h", "a"),
+        alphabets=(tuple(range(shape[1])), (0, 1)), probs=probs, loss=voi.LogLoss())
 
 
 def _random_rule(problem, gen, rng: RngHandle):
@@ -108,7 +106,7 @@ def _worst_discrete_residual(rng: RngHandle, count: int, rule_offset: int, gen) 
     problems (substreams ``i``) and rules (substreams ``rule_offset + i``)."""
     worst = 0.0
     for i in range(count):
-        problem = _random_discrete_problem(rng.split(i), numeric_states=(gen.kind == "squared"))
+        problem = _random_discrete_problem(rng.split(i))
         rule = _random_rule(problem, gen, rng.split(rule_offset + i))
         worst = max(worst, abs(bregman.gap_check_discrete(problem, rule, gen).residual))
     return worst
@@ -252,7 +250,7 @@ def _lemma(n, seed, sigma_mult, tau0, tau_h):
         # the three-point identity residual equals the gap residual up to sign
         yield Check("lemma", f"three_point_residual[{kind}]",
                     _worst_discrete_residual(rng, 50, 500, gen), 0.0, 1e-12)
-        problem = _random_discrete_problem(rng.split(999), numeric_states=(kind == "squared"))
+        problem = _random_discrete_problem(rng.split(999))
         yield Check("lemma", f"conditional_mean_optimal[{kind}]",
                     bregman.conditional_mean_optimality(problem, gen), 0.0, 1e-9)
 

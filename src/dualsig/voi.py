@@ -4,9 +4,8 @@ The value of a signal set is the drop in optimal Bayes risk relative to the
 best constant decision.  For quadratic loss it equals the expected variance
 reduction; for binary log loss (base 2 throughout this module) it equals the
 mutual information between state and signals.  :func:`brute_force_voi`
-recomputes every value by direct minimization over decision rules — grid
-search plus ternary refinement for the continuous losses, full rule
-enumeration for finite decision sets — and is the independent oracle for the
+recomputes every value by a grid search plus ternary refinement over the
+decision of each signal realization, and is the independent oracle for the
 closed-form paths.
 
 Two binary constructions make the ratio of conditional to standalone value
@@ -23,18 +22,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ._search import bisect, minimize_grid_refine
+from ._search import GRID_CELLS, bisect, minimize_grid_refine
 from .core import ValidationError
 
 __all__ = [
     "NULL_SIGNAL",
     "QuadraticLoss",
     "LogLoss",
-    "TableLoss",
     "DiscreteProblem",
     "VoiReport",
     "binary_entropy",
@@ -73,15 +71,7 @@ class LogLoss:
     """Binary log loss in bits; states must be 0/1, decisions lie in (0, 1)."""
 
 
-@dataclass(frozen=True)
-class TableLoss:
-    """Finite decision set with an explicit loss function table."""
-
-    decisions: tuple
-    loss: Callable[[object, object], float]
-
-
-Loss = QuadraticLoss | LogLoss | TableLoss
+Loss = QuadraticLoss | LogLoss
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,16 +79,27 @@ class DiscreteProblem:
     """Finite joint distribution over (state, signal tuple) plus a loss.
 
     ``probs[i, j1, ..., jK]`` is the probability of state ``states[i]``
-    jointly with signal values ``alphabets[k][jk]``.
+    jointly with signal values ``alphabets[k][jk]``.  ``states`` are finite
+    reals, stored as a tuple of floats.
     """
 
-    states: tuple
+    states: tuple[float, ...]
     signal_names: tuple[str, ...]
     alphabets: tuple[tuple, ...]
     probs: np.ndarray
     loss: Loss
 
     def __post_init__(self) -> None:
+        if not isinstance(self.loss, Loss):
+            raise ValidationError(f"loss must be QuadraticLoss or LogLoss, got {self.loss!r}")
+        try:
+            states = tuple(float(s) for s in self.states)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"states must be real numbers, got {self.states!r}") from exc
+        if not all(math.isfinite(s) for s in states):
+            raise ValidationError(f"states must be finite, got {states}")
+        if isinstance(self.loss, LogLoss) and set(states) - {0.0, 1.0}:
+            raise ValidationError("log loss requires states in {0, 1}")
         probs = np.asarray(self.probs, dtype=np.float64)
         shape = (len(self.states),) + tuple(len(ab) for ab in self.alphabets)
         if len(self.signal_names) != len(self.alphabets):
@@ -115,19 +116,9 @@ class DiscreteProblem:
         probs = probs.copy()
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "states", states)
         object.__setattr__(self, "signal_names", tuple(self.signal_names))
         object.__setattr__(self, "alphabets", tuple(tuple(ab) for ab in self.alphabets))
-        if isinstance(self.loss, (QuadraticLoss, LogLoss)):
-            values = self._numeric_states()
-            if isinstance(self.loss, LogLoss) and set(values) - {0.0, 1.0}:
-                raise ValidationError("log loss requires states in {0, 1}")
-
-    def _numeric_states(self) -> tuple[float, ...]:
-        try:
-            return tuple(float(s) for s in self.states)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError("this loss requires numeric states") from exc
 
     def signal_axes(self, signals: Sequence[str]) -> tuple[int, ...]:
         try:
@@ -161,20 +152,11 @@ class VoiReport:
 
 def _optimal_conditional_loss(problem: DiscreteProblem, cond: np.ndarray) -> float:
     """Minimal expected loss against a conditional state distribution."""
-    loss = problem.loss
-    if isinstance(loss, QuadraticLoss):
-        y = np.asarray(problem._numeric_states())
+    y = np.asarray(problem.states)
+    if isinstance(problem.loss, QuadraticLoss):
         mean = float(np.dot(cond, y))
         return float(np.dot(cond, y * y)) - mean * mean
-    if isinstance(loss, LogLoss):
-        y = np.asarray(problem._numeric_states())
-        return binary_entropy(float(np.dot(cond, y)))
-    best = math.inf
-    for d in loss.decisions:
-        value = sum(p * loss.loss(s, d) for p, s in zip(cond, problem.states) if p > 0.0)
-        if value < best:
-            best = value
-    return best
+    return binary_entropy(float(np.dot(cond, y)))
 
 
 def _conditionals(problem: DiscreteProblem, signals: Sequence[str]):
@@ -278,14 +260,14 @@ def xor_ratio(p: float, q: float) -> float:
 
 def xor_q_for_ratio(t: float, p: float = 0.1) -> float:
     """Solve the XOR noise level q such that the value ratio equals t >= 1."""
-    if t < 1.0:
+    if not t >= 1.0:
         raise ValidationError(f"XOR ratios start at 1, got target {t}")
     if t == 1.0:
         return 0.0
     hi = 0.5 - 1e-5  # close enough to 1/2 for ratios beyond 1e9
     if xor_ratio(p, hi) < t:
         raise ValidationError(f"ratio target {t} out of solvable range")
-    return bisect(lambda q: xor_ratio(p, q) - t, 0.0, hi, tol=0.0)
+    return bisect(lambda q: xor_ratio(p, q) - t, 0.0, hi)
 
 
 def ratio_construction(t: float, p: float = 0.1) -> DiscreteProblem:
@@ -294,7 +276,7 @@ def ratio_construction(t: float, p: float = 0.1) -> DiscreteProblem:
     Erasure for targets below 1, XOR (with the noise level solved by
     bisection) for targets of 1 and above.
     """
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValidationError(f"ratio target must be nonnegative, got {t}")
     if t < 1.0:
         return erasure_construction(p, t)
@@ -315,55 +297,26 @@ def posterior_two_tests(prior: float, tpr: float, fpr: float) -> tuple[float, fl
     return single, both
 
 
-_GRID_RESOLUTION = 1e-4
 _GUARD = 10_000_000
 
 
 def _brute_conditional_loss(problem: DiscreteProblem, cond: np.ndarray) -> float:
     """Numerically minimized expected loss for one realization (no closed forms)."""
-    loss = problem.loss
-    if isinstance(loss, QuadraticLoss):
-        y = problem._numeric_states()
+    y = problem.states
+    if isinstance(problem.loss, QuadraticLoss):
         lo, hi = min(y), max(y)
         if lo == hi:
             return float(sum(p * (s - lo) ** 2 for p, s in zip(cond, y)))
         f = lambda d: float(sum(p * (s - d) ** 2 for p, s in zip(cond, y)))
-        return minimize_grid_refine(f, lo, hi, resolution=_GRID_RESOLUTION)[1]
-    if isinstance(loss, LogLoss):
-        y = problem._numeric_states()
-        p1 = float(sum(p for p, s in zip(cond, y) if s == 1.0))
-        f = lambda d: -(p1 * math.log2(d) + (1.0 - p1) * math.log2(1.0 - d))
-        return minimize_grid_refine(f, 1e-12, 1.0 - 1e-12, resolution=_GRID_RESOLUTION)[1]
-    raise AssertionError("table losses are enumerated at the rule level")
+        return minimize_grid_refine(f, lo, hi)[1]
+    p1 = float(sum(p for p, s in zip(cond, y) if s == 1.0))
+    f = lambda d: -(p1 * math.log2(d) + (1.0 - p1) * math.log2(1.0 - d))
+    return minimize_grid_refine(f, 1e-12, 1.0 - 1e-12)[1]
 
 
 def _brute_risk(problem: DiscreteProblem, signals: Sequence[str]) -> float:
     realizations = list(_conditionals(problem, signals))
-    loss = problem.loss
-    if isinstance(loss, TableLoss):
-        n_rules = len(loss.decisions) ** len(realizations)
-        if len(realizations) * len(loss.decisions) > _GUARD:
-            raise ValidationError("brute-force enumeration guard exceeded")
-        if n_rules <= 2_000_000:
-            # Enumerate whole decision rules, the most literal reading of the
-            # infimum; exchanging min and sum is then *observed*, not assumed.
-            best = math.inf
-            per_real = [
-                [sum(p_s * loss.loss(s, d) for p_s, s in zip(cond, problem.states))
-                 for d in loss.decisions]
-                for _, cond in realizations
-            ]
-            weights = [p for p, _ in realizations]
-            for rule in itertools.product(range(len(loss.decisions)),
-                                          repeat=len(realizations)):
-                value = sum(w * per_real[i][di] for i, (w, di) in enumerate(zip(weights, rule)))
-                if value < best:
-                    best = value
-            return best
-        return float(sum(p * min(
-            sum(p_s * loss.loss(s, d) for p_s, s in zip(cond, problem.states))
-            for d in loss.decisions) for p, cond in realizations))
-    if len(realizations) * int(1.0 / _GRID_RESOLUTION) > _GUARD:
+    if len(realizations) * GRID_CELLS > _GUARD:
         raise ValidationError("brute-force enumeration guard exceeded")
     return float(sum(p * _brute_conditional_loss(problem, cond)
                      for p, cond in realizations))

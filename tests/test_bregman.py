@@ -16,7 +16,7 @@ from dualsig.bregman import (
 )
 from dualsig.core import Environment, SignalSpec, ValidationError
 from dualsig.rng import RngHandle
-from dualsig.voi import DiscreteProblem, LogLoss, QuadraticLoss, TableLoss
+from dualsig.voi import DiscreteProblem, LogLoss, QuadraticLoss
 
 SQUARED = BregmanGenerator(kind="squared", dimension=1)
 NEGENT = BregmanGenerator(kind="negative_entropy", dimension=2)
@@ -166,7 +166,7 @@ def test_gap_check_equals_the_per_term_loop_exactly(seed):
     for kind, dim in (("squared", 1), ("negative_entropy", 2)):
         gen = BregmanGenerator(kind=kind, dimension=dim)
         for i in range(100):
-            problem = verify._random_discrete_problem(rng.split(i), kind == "squared")
+            problem = verify._random_discrete_problem(rng.split(i))
             rule = verify._random_rule(problem, gen, rng.split(1000 + i))
             report = gap_check_discrete(problem, rule, gen)
             assert (report.lhs, report.marginal, report.penalty,
@@ -300,8 +300,7 @@ class TestGapCheckDiscrete:
     def test_needs_exactly_two_signals(self):
         problem = DiscreteProblem(states=(0.0, 1.0), signal_names=("h",),
                                   alphabets=((0, 1),), probs=np.full((2, 2), 0.25),
-                                  loss=TableLoss(decisions=(0, 1),
-                                                 loss=lambda y, d: float(y != d)))
+                                  loss=LogLoss())
         with pytest.raises(ValidationError):
             gap_check_discrete(problem, {}, SQUARED)
 

@@ -54,6 +54,18 @@ class TestLosses:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["losses", "--tauA", "1", "--lambda", "0.3"],
+                                  ["verify", "--suite", "voi"]])
+@pytest.mark.parametrize("target", ["missing/x.csv", "."])
+def test_unwritable_out_exits_2_with_one_error_line(tmp_path, capsys, argv, target):
+    # a file in a directory that does not exist, and a directory itself
+    assert main(argv + ["--out", str(tmp_path / target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write --out ")
+    assert captured.err.count("\n") == 1
+
+
 class TestThresholds:
     def test_rows(self, tmp_path):
         code, data = run(tmp_path, "thr.csv",

@@ -50,6 +50,11 @@ class TestPlanValidation:
         assert round_half_away(2.4999) == 2
         assert round_half_away(-2.5) == -3
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_rounding_rejects_non_finite(self, x):
+        with pytest.raises(ValidationError):
+            round_half_away(x)
+
 
 class TestBuildWorld:
     def test_plan_arithmetic(self):
@@ -92,6 +97,17 @@ class TestBuildWorld:
                      accessible=np.array([True, True]),
                      human_set=np.array([5]), homogeneous=True)
 
+    @pytest.mark.parametrize("bad", [np.array([0.9, 1.2]), np.array([True, False]), [0.0]])
+    def test_world_rejects_non_integer_human_set(self, bad):
+        with pytest.raises(ValidationError, match="integers"):
+            CueWorld(n_cues=2, precisions=np.array([1.0, 1.0]),
+                     accessible=np.array([True, True]), human_set=bad, homogeneous=True)
+
+    def test_world_accepts_an_empty_human_set(self):
+        world = CueWorld(n_cues=2, precisions=np.array([1.0, 1.0]),
+                         accessible=np.array([True, True]), human_set=[], homogeneous=True)
+        assert world.human_set.dtype == np.int64 and world.human_set.size == 0
+
 
     def test_derived_arrays_are_read_only_and_match_their_definitions(self):
         world = build_world(300, PLAN, mode="heterogeneous", seed=2)
@@ -119,6 +135,12 @@ class TestSampleAiSet:
         world = build_world(100, PLAN, seed=0)
         with pytest.raises(ValidationError):
             sample_ai_set(world, 0.7, seed=0)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_non_finite_fraction_rejected(self, a):
+        world = build_world(100, PLAN, seed=0)
+        with pytest.raises(ValidationError):
+            sample_ai_set(world, a, seed=0)
 
     def test_inclusion_frequencies_hypergeometric(self):
         # size-6 subsets of the 10 accessible cues: inclusion probability 0.6
@@ -198,6 +220,20 @@ class TestOverlapMeasures:
         world = build_world(60, PLAN, seed=2)
         with pytest.raises(ValidationError):
             empirical_lambda(world, world.human_set, [])
+
+    @pytest.mark.parametrize("bad", [[1.5, 2.7], np.array([1.0, 2.0]), np.array([True, False]),
+                                     [True, False]])
+    def test_non_integer_indices_rejected(self, bad):
+        world = build_world(60, PLAN, seed=2)
+        for measure in (empirical_lambda, covariance_lambda):
+            with pytest.raises(ValidationError, match="integers"):
+                measure(world, bad, [0, 1, 2])
+            with pytest.raises(ValidationError, match="integers"):
+                measure(world, [0, 1, 2], bad)
+
+    def test_empty_human_set_list_accepted(self):
+        world = build_world(60, PLAN, seed=2)
+        assert empirical_lambda(world, [], [0, 1, 2]) == 0.0
 
     def test_measured_overlap_respects_feasibility(self):
         for seed in range(10):

@@ -51,11 +51,9 @@ def _touch(directory, i):
 
 class TestSampleTriple:
     def test_fixed_seed_reproduces_first_triples(self):
-        a_rng = RngHandle(0, 0)
-        a = [sample_triple(ENV, SPEC, a_rng) for _ in range(10)]
-        b_rng = RngHandle(0, 0)
-        b = [sample_triple(ENV, SPEC, b_rng) for _ in range(10)]
-        assert a == b
+        a = sample_triple(ENV, SPEC, RngHandle(0, 0), size=10)
+        b = sample_triple(ENV, SPEC, RngHandle(0, 0), size=10)
+        assert all(np.array_equal(x, z) for x, z in zip(a, b))
 
     def test_batch_matches_scalar_consumption(self):
         y, h, a = sample_triple(ENV, SPEC, RngHandle(1, 2), size=5)
@@ -80,7 +78,7 @@ class TestSampleTriple:
 
     def test_degenerate_spec_raises(self):
         with pytest.raises(DegenerateDecompositionError):
-            sample_triple(ENV, SignalSpec(1.0, 1.0, 1.0), RngHandle(0, 0))
+            sample_triple(ENV, SignalSpec(1.0, 1.0, 1.0), RngHandle(0, 0), size=1)
 
 
 class TestEstimateLoss:

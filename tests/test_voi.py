@@ -6,7 +6,6 @@ from dualsig.voi import (
     DiscreteProblem,
     LogLoss,
     QuadraticLoss,
-    TableLoss,
     VoiReport,
     bayes_risk,
     binary_entropy,
@@ -28,13 +27,17 @@ V_XOR_ALONE = 0.1187091007693073    # 1 - H2(0.3)
 XOR_RATIO_01_025 = 4.473156674336565
 
 
-def random_table_problem(rng, n_h=2, n_a=2):
+def random_problems(rng, n_h=2, n_a=2):
+    """The same random joint over two states under log loss (states 0, 1)
+    and under quadratic loss (states drawn from [-2, 2])."""
     raw = rng.uniform(size=(2, n_h, n_a))
     probs = raw / raw.sum()
-    return DiscreteProblem(states=(0, 1), signal_names=("h", "a"),
-                           alphabets=(tuple(range(n_h)), tuple(range(n_a))),
-                           probs=probs,
-                           loss=TableLoss(decisions=(0, 1), loss=lambda y, d: float(y != d)))
+    alphabets = (tuple(range(n_h)), tuple(range(n_a)))
+    return (DiscreteProblem(states=(0, 1), signal_names=("h", "a"), alphabets=alphabets,
+                            probs=probs, loss=LogLoss()),
+            DiscreteProblem(states=tuple(np.sort(rng.uniform(-2.0, 2.0, size=2))),
+                            signal_names=("h", "a"), alphabets=alphabets, probs=probs,
+                            loss=QuadraticLoss()))
 
 
 class TestBinaryEntropy:
@@ -59,6 +62,23 @@ class TestProblemValidation:
         with pytest.raises(ValidationError):
             DiscreteProblem(states=(0, 1), signal_names=("h", "a"),
                             alphabets=((0, 1), (0, 1)), probs=probs, loss=LogLoss())
+
+    @pytest.mark.parametrize("states, loss", [
+        (("x", "y"), QuadraticLoss()),
+        ((0.0, complex(1, 1)), QuadraticLoss()),
+        ((0.0, float("nan")), QuadraticLoss()),
+        ((0.0, float("inf")), QuadraticLoss()),
+        ((0, 1), "zero-one"),
+    ])
+    def test_states_and_loss_validated(self, states, loss):
+        with pytest.raises(ValidationError):
+            DiscreteProblem(states=states, signal_names=("h", "a"), alphabets=((0,), (0,)),
+                            probs=np.full((2, 1, 1), 0.5), loss=loss)
+
+    def test_states_stored_as_floats(self):
+        problem = xor_construction(0.1, 0.25)
+        assert problem.states == (0.0, 1.0)
+        assert all(type(s) is float for s in problem.states)
 
     def test_log_loss_needs_binary_states(self):
         probs = np.full((3, 1, 1), 1.0 / 3.0)
@@ -121,10 +141,10 @@ class TestInformationIdentities:
     def test_joint_dominates_singles(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
-            problem = random_table_problem(rng)
-            report = marginal_value_discrete(problem)
-            assert report.v_joint >= max(report.v_h, report.v_a) - 1e-12
-            assert report.v_a_given_h >= -1e-12
+            for problem in random_problems(rng):
+                report = marginal_value_discrete(problem)
+                assert report.v_joint >= max(report.v_h, report.v_a) - 1e-12
+                assert report.v_a_given_h >= -1e-12
 
     def test_superadditivity_equivalence_both_ways(self):
         # synergy case: the own signal unlocks the assistant signal
@@ -188,6 +208,11 @@ class TestConstructions:
         q = xor_q_for_ratio(3.0)
         assert 0.0 < q < 0.5
 
+    @pytest.mark.parametrize("build", [ratio_construction, xor_q_for_ratio])
+    def test_nan_ratio_target_rejected(self, build):
+        with pytest.raises(ValidationError):
+            build(float("nan"))
+
     def test_construction_parameter_domains(self):
         with pytest.raises(ValidationError):
             xor_construction(0.0, 0.2)
@@ -223,22 +248,24 @@ class TestBruteForce:
         for field in ("l0", "v_h", "v_a", "v_joint", "v_a_given_h"):
             assert abs(getattr(closed, field) - getattr(brute, field)) < 1e-9
 
-    def test_matches_fast_path_on_random_table_problems(self):
+    def test_matches_fast_path_on_random_problems(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
-            problem = random_table_problem(rng, n_h=rng.integers(2, 4))
-            closed = marginal_value_discrete(problem)
-            brute = brute_force_voi(problem)
-            for field in ("l0", "v_h", "v_a", "v_joint", "v_a_given_h"):
-                assert abs(getattr(closed, field) - getattr(brute, field)) < 1e-9
+            for problem in random_problems(rng, n_h=rng.integers(2, 4)):
+                closed = marginal_value_discrete(problem)
+                brute = brute_force_voi(problem)
+                for field in ("l0", "v_h", "v_a", "v_joint", "v_a_given_h"):
+                    assert abs(getattr(closed, field) - getattr(brute, field)) < 1e-9
 
-    def test_constant_loss_makes_information_worthless(self):
-        probs = np.full((2, 2, 2), 0.125)
-        problem = DiscreteProblem(states=(0, 1), signal_names=("h", "a"),
-                                  alphabets=((0, 1), (0, 1)), probs=probs,
-                                  loss=TableLoss(decisions=("only",), loss=lambda y, d: 1.0))
-        report = brute_force_voi(problem)
-        assert report.v_h == report.v_a == report.v_joint == 0.0
+    def test_signals_independent_of_the_state_are_worthless(self):
+        # P(y, h, a) = P(y) P(h, a): no signal moves the posterior
+        probs = np.multiply.outer(np.array([0.3, 0.7]), np.array([[0.1, 0.2], [0.4, 0.3]]))
+        for loss in (LogLoss(), QuadraticLoss()):
+            problem = DiscreteProblem(states=(0, 1), signal_names=("h", "a"),
+                                      alphabets=((0, 1), (0, 1)), probs=probs, loss=loss)
+            report = brute_force_voi(problem)
+            for value in (report.v_h, report.v_a, report.v_joint, report.v_a_given_h):
+                assert abs(value) < 1e-12
 
     def test_guard_rejects_huge_problems(self):
         n = 40
