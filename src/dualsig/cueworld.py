@@ -138,9 +138,11 @@ class ConcentrationSummary:
 
 
 def _index_array(indices: Iterable[int], name: str) -> np.ndarray:
-    """``indices`` as an int64 array; any non-integer dtype (float, bool, ...)
-    is rejected rather than truncated.  An empty sequence is an empty set."""
+    """``indices`` as a 1-D int64 array.  Other shapes and non-integer dtypes
+    (float, bool, ...) are rejected, never flattened or truncated; [] is empty."""
     idx = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices))
+    if idx.ndim != 1:
+        raise ValidationError(f"{name} indices must form a 1-D sequence, got shape {idx.shape}")
     if idx.size and idx.dtype.kind not in "iu":
         raise ValidationError(f"{name} indices must be integers, got dtype {idx.dtype}")
     return idx.astype(np.int64, copy=False)
@@ -150,7 +152,7 @@ def _as_index_set(indices: Iterable[int], n_cues: int, name: str) -> np.ndarray:
     idx = _index_array(indices, name)
     # Sets drawn by this module arrive sorted and unique; one O(n) pass
     # confirms that and skips the sort inside np.unique.
-    if idx.ndim != 1 or not np.all(idx[1:] > idx[:-1]):
+    if not np.all(idx[1:] > idx[:-1]):
         idx = np.unique(idx)
     if idx.size and (idx.min() < 0 or idx.max() >= n_cues):
         raise ValidationError(f"{name} indices out of range for n_cues={n_cues}")

@@ -97,9 +97,10 @@ class TestBuildWorld:
                      accessible=np.array([True, True]),
                      human_set=np.array([5]), homogeneous=True)
 
-    @pytest.mark.parametrize("bad", [np.array([0.9, 1.2]), np.array([True, False]), [0.0]])
-    def test_world_rejects_non_integer_human_set(self, bad):
-        with pytest.raises(ValidationError, match="integers"):
+    @pytest.mark.parametrize("bad", [np.array([0.9, 1.2]), np.array([True, False]), [0.0],
+                                     np.array([[0, 1], [1, 0]]), np.array(1)])
+    def test_world_rejects_non_integer_or_non_flat_human_set(self, bad):
+        with pytest.raises(ValidationError, match="integers|1-D"):
             CueWorld(n_cues=2, precisions=np.array([1.0, 1.0]),
                      accessible=np.array([True, True]), human_set=bad, homogeneous=True)
 
@@ -222,13 +223,13 @@ class TestOverlapMeasures:
             empirical_lambda(world, world.human_set, [])
 
     @pytest.mark.parametrize("bad", [[1.5, 2.7], np.array([1.0, 2.0]), np.array([True, False]),
-                                     [True, False]])
-    def test_non_integer_indices_rejected(self, bad):
+                                     [True, False], [[0, 1], [2, 3]]])
+    def test_non_integer_or_non_flat_indices_rejected(self, bad):
         world = build_world(60, PLAN, seed=2)
         for measure in (empirical_lambda, covariance_lambda):
-            with pytest.raises(ValidationError, match="integers"):
+            with pytest.raises(ValidationError, match="integers|1-D"):
                 measure(world, bad, [0, 1, 2])
-            with pytest.raises(ValidationError, match="integers"):
+            with pytest.raises(ValidationError, match="integers|1-D"):
                 measure(world, [0, 1, 2], bad)
 
     def test_empty_human_set_list_accepted(self):
