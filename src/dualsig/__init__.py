@@ -37,7 +37,6 @@ from .cueworld import (
     ConcentrationSummary,
     CueWorld,
     SamplingPlan,
-    aggregate_signals,
     build_world,
     concentration_experiment,
     covariance_lambda,
@@ -45,7 +44,6 @@ from .cueworld import (
     empirical_lambda,
     overlap_estimates,
     sample_ai_set,
-    signal_precision,
 )
 from .voi import (
     DiscreteProblem,

@@ -25,15 +25,14 @@ verifies this exactly by enumeration on finite problems;
 ``gap_check_gaussian_cn`` verifies it for the Gaussian correlation-neglect
 rule with a Monte Carlo estimate of the penalty term.
 
-Stacked convention: :func:`bregman_loss`, ``BregmanGenerator.phi`` and
-``BregmanGenerator.grad`` take one vector of the generator's dimension or
-a stack of them, shape ``(..., dimension)`` (a scalar is one vector of
-dimension 1), and ``bregman_loss`` broadcasts ``y`` against ``d``.  Each
-call validates its whole input once: the trailing dimension, finiteness
-and the negative-entropy domain, where one bad row rejects the stack.
-One vector gives a float, a stack an array.  Every inner product goes
-through ``np.vecdot``, which rounds as ``np.dot`` does, so a stacked loss
-equals the per-vector losses bit for bit.
+Stacked convention: :func:`bregman_loss` takes for ``y`` and ``d`` one
+vector of the generator's dimension or a stack of them, shape
+``(..., dimension)`` (a scalar is one vector of dimension 1), and
+broadcasts ``y`` against ``d``.  Each call validates its whole input once:
+the trailing dimension, finiteness and the negative-entropy domain, where
+one bad row rejects the stack.  One pair gives a float, a stack an array.
+Every inner product goes through ``np.vecdot``, which rounds as ``np.dot``
+does, so a stacked loss equals the per-vector losses bit for bit.
 """
 
 from __future__ import annotations
@@ -83,14 +82,6 @@ class BregmanGenerator:
             raise ValidationError(f"kind must be one of {GENERATOR_KINDS}, got {self.kind!r}")
         if self.dimension < 1:
             raise ValidationError(f"dimension must be >= 1, got {self.dimension}")
-
-    def phi(self, x):
-        """``phi`` of each vector of ``x``: a float for one vector, else an array."""
-        return native(self._phi(self._stack(x)))
-
-    def grad(self, x) -> np.ndarray:
-        """``grad phi`` of each vector of ``x``, in the shape of ``x``."""
-        return self._grad(self._stack(x))
 
     def _stack(self, x) -> np.ndarray:
         v = np.atleast_1d(np.asarray(x, dtype=np.float64))

@@ -10,9 +10,10 @@ and the precision-weighted average otherwise.
 Because shared cues enter both aggregates, the conditional covariance of the
 two signals is positive, and the overlap coefficient has a set-theoretic
 form: the count ratio ``|A ∩ H| / |A|`` for equal cue precisions, and the
-precision-mass ratio ``T(A ∩ H) / T(A)`` in general.
-:func:`covariance_lambda` recomputes the same quantity from the covariance
-definition and serves as the independent cross-check of those ratios.
+precision-mass ratio ``T(A ∩ H) / T(A)`` in general.  Both overlap measures
+read the human set the world was built with.  :func:`covariance_lambda`
+recomputes the same quantity from the covariance definition and serves as
+the independent cross-check of those ratios.
 
 When the assistant samples its set uniformly from the accessible pool, the
 measured overlap concentrates (as ``N`` grows) on the pool-level rate:
@@ -23,8 +24,7 @@ measured overlap concentrates (as ``N`` grows) on the pool-level rate:
 Stream conventions (see :mod:`dualsig.rng`): world construction consumes
 stream 0 of its seed (heterogeneous precisions first, then the human set's
 accessible part, then its inaccessible part), assistant-set draws use
-stream 1, signal aggregation uses stream 2.  Repetitions derive child seeds
-with :func:`dualsig.rng.derive_seed`.
+stream 1.  Repetitions derive child seeds with :func:`dualsig.rng.derive_seed`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, finite_total
 from .rng import RngHandle, derive_seed
 
 __all__ = [
@@ -45,12 +45,9 @@ __all__ = [
     "round_half_away",
     "build_world",
     "sample_ai_set",
-    "signal_precision",
     "domain_overlap_rate",
     "empirical_lambda",
     "covariance_lambda",
-    "aggregate_signals",
-    "aggregate_signal_samples",
     "concentration_experiment",
 ]
 
@@ -91,8 +88,11 @@ class SamplingPlan:
 class CueWorld:
     """Immutable cue pool: per-cue precisions, accessibility mask, human set.
 
-    ``human_mask`` (True on ``human_set``) and ``accessible_indices`` are
-    derived once, at construction, for the per-repetition draws.
+    ``human_set`` is stored sorted and unique; ``human_mask`` (True on
+    ``human_set``) and ``accessible_indices`` are derived once, at
+    construction, for the per-repetition draws.  A heterogeneous world's
+    total precision must be finite: every precision-mass ratio sums a part
+    of it.
     """
 
     n_cues: int
@@ -113,13 +113,18 @@ class CueWorld:
             raise ValidationError("precisions and accessible must have length n_cues")
         if not np.all(np.isfinite(prec)) or np.any(prec <= 0.0):
             raise ValidationError("cue precisions must be finite and positive")
+        if not self.homogeneous:
+            with np.errstate(over="ignore"):
+                finite_total(np.sum(prec), "total cue precision")
         if hset.size and (hset.min() < 0 or hset.max() >= self.n_cues):
             raise ValidationError("human_set indices out of range")
         hset = np.sort(hset)
         if np.any(hset[1:] == hset[:-1]):
             raise ValidationError("human_set indices must be unique")
+        in_h = np.zeros(self.n_cues, dtype=bool)
+        in_h[hset] = True
         for name, arr in (("precisions", prec), ("accessible", acc), ("human_set", hset),
-                          ("human_mask", _membership(self.n_cues, hset)),
+                          ("human_mask", in_h),
                           ("accessible_indices", np.flatnonzero(acc))):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -177,6 +182,9 @@ def build_world(n_cues: int, plan: SamplingPlan, mode: str = "homogeneous",
     n_acc = round_half_away(plan.m * n_cues)
     n_overlap = round_half_away(plan.k * n_cues)
     n_human = round_half_away(plan.h_total * n_cues)
+    if n_acc < 1:
+        raise ValidationError(
+            f"accessible pool rounds to {n_acc} cues (m*N = {plan.m * n_cues}); need >= 1")
     if n_overlap > n_acc:
         raise ValidationError(
             f"rounded sizes violate k <= m: |H∩acc|={n_overlap} > |acc|={n_acc}")
@@ -221,21 +229,6 @@ def sample_ai_set(world: CueWorld, a: float, seed: int = 0) -> np.ndarray:
     return acc[rng.subset(acc.size, n_ai)]
 
 
-def signal_precision(world: CueWorld, indices: Iterable[int]) -> float:
-    """Conditional precision of the aggregate over an index set: ``T_S / N``."""
-    idx = _as_index_set(indices, world.n_cues, "indices")
-    if idx.size == 0:
-        raise ValidationError("signal_precision requires a nonempty index set")
-    return float(np.sum(world.precisions[idx])) / world.n_cues
-
-
-def _membership(n_cues: int, idx: np.ndarray) -> np.ndarray:
-    """Boolean mask over ``range(n_cues)`` that is True on ``idx``."""
-    mask = np.zeros(n_cues, dtype=bool)
-    mask[idx] = True
-    return mask
-
-
 def domain_overlap_rate(world: CueWorld) -> float:
     """Pool-level overlap target: precision mass of human-held accessible
     cues over total accessible precision mass (count ratio when homogeneous)."""
@@ -248,38 +241,36 @@ def domain_overlap_rate(world: CueWorld) -> float:
     return t_both / t_acc
 
 
-def empirical_lambda(world: CueWorld, human_set: Iterable[int],
-                     ai_set: Iterable[int]) -> float:
-    """Set-ratio overlap of a realized assistant set against the human set.
+def empirical_lambda(world: CueWorld, ai_set: Iterable[int]) -> float:
+    """Set-ratio overlap of a realized assistant set against the world's
+    human set.
 
     Count ratio ``|A∩H| / |A|`` in homogeneous worlds (exact); precision-mass
-    ratio ``T(A∩H) / T(A)`` otherwise.
+    ratio ``T(A∩H) / T(A)`` otherwise.  ``ai_set`` may be unsorted or repeat
+    indices; it is read as a set.
     """
-    if human_set is world.human_set:
-        in_h = world.human_mask  # validated when the world was built
-    else:
-        in_h = _membership(world.n_cues, _as_index_set(human_set, world.n_cues, "human_set"))
     a_idx = _as_index_set(ai_set, world.n_cues, "ai_set")
     if a_idx.size == 0:
         raise ValidationError("ai_set must be nonempty")
-    both = a_idx[in_h[a_idx]]
+    both = a_idx[world.human_mask[a_idx]]
     if world.homogeneous:
         return both.size / a_idx.size
     return float(np.sum(world.precisions[both])) / float(np.sum(world.precisions[a_idx]))
 
 
-def covariance_lambda(world: CueWorld, human_set: Iterable[int],
-                      ai_set: Iterable[int]) -> float:
-    """Overlap computed from first principles: ``Cov(H,A|Y) / Var(H|Y)``.
+def covariance_lambda(world: CueWorld, ai_set: Iterable[int]) -> float:
+    """Overlap computed from first principles: ``Cov(H,A|Y) / Var(H|Y)``, for
+    the world's human set ``H`` and the assistant set ``A``.
 
-    Expands the aggregation weights and per-cue variances directly, without
-    using the set-ratio shortcut; agrees with :func:`empirical_lambda` up to
+    Expands the aggregation weights and per-cue variances directly, and
+    intersects the sorted index sets instead of reading ``human_mask``, so
+    it shares no shortcut with :func:`empirical_lambda`; the two agree up to
     rounding, which is the identity the ratio formulas rest on.
     """
-    h_idx = _as_index_set(human_set, world.n_cues, "human_set")
+    h_idx = world.human_set
     a_idx = _as_index_set(ai_set, world.n_cues, "ai_set")
     if h_idx.size == 0 or a_idx.size == 0:
-        raise ValidationError("human_set and ai_set must be nonempty")
+        raise ValidationError("the human set and ai_set must be nonempty")
     n = world.n_cues
     w_h = _aggregation_weights(world, h_idx)
     w_a = _aggregation_weights(world, a_idx)
@@ -299,46 +290,6 @@ def _aggregation_weights(world: CueWorld, idx: np.ndarray) -> np.ndarray:
     return tau / np.sum(tau)
 
 
-def aggregate_signal_samples(world: CueWorld, human_set: Iterable[int],
-                             ai_set: Iterable[int], y: float, seed: int,
-                             reps: int) -> tuple[np.ndarray, np.ndarray]:
-    """``reps`` independent draws of the two aggregates, sharing cue draws.
-
-    Each repetition realizes every cue in the union of the two sets once
-    (noise matrix drawn row-major from stream 2), so shared cues induce the
-    conditional correlation between the aggregates.
-    """
-    h_idx = _as_index_set(human_set, world.n_cues, "human_set")
-    a_idx = _as_index_set(ai_set, world.n_cues, "ai_set")
-    if h_idx.size == 0 or a_idx.size == 0:
-        raise ValidationError("human_set and ai_set must be nonempty")
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
-    union = np.union1d(h_idx, a_idx)
-    sd = np.sqrt(world.n_cues / world.precisions[union])
-    rng = RngHandle(seed, stream=2)
-    noise = rng.normals(reps * union.size).reshape(reps, union.size)
-    cues = y + noise * sd
-    h = _weighted_rows(world, cues, union, h_idx)
-    a = _weighted_rows(world, cues, union, a_idx)
-    return h, a
-
-
-def _weighted_rows(world: CueWorld, cues: np.ndarray, union: np.ndarray,
-                   idx: np.ndarray) -> np.ndarray:
-    pos = np.searchsorted(union, idx)
-    w = _aggregation_weights(world, idx)
-    # elementwise multiply + pairwise sum keeps the reduction deterministic
-    return np.sum(cues[:, pos] * w, axis=1)
-
-
-def aggregate_signals(world: CueWorld, human_set: Iterable[int],
-                      ai_set: Iterable[int], y: float, seed: int = 0) -> tuple[float, float]:
-    """One draw of the pair of aggregate signals given the state ``y``."""
-    h, a = aggregate_signal_samples(world, human_set, ai_set, y, seed, reps=1)
-    return float(h[0]), float(a[0])
-
-
 def overlap_estimates(world: CueWorld, a: float, reps: int, seed: int) -> np.ndarray:
     """Measured overlap ``lambda_hat`` of ``reps`` independent assistant
     draws, as a float array.
@@ -347,8 +298,7 @@ def overlap_estimates(world: CueWorld, a: float, reps: int, seed: int) -> np.nda
     """
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
-    return np.array([empirical_lambda(world, world.human_set,
-                                      sample_ai_set(world, a, seed=derive_seed(seed, rep)))
+    return np.array([empirical_lambda(world, sample_ai_set(world, a, derive_seed(seed, rep)))
                      for rep in range(reps)], dtype=np.float64)
 
 

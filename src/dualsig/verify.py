@@ -259,8 +259,8 @@ def _lemma(n, seed, sigma_mult, tau0, tau_h):
         world = cueworld.build_world(200, plan, mode=mode, seed=derive_seed(seed, 30))
         ai = cueworld.sample_ai_set(world, plan.a, seed=derive_seed(seed, 31))
         yield Check("lemma", f"overlap_ratio_vs_covariance[{mode}]",
-                    cueworld.empirical_lambda(world, world.human_set, ai),
-                    cueworld.covariance_lambda(world, world.human_set, ai), 1e-13)
+                    cueworld.empirical_lambda(world, ai),
+                    cueworld.covariance_lambda(world, ai), 1e-13)
 
 
 SUITES = {

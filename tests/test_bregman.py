@@ -176,14 +176,14 @@ def test_gap_check_equals_the_per_term_loop_exactly(seed):
 class TestStackedApi:
     def test_one_vector_gives_a_float(self):
         for value in (bregman_loss(SQUARED, 3.0, 1.0),
-                      bregman_loss(NEGENT, [0.3, 0.7], [0.6, 0.4]),
-                      NEGENT.phi([0.3, 0.7]), SQUARED.phi(2.0)):
+                      bregman_loss(NEGENT, [0.3, 0.7], [0.6, 0.4])):
             assert type(value) is float
         assert bregman_loss(SQUARED, [[3.0], [1.0]], [1.0]).tolist() == [4.0, 0.0]
-        assert NEGENT.grad([[0.5, 0.5]]).shape == (1, 2)
 
     def test_zero_entries_are_zero_log_zero(self):
-        assert NEGENT.phi([[1.0, 0.0], [0.0, 1.0]]).tolist() == [0.0, 0.0]
+        # phi(one-hot y) = 0, so KL(y || uniform) = -phi(uniform) = log 2
+        losses = bregman_loss(NEGENT, [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
+        assert losses.tolist() == [math.log(2.0)] * 2
 
     @pytest.mark.parametrize("gen, y, d", [
         (SQUARED, [[1.0], [np.inf]], [[0.0], [0.0]]),
@@ -197,14 +197,6 @@ class TestStackedApi:
     def test_one_bad_row_rejects_the_stack(self, gen, y, d):
         with pytest.raises(ValidationError):
             bregman_loss(gen, np.array(y), np.array(d))
-
-    def test_phi_and_grad_validate(self):
-        with pytest.raises(ValidationError):
-            NEGENT.phi([[0.5, 0.5], [-0.1, 1.1]])
-        with pytest.raises(ValidationError):
-            NEGENT.grad([[0.5, 0.5], [0.0, 1.0]])
-        with pytest.raises(ValidationError):
-            SQUARED.grad([[np.inf]])
 
 
 class TestGapCheckDiscrete:

@@ -156,6 +156,23 @@ class TestSimulate:
         assert parts[:4] == ["500", "10", "homogeneous", "0"]
         assert float(parts[5]) == 0.0
 
+    @pytest.mark.parametrize("args, message", [
+        # round(m*N) = 0: the assistant has no pool to draw from
+        (["--n", "1", "--m", "0.4", "--a", "0.3", "--k", "0.1", "--h-total", "0.5",
+          "--mode", "heterogeneous"], "error: accessible pool rounds to 0 cues"),
+        (["--n", "2", "--m", "0.2", "--a", "0.2", "--k", "0.1"],
+         "error: accessible pool rounds to 0 cues"),
+        # the precisions are finite, their sum is not
+        (["--n", "10", "--mode", "heterogeneous", "--tau-min", "1e300", "--tau-max", "1e308"],
+         "error: total cue precision = inf is not finite"),
+    ])
+    def test_degenerate_world_exits_2_with_one_error_line(self, capsys, args, message):
+        assert main(["simulate"] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
+
     def test_repeatable_n(self, tmp_path):
         code, data = run(tmp_path, "sim.csv",
                          ["simulate", "--n", "400", "--n", "800", "--reps", "5"])

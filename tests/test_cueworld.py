@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,8 +11,6 @@ from dualsig.cueworld import (
     ConcentrationSummary,
     CueWorld,
     SamplingPlan,
-    aggregate_signal_samples,
-    aggregate_signals,
     build_world,
     concentration_experiment,
     covariance_lambda,
@@ -20,7 +19,6 @@ from dualsig.cueworld import (
     overlap_estimates,
     round_half_away,
     sample_ai_set,
-    signal_precision,
 )
 from dualsig.rng import derive_seed
 
@@ -32,6 +30,31 @@ def hand_world():
     return CueWorld(n_cues=2, precisions=np.array([1.0, 3.0]),
                     accessible=np.array([True, True]),
                     human_set=np.array([1]), homogeneous=False)
+
+
+def with_human_set(world, human_set):
+    """``world`` with another human set, validated as at construction."""
+    return dataclasses.replace(world, human_set=human_set)
+
+
+def aggregate_samples(world, ai_set, reps, seed, chunk=20_000):
+    """``reps`` draws of the human and the assistant aggregate at the state 0.
+
+    Each draw realizes every cue of either set once, with variance
+    ``N / tau_i``, and averages it into both aggregates with the weights of
+    the module docstring: shared cues are what correlates the two.  Drawn
+    with numpy's own generator, apart from every ``cueworld`` formula.
+    """
+    union = np.union1d(world.human_set, ai_set)
+    sd = np.sqrt(world.n_cues / world.precisions[union])
+    mass = np.ones(union.size) if world.homogeneous else world.precisions[union]
+    weights = np.column_stack([np.where(np.isin(union, idx), mass, 0.0)
+                               for idx in (world.human_set, ai_set)])
+    weights *= sd[:, None] / weights.sum(axis=0)
+    rng = np.random.default_rng(seed)
+    draws = np.concatenate([rng.standard_normal((min(chunk, reps - i), union.size)) @ weights
+                            for i in range(0, reps, chunk)])
+    return draws[:, 0], draws[:, 1]
 
 
 class TestPlanValidation:
@@ -81,6 +104,32 @@ class TestBuildWorld:
         assert np.array_equal(a.precisions, b.precisions)
         assert np.array_equal(a.human_set, b.human_set)
         assert np.array_equal(a.accessible, b.accessible)
+
+    @pytest.mark.parametrize("n_cues, plan", [
+        (1, SamplingPlan(a=0.3, m=0.4, k=0.1, h_total=0.5)),
+        (2, SamplingPlan(a=0.2, m=0.2, k=0.1, h_total=0.5)),
+    ])
+    @pytest.mark.parametrize("mode", ["homogeneous", "heterogeneous"])
+    def test_empty_accessible_pool_rejected(self, n_cues, plan, mode):
+        # round(m*N) = 0: no cue for the assistant to draw, no overlap rate
+        with pytest.raises(ValidationError, match="accessible pool rounds to 0"):
+            build_world(n_cues, plan, mode=mode, seed=0)
+
+    def test_overflowing_precision_mass_rejected(self):
+        with pytest.raises(ValidationError, match="total cue precision = inf is not finite"):
+            build_world(10, PLAN, mode="heterogeneous", tau_bounds=(1e300, 1e308), seed=0)
+        with pytest.raises(ValidationError, match="not finite"):
+            CueWorld(n_cues=2, precisions=np.array([1e308, 1e308]),
+                     accessible=np.array([True, True]), human_set=[0], homogeneous=False)
+
+    def test_homogeneous_world_needs_no_finite_precision_mass(self):
+        # equal precisions enter every overlap as counts, never as a sum
+        world = build_world(10, PLAN, mode="homogeneous", tau=1e308, seed=0)
+        ai = sample_ai_set(world, PLAN.a, seed=0)
+        count_ratio = np.intersect1d(ai, world.human_set).size / ai.size
+        assert empirical_lambda(world, ai) == count_ratio
+        assert abs(covariance_lambda(world, ai) - count_ratio) < 1e-14
+        assert domain_overlap_rate(world) == 3 / 5  # round(k*N) = 3 of round(m*N) = 5
 
     def test_impossible_rounding_rejected(self):
         # the human set cannot need more inaccessible cues than exist
@@ -158,43 +207,48 @@ class TestSampleAiSet:
 class TestOverlapMeasures:
     @pytest.mark.parametrize("mode", ["homogeneous", "heterogeneous"])
     def test_the_worlds_own_human_set_and_a_copy_agree(self, mode):
+        # a world rebuilt from a shuffled list copy stores the same sorted set
         world = build_world(500, PLAN, mode=mode, seed=4)
+        copy = world.human_set.tolist()
+        np.random.default_rng(4).shuffle(copy)
+        rebuilt = with_human_set(world, copy)
+        assert np.array_equal(rebuilt.human_set, world.human_set)
         for rep in range(5):
             ai = sample_ai_set(world, PLAN.a, seed=derive_seed(4, rep))
-            assert (empirical_lambda(world, world.human_set, ai)
-                    == empirical_lambda(world, world.human_set.tolist(), ai))
+            for measure in (empirical_lambda, covariance_lambda):
+                assert measure(world, ai) == measure(rebuilt, ai)
 
     def test_homogeneous_extremes(self):
         world = build_world(100, PLAN, seed=0)
         hset = world.human_set
-        assert empirical_lambda(world, hset, hset) == 1.0
+        assert empirical_lambda(world, hset) == 1.0
         complement = np.setdiff1d(np.arange(100), hset)
-        assert empirical_lambda(world, hset, complement) == 0.0
+        assert empirical_lambda(world, complement) == 0.0
 
     def test_heterogeneous_hand_case(self):
         world = hand_world()
-        assert abs(empirical_lambda(world, [1], [0, 1]) - 0.75) < 1e-15
-        assert abs(covariance_lambda(world, [1], [0, 1]) - 0.75) < 1e-15
+        assert abs(empirical_lambda(world, [0, 1]) - 0.75) < 1e-15
+        assert abs(covariance_lambda(world, [0, 1]) - 0.75) < 1e-15
 
     def test_ratio_equals_covariance_definition(self):
         for mode, seed in (("homogeneous", 0), ("heterogeneous", 1)):
             world = build_world(400, PLAN, mode=mode, seed=seed)
             for rep in range(20):
                 ai = sample_ai_set(world, 0.3, seed=derive_seed(seed, rep))
-                lam_ratio = empirical_lambda(world, world.human_set, ai)
-                lam_cov = covariance_lambda(world, world.human_set, ai)
+                lam_ratio = empirical_lambda(world, ai)
+                lam_cov = covariance_lambda(world, ai)
                 assert abs(lam_ratio - lam_cov) < 1e-13
 
     def test_homogeneous_equals_count_ratio_exactly(self):
         world = build_world(250, PLAN, mode="homogeneous", tau=0.3, seed=5)
         ai = sample_ai_set(world, 0.2, seed=9)
         expected = np.intersect1d(ai, world.human_set).size / ai.size
-        assert empirical_lambda(world, world.human_set, ai) == expected
+        assert empirical_lambda(world, ai) == expected
 
     def test_identical_sets_give_unit_overlap(self):
         world = build_world(60, PLAN, mode="heterogeneous", seed=2)
         ai = sample_ai_set(world, 0.3, seed=2)
-        assert abs(covariance_lambda(world, ai, ai) - 1.0) < 1e-15
+        assert abs(covariance_lambda(with_human_set(world, ai), ai) - 1.0) < 1e-15
 
     @pytest.mark.parametrize("mode", ["homogeneous", "heterogeneous"])
     @settings(max_examples=50, deadline=None)
@@ -202,25 +256,20 @@ class TestOverlapMeasures:
     def test_unsorted_and_duplicated_lists_match_sorted_sets(self, mode, rnd, extra):
         world = build_world(300, PLAN, mode=mode, seed=4)
         ai = sample_ai_set(world, 0.3, seed=4)
-        hset = world.human_set
-
-        def scrambled(idx):
-            out = [int(i) for i in idx] + rnd.choices([int(i) for i in idx], k=extra)
-            rnd.shuffle(out)
-            return out
-
-        h_list, a_list = scrambled(hset), scrambled(ai)
+        a_list = [int(i) for i in ai] + rnd.choices([int(i) for i in ai], k=extra)
+        rnd.shuffle(a_list)
         for measure in (empirical_lambda, covariance_lambda):
-            expected = measure(world, hset, ai)
-            assert measure(world, h_list, a_list) == expected
-            assert measure(world, np.array(h_list), np.array(a_list)) == expected
+            expected = measure(world, ai)
+            assert measure(world, a_list) == expected
+            assert measure(world, np.array(a_list)) == expected
             # sorted but with repeats: ascending order alone is not a set
-            assert measure(world, sorted(h_list), sorted(a_list)) == expected
+            assert measure(world, sorted(a_list)) == expected
 
     def test_empty_ai_set_rejected(self):
         world = build_world(60, PLAN, seed=2)
-        with pytest.raises(ValidationError):
-            empirical_lambda(world, world.human_set, [])
+        for measure in (empirical_lambda, covariance_lambda):
+            with pytest.raises(ValidationError, match="nonempty"):
+                measure(world, [])
 
     @pytest.mark.parametrize("bad", [[1.5, 2.7], np.array([1.0, 2.0]), np.array([True, False]),
                                      [True, False], [[0, 1], [2, 3]]])
@@ -228,67 +277,52 @@ class TestOverlapMeasures:
         world = build_world(60, PLAN, seed=2)
         for measure in (empirical_lambda, covariance_lambda):
             with pytest.raises(ValidationError, match="integers|1-D"):
-                measure(world, bad, [0, 1, 2])
-            with pytest.raises(ValidationError, match="integers|1-D"):
-                measure(world, [0, 1, 2], bad)
+                measure(world, bad)
 
     def test_empty_human_set_list_accepted(self):
-        world = build_world(60, PLAN, seed=2)
-        assert empirical_lambda(world, [], [0, 1, 2]) == 0.0
+        world = with_human_set(build_world(60, PLAN, seed=2), [])
+        assert empirical_lambda(world, [0, 1, 2]) == 0.0
+        # Var(H|Y) of an empty aggregate is 0: the covariance ratio is undefined
+        with pytest.raises(ValidationError, match="human set"):
+            covariance_lambda(world, [0, 1, 2])
 
     def test_measured_overlap_respects_feasibility(self):
         for seed in range(10):
             world = build_world(300, PLAN, mode="heterogeneous", seed=seed)
             ai = sample_ai_set(world, 0.3, seed=seed)
-            lam = covariance_lambda(world, world.human_set, ai)
-            tau_h = signal_precision(world, world.human_set)
-            tau_a = signal_precision(world, ai)
+            lam = covariance_lambda(world, ai)
+            # the aggregates' conditional precisions T_H/N and T_A/N
+            tau_h = world.precisions[world.human_set].sum() / world.n_cues
+            tau_a = world.precisions[ai].sum() / world.n_cues
             assert lam <= min(tau_h / tau_a, 1.0) + 1e-12
 
 
 class TestAggregation:
-    def test_identical_sets_identical_signals(self):
-        world = build_world(80, PLAN, mode="heterogeneous", seed=3)
-        hset = world.human_set
-        h, a = aggregate_signals(world, hset, hset, y=0.7, seed=11)
-        assert h == a
+    """The overlap measures against the covariance of simulated aggregates."""
 
     def test_conditional_variance_of_own_signal(self):
         # |H| = N/2 with unit cue precision: Var(H|Y) = N / T_H = 2
         world = build_world(100, PLAN, mode="homogeneous", tau=1.0, seed=4)
         reps = 100_000
-        h, _ = aggregate_signal_samples(world, world.human_set,
-                                        world.accessible_indices, y=0.0,
-                                        seed=13, reps=reps)
-        sample_var = h.var(ddof=1)
+        h, _ = aggregate_samples(world, world.accessible_indices, reps, seed=13)
         sigma = 2.0 * math.sqrt(2.0 / reps)
-        assert abs(sample_var - 2.0) <= 3.0 * sigma
+        assert abs(h.var(ddof=1) - 2.0) <= 3.0 * sigma
 
     def test_empirical_overlap_matches_covariance_lambda(self):
         world = build_world(100, PLAN, mode="heterogeneous", seed=5)
         ai = sample_ai_set(world, 0.3, seed=5)
-        lam = covariance_lambda(world, world.human_set, ai)
-        reps = 100_000
-        h, a = aggregate_signal_samples(world, world.human_set, ai, y=0.0,
-                                        seed=17, reps=reps)
+        h, a = aggregate_samples(world, ai, reps=100_000, seed=17)
         ratio = np.cov(h, a)[0, 1] / h.var(ddof=1)
-        assert abs(ratio - lam) < 0.02
+        assert abs(ratio - covariance_lambda(world, ai)) < 0.02
 
     def test_innovation_uncorrelated_with_own_signal(self):
         world = build_world(100, PLAN, mode="heterogeneous", seed=6)
         ai = sample_ai_set(world, 0.3, seed=6)
-        lam = covariance_lambda(world, world.human_set, ai)
+        lam = covariance_lambda(world, ai)
         reps = 200_000
-        h, a = aggregate_signal_samples(world, world.human_set, ai, y=0.0,
-                                        seed=19, reps=reps)
+        h, a = aggregate_samples(world, ai, reps, seed=19)
         innovation = (a - lam * h) / (1.0 - lam)
-        corr = np.corrcoef(h, innovation)[0, 1]
-        assert abs(corr) <= 4.0 / math.sqrt(reps)
-
-    def test_empty_sets_rejected(self):
-        world = build_world(40, PLAN, seed=1)
-        with pytest.raises(ValidationError):
-            aggregate_signals(world, [], world.human_set, y=0.0, seed=0)
+        assert abs(np.corrcoef(h, innovation)[0, 1]) <= 4.0 / math.sqrt(reps)
 
 
 class TestConcentration:
@@ -325,8 +359,7 @@ class TestConcentration:
         estimates = overlap_estimates(world, PLAN.a, reps=25, seed=4)
         assert estimates.shape == (25,) and estimates.dtype == np.float64
         assert estimates.tolist() == [
-            empirical_lambda(world, world.human_set,
-                             sample_ai_set(world, PLAN.a, seed=derive_seed(4, rep)))
+            empirical_lambda(world, sample_ai_set(world, PLAN.a, seed=derive_seed(4, rep)))
             for rep in range(25)]
         assert np.all((0.0 <= estimates) & (estimates <= 1.0))
         # concentration_experiment summarizes the same estimates of pool 0
@@ -348,5 +381,5 @@ def test_heterogeneous_reduces_to_homogeneous_when_bounds_collapse():
     world = build_world(200, PLAN, mode="heterogeneous", tau_bounds=(1.3, 1.3), seed=8)
     ai = sample_ai_set(world, 0.3, seed=8)
     count_ratio = np.intersect1d(ai, world.human_set).size / ai.size
-    assert abs(empirical_lambda(world, world.human_set, ai) - count_ratio) < 1e-14
-    assert abs(covariance_lambda(world, world.human_set, ai) - count_ratio) < 1e-14
+    assert abs(empirical_lambda(world, ai) - count_ratio) < 1e-14
+    assert abs(covariance_lambda(world, ai) - count_ratio) < 1e-14

@@ -12,7 +12,8 @@ array one.  Its ``verify`` entries pin Monte Carlo bytes beyond the
 benchmark's seed-0 runs: other seeds, ``n`` and precisions of
 ``closed_forms`` and ``gap``, recorded before their cells ran on a process
 pool, and two seeds of ``lemma``, which shares the discrete gap residual
-with ``gap``.
+with ``gap``.  Its ``simulate`` entries pin both overlap modes at odd pool
+sizes and a non-default sampling plan.
 """
 
 import hashlib
@@ -62,6 +63,13 @@ EDGES = {
         "33f648015e6b5f620f0ff9acff980d42117d3b3d8e8ad9d73c61deb8aaa510ce",
     "verify --suite lemma --n 2000 --seed 1":
         "05c3fe44aa953f5d75b4f0fd0039349d6c7243c935143b41fcac33a16da84382",
+    # odd pool sizes and a plan other than the benchmark's, in both modes
+    "simulate --n 997 --n 5003 --reps 7 --mode heterogeneous --a 0.2 --m 0.6 --k 0.15 "
+    "--h-total 0.4 --tau-min 0.3 --tau-max 3 --seed 5":
+        "9c7184cd92365fbad4ab73730ba57f13ae0dbafc33596d3c3f7fbf4e81f0f8b9",
+    "simulate --n 999 --n 4001 --reps 9 --mode homogeneous --a 0.35 --m 0.7 --k 0.2 "
+    "--h-total 0.45 --tau 0.3 --seed 2":
+        "89dee7372df51ba3da5585d1703c927f36ad5c2cedc1a9c4325cba81247d2101",
 }
 
 

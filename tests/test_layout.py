@@ -17,6 +17,10 @@ that a refactor that moves one fails here and not only in a traced run.
 ``bregman`` takes every inner product through ``np.vecdot``, so a single
 vector and a stack of them round through one kernel: ``np.dot``,
 ``einsum`` and ``@`` are rejected there.
+
+Every function and method of the package is entered by at least one small
+run of a CLI command, so no code is kept alive by tests alone.  The check
+is per function: a branch that no command takes is not flagged.
 """
 
 import ast
@@ -122,3 +126,52 @@ def test_every_traced_name_resolves():
         if name not in vars(owner):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+REACH_ARGVS = (
+    ["verify", "--suite", "closed_forms", "--n", "2000"],
+    ["verify", "--suite", "gap", "--n", "2000", "--seed", "1"],
+    ["verify", "--suite", "voi", "--n", "2000"],
+    ["verify", "--suite", "lemma", "--n", "2000"],
+    ["simulate", "--n", "2000", "--reps", "3", "--mode", "homogeneous"],
+    ["simulate", "--n", "2000", "--reps", "3", "--mode", "heterogeneous"],
+    ["phase", "--tauA-steps", "5", "--lambda-steps", "4"],
+    ["thresholds"],
+    ["losses", "--tauA", "0.9", "--lambda", "0.5"],
+)
+
+
+def defined_functions(package: Path) -> dict[tuple[str, int], str]:
+    """Every function and method under ``package``, keyed by ``(file, first
+    line)`` as its code object reports them: the first decorator's line if
+    decorated.  Lambdas, comprehensions and class bodies are not included."""
+    found = {}
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                found[(str(path), first)] = f"{path.name}:{node.lineno} {node.name}"
+    return found
+
+
+def test_every_function_is_reached_by_a_command(monkeypatch, capsys):
+    # one CPU: parallel_map runs its tasks in this process, where the profiler sees them
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    from dualsig import cli
+
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main(list(argv)) for argv in REACH_ARGVS]
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert codes == [0] * len(REACH_ARGVS)
+    # the package as imported, so that file names match the code objects'
+    defined = defined_functions(Path(cli.__file__).parent)
+    assert sorted(name for key, name in defined.items() if key not in entered) == []
