@@ -28,7 +28,9 @@ Generator algorithm (fixed; do not change without bumping output versions):
 * Standard normals are the inverse normal CDF of those uniforms, evaluated
   with Acklam's rational approximation (|relative error| < 1.15e-9).  The
   evaluation uses only +, -, *, /, sqrt and log in a fixed order; sqrt is
-  IEEE-exact and log is the single libm call in the pipeline.
+  IEEE-exact and log is the single libm call in the pipeline.  The central
+  fit runs in place over the whole array and the two tails overwrite their
+  entries, so each element sees the operations of a masked evaluation.
 
 * Uniform k-subsets of ``range(n)`` are the indices of the k smallest of n
   i.i.d. uniforms, ties to the lower index, found by selection.  The rule is
@@ -62,14 +64,14 @@ def mix64(z: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    # uint64 arithmetic wraps mod 2**64; that wrap is the algorithm.
-    with np.errstate(over="ignore"):
-        z = z.astype(np.uint64, copy=True)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
+    """Splitmix64 finalizer applied to a uint64 array in place."""
+    shifted = np.empty_like(z)
+    # uint64 array arithmetic wraps mod 2**64 silently; that wrap is the algorithm.
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
     return z
 
 
@@ -100,42 +102,48 @@ def derive_seed(seed: int, *indices: int) -> int:
 _A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
       1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
 _B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
+      6.680131188771972e+01, -1.328068155288572e+01, 1.0)
 _C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
       -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
 _D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
+      3.754408661907416e+00, 1.0)
 _P_LOW = 0.02425
+
+
+def _horner(coefs: tuple[float, ...], t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``(...(c[0]*t + c[1])*t + ...)*t + c[-1]`` evaluated into ``out``."""
+    np.multiply(t, coefs[0], out=out)
+    for c in coefs[1:-1]:
+        out += c
+        out *= t
+    out += coefs[-1]
+    return out
 
 
 def normal_ppf(p) -> np.ndarray:
     """Inverse standard normal CDF (Acklam's rational approximation).
 
-    Accepts values in the open interval (0, 1); vectorized.
+    Accepts values in the open interval (0, 1); vectorized, and always
+    returns a new array of the shape of ``p``.
     """
     p = np.asarray(p, dtype=np.float64)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ValueError("normal_ppf requires arguments strictly inside (0, 1)")
-    x = np.empty_like(p)
-
-    lo = p < _P_LOW
-    hi = p > 1.0 - _P_LOW
-    mid = ~(lo | hi)
-
-    q = p[mid] - 0.5
-    r = q * q
-    num = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-    den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-    x[mid] = num / den
+    # The central fit is finite on all of (0, 1); ``out=`` keeps 0-d input an array.
+    q = np.subtract(p, 0.5, out=np.empty_like(p))
+    r = np.multiply(q, q, out=np.empty_like(p))
+    x = _horner(_A, r, np.empty_like(p))
+    x *= q
+    x /= _horner(_B, r, out=q)
 
     # 1 - p is exact for p > 1/2 (Sterbenz), so both tails share one path.
+    lo = p < _P_LOW
+    hi = p > 1.0 - _P_LOW
     for mask, sign, tail_p in ((lo, 1.0, p[lo]), (hi, -1.0, 1.0 - p[hi])):
         if not tail_p.size:
             continue
-        q = np.sqrt(-2.0 * np.log(tail_p))
-        num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        x[mask] = sign * (num / den)
+        t = np.sqrt(-2.0 * np.log(tail_p))
+        x[mask] = sign * (_horner(_C, t, np.empty_like(t)) / _horner(_D, t, np.empty_like(t)))
     return x
 
 
@@ -181,16 +189,19 @@ class RngHandle:
         """Next ``n`` raw 64-bit words as a uint64 array."""
         if n < 0:
             raise ValueError("n must be nonnegative")
-        idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        state = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
-        with np.errstate(over="ignore"):
-            state = np.uint64(self._key) + idx * np.uint64(_GAMMA)
+        state *= np.uint64(_GAMMA)
+        state += np.uint64(self._key)
         return _mix64_array(state)
 
     def uniforms(self, n: int) -> np.ndarray:
         """Next ``n`` doubles uniform on the open interval (0, 1)."""
         w = self.words(n)
-        return ((w >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+        w >>= np.uint64(11)
+        u = w.astype(np.float64)
+        u += 0.5
+        return np.multiply(u, 2.0 ** -53, out=u)
 
     def normals(self, n: int) -> np.ndarray:
         """Next ``n`` standard normal deviates (one uniform per normal)."""

@@ -309,11 +309,19 @@ class TestAggregation:
         assert abs(h.var(ddof=1) - 2.0) <= 3.0 * sigma
 
     def test_empirical_overlap_matches_covariance_lambda(self):
-        world = build_world(100, PLAN, mode="heterogeneous", seed=5)
-        ai = sample_ai_set(world, 0.3, seed=5)
-        h, a = aggregate_samples(world, ai, reps=100_000, seed=17)
+        # wide precisions pull the precision-mass ratio away from the count ratio
+        world = build_world(100, PLAN, mode="heterogeneous", tau_bounds=(0.1, 10.0), seed=7)
+        ai = sample_ai_set(world, 0.3, seed=7)
+        reps = 100_000
+        h, a = aggregate_samples(world, ai, reps, seed=17)
+        # the ratio is the least-squares slope of a on h; se is its standard error
         ratio = np.cov(h, a)[0, 1] / h.var(ddof=1)
-        assert abs(ratio - covariance_lambda(world, ai)) < 0.02
+        se = math.sqrt((a - ratio * h).var(ddof=2) / (reps * h.var(ddof=1)))
+        lam = covariance_lambda(world, ai)
+        assert abs(ratio - lam) <= 4.0 * se
+        # the count ratio |A∩H| / |A| would fail the same bound
+        count_ratio = np.isin(ai, world.human_set).mean()
+        assert abs(ratio - count_ratio) > 10.0 * se
 
     def test_innovation_uncorrelated_with_own_signal(self):
         world = build_world(100, PLAN, mode="heterogeneous", seed=6)

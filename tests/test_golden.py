@@ -59,6 +59,10 @@ EDGES = {
         "accc98f7df66de0d939080710785214747b9711f926ed2a04000615af1dfdb96",
     "verify --suite gap --n 5000 --seed 2":
         "6d44af525c027bcbcdddac09afcaa1fd7ee124c159631a44ddeba185a56e522f",
+    # 2 * CHUNK + 1: three chunks, the last a single draw, so the pairwise
+    # chunk total meets an odd length
+    "verify --suite gap --n 131073 --seed 3":
+        "712535e6baf05c933b6adddfe42013a5a7ec8dcbaf30a0cce336c345be5f7226",
     "verify --suite lemma --n 2000 --seed 0":
         "33f648015e6b5f620f0ff9acff980d42117d3b3d8e8ad9d73c61deb8aaa510ce",
     "verify --suite lemma --n 2000 --seed 1":

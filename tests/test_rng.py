@@ -144,6 +144,106 @@ def test_normal_ppf_symmetry_and_domain():
         normal_ppf(np.array([1.0]))
 
 
+# Acklam's coefficients as published, and a masked evaluation that runs the
+# central fit on the central entries only and each tail on its own: an
+# independent oracle for the bits of ``normal_ppf``, ``uniforms`` and ``normals``.
+ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
+            1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
+ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
+            6.680131188771972e+01, -1.328068155288572e+01)
+ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
+            -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
+ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
+            3.754408661907416e+00)
+P_LOW = 0.02425
+
+
+def masked_normal_ppf(p):
+    p = np.asarray(p, dtype=np.float64)
+    if np.any(p <= 0.0) or np.any(p >= 1.0):
+        raise ValueError("outside (0, 1)")
+    x = np.empty_like(p)
+    lo = p < P_LOW
+    hi = p > 1.0 - P_LOW
+    mid = ~(lo | hi)
+    A, B, C, D = ACKLAM_A, ACKLAM_B, ACKLAM_C, ACKLAM_D
+    q = p[mid] - 0.5
+    r = q * q
+    num = (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
+    den = ((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0
+    x[mid] = num / den
+    for mask, sign, tail_p in ((lo, 1.0, p[lo]), (hi, -1.0, 1.0 - p[hi])):
+        if not tail_p.size:
+            continue
+        q = np.sqrt(-2.0 * np.log(tail_p))
+        num = ((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5]
+        den = (((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0
+        x[mask] = sign * (num / den)
+    return x
+
+
+def oracle_draw(rng, start, n, kind):
+    """Draws ``start .. start + n`` of ``rng``'s stream from the scalar ``mix64``."""
+    words = np.array([mix64((rng._key + (start + i + 1) * GAMMA) & MASK) for i in range(n)],
+                     dtype=np.uint64)
+    if kind == "words":
+        return words
+    u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+    return u if kind == "uniforms" else masked_normal_ppf(u)
+
+
+def same_bits(got, want):
+    return (type(got) is type(want) and got.dtype == want.dtype
+            and got.shape == want.shape and got.tobytes() == want.tobytes())
+
+
+EDGE_P = [2.0 ** -54, 0.5, 1.0 - 2.0 ** -53,
+          np.nextafter(P_LOW, 0.0), P_LOW, np.nextafter(P_LOW, 1.0),
+          np.nextafter(1.0 - P_LOW, 0.0), 1.0 - P_LOW, np.nextafter(1.0 - P_LOW, 1.0)]
+
+
+@pytest.mark.parametrize("p", [
+    *EDGE_P,
+    np.float64(0.01),
+    np.asarray(0.99),
+    np.array(EDGE_P),
+    np.array(EDGE_P[:8]).reshape(2, 4),
+    np.array([]),
+    np.empty((0, 3)),
+], ids=lambda p: f"{type(p).__name__}{list(np.shape(p))}{np.ravel(p)[:1].tolist()}")
+def test_normal_ppf_matches_masked_oracle(p):
+    before = np.array(p, copy=True)
+    got = normal_ppf(p)
+    assert same_bits(got, masked_normal_ppf(p))
+    assert isinstance(got, np.ndarray) and got.shape == np.shape(p)
+    # the caller's array is read, never written
+    assert same_bits(np.asarray(p), before)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, 1.0 - 2.0 ** -54, -0.5, np.array([0.5, 1.0]),
+                               np.array([[0.5], [0.0]])])
+def test_normal_ppf_rejects_the_closed_ends(p):
+    # 1 - 2**-54 rounds to 1.0 in binary64
+    for ppf in (normal_ppf, masked_normal_ppf):
+        with pytest.raises(ValueError):
+            ppf(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, MASK), stream=st.integers(0, 2 ** 40),
+       n1=st.integers(0, 600), n2=st.integers(0, 600),
+       kind=st.sampled_from(["words", "uniforms", "normals"]))
+@example(seed=0, stream=0, n1=0, n2=0, kind="normals")
+@example(seed=MASK, stream=0, n1=1, n2=1, kind="words")
+def test_draws_split_across_calls_match_one_call_and_the_oracle(seed, stream, n1, n2, kind):
+    split = RngHandle(seed, stream)
+    first, second = getattr(split, kind)(n1), getattr(split, kind)(n2)
+    whole = getattr(RngHandle(seed, stream), kind)(n1 + n2)
+    assert same_bits(np.concatenate([first, second]), whole)
+    assert same_bits(first, oracle_draw(split, 0, n1, kind))
+    assert same_bits(second, oracle_draw(split, n1, n2, kind))
+
+
 def test_normals_moments():
     z = RngHandle(2024, 0).normals(1_000_000)
     n = z.size
