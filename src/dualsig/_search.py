@@ -1,8 +1,10 @@
-"""Scalar root finding and 1-D minimization used across the package."""
+"""Scalar root finding and array-objective 1-D minimization for the package."""
 
 from __future__ import annotations
 
 from typing import Callable
+
+import numpy as np
 
 GRID_CELLS = 10_000
 
@@ -34,37 +36,35 @@ def bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def minimize_grid_refine(f: Callable[[float], float], lo: float,
-                         hi: float) -> tuple[float, float]:
-    """Minimize a unimodal function: coarse grid scan, then ternary refine.
+def minimize_grid_refine(f: Callable[[np.ndarray], np.ndarray], lo: float,
+                         hi: float) -> float:
+    """Minimum of a unimodal ``f``, which maps an array of points to values.
 
-    Returns ``(argmin, min_value)``.  The scan evaluates ``GRID_CELLS + 1``
-    evenly spaced points and keeps the first minimum; 90 ternary steps then
-    shrink the bracket around it by 2/3 each.
+    One call scans ``GRID_CELLS + 1`` points ``lo + span * i / n`` (rounded
+    as a scalar loop would), whose values must all be finite, and keeps the
+    first minimum; 90 ternary steps of one call on ``[m1, m2]`` shrink the
+    bracket around it by 2/3 each.  Returns the lower of the bracket
+    midpoint's value and the scan's minimum.
     """
     span = hi - lo
     if span <= 0.0:
         raise ValueError("need lo < hi")
     n = GRID_CELLS
-    best_i, best_v = 0, f(lo)
-    for i in range(1, n + 1):
-        x = lo + span * i / n
-        v = f(x)
-        if v < best_v:
-            best_i, best_v = i, v
+    scan = f(lo + span * np.arange(n + 1) / n)
+    if not np.isfinite(scan).all():
+        raise ValueError(f"objective is not finite on the scan of [{lo}, {hi}]")
+    best_i = int(np.argmin(scan))
     a = lo + span * max(best_i - 1, 0) / n
     b = lo + span * min(best_i + 1, n) / n
     for _ in range(90):
         m1 = a + (b - a) / 3.0
         m2 = b - (b - a) / 3.0
-        if f(m1) <= f(m2):
+        v1, v2 = f(np.array([m1, m2]))
+        if v1 <= v2:
             b = m2
         else:
             a = m1
         if b - a <= 0.0:
             break
     x = 0.5 * (a + b)
-    v = f(x)
-    if best_v < v:
-        return lo + span * best_i / n, best_v
-    return x, v
+    return min(float(f(np.array([x]))[0]), float(scan[best_i]))

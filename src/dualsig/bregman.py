@@ -278,18 +278,17 @@ def conditional_mean_optimality(problem: DiscreteProblem, gen: BregmanGenerator)
         cond = col / p
         d_star = _mixture(cond[:, None], enc)[0]
         live = cond > 0.0
-        weights, states = cond[live].tolist(), enc[live]
+        weights, states = cond[live, None], enc[live, None, :]
 
-        def expected(decision: np.ndarray) -> float:
-            return sum(c * loss for c, loss in zip(weights,
-                                                   bregman_loss(gen, states, decision).tolist()))
+        def expected(decisions: np.ndarray) -> np.ndarray:
+            # rows summed in state order: one expected loss per decision
+            return (weights * bregman_loss(gen, states, decisions)).sum(axis=0)
 
         if gen.kind == "squared":
-            values = enc[:, 0].tolist()
-            lo, hi = min(values) - 1.0, max(values) + 1.0
-            _, best = minimize_grid_refine(lambda t: expected(np.array([t])), lo, hi)
+            lo, hi = enc[:, 0].min() - 1.0, enc[:, 0].max() + 1.0
+            best = minimize_grid_refine(lambda t: expected(t[:, None]), lo, hi)
         else:
-            _, best = minimize_grid_refine(
-                lambda t: expected(np.array([t, 1.0 - t])), 1e-12, 1.0 - 1e-12)
-        max_advantage = max(max_advantage, expected(d_star) - best)
+            best = minimize_grid_refine(lambda t: expected(np.stack([t, 1.0 - t], axis=-1)),
+                                        1e-12, 1.0 - 1e-12)
+        max_advantage = max(max_advantage, float(expected(d_star[None, :])[0]) - best)
     return max_advantage

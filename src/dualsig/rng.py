@@ -22,8 +22,9 @@ Generator algorithm (fixed; do not change without bumping output versions):
   multiply 0x94D049BB133111EB / xor-shift 31).  With key = 0 the word
   sequence equals the reference splitmix64 stream for seed 0.
 
-* Uniforms in the open interval (0, 1) take the top 53 bits of a word:
-  ``u = (word >> 11 + 0.5) * 2**-53``.
+* Uniforms in the open interval (0, 1) take the top 53 bits ``k`` of a
+  word: ``u = (k + 0.5) * 2**-53``, where the ``+ 0.5`` rounds to even from
+  ``k = 2**52`` on, and the 1.0 of ``k = 2**53 - 1`` is clamped to ``1 - 2**-53``.
 
 * Standard normals are the inverse normal CDF of those uniforms, evaluated
   with Acklam's rational approximation (|relative error| < 1.15e-9).  The
@@ -201,7 +202,8 @@ class RngHandle:
         w >>= np.uint64(11)
         u = w.astype(np.float64)
         u += 0.5
-        return np.multiply(u, 2.0 ** -53, out=u)
+        u *= 2.0 ** -53
+        return np.minimum(u, 1.0 - 2.0 ** -53, out=u)
 
     def normals(self, n: int) -> np.ndarray:
         """Next ``n`` standard normal deviates (one uniform per normal)."""

@@ -4,9 +4,9 @@ The value of a signal set is the drop in optimal Bayes risk relative to the
 best constant decision.  For quadratic loss it equals the expected variance
 reduction; for binary log loss (base 2 throughout this module) it equals the
 mutual information between state and signals.  :func:`brute_force_voi`
-recomputes every value by a grid search plus ternary refinement over the
-decision of each signal realization, and is the independent oracle for the
-closed-form paths.
+recomputes every value by minimizing, per signal realization, the expected
+loss over the decision (an array objective: a grid scan, then ternary
+refinement), and is the independent oracle for the closed-form paths.
 
 Two binary constructions make the ratio of conditional to standalone value
 ``v(a|h) / v(a)`` take any target in [0, inf):
@@ -307,17 +307,14 @@ def _brute_conditional_loss(problem: DiscreteProblem, cond: np.ndarray) -> float
         lo, hi = min(y), max(y)
         if lo == hi:
             return float(sum(p * (s - lo) ** 2 for p, s in zip(cond, y)))
-        f = lambda d: float(sum(p * (s - d) ** 2 for p, s in zip(cond, y)))
-        return minimize_grid_refine(f, lo, hi)[1]
+        f = lambda d: sum(p * (s - d) ** 2 for p, s in zip(cond, y))
+        return minimize_grid_refine(f, lo, hi)
     p1 = float(sum(p for p, s in zip(cond, y) if s == 1.0))
-    f = lambda d: -(p1 * math.log2(d) + (1.0 - p1) * math.log2(1.0 - d))
-    return minimize_grid_refine(f, 1e-12, 1.0 - 1e-12)[1]
+    f = lambda d: -(p1 * np.log2(d) + (1.0 - p1) * np.log2(1.0 - d))
+    return minimize_grid_refine(f, 1e-12, 1.0 - 1e-12)
 
 
-def _brute_risk(problem: DiscreteProblem, signals: Sequence[str]) -> float:
-    realizations = list(_conditionals(problem, signals))
-    if len(realizations) * GRID_CELLS > _GUARD:
-        raise ValidationError("brute-force enumeration guard exceeded")
+def _brute_risk(problem: DiscreteProblem, realizations) -> float:
     return float(sum(p * _brute_conditional_loss(problem, cond)
                      for p, cond in realizations))
 
@@ -332,9 +329,7 @@ def brute_force_voi(problem: DiscreteProblem) -> VoiReport:
         raise ValidationError(
             f"need exactly two signals, got {problem.signal_names}")
     h, a = problem.signal_names
-    return _report_from_risks(
-        _brute_risk(problem, ()),
-        _brute_risk(problem, (h,)),
-        _brute_risk(problem, (a,)),
-        _brute_risk(problem, (h, a)),
-    )
+    sets = [list(_conditionals(problem, signals)) for signals in ((), (h,), (a,), (h, a))]
+    if len(sets[-1]) * GRID_CELLS > _GUARD:  # the pair has the most realizations
+        raise ValidationError("brute-force enumeration guard exceeded")
+    return _report_from_risks(*(_brute_risk(problem, realizations) for realizations in sets))

@@ -11,9 +11,11 @@ digests were recorded from the per-cell implementation that preceded the
 array one.  Its ``verify`` entries pin Monte Carlo bytes beyond the
 benchmark's seed-0 runs: other seeds, ``n`` and precisions of
 ``closed_forms`` and ``gap``, recorded before their cells ran on a process
-pool, and two seeds of ``lemma``, which shares the discrete gap residual
-with ``gap``.  Its ``simulate`` entries pin both overlap modes at odd pool
-sizes and a non-default sampling plan.
+pool, and ``lemma``, which shares the discrete gap residual with ``gap``,
+at two seeds of ``--n 2000`` and at ``--n 100000``, above ``CHUNK``; that
+last one was recorded while the grid search still scanned point by point.
+Its ``simulate`` entries pin both overlap modes at odd pool sizes and a
+non-default sampling plan.
 """
 
 import hashlib
@@ -67,6 +69,8 @@ EDGES = {
         "33f648015e6b5f620f0ff9acff980d42117d3b3d8e8ad9d73c61deb8aaa510ce",
     "verify --suite lemma --n 2000 --seed 1":
         "05c3fe44aa953f5d75b4f0fd0039349d6c7243c935143b41fcac33a16da84382",
+    "verify --suite lemma --n 100000 --seed 0":
+        "1a2a1dcc3ceb921b1b73474f1c5dbbc94ba455524277d08f955c9142a5351ae7",
     # odd pool sizes and a plan other than the benchmark's, in both modes
     "simulate --n 997 --n 5003 --reps 7 --mode heterogeneous --a 0.2 --m 0.6 --k 0.15 "
     "--h-total 0.4 --tau-min 0.3 --tau-max 3 --seed 5":

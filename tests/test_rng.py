@@ -61,6 +61,16 @@ def test_uniforms_open_interval():
     assert abs(u.mean() - 0.5) < 4.0 / np.sqrt(12 * 100_000)
 
 
+def test_the_top_word_gives_a_uniform_below_one(monkeypatch):
+    # k = 2**53 - 1 would round (k + 0.5) * 2**-53 to 1.0; the lowest word
+    # and the next-to-top k keep their values, 2**-54 and 1 - 2**-52
+    top = [0, (2**53 - 2) << 11, 2**64 - 1]
+    monkeypatch.setattr(RngHandle, "words", lambda self, n: np.array(top, dtype=np.uint64))
+    rng = RngHandle(0, 0)
+    assert rng.uniforms(3).tolist() == [2.0**-54, 1.0 - 2.0**-52, 1.0 - 2.0**-53]
+    assert np.isfinite(rng.normals(3)).all()
+
+
 def test_subset_size_and_membership():
     rng = RngHandle(1, 0)
     s = rng.subset(100, 17)

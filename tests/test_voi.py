@@ -267,7 +267,11 @@ class TestBruteForce:
             for value in (report.v_h, report.v_a, report.v_joint, report.v_a_given_h):
                 assert abs(value) < 1e-12
 
-    def test_guard_rejects_huge_problems(self):
+    def test_guard_rejects_huge_problems(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("a search ran before the guard")
+
+        monkeypatch.setattr("dualsig.voi.minimize_grid_refine", no_search)
         n = 40
         probs = np.full((2, n, n), 1.0 / (2 * n * n))
         problem = DiscreteProblem(states=(0, 1), signal_names=("h", "a"),
