@@ -38,6 +38,8 @@ does, so a stacked loss equals the per-vector losses bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Mapping
 
 import numpy as np
@@ -180,50 +182,32 @@ def gap_check_discrete(problem: DiscreteProblem, delta_hat: Mapping,
     ``delta_hat`` maps each signal pair ``(h, a)`` to a decision; it must
     cover every pair with positive probability.  States are one-hot encoded
     for negative entropy and are scalars for the squared generator; the
-    problem's own loss is not read.  The losses of all (state, pair) terms
-    are four stacked :func:`bregman_loss` calls, summed in
-    ``(h, a, state)`` order.
+    problem's own loss is not read.  The conditionals given ``h`` and given
+    the pair come from :meth:`DiscreteProblem.conditionals`, the losses of
+    all (pair, state) terms from two stacked :func:`bregman_loss` calls.
     """
     if len(problem.signal_names) != 2:
         raise ValidationError(f"need exactly two signals, got {problem.signal_names}")
     enc = _encode_states(problem, gen)
     alphabet_h, alphabet_a = problem.alphabets
     n_a = len(alphabet_a)
-    flat = problem.probs.reshape(len(problem.states), len(alphabet_h), n_a)
-
-    # Conditional means given h alone, for every h with positive probability.
-    p_h = flat.sum(axis=(0, 2))
-    live_h = p_h > 0.0
-    d_h = np.zeros((len(alphabet_h), gen.dimension))
-    d_h[live_h] = _mixture(flat.sum(axis=2)[:, live_h] / p_h[live_h], enc)
-
-    # ... and given the pair, for every pair with positive probability.
-    by_pair = flat.reshape(len(problem.states), -1)
-    p_pair = by_pair.sum(axis=0)
-    live = np.flatnonzero(p_pair > 0.0)
-    cond = by_pair[:, live] / p_pair[live]
+    live_h, _, cond_h = problem.conditionals(problem.signal_names[:1])
+    live, p_pair, cond = problem.conditionals(problem.signal_names)
+    # conditional means given h alone, one row per live pair
+    d_h = _mixture(cond_h, enc)[np.searchsorted(live_h, live // n_a)]
     d_star = _mixture(cond, enc)
     d_hat = _rule_table(delta_hat, [(alphabet_h[j // n_a], alphabet_a[j % n_a]) for j in live],
                         gen)
 
-    e = enc[:, None, :]
-    terms = zip(cond.T.tolist(),
-                bregman_loss(gen, e, d_h[live // n_a]).T.tolist(),
-                bregman_loss(gen, e, d_hat).T.tolist(),
-                bregman_loss(gen, e, d_star).T.tolist())
-    penalties = bregman_loss(gen, d_star, d_hat).tolist()
-    l_human_term = 0.0
-    l_hat = 0.0
-    l_star = 0.0
-    penalty = 0.0
-    for p_ha, (conds, to_h, to_hat, to_star), pen in zip(p_pair[live].tolist(), terms,
-                                                         penalties):
-        for c, loss_h, loss_hat, loss_star in zip(conds, to_h, to_hat, to_star):
-            if c > 0.0:
-                l_human_term += p_ha * c * loss_h
-                l_hat += p_ha * c * loss_hat
-                l_star += p_ha * c * loss_star
-        penalty += p_ha * pen
+    weights = cond * p_pair
+    keep = (cond > 0.0).T
+    # one (state, pair) loss table per decision d_h, d_hat, d_star; each
+    # expected loss adds its terms one by one in (pair, state) order: np.sum
+    # would pair them up, and from Python 3.12 on sum() compensates
+    tables = bregman_loss(gen, enc[:, None, :], np.stack([d_h, d_hat, d_star])[:, None])
+    l_human_term, l_hat, l_star = (reduce(add, (weights * table).T[keep].tolist(), 0.0)
+                                   for table in tables)
+    penalty = reduce(add, (p_pair * bregman_loss(gen, d_star, d_hat)).tolist(), 0.0)
     lhs = l_human_term - l_hat
     marginal = l_human_term - l_star
     return GapReport(lhs=lhs, marginal=marginal, penalty=penalty,
@@ -237,10 +221,8 @@ def gap_check_gaussian_cn(env: Environment, spec: SignalSpec, n: int,
     The left side and the marginal value come from closed forms; the misuse
     penalty ``E[(d_star - d_cn)**2]`` is estimated from ``n`` simulated
     triples (stream 3 of the seed), so ``|residual|`` should fall within a
-    few reported ``penalty_se``.
+    few reported ``penalty_se``; ``n`` must be at least 2.
     """
-    if n < 2:
-        raise ValidationError(f"n must be >= 2, got {n}")
     lhs = loss_human(env, spec) - loss_joint_cn(env, spec)
     marg = marginal_value(env, spec)
 
@@ -256,27 +238,21 @@ def gap_check_gaussian_cn(env: Environment, spec: SignalSpec, n: int,
 def conditional_mean_optimality(problem: DiscreteProblem, gen: BregmanGenerator) -> float:
     """Largest advantage of any searched decision over the conditional mean.
 
-    For every realization of the full signal tuple, a grid scan plus ternary
-    refinement looks for a decision with lower conditional expected Bregman
-    loss than the conditional mean.  Returns the largest reduction found, or
-    0.0 when the conditional mean is never beaten; it should vanish up to
-    rounding.  Supported searches: scalar decisions for the squared
-    generator, binary distributions for negative entropy.
+    For every realization of the full signal tuple with positive probability, a
+    grid scan plus ternary refinement looks for a decision with lower
+    conditional expected Bregman loss than the conditional mean.  Returns the
+    largest reduction found, or 0.0 when the conditional mean is never beaten;
+    it should vanish up to rounding.  Supported searches: scalar decisions for
+    the squared generator, binary distributions for negative entropy.
     """
     enc = _encode_states(problem, gen)
     if gen.kind == "squared" and gen.dimension != 1:
         raise ValidationError("optimality search supports scalar squared losses only")
     if gen.kind == "negative_entropy" and gen.dimension != 2:
         raise ValidationError("optimality search supports binary negative entropy only")
-    flat = problem.probs.reshape(len(problem.states), -1)
+    _, _, conds = problem.conditionals(problem.signal_names)
     max_advantage = 0.0
-    for j in range(flat.shape[1]):
-        col = flat[:, j]
-        p = float(col.sum())
-        if p == 0.0:
-            continue
-        cond = col / p
-        d_star = _mixture(cond[:, None], enc)[0]
+    for cond, d_star in zip(conds.T, _mixture(conds, enc)):
         live = cond > 0.0
         weights, states = cond[live, None], enc[live, None, :]
 

@@ -204,10 +204,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite (exit 1 on failure)")
     p.add_argument("--suite", choices=sorted(verify.SUITES), required=True)
     p.add_argument("--n", type=int, default=1_000_000,
-                   help="Monte Carlo draws per check (>= 2 for closed_forms, gap, lemma)")
-    p.add_argument("--sigma-mult", type=float, default=4.0)
-    p.add_argument("--tau0", type=float, default=1.0)
-    p.add_argument("--tauH", type=float, default=1.0)
+                   help="Monte Carlo draws per check (>= 2 for closed_forms, gap, lemma; "
+                        "voi ignores it)")
+    p.add_argument("--sigma-mult", type=float, default=4.0,
+                   help="standard errors a Monte Carlo check accepts (voi ignores it)")
+    p.add_argument("--tau0", type=float, default=1.0,
+                   help="prior precision; read by closed_forms only, validated by all")
+    p.add_argument("--tauH", type=float, default=1.0,
+                   help="own-signal precision; read by closed_forms only, validated by all")
     common(p, seed=True)
     p.set_defaults(func=cmd_verify)
     return parser

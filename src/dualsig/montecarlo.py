@@ -122,10 +122,10 @@ def accumulate(env: Environment, spec: SignalSpec, n: int, rng: RngHandle,
     Streams ``n`` triples from :func:`sample_triple` in chunks of ``CHUNK``;
     each ``stats[name](y, h, a)`` maps a chunk to per-draw values.  Per-chunk
     sums of the values and of their squares are reduced by a fixed pairwise
-    tree.  The standard error is NaN when ``n == 1``.
+    tree.  ``n`` must be at least 2, the fewest draws with a standard error.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    if n < 2:
+        raise ValidationError(f"n must be >= 2, got {n}")
     sums = {name: [] for name in stats}
     sums_sq = {name: [] for name in stats}
     done = 0
@@ -140,12 +140,8 @@ def accumulate(env: Environment, spec: SignalSpec, n: int, rng: RngHandle,
     out = {}
     for name in stats:
         mean = _pairwise_total(sums[name]) / n
-        if n > 1:
-            var = max((_pairwise_total(sums_sq[name]) - n * mean * mean) / (n - 1), 0.0)
-            se = math.sqrt(var / n)
-        else:
-            se = float("nan")
-        out[name] = Estimate(mean=mean, std_error=se, n=n)
+        var = max((_pairwise_total(sums_sq[name]) - n * mean * mean) / (n - 1), 0.0)
+        out[name] = Estimate(mean=mean, std_error=math.sqrt(var / n), n=n)
     return out
 
 

@@ -38,9 +38,11 @@ Generator algorithm (fixed; do not change without bumping output versions):
   exchangeable and therefore uniform over k-subsets, and it selects the same
   set as the first k entries of a stable argsort.
 
-Derived streams for parallel or repeated work come from
-:func:`derive_seed` / :meth:`RngHandle.split`, both of which hash the parent
-identity with ``mix64`` so that child streams are statistically unrelated.
+Derived streams for parallel or repeated work come from :func:`derive_seed`,
+which hashes the parent identity with ``mix64`` so that child streams are
+statistically unrelated; :meth:`RngHandle.split` applies it to the stream.
+Seeds and streams must lie in ``[0, 2**64)``; neither is reduced mod 2**64,
+so no out-of-range value draws the words of an in-range one.
 """
 
 from __future__ import annotations
@@ -180,10 +182,10 @@ class RngHandle:
     _counter: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.stream < 0:
-            raise ValueError(f"stream must be nonnegative, got {self.stream}")
         self.seed = _checked_seed(self.seed)
         self.stream = int(self.stream)
+        if not 0 <= self.stream <= _MASK:
+            raise ValueError(f"stream must lie in [0, 2**64), got {self.stream}")
         self._key = mix64(mix64(self.seed + _GAMMA) ^ mix64(self.stream + _STREAM_SALT))
 
     def words(self, n: int) -> np.ndarray:
@@ -219,7 +221,5 @@ class RngHandle:
         return _smallest_k(self.uniforms(pool_size), k)
 
     def split(self, index: int) -> "RngHandle":
-        """Child handle on a derived stream; see :func:`derive_seed`."""
-        if index < 0:
-            raise ValueError(f"split index must be nonnegative, got {index}")
-        return RngHandle(self.seed, mix64(self.stream ^ ((index + 1) * _GAMMA & _MASK)))
+        """Child handle on the stream ``derive_seed(stream, index)``."""
+        return RngHandle(self.seed, derive_seed(self.stream, index))

@@ -8,6 +8,9 @@ recomputes every value by minimizing, per signal realization, the expected
 loss over the decision (an array objective: a grid scan, then ternary
 refinement), and is the independent oracle for the closed-form paths.
 
+:meth:`DiscreteProblem.conditionals` alone conditions the joint table on a
+signal set, for the risks here and for :mod:`dualsig.bregman` alike.
+
 Two binary constructions make the ratio of conditional to standalone value
 ``v(a|h) / v(a)`` take any target in [0, inf):
 
@@ -127,6 +130,22 @@ class DiscreteProblem:
             raise ValidationError(
                 f"unknown signal in {signals!r}; have {self.signal_names}") from exc
 
+    def conditionals(self, signals: Sequence[str] = ()) -> tuple[np.ndarray, ...]:
+        """The state given each realization of ``signals`` that can occur.
+
+        Returns ``(live, p, cond)``: the flat indices of the realizations
+        with positive probability, in C order of the signals' alphabets
+        taken in problem order (so the order of ``signals`` does not
+        matter); their probabilities; and the conditional state
+        distributions, one column per realization.
+        """
+        axes = self.signal_axes(signals)
+        dropped = tuple(ax for ax in range(1, self.probs.ndim) if ax not in axes)
+        flat = self.probs.sum(axis=dropped).reshape(len(self.states), -1)
+        p = flat.sum(axis=0)
+        live = (p > 0.0).nonzero()[0]
+        return live, p[live], flat[:, live] / p[live]
+
 
 @dataclass(frozen=True)
 class VoiReport:
@@ -159,17 +178,10 @@ def _optimal_conditional_loss(problem: DiscreteProblem, cond: np.ndarray) -> flo
     return binary_entropy(float(np.dot(cond, y)))
 
 
-def _conditionals(problem: DiscreteProblem, signals: Sequence[str]):
-    """Yield (probability, conditional state distribution) per realization."""
-    axes = problem.signal_axes(signals)
-    drop = tuple(ax for ax in range(1, problem.probs.ndim) if ax not in axes)
-    marg = problem.probs.sum(axis=drop) if drop else problem.probs
-    flat = marg.reshape(len(problem.states), -1)
-    for j in range(flat.shape[1]):
-        col = flat[:, j]
-        p = float(col.sum())
-        if p > 0.0:
-            yield p, col / p
+def _risk(problem: DiscreteProblem, signals: Sequence[str], conditional_loss) -> float:
+    """Expected ``conditional_loss(problem, cond)`` over the realizations."""
+    _, p, cond = problem.conditionals(signals)
+    return float(sum(p_j * conditional_loss(problem, c) for p_j, c in zip(p.tolist(), cond.T)))
 
 
 def bayes_risk(problem: DiscreteProblem, signals: Sequence[str] = ()) -> float:
@@ -177,8 +189,7 @@ def bayes_risk(problem: DiscreteProblem, signals: Sequence[str] = ()) -> float:
 
     The empty signal set gives the no-information baseline risk.
     """
-    return float(sum(p * _optimal_conditional_loss(problem, cond)
-                     for p, cond in _conditionals(problem, signals)))
+    return _risk(problem, signals, _optimal_conditional_loss)
 
 
 def value_of_information(problem: DiscreteProblem, signals: Sequence[str]) -> float:
@@ -186,10 +197,14 @@ def value_of_information(problem: DiscreteProblem, signals: Sequence[str]) -> fl
     return bayes_risk(problem, ()) - bayes_risk(problem, signals)
 
 
-def _report_from_risks(l0: float, r_h: float, r_a: float, r_joint: float) -> VoiReport:
-    v_h = l0 - r_h
-    v_a = l0 - r_a
-    v_joint = l0 - r_joint
+def _report(problem: DiscreteProblem, conditional_loss) -> VoiReport:
+    """Values of a two-signal (own, assistant) problem from its four risks."""
+    if len(problem.signal_names) != 2:
+        raise ValidationError(f"need exactly two signals, got {problem.signal_names}")
+    h, a = problem.signal_names
+    l0, r_h, r_a, r_joint = (_risk(problem, signals, conditional_loss)
+                             for signals in ((), (h,), (a,), (h, a)))
+    v_h, v_a, v_joint = l0 - r_h, l0 - r_a, l0 - r_joint
     v_a_given_h = v_joint - v_h
     ratio = v_a_given_h / v_a if v_a > 0.0 else math.nan
     return VoiReport(l0=l0, v_h=v_h, v_a=v_a, v_joint=v_joint,
@@ -198,16 +213,7 @@ def _report_from_risks(l0: float, r_h: float, r_a: float, r_joint: float) -> Voi
 
 def marginal_value_discrete(problem: DiscreteProblem) -> VoiReport:
     """Full value report for a problem with exactly two signals (own, assistant)."""
-    if len(problem.signal_names) != 2:
-        raise ValidationError(
-            f"need exactly two signals, got {problem.signal_names}")
-    h, a = problem.signal_names
-    return _report_from_risks(
-        bayes_risk(problem, ()),
-        bayes_risk(problem, (h,)),
-        bayes_risk(problem, (a,)),
-        bayes_risk(problem, (h, a)),
-    )
+    return _report(problem, _optimal_conditional_loss)
 
 
 def xor_construction(p: float, q: float) -> DiscreteProblem:
@@ -314,22 +320,14 @@ def _brute_conditional_loss(problem: DiscreteProblem, cond: np.ndarray) -> float
     return minimize_grid_refine(f, 1e-12, 1.0 - 1e-12)
 
 
-def _brute_risk(problem: DiscreteProblem, realizations) -> float:
-    return float(sum(p * _brute_conditional_loss(problem, cond)
-                     for p, cond in realizations))
-
-
 def brute_force_voi(problem: DiscreteProblem) -> VoiReport:
     """Value report computed by direct rule-space minimization.
 
     Independent oracle for :func:`marginal_value_discrete`: no conditional
-    means, entropies, or other closed forms are used on this path.
+    means, entropies, or other closed forms are used on this path.  A
+    problem whose signal tuple has more than ``_GUARD / GRID_CELLS``
+    realizations of positive probability is rejected before any search.
     """
-    if len(problem.signal_names) != 2:
-        raise ValidationError(
-            f"need exactly two signals, got {problem.signal_names}")
-    h, a = problem.signal_names
-    sets = [list(_conditionals(problem, signals)) for signals in ((), (h,), (a,), (h, a))]
-    if len(sets[-1]) * GRID_CELLS > _GUARD:  # the pair has the most realizations
+    if problem.conditionals(problem.signal_names)[0].size * GRID_CELLS > _GUARD:
         raise ValidationError("brute-force enumeration guard exceeded")
-    return _report_from_risks(*(_brute_risk(problem, realizations) for realizations in sets))
+    return _report(problem, _brute_conditional_loss)

@@ -16,7 +16,7 @@ from dualsig.bregman import (
 )
 from dualsig.core import Environment, SignalSpec, ValidationError
 from dualsig.rng import RngHandle
-from dualsig.voi import DiscreteProblem, LogLoss, QuadraticLoss
+from dualsig.voi import DiscreteProblem, LogLoss, QuadraticLoss, erasure_construction
 
 SQUARED = BregmanGenerator(kind="squared", dimension=1)
 NEGENT = BregmanGenerator(kind="negative_entropy", dimension=2)
@@ -160,13 +160,24 @@ def test_stacked_loss_equals_the_per_vector_loss_exactly(case):
     assert [bregman_loss(gen, yi, di) for yi, di in zip(y, d)] == expected
 
 
+def zero_pair_problem():
+    """A log-loss problem on a 3x2 alphabet whose pair (1, 1) never occurs."""
+    probs = np.arange(1.0, 13.0).reshape(2, 3, 2)
+    probs[:, 1, 1] = 0.0
+    return DiscreteProblem(states=(0, 1), signal_names=("h", "a"),
+                           alphabets=((0, 1, 2), (0, 1)), probs=probs / probs.sum(),
+                           loss=LogLoss())
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_gap_check_equals_the_per_term_loop_exactly(seed):
     rng = RngHandle(seed, stream=10)
     for kind, dim in (("squared", 1), ("negative_entropy", 2)):
         gen = BregmanGenerator(kind=kind, dimension=dim)
-        for i in range(100):
-            problem = verify._random_discrete_problem(rng.split(i))
+        # the erasure problem's null own signal has probability 0
+        problems = [verify._random_discrete_problem(rng.split(i)) for i in range(100)]
+        problems += [erasure_construction(0.1, 0.0), zero_pair_problem()]
+        for i, problem in enumerate(problems):
             rule = verify._random_rule(problem, gen, rng.split(1000 + i))
             report = gap_check_discrete(problem, rule, gen)
             assert (report.lhs, report.marginal, report.penalty,

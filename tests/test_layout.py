@@ -16,7 +16,8 @@ that a refactor that moves one fails here and not only in a traced run.
 
 ``bregman`` takes every inner product through ``np.vecdot``, so a single
 vector and a stack of them round through one kernel: ``np.dot``,
-``einsum`` and ``@`` are rejected there.
+``einsum`` and ``@`` are rejected there.  It reads no ``.probs`` joint
+table either: it conditions only through ``DiscreteProblem.conditionals``.
 
 Every function and method of the package is entered by at least one small
 run of a CLI command, so no code is kept alive by tests alone.  The check
@@ -113,6 +114,14 @@ def test_bregman_takes_inner_products_only_through_vecdot():
     source = (PACKAGE / "bregman.py").read_text(encoding="utf-8")
     assert other_inner_products(source) == []
     assert "np.vecdot" in source
+
+
+def test_bregman_reads_no_joint_table():
+    # the conditionals come from DiscreteProblem.conditionals, the one owner
+    # of the joint table
+    tree = ast.parse((PACKAGE / "bregman.py").read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "probs"] == []
 
 
 def test_every_traced_name_resolves():

@@ -123,9 +123,12 @@ class TestAccumulate:
         assert abs(est["y"].mean) <= 4.0 * est["y"].std_error
         assert abs(est["y2"].mean - 1.0) <= 4.0 * est["y2"].std_error
 
-    def test_single_draw_has_no_standard_error(self):
-        est = accumulate(ENV, SPEC, 1, RngHandle(17, 0), {"y": lambda y, h, a: y})["y"]
-        assert est.n == 1 and math.isnan(est.std_error)
+    def test_fewer_than_two_draws_rejected(self):
+        # two draws are the fewest with a standard error
+        with pytest.raises(ValidationError, match="n must be >= 2, got 1"):
+            accumulate(ENV, SPEC, 1, RngHandle(17, 0), {"y": lambda y, h, a: y})
+        est = accumulate(ENV, SPEC, 2, RngHandle(17, 0), {"y": lambda y, h, a: y})["y"]
+        assert est.n == 2 and math.isfinite(est.std_error)
 
 
 class TestPairedOrderings:

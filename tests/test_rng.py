@@ -46,6 +46,10 @@ def test_split_is_a_fresh_handle_on_a_derived_stream():
     assert np.array_equal(parent.split(0).uniforms(50), fresh.uniforms(50))
     assert not np.array_equal(parent.split(1).uniforms(50),
                               RngHandle(child.seed, child.stream).uniforms(50))
+    # the child stream is derive_seed of the parent's, up to the largest stream
+    for stream, index in ((5, 0), (5, 999), (MASK, 3)):
+        child = RngHandle(7, stream).split(index)
+        assert (child.seed, child.stream) == (7, derive_seed(stream, index))
 
 
 def test_derive_seed_distinct_and_deterministic():
@@ -275,3 +279,8 @@ def test_invalid_arguments():
         with pytest.raises(ValueError, match="seed must lie in"):
             derive_seed(seed, 1)
     assert RngHandle(MASK).seed == MASK and derive_seed(MASK) == MASK
+    # streams are not reduced either: 2**64 used to draw the words of stream 0
+    for stream in (-1, MASK + 1):
+        with pytest.raises(ValueError, match="stream must lie in"):
+            RngHandle(0, stream)
+    assert RngHandle(0, MASK).stream == MASK

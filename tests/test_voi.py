@@ -92,6 +92,56 @@ class TestProblemValidation:
                       v_a_given_h=-0.1, ratio=-0.5)
 
 
+def three_signal_problem():
+    """A strictly positive joint over three states and signals a, b, c."""
+    raw = np.random.default_rng(4).uniform(size=(3, 2, 3, 2))
+    return DiscreteProblem(states=(-1.0, 0.5, 2.0), signal_names=("a", "b", "c"),
+                           alphabets=((0, 1), ("x", "y", "z"), (0, 1)),
+                           probs=raw / raw.sum(), loss=QuadraticLoss())
+
+
+class TestConditionals:
+    def test_zero_probability_realizations_are_dropped(self):
+        # t = 0: h is never erased and always equals a
+        problem = erasure_construction(0.1, 0.0)
+        live_h, p_h, _ = problem.conditionals(("h",))
+        assert live_h.tolist() == [0, 1] and p_h.tolist() == [0.5, 0.5]
+        live, p, cond = problem.conditionals(("h", "a"))
+        assert live.tolist() == [0, 3]  # the pairs (0, 0) and (1, 1)
+        assert p.tolist() == [0.5, 0.5] and cond.shape == (2, 2)
+
+    def test_flat_indices_in_c_order_of_the_alphabets(self):
+        problem = three_signal_problem()
+        live, p, cond = problem.conditionals(("a", "c"))
+        assert live.tolist() == list(range(4))
+        for j, (i_a, i_c) in enumerate(np.ndindex(2, 2)):
+            col = problem.probs[:, i_a, :, i_c].sum(axis=1)
+            assert p[j] == pytest.approx(col.sum(), abs=1e-15)
+            np.testing.assert_allclose(cond[:, j], col / col.sum(), rtol=1e-14)
+
+    def test_columns_are_distributions(self):
+        problem = three_signal_problem()
+        for signals in ((), ("b",), ("a", "b"), ("a", "b", "c")):
+            live, p, cond = problem.conditionals(signals)
+            assert cond.shape == (3, live.size) and (cond >= 0.0).all()
+            np.testing.assert_allclose(cond.sum(axis=0), 1.0, rtol=1e-14)
+            assert p.sum() == pytest.approx(1.0, abs=1e-14)
+        live, p, cond = problem.conditionals()
+        assert live.tolist() == [0] and p.tolist() == [1.0]
+        np.testing.assert_array_equal(cond[:, 0], problem.probs.sum(axis=(1, 2, 3)))
+
+    def test_order_of_signals_does_not_matter(self):
+        problem = three_signal_problem()
+        for first, second in ((("a", "c"), ("c", "a")),
+                              (("a", "b", "c"), ("c", "a", "b"))):
+            for x, y in zip(problem.conditionals(first), problem.conditionals(second)):
+                np.testing.assert_array_equal(x, y)
+
+    def test_unknown_signal_rejected(self):
+        with pytest.raises(ValidationError, match="unknown signal"):
+            three_signal_problem().conditionals(("a", "d"))
+
+
 class TestBayesRisk:
     def test_empty_subset_gives_baseline(self):
         problem = xor_construction(0.1, 0.25)
