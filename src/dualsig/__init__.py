@@ -40,7 +40,6 @@ from .cueworld import (
     build_world,
     concentration_experiment,
     covariance_lambda,
-    domain_overlap_rate,
     empirical_lambda,
     overlap_estimates,
     sample_ai_set,

@@ -64,7 +64,5 @@ def minimize_grid_refine(f: Callable[[np.ndarray], np.ndarray], lo: float,
             b = m2
         else:
             a = m1
-        if b - a <= 0.0:
-            break
     x = 0.5 * (a + b)
     return min(float(f(np.array([x]))[0]), float(scan[best_i]))

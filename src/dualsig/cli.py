@@ -122,7 +122,7 @@ def cmd_phase(args) -> int:
 def cmd_simulate(args) -> int:
     plan = cueworld.SamplingPlan(a=args.a, m=args.m, k=args.k, h_total=args.h_total)
     summaries = cueworld.concentration_experiment(
-        args.n, plan, reps=args.reps, mode=args.mode, seed=args.seed,
+        args.n or [100_000], plan, reps=args.reps, mode=args.mode, seed=args.seed,
         tau=args.tau, tau_bounds=(args.tau_min, args.tau_max))
     rows = [[s.n_cues, s.reps, s.mode, s.target, s.mean_abs_error, s.max_abs_error]
             for s in summaries]
@@ -219,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "simulate" and not args.n:
-        args.n = [100_000]
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -45,9 +45,9 @@ __all__ = [
     "round_half_away",
     "build_world",
     "sample_ai_set",
-    "domain_overlap_rate",
     "empirical_lambda",
     "covariance_lambda",
+    "overlap_estimates",
     "concentration_experiment",
 ]
 
@@ -229,18 +229,6 @@ def sample_ai_set(world: CueWorld, a: float, seed: int = 0) -> np.ndarray:
     return acc[rng.subset(acc.size, n_ai)]
 
 
-def domain_overlap_rate(world: CueWorld) -> float:
-    """Pool-level overlap target: precision mass of human-held accessible
-    cues over total accessible precision mass (count ratio when homogeneous)."""
-    acc = world.accessible
-    in_h = world.human_mask
-    if world.homogeneous:
-        return float(np.count_nonzero(acc & in_h)) / float(np.count_nonzero(acc))
-    t_acc = float(np.sum(world.precisions[acc]))
-    t_both = float(np.sum(world.precisions[acc & in_h]))
-    return t_both / t_acc
-
-
 def empirical_lambda(world: CueWorld, ai_set: Iterable[int]) -> float:
     """Set-ratio overlap of a realized assistant set against the world's
     human set.
@@ -313,13 +301,14 @@ def concentration_experiment(n_values: Sequence[int], plan: SamplingPlan,
     i)``) and ``reps`` assistant sets are drawn (child seeds
     ``derive_seed(seed, i, rep)``); the summary records mean and max
     ``|lambda_hat - target|``, with the target ``k/m`` in homogeneous mode
-    and the realized precision-weighted rate otherwise.
+    and the accessible pool's :func:`empirical_lambda` otherwise.
     """
     out = []
     for i, n_cues in enumerate(n_values):
         world = build_world(n_cues, plan, mode=mode, tau=tau, tau_bounds=tau_bounds,
                             seed=derive_seed(seed, i))
-        target = plan.k / plan.m if mode == "homogeneous" else domain_overlap_rate(world)
+        target = (plan.k / plan.m if mode == "homogeneous"
+                  else empirical_lambda(world, world.accessible_indices))
         errors = np.abs(overlap_estimates(world, plan.a, reps, derive_seed(seed, i)) - target)
         out.append(ConcentrationSummary(
             n_cues=n_cues, reps=reps, mode=mode, target=target,

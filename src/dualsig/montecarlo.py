@@ -30,6 +30,7 @@ is the maximum over the process and its waited-for descendants.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -84,16 +85,25 @@ class Estimate:
 
 
 def _pairwise_total(values: Sequence[float]) -> float:
-    """Sum a sequence by a fixed pairwise tree (order-stable reduction)."""
+    """Sum a nonempty sequence by a fixed pairwise tree (order-stable reduction)."""
     vals = list(values)
-    if not vals:
-        return 0.0
     while len(vals) > 1:
         nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
         if len(vals) % 2:
             nxt.append(vals[-1])
         vals = nxt
     return vals[0]
+
+
+def _count(value, name: str, least: int) -> int:
+    """``value`` as an int >= ``least``; a float is rejected, not truncated."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise ValidationError(f"{name} must be >= {least}, got {count}")
+    return count
 
 
 def sample_triple(env: Environment, spec: SignalSpec, rng: RngHandle, size: int):
@@ -105,9 +115,7 @@ def sample_triple(env: Environment, spec: SignalSpec, rng: RngHandle, size: int)
     innovation: ``a = lam*h + (1-lam)*(y + innovation noise)``.
     """
     tilde = innovation_precision(spec)
-    n = int(size)
-    if n < 1:
-        raise ValidationError(f"size must be >= 1, got {size}")
+    n = _count(size, "size", 1)
     y = env.mu0 + rng.normals(n) / math.sqrt(env.tau0)
     h = y + rng.normals(n) / math.sqrt(spec.tau_h)
     a_innov = y + rng.normals(n) / math.sqrt(tilde)
@@ -124,8 +132,7 @@ def accumulate(env: Environment, spec: SignalSpec, n: int, rng: RngHandle,
     sums of the values and of their squares are reduced by a fixed pairwise
     tree.  ``n`` must be at least 2, the fewest draws with a standard error.
     """
-    if n < 2:
-        raise ValidationError(f"n must be >= 2, got {n}")
+    n = _count(n, "n", 2)
     sums = {name: [] for name in stats}
     sums_sq = {name: [] for name in stats}
     done = 0
@@ -223,8 +230,6 @@ def verify_closed_forms(env: Environment, tau_h: float,
     worker of :func:`parallel_map` runs them.  ``n`` must be at least 2, the
     fewest draws with a standard error.
     """
-    if n < 2:
-        raise ValidationError(f"n must be >= 2, got {n}")
     cells = [(tau_a, lam, SignalSpec(tau_h=tau_h, tau_a=tau_a, lam=lam)
               if lam < 1.0 and feasible(tau_h, tau_a, lam) else None)
              for lam in lambda_grid for tau_a in tau_a_grid]

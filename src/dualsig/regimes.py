@@ -140,26 +140,25 @@ class PhaseGrid:
     """Loss profiles and regimes over a (tau_a, lam) grid.
 
     ``cells`` is a read-only 2-D structured array; ``cells[i, j]`` belongs to
-    ``lambda_axis[i]`` and ``tau_a_axis[j]`` (overlap-major, like the CSV
-    emitted by the CLI).  Its fields, in CSV column order, are ``lam``,
-    ``tau_a``, ``feasible``, ``l_human``, ``l_ai``, ``l_joint_cn``,
-    ``l_joint_bayes``, ``v_marginal`` and ``regime`` (a :class:`Regime`).
+    the ``i``-th overlap and the ``j``-th assistant precision of the sweep
+    (overlap-major, like the CSV emitted by the CLI).  Its fields, in CSV
+    column order, are ``lam``, ``tau_a``, ``feasible``, ``l_human``,
+    ``l_ai``, ``l_joint_cn``, ``l_joint_bayes``, ``v_marginal`` and
+    ``regime`` (a :class:`Regime`).
     Infeasible cells hold NaN losses and a ``None`` regime.
     """
 
-    tau_a_axis: tuple[float, ...]
-    lambda_axis: tuple[float, ...]
     cells: np.ndarray
 
 
-def _check_axis(values: Sequence[float], name: str) -> tuple[float, ...]:
+def _check_axis(values: Sequence[float], name: str) -> np.ndarray:
     axis = np.asarray(values, dtype=float)
     if axis.ndim != 1 or not axis.size:
         raise ValidationError(f"{name} must be a nonempty sequence")
     require(np.isfinite(axis), name + " values must be finite, got {}", axis)
     if np.any(axis[1:] <= axis[:-1]):
         raise ValidationError(f"{name} must be strictly increasing")
-    return tuple(axis.tolist())
+    return axis
 
 
 def phase_sweep(env: Environment, tau_h: float,
@@ -187,4 +186,4 @@ def phase_sweep(env: Environment, tau_h: float,
         cells[name][ok] = value
     cells["regime"][ok] = classify(env, spec)
     cells.flags.writeable = False
-    return PhaseGrid(tau_a_axis=ta_axis, lambda_axis=lam_axis, cells=cells)
+    return PhaseGrid(cells=cells)

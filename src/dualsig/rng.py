@@ -130,7 +130,7 @@ def normal_ppf(p) -> np.ndarray:
     returns a new array of the shape of ``p``.
     """
     p = np.asarray(p, dtype=np.float64)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
+    if not np.all((p > 0.0) & (p < 1.0)):  # also rejects NaN
         raise ValueError("normal_ppf requires arguments strictly inside (0, 1)")
     # The central fit is finite on all of (0, 1); ``out=`` keeps 0-d input an array.
     q = np.subtract(p, 0.5, out=np.empty_like(p))
@@ -143,8 +143,6 @@ def normal_ppf(p) -> np.ndarray:
     lo = p < _P_LOW
     hi = p > 1.0 - _P_LOW
     for mask, sign, tail_p in ((lo, 1.0, p[lo]), (hi, -1.0, 1.0 - p[hi])):
-        if not tail_p.size:
-            continue
         t = np.sqrt(-2.0 * np.log(tail_p))
         x[mask] = sign * (_horner(_C, t, np.empty_like(t)) / _horner(_D, t, np.empty_like(t)))
     return x

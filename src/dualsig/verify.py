@@ -185,7 +185,7 @@ def _voi(n, seed, sigma_mult, tau0, tau_h):
     yield Check("voi", "clinical_single_positive", single, 0.0655, 5e-4)
     yield Check("voi", "clinical_both_positive", both, 0.8306, 5e-4)
 
-    problem = voi.xor_construction(0.1, 0.25)
+    problem = voi.xor_construction(0.25)
     for name, signals in (("mi_identity[h]", ("h",)), ("mi_identity[a]", ("a",)),
                           ("mi_identity[h,a]", ("h", "a"))):
         yield Check("voi", name, voi.value_of_information(problem, signals),

@@ -11,8 +11,9 @@ refinement), and is the independent oracle for the closed-form paths.
 :meth:`DiscreteProblem.conditionals` alone conditions the joint table on a
 signal set, for the risks here and for :mod:`dualsig.bregman` alike.
 
-Two binary constructions make the ratio of conditional to standalone value
-``v(a|h) / v(a)`` take any target in [0, inf):
+Two binary constructions, each with a noise bit ``u ~ Bernoulli(NOISE_P)``,
+make the ratio of conditional to standalone value ``v(a|h) / v(a)`` take any
+target in [0, inf):
 
 * XOR: ``a = y XOR u XOR v`` with ``h = v``; knowing ``h`` strips one noise
   layer, so the conditional value exceeds the standalone one (ratio >= 1).
@@ -34,6 +35,7 @@ from .core import ValidationError
 
 __all__ = [
     "NULL_SIGNAL",
+    "NOISE_P",
     "QuadraticLoss",
     "LogLoss",
     "DiscreteProblem",
@@ -52,7 +54,7 @@ __all__ = [
 
 NULL_SIGNAL = "null"
 
-_LOG2 = math.log(2.0)
+NOISE_P = 0.1
 
 
 def binary_entropy(p: float) -> float:
@@ -216,15 +218,15 @@ def marginal_value_discrete(problem: DiscreteProblem) -> VoiReport:
     return _report(problem, _optimal_conditional_loss)
 
 
-def xor_construction(p: float, q: float) -> DiscreteProblem:
+def xor_construction(q: float) -> DiscreteProblem:
     """Binary problem whose conditional/standalone value ratio is >= 1.
 
     ``y ~ Bernoulli(1/2)``, ``a = y XOR u XOR v`` with independent noise bits
-    ``u ~ Bernoulli(p)``, ``v ~ Bernoulli(q)``, and ``h = v``.  Under log
-    loss the ratio equals ``(1 - H2(p)) / (1 - H2(p + q - 2pq))``.
+    ``u ~ Bernoulli(p)``, ``v ~ Bernoulli(q)``, and ``h = v``, where
+    ``p = NOISE_P``.  Under log loss the ratio equals
+    ``(1 - H2(p)) / (1 - H2(p + q - 2pq))``.
     """
-    if not 0.0 < p < 0.5:
-        raise ValidationError(f"p must lie in (0, 1/2), got {p}")
+    p = NOISE_P
     if not 0.0 <= q < 0.5:
         raise ValidationError(f"q must lie in [0, 1/2), got {q}")
     probs = np.zeros((2, 2, 2))
@@ -235,14 +237,13 @@ def xor_construction(p: float, q: float) -> DiscreteProblem:
                            alphabets=((0, 1), (0, 1)), probs=probs, loss=LogLoss())
 
 
-def erasure_construction(p: float, t: float) -> DiscreteProblem:
+def erasure_construction(t: float) -> DiscreteProblem:
     """Binary problem whose conditional/standalone value ratio is exactly t.
 
-    ``a = y XOR u`` with ``u ~ Bernoulli(p)``; the own signal repeats ``a``
-    but is erased to the null symbol with probability ``t``.
+    ``a = y XOR u`` with ``u ~ Bernoulli(NOISE_P)``; the own signal repeats
+    ``a`` but is erased to the null symbol with probability ``t``.
     """
-    if not 0.0 < p < 0.5:
-        raise ValidationError(f"p must lie in (0, 1/2), got {p}")
+    p = NOISE_P
     if not 0.0 <= t < 1.0:
         raise ValidationError(f"t must lie in [0, 1), got {t}")
     h_alphabet = (0, 1, NULL_SIGNAL)
@@ -256,27 +257,26 @@ def erasure_construction(p: float, t: float) -> DiscreteProblem:
                            alphabets=(h_alphabet, (0, 1)), probs=probs, loss=LogLoss())
 
 
-def xor_ratio(p: float, q: float) -> float:
-    """Closed-form value ratio of :func:`xor_construction`."""
-    denominator = 1.0 - binary_entropy(p + q - 2.0 * p * q)
-    if denominator == 0.0:
-        return math.inf
-    return (1.0 - binary_entropy(p)) / denominator
+def xor_ratio(q: float) -> float:
+    """Closed-form value ratio of :func:`xor_construction`; its denominator
+    is positive for ``q <= 1/2 - 1e-5``, all that :func:`xor_q_for_ratio` asks."""
+    p = NOISE_P
+    return (1.0 - binary_entropy(p)) / (1.0 - binary_entropy(p + q - 2.0 * p * q))
 
 
-def xor_q_for_ratio(t: float, p: float = 0.1) -> float:
+def xor_q_for_ratio(t: float) -> float:
     """Solve the XOR noise level q such that the value ratio equals t >= 1."""
     if not t >= 1.0:
         raise ValidationError(f"XOR ratios start at 1, got target {t}")
     if t == 1.0:
         return 0.0
     hi = 0.5 - 1e-5  # close enough to 1/2 for ratios beyond 1e9
-    if xor_ratio(p, hi) < t:
+    if xor_ratio(hi) < t:
         raise ValidationError(f"ratio target {t} out of solvable range")
-    return bisect(lambda q: xor_ratio(p, q) - t, 0.0, hi)
+    return bisect(lambda q: xor_ratio(q) - t, 0.0, hi)
 
 
-def ratio_construction(t: float, p: float = 0.1) -> DiscreteProblem:
+def ratio_construction(t: float) -> DiscreteProblem:
     """A problem whose conditional/standalone value ratio equals ``t``.
 
     Erasure for targets below 1, XOR (with the noise level solved by
@@ -285,8 +285,8 @@ def ratio_construction(t: float, p: float = 0.1) -> DiscreteProblem:
     if not t >= 0.0:
         raise ValidationError(f"ratio target must be nonnegative, got {t}")
     if t < 1.0:
-        return erasure_construction(p, t)
-    return xor_construction(p, xor_q_for_ratio(t, p))
+        return erasure_construction(t)
+    return xor_construction(xor_q_for_ratio(t))
 
 
 def posterior_two_tests(prior: float, tpr: float, fpr: float) -> tuple[float, float]:

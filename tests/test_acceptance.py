@@ -91,7 +91,7 @@ def test_criterion_3_phase_diagram_structure():
     grid = phase_sweep(ENV, TAU_H,
                        np.linspace(0.02, 2.2, 111), np.linspace(0.0, 1.0, 101))
     patterns_ok = True
-    for row, lam in zip(grid.cells, grid.lambda_axis):
+    for row, lam in zip(grid.cells, grid.cells["lam"][:, 0]):
         tags = [c["regime"] for c in row if c["feasible"]]
         collapsed = [t for i, t in enumerate(tags) if i == 0 or tags[i - 1] is not t]
         if lam <= 0.5:

@@ -176,7 +176,7 @@ def test_gap_check_equals_the_per_term_loop_exactly(seed):
         gen = BregmanGenerator(kind=kind, dimension=dim)
         # the erasure problem's null own signal has probability 0
         problems = [verify._random_discrete_problem(rng.split(i)) for i in range(100)]
-        problems += [erasure_construction(0.1, 0.0), zero_pair_problem()]
+        problems += [erasure_construction(0.0), zero_pair_problem()]
         for i, problem in enumerate(problems):
             rule = verify._random_rule(problem, gen, rng.split(1000 + i))
             report = gap_check_discrete(problem, rule, gen)

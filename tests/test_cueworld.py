@@ -14,7 +14,6 @@ from dualsig.cueworld import (
     build_world,
     concentration_experiment,
     covariance_lambda,
-    domain_overlap_rate,
     empirical_lambda,
     overlap_estimates,
     round_half_away,
@@ -129,7 +128,8 @@ class TestBuildWorld:
         count_ratio = np.intersect1d(ai, world.human_set).size / ai.size
         assert empirical_lambda(world, ai) == count_ratio
         assert abs(covariance_lambda(world, ai) - count_ratio) < 1e-14
-        assert domain_overlap_rate(world) == 3 / 5  # round(k*N) = 3 of round(m*N) = 5
+        # round(k*N) = 3 of round(m*N) = 5 accessible cues are the human's
+        assert empirical_lambda(world, world.accessible_indices) == 3 / 5
 
     def test_impossible_rounding_rejected(self):
         # the human set cannot need more inaccessible cues than exist
@@ -356,6 +356,11 @@ class TestConcentration:
         assert isinstance(s, ConcentrationSummary)
         assert abs(s.target - 0.5) < 0.05  # k/m with mild precision jitter
         assert s.max_abs_error < 0.05
+        # the precision-mass ratio of the accessible pool, bit for bit
+        world = build_world(20_000, PLAN, mode="heterogeneous", seed=derive_seed(2, 0))
+        both = world.accessible & world.human_mask
+        assert s.target == (float(np.sum(world.precisions[both]))
+                            / float(np.sum(world.precisions[world.accessible])))
 
     def test_deterministic(self):
         a = concentration_experiment([1000], PLAN, reps=10, seed=3)
@@ -378,11 +383,12 @@ class TestConcentration:
         assert summary.max_abs_error == float(np.max(errors))
 
 
-def test_domain_overlap_rate_matches_plan():
+def test_accessible_pool_overlap_matches_plan():
+    # the pool-level rate is the overlap of the whole accessible pool
     world = build_world(1000, PLAN, mode="homogeneous", seed=0)
-    assert domain_overlap_rate(world) == 0.5
+    assert empirical_lambda(world, world.accessible_indices) == 0.5
     het = build_world(1000, PLAN, mode="heterogeneous", seed=0)
-    assert 0.35 < domain_overlap_rate(het) < 0.65
+    assert 0.35 < empirical_lambda(het, het.accessible_indices) < 0.65
 
 
 def test_heterogeneous_reduces_to_homogeneous_when_bounds_collapse():

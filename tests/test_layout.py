@@ -19,12 +19,21 @@ vector and a stack of them round through one kernel: ``np.dot``,
 ``einsum`` and ``@`` are rejected there.  It reads no ``.probs`` joint
 table either: it conditions only through ``DiscreteProblem.conditionals``.
 
-Every function and method of the package is entered by at least one small
-run of a CLI command, so no code is kept alive by tests alone.  The check
-is per function: a branch that no command takes is not flagged.
+Every name the package's ``__init__`` re-exports is in the ``__all__`` of
+the module it comes from.
+
+Every statement of every function and method of the package runs in at
+least one small run of a CLI command, so no code is kept alive by tests
+alone.  A line trace over those runs, on one CPU, marks a statement reached
+when a line event fires on one of its lines, or on its header for a compound
+statement.  Docstrings, ``raise`` statements and blocks that end in
+``raise`` are the error paths and are not counted.  The few statements no
+command can run are listed by module, function and statement text, each
+with its reason.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -124,6 +133,17 @@ def test_bregman_reads_no_joint_table():
             if isinstance(node, ast.Attribute) and node.attr == "probs"] == []
 
 
+def test_init_reexports_only_public_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    missing = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"dualsig.{node.module}")
+            missing += [f"{node.module}.{alias.name}" for alias in node.names
+                        if alias.name not in module.__all__]
+    assert missing == []
+
+
 def test_every_traced_name_resolves():
     # executed from its source text, so nothing is imported or cached from bench/
     path = ROOT / "bench" / "spans.py"
@@ -137,50 +157,164 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
-REACH_ARGVS = (
-    ["verify", "--suite", "closed_forms", "--n", "2000"],
-    ["verify", "--suite", "gap", "--n", "2000", "--seed", "1"],
-    ["verify", "--suite", "voi", "--n", "2000"],
-    ["verify", "--suite", "lemma", "--n", "2000"],
-    ["simulate", "--n", "2000", "--reps", "3", "--mode", "homogeneous"],
-    ["simulate", "--n", "2000", "--reps", "3", "--mode", "heterogeneous"],
-    ["phase", "--tauA-steps", "5", "--lambda-steps", "4"],
-    ["thresholds"],
-    ["losses", "--tauA", "0.9", "--lambda", "0.5"],
+# (expected exit code, argv); "{tmp}" is a per-test directory
+REACH_RUNS = (
+    (0, ["verify", "--suite", "closed_forms", "--n", "2000"]),
+    (0, ["verify", "--suite", "gap", "--n", "131073", "--seed", "3"]),
+    (0, ["verify", "--suite", "voi", "--n", "2000"]),
+    (0, ["verify", "--suite", "lemma", "--n", "2000"]),
+    (0, ["simulate", "--n", "2000", "--reps", "3", "--mode", "homogeneous"]),
+    (0, ["simulate", "--n", "2000", "--reps", "3", "--mode", "heterogeneous"]),
+    (0, ["simulate", "--n", "2000", "--reps", "3", "--k", "0.25", "--h-total", "0.25"]),
+    (0, ["simulate", "--reps", "1"]),
+    (0, ["phase", "--tauA-steps", "5", "--lambda-steps", "4"]),
+    (0, ["phase", "--tauA-steps", "1", "--lambda-steps", "1", "--out", "{tmp}/phase.csv"]),
+    (0, ["thresholds"]),
+    (0, ["losses", "--tauA", "0.9", "--lambda", "0.5"]),
+    (2, ["losses", "--tauA", "1", "--lambda", "2"]),
 )
 
+# Statements no command above runs, keyed by (module, function, first line of
+# the first statement of the block that is never entered), one reason each.
+UNREACHED_BY_DESIGN = {
+    "the pool needs two or more usable CPUs; the trace runs on one": [
+        ("montecarlo", "parallel_map", "import multiprocessing"),
+    ],
+    "exact roots come from library inputs; tests/test_search.py pins them": [
+        ("_search", "bisect", "return lo"),
+        ("_search", "bisect", "return hi"),
+        ("_search", "bisect", "return mid"),
+    ],
+    "only an unsorted library input needs the sort": [
+        ("cueworld", "_as_index_set", "idx = np.unique(idx)"),
+    ],
+    "two equal uniforms at the k-th place occur with probability ~2**-53 per pair": [
+        ("rng", "_smallest_k", "chosen[np.flatnonzero(u == kth)[-extra:]] = False"),
+    ],
+    "log2(0) is undefined; no command asks for the entropy of a sure event": [
+        ("voi", "binary_entropy", "return 0.0"),
+    ],
+    "no voi row has a quadratic loss; adding one changes a pinned digest": [
+        ("voi", "_brute_conditional_loss", "lo, hi = min(y), max(y)"),
+    ],
+}
 
-def defined_functions(package: Path) -> dict[tuple[str, int], str]:
-    """Every function and method under ``package``, keyed by ``(file, first
-    line)`` as its code object reports them: the first decorator's line if
-    decorated.  Lambdas, comprehensions and class bodies are not included."""
-    found = {}
-    for path in package.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                found[(str(path), first)] = f"{path.name}:{node.lineno} {node.name}"
+
+def header_lines(node: ast.stmt) -> range:
+    """The lines on which a line event means ``node`` ran: all of a simple
+    statement, the header of a compound one."""
+    first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
+    if isinstance(node, (ast.If, ast.While)):
+        last = node.test.end_lineno
+    elif isinstance(node, ast.For):
+        last = node.iter.end_lineno
+    elif isinstance(node, ast.With):
+        last = node.items[-1].context_expr.end_lineno
+    elif hasattr(node, "body"):
+        last = node.lineno
+    else:
+        last = node.end_lineno
+    return range(first, last + 1)
+
+
+def blocks(tree: ast.Module):
+    """Every statement block inside a function body, as ``(function, block)``
+    with ``function`` the dotted name of the innermost enclosing function.
+    Docstrings and blocks that end in ``raise``, the package's error paths,
+    are left out."""
+    def visit(node, scope, in_function):
+        for name in ("body", "orelse", "finalbody", "handlers"):
+            block = getattr(node, name, None)
+            if not isinstance(block, list) or not block:
+                continue
+            if name == "handlers":
+                for handler in block:
+                    yield from visit(handler, scope, in_function)
+                continue
+            if isinstance(block[-1], ast.Raise):
+                continue
+            stmts = [s for s in block
+                     if not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]
+            if in_function and stmts:
+                yield scope, stmts
+            for stmt in stmts:
+                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                    yield from visit(stmt, scope + (stmt.name,),
+                                     in_function or isinstance(stmt, ast.FunctionDef))
+                else:
+                    yield from visit(stmt, scope, in_function)
+    yield from visit(tree, (), False)
+
+
+def unreached(package: Path, fired: set[tuple[str, int]]) -> list[tuple[str, str, str]]:
+    """``(module, function, statement)`` of the first statement of each block
+    suffix that no line event reached.  A block runs from its first
+    statement on, so what follows an unreached statement is unreached too,
+    and a block nested in it is not reported separately."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        covered = set()
+        for scope, stmts in blocks(ast.parse(source)):
+            for i, stmt in enumerate(stmts):
+                if stmt in covered:
+                    break
+                if not any((str(path), line) in fired for line in header_lines(stmt)):
+                    found.append((path.stem, ".".join(scope), lines[stmt.lineno - 1].strip()))
+                    covered.update(inner for later in stmts[i:]
+                                   for inner in ast.walk(later) if isinstance(inner, ast.stmt))
+                    break
     return found
 
 
-def test_every_function_is_reached_by_a_command(monkeypatch, capsys):
-    # one CPU: parallel_map runs its tasks in this process, where the profiler sees them
+def test_reach_checker_flags_unentered_blocks(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def f(x):\n"
+        "    \"\"\"Docstring.\"\"\"\n"
+        "    if x:\n"
+        "        y = 1\n"
+        "        if y:\n"
+        "            return 2\n"
+        "    if x < 0:\n"
+        "        raise ValueError(x)\n"
+        "    return 3\n"
+        "\n"
+        "\n"
+        "def g():\n"
+        "    return 4\n", encoding="utf-8")
+    m = str(tmp_path / "m.py")
+    assert unreached(tmp_path, {(m, 3), (m, 7), (m, 9)}) == [
+        ("m", "f", "y = 1"), ("m", "g", "return 4")]
+    assert unreached(tmp_path, {(m, 3), (m, 4), (m, 5), (m, 6), (m, 7), (m, 13)}) == [
+        ("m", "f", "return 3")]
+
+
+def test_every_statement_is_reached_by_a_command(monkeypatch, capsys, tmp_path):
+    # one CPU: parallel_map runs its tasks in this process, where the tracer sees them
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     from dualsig import cli
 
-    entered = set()
+    package = Path(cli.__file__).parent  # as imported, so file names match the frames'
+    fired = set()
 
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+    def line(frame, event, arg):
+        if event == "line":
+            fired.add((frame.f_code.co_filename, frame.f_lineno))
+        return line
 
-    sys.setprofile(profile)
+    def call(frame, event, arg):
+        return line if frame.f_code.co_filename.startswith(str(package)) else None
+
+    sys.settrace(call)
     try:
-        codes = [cli.main(list(argv)) for argv in REACH_ARGVS]
+        codes = [cli.main([arg.format(tmp=tmp_path) for arg in argv])
+                 for _, argv in REACH_RUNS]
     finally:
-        sys.setprofile(None)
+        sys.settrace(None)
     capsys.readouterr()
-    assert codes == [0] * len(REACH_ARGVS)
-    # the package as imported, so that file names match the code objects'
-    defined = defined_functions(Path(cli.__file__).parent)
-    assert sorted(name for key, name in defined.items() if key not in entered) == []
+    assert codes == [code for code, _ in REACH_RUNS]
+    allowed = {key for keys in UNREACHED_BY_DESIGN.values() for key in keys}
+    found = unreached(package, fired)
+    assert [key for key in found if key not in allowed] == []
+    assert sorted(allowed - set(found)) == []

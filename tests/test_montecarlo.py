@@ -80,6 +80,13 @@ class TestSampleTriple:
         with pytest.raises(DegenerateDecompositionError):
             sample_triple(ENV, SignalSpec(1.0, 1.0, 1.0), RngHandle(0, 0), size=1)
 
+    def test_non_integer_size_rejected(self):
+        # a float size is rejected, not truncated to fewer draws
+        with pytest.raises(ValidationError, match="size must be an integer"):
+            sample_triple(ENV, SPEC, RngHandle(0, 0), size=2.7)
+        y, _, _ = sample_triple(ENV, SPEC, RngHandle(0, 0), size=np.int64(3))
+        assert y.shape == (3,)
+
 
 class TestEstimateLoss:
     def test_matches_closed_forms_at_reference_point(self):
@@ -129,6 +136,19 @@ class TestAccumulate:
             accumulate(ENV, SPEC, 1, RngHandle(17, 0), {"y": lambda y, h, a: y})
         est = accumulate(ENV, SPEC, 2, RngHandle(17, 0), {"y": lambda y, h, a: y})["y"]
         assert est.n == 2 and math.isfinite(est.std_error)
+
+    def test_non_integer_n_rejected(self):
+        # 2.5 would draw 2 triples and divide their sum by 2.5
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            accumulate(ENV, SPEC, 2.5, RngHandle(17, 0), {"y": lambda y, h, a: y})
+        est = accumulate(ENV, SPEC, np.int64(2), RngHandle(17, 0),
+                         {"y": lambda y, h, a: np.ones_like(y)})["y"]
+        assert est.mean == 1.0 and est.n == 2
+
+    def test_grid_needs_two_draws_per_cell(self):
+        # verify_closed_forms leaves the rule to accumulate, which a worker re-raises
+        with pytest.raises(ValidationError, match="n must be >= 2, got 1"):
+            verify_closed_forms(ENV, 1.0, [0.5, 1.0], [0.25], n=1, rng=RngHandle(0, 0))
 
 
 class TestPairedOrderings:

@@ -156,6 +156,10 @@ def test_normal_ppf_symmetry_and_domain():
         normal_ppf(np.array([0.0]))
     with pytest.raises(ValueError):
         normal_ppf(np.array([1.0]))
+    with pytest.raises(ValueError):
+        normal_ppf(np.nan)
+    with pytest.raises(ValueError):
+        normal_ppf(np.array([0.5, np.nan]))
 
 
 # Acklam's coefficients as published, and a masked evaluation that runs the

@@ -76,7 +76,7 @@ class TestProblemValidation:
                             probs=np.full((2, 1, 1), 0.5), loss=loss)
 
     def test_states_stored_as_floats(self):
-        problem = xor_construction(0.1, 0.25)
+        problem = xor_construction(0.25)
         assert problem.states == (0.0, 1.0)
         assert all(type(s) is float for s in problem.states)
 
@@ -103,7 +103,7 @@ def three_signal_problem():
 class TestConditionals:
     def test_zero_probability_realizations_are_dropped(self):
         # t = 0: h is never erased and always equals a
-        problem = erasure_construction(0.1, 0.0)
+        problem = erasure_construction(0.0)
         live_h, p_h, _ = problem.conditionals(("h",))
         assert live_h.tolist() == [0, 1] and p_h.tolist() == [0.5, 0.5]
         live, p, cond = problem.conditionals(("h", "a"))
@@ -144,7 +144,7 @@ class TestConditionals:
 
 class TestBayesRisk:
     def test_empty_subset_gives_baseline(self):
-        problem = xor_construction(0.1, 0.25)
+        problem = xor_construction(0.25)
         assert bayes_risk(problem, ()) == 1.0  # fair-coin entropy in bits
         assert value_of_information(problem, ()) == 0.0
 
@@ -166,13 +166,13 @@ class TestBayesRisk:
 
     def test_xor_conditional_risk_relation(self):
         # with h observed, a is a p-noisy copy of y: risk H2(0.1)
-        problem = xor_construction(0.1, 0.25)
+        problem = xor_construction(0.25)
         assert abs(bayes_risk(problem, ("h", "a")) - H2_01) < 1e-12
 
 
 class TestInformationIdentities:
     def test_log_loss_value_equals_mutual_information(self):
-        problem = xor_construction(0.1, 0.25)
+        problem = xor_construction(0.25)
         for signals in ((), ("h",), ("a",), ("h", "a")):
             assert abs(value_of_information(problem, signals)
                        - mutual_information_bits(problem, signals)) < 1e-12
@@ -198,7 +198,7 @@ class TestInformationIdentities:
 
     def test_superadditivity_equivalence_both_ways(self):
         # synergy case: the own signal unlocks the assistant signal
-        xor = marginal_value_discrete(xor_construction(0.1, 0.25))
+        xor = marginal_value_discrete(xor_construction(0.25))
         assert xor.v_a_given_h > xor.v_a
         assert xor.v_joint > xor.v_a + xor.v_h
         # redundancy case: two independent noisy copies saturate at 1 bit
@@ -215,32 +215,32 @@ class TestInformationIdentities:
 
 class TestConstructions:
     def test_xor_report_values(self):
-        report = marginal_value_discrete(xor_construction(0.1, 0.25))
+        report = marginal_value_discrete(xor_construction(0.25))
         assert abs(report.v_a_given_h - V_XOR_COND) < 1e-12
         assert abs(report.v_a - V_XOR_ALONE) < 1e-12
         assert abs(report.ratio - XOR_RATIO_01_025) < 1e-10
 
     def test_xor_ratio_one_at_zero_q(self):
-        report = marginal_value_discrete(xor_construction(0.1, 0.0))
+        report = marginal_value_discrete(xor_construction(0.0))
         assert abs(report.ratio - 1.0) < 1e-12
 
     def test_xor_ratio_grows_toward_half(self):
-        ratios = [marginal_value_discrete(xor_construction(0.1, q)).ratio
+        ratios = [marginal_value_discrete(xor_construction(q)).ratio
                   for q in (0.0, 0.2, 0.35, 0.45, 0.49)]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] > 50.0
 
     def test_erasure_exact_ratio(self):
-        report = marginal_value_discrete(erasure_construction(0.1, 0.4))
+        report = marginal_value_discrete(erasure_construction(0.4))
         assert abs(report.ratio - 0.4) < 1e-12
         assert abs(report.v_a_given_h - 0.21240176256428753) < 1e-12
 
     def test_erasure_t_zero_no_conditional_value(self):
-        report = marginal_value_discrete(erasure_construction(0.1, 0.0))
+        report = marginal_value_discrete(erasure_construction(0.0))
         assert abs(report.v_a_given_h) < 1e-12
 
     def test_erasure_ratio_monotone_in_t(self):
-        ratios = [marginal_value_discrete(erasure_construction(0.1, t)).ratio
+        ratios = [marginal_value_discrete(erasure_construction(t)).ratio
                   for t in (0.1, 0.3, 0.5, 0.7, 0.9)]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
@@ -265,11 +265,11 @@ class TestConstructions:
 
     def test_construction_parameter_domains(self):
         with pytest.raises(ValidationError):
-            xor_construction(0.0, 0.2)
+            xor_construction(-0.1)
         with pytest.raises(ValidationError):
-            xor_construction(0.1, 0.5)
+            xor_construction(0.5)
         with pytest.raises(ValidationError):
-            erasure_construction(0.1, 1.0)
+            erasure_construction(1.0)
 
 
 class TestPosteriorTwoTests:
@@ -293,8 +293,8 @@ class TestPosteriorTwoTests:
 
 class TestBruteForce:
     def test_matches_closed_form_on_xor(self):
-        closed = marginal_value_discrete(xor_construction(0.1, 0.25))
-        brute = brute_force_voi(xor_construction(0.1, 0.25))
+        closed = marginal_value_discrete(xor_construction(0.25))
+        brute = brute_force_voi(xor_construction(0.25))
         for field in ("l0", "v_h", "v_a", "v_joint", "v_a_given_h"):
             assert abs(getattr(closed, field) - getattr(brute, field)) < 1e-9
 
