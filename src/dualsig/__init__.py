@@ -17,12 +17,7 @@ from .core import (
     ValidationError,
     feasible,
     innovation_precision,
-    loss_ai,
-    loss_human,
-    loss_joint_bayes,
-    loss_joint_cn,
     loss_profile,
-    marginal_value,
 )
 from .regimes import (
     PhaseGrid,

@@ -51,9 +51,7 @@ from .core import (
     ValidationError,
     bayes_posterior_mean,
     cn_posterior_mean,
-    loss_human,
-    loss_joint_cn,
-    marginal_value,
+    loss_profile,
     native,
 )
 from ._search import minimize_grid_refine
@@ -223,8 +221,9 @@ def gap_check_gaussian_cn(env: Environment, spec: SignalSpec, n: int,
     triples (stream 3 of the seed), so ``|residual|`` should fall within a
     few reported ``penalty_se``; ``n`` must be at least 2.
     """
-    lhs = loss_human(env, spec) - loss_joint_cn(env, spec)
-    marg = marginal_value(env, spec)
+    profile = loss_profile(env, spec)
+    lhs = profile.l_human - profile.l_joint_cn
+    marg = profile.v_marginal
 
     def misuse(y, h, a):
         return (bayes_posterior_mean(env, spec, h, a) - cn_posterior_mean(env, spec, h, a)) ** 2

@@ -87,7 +87,7 @@ def cmd_losses(args) -> int:
     env = Environment(mu0=args.mu0, tau0=args.tau0)
     spec = SignalSpec(tau_h=args.tauH, tau_a=args.tauA, lam=args.lam)
     profile = core.loss_profile(env, spec)
-    regime = regimes.classify(env, spec)
+    regime = regimes.classify(profile)
     rows = [[args.tau0, args.tauH, args.tauA, args.lam,
              profile.l_human, profile.l_ai, profile.l_joint_cn,
              profile.l_joint_bayes, profile.v_marginal, regime.value]]

@@ -15,12 +15,15 @@ Orthogonalizing ``A`` against ``H`` leaves the innovation signal
 
 is the only part of the assistant signal that matters under optimal use.
 
-Four expected losses are exposed: own-signal-only, assistant-only, the
+:func:`loss_profile` is the one entry point to the closed forms.  It
+evaluates four expected losses, own-signal-only, assistant-only, the
 Bayes-optimal combination, and the combination produced by a decision-maker
 with correlation neglect, i.e. one who fuses the two signals as if they were
 conditionally independent and thereby double-counts shared evidence:
 
-    loss_joint_cn = 1/T + 2*lam*tau_a / T**2,   T = tau0 + tau_h + tau_a.
+    l_joint_cn = 1/T + 2*lam*tau_a / T**2,   T = tau0 + tau_h + tau_a,
+
+and the marginal value of the assistant, into one :class:`LossProfile`.
 
 All functions are pure and thread-safe.  Parameters are 64-bit floats, or
 float64 arrays of points, on which every formula acts element-wise.
@@ -43,11 +46,6 @@ __all__ = [
     "finite_total",
     "feasible",
     "innovation_precision",
-    "loss_human",
-    "loss_ai",
-    "loss_joint_bayes",
-    "loss_joint_cn",
-    "marginal_value",
     "loss_profile",
     "cn_posterior_mean",
     "bayes_posterior_mean",
@@ -159,15 +157,17 @@ class LossProfile:
     v_marginal: float | np.ndarray
 
     def __post_init__(self) -> None:
-        tol = 1e-9
+        # exact where the closed forms round monotonically, relative where two
+        # formulas meet, so the checks keep their force at every loss scale
+        rel = 1e-12
         for name in ("l_human", "l_ai", "l_joint_bayes", "l_joint_cn", "v_marginal"):
             value = _checked(getattr(self, name), name)
-            require(value >= -tol, name + " must be nonnegative, got {}", value)
-        require(self.l_joint_bayes <= self.l_human + tol,
+            require(value >= 0.0, name + " must be nonnegative, got {}", value)
+        require(self.l_joint_bayes <= self.l_human,
                 "l_joint_bayes cannot exceed l_human")
-        require(self.l_joint_bayes <= self.l_joint_cn + tol,
+        require(self.l_joint_bayes <= self.l_joint_cn * (1.0 + rel),
                 "l_joint_bayes cannot exceed l_joint_cn")
-        require(abs(self.v_marginal - (self.l_human - self.l_joint_bayes)) <= tol,
+        require(abs(self.v_marginal - (self.l_human - self.l_joint_bayes)) <= rel * self.l_human,
                 "v_marginal must equal l_human - l_joint_bayes")
 
 
@@ -196,65 +196,35 @@ def innovation_precision(spec: SignalSpec):
 
 
 @np.errstate(over="ignore")
-def loss_human(env: Environment, spec: SignalSpec):
-    """Expected loss using the own signal alone: ``1 / (tau0 + tau_h)``."""
-    return 1.0 / finite_total(env.tau0 + spec.tau_h, "tau0 + tau_h")
-
-
-@np.errstate(over="ignore")
-def loss_ai(env: Environment, spec: SignalSpec):
-    """Expected loss using the assistant signal alone: ``1 / (tau0 + tau_a)``."""
-    return 1.0 / finite_total(env.tau0 + spec.tau_a, "tau0 + tau_a")
-
-
-@np.errstate(over="ignore")
-def loss_joint_bayes(env: Environment, spec: SignalSpec):
-    """Expected loss of the Bayes-optimal combination of both signals.
-
-    Equals ``1 / (tau0 + tau_h + tilde_tau)``: only the innovation part of
-    the assistant signal adds precision.
-    """
-    return 1.0 / finite_total(env.tau0 + spec.tau_h + innovation_precision(spec),
-                              "tau0 + tau_h + tilde_tau")
-
-
-@np.errstate(over="ignore")
-def loss_joint_cn(env: Environment, spec: SignalSpec):
-    """Expected loss under correlation neglect: ``1/T + 2*lam*tau_a/T**2``.
-
-    The second term is the overlap penalty; it vanishes at lam = 0, where
-    treating the signals as independent is correct.  Defined on the whole
-    closed feasibility region (no innovation decomposition involved).
-    """
-    T = env.tau0 + spec.tau_h + spec.tau_a
-    return 1.0 / T + 2.0 * spec.lam * spec.tau_a / finite_total(T * T, "T**2")
-
-
-def marginal_value(env: Environment, spec: SignalSpec):
-    """Risk reduction from adding the assistant signal under optimal use.
-
-    ``1/(tau0 + tau_h) - 1/(tau0 + tau_h + tilde_tau)``, in [0, loss_human).
-    """
-    return loss_human(env, spec) - loss_joint_bayes(env, spec)
-
-
 def loss_profile(env: Environment, spec: SignalSpec) -> LossProfile:
-    """All four losses and the marginal value for a spec (floats or arrays).
+    """The four expected losses and the marginal value for a spec (floats or
+    arrays); the one evaluation of the closed forms.
+
+    * ``l_human = 1/(tau0 + tau_h)``: the own signal alone;
+    * ``l_ai = 1/(tau0 + tau_a)``: the assistant signal alone;
+    * ``l_joint_bayes = 1/(tau0 + tau_h + tilde_tau)``: the Bayes-optimal
+      combination, to which only the innovation adds precision;
+    * ``l_joint_cn = 1/T + 2*lam*tau_a/T**2``: correlation neglect, whose
+      second term, the overlap penalty, vanishes at lam = 0;
+    * ``v_marginal = l_human - l_joint_bayes``, in [0, l_human).
 
     Covers the whole closed feasibility region: at full overlap (lam = 1)
     the assistant signal carries no innovation, so the optimal combination
-    equals the own-signal posterior and the marginal value is 0.
+    equals the own-signal posterior and the marginal value is 0.  A total
+    that overflows raises :class:`ValidationError` naming it.
     """
-    lh = loss_human(env, spec)
+    lh = 1.0 / finite_total(env.tau0 + spec.tau_h, "tau0 + tau_h")
     full = spec.lam == 1.0
     # lam = 0 stands in where lam = 1; those cells keep lh instead.
     innovating = replace(spec, lam=native(np.where(full, 0.0, spec.lam)))
-    ljb = native(np.where(full, lh, loss_joint_bayes(env, innovating)))
+    ljb = native(np.where(full, lh, 1.0 / finite_total(
+        env.tau0 + spec.tau_h + innovation_precision(innovating), "tau0 + tau_h + tilde_tau")))
+    T = env.tau0 + spec.tau_h + spec.tau_a
     return LossProfile(
         l_human=lh,
-        l_ai=loss_ai(env, spec),
+        l_ai=1.0 / finite_total(env.tau0 + spec.tau_a, "tau0 + tau_a"),
         l_joint_bayes=ljb,
-        l_joint_cn=loss_joint_cn(env, spec),
+        l_joint_cn=1.0 / T + 2.0 * spec.lam * spec.tau_a / finite_total(T * T, "T**2"),
         v_marginal=lh - ljb,
     )
 

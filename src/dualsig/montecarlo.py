@@ -45,10 +45,7 @@ from .core import (
     cn_posterior_mean,
     feasible,
     innovation_precision,
-    loss_ai,
-    loss_human,
-    loss_joint_bayes,
-    loss_joint_cn,
+    loss_profile,
 )
 from .rng import RngHandle
 
@@ -65,13 +62,12 @@ __all__ = [
 
 CHUNK = 1 << 16
 
-RULES = ("human_only", "ai_only", "bayes_joint", "cn_joint")
-
-_CLOSED_FORMS = {
-    "human_only": loss_human,
-    "ai_only": loss_ai,
-    "bayes_joint": loss_joint_bayes,
-    "cn_joint": loss_joint_cn,
+# each decision rule and the field of its closed-form loss in a LossProfile
+RULES = {
+    "human_only": "l_human",
+    "ai_only": "l_ai",
+    "bayes_joint": "l_joint_bayes",
+    "cn_joint": "l_joint_cn",
 }
 
 
@@ -213,7 +209,8 @@ def _cell_losses(env: Environment, spec: SignalSpec, n: int,
                  rng: RngHandle) -> list[tuple[str, Estimate, float]]:
     """``(rule, estimate, closed_form)`` of the four rules at one cell."""
     estimates = paired_loss_estimates(env, spec, n, rng)
-    return [(rule, estimates[rule], _CLOSED_FORMS[rule](env, spec)) for rule in RULES]
+    profile = loss_profile(env, spec)
+    return [(rule, estimates[rule], getattr(profile, field)) for rule, field in RULES.items()]
 
 
 def verify_closed_forms(env: Environment, tau_h: float,

@@ -29,13 +29,11 @@ import numpy as np
 
 from .core import (
     Environment,
+    LossProfile,
     SignalSpec,
     ValidationError,
     feasible,
     finite_total,
-    loss_ai,
-    loss_human,
-    loss_joint_cn,
     loss_profile,
     require,
 )
@@ -122,16 +120,15 @@ def lambda_bar(env: Environment, tau_h: float) -> float:
     return 0.5 + tau_h / finite_total(2.0 * (env.tau0 + tau_h), "2*(tau0 + tau_h)")
 
 
-def classify(env: Environment, spec: SignalSpec):
-    """Regime of the strict loss argmin among the three deployments.
+def classify(profile: LossProfile):
+    """Regime of the strict loss argmin among the three deployments, read
+    from a :func:`dualsig.core.loss_profile`.
 
     Ties prefer the simpler system: own signal alone, then assistant alone,
-    then the combination.  A :class:`Regime` for a float spec, an object
-    array of them for an array spec.
+    then the combination.  A :class:`Regime` for a profile of floats, an
+    object array of them for a profile of arrays.
     """
-    lh = loss_human(env, spec)
-    la = loss_ai(env, spec)
-    lcn = loss_joint_cn(env, spec)
+    lh, la, lcn = profile.l_human, profile.l_ai, profile.l_joint_cn
     return _TIE_ORDER[np.where((lh <= la) & (lh <= lcn), 0, np.where(la <= lcn, 1, 2))]
 
 
@@ -181,9 +178,10 @@ def phase_sweep(env: Environment, tau_h: float,
     cells["feasible"] = ok
     lam = cells["lam"][ok]
     spec = SignalSpec(tau_h=np.full(lam.shape, tau_h), tau_a=cells["tau_a"][ok], lam=lam)
-    for name, value in vars(loss_profile(env, spec)).items():
+    profile = loss_profile(env, spec)
+    for name, value in vars(profile).items():
         cells[name] = np.nan
         cells[name][ok] = value
-    cells["regime"][ok] = classify(env, spec)
+    cells["regime"][ok] = classify(profile)
     cells.flags.writeable = False
     return PhaseGrid(cells=cells)

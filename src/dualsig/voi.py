@@ -26,6 +26,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -183,7 +185,8 @@ def _optimal_conditional_loss(problem: DiscreteProblem, cond: np.ndarray) -> flo
 def _risk(problem: DiscreteProblem, signals: Sequence[str], conditional_loss) -> float:
     """Expected ``conditional_loss(problem, cond)`` over the realizations."""
     _, p, cond = problem.conditionals(signals)
-    return float(sum(p_j * conditional_loss(problem, c) for p_j, c in zip(p.tolist(), cond.T)))
+    return float(reduce(add, (p_j * conditional_loss(problem, c)
+                              for p_j, c in zip(p.tolist(), cond.T)), 0.0))
 
 
 def bayes_risk(problem: DiscreteProblem, signals: Sequence[str] = ()) -> float:
@@ -312,10 +315,10 @@ def _brute_conditional_loss(problem: DiscreteProblem, cond: np.ndarray) -> float
     if isinstance(problem.loss, QuadraticLoss):
         lo, hi = min(y), max(y)
         if lo == hi:
-            return float(sum(p * (s - lo) ** 2 for p, s in zip(cond, y)))
-        f = lambda d: sum(p * (s - d) ** 2 for p, s in zip(cond, y))
+            return float(reduce(add, (p * (s - lo) ** 2 for p, s in zip(cond, y)), 0.0))
+        f = lambda d: reduce(add, (p * (s - d) ** 2 for p, s in zip(cond, y)), 0.0)
         return minimize_grid_refine(f, lo, hi)
-    p1 = float(sum(p for p, s in zip(cond, y) if s == 1.0))
+    p1 = float(reduce(add, (p for p, s in zip(cond, y) if s == 1.0), 0.0))
     f = lambda d: -(p1 * np.log2(d) + (1.0 - p1) * np.log2(1.0 - d))
     return minimize_grid_refine(f, 1e-12, 1.0 - 1e-12)
 

@@ -11,7 +11,7 @@ import numpy as np
 from dualsig.bregman import gap_check_discrete, gap_check_gaussian_cn, BregmanGenerator
 from dualsig import verify
 from dualsig.cli import main
-from dualsig.core import Environment, SignalSpec, marginal_value
+from dualsig.core import Environment, SignalSpec, loss_profile
 from dualsig.cueworld import SamplingPlan, concentration_experiment
 from dualsig.regimes import Regime, classify, lambda_bar, phase_sweep, tau_aug, tau_auto
 from dualsig.rng import RngHandle
@@ -72,9 +72,9 @@ def test_criterion_2_regime_boundaries():
               for c in slice45.cells[0] if c["feasible"])
 
     # lam = 0.85: direct transition with the boundary exactly at tau_a = 1
-    ok &= classify(ENV, SignalSpec(TAU_H, 1.0, 0.85)) is Regime.IMPAIRMENT
-    ok &= classify(ENV, SignalSpec(TAU_H, 1.0 - 1e-9, 0.85)) is Regime.IMPAIRMENT
-    ok &= classify(ENV, SignalSpec(TAU_H, 1.0 + 1e-9, 0.85)) is Regime.AUTOMATION
+    ok &= classify(loss_profile(ENV, SignalSpec(TAU_H, 1.0, 0.85))) is Regime.IMPAIRMENT
+    ok &= classify(loss_profile(ENV, SignalSpec(TAU_H, 1.0 - 1e-9, 0.85))) is Regime.IMPAIRMENT
+    ok &= classify(loss_profile(ENV, SignalSpec(TAU_H, 1.0 + 1e-9, 0.85))) is Regime.AUTOMATION
     slice85 = phase_sweep(ENV, TAU_H, np.linspace(0.02, 1.15, 200), [0.85])
     ok &= all(c["regime"] is not Regime.COMPLEMENTARITY
               for c in slice85.cells[0] if c["feasible"])
@@ -196,10 +196,10 @@ def test_criterion_7_marginal_value_monotonicity():
         step = 1e-4
         if lam > min(tau_h / (tau_a + step), 1.0) - step:
             continue
-        base = marginal_value(env, SignalSpec(tau_h, tau_a, lam))
-        up_a = marginal_value(env, SignalSpec(tau_h, tau_a + step, lam))
-        up_l = marginal_value(env, SignalSpec(tau_h, tau_a, lam + step))
-        up_h = marginal_value(env, SignalSpec(tau_h + step, tau_a, lam))
+        base = loss_profile(env, SignalSpec(tau_h, tau_a, lam)).v_marginal
+        up_a = loss_profile(env, SignalSpec(tau_h, tau_a + step, lam)).v_marginal
+        up_l = loss_profile(env, SignalSpec(tau_h, tau_a, lam + step)).v_marginal
+        up_h = loss_profile(env, SignalSpec(tau_h + step, tau_a, lam)).v_marginal
         ok &= (up_a - base) / step > margin
         ok &= (up_l - base) / step < -margin
         ok &= (up_h - base) / step < -margin

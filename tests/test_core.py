@@ -14,12 +14,7 @@ from dualsig.core import (
     cn_posterior_mean,
     feasible,
     innovation_precision,
-    loss_ai,
-    loss_human,
-    loss_joint_bayes,
-    loss_joint_cn,
     loss_profile,
-    marginal_value,
 )
 from dualsig.montecarlo import paired_loss_estimates
 from dualsig.rng import RngHandle
@@ -64,15 +59,19 @@ class TestValidation:
         SignalSpec(tau_h=1.0, tau_a=0.5, lam=1.0)
 
     def test_overflowing_totals_raise(self):
-        # each loss divides by a total that overflows only for extreme precisions
+        # each loss divides by a total that overflows only for extreme
+        # precisions; the totals are checked in the order human, Bayes,
+        # assistant, correlation neglect
         huge_env = Environment(mu0=0.0, tau0=1e308)
-        huge = SignalSpec(tau_h=1e308, tau_a=1e308, lam=0.0)
-        for loss in (loss_human, loss_ai, loss_joint_bayes):
-            with pytest.raises(ValidationError, match="not finite"):
-                loss(huge_env, huge)
-        with pytest.raises(ValidationError, match=r"T\*\*2 = inf"):
-            loss_joint_cn(ENV, SignalSpec(tau_h=1e200, tau_a=1e200, lam=0.5))
-        assert loss_joint_bayes(ENV, SignalSpec(tau_h=1e200, tau_a=1e200, lam=0.5)) > 0.0
+        with pytest.raises(ValidationError, match=r"^tau0 \+ tau_h = inf is not finite"):
+            loss_profile(huge_env, SignalSpec(tau_h=1e308, tau_a=1e308, lam=0.0))
+        # tau_h + tilde_tau >= tau_a, so the Bayes total overflows whenever
+        # tau0 + tau_a does, and is checked first
+        with pytest.raises(ValidationError, match=r"^tau0 \+ tau_h \+ tilde_tau = inf"):
+            loss_profile(huge_env, SignalSpec(tau_h=1.0, tau_a=1e308, lam=0.0))
+        # the Bayes total is finite here (it is checked first); only T**2 overflows
+        with pytest.raises(ValidationError, match=r"^T\*\*2 = inf"):
+            loss_profile(ENV, SignalSpec(tau_h=1e200, tau_a=1e200, lam=0.5))
 
     def test_loss_profile_invariants_enforced(self):
         with pytest.raises(ValidationError):
@@ -81,6 +80,21 @@ class TestValidation:
         with pytest.raises(ValidationError):
             LossProfile(l_human=0.5, l_ai=0.5, l_joint_bayes=0.4,
                         l_joint_cn=0.5, v_marginal=0.2)
+
+    def test_loss_profile_invariants_hold_at_every_scale(self):
+        # an absolute tolerance of 1e-9 would accept all of these
+        tiny = dict(l_human=1e-12, l_ai=1e-12, l_joint_bayes=0.5e-12, l_joint_cn=0.6e-12,
+                    v_marginal=0.5e-12)
+        LossProfile(**tiny)
+        for changes, message in (
+                (dict(l_joint_bayes=2e-12, v_marginal=-1e-12), "v_marginal must be nonnegative"),
+                (dict(l_joint_bayes=2e-12, l_joint_cn=3e-12, v_marginal=0.0),
+                 "cannot exceed l_human"),
+                (dict(l_joint_cn=0.25e-12), "cannot exceed l_joint_cn"),
+                (dict(v_marginal=0.5e-12 + 1e-20), "v_marginal must equal"),
+                (dict(l_ai=-1e-30), "l_ai must be nonnegative")):
+            with pytest.raises(ValidationError, match=message):
+                LossProfile(**{**tiny, **changes})
 
 
 def boundary_specs(count, seed=0):
@@ -165,10 +179,10 @@ class TestArraySpecs:
     def test_overflow_in_arrays_raises_one_line_without_warnings(self):
         spec = SignalSpec(np.full(3, 1e200), np.array([1e199, 1e200, 1e201]), np.zeros(3))
         with pytest.raises(ValidationError, match=r"^T\*\*2 = inf is not finite"):
-            loss_joint_cn(ENV, spec)
+            loss_profile(ENV, spec)
         with pytest.raises(ValidationError, match=r"^tau0 \+ tau_h = inf"):
-            loss_human(Environment(0.0, 1e308), SignalSpec(np.full(2, 1e308), np.ones(2),
-                                                           np.zeros(2)))
+            loss_profile(Environment(0.0, 1e308), SignalSpec(np.full(2, 1e308), np.ones(2),
+                                                             np.zeros(2)))
 
     def test_loss_profile_invariants_checked_element_wise(self):
         good = dict(l_human=0.5, l_ai=0.5, l_joint_bayes=0.4, l_joint_cn=0.45,
@@ -248,43 +262,48 @@ class TestInnovationPrecision:
     def test_degenerate_cases_raise(self):
         with pytest.raises(DegenerateDecompositionError):
             innovation_precision(SignalSpec(1.0, 1.0, 1.0))
-        with pytest.raises(DegenerateDecompositionError):
-            loss_joint_bayes(ENV, SignalSpec(1.0, 1.0, 1.0))
-        with pytest.raises(DegenerateDecompositionError):
-            marginal_value(ENV, SignalSpec(1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("spec", [SignalSpec(1.0, 1.0, 1.0), SignalSpec(2.0, 1.0, 1.0)])
+    def test_full_overlap_has_no_innovation(self, spec):
+        # no decomposition exists at lam = 1, yet the profile is defined there:
+        # the assistant adds nothing to the own signal
+        p = loss_profile(ENV, spec)
+        assert p.l_joint_bayes == p.l_human == 1.0 / (1.0 + spec.tau_h)
+        assert p.v_marginal == 0.0
 
 
 class TestClosedFormLosses:
     def test_loss_human_values(self):
-        assert loss_human(ENV, SignalSpec(1.0, 1.0, 0.0)) == 0.5
-        assert loss_human(Environment(0.0, 1.0), SignalSpec(1e9, 1.0, 0.0)) < 1e-8
-        near_prior = loss_human(Environment(0.0, 2.0), SignalSpec(1e-6, 1.0, 0.0))
+        assert loss_profile(ENV, SignalSpec(1.0, 1.0, 0.0)).l_human == 0.5
+        assert loss_profile(Environment(0.0, 1.0), SignalSpec(1e9, 1.0, 0.0)).l_human < 1e-8
+        near_prior = loss_profile(Environment(0.0, 2.0), SignalSpec(1e-6, 1.0, 0.0)).l_human
         assert abs(near_prior - 0.5) < 1e-6
 
     def test_loss_ai_values(self):
-        assert loss_ai(ENV, SignalSpec(1.0, 1.0, 0.0)) == 0.5
-        assert loss_ai(ENV, SignalSpec(3.0, 3.0, 0.0)) == 0.25
-        assert abs(loss_ai(ENV, SignalSpec(1.0, 1e-12, 0.0)) - 1.0) < 1e-9
+        assert loss_profile(ENV, SignalSpec(1.0, 1.0, 0.0)).l_ai == 0.5
+        assert loss_profile(ENV, SignalSpec(3.0, 3.0, 0.0)).l_ai == 0.25
+        assert abs(loss_profile(ENV, SignalSpec(1.0, 1e-12, 0.0)).l_ai - 1.0) < 1e-9
 
     def test_loss_joint_bayes_values(self):
-        assert abs(loss_joint_bayes(ENV, SignalSpec(1.0, 1.0, 0.5)) - 3.0 / 7.0) < ATOL
-        assert abs(loss_joint_bayes(ENV, SignalSpec(1.0, 1.0, 0.0)) - 1.0 / 3.0) < ATOL
+        assert abs(loss_profile(ENV, SignalSpec(1.0, 1.0, 0.5)).l_joint_bayes
+                   - 3.0 / 7.0) < ATOL
+        assert abs(loss_profile(ENV, SignalSpec(1.0, 1.0, 0.0)).l_joint_bayes
+                   - 1.0 / 3.0) < ATOL
         # vanishing assistant precision recovers the own-signal loss
-        weak = loss_joint_bayes(ENV, SignalSpec(1.0, 1e-12, 0.0))
-        assert abs(weak - loss_human(ENV, SignalSpec(1.0, 1e-12, 0.0))) < 1e-9
+        weak = loss_profile(ENV, SignalSpec(1.0, 1e-12, 0.0))
+        assert abs(weak.l_joint_bayes - weak.l_human) < 1e-9
 
     def test_loss_joint_cn_values(self):
-        assert abs(loss_joint_cn(ENV, SignalSpec(1.0, 1.0, 0.5)) - 4.0 / 9.0) < ATOL
-        spec0 = SignalSpec(1.0, 0.7, 0.0)
-        assert loss_joint_cn(ENV, spec0) == 1.0 / 2.7
+        assert abs(loss_profile(ENV, SignalSpec(1.0, 1.0, 0.5)).l_joint_cn - 4.0 / 9.0) < ATOL
+        assert loss_profile(ENV, SignalSpec(1.0, 0.7, 0.0)).l_joint_cn == 1.0 / 2.7
         # at the augmentation boundary the naive fusion ties the own signal
-        boundary = SignalSpec(1.0, 0.68, 0.67)
-        assert abs(loss_joint_cn(ENV, boundary) - loss_human(ENV, boundary)) < ATOL
+        boundary = loss_profile(ENV, SignalSpec(1.0, 0.68, 0.67))
+        assert abs(boundary.l_joint_cn - boundary.l_human) < ATOL
 
     def test_marginal_value_values(self):
-        assert abs(marginal_value(ENV, SignalSpec(1.0, 1.0, 0.5)) - 1.0 / 14.0) < ATOL
-        assert abs(marginal_value(ENV, SignalSpec(1.0, 1.0, 0.0)) - 1.0 / 6.0) < ATOL
-        assert marginal_value(ENV, SignalSpec(1.0, 1e-12, 0.0)) < 1e-9
+        assert abs(loss_profile(ENV, SignalSpec(1.0, 1.0, 0.5)).v_marginal - 1.0 / 14.0) < ATOL
+        assert abs(loss_profile(ENV, SignalSpec(1.0, 1.0, 0.0)).v_marginal - 1.0 / 6.0) < ATOL
+        assert loss_profile(ENV, SignalSpec(1.0, 1e-12, 0.0)).v_marginal < 1e-9
 
     def test_loss_profile_assembles(self):
         profile = loss_profile(ENV, SignalSpec(1.0, 1.0, 0.5))
@@ -342,48 +361,48 @@ class TestInvariants:
         rng = RngHandle(5, 0)
         for _ in range(300):
             env, spec = random_feasible(rng)
-            ljb = loss_joint_bayes(env, spec)
-            assert ljb <= loss_human(env, spec) + ATOL
-            assert ljb <= loss_joint_cn(env, spec) + ATOL
+            p = loss_profile(env, spec)
+            assert p.l_joint_bayes <= p.l_human + ATOL
+            assert p.l_joint_bayes <= p.l_joint_cn + ATOL
 
     def test_overlap_penalty_zero_iff_no_overlap(self):
         rng = RngHandle(6, 0)
         for _ in range(300):
             env, spec = random_feasible(rng)
-            gap = loss_joint_cn(env, spec) - loss_joint_bayes(env, spec)
+            p = loss_profile(env, spec)
+            gap = p.l_joint_cn - p.l_joint_bayes
             if spec.lam == 0.0:
                 assert abs(gap) < ATOL
             else:
                 assert gap > 0.0
-        env = Environment(0.0, 1.7)
-        spec = SignalSpec(0.9, 0.6, 0.0)
-        assert abs(loss_joint_cn(env, spec) - loss_joint_bayes(env, spec)) < ATOL
+        p = loss_profile(Environment(0.0, 1.7), SignalSpec(0.9, 0.6, 0.0))
+        assert abs(p.l_joint_cn - p.l_joint_bayes) < ATOL
 
     def test_marginal_value_monotone_directions(self):
         # strictly increasing in tau_a, strictly decreasing in lam and tau_h
         env = Environment(0.0, 1.0)
         tau_a_grid = np.linspace(0.2, 1.4, 13)
-        values = [marginal_value(env, SignalSpec(1.5, t, 0.4)) for t in tau_a_grid]
+        values = [loss_profile(env, SignalSpec(1.5, t, 0.4)).v_marginal for t in tau_a_grid]
         assert all(b > a for a, b in zip(values, values[1:]))
         lam_grid = np.linspace(0.0, 0.8, 9)
-        values = [marginal_value(env, SignalSpec(1.5, 1.0, l)) for l in lam_grid]
+        values = [loss_profile(env, SignalSpec(1.5, 1.0, l)).v_marginal for l in lam_grid]
         assert all(b < a for a, b in zip(values, values[1:]))
         tau_h_grid = np.linspace(0.8, 3.0, 12)
-        values = [marginal_value(env, SignalSpec(t, 0.7, 0.4)) for t in tau_h_grid]
+        values = [loss_profile(env, SignalSpec(t, 0.7, 0.4)).v_marginal for t in tau_h_grid]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_weak_assistant_sign_matches_overlap_side(self):
         # sign of (naive joint - own alone) at tau_a = 1e-6 is sign(2*lam - 1)
         env = Environment(0.0, 1.0)
         for lam in (0.0, 0.1, 0.2, 0.3, 0.4, 0.45):
-            spec = SignalSpec(1.0, 1e-6, lam)
-            assert loss_joint_cn(env, spec) - loss_human(env, spec) < 0.0
+            p = loss_profile(env, SignalSpec(1.0, 1e-6, lam))
+            assert p.l_joint_cn - p.l_human < 0.0
         for lam in (0.55, 0.6, 0.7, 0.8, 0.9):
-            spec = SignalSpec(1.0, 1e-6, lam)
-            assert loss_joint_cn(env, spec) - loss_human(env, spec) > 0.0
+            p = loss_profile(env, SignalSpec(1.0, 1e-6, lam))
+            assert p.l_joint_cn - p.l_human > 0.0
         # exactly at 1/2 the linear term vanishes and the quadratic term wins
-        spec = SignalSpec(1.0, 1e-6, 0.5)
-        assert loss_joint_cn(env, spec) - loss_human(env, spec) < 0.0
+        p = loss_profile(env, SignalSpec(1.0, 1e-6, 0.5))
+        assert p.l_joint_cn - p.l_human < 0.0
 
     def test_gap_identity_at_quadratic_loss(self):
         # own-alone minus realized naive loss = marginal value minus the
@@ -391,9 +410,10 @@ class TestInvariants:
         rng = RngHandle(8, 0)
         for _ in range(300):
             env, spec = random_feasible(rng)
-            lhs = loss_human(env, spec) - loss_joint_cn(env, spec)
-            penalty = loss_joint_cn(env, spec) - loss_joint_bayes(env, spec)
-            assert abs(lhs - (marginal_value(env, spec) - penalty)) < ATOL
+            p = loss_profile(env, spec)
+            lhs = p.l_human - p.l_joint_cn
+            penalty = p.l_joint_cn - p.l_joint_bayes
+            assert abs(lhs - (p.v_marginal - penalty)) < ATOL
 
 
 def test_monte_carlo_oracle_agrees_with_closed_forms():

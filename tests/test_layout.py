@@ -19,6 +19,11 @@ vector and a stack of them round through one kernel: ``np.dot``,
 ``einsum`` and ``@`` are rejected there.  It reads no ``.probs`` joint
 table either: it conditions only through ``DiscreteProblem.conditionals``.
 
+No module calls the builtin ``sum``: from Python 3.12 on it adds floats
+with compensation, so the same program would print other bytes there.  A
+Python-level float sum is the left fold ``functools.reduce(operator.add,
+..., 0.0)``, the same on every interpreter.
+
 Every name the package's ``__init__`` re-exports is in the ``__all__`` of
 the module it comes from.
 
@@ -131,6 +136,28 @@ def test_bregman_reads_no_joint_table():
     tree = ast.parse((PACKAGE / "bregman.py").read_text(encoding="utf-8"))
     assert [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr == "probs"] == []
+
+
+def builtin_sum_calls(source: str) -> list[int]:
+    """The line of every call of the builtin ``sum`` in ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "sum"]
+
+
+def test_sum_checker_flags_only_builtin_calls():
+    source = ('"""sum(x) in a docstring."""\n'
+              "import numpy as np\n"
+              "a = sum(x)\n"
+              "b = np.sum(x) + x.sum()\n"
+              "c = [sum(r) for r in rows]\n")
+    assert builtin_sum_calls(source) == [3, 5]
+
+
+def test_no_module_calls_the_builtin_sum():
+    found = {path.name: builtin_sum_calls(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_init_reexports_only_public_names():

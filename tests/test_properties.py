@@ -2,7 +2,11 @@
 
 A point is ``(tau0, tau_h, tau_a, lam)`` with ``0 <= lam <= min(tau_h/tau_a, 1)``,
 drawn at ``lam = 0``, in the interior, and on the boundary (which is
-``lam == 1`` whenever ``tau_a <= tau_h``).
+``lam == 1`` whenever ``tau_a <= tau_h``).  The precisions come from
+``[1e-3, 1e3]``, or log-uniformly from ``[1e-12, 1e12]`` for the invariants
+that hold at every scale; the thresholds meet at ``lambda_bar`` only up to
+the rounding of ``lambda_bar`` itself, so that property stays on the
+conditioned range.
 """
 
 import math
@@ -15,11 +19,12 @@ from dualsig.core import Environment, SignalSpec, feasible, loss_profile
 from dualsig.regimes import Regime, classify, lambda_bar, phase_sweep, tau_auto, tau_aug
 
 PRECISIONS = st.floats(1e-3, 1e3)
+EXTREME_PRECISIONS = st.floats(-12.0, 12.0).map(lambda e: 10.0 ** e)
 
 
 @st.composite
-def feasible_points(draw):
-    tau0, tau_h, tau_a = draw(PRECISIONS), draw(PRECISIONS), draw(PRECISIONS)
+def feasible_points(draw, precisions=PRECISIONS):
+    tau0, tau_h, tau_a = draw(precisions), draw(precisions), draw(precisions)
     bound = min(tau_h / tau_a, 1.0)
     lam = draw(st.one_of(st.just(0.0), st.just(bound), st.floats(0.0, bound)))
     return Environment(mu0=0.0, tau0=tau0), SignalSpec(tau_h=tau_h, tau_a=tau_a, lam=lam)
@@ -27,6 +32,16 @@ def feasible_points(draw):
 
 FULL_OVERLAP = (Environment(0.0, 1.0), SignalSpec(1.0, 1.0, 1.0))
 BOUNDARY = (Environment(0.0, 0.5), SignalSpec(1.0, 4.0, 0.25))
+# losses near 1e-12 and near 1e12, on the boundary lam = tau_h/tau_a and at lam = 1
+TINY_LOSSES = (Environment(0.0, 1e12), SignalSpec(1e-12, 1e12, 1e-24))
+HUGE_LOSSES = (Environment(0.0, 1e-12), SignalSpec(1e-12, 1e-12, 1.0))
+
+
+def argmin_regime(p):
+    """The regime of the first least loss in the tie order own, assistant, combination."""
+    losses = (p.l_human, p.l_ai, p.l_joint_cn)
+    first_min = min(range(3), key=losses.__getitem__)
+    return (Regime.IMPAIRMENT, Regime.AUTOMATION, Regime.COMPLEMENTARITY)[first_min]
 
 
 @settings(max_examples=150, deadline=None)
@@ -48,12 +63,21 @@ def test_bayes_is_never_worse_and_the_marginal_value_is_nonnegative(point):
 @example(point=FULL_OVERLAP)  # own and assistant tie: own signal wins
 @example(point=BOUNDARY)
 def test_classify_is_the_argmin_with_the_simpler_system_winning_ties(point):
+    p = loss_profile(*point)
+    assert classify(p) is argmin_regime(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(point=feasible_points(EXTREME_PRECISIONS))
+@example(point=TINY_LOSSES)
+@example(point=HUGE_LOSSES)
+def test_invariants_hold_over_extreme_precisions(point):
     env, spec = point
     p = loss_profile(env, spec)
-    losses = (p.l_human, p.l_ai, p.l_joint_cn)
-    first_min = min(range(3), key=losses.__getitem__)
-    expected = (Regime.IMPAIRMENT, Regime.AUTOMATION, Regime.COMPLEMENTARITY)[first_min]
-    assert classify(env, spec) is expected
+    assert p.l_joint_bayes <= p.l_joint_cn * (1.0 + 1e-12)
+    assert p.l_joint_bayes <= p.l_human
+    assert p.v_marginal >= 0.0
+    assert classify(p) is argmin_regime(p)
 
 
 @settings(max_examples=150, deadline=None)
@@ -91,7 +115,7 @@ def test_phase_sweep_cells_equal_the_scalar_closed_forms(tau0, tau_h, tau_a_axis
         spec = SignalSpec(tau_h=tau_h, tau_a=tau_a, lam=lam)
         p = loss_profile(env, spec)
         assert [float(cell[name]) for name in LOSSES] == [getattr(p, name) for name in LOSSES]
-        assert cell["regime"] is classify(env, spec)
+        assert cell["regime"] is classify(p)
 
 
 @settings(max_examples=100, deadline=None)

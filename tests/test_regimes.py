@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dualsig.core import Environment, SignalSpec, ValidationError, loss_ai, loss_human, loss_joint_cn
+from dualsig.core import Environment, SignalSpec, ValidationError, loss_profile
 from dualsig.regimes import (
     PhaseGrid,
     Regime,
@@ -130,29 +130,29 @@ class TestThresholdArrays:
 
 class TestClassify:
     def test_examples(self):
-        assert classify(ENV, SignalSpec(1.0, 0.3, 0.67)) is Regime.IMPAIRMENT
-        assert classify(ENV, SignalSpec(1.0, 0.9, 0.67)) is Regime.COMPLEMENTARITY
-        assert classify(ENV, SignalSpec(1.0, 2.0, 0.45)) is Regime.AUTOMATION
+        assert classify(loss_profile(ENV, SignalSpec(1.0, 0.3, 0.67))) is Regime.IMPAIRMENT
+        assert classify(loss_profile(ENV, SignalSpec(1.0, 0.9, 0.67))) is Regime.COMPLEMENTARITY
+        assert classify(loss_profile(ENV, SignalSpec(1.0, 2.0, 0.45))) is Regime.AUTOMATION
 
     def test_tie_breaks_prefer_simpler_system(self):
         # own vs assistant tie at tau_a = tau_h resolves to the own signal
-        assert classify(ENV, SignalSpec(1.0, 1.0, 0.85)) is Regime.IMPAIRMENT
+        assert classify(loss_profile(ENV, SignalSpec(1.0, 1.0, 0.85))) is Regime.IMPAIRMENT
         # own vs joint tie at the augmentation boundary resolves to the own signal
-        assert classify(ENV, SignalSpec(1.0, 0.68, 0.67)) is Regime.IMPAIRMENT
+        assert classify(loss_profile(ENV, SignalSpec(1.0, 0.68, 0.67))) is Regime.IMPAIRMENT
 
     def test_low_overlap_never_impairs(self):
         for lam in (0.0, 0.2, 0.4, 0.49):
             for tau_a in np.linspace(0.05, 2.0, 40):
                 if lam <= min(1.0, 1.0 / tau_a):
                     spec = SignalSpec(1.0, float(tau_a), lam)
-                    assert classify(ENV, spec) is not Regime.IMPAIRMENT
+                    assert classify(loss_profile(ENV, spec)) is not Regime.IMPAIRMENT
 
     def test_high_overlap_never_complements(self):
         for lam in (0.76, 0.8, 0.9):
             for tau_a in np.linspace(0.05, 1.3, 60):
                 if lam <= min(1.0, 1.0 / tau_a):
                     spec = SignalSpec(1.0, float(tau_a), lam)
-                    assert classify(ENV, spec) is not Regime.COMPLEMENTARITY
+                    assert classify(loss_profile(ENV, spec)) is not Regime.COMPLEMENTARITY
 
     def test_intermediate_overlap_complement_window(self):
         lam = 0.6
@@ -161,17 +161,17 @@ class TestClassify:
             spec = SignalSpec(1.0, float(tau_a), lam)
             expected = Regime.COMPLEMENTARITY if lo < tau_a < hi else (
                 Regime.IMPAIRMENT if tau_a <= lo else Regime.AUTOMATION)
-            assert classify(ENV, spec) is expected
+            assert classify(loss_profile(ENV, spec)) is expected
 
     def test_array_spec_gives_array_of_regimes(self):
         # the tie cases above and one cell of each regime, classified together
         tau_a = np.array([0.3, 0.9, 2.0, 1.0, 0.68])
         lam = np.array([0.67, 0.67, 0.45, 0.85, 0.67])
-        tags = classify(ENV, SignalSpec(np.ones(5), tau_a, lam))
+        tags = classify(loss_profile(ENV, SignalSpec(np.ones(5), tau_a, lam)))
         assert tags.dtype == object and tags.shape == (5,)
         assert list(tags) == [Regime.IMPAIRMENT, Regime.COMPLEMENTARITY, Regime.AUTOMATION,
                               Regime.IMPAIRMENT, Regime.IMPAIRMENT]
-        assert list(tags) == [classify(ENV, SignalSpec(1.0, float(t), float(x)))
+        assert list(tags) == [classify(loss_profile(ENV, SignalSpec(1.0, float(t), float(x))))
                               for t, x in zip(tau_a, lam)]
 
     def test_scale_invariance(self):
@@ -179,10 +179,10 @@ class TestClassify:
         for _ in range(100):
             tau0, tau_h, tau_a = rng.uniform(0.2, 2.5, size=3)
             lam = rng.uniform(0.0, 1.0) * min(tau_h / tau_a, 1.0)
-            base = classify(Environment(0.0, tau0), SignalSpec(tau_h, tau_a, lam))
+            base = classify(loss_profile(Environment(0.0, tau0), SignalSpec(tau_h, tau_a, lam)))
             for c in (0.1, 3.0, 17.5):
-                scaled = classify(Environment(0.0, c * tau0),
-                                  SignalSpec(c * tau_h, c * tau_a, lam))
+                scaled = classify(loss_profile(Environment(0.0, c * tau0),
+                                  SignalSpec(c * tau_h, c * tau_a, lam)))
                 assert scaled is base
 
 
@@ -268,10 +268,12 @@ class TestPhaseSweep:
         grid = phase_sweep(ENV, 1.0, [0.3, 0.9], [0.2, 0.67])
         for row in grid.cells:
             for cell in row:
-                spec = SignalSpec(1.0, cell["tau_a"], cell["lam"])
-                assert cell["l_human"] == loss_human(ENV, spec)
-                assert cell["l_ai"] == loss_ai(ENV, spec)
-                assert cell["l_joint_cn"] == loss_joint_cn(ENV, spec)
+                tau_a, lam = float(cell["tau_a"]), float(cell["lam"])
+                p = loss_profile(ENV, SignalSpec(1.0, tau_a, lam))
+                assert cell["l_human"] == p.l_human == 1.0 / 2.0
+                assert cell["l_ai"] == p.l_ai == 1.0 / (1.0 + tau_a)
+                T = 2.0 + tau_a
+                assert cell["l_joint_cn"] == p.l_joint_cn == 1.0 / T + 2.0 * lam * tau_a / (T * T)
 
     def test_axis_validation(self):
         with pytest.raises(ValidationError):
