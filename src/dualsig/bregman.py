@@ -26,11 +26,12 @@ verifies this exactly by enumeration on finite problems;
 rule with a Monte Carlo estimate of the penalty term.
 
 Stacked convention: :func:`bregman_loss` takes for ``y`` and ``d`` one
-vector of the generator's dimension or a stack of them, shape
-``(..., dimension)`` (a scalar is one vector of dimension 1), and
-broadcasts ``y`` against ``d``.  Each call validates its whole input once:
-the trailing dimension, finiteness and the negative-entropy domain, where
-one bad row rejects the stack.  One pair gives a float, a stack an array.
+vector or a stack of them, shape ``(..., k)`` (a scalar is one vector of
+length 1), and broadcasts ``y`` against ``d``.  A generator declares no
+dimension: the inputs fix it, and ``y`` and ``d`` must have the same
+trailing length ``k``.  Each call validates its whole input once: the
+trailing lengths, finiteness and the negative-entropy domain, where one
+bad row rejects the stack.  One pair gives a float, a stack an array.
 Every inner product goes through ``np.vecdot``, which rounds as ``np.dot``
 does, so a stacked loss equals the per-vector losses bit for bit.
 """
@@ -72,25 +73,13 @@ GENERATOR_KINDS = ("squared", "negative_entropy")
 
 @dataclass(frozen=True)
 class BregmanGenerator:
-    """A named strictly convex generator with a fixed dimension."""
+    """A named strictly convex generator; it applies to vectors of any length."""
 
     kind: str
-    dimension: int
 
     def __post_init__(self) -> None:
         if self.kind not in GENERATOR_KINDS:
             raise ValidationError(f"kind must be one of {GENERATOR_KINDS}, got {self.kind!r}")
-        if self.dimension < 1:
-            raise ValidationError(f"dimension must be >= 1, got {self.dimension}")
-
-    def _stack(self, x) -> np.ndarray:
-        v = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        if v.shape[-1] != self.dimension:
-            raise ValidationError(
-                f"expected vectors of length {self.dimension}, got shape {v.shape}")
-        if not np.isfinite(v).all():
-            raise ValidationError("vector entries must be finite")
-        return v
 
     def _phi(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "squared":
@@ -113,17 +102,22 @@ def bregman_loss(gen: BregmanGenerator, y, d):
     """``phi(y) - phi(d) - <y - d, grad phi(d)>``; >= 0, zero only at y = d.
 
     ``y`` and ``d`` are vectors or broadcasting stacks of them; a float for
-    one pair, else an array of the broadcast leading shape.
+    one pair, else an array of the broadcast leading shape.  ``y`` and
+    ``d`` must have the same trailing length.
     """
-    yv = gen._stack(y)
-    dv = gen._stack(d)
+    yv, dv = (np.atleast_1d(np.asarray(x, dtype=np.float64)) for x in (y, d))
+    if yv.shape[-1] != dv.shape[-1]:
+        raise ValidationError(
+            f"y and d must be vectors of one length, got shapes {yv.shape} and {dv.shape}")
+    if not (np.isfinite(yv).all() and np.isfinite(dv).all()):
+        raise ValidationError("vector entries must be finite")
     grad = gen._grad(dv)  # rejects decisions outside the domain
     return native(gen._phi(yv) - gen._phi(dv) - np.vecdot(yv - dv, grad))
 
 
 @dataclass(frozen=True)
 class GapReport:
-    """The four terms of the gap identity and their residual.
+    """The three terms of the gap identity and their residual.
 
     ``residual = lhs - (marginal - penalty)`` should vanish; for Monte Carlo
     penalties the attainable bound is a few ``penalty_se``.
@@ -132,18 +126,18 @@ class GapReport:
     lhs: float
     marginal: float
     penalty: float
-    residual: float
     penalty_se: float | None = None
+
+    @property
+    def residual(self) -> float:
+        return self.lhs - (self.marginal - self.penalty)
 
 
 def _encode_states(problem: DiscreteProblem, gen: BregmanGenerator) -> np.ndarray:
     """One row per state: one-hot for negative entropy, else the state's value."""
-    one_hot = gen.kind == "negative_entropy"
-    dimension = len(problem.states) if one_hot else 1
-    if gen.dimension != dimension:
-        raise ValidationError(f"{gen.kind} states need dimension {dimension}, "
-                              f"generator has {gen.dimension}")
-    return np.eye(dimension) if one_hot else np.array(problem.states)[:, None]
+    if gen.kind == "negative_entropy":
+        return np.eye(len(problem.states))
+    return np.array(problem.states)[:, None]
 
 
 def _mixture(weights: np.ndarray, enc: np.ndarray) -> np.ndarray:
@@ -155,8 +149,9 @@ def _mixture(weights: np.ndarray, enc: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rule_table(delta_hat: Mapping, pairs, gen: BregmanGenerator) -> np.ndarray:
-    """The decisions of ``delta_hat`` at ``pairs``, one validated row each."""
+def _rule_table(delta_hat: Mapping, pairs, dimension: int) -> np.ndarray:
+    """The decisions of ``delta_hat`` at ``pairs``, one row of length
+    ``dimension``, the length of the state encoding, each."""
     rows = []
     for h, a in pairs:
         try:
@@ -165,10 +160,10 @@ def _rule_table(delta_hat: Mapping, pairs, gen: BregmanGenerator) -> np.ndarray:
             raise ValidationError(
                 f"decision rule table has no entry for signal pair ({h!r}, {a!r})") from exc
         v = np.atleast_1d(np.asarray(value, dtype=np.float64))
-        if v.shape != (gen.dimension,):
+        if v.shape != (dimension,):
             raise ValidationError(
                 f"decision for signal pair ({h!r}, {a!r}) must be a vector of length "
-                f"{gen.dimension}, got shape {v.shape}")
+                f"{dimension}, got shape {v.shape}")
         rows.append(v)
     return np.stack(rows)
 
@@ -195,7 +190,7 @@ def gap_check_discrete(problem: DiscreteProblem, delta_hat: Mapping,
     d_h = _mixture(cond_h, enc)[np.searchsorted(live_h, live // n_a)]
     d_star = _mixture(cond, enc)
     d_hat = _rule_table(delta_hat, [(alphabet_h[j // n_a], alphabet_a[j % n_a]) for j in live],
-                        gen)
+                        enc.shape[1])
 
     weights = cond * p_pair
     keep = (cond > 0.0).T
@@ -208,8 +203,7 @@ def gap_check_discrete(problem: DiscreteProblem, delta_hat: Mapping,
     penalty = reduce(add, (p_pair * bregman_loss(gen, d_star, d_hat)).tolist(), 0.0)
     lhs = l_human_term - l_hat
     marginal = l_human_term - l_star
-    return GapReport(lhs=lhs, marginal=marginal, penalty=penalty,
-                     residual=lhs - (marginal - penalty))
+    return GapReport(lhs=lhs, marginal=marginal, penalty=penalty)
 
 
 def gap_check_gaussian_cn(env: Environment, spec: SignalSpec, n: int,
@@ -230,8 +224,7 @@ def gap_check_gaussian_cn(env: Environment, spec: SignalSpec, n: int,
 
     est = montecarlo.accumulate(env, spec, n, RngHandle(seed, stream=3),
                                 {"penalty": misuse})["penalty"]
-    return GapReport(lhs=lhs, marginal=marg, penalty=est.mean,
-                     residual=lhs - (marg - est.mean), penalty_se=est.std_error)
+    return GapReport(lhs=lhs, marginal=marg, penalty=est.mean, penalty_se=est.std_error)
 
 
 def conditional_mean_optimality(problem: DiscreteProblem, gen: BregmanGenerator) -> float:
@@ -244,11 +237,9 @@ def conditional_mean_optimality(problem: DiscreteProblem, gen: BregmanGenerator)
     it should vanish up to rounding.  Supported searches: scalar decisions for
     the squared generator, binary distributions for negative entropy.
     """
-    enc = _encode_states(problem, gen)
-    if gen.kind == "squared" and gen.dimension != 1:
-        raise ValidationError("optimality search supports scalar squared losses only")
-    if gen.kind == "negative_entropy" and gen.dimension != 2:
+    if gen.kind == "negative_entropy" and len(problem.states) != 2:
         raise ValidationError("optimality search supports binary negative entropy only")
+    enc = _encode_states(problem, gen)
     _, _, conds = problem.conditionals(problem.signal_names)
     max_advantage = 0.0
     for cond, d_star in zip(conds.T, _mixture(conds, enc)):

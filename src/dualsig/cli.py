@@ -124,7 +124,7 @@ def cmd_simulate(args) -> int:
     summaries = cueworld.concentration_experiment(
         args.n or [100_000], plan, reps=args.reps, mode=args.mode, seed=args.seed,
         tau=args.tau, tau_bounds=(args.tau_min, args.tau_max))
-    rows = [[s.n_cues, s.reps, s.mode, s.target, s.mean_abs_error, s.max_abs_error]
+    rows = [[s.n_cues, args.reps, args.mode, s.target, s.mean_abs_error, s.max_abs_error]
             for s in summaries]
     _write_csv(args.out, ["N", "reps", "mode", "target", "mean_err", "max_err"], rows)
     return 0
@@ -134,7 +134,7 @@ def cmd_verify(args) -> int:
     checks = verify.run(args.suite, n=args.n, seed=args.seed, sigma_mult=args.sigma_mult,
                         tau0=args.tau0, tau_h=args.tauH)
     _write_csv(args.out, ["suite", "check", "observed", "expected", "delta", "tol", "ok"],
-               ([c.suite, c.name, c.observed, c.expected, c.delta, c.tol, c.ok]
+               ([args.suite, c.name, c.observed, c.expected, c.delta, c.tol, c.ok]
                 for c in checks))
     return 0 if all(c.ok for c in checks) else 1
 

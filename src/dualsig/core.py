@@ -31,6 +31,7 @@ float64 arrays of points, on which every formula acts element-wise.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,6 +43,7 @@ __all__ = [
     "SignalSpec",
     "LossProfile",
     "require",
+    "count",
     "native",
     "finite_total",
     "feasible",
@@ -70,6 +72,17 @@ def require(ok, message: str, *values, error: type[ValidationError] = Validation
     if not np.all(ok):
         i = np.flatnonzero(np.logical_not(ok))[0]
         raise error(message.format(*(np.broadcast_to(v, np.shape(ok)).flat[i] for v in values)))
+
+
+def count(value, name: str, least: int) -> int:
+    """``value`` as an int >= ``least``; a float is rejected, not truncated."""
+    try:
+        out = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if out < least:
+        raise ValidationError(f"{name} must be >= {least}, got {out}")
+    return out
 
 
 def native(x):

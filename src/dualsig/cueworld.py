@@ -5,7 +5,9 @@ state, cue ``i`` having variance ``N / tau_i`` (so pooling everything yields
 a signal of precision ``mean(tau_i)``).  The decision-maker aggregates the
 cues in their index set, the assistant aggregates a random subset of an
 "accessible" sub-pool; both use the plain average in the homogeneous mode
-and the precision-weighted average otherwise.
+and the precision-weighted average otherwise.  The accessible pool is a
+prefix, the first ``n_accessible`` cues, so a world stores its size and not
+a mask, and a position drawn in the pool is the cue's index.
 
 Because shared cues enter both aggregates, the conditional covariance of the
 two signals is positive, and the overlap coefficient has a set-theoretic
@@ -35,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ValidationError, finite_total
+from .core import ValidationError, count, finite_total
 from .rng import RngHandle, derive_seed
 
 __all__ = [
@@ -86,48 +88,49 @@ class SamplingPlan:
 
 @dataclass(frozen=True, eq=False)
 class CueWorld:
-    """Immutable cue pool: per-cue precisions, accessibility mask, human set.
+    """Immutable cue pool: per-cue precisions, the size of the accessible
+    pool (its first ``n_accessible`` cues), and the human set.
 
     ``human_set`` is stored sorted and unique; ``human_mask`` (True on
-    ``human_set``) and ``accessible_indices`` are derived once, at
-    construction, for the per-repetition draws.  A heterogeneous world's
-    total precision must be finite: every precision-mass ratio sums a part
-    of it.
+    ``human_set``) is derived once, at construction, for the
+    per-repetition draws.  A heterogeneous world's total precision must be
+    finite: every precision-mass ratio sums a part of it.
     """
 
-    n_cues: int
     precisions: np.ndarray
-    accessible: np.ndarray
+    n_accessible: int
     human_set: np.ndarray
     homogeneous: bool
     human_mask: np.ndarray = field(init=False, repr=False)
-    accessible_indices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.n_cues < 1:
-            raise ValidationError(f"n_cues must be >= 1, got {self.n_cues}")
         prec = np.asarray(self.precisions, dtype=np.float64)
-        acc = np.asarray(self.accessible, dtype=bool)
         hset = _index_array(self.human_set, "human_set")
-        if prec.shape != (self.n_cues,) or acc.shape != (self.n_cues,):
-            raise ValidationError("precisions and accessible must have length n_cues")
+        if prec.ndim != 1:
+            raise ValidationError(f"precisions must form a 1-D array, got shape {prec.shape}")
+        if count(self.n_accessible, "n_accessible", 1) > prec.size:
+            raise ValidationError(
+                f"n_accessible must be <= {prec.size}, the number of cues, "
+                f"got {self.n_accessible}")
         if not np.all(np.isfinite(prec)) or np.any(prec <= 0.0):
             raise ValidationError("cue precisions must be finite and positive")
         if not self.homogeneous:
             with np.errstate(over="ignore"):
                 finite_total(np.sum(prec), "total cue precision")
-        if hset.size and (hset.min() < 0 or hset.max() >= self.n_cues):
+        if hset.size and (hset.min() < 0 or hset.max() >= prec.size):
             raise ValidationError("human_set indices out of range")
         hset = np.sort(hset)
         if np.any(hset[1:] == hset[:-1]):
             raise ValidationError("human_set indices must be unique")
-        in_h = np.zeros(self.n_cues, dtype=bool)
+        in_h = np.zeros(prec.size, dtype=bool)
         in_h[hset] = True
-        for name, arr in (("precisions", prec), ("accessible", acc), ("human_set", hset),
-                          ("human_mask", in_h),
-                          ("accessible_indices", np.flatnonzero(acc))):
+        for name, arr in (("precisions", prec), ("human_set", hset), ("human_mask", in_h)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def n_cues(self) -> int:
+        return self.precisions.size
 
 
 @dataclass(frozen=True)
@@ -135,8 +138,6 @@ class ConcentrationSummary:
     """Overlap-error summary for one pool size (CSV row of ``simulate``)."""
 
     n_cues: int
-    reps: int
-    mode: str
     target: float
     mean_abs_error: float
     max_abs_error: float
@@ -177,8 +178,7 @@ def build_world(n_cues: int, plan: SamplingPlan, mode: str = "homogeneous",
     """
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-    if n_cues < 1:
-        raise ValidationError(f"n_cues must be >= 1, got {n_cues}")
+    n_cues = count(n_cues, "n_cues", 1)
     n_acc = round_half_away(plan.m * n_cues)
     n_overlap = round_half_away(plan.k * n_cues)
     n_human = round_half_away(plan.h_total * n_cues)
@@ -207,26 +207,22 @@ def build_world(n_cues: int, plan: SamplingPlan, mode: str = "homogeneous",
             raise ValidationError(f"tau must be finite and positive, got {tau}")
         precisions = np.full(n_cues, float(tau))
 
-    accessible = np.zeros(n_cues, dtype=bool)
-    accessible[:n_acc] = True
     human_acc = rng.subset(n_acc, n_overlap)
     human_rest = n_acc + rng.subset(n_cues - n_acc, n_human - n_overlap)
     human_set = np.concatenate([human_acc, human_rest])
-    return CueWorld(n_cues=n_cues, precisions=precisions, accessible=accessible,
-                    human_set=human_set, homogeneous=(mode == "homogeneous"))
+    return CueWorld(precisions=precisions, n_accessible=n_acc, human_set=human_set,
+                    homogeneous=(mode == "homogeneous"))
 
 
 def sample_ai_set(world: CueWorld, a: float, seed: int = 0) -> np.ndarray:
     """Uniform ``round(a*N)``-subset of the accessible pool (stream 1)."""
     n_ai = round_half_away(a * world.n_cues)
-    acc = world.accessible_indices
     if n_ai < 1:
         raise ValidationError(f"assistant sample size rounds to {n_ai}; need >= 1")
-    if n_ai > acc.size:
+    if n_ai > world.n_accessible:
         raise ValidationError(
-            f"assistant sample size {n_ai} exceeds accessible pool {acc.size}")
-    rng = RngHandle(seed, stream=1)
-    return acc[rng.subset(acc.size, n_ai)]
+            f"assistant sample size {n_ai} exceeds accessible pool {world.n_accessible}")
+    return RngHandle(seed, stream=1).subset(world.n_accessible, n_ai)
 
 
 def empirical_lambda(world: CueWorld, ai_set: Iterable[int]) -> float:
@@ -284,8 +280,7 @@ def overlap_estimates(world: CueWorld, a: float, reps: int, seed: int) -> np.nda
 
     Repetition ``rep`` uses the child seed ``derive_seed(seed, rep)``.
     """
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
+    reps = count(reps, "reps", 1)
     return np.array([empirical_lambda(world, sample_ai_set(world, a, derive_seed(seed, rep)))
                      for rep in range(reps)], dtype=np.float64)
 
@@ -303,15 +298,16 @@ def concentration_experiment(n_values: Sequence[int], plan: SamplingPlan,
     ``|lambda_hat - target|``, with the target ``k/m`` in homogeneous mode
     and the accessible pool's :func:`empirical_lambda` otherwise.
     """
+    reps = count(reps, "reps", 1)
     out = []
     for i, n_cues in enumerate(n_values):
         world = build_world(n_cues, plan, mode=mode, tau=tau, tau_bounds=tau_bounds,
                             seed=derive_seed(seed, i))
         target = (plan.k / plan.m if mode == "homogeneous"
-                  else empirical_lambda(world, world.accessible_indices))
+                  else empirical_lambda(world, np.arange(world.n_accessible)))
         errors = np.abs(overlap_estimates(world, plan.a, reps, derive_seed(seed, i)) - target)
         out.append(ConcentrationSummary(
-            n_cues=n_cues, reps=reps, mode=mode, target=target,
+            n_cues=world.n_cues, target=target,
             mean_abs_error=float(np.mean(errors)),
             max_abs_error=float(np.max(errors))))
     return out

@@ -30,7 +30,6 @@ is the maximum over the process and its waited-for descendants.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -40,9 +39,9 @@ import numpy as np
 from .core import (
     Environment,
     SignalSpec,
-    ValidationError,
     bayes_posterior_mean,
     cn_posterior_mean,
+    count,
     feasible,
     innovation_precision,
     loss_profile,
@@ -77,7 +76,6 @@ class Estimate:
 
     mean: float
     std_error: float
-    n: int
 
 
 def _pairwise_total(values: Sequence[float]) -> float:
@@ -91,17 +89,6 @@ def _pairwise_total(values: Sequence[float]) -> float:
     return vals[0]
 
 
-def _count(value, name: str, least: int) -> int:
-    """``value`` as an int >= ``least``; a float is rejected, not truncated."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
-    if count < least:
-        raise ValidationError(f"{name} must be >= {least}, got {count}")
-    return count
-
-
 def sample_triple(env: Environment, spec: SignalSpec, rng: RngHandle, size: int):
     """Draw ``size`` triples (y, h, a) from the joint model, as three float64
     arrays of length ``size``.
@@ -111,7 +98,7 @@ def sample_triple(env: Environment, spec: SignalSpec, rng: RngHandle, size: int)
     innovation: ``a = lam*h + (1-lam)*(y + innovation noise)``.
     """
     tilde = innovation_precision(spec)
-    n = _count(size, "size", 1)
+    n = count(size, "size", 1)
     y = env.mu0 + rng.normals(n) / math.sqrt(env.tau0)
     h = y + rng.normals(n) / math.sqrt(spec.tau_h)
     a_innov = y + rng.normals(n) / math.sqrt(tilde)
@@ -128,7 +115,7 @@ def accumulate(env: Environment, spec: SignalSpec, n: int, rng: RngHandle,
     sums of the values and of their squares are reduced by a fixed pairwise
     tree.  ``n`` must be at least 2, the fewest draws with a standard error.
     """
-    n = _count(n, "n", 2)
+    n = count(n, "n", 2)
     sums = {name: [] for name in stats}
     sums_sq = {name: [] for name in stats}
     done = 0
@@ -144,7 +131,7 @@ def accumulate(env: Environment, spec: SignalSpec, n: int, rng: RngHandle,
     for name in stats:
         mean = _pairwise_total(sums[name]) / n
         var = max((_pairwise_total(sums_sq[name]) - n * mean * mean) / (n - 1), 0.0)
-        out[name] = Estimate(mean=mean, std_error=math.sqrt(var / n), n=n)
+        out[name] = Estimate(mean=mean, std_error=math.sqrt(var / n))
     return out
 
 

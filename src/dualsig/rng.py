@@ -42,11 +42,14 @@ Derived streams for parallel or repeated work come from :func:`derive_seed`,
 which hashes the parent identity with ``mix64`` so that child streams are
 statistically unrelated; :meth:`RngHandle.split` applies it to the stream.
 Seeds and streams must lie in ``[0, 2**64)``; neither is reduced mod 2**64,
-so no out-of-range value draws the words of an in-range one.
+so no out-of-range value draws the words of an in-range one.  Nor is any
+integer argument truncated: a float seed, stream, index or count raises
+``TypeError``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,7 +82,7 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
 
 
 def _checked_seed(seed: int) -> int:
-    seed = int(seed)
+    seed = operator.index(seed)
     if not 0 <= seed <= _MASK:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     return seed
@@ -94,7 +97,7 @@ def derive_seed(seed: int, *indices: int) -> int:
     so nested experiments can derive further children from a child seed.
     """
     out = _checked_seed(seed)
-    for ix in indices:
+    for ix in map(operator.index, indices):
         if ix < 0:
             raise ValueError(f"split index must be nonnegative, got {ix}")
         out = mix64(out ^ ((ix + 1) * _GAMMA & _MASK))
@@ -181,13 +184,14 @@ class RngHandle:
 
     def __post_init__(self) -> None:
         self.seed = _checked_seed(self.seed)
-        self.stream = int(self.stream)
+        self.stream = operator.index(self.stream)
         if not 0 <= self.stream <= _MASK:
             raise ValueError(f"stream must lie in [0, 2**64), got {self.stream}")
         self._key = mix64(mix64(self.seed + _GAMMA) ^ mix64(self.stream + _STREAM_SALT))
 
     def words(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit words as a uint64 array."""
+        n = operator.index(n)
         if n < 0:
             raise ValueError("n must be nonnegative")
         state = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
@@ -214,6 +218,7 @@ class RngHandle:
 
         Consumes exactly ``pool_size`` uniforms.
         """
+        pool_size, k = operator.index(pool_size), operator.index(k)
         if not 0 <= k <= pool_size:
             raise ValueError(f"need 0 <= k <= pool_size, got k={k}, pool={pool_size}")
         return _smallest_k(self.uniforms(pool_size), k)

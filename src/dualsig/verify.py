@@ -10,10 +10,11 @@ voi           discrete value of information against brute force, a worked
 lemma         simulated conditional moments, the three-point identity,
               conditional-mean optimality, and the cue-pool overlap ratio
 
-:func:`run` returns one :class:`Check` per comparison, and :attr:`Check.ok`
-is the one pass rule: the oracles in :mod:`dualsig.montecarlo` and
-:mod:`dualsig.bregman` return measurements only, and each suite here gives
-them their tolerance.  The Monte Carlo suites (``closed_forms``, ``gap``,
+:func:`run` returns one :class:`Check` per comparison, keyed by a name
+unique within the suite; a check does not repeat the suite it was asked
+for.  :attr:`Check.ok` is the one pass rule: the oracles in
+:mod:`dualsig.montecarlo` and :mod:`dualsig.bregman` return measurements
+only, and each suite here gives them their tolerance.  The Monte Carlo suites (``closed_forms``, ``gap``,
 ``lemma``) need ``n >= 2`` draws, the fewest with a standard error; ``run``
 rejects smaller ``n``, and any ``tau0``/``tau_h`` that is not finite and
 positive or ``sigma_mult`` that is not finite and nonnegative, before any
@@ -45,7 +46,6 @@ class Check:
     A skipped comparison has no observed value and counts as passing.
     """
 
-    suite: str
     name: str
     observed: float | None = None
     expected: float | None = None
@@ -60,9 +60,6 @@ class Check:
         return self.observed is None or self.delta <= self.tol
 
 
-_GENERATORS = (("squared", 1), ("negative_entropy", 2))
-
-
 def _closed_forms(n, seed, sigma_mult, tau0, tau_h):
     env = Environment(mu0=0.0, tau0=tau0)
     tau_a_grid = [round(0.2 * i, 10) for i in range(1, 11)]
@@ -71,11 +68,10 @@ def _closed_forms(n, seed, sigma_mult, tau0, tau_h):
             env, tau_h, tau_a_grid, lambda_grid, n, RngHandle(seed, stream=0)):
         cell = f"tauA={tau_a:g},lam={lam:g}"
         if losses is None:
-            yield Check("closed_forms", f"skip[{cell}]")
+            yield Check(f"skip[{cell}]")
             continue
         for rule, est, closed_form in losses:
-            yield Check("closed_forms", f"loss[{rule}][{cell}]", est.mean, closed_form,
-                        sigma_mult * est.std_error)
+            yield Check(f"loss[{rule}][{cell}]", est.mean, closed_form, sigma_mult * est.std_error)
 
 
 def _random_discrete_problem(rng: RngHandle):
@@ -90,14 +86,14 @@ def _random_discrete_problem(rng: RngHandle):
 
 
 def _random_rule(problem, gen, rng: RngHandle):
+    """A random decision per signal pair: a scalar in [-0.5, 1.5) for the
+    squared generator, a distribution over the states for negative entropy."""
+    squared = gen.kind == "squared"
     rule = {}
     for h in problem.alphabets[0]:
         for a in problem.alphabets[1]:
-            u = rng.uniforms(gen.dimension)
-            if gen.kind == "squared":
-                rule[(h, a)] = 2.0 * u - 0.5
-            else:
-                rule[(h, a)] = u / u.sum()
+            u = rng.uniforms(1 if squared else len(problem.states))
+            rule[(h, a)] = 2.0 * u - 0.5 if squared else u / u.sum()
     return rule
 
 
@@ -127,11 +123,10 @@ def _random_feasible_specs(seed: int, count: int):
 
 
 def _discrete_residuals(seed: int) -> list[float]:
-    """Worst exact gap residual of each of ``_GENERATORS``."""
+    """Worst exact gap residual of each of ``bregman.GENERATOR_KINDS``."""
     rng = RngHandle(seed, stream=10)
-    return [_worst_discrete_residual(rng, 100, 1000,
-                                     bregman.BregmanGenerator(kind=kind, dimension=dim))
-            for kind, dim in _GENERATORS]
+    return [_worst_discrete_residual(rng, 100, 1000, bregman.BregmanGenerator(kind))
+            for kind in bregman.GENERATOR_KINDS]
 
 
 def _gap(n, seed, sigma_mult, tau0, tau_h):
@@ -145,13 +140,12 @@ def _gap(n, seed, sigma_mult, tau0, tau_h):
         + [(bregman.gap_check_gaussian_cn, env_i, spec_i, n, seed_i)
            for env_i, spec_i, seed_i in specs], local=1)
 
-    for (kind, _), residual in zip(_GENERATORS, worst):
-        yield Check("gap", f"discrete_residual[{kind}]", residual, 0.0, 1e-12)
-    yield Check("gap", "gaussian_penalty[1,1,1,0.5]", report.penalty, 1.0 / 63.0,
+    for kind, residual in zip(bregman.GENERATOR_KINDS, worst):
+        yield Check(f"discrete_residual[{kind}]", residual, 0.0, 1e-12)
+    yield Check("gaussian_penalty[1,1,1,0.5]", report.penalty, 1.0 / 63.0,
                 sigma_mult * report.penalty_se)
     for i, report in enumerate(reports):
-        yield Check("gap", f"gaussian_residual[{i}]", report.residual, 0.0,
-                    sigma_mult * report.penalty_se)
+        yield Check(f"gaussian_residual[{i}]", report.residual, 0.0, sigma_mult * report.penalty_se)
 
 
 def _mutual_information_bits(problem, signals) -> float:
@@ -176,19 +170,19 @@ def _voi(n, seed, sigma_mult, tau0, tau_h):
         problem = voi.ratio_construction(target)
         report = voi.marginal_value_discrete(problem)
         ratio = 0.0 if report.v_a_given_h == 0.0 else report.ratio
-        yield Check("voi", f"ratio_target[{target:g}]", ratio, target, 1e-9)
+        yield Check(f"ratio_target[{target:g}]", ratio, target, 1e-9)
         brute = voi.brute_force_voi(problem)
         brute_ratio = 0.0 if brute.v_a_given_h <= 1e-12 else brute.ratio
-        yield Check("voi", f"ratio_bruteforce[{target:g}]", brute_ratio, ratio, 1e-9)
+        yield Check(f"ratio_bruteforce[{target:g}]", brute_ratio, ratio, 1e-9)
 
     single, both = voi.posterior_two_tests(0.001, 0.7, 0.01)
-    yield Check("voi", "clinical_single_positive", single, 0.0655, 5e-4)
-    yield Check("voi", "clinical_both_positive", both, 0.8306, 5e-4)
+    yield Check("clinical_single_positive", single, 0.0655, 5e-4)
+    yield Check("clinical_both_positive", both, 0.8306, 5e-4)
 
     problem = voi.xor_construction(0.25)
     for name, signals in (("mi_identity[h]", ("h",)), ("mi_identity[a]", ("a",)),
                           ("mi_identity[h,a]", ("h", "a"))):
-        yield Check("voi", name, voi.value_of_information(problem, signals),
+        yield Check(name, voi.value_of_information(problem, signals),
                     _mutual_information_bits(problem, signals), 1e-12)
 
     quad = voi.DiscreteProblem(
@@ -201,7 +195,7 @@ def _voi(n, seed, sigma_mult, tau0, tau_h):
     prior = quad.probs.sum(axis=(1, 2))
     y = np.array([-1.0, 0.5, 2.0])
     var_y = float(prior @ (y * y) - (prior @ y) ** 2)
-    yield Check("voi", "variance_reduction_identity",
+    yield Check("variance_reduction_identity",
                 voi.value_of_information(quad, ("h", "a")),
                 var_y - voi.bayes_risk(quad, ("h", "a")), 1e-12)
 
@@ -233,7 +227,7 @@ def _lemma(n, seed, sigma_mult, tau0, tau_h):
         for name, expected in (("var_h_given_y", 1.0 / spec.tau_h),
                                ("var_a_given_y", 1.0 / spec.tau_a),
                                ("cov_ha_given_y", spec.lam / spec.tau_h)):
-            yield Check("lemma", f"{name}[spec{i}]", est[name].mean, expected,
+            yield Check(f"{name}[spec{i}]", est[name].mean, expected,
                         sigma_mult * est[name].std_error)
         # Innovation noise is orthogonal to own-signal noise given y, so their
         # sample correlation should vanish at the 1/sqrt(n) scale.
@@ -242,23 +236,23 @@ def _lemma(n, seed, sigma_mult, tau0, tau_h):
                 / math.sqrt((est["var_h_given_y"].mean - m_h * m_h)
                             * (est["innov_sq"].mean - m_i * m_i)))
         se = 1.0 / math.sqrt(n)
-        yield Check("lemma", f"corr_innovation_h_given_y[spec{i}]", corr, 0.0, sigma_mult * se)
+        yield Check(f"corr_innovation_h_given_y[spec{i}]", corr, 0.0, sigma_mult * se)
 
     rng = RngHandle(seed, stream=21)
-    for kind, dim in _GENERATORS:
-        gen = bregman.BregmanGenerator(kind=kind, dimension=dim)
+    for kind in bregman.GENERATOR_KINDS:
+        gen = bregman.BregmanGenerator(kind)
         # the three-point identity residual equals the gap residual up to sign
-        yield Check("lemma", f"three_point_residual[{kind}]",
+        yield Check(f"three_point_residual[{kind}]",
                     _worst_discrete_residual(rng, 50, 500, gen), 0.0, 1e-12)
         problem = _random_discrete_problem(rng.split(999))
-        yield Check("lemma", f"conditional_mean_optimal[{kind}]",
+        yield Check(f"conditional_mean_optimal[{kind}]",
                     bregman.conditional_mean_optimality(problem, gen), 0.0, 1e-9)
 
     plan = cueworld.SamplingPlan(a=0.3, m=0.5, k=0.25, h_total=0.5)
     for mode in cueworld.MODES:
         world = cueworld.build_world(200, plan, mode=mode, seed=derive_seed(seed, 30))
         ai = cueworld.sample_ai_set(world, plan.a, seed=derive_seed(seed, 31))
-        yield Check("lemma", f"overlap_ratio_vs_covariance[{mode}]",
+        yield Check(f"overlap_ratio_vs_covariance[{mode}]",
                     cueworld.empirical_lambda(world, ai),
                     cueworld.covariance_lambda(world, ai), 1e-13)
 

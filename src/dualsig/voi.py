@@ -159,8 +159,6 @@ class VoiReport:
     v_h: float
     v_a: float
     v_joint: float
-    v_a_given_h: float
-    ratio: float
 
     def __post_init__(self) -> None:
         tol = 1e-9
@@ -169,8 +167,16 @@ class VoiReport:
                 raise ValidationError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.v_joint < max(self.v_h, self.v_a) - tol:
             raise ValidationError("v_joint must dominate each single-signal value")
-        if abs(self.v_a_given_h - (self.v_joint - self.v_h)) > tol:
-            raise ValidationError("v_a_given_h must equal v_joint - v_h")
+
+    @property
+    def v_a_given_h(self) -> float:
+        """Value of the assistant signal to one who holds the own signal."""
+        return self.v_joint - self.v_h
+
+    @property
+    def ratio(self) -> float:
+        """``v_a_given_h / v_a``; NaN when the assistant alone is worthless."""
+        return self.v_a_given_h / self.v_a if self.v_a > 0.0 else math.nan
 
 
 def _optimal_conditional_loss(problem: DiscreteProblem, cond: np.ndarray) -> float:
@@ -209,11 +215,7 @@ def _report(problem: DiscreteProblem, conditional_loss) -> VoiReport:
     h, a = problem.signal_names
     l0, r_h, r_a, r_joint = (_risk(problem, signals, conditional_loss)
                              for signals in ((), (h,), (a,), (h, a)))
-    v_h, v_a, v_joint = l0 - r_h, l0 - r_a, l0 - r_joint
-    v_a_given_h = v_joint - v_h
-    ratio = v_a_given_h / v_a if v_a > 0.0 else math.nan
-    return VoiReport(l0=l0, v_h=v_h, v_a=v_a, v_joint=v_joint,
-                     v_a_given_h=v_a_given_h, ratio=ratio)
+    return VoiReport(l0=l0, v_h=l0 - r_h, v_a=l0 - r_a, v_joint=l0 - r_joint)
 
 
 def marginal_value_discrete(problem: DiscreteProblem) -> VoiReport:

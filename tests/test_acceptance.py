@@ -150,15 +150,15 @@ def _random_problem_and_rule(rng, gen):
     rule = {}
     for h in (0, 1):
         for a in (0, 1):
-            u = rng.uniforms(gen.dimension)
+            u = rng.uniforms(1 if numeric else 2)
             rule[(h, a)] = 2.0 * u - 0.5 if numeric else u / u.sum()
     return problem, rule
 
 
 def test_criterion_6_gap_identity():
     worst = 0.0
-    for kind, dim in (("squared", 1), ("negative_entropy", 2)):
-        gen = BregmanGenerator(kind=kind, dimension=dim)
+    for kind in ("squared", "negative_entropy"):
+        gen = BregmanGenerator(kind=kind)
         rng = RngHandle(60, 0)
         for i in range(100):
             problem, rule = _random_problem_and_rule(rng.split(i), gen)

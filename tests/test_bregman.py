@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dualsig import verify
 from dualsig.bregman import (
+    GENERATOR_KINDS,
     BregmanGenerator,
     GapReport,
     bregman_loss,
@@ -18,8 +19,8 @@ from dualsig.core import Environment, SignalSpec, ValidationError
 from dualsig.rng import RngHandle
 from dualsig.voi import DiscreteProblem, LogLoss, QuadraticLoss, erasure_construction
 
-SQUARED = BregmanGenerator(kind="squared", dimension=1)
-NEGENT = BregmanGenerator(kind="negative_entropy", dimension=2)
+SQUARED = BregmanGenerator(kind="squared")
+NEGENT = BregmanGenerator(kind="negative_entropy")
 
 
 def random_problem(rng, numeric_states):
@@ -78,9 +79,7 @@ class TestBregmanLoss:
         with pytest.raises(ValidationError):
             bregman_loss(NEGENT, np.array([0.5, 0.5]), np.array([0.0, 1.0]))
         with pytest.raises(ValidationError):
-            bregman_loss(SQUARED, np.array([1.0, 2.0]), np.array([1.0, 2.0]))
-        with pytest.raises(ValidationError):
-            BregmanGenerator(kind="huber", dimension=1)
+            BregmanGenerator(kind="huber")
 
 
 def reference_loss(gen, y, d):
@@ -145,7 +144,7 @@ def stacked_pairs(draw):
                       min_size=rows, max_size=rows))
     d = draw(st.lists(st.lists(d_entry, min_size=dim, max_size=dim),
                       min_size=rows, max_size=rows))
-    return BregmanGenerator(kind=kind, dimension=dim), np.array(y), np.array(d)
+    return BregmanGenerator(kind=kind), np.array(y), np.array(d)
 
 
 @settings(max_examples=300, deadline=None)
@@ -172,8 +171,8 @@ def zero_pair_problem():
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_gap_check_equals_the_per_term_loop_exactly(seed):
     rng = RngHandle(seed, stream=10)
-    for kind, dim in (("squared", 1), ("negative_entropy", 2)):
-        gen = BregmanGenerator(kind=kind, dimension=dim)
+    for kind in GENERATOR_KINDS:
+        gen = BregmanGenerator(kind=kind)
         # the erasure problem's null own signal has probability 0
         problems = [verify._random_discrete_problem(rng.split(i)) for i in range(100)]
         problems += [erasure_construction(0.0), zero_pair_problem()]
@@ -202,12 +201,27 @@ class TestStackedApi:
         (NEGENT, [[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.0, 1.0]]),
         (NEGENT, [[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [-0.2, 1.2]]),
         (NEGENT, [[0.5, 0.5], [-0.5, 1.5]], [[0.5, 0.5], [0.5, 0.5]]),
-        (NEGENT, [[0.2, 0.3, 0.5]], [[0.2, 0.3, 0.5]]),
-        (SQUARED, [[1.0, 2.0]], [[1.0, 2.0]]),
     ])
     def test_one_bad_row_rejects_the_stack(self, gen, y, d):
         with pytest.raises(ValidationError):
             bregman_loss(gen, np.array(y), np.array(d))
+
+    def test_any_vector_length_is_legal(self):
+        # the inputs fix the dimension: squared losses on 2-vectors and
+        # negative entropy on 3-vectors need no declared dimension
+        assert bregman_loss(SQUARED, [1.0, 2.0], [1.0, 0.0]) == 4.0
+        assert bregman_loss(NEGENT, [0.2, 0.3, 0.5], [0.2, 0.3, 0.5]) == 0.0
+
+    @pytest.mark.parametrize("gen", [SQUARED, NEGENT], ids=["squared", "negative_entropy"])
+    @pytest.mark.parametrize("y, d", [
+        ([0.5, 0.5], [1.0]),
+        ([1.0], [0.5, 0.5]),
+        ([[0.2, 0.3, 0.5]], [[0.5, 0.5]]),
+    ])
+    def test_unequal_lengths_rejected(self, gen, y, d):
+        # numpy would broadcast a length-1 vector against any length
+        with pytest.raises(ValidationError, match="one length"):
+            bregman_loss(gen, y, d)
 
 
 class TestGapCheckDiscrete:
@@ -352,6 +366,15 @@ class TestConditionalMeanOptimality:
         rng = np.random.default_rng(11)
         problem = random_problem(rng, False)
         assert 0.0 <= conditional_mean_optimality(problem, NEGENT) <= 1e-9
+
+    def test_negative_entropy_search_needs_two_states(self):
+        probs = np.full((3, 2, 2), 1.0 / 12.0)
+        problem = DiscreteProblem(states=(-1.0, 0.5, 2.0), signal_names=("h", "a"),
+                                  alphabets=((0, 1), (0, 1)), probs=probs,
+                                  loss=QuadraticLoss())
+        with pytest.raises(ValidationError, match="binary negative entropy"):
+            conditional_mean_optimality(problem, NEGENT)
+        assert 0.0 <= conditional_mean_optimality(problem, SQUARED) <= 1e-9
 
     def test_constant_state_problem(self):
         probs = np.zeros((2, 2, 1))

@@ -26,8 +26,7 @@ PLAN = SamplingPlan(a=0.3, m=0.5, k=0.25, h_total=0.5)
 
 def hand_world():
     """Two heterogeneous cues with precisions 1 and 3, both accessible."""
-    return CueWorld(n_cues=2, precisions=np.array([1.0, 3.0]),
-                    accessible=np.array([True, True]),
+    return CueWorld(precisions=np.array([1.0, 3.0]), n_accessible=2,
                     human_set=np.array([1]), homogeneous=False)
 
 
@@ -81,8 +80,8 @@ class TestPlanValidation:
 class TestBuildWorld:
     def test_plan_arithmetic(self):
         world = build_world(1000, PLAN, mode="homogeneous", tau=1.0, seed=0)
-        assert world.accessible.sum() == 500
-        in_acc = world.accessible[world.human_set]
+        assert world.n_accessible == 500
+        in_acc = world.human_set < world.n_accessible
         assert int(in_acc.sum()) == 250
         assert world.human_set.size == 500
 
@@ -102,7 +101,7 @@ class TestBuildWorld:
         b = build_world(300, PLAN, mode="heterogeneous", seed=7)
         assert np.array_equal(a.precisions, b.precisions)
         assert np.array_equal(a.human_set, b.human_set)
-        assert np.array_equal(a.accessible, b.accessible)
+        assert a.n_accessible == b.n_accessible
 
     @pytest.mark.parametrize("n_cues, plan", [
         (1, SamplingPlan(a=0.3, m=0.4, k=0.1, h_total=0.5)),
@@ -118,8 +117,8 @@ class TestBuildWorld:
         with pytest.raises(ValidationError, match="total cue precision = inf is not finite"):
             build_world(10, PLAN, mode="heterogeneous", tau_bounds=(1e300, 1e308), seed=0)
         with pytest.raises(ValidationError, match="not finite"):
-            CueWorld(n_cues=2, precisions=np.array([1e308, 1e308]),
-                     accessible=np.array([True, True]), human_set=[0], homogeneous=False)
+            CueWorld(precisions=np.array([1e308, 1e308]), n_accessible=2, human_set=[0],
+                     homogeneous=False)
 
     def test_homogeneous_world_needs_no_finite_precision_mass(self):
         # equal precisions enter every overlap as counts, never as a sum
@@ -129,7 +128,7 @@ class TestBuildWorld:
         assert empirical_lambda(world, ai) == count_ratio
         assert abs(covariance_lambda(world, ai) - count_ratio) < 1e-14
         # round(k*N) = 3 of round(m*N) = 5 accessible cues are the human's
-        assert empirical_lambda(world, world.accessible_indices) == 3 / 5
+        assert empirical_lambda(world, np.arange(world.n_accessible)) == 3 / 5
 
     def test_impossible_rounding_rejected(self):
         # the human set cannot need more inaccessible cues than exist
@@ -138,32 +137,59 @@ class TestBuildWorld:
 
     def test_world_validation(self):
         with pytest.raises(ValidationError):
-            CueWorld(n_cues=2, precisions=np.array([1.0, -1.0]),
-                     accessible=np.array([True, True]),
+            CueWorld(precisions=np.array([1.0, -1.0]), n_accessible=2,
                      human_set=np.array([0]), homogeneous=False)
         with pytest.raises(ValidationError):
-            CueWorld(n_cues=2, precisions=np.array([1.0, 1.0]),
-                     accessible=np.array([True, True]),
+            CueWorld(precisions=np.array([1.0, 1.0]), n_accessible=2,
                      human_set=np.array([5]), homogeneous=True)
+        with pytest.raises(ValidationError, match="1-D"):
+            CueWorld(precisions=np.ones((2, 2)), n_accessible=2, human_set=[0],
+                     homogeneous=True)
+
+    @pytest.mark.parametrize("n_accessible, message", [
+        (0, "n_accessible must be >= 1, got 0"),
+        (-1, "n_accessible must be >= 1, got -1"),
+        (3, "n_accessible must be <= 2"),
+        (1.0, "n_accessible must be an integer"),
+    ])
+    def test_accessible_pool_size_must_lie_in_one_to_n(self, n_accessible, message):
+        with pytest.raises(ValidationError, match=message):
+            CueWorld(precisions=np.array([1.0, 1.0]), n_accessible=n_accessible,
+                     human_set=[0], homogeneous=True)
+        for n_accessible in (1, 2, np.int64(2)):
+            world = CueWorld(precisions=np.array([1.0, 1.0]), n_accessible=n_accessible,
+                             human_set=[0], homogeneous=True)
+            assert world.n_accessible == n_accessible and world.n_cues == 2
+
+    @pytest.mark.parametrize("n_cues, message", [
+        (0, "n_cues must be >= 1, got 0"),
+        (100.5, "n_cues must be an integer"),
+        (100.0, "n_cues must be an integer"),
+    ])
+    def test_pool_size_must_be_a_positive_integer(self, n_cues, message):
+        # a float used to escape as a bare TypeError from the generator
+        with pytest.raises(ValidationError, match=message):
+            build_world(n_cues, PLAN, seed=0)
+        assert build_world(np.int64(100), PLAN, seed=0).n_cues == 100
 
     @pytest.mark.parametrize("bad", [np.array([0.9, 1.2]), np.array([True, False]), [0.0],
                                      np.array([[0, 1], [1, 0]]), np.array(1)])
     def test_world_rejects_non_integer_or_non_flat_human_set(self, bad):
         with pytest.raises(ValidationError, match="integers|1-D"):
-            CueWorld(n_cues=2, precisions=np.array([1.0, 1.0]),
-                     accessible=np.array([True, True]), human_set=bad, homogeneous=True)
+            CueWorld(precisions=np.array([1.0, 1.0]), n_accessible=2, human_set=bad,
+                     homogeneous=True)
 
     def test_world_accepts_an_empty_human_set(self):
-        world = CueWorld(n_cues=2, precisions=np.array([1.0, 1.0]),
-                         accessible=np.array([True, True]), human_set=[], homogeneous=True)
+        world = CueWorld(precisions=np.array([1.0, 1.0]), n_accessible=2, human_set=[],
+                         homogeneous=True)
         assert world.human_set.dtype == np.int64 and world.human_set.size == 0
 
 
     def test_derived_arrays_are_read_only_and_match_their_definitions(self):
         world = build_world(300, PLAN, mode="heterogeneous", seed=2)
-        assert np.array_equal(world.accessible_indices, np.flatnonzero(world.accessible))
+        assert world.n_cues == world.precisions.size == 300
         assert np.array_equal(np.flatnonzero(world.human_mask), world.human_set)
-        for arr in (world.human_mask, world.accessible_indices):
+        for arr in (world.precisions, world.human_set, world.human_mask):
             with pytest.raises(ValueError):
                 arr[0] = arr[1]
 
@@ -172,14 +198,14 @@ class TestSampleAiSet:
     def test_exhausting_the_pool(self):
         world = build_world(100, PLAN, seed=0)
         full = sample_ai_set(world, PLAN.m, seed=3)
-        assert np.array_equal(full, world.accessible_indices)
+        assert np.array_equal(full, np.arange(world.n_accessible))
 
     def test_exact_size_every_draw(self):
         world = build_world(100, PLAN, seed=0)
         for rep in range(50):
             s = sample_ai_set(world, 0.3, seed=derive_seed(0, rep))
             assert s.size == 30
-            assert np.all(world.accessible[s])
+            assert np.all(s < world.n_accessible)
 
     def test_oversized_request_rejected(self):
         world = build_world(100, PLAN, seed=0)
@@ -199,7 +225,8 @@ class TestSampleAiSet:
         counts = np.zeros(20)
         for rep in range(draws):
             counts[sample_ai_set(world, 0.3, seed=derive_seed(42, rep))] += 1
-        freq = counts[world.accessible_indices] / draws
+        assert not counts[world.n_accessible:].any()
+        freq = counts[:world.n_accessible] / draws
         sigma = math.sqrt(0.6 * 0.4 / draws)
         assert np.all(np.abs(freq - 0.6) <= 3.0 * sigma)
 
@@ -304,7 +331,7 @@ class TestAggregation:
         # |H| = N/2 with unit cue precision: Var(H|Y) = N / T_H = 2
         world = build_world(100, PLAN, mode="homogeneous", tau=1.0, seed=4)
         reps = 100_000
-        h, _ = aggregate_samples(world, world.accessible_indices, reps, seed=13)
+        h, _ = aggregate_samples(world, np.arange(world.n_accessible), reps, seed=13)
         sigma = 2.0 * math.sqrt(2.0 / reps)
         assert abs(h.var(ddof=1) - 2.0) <= 3.0 * sigma
 
@@ -358,9 +385,21 @@ class TestConcentration:
         assert s.max_abs_error < 0.05
         # the precision-mass ratio of the accessible pool, bit for bit
         world = build_world(20_000, PLAN, mode="heterogeneous", seed=derive_seed(2, 0))
-        both = world.accessible & world.human_mask
+        accessible = np.arange(world.n_cues) < world.n_accessible
+        both = accessible & world.human_mask
         assert s.target == (float(np.sum(world.precisions[both]))
-                            / float(np.sum(world.precisions[world.accessible])))
+                            / float(np.sum(world.precisions[accessible])))
+
+    @pytest.mark.parametrize("reps, message", [
+        (0, "reps must be >= 1, got 0"),
+        (2.0, "reps must be an integer"),
+    ])
+    def test_reps_must_be_a_positive_integer(self, reps, message):
+        # a float used to escape as a bare TypeError from range()
+        with pytest.raises(ValidationError, match=message):
+            concentration_experiment([100], PLAN, reps=reps)
+        with pytest.raises(ValidationError, match=message):
+            overlap_estimates(build_world(100, PLAN), PLAN.a, reps, seed=0)
 
     def test_deterministic(self):
         a = concentration_experiment([1000], PLAN, reps=10, seed=3)
@@ -386,9 +425,9 @@ class TestConcentration:
 def test_accessible_pool_overlap_matches_plan():
     # the pool-level rate is the overlap of the whole accessible pool
     world = build_world(1000, PLAN, mode="homogeneous", seed=0)
-    assert empirical_lambda(world, world.accessible_indices) == 0.5
+    assert empirical_lambda(world, np.arange(world.n_accessible)) == 0.5
     het = build_world(1000, PLAN, mode="heterogeneous", seed=0)
-    assert 0.35 < empirical_lambda(het, het.accessible_indices) < 0.65
+    assert 0.35 < empirical_lambda(het, np.arange(het.n_accessible)) < 0.65
 
 
 def test_heterogeneous_reduces_to_homogeneous_when_bounds_collapse():

@@ -25,6 +25,12 @@ ENV = Environment(mu0=0.0, tau0=1.0)
 SPEC = SignalSpec(tau_h=1.0, tau_a=1.0, lam=0.5)
 
 
+def drew_triples(rng, n):
+    """Whether ``rng`` has drawn exactly ``n`` triples: each takes three
+    words, so its next word is word ``3n + 1`` of a fresh handle."""
+    return rng.words(1)[0] == RngHandle(rng.seed, rng.stream).words(3 * n + 1)[-1]
+
+
 def _pid_and_square(i):
     return os.getpid(), i * i
 
@@ -108,9 +114,10 @@ class TestEstimateLoss:
             accumulate(ENV, SPEC, 0, RngHandle(0, 0), {"y": lambda y, h, a: y})
 
     def test_estimate_fields(self):
-        est = paired_loss_estimates(ENV, SPEC, 1000, RngHandle(7, 0))["human_only"]
+        rng = RngHandle(7, 0)
+        est = paired_loss_estimates(ENV, SPEC, 1000, rng)["human_only"]
         assert isinstance(est, Estimate)
-        assert est.n == 1000
+        assert drew_triples(rng, 1000)
         assert est.std_error > 0.0
 
 
@@ -134,16 +141,17 @@ class TestAccumulate:
         # two draws are the fewest with a standard error
         with pytest.raises(ValidationError, match="n must be >= 2, got 1"):
             accumulate(ENV, SPEC, 1, RngHandle(17, 0), {"y": lambda y, h, a: y})
-        est = accumulate(ENV, SPEC, 2, RngHandle(17, 0), {"y": lambda y, h, a: y})["y"]
-        assert est.n == 2 and math.isfinite(est.std_error)
+        rng = RngHandle(17, 0)
+        est = accumulate(ENV, SPEC, 2, rng, {"y": lambda y, h, a: y})["y"]
+        assert drew_triples(rng, 2) and math.isfinite(est.std_error)
 
     def test_non_integer_n_rejected(self):
         # 2.5 would draw 2 triples and divide their sum by 2.5
         with pytest.raises(ValidationError, match="n must be an integer"):
             accumulate(ENV, SPEC, 2.5, RngHandle(17, 0), {"y": lambda y, h, a: y})
-        est = accumulate(ENV, SPEC, np.int64(2), RngHandle(17, 0),
-                         {"y": lambda y, h, a: np.ones_like(y)})["y"]
-        assert est.mean == 1.0 and est.n == 2
+        rng = RngHandle(17, 0)
+        est = accumulate(ENV, SPEC, np.int64(2), rng, {"y": lambda y, h, a: np.ones_like(y)})["y"]
+        assert est.mean == 1.0 and drew_triples(rng, 2)
 
     def test_grid_needs_two_draws_per_cell(self):
         # verify_closed_forms leaves the rule to accumulate, which a worker re-raises
@@ -185,7 +193,12 @@ class TestVerifyClosedForms:
         tested = _losses(cells)
         assert len(tested) == 3 * len(RULES)
         assert [rule for rule, _, _ in tested] == list(RULES) * 3
-        assert all(isinstance(est, Estimate) and est.n == 100 for _, est, _ in tested)
+        assert all(isinstance(est, Estimate) for _, est, _ in tested)
+        # cell i (from 1, lambda-major) holds the 100-draw estimates of its substream
+        for cell, (t, lam, losses) in enumerate(cells, 1):
+            if losses is not None:
+                assert [est for _, est, _ in losses] == list(paired_loss_estimates(
+                    ENV, SignalSpec(1.0, t, lam), 100, RngHandle(10, 0).split(cell)).values())
 
     def test_all_pass_with_moderate_samples(self):
         cells = verify_closed_forms(ENV, 1.0, [0.4, 1.0, 1.8], [0.0, 0.45, 0.67],
@@ -235,7 +248,7 @@ class TestVerifyDecomposition:
         var_a = self.moments(monkeypatch, 200_000, 14)[1]
         assert var_a.name == "var_a_given_y[spec0]"
         assert abs(var_a.observed - 1.0) < 0.02
-        assert not verify.Check("lemma", var_a.name, var_a.observed, 2.0, var_a.tol).ok
+        assert not verify.Check(var_a.name, var_a.observed, 2.0, var_a.tol).ok
 
     @pytest.mark.parametrize("sigma_mult, ok", [(4.0, True), (0.0, False)])
     def test_chunked_rows_pass_at_4_sigma_and_fail_at_0(self, monkeypatch, sigma_mult, ok):

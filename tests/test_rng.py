@@ -288,3 +288,38 @@ def test_invalid_arguments():
         with pytest.raises(ValueError, match="stream must lie in"):
             RngHandle(0, stream)
     assert RngHandle(0, MASK).stream == MASK
+
+
+@pytest.mark.parametrize("call, args", [
+    (RngHandle, (1.5,)),
+    (RngHandle, (1.0,)),
+    (RngHandle, (0, 2.9)),
+    (derive_seed, (1.5, 2)),
+    (derive_seed, (1, 2.0)),
+    (RngHandle(0).split, (1.5,)),
+    (RngHandle(0).words, (2.5,)),
+    (RngHandle(0).uniforms, (2.5,)),
+    (RngHandle(0).normals, (2.5,)),
+    (RngHandle(0).subset, (10.0, 3)),
+    (RngHandle(0).subset, (10, 3.0)),
+], ids=["seed", "integral_float_seed", "stream", "derive_seed", "derive_index", "split",
+        "words", "uniforms", "normals", "subset_pool", "subset_k"])
+def test_non_integers_are_rejected_not_truncated(call, args):
+    # RngHandle(1.5) drew seed 1's words, and words(2.5) returned 3 words
+    with pytest.raises(TypeError):
+        call(*args)
+
+
+def test_a_rejected_count_draws_nothing():
+    rng = RngHandle(4, 1)
+    with pytest.raises(TypeError):
+        rng.words(2.5)
+    assert rng.words(2).tolist() == RngHandle(4, 1).words(2).tolist()
+
+
+def test_numpy_integers_act_as_their_values():
+    assert (RngHandle(np.uint64(5), np.int64(2)).words(3).tolist()
+            == RngHandle(5, 2).words(3).tolist())
+    assert derive_seed(np.int64(1), np.int32(2)) == derive_seed(1, 2)
+    assert RngHandle(0).subset(np.int64(10), np.int64(3)).tolist() == \
+        RngHandle(0).subset(10, 3).tolist()

@@ -14,10 +14,10 @@ def run(suite, **overrides):
 
 
 def test_check_derives_delta_and_ok():
-    check = verify.Check("s", "x", 1.0, 1.5, 0.5)
+    check = verify.Check("x", 1.0, 1.5, 0.5)
     assert check.delta == 0.5 and check.ok
-    assert not verify.Check("s", "x", 1.0, 1.6, 0.5).ok
-    assert not verify.Check("s", "x", float("nan"), 0.0, 1.0).ok
+    assert not verify.Check("x", 1.0, 1.6, 0.5).ok
+    assert not verify.Check("x", float("nan"), 0.0, 1.0).ok
 
 
 def test_skip_rows_have_no_observed_value_and_pass():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -87,9 +89,14 @@ class TestProblemValidation:
                             alphabets=((0,), (0,)), probs=probs, loss=LogLoss())
 
     def test_report_invariants(self):
-        with pytest.raises(ValidationError):
-            VoiReport(l0=1.0, v_h=0.5, v_a=0.2, v_joint=0.4,
-                      v_a_given_h=-0.1, ratio=-0.5)
+        # v_a_given_h = v_joint - v_h = -0.1
+        with pytest.raises(ValidationError, match="v_a_given_h must be nonnegative"):
+            VoiReport(l0=1.0, v_h=0.5, v_a=0.2, v_joint=0.4)
+
+    def test_report_derives_the_conditional_value_and_the_ratio(self):
+        report = VoiReport(l0=1.0, v_h=0.5, v_a=0.25, v_joint=0.625)
+        assert report.v_a_given_h == 0.125 and report.ratio == 0.5
+        assert math.isnan(VoiReport(l0=1.0, v_h=0.5, v_a=0.0, v_joint=0.5).ratio)
 
 
 def three_signal_problem():
