@@ -57,7 +57,7 @@ from .core import (
 )
 from ._search import minimize_grid_refine
 from .rng import RngHandle
-from .voi import DiscreteProblem
+from .voi import SIGNALS, DiscreteProblem
 
 __all__ = [
     "BregmanGenerator",
@@ -179,13 +179,11 @@ def gap_check_discrete(problem: DiscreteProblem, delta_hat: Mapping,
     the pair come from :meth:`DiscreteProblem.conditionals`, the losses of
     all (pair, state) terms from two stacked :func:`bregman_loss` calls.
     """
-    if len(problem.signal_names) != 2:
-        raise ValidationError(f"need exactly two signals, got {problem.signal_names}")
     enc = _encode_states(problem, gen)
     alphabet_h, alphabet_a = problem.alphabets
     n_a = len(alphabet_a)
-    live_h, _, cond_h = problem.conditionals(problem.signal_names[:1])
-    live, p_pair, cond = problem.conditionals(problem.signal_names)
+    live_h, _, cond_h = problem.conditionals(("h",))
+    live, p_pair, cond = problem.conditionals(SIGNALS)
     # conditional means given h alone, one row per live pair
     d_h = _mixture(cond_h, enc)[np.searchsorted(live_h, live // n_a)]
     d_star = _mixture(cond, enc)
@@ -240,7 +238,7 @@ def conditional_mean_optimality(problem: DiscreteProblem, gen: BregmanGenerator)
     if gen.kind == "negative_entropy" and len(problem.states) != 2:
         raise ValidationError("optimality search supports binary negative entropy only")
     enc = _encode_states(problem, gen)
-    _, _, conds = problem.conditionals(problem.signal_names)
+    _, _, conds = problem.conditionals(SIGNALS)
     max_advantage = 0.0
     for cond, d_star in zip(conds.T, _mixture(conds, enc)):
         live = cond > 0.0

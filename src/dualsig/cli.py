@@ -84,7 +84,7 @@ def _linspace(lo: float, hi: float, steps: int, name: str) -> list[float]:
 
 
 def cmd_losses(args) -> int:
-    env = Environment(mu0=args.mu0, tau0=args.tau0)
+    env = Environment(tau0=args.tau0)
     spec = SignalSpec(tau_h=args.tauH, tau_a=args.tauA, lam=args.lam)
     profile = core.loss_profile(env, spec)
     regime = regimes.classify(profile)
@@ -97,7 +97,7 @@ def cmd_losses(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    env = Environment(mu0=0.0, tau0=args.tau0)
+    env = Environment(tau0=args.tau0)
     lam = np.array(args.lam if args.lam else _linspace(
         args.lambda_min, args.lambda_max, args.lambda_steps, "lambda"))
     auto = np.full(lam.shape, np.nan)  # blank at lam = 0: no crossing exists there
@@ -109,7 +109,7 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_phase(args) -> int:
-    env = Environment(mu0=0.0, tau0=args.tau0)
+    env = Environment(tau0=args.tau0)
     tau_a_axis = _linspace(args.tauA_min, args.tauA_max, args.tauA_steps, "tauA")
     lambda_axis = _linspace(args.lambda_min, args.lambda_max, args.lambda_steps, "lambda")
     grid = regimes.phase_sweep(env, args.tauH, tau_a_axis, lambda_axis)
@@ -123,7 +123,7 @@ def cmd_simulate(args) -> int:
     plan = cueworld.SamplingPlan(a=args.a, m=args.m, k=args.k, h_total=args.h_total)
     summaries = cueworld.concentration_experiment(
         args.n or [100_000], plan, reps=args.reps, mode=args.mode, seed=args.seed,
-        tau=args.tau, tau_bounds=(args.tau_min, args.tau_max))
+        tau_bounds=(args.tau_min, args.tau_max))
     rows = [[s.n_cues, args.reps, args.mode, s.target, s.mean_abs_error, s.max_abs_error]
             for s in summaries]
     _write_csv(args.out, ["N", "reps", "mode", "target", "mean_err", "max_err"], rows)
@@ -156,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("losses", help="losses and regime at one parameter point")
     p.add_argument("--tau0", type=float, default=1.0)
-    p.add_argument("--mu0", type=float, default=0.0)
     p.add_argument("--tauH", type=float, default=1.0)
     p.add_argument("--tauA", type=float, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -195,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=float, default=0.5, help="accessible fraction")
     p.add_argument("--k", type=float, default=0.25, help="human-held accessible fraction")
     p.add_argument("--h-total", type=float, default=0.5, help="total human fraction")
-    p.add_argument("--tau", type=float, default=1.0, help="homogeneous cue precision")
     p.add_argument("--tau-min", type=float, default=0.5)
     p.add_argument("--tau-max", type=float, default=2.0)
     common(p, seed=True)

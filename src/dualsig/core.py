@@ -1,6 +1,6 @@
 """Closed-form Gaussian losses for a decision-maker holding two signals.
 
-Model: a scalar state ``Y ~ N(mu0, 1/tau0)`` is estimated under squared loss
+Model: a scalar state ``Y ~ N(0, 1/tau0)`` is estimated under squared loss
 from an own signal ``H`` (precision ``tau_h``) and an assistant signal ``A``
 (precision ``tau_a``), both Gaussian and unbiased given ``Y``.  The signals
 may share evidence; the overlap coefficient ``lam`` is the conditional
@@ -14,6 +14,9 @@ Orthogonalizing ``A`` against ``H`` leaves the innovation signal
     tilde_tau = (1 - lam)**2 / (1/tau_a - lam**2 / tau_h)
 
 is the only part of the assistant signal that matters under optimal use.
+The prior is centred at 0: every expected loss below depends on precisions
+alone, and a prior mean ``mu0`` only shifts the state, the signals and each
+posterior mean by the same constant.
 
 :func:`loss_profile` is the one entry point to the closed forms.  It
 evaluates four expected losses, own-signal-only, assistant-only, the
@@ -44,6 +47,7 @@ __all__ = [
     "LossProfile",
     "require",
     "count",
+    "real",
     "native",
     "finite_total",
     "feasible",
@@ -91,7 +95,7 @@ def native(x):
     return x if np.ndim(x) else float(x)
 
 
-def _checked(value, name: str, positive: bool = False):
+def real(value, name: str, positive: bool = False):
     """``value`` as a float, or a float64 array if array-like; finite and,
     if ``positive``, strictly positive."""
     try:
@@ -120,14 +124,12 @@ def feasible(tau_h, tau_a, lam):
 
 @dataclass(frozen=True)
 class Environment:
-    """Prior over the state: mean ``mu0``, precision ``tau0`` (1/variance)."""
+    """Prior over the state: mean 0, precision ``tau0`` (1/variance)."""
 
-    mu0: float
     tau0: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mu0", _checked(self.mu0, "mu0"))
-        object.__setattr__(self, "tau0", _checked(self.tau0, "tau0", positive=True))
+        object.__setattr__(self, "tau0", real(self.tau0, "tau0", positive=True))
 
 
 @dataclass(frozen=True)
@@ -145,9 +147,9 @@ class SignalSpec:
     lam: float | np.ndarray
 
     def __post_init__(self) -> None:
-        tau_h = _checked(self.tau_h, "tau_h", positive=True)
-        tau_a = _checked(self.tau_a, "tau_a", positive=True)
-        lam = _checked(self.lam, "lam")
+        tau_h = real(self.tau_h, "tau_h", positive=True)
+        tau_a = real(self.tau_a, "tau_a", positive=True)
+        lam = real(self.lam, "lam")
         if not np.shape(tau_h) == np.shape(tau_a) == np.shape(lam):
             raise ValidationError("tau_h, tau_a and lam must be floats or arrays of one shape")
         require(lam >= 0.0, "lam must be nonnegative, got {}", lam)
@@ -174,7 +176,7 @@ class LossProfile:
         # formulas meet, so the checks keep their force at every loss scale
         rel = 1e-12
         for name in ("l_human", "l_ai", "l_joint_bayes", "l_joint_cn", "v_marginal"):
-            value = _checked(getattr(self, name), name)
+            value = real(getattr(self, name), name)
             require(value >= 0.0, name + " must be nonnegative, got {}", value)
         require(self.l_joint_bayes <= self.l_human,
                 "l_joint_bayes cannot exceed l_human")
@@ -245,22 +247,22 @@ def loss_profile(env: Environment, spec: SignalSpec) -> LossProfile:
 def cn_posterior_mean(env: Environment, spec: SignalSpec, h, a):
     """Posterior mean under the (mistaken) independent-signals model.
 
-    ``(tau0*mu0 + tau_h*h + tau_a*a) / (tau0 + tau_h + tau_a)``.
+    ``(tau_h*h + tau_a*a) / (tau0 + tau_h + tau_a)``.
     Broadcasts over array-valued ``h`` and ``a``.
     """
     T = env.tau0 + spec.tau_h + spec.tau_a
-    return (env.tau0 * env.mu0 + spec.tau_h * h + spec.tau_a * a) / T
+    return (spec.tau_h * h + spec.tau_a * a) / T
 
 
 def bayes_posterior_mean(env: Environment, spec: SignalSpec, h, a):
     """True posterior mean; extracts the innovation before fusing.
 
     With ``innov = (a - lam*h) / (1 - lam)`` of precision ``tilde_tau``:
-    ``(tau0*mu0 + tau_h*h + tilde_tau*innov) / (tau0 + tau_h + tilde_tau)``.
+    ``(tau_h*h + tilde_tau*innov) / (tau0 + tau_h + tilde_tau)``.
     Broadcasts over array-valued ``h`` and ``a``.
     """
     tilde = innovation_precision(spec)
     innov = (a - spec.lam * h) / (1.0 - spec.lam)
     total = env.tau0 + spec.tau_h + tilde
-    return (env.tau0 * env.mu0 + spec.tau_h * h + tilde * innov) / total
+    return (spec.tau_h * h + tilde * innov) / total
 

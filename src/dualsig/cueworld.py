@@ -4,22 +4,24 @@ The environment holds ``N`` conditionally independent Gaussian cues about the
 state, cue ``i`` having variance ``N / tau_i`` (so pooling everything yields
 a signal of precision ``mean(tau_i)``).  The decision-maker aggregates the
 cues in their index set, the assistant aggregates a random subset of an
-"accessible" sub-pool; both use the plain average in the homogeneous mode
-and the precision-weighted average otherwise.  The accessible pool is a
-prefix, the first ``n_accessible`` cues, so a world stores its size and not
-a mask, and a position drawn in the pool is the cue's index.
+"accessible" sub-pool; both take the precision-weighted average.  A
+homogeneous world has unit precisions, where that average is the plain one;
+a heterogeneous world draws them.  The accessible pool is a prefix, the
+first ``n_accessible`` cues, so a world stores its size and not a mask, and
+a position drawn in the pool is the cue's index.
 
 Because shared cues enter both aggregates, the conditional covariance of the
 two signals is positive, and the overlap coefficient has a set-theoretic
-form: the count ratio ``|A ∩ H| / |A|`` for equal cue precisions, and the
-precision-mass ratio ``T(A ∩ H) / T(A)`` in general.  Both overlap measures
-read the human set the world was built with.  :func:`covariance_lambda`
-recomputes the same quantity from the covariance definition and serves as
-the independent cross-check of those ratios.
+form: the precision-mass ratio ``T(A ∩ H) / T(A)``.  With unit precisions
+the masses are exact integer counts, so it is the count ratio
+``|A ∩ H| / |A|`` bit for bit.  Both overlap measures read the human set
+the world was built with.  :func:`covariance_lambda` recomputes the same
+quantity from the covariance definition and serves as the independent
+cross-check of the ratio.
 
 When the assistant samples its set uniformly from the accessible pool, the
 measured overlap concentrates (as ``N`` grows) on the pool-level rate:
-``k/m`` with equal precisions, or the realized precision-weighted rate
+``k/m`` with unit precisions, or the realized precision-weighted rate
 ``theta = T(H ∩ accessible) / T(accessible)``.
 :func:`concentration_experiment` measures that convergence.
 
@@ -93,14 +95,13 @@ class CueWorld:
 
     ``human_set`` is stored sorted and unique; ``human_mask`` (True on
     ``human_set``) is derived once, at construction, for the
-    per-repetition draws.  A heterogeneous world's total precision must be
-    finite: every precision-mass ratio sums a part of it.
+    per-repetition draws.  The total precision must be finite: every
+    precision-mass ratio sums a part of it.
     """
 
     precisions: np.ndarray
     n_accessible: int
     human_set: np.ndarray
-    homogeneous: bool
     human_mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -114,9 +115,8 @@ class CueWorld:
                 f"got {self.n_accessible}")
         if not np.all(np.isfinite(prec)) or np.any(prec <= 0.0):
             raise ValidationError("cue precisions must be finite and positive")
-        if not self.homogeneous:
-            with np.errstate(over="ignore"):
-                finite_total(np.sum(prec), "total cue precision")
+        with np.errstate(over="ignore"):
+            finite_total(np.sum(prec), "total cue precision")
         if hset.size and (hset.min() < 0 or hset.max() >= prec.size):
             raise ValidationError("human_set indices out of range")
         hset = np.sort(hset)
@@ -166,15 +166,14 @@ def _as_index_set(indices: Iterable[int], n_cues: int, name: str) -> np.ndarray:
 
 
 def build_world(n_cues: int, plan: SamplingPlan, mode: str = "homogeneous",
-                tau: float = 1.0, tau_bounds: tuple[float, float] = (0.5, 2.0),
-                seed: int = 0) -> CueWorld:
+                tau_bounds: tuple[float, float] = (0.5, 2.0), seed: int = 0) -> CueWorld:
     """Construct a deterministic cue world for the given seed.
 
     The accessible pool is the first ``round(m*N)`` indices.  The human set
     combines a uniform ``round(k*N)``-subset of the accessible pool with a
     uniform draw of the remainder from the inaccessible pool, for a total of
     ``round(h_total*N)`` cues.  Heterogeneous precisions are i.i.d. uniform
-    on ``tau_bounds``; homogeneous worlds use the constant ``tau``.
+    on ``tau_bounds``; homogeneous precisions are 1.
     """
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
@@ -203,15 +202,12 @@ def build_world(n_cues: int, plan: SamplingPlan, mode: str = "homogeneous",
             raise ValidationError(f"tau_bounds must satisfy 0 < lo <= hi, got {tau_bounds}")
         precisions = lo + (hi - lo) * rng.uniforms(n_cues)
     else:
-        if not (math.isfinite(tau) and tau > 0.0):
-            raise ValidationError(f"tau must be finite and positive, got {tau}")
-        precisions = np.full(n_cues, float(tau))
+        precisions = np.ones(n_cues)
 
     human_acc = rng.subset(n_acc, n_overlap)
     human_rest = n_acc + rng.subset(n_cues - n_acc, n_human - n_overlap)
     human_set = np.concatenate([human_acc, human_rest])
-    return CueWorld(precisions=precisions, n_accessible=n_acc, human_set=human_set,
-                    homogeneous=(mode == "homogeneous"))
+    return CueWorld(precisions=precisions, n_accessible=n_acc, human_set=human_set)
 
 
 def sample_ai_set(world: CueWorld, a: float, seed: int = 0) -> np.ndarray:
@@ -227,18 +223,16 @@ def sample_ai_set(world: CueWorld, a: float, seed: int = 0) -> np.ndarray:
 
 def empirical_lambda(world: CueWorld, ai_set: Iterable[int]) -> float:
     """Set-ratio overlap of a realized assistant set against the world's
-    human set.
+    human set: the precision-mass ratio ``T(A∩H) / T(A)``.
 
-    Count ratio ``|A∩H| / |A|`` in homogeneous worlds (exact); precision-mass
-    ratio ``T(A∩H) / T(A)`` otherwise.  ``ai_set`` may be unsorted or repeat
-    indices; it is read as a set.
+    With unit precisions both masses are exact integer sums, so this is the
+    count ratio ``|A∩H| / |A|`` bit for bit.  ``ai_set`` may be unsorted or
+    repeat indices; it is read as a set.
     """
     a_idx = _as_index_set(ai_set, world.n_cues, "ai_set")
     if a_idx.size == 0:
         raise ValidationError("ai_set must be nonempty")
     both = a_idx[world.human_mask[a_idx]]
-    if world.homogeneous:
-        return both.size / a_idx.size
     return float(np.sum(world.precisions[both])) / float(np.sum(world.precisions[a_idx]))
 
 
@@ -268,8 +262,6 @@ def covariance_lambda(world: CueWorld, ai_set: Iterable[int]) -> float:
 
 
 def _aggregation_weights(world: CueWorld, idx: np.ndarray) -> np.ndarray:
-    if world.homogeneous:
-        return np.full(idx.size, 1.0 / idx.size)
     tau = world.precisions[idx]
     return tau / np.sum(tau)
 
@@ -287,7 +279,6 @@ def overlap_estimates(world: CueWorld, a: float, reps: int, seed: int) -> np.nda
 
 def concentration_experiment(n_values: Sequence[int], plan: SamplingPlan,
                              reps: int, mode: str = "homogeneous", seed: int = 0,
-                             tau: float = 1.0,
                              tau_bounds: tuple[float, float] = (0.5, 2.0),
                              ) -> list[ConcentrationSummary]:
     """Measure how the realized overlap concentrates on its pool target.
@@ -301,7 +292,7 @@ def concentration_experiment(n_values: Sequence[int], plan: SamplingPlan,
     reps = count(reps, "reps", 1)
     out = []
     for i, n_cues in enumerate(n_values):
-        world = build_world(n_cues, plan, mode=mode, tau=tau, tau_bounds=tau_bounds,
+        world = build_world(n_cues, plan, mode=mode, tau_bounds=tau_bounds,
                             seed=derive_seed(seed, i))
         target = (plan.k / plan.m if mode == "homogeneous"
                   else empirical_lambda(world, np.arange(world.n_accessible)))

@@ -99,7 +99,7 @@ def sample_triple(env: Environment, spec: SignalSpec, rng: RngHandle, size: int)
     """
     tilde = innovation_precision(spec)
     n = count(size, "size", 1)
-    y = env.mu0 + rng.normals(n) / math.sqrt(env.tau0)
+    y = rng.normals(n) / math.sqrt(env.tau0)
     h = y + rng.normals(n) / math.sqrt(spec.tau_h)
     a_innov = y + rng.normals(n) / math.sqrt(tilde)
     a = spec.lam * h + (1.0 - spec.lam) * a_innov
@@ -143,10 +143,10 @@ def paired_loss_estimates(env: Environment, spec: SignalSpec, n: int,
     than the correlation-neglect joint) far tighter than independent runs.
     """
     def own(y, h, a):
-        return ((env.tau0 * env.mu0 + spec.tau_h * h) / (env.tau0 + spec.tau_h) - y) ** 2
+        return (spec.tau_h * h / (env.tau0 + spec.tau_h) - y) ** 2
 
     def assistant(y, h, a):
-        return ((env.tau0 * env.mu0 + spec.tau_a * a) / (env.tau0 + spec.tau_a) - y) ** 2
+        return (spec.tau_a * a / (env.tau0 + spec.tau_a) - y) ** 2
 
     return accumulate(env, spec, n, rng, {
         "human_only": own,

@@ -43,16 +43,18 @@ which hashes the parent identity with ``mix64`` so that child streams are
 statistically unrelated; :meth:`RngHandle.split` applies it to the stream.
 Seeds and streams must lie in ``[0, 2**64)``; neither is reduced mod 2**64,
 so no out-of-range value draws the words of an in-range one.  Nor is any
-integer argument truncated: a float seed, stream, index or count raises
-``TypeError``.
+integer argument truncated: every one goes through :func:`dualsig.core.count`,
+so a float seed, stream, index or count raises
+:class:`dualsig.core.ValidationError`, as a negative one does.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .core import ValidationError, count
 
 __all__ = ["RngHandle", "derive_seed", "mix64", "normal_ppf"]
 
@@ -81,11 +83,12 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _checked_seed(seed: int) -> int:
-    seed = operator.index(seed)
-    if not 0 <= seed <= _MASK:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    return seed
+def _word(value: int, name: str) -> int:
+    """``value`` as an int in ``[0, 2**64)``, the range of seeds and streams."""
+    out = count(value, name, 0)
+    if out > _MASK:
+        raise ValidationError(f"{name} must lie in [0, 2**64), got {out}")
+    return out
 
 
 def derive_seed(seed: int, *indices: int) -> int:
@@ -96,11 +99,9 @@ def derive_seed(seed: int, *indices: int) -> int:
     composes (``derive_seed(derive_seed(s, i), j) == derive_seed(s, i, j)``)
     so nested experiments can derive further children from a child seed.
     """
-    out = _checked_seed(seed)
-    for ix in map(operator.index, indices):
-        if ix < 0:
-            raise ValueError(f"split index must be nonnegative, got {ix}")
-        out = mix64(out ^ ((ix + 1) * _GAMMA & _MASK))
+    out = _word(seed, "seed")
+    for ix in indices:
+        out = mix64(out ^ ((count(ix, "split index", 0) + 1) * _GAMMA & _MASK))
     return out
 
 
@@ -183,17 +184,13 @@ class RngHandle:
     _counter: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.seed = _checked_seed(self.seed)
-        self.stream = operator.index(self.stream)
-        if not 0 <= self.stream <= _MASK:
-            raise ValueError(f"stream must lie in [0, 2**64), got {self.stream}")
+        self.seed = _word(self.seed, "seed")
+        self.stream = _word(self.stream, "stream")
         self._key = mix64(mix64(self.seed + _GAMMA) ^ mix64(self.stream + _STREAM_SALT))
 
     def words(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit words as a uint64 array."""
-        n = operator.index(n)
-        if n < 0:
-            raise ValueError("n must be nonnegative")
+        n = count(n, "n", 0)
         state = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
         state *= np.uint64(_GAMMA)
@@ -218,9 +215,9 @@ class RngHandle:
 
         Consumes exactly ``pool_size`` uniforms.
         """
-        pool_size, k = operator.index(pool_size), operator.index(k)
-        if not 0 <= k <= pool_size:
-            raise ValueError(f"need 0 <= k <= pool_size, got k={k}, pool={pool_size}")
+        pool_size, k = count(pool_size, "pool_size", 0), count(k, "k", 0)
+        if k > pool_size:
+            raise ValidationError(f"need k <= pool_size, got k={k}, pool={pool_size}")
         return _smallest_k(self.uniforms(pool_size), k)
 
     def split(self, index: int) -> "RngHandle":

@@ -14,15 +14,16 @@ lemma         simulated conditional moments, the three-point identity,
 unique within the suite; a check does not repeat the suite it was asked
 for.  :attr:`Check.ok` is the one pass rule: the oracles in
 :mod:`dualsig.montecarlo` and :mod:`dualsig.bregman` return measurements
-only, and each suite here gives them their tolerance.  The Monte Carlo suites (``closed_forms``, ``gap``,
-``lemma``) need ``n >= 2`` draws, the fewest with a standard error; ``run``
-rejects smaller ``n``, and any ``tau0``/``tau_h`` that is not finite and
-positive or ``sigma_mult`` that is not finite and nonnegative, before any
-work.  The cells of ``closed_forms`` and the tasks of ``gap`` run on
-:func:`montecarlo.parallel_map`; their rows come out in the same order and
-with the same bytes whatever the worker count.  The ``lemma`` moments stream
-through :func:`montecarlo.accumulate`, so their memory does not grow with
-``n``.
+only, and each suite here gives them their tolerance.  The Monte Carlo
+suites (``closed_forms``, ``gap``, ``lemma``) need ``n >= 2`` draws, the
+fewest with a standard error; ``run`` rejects smaller ``n``, and any
+``tau0``/``tau_h`` that is not a finite positive real or ``sigma_mult``
+that is not a finite nonnegative one (read by :func:`dualsig.core.real`),
+before any work.  The cells of ``closed_forms`` and the tasks of ``gap``
+run on :func:`montecarlo.parallel_map`; their rows come out in the same
+order and with the same bytes whatever the worker count.  The ``lemma``
+moments stream through :func:`montecarlo.accumulate`, so their memory does
+not grow with ``n``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bregman, cueworld, montecarlo, voi
-from .core import Environment, SignalSpec, ValidationError
+from .core import Environment, SignalSpec, ValidationError, real, require
 from .rng import RngHandle, derive_seed
 
 __all__ = ["Check", "SUITES", "run"]
@@ -61,7 +62,7 @@ class Check:
 
 
 def _closed_forms(n, seed, sigma_mult, tau0, tau_h):
-    env = Environment(mu0=0.0, tau0=tau0)
+    env = Environment(tau0=tau0)
     tau_a_grid = [round(0.2 * i, 10) for i in range(1, 11)]
     lambda_grid = [0.0, 0.25, 0.45, 0.5, 0.67, 0.75, 0.85]
     for tau_a, lam, losses in montecarlo.verify_closed_forms(
@@ -81,8 +82,8 @@ def _random_discrete_problem(rng: RngHandle):
     raw = rng.uniforms(int(np.prod(shape))).reshape(shape)
     probs = raw / raw.sum()
     return voi.DiscreteProblem(
-        states=(0.0, 1.0), signal_names=("h", "a"),
-        alphabets=(tuple(range(shape[1])), (0, 1)), probs=probs, loss=voi.LogLoss())
+        states=(0.0, 1.0), alphabets=(tuple(range(shape[1])), (0, 1)), probs=probs,
+        loss=voi.LogLoss())
 
 
 def _random_rule(problem, gen, rng: RngHandle):
@@ -117,7 +118,7 @@ def _random_feasible_specs(seed: int, count: int):
         tau_h = 0.2 + 2.0 * tau_h
         tau_a = 0.1 + 2.0 * tau_a
         lam = (0.05 + 0.85 * frac) * min(tau_h / tau_a, 1.0)
-        out.append((Environment(mu0=0.0, tau0=tau0),
+        out.append((Environment(tau0=tau0),
                     SignalSpec(tau_h=tau_h, tau_a=tau_a, lam=lam)))
     return out
 
@@ -130,7 +131,7 @@ def _discrete_residuals(seed: int) -> list[float]:
 
 
 def _gap(n, seed, sigma_mult, tau0, tau_h):
-    specs = [(Environment(mu0=0.0, tau0=1.0), SignalSpec(tau_h=1.0, tau_a=1.0, lam=0.5), seed)]
+    specs = [(Environment(tau0=1.0), SignalSpec(tau_h=1.0, tau_a=1.0, lam=0.5), seed)]
     specs += [(env_i, spec_i, derive_seed(seed, 8, i)) for i, (env_i, spec_i)
               in enumerate(_random_feasible_specs(derive_seed(seed, 7), 20))]
     # The discrete residuals run in this process, beside the workers, so that
@@ -186,8 +187,7 @@ def _voi(n, seed, sigma_mult, tau0, tau_h):
                     _mutual_information_bits(problem, signals), 1e-12)
 
     quad = voi.DiscreteProblem(
-        states=(-1.0, 0.5, 2.0), signal_names=("h", "a"),
-        alphabets=((0, 1), (0, 1, 2)),
+        states=(-1.0, 0.5, 2.0), alphabets=((0, 1), (0, 1, 2)),
         probs=np.array([[[0.10, 0.05, 0.05], [0.02, 0.08, 0.03]],
                         [[0.06, 0.04, 0.10], [0.07, 0.03, 0.04]],
                         [[0.05, 0.09, 0.02], [0.08, 0.05, 0.04]]]),
@@ -218,7 +218,7 @@ def _moment_stats(spec: SignalSpec) -> dict:
 
 
 def _lemma(n, seed, sigma_mult, tau0, tau_h):
-    env = Environment(mu0=0.0, tau0=1.0)
+    env = Environment(tau0=1.0)
     for i, spec in enumerate((SignalSpec(1.0, 1.0, 0.5),
                               SignalSpec(2.0, 1.0, 0.5),
                               SignalSpec(1.5, 0.8, 0.3))):
@@ -277,9 +277,7 @@ def run(suite: str, *, n: int, seed: int, sigma_mult: float, tau0: float,
         raise ValidationError(f"unknown suite {suite!r}; expected one of {sorted(SUITES)}")
     if suite != "voi" and n < 2:
         raise ValidationError(f"n must be >= 2, got {n}")
-    for name, value in (("tau0", tau0), ("tau_h", tau_h)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValidationError(f"{name} must be finite and > 0, got {value}")
-    if not (math.isfinite(sigma_mult) and sigma_mult >= 0.0):
-        raise ValidationError(f"sigma_mult must be finite and >= 0, got {sigma_mult}")
+    tau0, tau_h = real(tau0, "tau0", positive=True), real(tau_h, "tau_h", positive=True)
+    sigma_mult = real(sigma_mult, "sigma_mult")
+    require(sigma_mult >= 0.0, "sigma_mult must be >= 0, got {}", sigma_mult)
     return list(SUITES[suite](n, seed, sigma_mult, tau0, tau_h))

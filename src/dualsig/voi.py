@@ -9,7 +9,10 @@ loss over the decision (an array objective: a grid scan, then ternary
 refinement), and is the independent oracle for the closed-form paths.
 
 :meth:`DiscreteProblem.conditionals` alone conditions the joint table on a
-signal set, for the risks here and for :mod:`dualsig.bregman` alike.
+signal set, for the risks here and for :mod:`dualsig.bregman` alike.  A
+problem has the two signals of the model, named by :data:`SIGNALS`: the own
+signal ``"h"`` and the assistant signal ``"a"``.  A signal set is a tuple of
+those names, each at most once.
 
 Two binary constructions, each with a noise bit ``u ~ Bernoulli(NOISE_P)``,
 make the ratio of conditional to standalone value ``v(a|h) / v(a)`` take any
@@ -36,6 +39,7 @@ from ._search import GRID_CELLS, bisect, minimize_grid_refine
 from .core import ValidationError
 
 __all__ = [
+    "SIGNALS",
     "NULL_SIGNAL",
     "NOISE_P",
     "QuadraticLoss",
@@ -53,6 +57,8 @@ __all__ = [
     "posterior_two_tests",
     "brute_force_voi",
 ]
+
+SIGNALS = ("h", "a")
 
 NULL_SIGNAL = "null"
 
@@ -83,15 +89,16 @@ Loss = QuadraticLoss | LogLoss
 
 @dataclass(frozen=True, eq=False)
 class DiscreteProblem:
-    """Finite joint distribution over (state, signal tuple) plus a loss.
+    """Finite joint distribution over (state, own signal, assistant signal)
+    plus a loss.
 
-    ``probs[i, j1, ..., jK]`` is the probability of state ``states[i]``
-    jointly with signal values ``alphabets[k][jk]``.  ``states`` are finite
-    reals, stored as a tuple of floats.
+    ``probs[i, j, k]`` is the probability of state ``states[i]`` jointly
+    with the own signal ``alphabets[0][j]`` and the assistant signal
+    ``alphabets[1][k]``.  ``states`` are finite reals, stored as a tuple of
+    floats.
     """
 
     states: tuple[float, ...]
-    signal_names: tuple[str, ...]
     alphabets: tuple[tuple, ...]
     probs: np.ndarray
     loss: Loss
@@ -107,12 +114,11 @@ class DiscreteProblem:
             raise ValidationError(f"states must be finite, got {states}")
         if isinstance(self.loss, LogLoss) and set(states) - {0.0, 1.0}:
             raise ValidationError("log loss requires states in {0, 1}")
+        if len(self.alphabets) != len(SIGNALS):
+            raise ValidationError(f"need one alphabet per signal of {SIGNALS}, "
+                                  f"got {len(self.alphabets)}")
         probs = np.asarray(self.probs, dtype=np.float64)
         shape = (len(self.states),) + tuple(len(ab) for ab in self.alphabets)
-        if len(self.signal_names) != len(self.alphabets):
-            raise ValidationError("one alphabet per signal name required")
-        if len(set(self.signal_names)) != len(self.signal_names):
-            raise ValidationError("signal names must be distinct")
         if probs.shape != shape:
             raise ValidationError(f"probs shape {probs.shape} != expected {shape}")
         if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
@@ -124,15 +130,20 @@ class DiscreteProblem:
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "signal_names", tuple(self.signal_names))
         object.__setattr__(self, "alphabets", tuple(tuple(ab) for ab in self.alphabets))
 
     def signal_axes(self, signals: Sequence[str]) -> tuple[int, ...]:
+        """The ``probs`` axes of a signal set: a sequence of names from
+        :data:`SIGNALS`, each at most once; a bare string is rejected."""
+        if isinstance(signals, str):
+            raise ValidationError(f"signals must be a sequence of names, got {signals!r}")
         try:
-            return tuple(self.signal_names.index(s) + 1 for s in signals)
+            axes = tuple(SIGNALS.index(s) + 1 for s in signals)
         except ValueError as exc:
-            raise ValidationError(
-                f"unknown signal in {signals!r}; have {self.signal_names}") from exc
+            raise ValidationError(f"unknown signal in {signals!r}; have {SIGNALS}") from exc
+        if len(set(axes)) != len(axes):
+            raise ValidationError(f"repeated signal in {signals!r}")
+        return axes
 
     def conditionals(self, signals: Sequence[str] = ()) -> tuple[np.ndarray, ...]:
         """The state given each realization of ``signals`` that can occur.
@@ -209,17 +220,14 @@ def value_of_information(problem: DiscreteProblem, signals: Sequence[str]) -> fl
 
 
 def _report(problem: DiscreteProblem, conditional_loss) -> VoiReport:
-    """Values of a two-signal (own, assistant) problem from its four risks."""
-    if len(problem.signal_names) != 2:
-        raise ValidationError(f"need exactly two signals, got {problem.signal_names}")
-    h, a = problem.signal_names
+    """Values of a problem's signals from its four risks."""
     l0, r_h, r_a, r_joint = (_risk(problem, signals, conditional_loss)
-                             for signals in ((), (h,), (a,), (h, a)))
+                             for signals in ((), ("h",), ("a",), SIGNALS))
     return VoiReport(l0=l0, v_h=l0 - r_h, v_a=l0 - r_a, v_joint=l0 - r_joint)
 
 
 def marginal_value_discrete(problem: DiscreteProblem) -> VoiReport:
-    """Full value report for a problem with exactly two signals (own, assistant)."""
+    """Full value report of a problem's own and assistant signals."""
     return _report(problem, _optimal_conditional_loss)
 
 
@@ -238,8 +246,8 @@ def xor_construction(q: float) -> DiscreteProblem:
     for y, v, a in itertools.product((0, 1), repeat=3):
         u = a ^ y ^ v
         probs[y, v, a] = 0.5 * (q if v else 1.0 - q) * (p if u else 1.0 - p)
-    return DiscreteProblem(states=(0, 1), signal_names=("h", "a"),
-                           alphabets=((0, 1), (0, 1)), probs=probs, loss=LogLoss())
+    return DiscreteProblem(states=(0, 1), alphabets=((0, 1), (0, 1)), probs=probs,
+                           loss=LogLoss())
 
 
 def erasure_construction(t: float) -> DiscreteProblem:
@@ -258,8 +266,8 @@ def erasure_construction(t: float) -> DiscreteProblem:
         p_ya = 0.5 * (p if u else 1.0 - p)
         probs[y, a, a] = p_ya * (1.0 - t)
         probs[y, 2, a] = p_ya * t
-    return DiscreteProblem(states=(0, 1), signal_names=("h", "a"),
-                           alphabets=(h_alphabet, (0, 1)), probs=probs, loss=LogLoss())
+    return DiscreteProblem(states=(0, 1), alphabets=(h_alphabet, (0, 1)), probs=probs,
+                           loss=LogLoss())
 
 
 def xor_ratio(q: float) -> float:
@@ -333,6 +341,6 @@ def brute_force_voi(problem: DiscreteProblem) -> VoiReport:
     problem whose signal tuple has more than ``_GUARD / GRID_CELLS``
     realizations of positive probability is rejected before any search.
     """
-    if problem.conditionals(problem.signal_names)[0].size * GRID_CELLS > _GUARD:
+    if problem.conditionals(SIGNALS)[0].size * GRID_CELLS > _GUARD:
         raise ValidationError("brute-force enumeration guard exceeded")
     return _report(problem, _brute_conditional_loss)

@@ -27,7 +27,7 @@ from dualsig.voi import (
 
 from helpers import bisect_root
 
-ENV = Environment(mu0=0.0, tau0=1.0)
+ENV = Environment(tau0=1.0)
 TAU_H = 1.0
 
 
@@ -144,7 +144,7 @@ def _random_problem_and_rule(rng, gen):
     probs = raw / raw.sum()
     numeric = gen.kind == "squared"
     problem = DiscreteProblem(
-        states=(0.0, 1.0) if numeric else (0, 1), signal_names=("h", "a"),
+        states=(0.0, 1.0) if numeric else (0, 1),
         alphabets=((0, 1), (0, 1)), probs=probs,
         loss=QuadraticLoss() if numeric else LogLoss())
     rule = {}
@@ -192,7 +192,7 @@ def test_criterion_7_marginal_value_monotonicity():
         tau_h = 0.3 + 2.0 * rng.uniforms(1)[0]
         tau_a = 0.2 + 1.8 * rng.uniforms(1)[0]
         lam = (0.05 + 0.8 * rng.uniforms(1)[0]) * min(tau_h / tau_a, 1.0)
-        env = Environment(0.0, tau0)
+        env = Environment(tau0)
         step = 1e-4
         if lam > min(tau_h / (tau_a + step), 1.0) - step:
             continue

@@ -27,8 +27,7 @@ def random_problem(rng, numeric_states):
     raw = rng.uniform(size=(2, 2, 2))
     probs = raw / raw.sum()
     states = (0.0, 1.0) if numeric_states else (0, 1)
-    return DiscreteProblem(states=states, signal_names=("h", "a"),
-                           alphabets=((0, 1), (0, 1)), probs=probs,
+    return DiscreteProblem(states=states, alphabets=((0, 1), (0, 1)), probs=probs,
                            loss=QuadraticLoss() if numeric_states else LogLoss())
 
 
@@ -163,8 +162,7 @@ def zero_pair_problem():
     """A log-loss problem on a 3x2 alphabet whose pair (1, 1) never occurs."""
     probs = np.arange(1.0, 13.0).reshape(2, 3, 2)
     probs[:, 1, 1] = 0.0
-    return DiscreteProblem(states=(0, 1), signal_names=("h", "a"),
-                           alphabets=((0, 1, 2), (0, 1)), probs=probs / probs.sum(),
+    return DiscreteProblem(states=(0, 1), alphabets=((0, 1, 2), (0, 1)), probs=probs / probs.sum(),
                            loss=LogLoss())
 
 
@@ -280,7 +278,7 @@ class TestGapCheckDiscrete:
         problem = random_problem(np.random.default_rng(13), True)
         probs = problem.probs.copy()
         probs[:, 1, 1] = 0.0
-        problem = DiscreteProblem(states=problem.states, signal_names=("h", "a"),
+        problem = DiscreteProblem(states=problem.states,
                                   alphabets=problem.alphabets, probs=probs / probs.sum(),
                                   loss=QuadraticLoss())
         rule = conditional_means(problem, SQUARED)
@@ -307,37 +305,30 @@ class TestGapCheckDiscrete:
         # zero entry, outside the negative-entropy domain
         probs = np.full((2, 2, 2), 0.125)
         probs[1, 0, :] = 0.0
-        problem = DiscreteProblem(states=(0, 1), signal_names=("h", "a"),
+        problem = DiscreteProblem(states=(0, 1),
                                   alphabets=((0, 1), (0, 1)), probs=probs / probs.sum(),
                                   loss=LogLoss())
         rule = {pair: np.array([0.5, 0.5]) for pair in ((0, 0), (0, 1), (1, 0), (1, 1))}
         with pytest.raises(ValidationError):
             gap_check_discrete(problem, rule, NEGENT)
 
-    def test_needs_exactly_two_signals(self):
-        problem = DiscreteProblem(states=(0.0, 1.0), signal_names=("h",),
-                                  alphabets=((0, 1),), probs=np.full((2, 2), 0.25),
-                                  loss=LogLoss())
-        with pytest.raises(ValidationError):
-            gap_check_discrete(problem, {}, SQUARED)
-
 
 class TestGapCheckGaussian:
     def test_zero_overlap_penalty_vanishes(self):
-        env = Environment(0.0, 1.0)
+        env = Environment(1.0)
         report = gap_check_gaussian_cn(env, SignalSpec(1.0, 0.7, 0.0), n=50_000, seed=0)
         assert report.penalty <= 4.0 * report.penalty_se + 1e-12
         assert abs(report.residual) <= 4.0 * report.penalty_se + 1e-12
 
     def test_reference_point_penalty(self):
-        env = Environment(0.0, 1.0)
+        env = Environment(1.0)
         report = gap_check_gaussian_cn(env, SignalSpec(1.0, 1.0, 0.5), n=1_000_000, seed=1)
         assert abs(report.penalty - 1.0 / 63.0) <= 4.0 * report.penalty_se
         assert abs(report.residual) <= 4.0 * report.penalty_se
 
     def test_random_specs_residuals_within_noise(self):
         rng = np.random.default_rng(9)
-        env = Environment(0.0, 1.0)
+        env = Environment(1.0)
         for i in range(20):
             tau_h = rng.uniform(0.3, 2.5)
             tau_a = rng.uniform(0.2, 2.5)
@@ -347,7 +338,7 @@ class TestGapCheckGaussian:
             assert abs(report.residual) <= 4.0 * report.penalty_se
 
     def test_report_structure(self):
-        env = Environment(0.0, 1.0)
+        env = Environment(1.0)
         report = gap_check_gaussian_cn(env, SignalSpec(1.0, 1.0, 0.5), n=10_000, seed=2)
         assert isinstance(report, GapReport)
         assert report.penalty_se > 0.0
@@ -369,8 +360,7 @@ class TestConditionalMeanOptimality:
 
     def test_negative_entropy_search_needs_two_states(self):
         probs = np.full((3, 2, 2), 1.0 / 12.0)
-        problem = DiscreteProblem(states=(-1.0, 0.5, 2.0), signal_names=("h", "a"),
-                                  alphabets=((0, 1), (0, 1)), probs=probs,
+        problem = DiscreteProblem(states=(-1.0, 0.5, 2.0), alphabets=((0, 1), (0, 1)), probs=probs,
                                   loss=QuadraticLoss())
         with pytest.raises(ValidationError, match="binary negative entropy"):
             conditional_mean_optimality(problem, NEGENT)
@@ -380,8 +370,7 @@ class TestConditionalMeanOptimality:
         probs = np.zeros((2, 2, 1))
         probs[1, 0, 0] = 0.5
         probs[1, 1, 0] = 0.5
-        problem = DiscreteProblem(states=(0.0, 3.0), signal_names=("h", "a"),
-                                  alphabets=((0, 1), (0,)), probs=probs,
+        problem = DiscreteProblem(states=(0.0, 3.0), alphabets=((0, 1), (0,)), probs=probs,
                                   loss=QuadraticLoss())
         assert 0.0 <= conditional_mean_optimality(problem, SQUARED) <= 1e-9
 

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from dualsig import montecarlo
-from dualsig.cli import main
+from dualsig.cli import build_parser, main
 
 SRC = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
                                     os.environ.get("PYTHONPATH")]))
@@ -21,7 +22,7 @@ def run(tmp_path, name, args):
 class TestLosses:
     def test_reference_row(self, tmp_path):
         code, data = run(tmp_path, "losses.csv",
-                         ["losses", "--tau0", "1", "--mu0", "0", "--tauH", "1",
+                         ["losses", "--tau0", "1", "--tauH", "1",
                           "--tauA", "1", "--lambda", "0.5"])
         assert code == 0
         lines = data.decode().splitlines()
@@ -180,6 +181,18 @@ class TestSimulate:
         assert len(data.decode().splitlines()) == 3
 
 
+# out-of-range verify parameters and the start of their error messages
+PARAMETER_ERRORS = {
+    ("--tauH", "nan"): "tau_h must be finite",
+    ("--tauH", "-1"): "tau_h must be strictly positive",
+    ("--tauH", "0"): "tau_h must be strictly positive",
+    ("--tau0", "inf"): "tau0 must be finite",
+    ("--sigma-mult", "nan"): "sigma_mult must be finite",
+    ("--sigma-mult", "-1"): "sigma_mult must be >= 0",
+    ("--sigma-mult", "inf"): "sigma_mult must be finite",
+}
+
+
 class TestVerify:
     def test_voi_suite_passes(self, tmp_path):
         code, data = run(tmp_path, "voi.csv", ["verify", "--suite", "voi"])
@@ -201,10 +214,7 @@ class TestVerify:
         assert "n must be >= 2" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--tauH", "nan"), ("--tauH", "-1"), ("--tauH", "0"), ("--tau0", "inf"),
-        ("--sigma-mult", "nan"), ("--sigma-mult", "-1"), ("--sigma-mult", "inf"),
-    ])
+    @pytest.mark.parametrize("flag, value", list(PARAMETER_ERRORS))
     def test_out_of_range_parameters_exit_2_before_any_work(self, monkeypatch, capsys,
                                                             flag, value):
         def forbidden(*args, **kwargs):
@@ -213,7 +223,7 @@ class TestVerify:
         monkeypatch.setattr(montecarlo, "parallel_map", forbidden)
         assert main(["verify", "--suite", "closed_forms", "--n", "100", flag, value]) == 2
         captured = capsys.readouterr()
-        assert "must be finite" in captured.err
+        assert captured.err.startswith(f"error: {PARAMETER_ERRORS[flag, value]}, got ")
         assert captured.out == ""
 
 
@@ -263,3 +273,71 @@ class TestDeterminism:
         stdout = capsys.readouterr().out
         _, data = run(tmp_path, "c.csv", args)
         assert stdout.encode() == data
+
+
+# Each subcommand's small base run, then one other legal value of each of its
+# options: given last, so that it replaces any value in the base run, the
+# value must make the command print other bytes.
+FLAG_RUNS = {
+    "losses": (["--tauA", "0.9", "--lambda", "0.5"],
+               {"--tau0": "2", "--tauH": "2", "--tauA": "1.1", "--lambda": "0.25"}),
+    "thresholds": (["--lambda-steps", "5"],
+                   {"--tau0": "2", "--tauH": "2", "--lambda": "0.3", "--lambda-min": "0.1",
+                    "--lambda-max": "0.9", "--lambda-steps": "6"}),
+    "phase": (["--tauA-steps", "5", "--lambda-steps", "4"],
+              {"--tau0": "2", "--tauH": "2", "--tauA-min": "0.1", "--tauA-max": "2",
+               "--tauA-steps": "6", "--lambda-min": "0.1", "--lambda-max": "0.9",
+               "--lambda-steps": "5"}),
+    # heterogeneous, the mode that reads the precision bounds
+    "simulate": (["--reps", "3", "--mode", "heterogeneous"],
+                 {"--n": "3000", "--reps": "4", "--mode": "homogeneous", "--a": "0.2",
+                  "--m": "0.6", "--k": "0.2", "--tau-min": "0.6", "--tau-max": "1.9",
+                  "--seed": "1"}),
+    # closed_forms, the one suite that reads every flag
+    "verify": (["--suite", "closed_forms", "--n", "2000"],
+               {"--suite": "voi", "--n": "3000", "--sigma-mult": "5", "--tau0": "2",
+                "--tauH": "0.7", "--seed": "1"}),
+}
+
+# Options that no value makes print other bytes, each with its reason.
+UNREAD_BY_DESIGN = {
+    ("simulate", "--h-total"):
+        "it sets the human's cues outside the AI's reach; that is central to the paper's "
+        "overlap and read by covariance_lambda, but the overlap ratio cancels it, so no "
+        "simulate column moves",
+}
+
+
+def parser_options() -> set[tuple[str, str]]:
+    """``(subcommand, option)`` for every option of the parser but ``--out``
+    and ``--help``."""
+    commands, = (action.choices for action in build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    return {(name, action.option_strings[0]) for name, sub in commands.items()
+            for action in sub._actions
+            if action.option_strings and action.dest not in ("help", "out")}
+
+
+def test_every_option_has_a_flag_run():
+    table = {(command, option) for command, (_, values) in FLAG_RUNS.items()
+             for option in values}
+    assert sorted(parser_options() - table - set(UNREAD_BY_DESIGN)) == []
+    assert sorted((table | set(UNREAD_BY_DESIGN)) - parser_options()) == []
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_RUNS))
+def test_every_option_changes_stdout(monkeypatch, capsys, command):
+    # one CPU: every run stays in this process, like the reach test's
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def stdout(argv):
+        code = main([command] + argv)
+        return code, capsys.readouterr().out
+
+    base_argv, values = FLAG_RUNS[command]
+    base = stdout(base_argv)
+    assert base[0] == 0
+    runs = {option: stdout(base_argv + [option, value])
+            for option, value in values.items()}
+    assert {option: code for option, (code, _) in runs.items() if code} == {}
+    assert [option for option, (_, out) in runs.items() if out == base[1]] == []

@@ -19,7 +19,7 @@ from dualsig.core import (
 from dualsig.montecarlo import paired_loss_estimates
 from dualsig.rng import RngHandle
 
-ENV = Environment(mu0=0.0, tau0=1.0)
+ENV = Environment(tau0=1.0)
 
 ATOL = 1e-12
 
@@ -29,15 +29,15 @@ def random_feasible(rng, strict_margin=0.95):
     tau_h = 0.2 + 2.3 * rng.uniforms(1)[0]
     tau_a = 0.1 + 2.4 * rng.uniforms(1)[0]
     lam = strict_margin * rng.uniforms(1)[0] * min(tau_h / tau_a, 1.0)
-    return Environment(mu0=0.0, tau0=float(tau0)), SignalSpec(float(tau_h), float(tau_a), float(lam))
+    return Environment(tau0=float(tau0)), SignalSpec(float(tau_h), float(tau_a), float(lam))
 
 
 class TestValidation:
     def test_environment_rejects_bad_precision(self):
         with pytest.raises(ValidationError):
-            Environment(mu0=0.0, tau0=0.0)
+            Environment(tau0=0.0)
         with pytest.raises(ValidationError):
-            Environment(mu0=math.inf, tau0=1.0)
+            Environment(tau0=math.inf)
 
     def test_spec_rejects_nonpositive_precisions(self):
         with pytest.raises(ValidationError):
@@ -62,7 +62,7 @@ class TestValidation:
         # each loss divides by a total that overflows only for extreme
         # precisions; the totals are checked in the order human, Bayes,
         # assistant, correlation neglect
-        huge_env = Environment(mu0=0.0, tau0=1e308)
+        huge_env = Environment(tau0=1e308)
         with pytest.raises(ValidationError, match=r"^tau0 \+ tau_h = inf is not finite"):
             loss_profile(huge_env, SignalSpec(tau_h=1e308, tau_a=1e308, lam=0.0))
         # tau_h + tilde_tau >= tau_a, so the Bayes total overflows whenever
@@ -181,8 +181,8 @@ class TestArraySpecs:
         with pytest.raises(ValidationError, match=r"^T\*\*2 = inf is not finite"):
             loss_profile(ENV, spec)
         with pytest.raises(ValidationError, match=r"^tau0 \+ tau_h = inf"):
-            loss_profile(Environment(0.0, 1e308), SignalSpec(np.full(2, 1e308), np.ones(2),
-                                                             np.zeros(2)))
+            loss_profile(Environment(1e308), SignalSpec(np.full(2, 1e308), np.ones(2),
+                                                         np.zeros(2)))
 
     def test_loss_profile_invariants_checked_element_wise(self):
         good = dict(l_human=0.5, l_ai=0.5, l_joint_bayes=0.4, l_joint_cn=0.45,
@@ -275,8 +275,8 @@ class TestInnovationPrecision:
 class TestClosedFormLosses:
     def test_loss_human_values(self):
         assert loss_profile(ENV, SignalSpec(1.0, 1.0, 0.0)).l_human == 0.5
-        assert loss_profile(Environment(0.0, 1.0), SignalSpec(1e9, 1.0, 0.0)).l_human < 1e-8
-        near_prior = loss_profile(Environment(0.0, 2.0), SignalSpec(1e-6, 1.0, 0.0)).l_human
+        assert loss_profile(Environment(1.0), SignalSpec(1e9, 1.0, 0.0)).l_human < 1e-8
+        near_prior = loss_profile(Environment(2.0), SignalSpec(1e-6, 1.0, 0.0)).l_human
         assert abs(near_prior - 0.5) < 1e-6
 
     def test_loss_ai_values(self):
@@ -316,10 +316,11 @@ class TestDecisionRules:
         assert cn_posterior_mean(ENV, SignalSpec(1.0, 1.0, 0.0), 3.0, 0.0) == 1.0
 
     def test_agreement_fixed_point(self):
-        env = Environment(mu0=2.5, tau0=1.3)
+        # signals at the prior mean 0 leave the decision there
+        env = Environment(tau0=1.3)
         spec = SignalSpec(0.7, 0.4, 0.3)
-        assert abs(cn_posterior_mean(env, spec, 2.5, 2.5) - 2.5) < ATOL
-        assert abs(bayes_posterior_mean(env, spec, 2.5, 2.5) - 2.5) < ATOL
+        assert cn_posterior_mean(env, spec, 0.0, 0.0) == 0.0
+        assert bayes_posterior_mean(env, spec, 0.0, 0.0) == 0.0
 
     def test_cn_reduces_to_own_posterior_for_weak_assistant(self):
         spec = SignalSpec(1.0, 1e-12, 0.0)
@@ -338,19 +339,21 @@ class TestDecisionRules:
         assert abs(got - 6.0 / 7.0) < ATOL
 
     def test_decision_weights_sum_to_one(self):
-        # affine invariance: shifting mu0, h, a by a constant shifts the decision
+        # the prior mean 0 takes weight tau0 / total, the signals the rest:
+        # shifting h and a by a constant shifts the decision by that rest
         rng = RngHandle(11, 0)
         for _ in range(50):
             env, spec = random_feasible(rng)
             h, a = float(rng.uniforms(1)[0]), float(rng.uniforms(1)[0])
             shift = 3.7
-            shifted_env = Environment(env.mu0 + shift, env.tau0)
-            for rule in (cn_posterior_mean, bayes_posterior_mean):
-                assert abs(rule(shifted_env, spec, h + shift, a + shift)
-                           - rule(env, spec, h, a) - shift) < 1e-10
+            for rule, own in ((cn_posterior_mean, spec.tau_a),
+                              (bayes_posterior_mean, innovation_precision(spec))):
+                signal_weight = 1.0 - env.tau0 / (env.tau0 + spec.tau_h + own)
+                assert abs(rule(env, spec, h + shift, a + shift)
+                           - rule(env, spec, h, a) - signal_weight * shift) < 1e-10
 
     def test_bayes_beats_cn_empirically(self):
-        env = Environment(0.0, 1.0)
+        env = Environment(1.0)
         spec = SignalSpec(1.0, 1.0, 0.5)
         est = paired_loss_estimates(env, spec, 1_000_000, RngHandle(3, 0))
         assert est["bayes_joint"].mean <= est["cn_joint"].mean
@@ -375,12 +378,12 @@ class TestInvariants:
                 assert abs(gap) < ATOL
             else:
                 assert gap > 0.0
-        p = loss_profile(Environment(0.0, 1.7), SignalSpec(0.9, 0.6, 0.0))
+        p = loss_profile(Environment(1.7), SignalSpec(0.9, 0.6, 0.0))
         assert abs(p.l_joint_cn - p.l_joint_bayes) < ATOL
 
     def test_marginal_value_monotone_directions(self):
         # strictly increasing in tau_a, strictly decreasing in lam and tau_h
-        env = Environment(0.0, 1.0)
+        env = Environment(1.0)
         tau_a_grid = np.linspace(0.2, 1.4, 13)
         values = [loss_profile(env, SignalSpec(1.5, t, 0.4)).v_marginal for t in tau_a_grid]
         assert all(b > a for a, b in zip(values, values[1:]))
@@ -393,7 +396,7 @@ class TestInvariants:
 
     def test_weak_assistant_sign_matches_overlap_side(self):
         # sign of (naive joint - own alone) at tau_a = 1e-6 is sign(2*lam - 1)
-        env = Environment(0.0, 1.0)
+        env = Environment(1.0)
         for lam in (0.0, 0.1, 0.2, 0.3, 0.4, 0.45):
             p = loss_profile(env, SignalSpec(1.0, 1e-6, lam))
             assert p.l_joint_cn - p.l_human < 0.0
@@ -417,7 +420,7 @@ class TestInvariants:
 
 
 def test_monte_carlo_oracle_agrees_with_closed_forms():
-    env = Environment(0.0, 1.0)
+    env = Environment(1.0)
     spec = SignalSpec(1.0, 1.0, 0.5)
     n = 400_000
     estimates = paired_loss_estimates(env, spec, n, RngHandle(9, 1))

@@ -26,8 +26,7 @@ PLAN = SamplingPlan(a=0.3, m=0.5, k=0.25, h_total=0.5)
 
 def hand_world():
     """Two heterogeneous cues with precisions 1 and 3, both accessible."""
-    return CueWorld(precisions=np.array([1.0, 3.0]), n_accessible=2,
-                    human_set=np.array([1]), homogeneous=False)
+    return CueWorld(precisions=np.array([1.0, 3.0]), n_accessible=2, human_set=np.array([1]))
 
 
 def with_human_set(world, human_set):
@@ -45,8 +44,7 @@ def aggregate_samples(world, ai_set, reps, seed, chunk=20_000):
     """
     union = np.union1d(world.human_set, ai_set)
     sd = np.sqrt(world.n_cues / world.precisions[union])
-    mass = np.ones(union.size) if world.homogeneous else world.precisions[union]
-    weights = np.column_stack([np.where(np.isin(union, idx), mass, 0.0)
+    weights = np.column_stack([np.where(np.isin(union, idx), world.precisions[union], 0.0)
                                for idx in (world.human_set, ai_set)])
     weights *= sd[:, None] / weights.sum(axis=0)
     rng = np.random.default_rng(seed)
@@ -79,16 +77,15 @@ class TestPlanValidation:
 
 class TestBuildWorld:
     def test_plan_arithmetic(self):
-        world = build_world(1000, PLAN, mode="homogeneous", tau=1.0, seed=0)
+        world = build_world(1000, PLAN, mode="homogeneous", seed=0)
         assert world.n_accessible == 500
         in_acc = world.human_set < world.n_accessible
         assert int(in_acc.sum()) == 250
         assert world.human_set.size == 500
 
     def test_homogeneous_precisions_constant(self):
-        world = build_world(64, PLAN, mode="homogeneous", tau=1.7, seed=1)
-        assert np.all(world.precisions == 1.7)
-        assert world.homogeneous
+        world = build_world(64, PLAN, mode="homogeneous", seed=1)
+        assert np.all(world.precisions == 1.0)
 
     def test_heterogeneous_precisions_bounded(self):
         world = build_world(512, PLAN, mode="heterogeneous", tau_bounds=(0.5, 2.0), seed=1)
@@ -117,18 +114,7 @@ class TestBuildWorld:
         with pytest.raises(ValidationError, match="total cue precision = inf is not finite"):
             build_world(10, PLAN, mode="heterogeneous", tau_bounds=(1e300, 1e308), seed=0)
         with pytest.raises(ValidationError, match="not finite"):
-            CueWorld(precisions=np.array([1e308, 1e308]), n_accessible=2, human_set=[0],
-                     homogeneous=False)
-
-    def test_homogeneous_world_needs_no_finite_precision_mass(self):
-        # equal precisions enter every overlap as counts, never as a sum
-        world = build_world(10, PLAN, mode="homogeneous", tau=1e308, seed=0)
-        ai = sample_ai_set(world, PLAN.a, seed=0)
-        count_ratio = np.intersect1d(ai, world.human_set).size / ai.size
-        assert empirical_lambda(world, ai) == count_ratio
-        assert abs(covariance_lambda(world, ai) - count_ratio) < 1e-14
-        # round(k*N) = 3 of round(m*N) = 5 accessible cues are the human's
-        assert empirical_lambda(world, np.arange(world.n_accessible)) == 3 / 5
+            CueWorld(precisions=np.array([1e308, 1e308]), n_accessible=2, human_set=[0])
 
     def test_impossible_rounding_rejected(self):
         # the human set cannot need more inaccessible cues than exist
@@ -138,13 +124,12 @@ class TestBuildWorld:
     def test_world_validation(self):
         with pytest.raises(ValidationError):
             CueWorld(precisions=np.array([1.0, -1.0]), n_accessible=2,
-                     human_set=np.array([0]), homogeneous=False)
+                     human_set=np.array([0]))
         with pytest.raises(ValidationError):
             CueWorld(precisions=np.array([1.0, 1.0]), n_accessible=2,
-                     human_set=np.array([5]), homogeneous=True)
+                     human_set=np.array([5]))
         with pytest.raises(ValidationError, match="1-D"):
-            CueWorld(precisions=np.ones((2, 2)), n_accessible=2, human_set=[0],
-                     homogeneous=True)
+            CueWorld(precisions=np.ones((2, 2)), n_accessible=2, human_set=[0])
 
     @pytest.mark.parametrize("n_accessible, message", [
         (0, "n_accessible must be >= 1, got 0"),
@@ -155,10 +140,10 @@ class TestBuildWorld:
     def test_accessible_pool_size_must_lie_in_one_to_n(self, n_accessible, message):
         with pytest.raises(ValidationError, match=message):
             CueWorld(precisions=np.array([1.0, 1.0]), n_accessible=n_accessible,
-                     human_set=[0], homogeneous=True)
+                     human_set=[0])
         for n_accessible in (1, 2, np.int64(2)):
             world = CueWorld(precisions=np.array([1.0, 1.0]), n_accessible=n_accessible,
-                             human_set=[0], homogeneous=True)
+                             human_set=[0])
             assert world.n_accessible == n_accessible and world.n_cues == 2
 
     @pytest.mark.parametrize("n_cues, message", [
@@ -176,12 +161,10 @@ class TestBuildWorld:
                                      np.array([[0, 1], [1, 0]]), np.array(1)])
     def test_world_rejects_non_integer_or_non_flat_human_set(self, bad):
         with pytest.raises(ValidationError, match="integers|1-D"):
-            CueWorld(precisions=np.array([1.0, 1.0]), n_accessible=2, human_set=bad,
-                     homogeneous=True)
+            CueWorld(precisions=np.array([1.0, 1.0]), n_accessible=2, human_set=bad)
 
     def test_world_accepts_an_empty_human_set(self):
-        world = CueWorld(precisions=np.array([1.0, 1.0]), n_accessible=2, human_set=[],
-                         homogeneous=True)
+        world = CueWorld(precisions=np.array([1.0, 1.0]), n_accessible=2, human_set=[])
         assert world.human_set.dtype == np.int64 and world.human_set.size == 0
 
 
@@ -266,11 +249,16 @@ class TestOverlapMeasures:
                 lam_cov = covariance_lambda(world, ai)
                 assert abs(lam_ratio - lam_cov) < 1e-13
 
-    def test_homogeneous_equals_count_ratio_exactly(self):
-        world = build_world(250, PLAN, mode="homogeneous", tau=0.3, seed=5)
-        ai = sample_ai_set(world, 0.2, seed=9)
-        expected = np.intersect1d(ai, world.human_set).size / ai.size
-        assert empirical_lambda(world, ai) == expected
+    @settings(max_examples=100, deadline=None)
+    @given(n_cues=st.integers(1, 200_000), p_h=st.floats(0.0, 1.0), p_a=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_homogeneous_equals_count_ratio_exactly(self, n_cues, p_h, p_a, seed):
+        # unit precisions: both precision masses are exact integer sums
+        rng = np.random.default_rng(seed)
+        human = np.flatnonzero(rng.random(n_cues) < p_h)
+        ai = np.union1d(np.flatnonzero(rng.random(n_cues) < p_a), [rng.integers(n_cues)])
+        world = CueWorld(precisions=np.ones(n_cues), n_accessible=n_cues, human_set=human)
+        assert empirical_lambda(world, ai) == np.intersect1d(ai, human).size / ai.size
 
     def test_identical_sets_give_unit_overlap(self):
         world = build_world(60, PLAN, mode="heterogeneous", seed=2)
@@ -329,7 +317,7 @@ class TestAggregation:
 
     def test_conditional_variance_of_own_signal(self):
         # |H| = N/2 with unit cue precision: Var(H|Y) = N / T_H = 2
-        world = build_world(100, PLAN, mode="homogeneous", tau=1.0, seed=4)
+        world = build_world(100, PLAN, mode="homogeneous", seed=4)
         reps = 100_000
         h, _ = aggregate_samples(world, np.arange(world.n_accessible), reps, seed=13)
         sigma = 2.0 * math.sqrt(2.0 / reps)

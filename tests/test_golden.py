@@ -76,7 +76,7 @@ EDGES = {
     "--h-total 0.4 --tau-min 0.3 --tau-max 3 --seed 5":
         "9c7184cd92365fbad4ab73730ba57f13ae0dbafc33596d3c3f7fbf4e81f0f8b9",
     "simulate --n 999 --n 4001 --reps 9 --mode homogeneous --a 0.35 --m 0.7 --k 0.2 "
-    "--h-total 0.45 --tau 0.3 --seed 2":
+    "--h-total 0.45 --seed 2":
         "89dee7372df51ba3da5585d1703c927f36ad5c2cedc1a9c4325cba81247d2101",
 }
 

@@ -21,7 +21,7 @@ from dualsig.montecarlo import (
 )
 from dualsig.rng import RngHandle, derive_seed
 
-ENV = Environment(mu0=0.0, tau0=1.0)
+ENV = Environment(tau0=1.0)
 SPEC = SignalSpec(tau_h=1.0, tau_a=1.0, lam=0.5)
 
 

@@ -16,7 +16,7 @@ from dualsig.regimes import (
 
 from helpers import bisect_root
 
-ENV = Environment(mu0=0.0, tau0=1.0)
+ENV = Environment(tau0=1.0)
 
 # Root of the assistant-alone vs naive-joint crossing at tau0 = tau_h = 1,
 # lam = 0.67, frozen from the independent bisection oracle below.
@@ -49,15 +49,26 @@ class TestTauAug:
             tau_aug(ENV, 0.0, 0.5)
 
 
-@pytest.mark.parametrize("tau_h", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-@pytest.mark.parametrize("call", [
+TAU_H_CALLS = pytest.mark.parametrize("call", [
     lambda tau_h: tau_aug(ENV, tau_h, 0.5),
     lambda tau_h: tau_auto(ENV, tau_h, 0.5),
     lambda tau_h: lambda_bar(ENV, tau_h),
     lambda tau_h: phase_sweep(ENV, tau_h, [0.5], [0.1]),
 ], ids=["tau_aug", "tau_auto", "lambda_bar", "phase_sweep"])
+
+
+@pytest.mark.parametrize("tau_h", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@TAU_H_CALLS
 def test_tau_h_must_be_finite_and_positive(call, tau_h):
     with pytest.raises(ValidationError, match="tau_h"):
+        call(tau_h)
+
+
+@pytest.mark.parametrize("tau_h", [None, "one", object()], ids=["None", "str", "object"])
+@TAU_H_CALLS
+def test_tau_h_must_be_a_real_number(call, tau_h):
+    # these raised a bare TypeError from math.isfinite
+    with pytest.raises(ValidationError, match="tau_h must be a real number"):
         call(tau_h)
 
 
@@ -115,7 +126,7 @@ class TestThresholdArrays:
         (1.0, 1.7e308, "lambda_bar"),   # 2*(tau0 + tau_h) overflows
     ])
     def test_out_of_range_precisions_raise(self, tau0, tau_h, call):
-        env = Environment(mu0=0.0, tau0=tau0)
+        env = Environment(tau0=tau0)
         fn = {"tau_aug": lambda lam: tau_aug(env, tau_h, lam),
               "tau_auto": lambda lam: tau_auto(env, tau_h, lam),
               "lambda_bar": lambda lam: lambda_bar(env, tau_h)}[call]
@@ -179,9 +190,9 @@ class TestClassify:
         for _ in range(100):
             tau0, tau_h, tau_a = rng.uniform(0.2, 2.5, size=3)
             lam = rng.uniform(0.0, 1.0) * min(tau_h / tau_a, 1.0)
-            base = classify(loss_profile(Environment(0.0, tau0), SignalSpec(tau_h, tau_a, lam)))
+            base = classify(loss_profile(Environment(tau0), SignalSpec(tau_h, tau_a, lam)))
             for c in (0.1, 3.0, 17.5):
-                scaled = classify(loss_profile(Environment(0.0, c * tau0),
+                scaled = classify(loss_profile(Environment(c * tau0),
                                   SignalSpec(c * tau_h, c * tau_a, lam)))
                 assert scaled is base
 

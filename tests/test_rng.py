@@ -3,6 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dualsig import cueworld, verify
+from dualsig.bregman import gap_check_gaussian_cn
+from dualsig.core import Environment, SignalSpec, ValidationError
 from dualsig.rng import RngHandle, _smallest_k, derive_seed, mix64, normal_ppf
 
 from helpers import refined_normal_ppf
@@ -88,7 +91,7 @@ def test_subset_edge_sizes():
     rng = RngHandle(1, 0)
     assert RngHandle(1, 0).subset(5, 0).size == 0
     assert np.array_equal(RngHandle(1, 0).subset(5, 5), np.arange(5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         rng.subset(5, 6)
 
 
@@ -270,22 +273,22 @@ def test_normals_moments():
 
 
 def test_invalid_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         RngHandle(0, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         RngHandle(0, 0).split(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         derive_seed(0, -2)
     # seeds are not reduced mod 2**64, so no two seeds alias one stream
-    for seed in (-1, MASK + 1):
-        with pytest.raises(ValueError, match="seed must lie in"):
+    for seed, message in ((-1, "seed must be >= 0"), (MASK + 1, "seed must lie in")):
+        with pytest.raises(ValidationError, match=message):
             RngHandle(seed)
-        with pytest.raises(ValueError, match="seed must lie in"):
+        with pytest.raises(ValidationError, match=message):
             derive_seed(seed, 1)
     assert RngHandle(MASK).seed == MASK and derive_seed(MASK) == MASK
     # streams are not reduced either: 2**64 used to draw the words of stream 0
-    for stream in (-1, MASK + 1):
-        with pytest.raises(ValueError, match="stream must lie in"):
+    for stream, message in ((-1, "stream must be >= 0"), (MASK + 1, "stream must lie in")):
+        with pytest.raises(ValidationError, match=message):
             RngHandle(0, stream)
     assert RngHandle(0, MASK).stream == MASK
 
@@ -306,13 +309,13 @@ def test_invalid_arguments():
         "words", "uniforms", "normals", "subset_pool", "subset_k"])
 def test_non_integers_are_rejected_not_truncated(call, args):
     # RngHandle(1.5) drew seed 1's words, and words(2.5) returned 3 words
-    with pytest.raises(TypeError):
+    with pytest.raises(ValidationError, match="must be an integer"):
         call(*args)
 
 
 def test_a_rejected_count_draws_nothing():
     rng = RngHandle(4, 1)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValidationError):
         rng.words(2.5)
     assert rng.words(2).tolist() == RngHandle(4, 1).words(2).tolist()
 
@@ -323,3 +326,21 @@ def test_numpy_integers_act_as_their_values():
     assert derive_seed(np.int64(1), np.int32(2)) == derive_seed(1, 2)
     assert RngHandle(0).subset(np.int64(10), np.int64(3)).tolist() == \
         RngHandle(0).subset(10, 3).tolist()
+
+
+PLAN = cueworld.SamplingPlan(a=0.3, m=0.5, k=0.25, h_total=0.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cueworld.build_world(100, PLAN, seed=-1), "seed must be >= 0"),
+    (lambda: verify.run("gap", n=100, seed=-1, sigma_mult=4.0, tau0=1.0, tau_h=1.0),
+     "seed must be >= 0"),
+    (lambda: cueworld.concentration_experiment([100], PLAN, reps=2, seed=1.5),
+     "seed must be an integer"),
+    (lambda: gap_check_gaussian_cn(Environment(1.0), SignalSpec(1.0, 1.0, 0.5), 100, seed=1.5),
+     "seed must be an integer"),
+], ids=["build_world", "verify", "concentration_experiment", "gap_check_gaussian_cn"])
+def test_a_bad_library_seed_raises_a_validation_error(call, message):
+    # these raised a bare ValueError or TypeError from the generator
+    with pytest.raises(ValidationError, match=message):
+        call()

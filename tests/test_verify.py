@@ -67,3 +67,15 @@ def test_voi_suite_draws_nothing_so_needs_no_minimum_n():
 def test_unknown_suite_rejected():
     with pytest.raises(ValidationError, match="unknown suite"):
         run("nonsense")
+
+
+@pytest.mark.parametrize("name", ["tau0", "tau_h", "sigma_mult"])
+@pytest.mark.parametrize("value", [None, "one"])
+def test_parameters_must_be_real_numbers(monkeypatch, name, value):
+    # these raised a bare TypeError from math.isfinite
+    def forbidden(*args, **kwargs):
+        raise AssertionError("suite ran before its parameters were checked")
+
+    monkeypatch.setattr(bregman, "gap_check_discrete", forbidden)
+    with pytest.raises(ValidationError, match=f"{name} must be a real number"):
+        run("gap", **{name: value})

@@ -35,11 +35,10 @@ def random_problems(rng, n_h=2, n_a=2):
     raw = rng.uniform(size=(2, n_h, n_a))
     probs = raw / raw.sum()
     alphabets = (tuple(range(n_h)), tuple(range(n_a)))
-    return (DiscreteProblem(states=(0, 1), signal_names=("h", "a"), alphabets=alphabets,
+    return (DiscreteProblem(states=(0, 1), alphabets=alphabets,
                             probs=probs, loss=LogLoss()),
             DiscreteProblem(states=tuple(np.sort(rng.uniform(-2.0, 2.0, size=2))),
-                            signal_names=("h", "a"), alphabets=alphabets, probs=probs,
-                            loss=QuadraticLoss()))
+                            alphabets=alphabets, probs=probs, loss=QuadraticLoss()))
 
 
 class TestBinaryEntropy:
@@ -62,8 +61,7 @@ class TestProblemValidation:
     def test_probabilities_must_normalize(self):
         probs = np.full((2, 2, 2), 0.2)
         with pytest.raises(ValidationError):
-            DiscreteProblem(states=(0, 1), signal_names=("h", "a"),
-                            alphabets=((0, 1), (0, 1)), probs=probs, loss=LogLoss())
+            DiscreteProblem(states=(0, 1), alphabets=((0, 1), (0, 1)), probs=probs, loss=LogLoss())
 
     @pytest.mark.parametrize("states, loss", [
         (("x", "y"), QuadraticLoss()),
@@ -74,7 +72,7 @@ class TestProblemValidation:
     ])
     def test_states_and_loss_validated(self, states, loss):
         with pytest.raises(ValidationError):
-            DiscreteProblem(states=states, signal_names=("h", "a"), alphabets=((0,), (0,)),
+            DiscreteProblem(states=states, alphabets=((0,), (0,)),
                             probs=np.full((2, 1, 1), 0.5), loss=loss)
 
     def test_states_stored_as_floats(self):
@@ -82,11 +80,18 @@ class TestProblemValidation:
         assert problem.states == (0.0, 1.0)
         assert all(type(s) is float for s in problem.states)
 
+    @pytest.mark.parametrize("alphabets, shape", [(((0, 1),), (2, 2)),
+                                                  (((0, 1), (0, 1), (0, 1)), (2, 2, 2, 2))])
+    def test_needs_exactly_two_alphabets(self, alphabets, shape):
+        # one for the own signal "h", one for the assistant signal "a"
+        with pytest.raises(ValidationError, match="one alphabet per signal"):
+            DiscreteProblem(states=(0, 1), alphabets=alphabets,
+                            probs=np.full(shape, 1.0 / np.prod(shape)), loss=LogLoss())
+
     def test_log_loss_needs_binary_states(self):
         probs = np.full((3, 1, 1), 1.0 / 3.0)
         with pytest.raises(ValidationError):
-            DiscreteProblem(states=(0, 1, 2), signal_names=("h", "a"),
-                            alphabets=((0,), (0,)), probs=probs, loss=LogLoss())
+            DiscreteProblem(states=(0, 1, 2), alphabets=((0,), (0,)), probs=probs, loss=LogLoss())
 
     def test_report_invariants(self):
         # v_a_given_h = v_joint - v_h = -0.1
@@ -99,11 +104,11 @@ class TestProblemValidation:
         assert math.isnan(VoiReport(l0=1.0, v_h=0.5, v_a=0.0, v_joint=0.5).ratio)
 
 
-def three_signal_problem():
-    """A strictly positive joint over three states and signals a, b, c."""
-    raw = np.random.default_rng(4).uniform(size=(3, 2, 3, 2))
-    return DiscreteProblem(states=(-1.0, 0.5, 2.0), signal_names=("a", "b", "c"),
-                           alphabets=((0, 1), ("x", "y", "z"), (0, 1)),
+def three_symbol_problem():
+    """A strictly positive joint over three states, a 3-symbol own signal
+    and a binary assistant signal."""
+    raw = np.random.default_rng(4).uniform(size=(3, 3, 2))
+    return DiscreteProblem(states=(-1.0, 0.5, 2.0), alphabets=(("x", "y", "z"), (0, 1)),
                            probs=raw / raw.sum(), loss=QuadraticLoss())
 
 
@@ -118,35 +123,50 @@ class TestConditionals:
         assert p.tolist() == [0.5, 0.5] and cond.shape == (2, 2)
 
     def test_flat_indices_in_c_order_of_the_alphabets(self):
-        problem = three_signal_problem()
-        live, p, cond = problem.conditionals(("a", "c"))
-        assert live.tolist() == list(range(4))
-        for j, (i_a, i_c) in enumerate(np.ndindex(2, 2)):
-            col = problem.probs[:, i_a, :, i_c].sum(axis=1)
+        problem = three_symbol_problem()
+        live, p, cond = problem.conditionals(("h", "a"))
+        assert live.tolist() == list(range(6))
+        for j, (i_h, i_a) in enumerate(np.ndindex(3, 2)):
+            col = problem.probs[:, i_h, i_a]
             assert p[j] == pytest.approx(col.sum(), abs=1e-15)
             np.testing.assert_allclose(cond[:, j], col / col.sum(), rtol=1e-14)
 
     def test_columns_are_distributions(self):
-        problem = three_signal_problem()
-        for signals in ((), ("b",), ("a", "b"), ("a", "b", "c")):
+        problem = three_symbol_problem()
+        for signals, size in (((), 1), (("h",), 3), (("a",), 2), (("h", "a"), 6)):
             live, p, cond = problem.conditionals(signals)
+            assert live.size == size
             assert cond.shape == (3, live.size) and (cond >= 0.0).all()
             np.testing.assert_allclose(cond.sum(axis=0), 1.0, rtol=1e-14)
             assert p.sum() == pytest.approx(1.0, abs=1e-14)
         live, p, cond = problem.conditionals()
-        assert live.tolist() == [0] and p.tolist() == [1.0]
-        np.testing.assert_array_equal(cond[:, 0], problem.probs.sum(axis=(1, 2, 3)))
+        assert live.tolist() == [0] and p[0] == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_array_equal(cond[:, 0], problem.probs.sum(axis=(1, 2)) / p[0])
 
     def test_order_of_signals_does_not_matter(self):
-        problem = three_signal_problem()
-        for first, second in ((("a", "c"), ("c", "a")),
-                              (("a", "b", "c"), ("c", "a", "b"))):
-            for x, y in zip(problem.conditionals(first), problem.conditionals(second)):
-                np.testing.assert_array_equal(x, y)
+        problem = three_symbol_problem()
+        for x, y in zip(problem.conditionals(("h", "a")), problem.conditionals(("a", "h"))):
+            np.testing.assert_array_equal(x, y)
 
     def test_unknown_signal_rejected(self):
         with pytest.raises(ValidationError, match="unknown signal"):
-            three_signal_problem().conditionals(("a", "d"))
+            three_symbol_problem().conditionals(("h", "d"))
+
+    @pytest.mark.parametrize("signals, message", [
+        ("ha", "sequence of names"),
+        ("h", "sequence of names"),
+        (("a", "a"), "repeated signal"),
+        (("h", "a", "h"), "repeated signal"),
+    ])
+    @pytest.mark.parametrize("call", [
+        lambda problem, signals: problem.conditionals(signals),
+        bayes_risk,
+        value_of_information,
+    ], ids=["conditionals", "bayes_risk", "value_of_information"])
+    def test_bare_string_and_repeated_signals_rejected(self, call, signals, message):
+        # "ha" used to read as ("h", "a"), and ("a", "a") as ("a",)
+        with pytest.raises(ValidationError, match=message):
+            call(three_symbol_problem(), signals)
 
 
 class TestBayesRisk:
@@ -159,7 +179,7 @@ class TestBayesRisk:
         probs = np.zeros((2, 2, 1))
         probs[0, 0, 0] = 0.5
         probs[1, 1, 0] = 0.5
-        problem = DiscreteProblem(states=(0, 1), signal_names=("h", "a"),
+        problem = DiscreteProblem(states=(0, 1),
                                   alphabets=((0, 1), (0,)), probs=probs, loss=LogLoss())
         assert bayes_risk(problem, ("h",)) == 0.0
         assert value_of_information(problem, ("h",)) == 1.0
@@ -167,7 +187,7 @@ class TestBayesRisk:
     def test_uninformative_signal_is_worthless(self):
         probs = np.zeros((2, 2, 1))
         probs[:, :, 0] = 0.25
-        problem = DiscreteProblem(states=(0, 1), signal_names=("h", "a"),
+        problem = DiscreteProblem(states=(0, 1),
                                   alphabets=((0, 1), (0,)), probs=probs, loss=LogLoss())
         assert abs(value_of_information(problem, ("h",))) < 1e-15
 
@@ -188,7 +208,7 @@ class TestInformationIdentities:
         rng = np.random.default_rng(0)
         raw = rng.uniform(size=(3, 2, 3))
         probs = raw / raw.sum()
-        problem = DiscreteProblem(states=(-1.0, 0.5, 2.0), signal_names=("h", "a"),
+        problem = DiscreteProblem(states=(-1.0, 0.5, 2.0),
                                   alphabets=((0, 1), (0, 1, 2)), probs=probs,
                                   loss=QuadraticLoss())
         for signals in (("h",), ("a",), ("h", "a")):
@@ -212,7 +232,7 @@ class TestInformationIdentities:
         probs = np.zeros((2, 2, 2))
         for y, h, a in np.ndindex(2, 2, 2):
             probs[y, h, a] = 0.5 * (0.1 if h != y else 0.9) * (0.1 if a != y else 0.9)
-        problem = DiscreteProblem(states=(0, 1), signal_names=("h", "a"),
+        problem = DiscreteProblem(states=(0, 1),
                                   alphabets=((0, 1), (0, 1)), probs=probs, loss=LogLoss())
         report = marginal_value_discrete(problem)
         assert report.v_joint > report.v_h
@@ -318,7 +338,7 @@ class TestBruteForce:
         # P(y, h, a) = P(y) P(h, a): no signal moves the posterior
         probs = np.multiply.outer(np.array([0.3, 0.7]), np.array([[0.1, 0.2], [0.4, 0.3]]))
         for loss in (LogLoss(), QuadraticLoss()):
-            problem = DiscreteProblem(states=(0, 1), signal_names=("h", "a"),
+            problem = DiscreteProblem(states=(0, 1),
                                       alphabets=((0, 1), (0, 1)), probs=probs, loss=loss)
             report = brute_force_voi(problem)
             for value in (report.v_h, report.v_a, report.v_joint, report.v_a_given_h):
@@ -331,8 +351,7 @@ class TestBruteForce:
         monkeypatch.setattr("dualsig.voi.minimize_grid_refine", no_search)
         n = 40
         probs = np.full((2, n, n), 1.0 / (2 * n * n))
-        problem = DiscreteProblem(states=(0, 1), signal_names=("h", "a"),
-                                  alphabets=(tuple(range(n)), tuple(range(n))),
+        problem = DiscreteProblem(states=(0, 1), alphabets=(tuple(range(n)), tuple(range(n))),
                                   probs=probs, loss=QuadraticLoss())
         with pytest.raises(ValidationError):
             brute_force_voi(problem)
