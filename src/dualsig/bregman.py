@@ -218,7 +218,10 @@ def gap_check_gaussian_cn(env: Environment, spec: SignalSpec, n: int,
     marg = profile.v_marginal
 
     def misuse(y, h, a):
-        return (bayes_posterior_mean(env, spec, h, a) - cn_posterior_mean(env, spec, h, a)) ** 2
+        d = bayes_posterior_mean(env, spec, h, a)
+        d -= cn_posterior_mean(env, spec, h, a)
+        d *= d
+        return d
 
     est = montecarlo.accumulate(env, spec, n, RngHandle(seed, stream=3),
                                 {"penalty": misuse})["penalty"]

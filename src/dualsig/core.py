@@ -48,6 +48,7 @@ __all__ = [
     "require",
     "count",
     "real",
+    "real_scalar",
     "native",
     "finite_total",
     "feasible",
@@ -97,14 +98,26 @@ def native(x):
 
 def real(value, name: str, positive: bool = False):
     """``value`` as a float, or a float64 array if array-like; finite and,
-    if ``positive``, strictly positive."""
+    if ``positive``, strictly positive.  Text is not a number, even where
+    ``float`` would parse it."""
     try:
-        x = float(value) if np.ndim(value) == 0 else np.asarray(value, dtype=float)
+        raw = np.asarray(value)
+        if raw.dtype.kind in "SU":
+            raise TypeError("text is not a real number")
+        x = float(value) if raw.ndim == 0 else np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} must be a real number, got {value!r}") from exc
     require(np.isfinite(x), name + " must be finite, got {}", x)
     if positive:
         require(x > 0.0, name + " must be strictly positive, got {}", x)
+    return x
+
+
+def real_scalar(value, name: str, positive: bool = False) -> float:
+    """:func:`real` for a parameter that is one number: an array is rejected."""
+    x = real(value, name, positive)
+    if np.ndim(x):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
     return x
 
 
@@ -129,7 +142,7 @@ class Environment:
     tau0: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tau0", real(self.tau0, "tau0", positive=True))
+        object.__setattr__(self, "tau0", real_scalar(self.tau0, "tau0", positive=True))
 
 
 @dataclass(frozen=True)
@@ -250,8 +263,9 @@ def cn_posterior_mean(env: Environment, spec: SignalSpec, h, a):
     ``(tau_h*h + tau_a*a) / (tau0 + tau_h + tau_a)``.
     Broadcasts over array-valued ``h`` and ``a``.
     """
-    T = env.tau0 + spec.tau_h + spec.tau_a
-    return (spec.tau_h * h + spec.tau_a * a) / T
+    d = spec.tau_h * h + spec.tau_a * a
+    d /= env.tau0 + spec.tau_h + spec.tau_a
+    return d
 
 
 def bayes_posterior_mean(env: Environment, spec: SignalSpec, h, a):
@@ -262,7 +276,10 @@ def bayes_posterior_mean(env: Environment, spec: SignalSpec, h, a):
     Broadcasts over array-valued ``h`` and ``a``.
     """
     tilde = innovation_precision(spec)
-    innov = (a - spec.lam * h) / (1.0 - spec.lam)
-    total = env.tau0 + spec.tau_h + tilde
-    return (spec.tau_h * h + tilde * innov) / total
+    d = a - spec.lam * h
+    d /= 1.0 - spec.lam
+    d *= tilde
+    d += spec.tau_h * h
+    d /= env.tau0 + spec.tau_h + tilde
+    return d
 

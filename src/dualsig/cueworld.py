@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ValidationError, count, finite_total
+from .core import ValidationError, count, finite_total, real, real_scalar
 from .rng import RngHandle, derive_seed
 
 __all__ = [
@@ -77,6 +77,8 @@ class SamplingPlan:
     h_total: float
 
     def __post_init__(self) -> None:
+        for name in ("a", "m", "k", "h_total"):
+            object.__setattr__(self, name, real_scalar(getattr(self, name), name))
         if not 0.0 < self.m <= 1.0:
             raise ValidationError(f"m must lie in (0, 1], got {self.m}")
         if not 0.0 < self.a <= self.m:
@@ -197,9 +199,11 @@ def build_world(n_cues: int, plan: SamplingPlan, mode: str = "homogeneous",
 
     rng = RngHandle(seed, stream=0)
     if mode == "heterogeneous":
-        lo, hi = tau_bounds
-        if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo <= hi):
-            raise ValidationError(f"tau_bounds must satisfy 0 < lo <= hi, got {tau_bounds}")
+        bounds = real(tau_bounds, "tau_bounds")
+        if np.shape(bounds) != (2,) or not 0.0 < bounds[0] <= bounds[1]:
+            raise ValidationError(
+                f"tau_bounds must be a pair (lo, hi) with 0 < lo <= hi, got {tau_bounds}")
+        lo, hi = bounds.tolist()
         precisions = lo + (hi - lo) * rng.uniforms(n_cues)
     else:
         precisions = np.ones(n_cues)

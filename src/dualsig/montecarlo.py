@@ -16,21 +16,25 @@ combines the per-chunk sums with a pairwise tree, so the result is
 independent of any parallel execution plan that preserves chunk indexing,
 and memory stays bounded by one chunk whatever the number of draws.  Every
 Monte Carlo estimate of the package, losses, misuse penalties and the
-conditional moments of ``verify --suite lemma``, goes through it.
+conditional moments of ``verify --suite lemma``, goes through it.  A chunk
+is updated in place, with the IEEE operations of the plain expressions in
+their order, so in-place and plain code give the same bits.
 
 :func:`verify_closed_forms` runs its grid cells through :func:`parallel_map`
-on ``min(cells, usable CPUs)`` forked worker processes.  Each cell draws
-from its own substream ``rng.split(cell)`` and the results come back in
-input order, so the output bytes do not depend on the worker count; one
-usable CPU (for example under ``taskset -c 0``) gives the serial loop.  A
-command's peak RSS as reported by ``wait4`` covers the workers, because it
-is the maximum over the process and its waited-for descendants.
+on ``min(cells, usable CPUs)`` worker processes made by ``os.fork``, with
+no process-pool module.  Each cell draws from its own substream
+``rng.split(cell)`` and the results come back in input order, so the
+output bytes do not depend on the worker count; one usable CPU (for
+example under ``taskset -c 0``) gives the serial loop.  A command's peak
+RSS as reported by ``wait4`` covers the workers, because it is the maximum
+over the process and its waited-for descendants.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -99,10 +103,16 @@ def sample_triple(env: Environment, spec: SignalSpec, rng: RngHandle, size: int)
     """
     tilde = innovation_precision(spec)
     n = count(size, "size", 1)
-    y = rng.normals(n) / math.sqrt(env.tau0)
-    h = y + rng.normals(n) / math.sqrt(spec.tau_h)
-    a_innov = y + rng.normals(n) / math.sqrt(tilde)
-    a = spec.lam * h + (1.0 - spec.lam) * a_innov
+    y = rng.normals(n)
+    y /= math.sqrt(env.tau0)
+    h = rng.normals(n)
+    h /= math.sqrt(spec.tau_h)
+    h += y
+    a = rng.normals(n)
+    a /= math.sqrt(tilde)
+    a += y
+    a *= 1.0 - spec.lam
+    a += spec.lam * h
     return y, h, a
 
 
@@ -142,54 +152,103 @@ def paired_loss_estimates(env: Environment, spec: SignalSpec, n: int,
     Shared draws make ordering comparisons (e.g. Bayes-joint never worse
     than the correlation-neglect joint) far tighter than independent runs.
     """
-    def own(y, h, a):
-        return (spec.tau_h * h / (env.tau0 + spec.tau_h) - y) ** 2
-
-    def assistant(y, h, a):
-        return (spec.tau_a * a / (env.tau0 + spec.tau_a) - y) ** 2
+    def alone(tau, signal, y):
+        d = tau * signal  # the posterior mean from this signal alone
+        d /= env.tau0 + tau
+        return _squared_error(d, y)
 
     return accumulate(env, spec, n, rng, {
-        "human_only": own,
-        "ai_only": assistant,
-        "bayes_joint": lambda y, h, a: (bayes_posterior_mean(env, spec, h, a) - y) ** 2,
-        "cn_joint": lambda y, h, a: (cn_posterior_mean(env, spec, h, a) - y) ** 2,
+        "human_only": lambda y, h, a: alone(spec.tau_h, h, y),
+        "ai_only": lambda y, h, a: alone(spec.tau_a, a, y),
+        "bayes_joint": lambda y, h, a: _squared_error(bayes_posterior_mean(env, spec, h, a), y),
+        "cn_joint": lambda y, h, a: _squared_error(cn_posterior_mean(env, spec, h, a), y),
     })
+
+
+def _squared_error(d: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``(d - y) ** 2``, computed in the buffer of ``d``, which it overwrites."""
+    d -= y
+    d *= d
+    return d
 
 
 def parallel_map(tasks: Iterable[Sequence], local: int = 0) -> list:
     """``[fn(*args) for fn, *args in tasks]``, spread over forked processes.
 
     The first ``local`` tasks run in this process, one after another, while
-    ``min(len(tasks) - local, usable CPUs)`` forked workers run the others,
-    the CPUs being those of this process's affinity mask.  A task kept local
-    costs no pickling, and its calls stay visible to anything that patches
-    this process's module attributes, such as an in-process tracer; a task
-    run in a worker grows the worker's memory, not this process's.  With one
-    usable CPU, with too few tasks to use two processes, or on a platform
-    that cannot fork, the plain loop runs in this process.  Results keep the
-    order of ``tasks``.  An exception raised by a task, here or in a worker,
-    is raised here as itself, and the tasks not yet started are cancelled.
-    A worker task's function and arguments must pickle, so the function is
-    module-level.  Forked workers need no fresh import and see the module
-    attributes as this process has them, but forking is safe only from a
-    process that has not started threads.
+    ``min(len(tasks) - local, usable CPUs)`` workers made by ``os.fork`` run
+    the others, the CPUs being those of this process's affinity mask.  Each
+    worker claims task indices from one shared pipe until none are left,
+    then sends its pickled ``(index, result)`` pairs, or the exception a
+    task raised, over a pipe of its own and exits.  A task kept local costs
+    no pickling, and its calls stay visible to anything that patches this
+    process's module attributes, such as an in-process tracer.  With one
+    usable CPU, with too few tasks to use two processes, or without
+    ``os.fork``, the plain loop runs in this process.  Results keep the
+    order of ``tasks``.  An exception raised by a task, here or in a
+    worker, is raised here as itself, and no task starts after it; a worker
+    that exits without its results raises :class:`RuntimeError` naming it.
+    No worker outlives the call.  Forking is safe only from a process that
+    has not started threads.
     """
     tasks = list(tasks)
-    here, rest = tasks[:local], tasks[local:]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(rest), cpus)
-    if cpus >= 2 and workers + bool(here) >= 2:
-        # imported here, so that importing the package starts no pool machinery
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-            try:
-                futures = [pool.submit(*task) for task in rest]
-                return [fn(*args) for fn, *args in here] + [f.result() for f in futures]
-            finally:
-                pool.shutdown(cancel_futures=True)
-    return [fn(*args) for fn, *args in tasks]
+    workers = min(len(tasks) - local, cpus)
+    if cpus < 2 or workers + (local > 0) < 2 or not hasattr(os, "fork"):
+        return [fn(*args) for fn, *args in tasks]
+    # the workers claim the indices of their tasks, 4 bytes each, from one pipe
+    claims, feed = os.pipe()
+    outputs = {}  # worker pid -> the read end of its result pipe
+    try:
+        try:
+            for _ in range(workers):
+                out, out_w = os.pipe()
+                if (pid := os.fork()) == 0:
+                    try:  # the worker, which exits here and never returns
+                        os.close(feed)
+                        done, error = [], None
+                        try:
+                            while claim := os.read(claims, 4):
+                                fn, *args = tasks[i := int.from_bytes(claim, "little")]
+                                done.append((i, fn(*args)))
+                        except BaseException as exc:  # sent on, raised by the caller
+                            error = exc
+                            while os.read(claims, 512):  # no unclaimed task starts
+                                pass
+                        with os.fdopen(out_w, "wb") as pipe:
+                            pickle.dump((done, error), pipe)
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                os.close(out_w)
+                outputs[pid] = out
+            todo = b"".join(i.to_bytes(4, "little") for i in range(local, len(tasks)))
+            # a pipe write of at most 512 bytes (PIPE_BUF or less) is never
+            # split, so every read of 4 bytes returns one whole index
+            for start in range(0, len(todo), 512):
+                os.write(feed, todo[start:start + 512])
+        finally:
+            os.close(feed)
+        results = [fn(*args) for fn, *args in tasks[:local]]
+    except BaseException:
+        while os.read(claims, 512):  # no unclaimed task starts
+            pass
+        raise
+    finally:
+        os.close(claims)
+        for pid, out in outputs.items():
+            with os.fdopen(out, "rb") as pipe:  # read before waiting: a full pipe blocks
+                outputs[pid] = pipe.read(), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    by_index = {}
+    for pid, (data, code) in outputs.items():
+        if code:
+            raise RuntimeError(f"worker process {pid} exited with code {code} "
+                               "without sending its results")
+        done, error = pickle.loads(data)
+        if error is not None:
+            raise error
+        by_index.update(done)
+    return results + [by_index[i] for i in range(local, len(tasks))]
 
 
 def _cell_losses(env: Environment, spec: SignalSpec, n: int,

@@ -34,7 +34,7 @@ from .core import (
     feasible,
     finite_total,
     loss_profile,
-    real,
+    real_scalar,
     require,
 )
 
@@ -83,7 +83,7 @@ def tau_aug(env: Environment, tau_h: float, lam):
     Broadcasts over an array ``lam``.
     """
     lam = _check_lambda(lam, lo_open=False)
-    tau_h = real(tau_h, "tau_h", positive=True)
+    tau_h = real_scalar(tau_h, "tau_h", positive=True)
     return finite_total(env.tau0 + tau_h, "tau0 + tau_h") * (2.0 * lam - 1.0)
 
 
@@ -98,7 +98,7 @@ def tau_auto(env: Environment, tau_h: float, lam):
     or the root is not positive.
     """
     lam = _check_lambda(lam, lo_open=True)
-    tau_h = real(tau_h, "tau_h", positive=True)
+    tau_h = real_scalar(tau_h, "tau_h", positive=True)
     b = tau_h - 2.0 * lam * env.tau0
     disc = finite_total(b * b + 8.0 * lam * tau_h * (env.tau0 + tau_h),
                         "the tau_auto discriminant")
@@ -111,7 +111,7 @@ def tau_auto(env: Environment, tau_h: float, lam):
 
 def lambda_bar(env: Environment, tau_h: float) -> float:
     """Overlap level above which the combination is never the best choice."""
-    tau_h = real(tau_h, "tau_h", positive=True)
+    tau_h = real_scalar(tau_h, "tau_h", positive=True)
     return 0.5 + tau_h / finite_total(2.0 * (env.tau0 + tau_h), "2*(tau0 + tau_h)")
 
 
@@ -162,7 +162,7 @@ def phase_sweep(env: Environment, tau_h: float,
     not an error).  The feasible cells are evaluated together, as one array
     spec, and give the same bits as evaluating each cell on its own.
     """
-    tau_h = real(tau_h, "tau_h", positive=True)
+    tau_h = real_scalar(tau_h, "tau_h", positive=True)
     ta_axis = _check_axis(tau_a_axis, "tau_a_axis")
     lam_axis = _check_axis(lambda_axis, "lambda_axis")
     if ta_axis[0] <= 0.0:

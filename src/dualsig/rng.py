@@ -144,11 +144,11 @@ def normal_ppf(p) -> np.ndarray:
     x /= _horner(_B, r, out=q)
 
     # 1 - p is exact for p > 1/2 (Sterbenz), so both tails share one path.
-    lo = p < _P_LOW
-    hi = p > 1.0 - _P_LOW
-    for mask, sign, tail_p in ((lo, 1.0, p[lo]), (hi, -1.0, 1.0 - p[hi])):
+    lo = np.flatnonzero(p < _P_LOW)
+    hi = np.flatnonzero(p > 1.0 - _P_LOW)
+    for tail, sign, tail_p in ((lo, 1.0, p.take(lo)), (hi, -1.0, 1.0 - p.take(hi))):
         t = np.sqrt(-2.0 * np.log(tail_p))
-        x[mask] = sign * (_horner(_C, t, np.empty_like(t)) / _horner(_D, t, np.empty_like(t)))
+        x.put(tail, sign * (_horner(_C, t, np.empty_like(t)) / _horner(_D, t, np.empty_like(t))))
     return x
 
 
@@ -201,8 +201,8 @@ class RngHandle:
         """Next ``n`` doubles uniform on the open interval (0, 1)."""
         w = self.words(n)
         w >>= np.uint64(11)
-        u = w.astype(np.float64)
-        u += 0.5
+        # converts each word to a double in its own buffer and adds 0.5
+        u = np.add(w, 0.5, out=w.view(np.float64))
         u *= 2.0 ** -53
         return np.minimum(u, 1.0 - 2.0 ** -53, out=u)
 

@@ -18,23 +18,25 @@ only, and each suite here gives them their tolerance.  The Monte Carlo
 suites (``closed_forms``, ``gap``, ``lemma``) need ``n >= 2`` draws, the
 fewest with a standard error; ``run`` rejects smaller ``n``, and any
 ``tau0``/``tau_h`` that is not a finite positive real or ``sigma_mult``
-that is not a finite nonnegative one (read by :func:`dualsig.core.real`),
-before any work.  The cells of ``closed_forms`` and the tasks of ``gap``
-run on :func:`montecarlo.parallel_map`; their rows come out in the same
-order and with the same bytes whatever the worker count.  The ``lemma``
+that is not a finite nonnegative one (read by
+:func:`dualsig.core.real_scalar`, so an array is rejected too), before any
+work.  The cells of ``closed_forms`` and the tasks of ``gap`` run on
+:func:`montecarlo.parallel_map`; their rows come out in the same order and
+with the same bytes whatever the worker count.  The ``lemma``
 moments stream through :func:`montecarlo.accumulate`, so their memory does
 not grow with ``n``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bregman, cueworld, montecarlo, voi
-from .core import Environment, SignalSpec, ValidationError, real, require
+from .core import Environment, SignalSpec, ValidationError, real_scalar, require
 from .rng import RngHandle, derive_seed
 
 __all__ = ["Check", "SUITES", "run"]
@@ -90,12 +92,10 @@ def _random_rule(problem, gen, rng: RngHandle):
     """A random decision per signal pair: a scalar in [-0.5, 1.5) for the
     squared generator, a distribution over the states for negative entropy."""
     squared = gen.kind == "squared"
-    rule = {}
-    for h in problem.alphabets[0]:
-        for a in problem.alphabets[1]:
-            u = rng.uniforms(1 if squared else len(problem.states))
-            rule[(h, a)] = 2.0 * u - 0.5 if squared else u / u.sum()
-    return rule
+    pairs = list(itertools.product(*problem.alphabets))
+    width = 1 if squared else len(problem.states)
+    u = rng.uniforms(len(pairs) * width).reshape(len(pairs), width)
+    return dict(zip(pairs, 2.0 * u - 0.5 if squared else u / u.sum(axis=1, keepdims=True)))
 
 
 def _worst_discrete_residual(rng: RngHandle, count: int, rule_offset: int, gen) -> float:
@@ -277,7 +277,8 @@ def run(suite: str, *, n: int, seed: int, sigma_mult: float, tau0: float,
         raise ValidationError(f"unknown suite {suite!r}; expected one of {sorted(SUITES)}")
     if suite != "voi" and n < 2:
         raise ValidationError(f"n must be >= 2, got {n}")
-    tau0, tau_h = real(tau0, "tau0", positive=True), real(tau_h, "tau_h", positive=True)
-    sigma_mult = real(sigma_mult, "sigma_mult")
+    tau0 = real_scalar(tau0, "tau0", positive=True)
+    tau_h = real_scalar(tau_h, "tau_h", positive=True)
+    sigma_mult = real_scalar(sigma_mult, "sigma_mult")
     require(sigma_mult >= 0.0, "sigma_mult must be >= 0, got {}", sigma_mult)
     return list(SUITES[suite](n, seed, sigma_mult, tau0, tau_h))

@@ -15,6 +15,7 @@ from dualsig.core import (
     feasible,
     innovation_precision,
     loss_profile,
+    real,
 )
 from dualsig.montecarlo import paired_loss_estimates
 from dualsig.rng import RngHandle
@@ -175,6 +176,19 @@ class TestArraySpecs:
             SignalSpec(np.array(["1.0", "x"]), np.ones(2), np.zeros(2))
         with pytest.raises(ValidationError, match="real"):
             SignalSpec(1.0, 1.0, 1j)
+
+    @pytest.mark.parametrize("text", ["1", b"1", ["1", "2"], np.str_("0.5")],
+                             ids=["str", "bytes", "str-list", "numpy-str"])
+    def test_numeric_text_is_not_a_real_number(self, text):
+        # float() parses these; a library caller passing text gets an error
+        with pytest.raises(ValidationError, match="tau_h must be a real number"):
+            real(text, "tau_h")
+        with pytest.raises(ValidationError, match="lam must be a real number"):
+            SignalSpec(1.0, 1.0, text)
+
+    def test_prior_precision_is_one_number(self):
+        with pytest.raises(ValidationError, match="tau0 must be a real number"):
+            Environment(np.array([1.0, 2.0]))
 
     def test_overflow_in_arrays_raises_one_line_without_warnings(self):
         spec = SignalSpec(np.full(3, 1e200), np.array([1e199, 1e200, 1e201]), np.zeros(3))

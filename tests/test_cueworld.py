@@ -64,6 +64,15 @@ class TestPlanValidation:
         with pytest.raises(ValidationError):
             SamplingPlan(a=0.0, m=0.5, k=0.25, h_total=0.5)
 
+    @pytest.mark.parametrize("field", ["a", "m", "k", "h_total"])
+    @pytest.mark.parametrize("value", [None, "0.5", np.array([0.5, 0.5])],
+                             ids=["None", "numeric-str", "array"])
+    def test_fractions_must_be_real_numbers(self, field, value):
+        # None raised a bare TypeError from the comparisons
+        fractions = {**dataclasses.asdict(PLAN), field: value}
+        with pytest.raises(ValidationError, match=f"{field} must be a real number"):
+            SamplingPlan(**fractions)
+
     def test_rounding(self):
         assert round_half_away(2.5) == 3
         assert round_half_away(2.4999) == 2
@@ -115,6 +124,14 @@ class TestBuildWorld:
             build_world(10, PLAN, mode="heterogeneous", tau_bounds=(1e300, 1e308), seed=0)
         with pytest.raises(ValidationError, match="not finite"):
             CueWorld(precisions=np.array([1e308, 1e308]), n_accessible=2, human_set=[0])
+
+    @pytest.mark.parametrize("bounds", [(None, 2.0), (0.5, "2"), (0.5, math.inf), None, (1.0,),
+                                        (0.5, 1.0, 2.0)],
+                             ids=["None-lo", "numeric-str", "inf", "None", "one", "three"])
+    def test_tau_bounds_must_be_a_pair_of_finite_real_numbers(self, bounds):
+        # these raised a bare TypeError or ValueError from unpacking or math.isfinite
+        with pytest.raises(ValidationError, match="tau_bounds must be"):
+            build_world(100, PLAN, mode="heterogeneous", tau_bounds=bounds)
 
     def test_impossible_rounding_rejected(self):
         # the human set cannot need more inaccessible cues than exist

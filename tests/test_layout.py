@@ -6,9 +6,10 @@ module.  Two forms of reaching in are rejected: ``from .x import _name`` and
 The private module ``_search`` is itself importable; only its public names
 are used.
 
-Importing the command line loads no process-pool machinery: the pool of
-``montecarlo.parallel_map`` imports it on first use, so start-up stays as
-cheap for commands that never use it.
+The command line loads no process-pool machinery, ``multiprocessing`` or
+``concurrent.futures``, on import or when ``verify`` spreads its tasks over
+workers: ``montecarlo.parallel_map`` forks them with ``os.fork``, so
+start-up stays cheap for every command.
 
 The benchmark's tracer (``bench/spans.py``) patches program functions by
 module and name.  Every name it patches must still exist where it looks, so
@@ -89,13 +90,19 @@ def test_no_module_uses_a_sibling_private_name():
 
 def test_importing_the_cli_loads_no_pool_machinery():
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    probe = ("import sys, dualsig.cli; "
-             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
-             "if m in sys.modules))")
+    # after the import, and after a gap run whose tasks go to two workers
+    probe = ("import os, sys, dualsig.cli\n"
+             "def loaded():\n"
+             "    return sorted(m for m in ('multiprocessing', 'concurrent.futures')\n"
+             "                  if m in sys.modules)\n"
+             "print(loaded(), file=sys.stderr)\n"
+             "os.sched_getaffinity = lambda pid: {0, 1}\n"
+             "code = dualsig.cli.main(['verify', '--suite', 'gap', '--n', '2000'])\n"
+             "print(code, loaded(), file=sys.stderr)\n")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stderr.splitlines() == ["[]", "0 []"]
 
 
 def other_inner_products(source: str) -> list[str]:
@@ -205,7 +212,7 @@ REACH_RUNS = (
 # the first statement of the block that is never entered), one reason each.
 UNREACHED_BY_DESIGN = {
     "the pool needs two or more usable CPUs; the trace runs on one": [
-        ("montecarlo", "parallel_map", "import multiprocessing"),
+        ("montecarlo", "parallel_map", "claims, feed = os.pipe()"),
     ],
     "exact roots come from library inputs; tests/test_search.py pins them": [
         ("_search", "bisect", "return lo"),

@@ -1,5 +1,4 @@
 import math
-import multiprocessing
 import os
 import time
 
@@ -271,8 +270,7 @@ class TestVerifyDecomposition:
                 assert check.observed == pytest.approx(value, rel=1e-12, abs=1e-15)
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="the pool needs the fork start method")
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the workers are made by os.fork")
 class TestParallelMap:
     @pytest.fixture
     def cpus(self, monkeypatch):
@@ -324,3 +322,20 @@ class TestParallelMap:
             parallel_map(tasks)
         # at most the tasks already handed to the two workers still run
         assert len(list(tmp_path.iterdir())) <= 10
+
+    @pytest.mark.parametrize("local", [0, 1], ids=["worker", "local"])
+    def test_no_task_starts_and_no_child_outlives_an_error(self, cpus, tmp_path, local):
+        cpus(2)
+        tasks = [(_reject, 0, 0)] + [(_touch, tmp_path, i) for i in range(40)]
+        with pytest.raises(ValidationError, match="task 0 rejected"):
+            parallel_map(tasks, local=local)
+        assert len(list(tmp_path.iterdir())) <= 10
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_worker_that_dies_without_results_is_named(self, cpus):
+        cpus(2)
+        with pytest.raises(RuntimeError, match=r"worker process \d+ exited with code 3 "):
+            parallel_map([(os._exit, 3)] + [(_pid_and_square, i) for i in range(6)])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

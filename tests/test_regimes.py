@@ -64,10 +64,12 @@ def test_tau_h_must_be_finite_and_positive(call, tau_h):
         call(tau_h)
 
 
-@pytest.mark.parametrize("tau_h", [None, "one", object()], ids=["None", "str", "object"])
+@pytest.mark.parametrize("tau_h", [None, "one", "1", object(), np.array([1.0, 2.0])],
+                         ids=["None", "str", "numeric-str", "object", "array"])
 @TAU_H_CALLS
 def test_tau_h_must_be_a_real_number(call, tau_h):
-    # these raised a bare TypeError from math.isfinite
+    # these raised a bare TypeError from math.isfinite; an array broadcast
+    # silently or failed inside numpy, and a numeric string was parsed
     with pytest.raises(ValidationError, match="tau_h must be a real number"):
         call(tau_h)
 

@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from dualsig import bregman, verify
@@ -70,7 +71,8 @@ def test_unknown_suite_rejected():
 
 
 @pytest.mark.parametrize("name", ["tau0", "tau_h", "sigma_mult"])
-@pytest.mark.parametrize("value", [None, "one"])
+@pytest.mark.parametrize("value", [None, "one", "1", np.array([1.0, 2.0])],
+                         ids=["None", "one", "numeric-str", "array"])
 def test_parameters_must_be_real_numbers(monkeypatch, name, value):
     # these raised a bare TypeError from math.isfinite
     def forbidden(*args, **kwargs):
