@@ -54,6 +54,7 @@ from .core import (
     cn_posterior_mean,
     loss_profile,
     native,
+    real,
 )
 from ._search import minimize_grid_refine
 from .rng import RngHandle
@@ -105,12 +106,10 @@ def bregman_loss(gen: BregmanGenerator, y, d):
     one pair, else an array of the broadcast leading shape.  ``y`` and
     ``d`` must have the same trailing length.
     """
-    yv, dv = (np.atleast_1d(np.asarray(x, dtype=np.float64)) for x in (y, d))
+    yv, dv = np.atleast_1d(real(y, "y"), real(d, "d"))
     if yv.shape[-1] != dv.shape[-1]:
         raise ValidationError(
             f"y and d must be vectors of one length, got shapes {yv.shape} and {dv.shape}")
-    if not (np.isfinite(yv).all() and np.isfinite(dv).all()):
-        raise ValidationError("vector entries must be finite")
     grad = gen._grad(dv)  # rejects decisions outside the domain
     return native(gen._phi(yv) - gen._phi(dv) - np.vecdot(yv - dv, grad))
 
@@ -159,7 +158,7 @@ def _rule_table(delta_hat: Mapping, pairs, dimension: int) -> np.ndarray:
         except KeyError as exc:
             raise ValidationError(
                 f"decision rule table has no entry for signal pair ({h!r}, {a!r})") from exc
-        v = np.atleast_1d(np.asarray(value, dtype=np.float64))
+        v = np.atleast_1d(real(value, f"decision for signal pair ({h!r}, {a!r})"))
         if v.shape != (dimension,):
             raise ValidationError(
                 f"decision for signal pair ({h!r}, {a!r}) must be a vector of length "

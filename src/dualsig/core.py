@@ -74,7 +74,7 @@ class DegenerateDecompositionError(ValidationError):
 def require(ok, message: str, *values, error: type[ValidationError] = ValidationError) -> None:
     """Raise ``error`` unless ``ok`` (a bool or bool array) holds everywhere;
     ``message`` is formatted with ``values`` at the first failing element."""
-    if not np.all(ok):
+    if not (ok is True or ok is np.True_ or np.all(ok)):  # a scalar skips the reduction
         i = np.flatnonzero(np.logical_not(ok))[0]
         raise error(message.format(*(np.broadcast_to(v, np.shape(ok)).flat[i] for v in values)))
 
@@ -99,11 +99,12 @@ def native(x):
 def real(value, name: str, positive: bool = False):
     """``value`` as a float, or a float64 array if array-like; finite and,
     if ``positive``, strictly positive.  Text is not a number, even where
-    ``float`` would parse it."""
+    ``float`` would parse it, and an array must have a numeric dtype."""
     try:
         raw = np.asarray(value)
-        if raw.dtype.kind in "SU":
-            raise TypeError("text is not a real number")
+        # float() parses text, drops an imaginary part, reads a str in an object array
+        if raw.dtype.kind not in ("biuf" if raw.ndim else "biufO"):
+            raise TypeError("not a real number")
         x = float(value) if raw.ndim == 0 else np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} must be a real number, got {value!r}") from exc
@@ -116,7 +117,7 @@ def real(value, name: str, positive: bool = False):
 def real_scalar(value, name: str, positive: bool = False) -> float:
     """:func:`real` for a parameter that is one number: an array is rejected."""
     x = real(value, name, positive)
-    if np.ndim(x):
+    if isinstance(x, np.ndarray):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
     return x
 

@@ -60,8 +60,7 @@ MODES = ("homogeneous", "heterogeneous")
 
 def round_half_away(x: float) -> int:
     """Round to the nearest integer, halves away from zero."""
-    if not math.isfinite(x):
-        raise ValidationError(f"cannot round {x} to an integer")
+    x = real_scalar(x, "x")
     return int(math.floor(x + 0.5)) if x >= 0.0 else -int(math.floor(-x + 0.5))
 
 
@@ -107,16 +106,14 @@ class CueWorld:
     human_mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        prec = np.asarray(self.precisions, dtype=np.float64)
+        prec = real(self.precisions, "precisions", positive=True)
         hset = _index_array(self.human_set, "human_set")
-        if prec.ndim != 1:
-            raise ValidationError(f"precisions must form a 1-D array, got shape {prec.shape}")
+        if np.ndim(prec) != 1:
+            raise ValidationError(f"precisions must form a 1-D array, got shape {np.shape(prec)}")
         if count(self.n_accessible, "n_accessible", 1) > prec.size:
             raise ValidationError(
                 f"n_accessible must be <= {prec.size}, the number of cues, "
                 f"got {self.n_accessible}")
-        if not np.all(np.isfinite(prec)) or np.any(prec <= 0.0):
-            raise ValidationError("cue precisions must be finite and positive")
         with np.errstate(over="ignore"):
             finite_total(np.sum(prec), "total cue precision")
         if hset.size and (hset.min() < 0 or hset.max() >= prec.size):
@@ -216,7 +213,7 @@ def build_world(n_cues: int, plan: SamplingPlan, mode: str = "homogeneous",
 
 def sample_ai_set(world: CueWorld, a: float, seed: int = 0) -> np.ndarray:
     """Uniform ``round(a*N)``-subset of the accessible pool (stream 1)."""
-    n_ai = round_half_away(a * world.n_cues)
+    n_ai = round_half_away(real_scalar(a, "a") * world.n_cues)
     if n_ai < 1:
         raise ValidationError(f"assistant sample size rounds to {n_ai}; need >= 1")
     if n_ai > world.n_accessible:
@@ -278,7 +275,7 @@ def overlap_estimates(world: CueWorld, a: float, reps: int, seed: int) -> np.nda
     """
     reps = count(reps, "reps", 1)
     return np.array([empirical_lambda(world, sample_ai_set(world, a, derive_seed(seed, rep)))
-                     for rep in range(reps)], dtype=np.float64)
+                     for rep in range(reps)])
 
 
 def concentration_experiment(n_values: Sequence[int], plan: SamplingPlan,
@@ -294,6 +291,11 @@ def concentration_experiment(n_values: Sequence[int], plan: SamplingPlan,
     and the accessible pool's :func:`empirical_lambda` otherwise.
     """
     reps = count(reps, "reps", 1)
+    try:
+        n_values = [count(n_cues, "n_values", 1) for n_cues in n_values]
+    except TypeError:  # not iterable
+        raise ValidationError(
+            f"n_values must be a sequence of pool sizes, got {n_values!r}") from None
     out = []
     for i, n_cues in enumerate(n_values):
         world = build_world(n_cues, plan, mode=mode, tau_bounds=tau_bounds,

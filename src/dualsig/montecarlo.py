@@ -49,6 +49,8 @@ from .core import (
     feasible,
     innovation_precision,
     loss_profile,
+    real,
+    real_scalar,
 )
 from .rng import RngHandle
 
@@ -260,7 +262,7 @@ def _cell_losses(env: Environment, spec: SignalSpec, n: int,
 
 
 def verify_closed_forms(env: Environment, tau_h: float,
-                        tau_a_grid: Iterable[float], lambda_grid: Iterable[float],
+                        tau_a_grid: Sequence[float], lambda_grid: Sequence[float],
                         n: int, rng: RngHandle) -> list[tuple]:
     """Monte Carlo and closed-form losses of all four rules on a grid.
 
@@ -273,9 +275,12 @@ def verify_closed_forms(env: Environment, tau_h: float,
     worker of :func:`parallel_map` runs them.  ``n`` must be at least 2, the
     fewest draws with a standard error.
     """
+    tau_h = real_scalar(tau_h, "tau_h", positive=True)
+    tau_a_grid = np.ravel(real(tau_a_grid, "tau_a_grid")).tolist()
     cells = [(tau_a, lam, SignalSpec(tau_h=tau_h, tau_a=tau_a, lam=lam)
               if lam < 1.0 and feasible(tau_h, tau_a, lam) else None)
-             for lam in lambda_grid for tau_a in tau_a_grid]
+             for lam in np.ravel(real(lambda_grid, "lambda_grid")).tolist()
+             for tau_a in tau_a_grid]
     losses = iter(parallel_map([(_cell_losses, env, spec, n, rng.split(cell))
                                 for cell, (_, _, spec) in enumerate(cells, 1)
                                 if spec is not None]))

@@ -30,10 +30,10 @@ from .core import (
     Environment,
     LossProfile,
     SignalSpec,
-    ValidationError,
     feasible,
     finite_total,
     loss_profile,
+    real,
     real_scalar,
     require,
 )
@@ -68,7 +68,7 @@ _CELL = np.dtype([("lam", float), ("tau_a", float), ("feasible", bool),
 
 
 def _check_lambda(lam, lo_open: bool):
-    lam = np.asarray(lam, dtype=float) if np.ndim(lam) else float(lam)
+    lam = real(lam, "lam")
     above = lam > 0.0 if lo_open else lam >= 0.0
     require(above & (lam <= 1.0),
             "lam must lie in " + ("(0, 1]" if lo_open else "[0, 1]") + ", got {}", lam)
@@ -143,13 +143,10 @@ class PhaseGrid:
     cells: np.ndarray
 
 
-def _check_axis(values: Sequence[float], name: str) -> np.ndarray:
-    axis = np.asarray(values, dtype=float)
-    if axis.ndim != 1 or not axis.size:
-        raise ValidationError(f"{name} must be a nonempty sequence")
-    require(np.isfinite(axis), name + " values must be finite, got {}", axis)
-    if np.any(axis[1:] <= axis[:-1]):
-        raise ValidationError(f"{name} must be strictly increasing")
+def _check_axis(values: Sequence[float], name: str, positive: bool = False) -> np.ndarray:
+    axis = real(values, name, positive)
+    require(np.ndim(axis) == 1 and np.size(axis) > 0, name + " must be a nonempty sequence")
+    require(axis[1:] > axis[:-1], name + " must be strictly increasing")
     return axis
 
 
@@ -163,10 +160,8 @@ def phase_sweep(env: Environment, tau_h: float,
     spec, and give the same bits as evaluating each cell on its own.
     """
     tau_h = real_scalar(tau_h, "tau_h", positive=True)
-    ta_axis = _check_axis(tau_a_axis, "tau_a_axis")
+    ta_axis = _check_axis(tau_a_axis, "tau_a_axis", positive=True)
     lam_axis = _check_axis(lambda_axis, "lambda_axis")
-    if ta_axis[0] <= 0.0:
-        raise ValidationError(f"tau_a grid values must be positive, got {ta_axis[0]}")
     cells = np.empty((len(lam_axis), len(ta_axis)), dtype=_CELL)  # regime: None
     cells["lam"], cells["tau_a"] = np.meshgrid(lam_axis, ta_axis, indexing="ij")
     ok = feasible(tau_h, cells["tau_a"], cells["lam"])

@@ -128,14 +128,14 @@ def _horner(coefs: tuple[float, ...], t: np.ndarray, out: np.ndarray) -> np.ndar
 
 
 def normal_ppf(p) -> np.ndarray:
-    """Inverse standard normal CDF (Acklam's rational approximation).
-
-    Accepts values in the open interval (0, 1); vectorized, and always
-    returns a new array of the shape of ``p``.
-    """
+    """Inverse standard normal CDF (Acklam's rational approximation) of real
+    ``p`` strictly inside (0, 1), as a new array of its shape.  Not read by
+    :func:`dualsig.core.real`: one range scan also rejects NaN and inf."""
+    if np.asarray(p).dtype.kind not in "biuf":  # text is not a number
+        raise ValidationError(f"p must be real numbers, got {p!r}")
     p = np.asarray(p, dtype=np.float64)
-    if not np.all((p > 0.0) & (p < 1.0)):  # also rejects NaN
-        raise ValueError("normal_ppf requires arguments strictly inside (0, 1)")
+    if not np.all((p > 0.0) & (p < 1.0)):
+        raise ValidationError("normal_ppf requires p strictly inside (0, 1)")
     # The central fit is finite on all of (0, 1); ``out=`` keeps 0-d input an array.
     q = np.subtract(p, 0.5, out=np.empty_like(p))
     r = np.multiply(q, q, out=np.empty_like(p))

@@ -16,15 +16,16 @@ for.  :attr:`Check.ok` is the one pass rule: the oracles in
 :mod:`dualsig.montecarlo` and :mod:`dualsig.bregman` return measurements
 only, and each suite here gives them their tolerance.  The Monte Carlo
 suites (``closed_forms``, ``gap``, ``lemma``) need ``n >= 2`` draws, the
-fewest with a standard error; ``run`` rejects smaller ``n``, and any
-``tau0``/``tau_h`` that is not a finite positive real or ``sigma_mult``
-that is not a finite nonnegative one (read by
-:func:`dualsig.core.real_scalar`, so an array is rejected too), before any
-work.  The cells of ``closed_forms`` and the tasks of ``gap`` run on
+fewest with a standard error.  Before any work, ``run`` rejects an ``n``
+that is not such an integer (``voi`` takes ``n >= 0``), a ``seed`` outside
+``[0, 2**64)``, a ``tau0``/``tau_h`` that is not a finite positive real and
+a ``sigma_mult`` that is not a finite nonnegative one, text and arrays
+included (read by :func:`dualsig.core.count` and ``real_scalar``).  The
+cells of ``closed_forms`` and the tasks of ``gap`` run on
 :func:`montecarlo.parallel_map`; their rows come out in the same order and
-with the same bytes whatever the worker count.  The ``lemma``
-moments stream through :func:`montecarlo.accumulate`, so their memory does
-not grow with ``n``.
+with the same bytes whatever the worker count.  The ``lemma`` moments
+stream through :func:`montecarlo.accumulate`, so their memory does not
+grow with ``n``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bregman, cueworld, montecarlo, voi
-from .core import Environment, SignalSpec, ValidationError, real_scalar, require
+from .core import Environment, SignalSpec, ValidationError, count, real_scalar, require
 from .rng import RngHandle, derive_seed
 
 __all__ = ["Check", "SUITES", "run"]
@@ -98,21 +99,21 @@ def _random_rule(problem, gen, rng: RngHandle):
     return dict(zip(pairs, 2.0 * u - 0.5 if squared else u / u.sum(axis=1, keepdims=True)))
 
 
-def _worst_discrete_residual(rng: RngHandle, count: int, rule_offset: int, gen) -> float:
-    """Largest ``|residual|`` of the exact gap identity over ``count`` random
+def _worst_discrete_residual(rng: RngHandle, problems: int, rule_offset: int, gen) -> float:
+    """Largest ``|residual|`` of the exact gap identity over ``problems`` random
     problems (substreams ``i``) and rules (substreams ``rule_offset + i``)."""
     worst = 0.0
-    for i in range(count):
+    for i in range(problems):
         problem = _random_discrete_problem(rng.split(i))
         rule = _random_rule(problem, gen, rng.split(rule_offset + i))
         worst = max(worst, abs(bregman.gap_check_discrete(problem, rule, gen).residual))
     return worst
 
 
-def _random_feasible_specs(seed: int, count: int):
+def _random_feasible_specs(seed: int, specs: int):
     rng = RngHandle(seed, stream=11)
     out = []
-    while len(out) < count:
+    while len(out) < specs:
         tau0, tau_h, tau_a, frac = rng.uniforms(4)
         tau0 = 0.2 + 2.0 * tau0
         tau_h = 0.2 + 2.0 * tau_h
@@ -275,8 +276,8 @@ def run(suite: str, *, n: int, seed: int, sigma_mult: float, tau0: float,
     """
     if suite not in SUITES:
         raise ValidationError(f"unknown suite {suite!r}; expected one of {sorted(SUITES)}")
-    if suite != "voi" and n < 2:
-        raise ValidationError(f"n must be >= 2, got {n}")
+    n = count(n, "n", 0 if suite == "voi" else 2)
+    seed = derive_seed(seed)  # no indices: the seed itself, checked to lie in [0, 2**64)
     tau0 = real_scalar(tau0, "tau0", positive=True)
     tau_h = real_scalar(tau_h, "tau_h", positive=True)
     sigma_mult = real_scalar(sigma_mult, "sigma_mult")

@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from ._search import GRID_CELLS, bisect, minimize_grid_refine
-from .core import ValidationError
+from .core import ValidationError, real, real_scalar, require
 
 __all__ = [
     "SIGNALS",
@@ -67,8 +67,8 @@ NOISE_P = 0.1
 
 def binary_entropy(p: float) -> float:
     """Entropy of a Bernoulli(p) in bits; 0 at p in {0, 1}, 1 at p = 1/2."""
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"binary_entropy needs p in [0, 1], got {p}")
+    p = real_scalar(p, "p")
+    require(0.0 <= p <= 1.0, "binary_entropy needs p in [0, 1], got {}", p)
     if p == 0.0 or p == 1.0:
         return 0.0
     return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
@@ -106,23 +106,20 @@ class DiscreteProblem:
     def __post_init__(self) -> None:
         if not isinstance(self.loss, Loss):
             raise ValidationError(f"loss must be QuadraticLoss or LogLoss, got {self.loss!r}")
-        try:
-            states = tuple(float(s) for s in self.states)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"states must be real numbers, got {self.states!r}") from exc
-        if not all(math.isfinite(s) for s in states):
-            raise ValidationError(f"states must be finite, got {states}")
+        states = real(self.states, "states")
+        if np.ndim(states) != 1:
+            raise ValidationError(f"states must be a 1-D sequence, got {self.states!r}")
+        states = tuple(states.tolist())
         if isinstance(self.loss, LogLoss) and set(states) - {0.0, 1.0}:
             raise ValidationError("log loss requires states in {0, 1}")
         if len(self.alphabets) != len(SIGNALS):
             raise ValidationError(f"need one alphabet per signal of {SIGNALS}, "
                                   f"got {len(self.alphabets)}")
-        probs = np.asarray(self.probs, dtype=np.float64)
-        shape = (len(self.states),) + tuple(len(ab) for ab in self.alphabets)
-        if probs.shape != shape:
-            raise ValidationError(f"probs shape {probs.shape} != expected {shape}")
-        if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
-            raise ValidationError("probabilities must be finite and nonnegative")
+        probs = real(self.probs, "probs")
+        shape = (len(states),) + tuple(len(ab) for ab in self.alphabets)
+        if np.shape(probs) != shape:
+            raise ValidationError(f"probs shape {np.shape(probs)} != expected {shape}")
+        require(probs >= 0.0, "probs must be nonnegative, got {}", probs)
         total = float(probs.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"joint probabilities sum to {total}, not 1")
@@ -240,8 +237,8 @@ def xor_construction(q: float) -> DiscreteProblem:
     ``(1 - H2(p)) / (1 - H2(p + q - 2pq))``.
     """
     p = NOISE_P
-    if not 0.0 <= q < 0.5:
-        raise ValidationError(f"q must lie in [0, 1/2), got {q}")
+    q = real_scalar(q, "q")
+    require(0.0 <= q < 0.5, "q must lie in [0, 1/2), got {}", q)
     probs = np.zeros((2, 2, 2))
     for y, v, a in itertools.product((0, 1), repeat=3):
         u = a ^ y ^ v
@@ -257,8 +254,8 @@ def erasure_construction(t: float) -> DiscreteProblem:
     ``a`` but is erased to the null symbol with probability ``t``.
     """
     p = NOISE_P
-    if not 0.0 <= t < 1.0:
-        raise ValidationError(f"t must lie in [0, 1), got {t}")
+    t = real_scalar(t, "t")
+    require(0.0 <= t < 1.0, "t must lie in [0, 1), got {}", t)
     h_alphabet = (0, 1, NULL_SIGNAL)
     probs = np.zeros((2, 3, 2))
     for y, a in itertools.product((0, 1), repeat=2):
@@ -279,13 +276,12 @@ def xor_ratio(q: float) -> float:
 
 def xor_q_for_ratio(t: float) -> float:
     """Solve the XOR noise level q such that the value ratio equals t >= 1."""
-    if not t >= 1.0:
-        raise ValidationError(f"XOR ratios start at 1, got target {t}")
+    t = real_scalar(t, "t")
+    require(t >= 1.0, "XOR ratios start at 1, got target t = {}", t)
     if t == 1.0:
         return 0.0
     hi = 0.5 - 1e-5  # close enough to 1/2 for ratios beyond 1e9
-    if xor_ratio(hi) < t:
-        raise ValidationError(f"ratio target {t} out of solvable range")
+    require(xor_ratio(hi) >= t, "ratio target t = {} out of solvable range", t)
     return bisect(lambda q: xor_ratio(q) - t, 0.0, hi)
 
 
@@ -295,8 +291,8 @@ def ratio_construction(t: float) -> DiscreteProblem:
     Erasure for targets below 1, XOR (with the noise level solved by
     bisection) for targets of 1 and above.
     """
-    if not t >= 0.0:
-        raise ValidationError(f"ratio target must be nonnegative, got {t}")
+    t = real_scalar(t, "t")
+    require(t >= 0.0, "ratio target t must be nonnegative, got {}", t)
     if t < 1.0:
         return erasure_construction(t)
     return xor_construction(xor_q_for_ratio(t))
@@ -308,9 +304,10 @@ def posterior_two_tests(prior: float, tpr: float, fpr: float) -> tuple[float, fl
     The two flags are conditionally independent with the same true/false
     positive rates; returns ``(P(cond | one +), P(cond | both +))``.
     """
-    for name, v in (("prior", prior), ("tpr", tpr), ("fpr", fpr)):
-        if not 0.0 < v < 1.0:
-            raise ValidationError(f"{name} must lie in (0, 1), got {v}")
+    names = ("prior", "tpr", "fpr")
+    prior, tpr, fpr = (real_scalar(v, name) for v, name in zip((prior, tpr, fpr), names))
+    for v, name in zip((prior, tpr, fpr), names):
+        require(0.0 < v < 1.0, name + " must lie in (0, 1), got {}", v)
     single = prior * tpr / (prior * tpr + (1.0 - prior) * fpr)
     both = prior * tpr ** 2 / (prior * tpr ** 2 + (1.0 - prior) * fpr ** 2)
     return single, both

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualsig import cueworld
 from dualsig.core import ValidationError
 from dualsig.cueworld import (
     ConcentrationSummary,
@@ -405,6 +406,22 @@ class TestConcentration:
             concentration_experiment([100], PLAN, reps=reps)
         with pytest.raises(ValidationError, match=message):
             overlap_estimates(build_world(100, PLAN), PLAN.a, reps, seed=0)
+
+    @pytest.mark.parametrize("n_values, message", [
+        (100, "n_values must be a sequence of pool sizes, got 100"),
+        ([100, 200, 1.5], "n_values must be an integer, got 1.5"),
+        ([100, "200"], "n_values must be an integer"),
+        ([100, 0], "n_values must be >= 1, got 0"),
+    ])
+    def test_every_pool_size_is_read_before_the_first_world(self, monkeypatch, n_values,
+                                                             message):
+        # a bare int raised a TypeError, and [100, 200, 1.5] ran two worlds first
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a world was built before the pool sizes were checked")
+
+        monkeypatch.setattr(cueworld, "build_world", forbidden)
+        with pytest.raises(ValidationError, match=message):
+            concentration_experiment(n_values, PLAN, reps=2)
 
     def test_deterministic(self):
         a = concentration_experiment([1000], PLAN, reps=10, seed=3)

@@ -28,6 +28,13 @@ Python-level float sum is the left fold ``functools.reduce(operator.add,
 Every name the package's ``__init__`` re-exports is in the ``__all__`` of
 the module it comes from.
 
+Only ``core`` turns an argument into floats with ``np.asarray``/``np.array``
+and a float dtype: its readers ``real`` and ``real_scalar`` reject text and
+check finiteness, and a hand conversion elsewhere would parse text.  The one
+exemption is ``rng.normal_ppf``, which rejects text by dtype and then lets its
+range scan, which also rejects NaN and inf, be the only pass over the input
+on the Monte Carlo hot path.
+
 Every statement of every function and method of the package runs in at
 least one small run of a CLI command, so no code is kept alive by tests
 alone.  A line trace over those runs, on one CPU, marks a statement reached
@@ -45,6 +52,8 @@ import subprocess
 import sys
 import types
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "dualsig"
@@ -176,6 +185,51 @@ def test_init_reexports_only_public_names():
             missing += [f"{node.module}.{alias.name}" for alias in node.names
                         if alias.name not in module.__all__]
     assert missing == []
+
+
+def float_conversions(source: str) -> list[str]:
+    """The enclosing function of every ``np.asarray``/``np.array``/
+    ``np.asanyarray`` call in ``source`` whose dtype, by keyword or as the
+    second argument, is a float type."""
+    def is_float(node) -> bool:
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return np.dtype(node.value).kind == "f"
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        return name in ("double", "single", "half", "longdouble") or (
+            name or "").startswith("float")
+
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in ("asarray", "array", "asanyarray")
+                    and any(is_float(d) for d in child.args[1:2] + [
+                        k.value for k in child.keywords if k.arg == "dtype"])):
+                found.append(function)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_float_conversion_checker_flags_every_float_dtype():
+    source = ("import numpy as np\n"
+              "def f(x):\n"
+              "    a = np.asarray(x, dtype=float)\n"
+              "    b = np.array(x, np.float64)\n"
+              "    c = np.asarray(x, dtype='f8')\n"
+              "    return np.asanyarray(x, dtype=np.double)\n"
+              "def g(x):\n"
+              "    return np.asarray(x), np.array(x, dtype=np.int64), x.astype(float)\n"
+              "h = np.array([1.0], dtype='float32')\n")
+    assert float_conversions(source) == ["f", "f", "f", "f", "<module>"]
+
+
+def test_only_core_converts_arguments_to_floats():
+    found = {path.stem: float_conversions(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py")) if path.stem != "core"}
+    assert {stem: hits for stem, hits in found.items() if hits} == {"rng": ["normal_ppf"]}
 
 
 def test_every_traced_name_resolves():

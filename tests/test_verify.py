@@ -70,14 +70,26 @@ def test_unknown_suite_rejected():
         run("nonsense")
 
 
-@pytest.mark.parametrize("name", ["tau0", "tau_h", "sigma_mult"])
-@pytest.mark.parametrize("value", [None, "one", "1", np.array([1.0, 2.0])],
-                         ids=["None", "one", "numeric-str", "array"])
-def test_parameters_must_be_real_numbers(monkeypatch, name, value):
-    # these raised a bare TypeError from math.isfinite
+@pytest.mark.parametrize("suite, name, value, message", [
+    *(pytest.param("gap", name, value, f"{name} must be a real number", id=f"{vid}-{name}")
+      for vid, value in (("None", None), ("one", "one"), ("numeric-str", "1"),
+                         ("array", np.array([1.0, 2.0])))
+      for name in ("tau0", "tau_h", "sigma_mult")),
+    # these raised a bare TypeError
+    pytest.param("gap", "n", "5", "n must be an integer, got '5'", id="numeric-str-n"),
+    pytest.param("lemma", "n", None, "n must be an integer, got None", id="None-n"),
+    pytest.param("closed_forms", "n", 2000.0, "n must be an integer", id="float-n"),
+    pytest.param("voi", "n", -1, "n must be >= 0, got -1", id="negative-n-voi"),
+    # the voi suite draws nothing, but a seed no handle accepts is still an error
+    pytest.param("voi", "seed", 2 ** 64, r"seed must lie in \[0, 2\*\*64\)", id="2**64-seed"),
+    pytest.param("voi", "seed", 1.0, "seed must be an integer", id="float-seed"),
+    pytest.param("gap", "seed", -1, "seed must be >= 0", id="negative-seed"),
+])
+def test_parameters_must_be_real_numbers(monkeypatch, suite, name, value, message):
+    # the tau0/tau_h/sigma_mult cases raised a bare TypeError from math.isfinite
     def forbidden(*args, **kwargs):
         raise AssertionError("suite ran before its parameters were checked")
 
-    monkeypatch.setattr(bregman, "gap_check_discrete", forbidden)
-    with pytest.raises(ValidationError, match=f"{name} must be a real number"):
-        run("gap", **{name: value})
+    monkeypatch.setitem(verify.SUITES, suite, forbidden)
+    with pytest.raises(ValidationError, match=message):
+        run(suite, **{name: value})
