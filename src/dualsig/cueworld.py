@@ -98,6 +98,10 @@ class CueWorld:
     ``human_set``) is derived once, at construction, for the
     per-repetition draws.  The total precision must be finite: every
     precision-mass ratio sums a part of it.
+
+    A float64 ``precisions`` array is not copied: the world holds a
+    read-only view of the caller's buffer, and a later write to that
+    buffer changes the world.
     """
 
     precisions: np.ndarray
@@ -106,7 +110,8 @@ class CueWorld:
     human_mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        prec = real(self.precisions, "precisions", positive=True)
+        # a view: freezing it leaves the caller's own array writable
+        prec = real(self.precisions, "precisions", positive=True).view()
         hset = _index_array(self.human_set, "human_set")
         if np.ndim(prec) != 1:
             raise ValidationError(f"precisions must form a 1-D array, got shape {np.shape(prec)}")
@@ -145,7 +150,11 @@ class ConcentrationSummary:
 def _index_array(indices: Iterable[int], name: str) -> np.ndarray:
     """``indices`` as a 1-D int64 array.  Other shapes and non-integer dtypes
     (float, bool, ...) are rejected, never flattened or truncated; [] is empty."""
-    idx = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices))
+    try:
+        idx = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices))
+    except TypeError:  # not iterable
+        raise ValidationError(
+            f"{name} indices must form a 1-D sequence, got {indices!r}") from None
     if idx.ndim != 1:
         raise ValidationError(f"{name} indices must form a 1-D sequence, got shape {idx.shape}")
     if idx.size and idx.dtype.kind not in "iu":

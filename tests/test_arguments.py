@@ -58,6 +58,11 @@ ENTRY_POINTS = {
         XOR, rule(v), SQUARED), True),
     "CueWorld": ("precisions", lambda v: cueworld.CueWorld(
         precisions=v, n_accessible=1, human_set=[0]), False),
+    # an index set is a sequence of integers, a set or an array; never one number
+    "CueWorld-human_set": ("human_set", lambda v: cueworld.CueWorld(
+        precisions=np.ones(2), n_accessible=1, human_set=v), True),
+    "empirical_lambda": ("ai_set", lambda v: cueworld.empirical_lambda(WORLD, v), True),
+    "covariance_lambda": ("ai_set", lambda v: cueworld.covariance_lambda(WORLD, v), True),
     "round_half_away": ("x", cueworld.round_half_away, True),
     "sample_ai_set": ("a", lambda v: cueworld.sample_ai_set(WORLD, v), True),
     "overlap_estimates": ("a", lambda v: cueworld.overlap_estimates(WORLD, v, 2, 0), True),
@@ -87,6 +92,8 @@ def test_the_good_values_of_the_table_pass():
             "DiscreteProblem-states": (0.0, 2.0),
             "DiscreteProblem-probs": np.full((2, 2, 2), 0.125), "xor_q_for_ratio": 2.0,
             "ratio_construction": 2.0, "gap_check_discrete": 0.5, "CueWorld": [1.0, 2.0],
-            "round_half_away": 2.5, "sample_ai_set": 0.3, "overlap_estimates": 0.3}
+            "CueWorld-human_set": [0], "empirical_lambda": {0, 1},
+            "covariance_lambda": np.array([0, 1]), "round_half_away": 2.5,
+            "sample_ai_set": 0.3, "overlap_estimates": 0.3}
     for entry, (_, call, _) in ENTRY_POINTS.items():
         call(good.get(entry, 0.25))

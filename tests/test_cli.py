@@ -2,11 +2,12 @@ import argparse
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from dualsig import montecarlo
+from dualsig import cueworld, montecarlo, verify
 from dualsig.cli import build_parser, main
 
 SRC = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
@@ -225,6 +226,21 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {PARAMETER_ERRORS[flag, value]}, got ")
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["verify", "--suite", "bogus"], sorted(verify.SUITES)),
+    # 2000 repetitions take seconds, had any of them run
+    (["simulate", "--mode", "bogus", "--reps", "2000"], cueworld.MODES),
+], ids=["suite", "mode"])
+def test_an_unknown_name_exits_2_listing_the_names_before_any_work(capsys, argv, names):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert all(repr(name) in captured.err for name in names)
 
 
 class TestSeed:

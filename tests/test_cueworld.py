@@ -194,6 +194,12 @@ class TestBuildWorld:
             with pytest.raises(ValueError):
                 arr[0] = arr[1]
 
+    def test_world_freezes_a_view_and_leaves_the_callers_array_writable(self):
+        precisions = np.ones(3)
+        world = CueWorld(precisions=precisions, n_accessible=2, human_set=[0])
+        assert precisions.flags.writeable and not world.precisions.flags.writeable
+        assert np.shares_memory(world.precisions, precisions)
+
 
 class TestSampleAiSet:
     def test_exhausting_the_pool(self):

@@ -25,8 +25,12 @@ with compensation, so the same program would print other bytes there.  A
 Python-level float sum is the left fold ``functools.reduce(operator.add,
 ..., 0.0)``, the same on every interpreter.
 
-Every name the package's ``__init__`` re-exports is in the ``__all__`` of
-the module it comes from.
+Each public name has one import path, its own module: the package's
+``__init__`` imports nothing, so ``import dualsig`` loads no submodule.  The
+command line loads only what a command runs: ``losses``, ``thresholds`` and
+``phase`` read the closed forms of ``core`` and ``regimes`` alone, and
+``simulate`` adds ``cueworld`` and ``rng``.  ``pyproject.toml`` and
+``dualsig.__version__``, the package's two version strings, agree.
 
 Only ``core`` turns an argument into floats with ``np.asarray``/``np.array``
 and a float dtype: its readers ``real`` and ``real_scalar`` reject text and
@@ -46,7 +50,6 @@ with its reason.
 """
 
 import ast
-import importlib
 import os
 import subprocess
 import sys
@@ -54,6 +57,7 @@ import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "dualsig"
@@ -176,15 +180,48 @@ def test_no_module_calls_the_builtin_sum():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
-def test_init_reexports_only_public_names():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    missing = []
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            module = importlib.import_module(f"dualsig.{node.module}")
-            missing += [f"{node.module}.{alias.name}" for alias in node.names
-                        if alias.name not in module.__all__]
-    assert missing == []
+def fresh_imports(statement: str) -> list[str]:
+    """The modules that ``statement`` adds to ``sys.modules`` in a fresh
+    interpreter, sorted."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             f"{statement}\n"
+             "print(sorted(set(sys.modules) - before), file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stderr.splitlines()[-1])
+
+
+def test_the_package_root_imports_nothing():
+    assert fresh_imports("import dualsig") == ["dualsig"]
+
+
+CLOSED_FORM_MODULES = ["dualsig", "dualsig.cli", "dualsig.core", "dualsig.regimes"]
+
+# command line: the dualsig modules it leaves loaded
+COMMAND_MODULES = (
+    (["losses", "--tauA", "1", "--lambda", "0.5"], CLOSED_FORM_MODULES),
+    (["thresholds", "--lambda-steps", "3"], CLOSED_FORM_MODULES),
+    (["phase", "--tauA-steps", "3", "--lambda-steps", "3"], CLOSED_FORM_MODULES),
+    (["simulate", "--n", "2000", "--reps", "2"],
+     sorted(CLOSED_FORM_MODULES + ["dualsig.cueworld", "dualsig.rng"])),
+)
+
+
+@pytest.mark.parametrize("argv, expected", COMMAND_MODULES,
+                         ids=[argv[0] for argv, _ in COMMAND_MODULES])
+def test_a_command_loads_only_the_modules_it_runs(argv, expected):
+    loaded = fresh_imports(f"import dualsig.cli\nassert dualsig.cli.main({argv!r}) == 0")
+    assert [m for m in loaded if m.split(".")[0] == "dualsig"] == expected
+
+
+def test_pyproject_version_is_the_package_version():
+    tomllib = pytest.importorskip("tomllib")
+    import dualsig
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == dualsig.__version__
 
 
 def float_conversions(source: str) -> list[str]:
