@@ -79,7 +79,7 @@ class BregmanGenerator:
     kind: str
 
     def __post_init__(self) -> None:
-        if self.kind not in GENERATOR_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in GENERATOR_KINDS:
             raise ValidationError(f"kind must be one of {GENERATOR_KINDS}, got {self.kind!r}")
 
     def _phi(self, x: np.ndarray) -> np.ndarray:

@@ -80,13 +80,10 @@ def _seed(text: str) -> int:
 
 
 def _linspace(lo: float, hi: float, steps: int, name: str) -> list[float]:
-    if steps < 1:
-        raise ValidationError(f"{name} steps must be >= 1, got {steps}")
-    if steps == 1:
-        return [lo]
-    if not hi > lo:
-        raise ValidationError(f"{name} range must satisfy min < max, got [{lo}, {hi}]")
-    return [float(v) for v in np.linspace(lo, hi, steps)]
+    steps = core.count(steps, name + " steps", 1)
+    core.require(steps == 1 or hi > lo,
+                 name + " range must satisfy min < max, got [{}, {}]", lo, hi)
+    return np.linspace(lo, hi, steps).tolist()
 
 
 def cmd_losses(args) -> int:

@@ -35,6 +35,7 @@ float64 arrays of points, on which every formula acts element-wise.
 from __future__ import annotations
 
 import operator
+import reprlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,6 +48,7 @@ __all__ = [
     "LossProfile",
     "require",
     "count",
+    "indices",
     "real",
     "real_scalar",
     "native",
@@ -88,6 +90,29 @@ def count(value, name: str, least: int) -> int:
     if out < least:
         raise ValidationError(f"{name} must be >= {least}, got {out}")
     return out
+
+
+def indices(value, name: str, size: int) -> np.ndarray:
+    """``value``, distinct integers in ``[0, size)``, as a sorted 1-D int64
+    array; a sorted int64 array comes back as itself, not a copy.  Other
+    shapes, floats and bools are rejected, never flattened or cast; [] is empty."""
+    try:  # np.asarray raises ValueError for a ragged nesting too
+        idx = np.asarray(value if isinstance(value, np.ndarray) or not np.iterable(value)
+                         else list(value))
+        if idx.ndim != 1 or idx.size and idx.dtype.kind not in "iu":
+            raise ValueError
+    except ValueError:
+        raise ValidationError(f"{name} indices must form a 1-D sequence of integers, "
+                              f"got {reprlib.repr(value)}") from None
+    idx = idx.astype(np.int64, copy=False)
+    # Sets drawn by the package arrive sorted: one O(n) pass confirms it, no sort.
+    if not np.all(idx[1:] > idx[:-1]):
+        idx = np.sort(idx)
+        if np.any(idx[1:] == idx[:-1]):
+            raise ValidationError(f"{name} indices must be distinct")
+    if idx.size and (idx[0] < 0 or idx[-1] >= size):
+        raise ValidationError(f"{name} indices must lie in [0, {size}), got {idx[0]} to {idx[-1]}")
+    return idx
 
 
 def native(x):

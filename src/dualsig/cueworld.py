@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ValidationError, count, finite_total, real, real_scalar
+from .core import ValidationError, count, finite_total, indices, real, real_scalar
 from .rng import RngHandle, derive_seed
 
 __all__ = [
@@ -94,10 +94,10 @@ class CueWorld:
     """Immutable cue pool: per-cue precisions, the size of the accessible
     pool (its first ``n_accessible`` cues), and the human set.
 
-    ``human_set`` is stored sorted and unique; ``human_mask`` (True on
-    ``human_set``) is derived once, at construction, for the
-    per-repetition draws.  The total precision must be finite: every
-    precision-mass ratio sums a part of it.
+    ``human_set``, distinct indices, is stored as a sorted copy;
+    ``human_mask`` (True on ``human_set``) is derived once, at
+    construction, for the per-repetition draws.  The total precision must
+    be finite: every precision-mass ratio sums a part of it.
 
     A float64 ``precisions`` array is not copied: the world holds a
     read-only view of the caller's buffer, and a later write to that
@@ -112,7 +112,6 @@ class CueWorld:
     def __post_init__(self) -> None:
         # a view: freezing it leaves the caller's own array writable
         prec = real(self.precisions, "precisions", positive=True).view()
-        hset = _index_array(self.human_set, "human_set")
         if np.ndim(prec) != 1:
             raise ValidationError(f"precisions must form a 1-D array, got shape {np.shape(prec)}")
         if count(self.n_accessible, "n_accessible", 1) > prec.size:
@@ -121,11 +120,8 @@ class CueWorld:
                 f"got {self.n_accessible}")
         with np.errstate(over="ignore"):
             finite_total(np.sum(prec), "total cue precision")
-        if hset.size and (hset.min() < 0 or hset.max() >= prec.size):
-            raise ValidationError("human_set indices out of range")
-        hset = np.sort(hset)
-        if np.any(hset[1:] == hset[:-1]):
-            raise ValidationError("human_set indices must be unique")
+        # a copy: freezing it leaves the caller's own array writable
+        hset = indices(self.human_set, "human_set", prec.size).copy()
         in_h = np.zeros(prec.size, dtype=bool)
         in_h[hset] = True
         for name, arr in (("precisions", prec), ("human_set", hset), ("human_mask", in_h)):
@@ -147,32 +143,6 @@ class ConcentrationSummary:
     max_abs_error: float
 
 
-def _index_array(indices: Iterable[int], name: str) -> np.ndarray:
-    """``indices`` as a 1-D int64 array.  Other shapes and non-integer dtypes
-    (float, bool, ...) are rejected, never flattened or truncated; [] is empty."""
-    try:
-        idx = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices))
-    except TypeError:  # not iterable
-        raise ValidationError(
-            f"{name} indices must form a 1-D sequence, got {indices!r}") from None
-    if idx.ndim != 1:
-        raise ValidationError(f"{name} indices must form a 1-D sequence, got shape {idx.shape}")
-    if idx.size and idx.dtype.kind not in "iu":
-        raise ValidationError(f"{name} indices must be integers, got dtype {idx.dtype}")
-    return idx.astype(np.int64, copy=False)
-
-
-def _as_index_set(indices: Iterable[int], n_cues: int, name: str) -> np.ndarray:
-    idx = _index_array(indices, name)
-    # Sets drawn by this module arrive sorted and unique; one O(n) pass
-    # confirms that and skips the sort inside np.unique.
-    if not np.all(idx[1:] > idx[:-1]):
-        idx = np.unique(idx)
-    if idx.size and (idx.min() < 0 or idx.max() >= n_cues):
-        raise ValidationError(f"{name} indices out of range for n_cues={n_cues}")
-    return idx
-
-
 def build_world(n_cues: int, plan: SamplingPlan, mode: str = "homogeneous",
                 tau_bounds: tuple[float, float] = (0.5, 2.0), seed: int = 0) -> CueWorld:
     """Construct a deterministic cue world for the given seed.
@@ -183,7 +153,7 @@ def build_world(n_cues: int, plan: SamplingPlan, mode: str = "homogeneous",
     ``round(h_total*N)`` cues.  Heterogeneous precisions are i.i.d. uniform
     on ``tau_bounds``; homogeneous precisions are 1.
     """
-    if mode not in MODES:
+    if not isinstance(mode, str) or mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     n_cues = count(n_cues, "n_cues", 1)
     n_acc = round_half_away(plan.m * n_cues)
@@ -236,10 +206,10 @@ def empirical_lambda(world: CueWorld, ai_set: Iterable[int]) -> float:
     human set: the precision-mass ratio ``T(A∩H) / T(A)``.
 
     With unit precisions both masses are exact integer sums, so this is the
-    count ratio ``|A∩H| / |A|`` bit for bit.  ``ai_set`` may be unsorted or
-    repeat indices; it is read as a set.
+    count ratio ``|A∩H| / |A|`` bit for bit.  ``ai_set`` may be unsorted;
+    its indices must be distinct.
     """
-    a_idx = _as_index_set(ai_set, world.n_cues, "ai_set")
+    a_idx = indices(ai_set, "ai_set", world.n_cues)
     if a_idx.size == 0:
         raise ValidationError("ai_set must be nonempty")
     both = a_idx[world.human_mask[a_idx]]
@@ -256,7 +226,7 @@ def covariance_lambda(world: CueWorld, ai_set: Iterable[int]) -> float:
     rounding, which is the identity the ratio formulas rest on.
     """
     h_idx = world.human_set
-    a_idx = _as_index_set(ai_set, world.n_cues, "ai_set")
+    a_idx = indices(ai_set, "ai_set", world.n_cues)
     if h_idx.size == 0 or a_idx.size == 0:
         raise ValidationError("the human set and ai_set must be nonempty")
     n = world.n_cues

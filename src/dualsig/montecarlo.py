@@ -193,7 +193,7 @@ def parallel_map(tasks: Iterable[Sequence], local: int = 0) -> list:
     No worker outlives the call.  Forking is safe only from a process that
     has not started threads.
     """
-    tasks = list(tasks)
+    tasks, local = list(tasks), count(local, "local", 0)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(tasks) - local, cpus)
     if cpus < 2 or workers + (local > 0) < 2 or not hasattr(os, "fork"):

@@ -64,8 +64,8 @@ _STREAM_SALT = 0x632BE59BD9B4E019
 
 
 def mix64(z: int) -> int:
-    """Splitmix64 finalizer on Python ints (mod 2**64)."""
-    z &= _MASK
+    """Splitmix64 finalizer of a nonnegative integer, taken mod 2**64."""
+    z = count(z, "z", 0) & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return (z ^ (z >> 31)) & _MASK

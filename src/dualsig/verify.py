@@ -274,7 +274,7 @@ def run(suite: str, *, n: int, seed: int, sigma_mult: float, tau0: float,
     of standard errors a Monte Carlo check accepts; ``tau0`` and ``tau_h``
     set the closed-form grid of ``closed_forms``.  Seeds fix every draw.
     """
-    if suite not in SUITES:
+    if not isinstance(suite, str) or suite not in SUITES:
         raise ValidationError(f"unknown suite {suite!r}; expected one of {sorted(SUITES)}")
     n = count(n, "n", 0 if suite == "voi" else 2)
     seed = derive_seed(seed)  # no indices: the seed itself, checked to lie in [0, 2**64)

@@ -112,11 +112,13 @@ class DiscreteProblem:
         states = tuple(states.tolist())
         if isinstance(self.loss, LogLoss) and set(states) - {0.0, 1.0}:
             raise ValidationError("log loss requires states in {0, 1}")
-        if len(self.alphabets) != len(SIGNALS):
-            raise ValidationError(f"need one alphabet per signal of {SIGNALS}, "
-                                  f"got {len(self.alphabets)}")
+        nested = np.iterable(self.alphabets) and all(map(np.iterable, self.alphabets))
+        alphabets = tuple(map(tuple, self.alphabets)) if nested else ()
+        if len(alphabets) != len(SIGNALS):
+            raise ValidationError(f"alphabets must hold one alphabet per signal of {SIGNALS}, "
+                                  f"got {self.alphabets!r}")
         probs = real(self.probs, "probs")
-        shape = (len(states),) + tuple(len(ab) for ab in self.alphabets)
+        shape = (len(states),) + tuple(len(ab) for ab in alphabets)
         if np.shape(probs) != shape:
             raise ValidationError(f"probs shape {np.shape(probs)} != expected {shape}")
         require(probs >= 0.0, "probs must be nonnegative, got {}", probs)
@@ -127,17 +129,18 @@ class DiscreteProblem:
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "alphabets", tuple(tuple(ab) for ab in self.alphabets))
+        object.__setattr__(self, "alphabets", alphabets)
 
     def signal_axes(self, signals: Sequence[str]) -> tuple[int, ...]:
         """The ``probs`` axes of a signal set: a sequence of names from
-        :data:`SIGNALS`, each at most once; a bare string is rejected."""
-        if isinstance(signals, str):
+        :data:`SIGNALS`, each at most once; a bare string or a
+        non-iterable is rejected."""
+        if isinstance(signals, str) or not np.iterable(signals):
             raise ValidationError(f"signals must be a sequence of names, got {signals!r}")
         try:
             axes = tuple(SIGNALS.index(s) + 1 for s in signals)
         except ValueError as exc:
-            raise ValidationError(f"unknown signal in {signals!r}; have {SIGNALS}") from exc
+            raise ValidationError(f"unknown signal in signals {signals!r}; have {SIGNALS}") from exc
         if len(set(axes)) != len(axes):
             raise ValidationError(f"repeated signal in {signals!r}")
         return axes

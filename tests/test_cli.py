@@ -136,6 +136,17 @@ class TestPhase:
         assert proc.stderr.startswith("error: T**2 = inf is not finite")
         assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--tauA-steps", "0"], "error: tauA steps must be >= 1, got 0"),
+        (["--tauA-min", "3", "--tauA-max", "1"],
+         "error: tauA range must satisfy min < max, got [3.0, 1.0]"),
+    ])
+    def test_a_bad_axis_exits_2_with_one_error_line(self, capsys, argv, message):
+        assert main(["phase", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
     def test_lambda_major_ordering(self, tmp_path):
         _, data = run(tmp_path, "phase.csv",
                       ["phase", "--tauA-steps", "3", "--lambda-steps", "2",

@@ -13,6 +13,7 @@ from dualsig.core import (
     bayes_posterior_mean,
     cn_posterior_mean,
     feasible,
+    indices,
     innovation_precision,
     loss_profile,
     real,
@@ -227,6 +228,37 @@ class TestFeasible:
     def test_tiny_assistant_precision_gives_bound_one(self):
         assert feasible(1e300, 1e-300, 1.0)
         assert feasible(np.full(2, 1e300), np.full(2, 1e-300), np.ones(2)).all()
+
+
+class TestIndices:
+    def test_a_sorted_int64_array_comes_back_as_itself(self):
+        # the fast path: one strictly-increasing pass, no sort and no copy
+        idx = np.array([0, 3, 7])
+        assert indices(idx, "s", 8) is idx
+
+    @pytest.mark.parametrize("value", [[7, 0, 3], {3, 7, 0}, np.array([3, 7, 0], np.uint8),
+                                       (i for i in (0, 3, 7))])
+    def test_other_integer_inputs_come_back_sorted_as_int64(self, value):
+        out = indices(value, "s", 8)
+        assert out.dtype == np.int64 and out.tolist() == [0, 3, 7]
+
+    def test_empty_is_empty(self):
+        assert indices([], "s", 0).tolist() == []
+
+    @pytest.mark.parametrize("value, message", [
+        ([0, 8], r"s indices must lie in \[0, 8\), got 0 to 8"),
+        ([-1, 2], r"s indices must lie in \[0, 8\), got -1 to 2"),
+        ([2, 1, 2], "s indices must be distinct"),
+        ([1, 1], "s indices must be distinct"),
+        ([0.0, 1.0], "s indices must form a 1-D sequence of integers"),
+        ([True], "s indices must form a 1-D sequence of integers"),
+        ([[0], [1]], "s indices must form a 1-D sequence of integers"),
+        ([[0], [1, 2]], "s indices must form a 1-D sequence of integers"),
+        (3, "s indices must form a 1-D sequence of integers"),
+    ])
+    def test_a_bad_set_raises_naming_it(self, value, message):
+        with pytest.raises(ValidationError, match=message):
+            indices(value, "s", 8)
 
 
 class TestInnovationPrecision:

@@ -291,18 +291,21 @@ class TestOverlapMeasures:
 
     @pytest.mark.parametrize("mode", ["homogeneous", "heterogeneous"])
     @settings(max_examples=50, deadline=None)
-    @given(rnd=st.randoms(use_true_random=False), extra=st.integers(0, 30))
-    def test_unsorted_and_duplicated_lists_match_sorted_sets(self, mode, rnd, extra):
+    @given(rnd=st.randoms(use_true_random=False), extra=st.integers(1, 30))
+    def test_unsorted_lists_match_sorted_sets_and_repeats_are_rejected(self, mode, rnd, extra):
         world = build_world(300, PLAN, mode=mode, seed=4)
         ai = sample_ai_set(world, 0.3, seed=4)
-        a_list = [int(i) for i in ai] + rnd.choices([int(i) for i in ai], k=extra)
+        a_list = [int(i) for i in ai]
         rnd.shuffle(a_list)
+        repeated = a_list + rnd.choices(a_list, k=extra)
         for measure in (empirical_lambda, covariance_lambda):
             expected = measure(world, ai)
             assert measure(world, a_list) == expected
             assert measure(world, np.array(a_list)) == expected
-            # sorted but with repeats: ascending order alone is not a set
-            assert measure(world, sorted(a_list)) == expected
+            # a multiset is not a set, whatever its order
+            for bad in (repeated, np.array(repeated), sorted(repeated)):
+                with pytest.raises(ValidationError, match="ai_set indices must be distinct"):
+                    measure(world, bad)
 
     def test_empty_ai_set_rejected(self):
         world = build_world(60, PLAN, seed=2)

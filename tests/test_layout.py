@@ -32,12 +32,14 @@ command line loads only what a command runs: ``losses``, ``thresholds`` and
 ``simulate`` adds ``cueworld`` and ``rng``.  ``pyproject.toml`` and
 ``dualsig.__version__``, the package's two version strings, agree.
 
-Only ``core`` turns an argument into floats with ``np.asarray``/``np.array``
-and a float dtype: its readers ``real`` and ``real_scalar`` reject text and
-check finiteness, and a hand conversion elsewhere would parse text.  The one
-exemption is ``rng.normal_ppf``, which rejects text by dtype and then lets its
-range scan, which also rejects NaN and inf, be the only pass over the input
-on the Monte Carlo hot path.
+Only ``core`` turns an argument into floats or integers with
+``np.asarray``/``np.array`` and a float or integer dtype, or with
+``.astype`` and an integer dtype: its readers ``real`` and ``real_scalar``
+reject text and check finiteness, ``indices`` rejects floats, bools and
+repeats, and a hand conversion elsewhere would parse text or truncate.  The
+one exemption is ``rng.normal_ppf``, which rejects text by dtype and then
+lets its range scan, which also rejects NaN and inf, be the only pass over
+the input on the Monte Carlo hot path.
 
 Every statement of every function and method of the package runs in at
 least one small run of a CLI command, so no code is kept alive by tests
@@ -224,25 +226,34 @@ def test_pyproject_version_is_the_package_version():
         assert tomllib.load(fh)["project"]["version"] == dualsig.__version__
 
 
-def float_conversions(source: str) -> list[str]:
+def number_conversions(source: str) -> list[str]:
     """The enclosing function of every ``np.asarray``/``np.array``/
     ``np.asanyarray`` call in ``source`` whose dtype, by keyword or as the
-    second argument, is a float type."""
-    def is_float(node) -> bool:
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            return np.dtype(node.value).kind == "f"
-        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-        return name in ("double", "single", "half", "longdouble") or (
-            name or "").startswith("float")
+    second argument, is a float or integer type, and of every ``.astype``
+    call whose dtype, by keyword or as the first argument, is an integer
+    type."""
+    def kind(node) -> str:
+        """The kind of the dtype that ``node`` names, such as "f" for
+        ``float`` or ``np.double``; "" if it names none."""
+        name = node.value if isinstance(node, ast.Constant) else (
+            node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
+        try:
+            return np.dtype(name).kind if isinstance(name, str) else ""
+        except TypeError:
+            return ""
+
+    def dtypes(call, first):
+        return call.args[first:first + 1] + [k.value for k in call.keywords if k.arg == "dtype"]
 
     found = []
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr in ("asarray", "array", "asanyarray")
-                    and any(is_float(d) for d in child.args[1:2] + [
-                        k.value for k in child.keywords if k.arg == "dtype"])):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and (
+                    child.func.attr in ("asarray", "array", "asanyarray")
+                    and any(kind(d) in ("f", "i", "u") for d in dtypes(child, 1))
+                    or child.func.attr == "astype"
+                    and any(kind(d) in ("i", "u") for d in dtypes(child, 0))):
                 found.append(function)
             visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
 
@@ -250,7 +261,7 @@ def float_conversions(source: str) -> list[str]:
     return found
 
 
-def test_float_conversion_checker_flags_every_float_dtype():
+def test_conversion_checker_flags_every_float_and_integer_dtype():
     source = ("import numpy as np\n"
               "def f(x):\n"
               "    a = np.asarray(x, dtype=float)\n"
@@ -258,13 +269,19 @@ def test_float_conversion_checker_flags_every_float_dtype():
               "    c = np.asarray(x, dtype='f8')\n"
               "    return np.asanyarray(x, dtype=np.double)\n"
               "def g(x):\n"
-              "    return np.asarray(x), np.array(x, dtype=np.int64), x.astype(float)\n"
-              "h = np.array([1.0], dtype='float32')\n")
-    assert float_conversions(source) == ["f", "f", "f", "f", "<module>"]
+              "    a = np.asarray(x, dtype=int)\n"
+              "    b = np.array(x, np.int64)\n"
+              "    c = np.asarray(x, dtype='u4')\n"
+              "    d = x.astype(np.intp, copy=False)\n"
+              "    return x.astype(dtype='i8')\n"
+              "def h(x):\n"
+              "    return np.asarray(x), x.astype(float), np.array(x, dtype=object), x.copy()\n"
+              "k = np.array([1.0], dtype='float32')\n")
+    assert number_conversions(source) == ["f"] * 4 + ["g"] * 5 + ["<module>"]
 
 
-def test_only_core_converts_arguments_to_floats():
-    found = {path.stem: float_conversions(path.read_text(encoding="utf-8"))
+def test_only_core_converts_arguments_to_numbers():
+    found = {path.stem: number_conversions(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py")) if path.stem != "core"}
     assert {stem: hits for stem, hits in found.items() if hits} == {"rng": ["normal_ppf"]}
 
@@ -311,7 +328,7 @@ UNREACHED_BY_DESIGN = {
         ("_search", "bisect", "return mid"),
     ],
     "only an unsorted library input needs the sort": [
-        ("cueworld", "_as_index_set", "idx = np.unique(idx)"),
+        ("core", "indices", "idx = np.sort(idx)"),
     ],
     "two equal uniforms at the k-th place occur with probability ~2**-53 per pair": [
         ("rng", "_smallest_k", "chosen[np.flatnonzero(u == kth)[-extra:]] = False"),

@@ -298,6 +298,15 @@ class TestParallelMap:
         results = parallel_map([(_pid_and_square, i) for i in range(5)], local=local)
         assert results == [(os.getpid(), i * i) for i in range(5)]
 
+    @pytest.mark.parametrize("local", [-1, "1", 1.5])
+    def test_a_bad_local_count_raises_before_any_fork(self, cpus, local):
+        # -1 used to fork the workers and then fail in int.to_bytes
+        cpus(2)
+        with pytest.raises(ValidationError, match="local must be"):
+            parallel_map([(_pid_and_square, i) for i in range(4)], local=local)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_tasks_of_unequal_arity_match_the_plain_loop(self, cpus):
         tasks = [(_total, 1, 2, 3), (_pair, 4, 5), (_total,), (_total, 6), (_pair, 7, 8)]
         cpus(2)
