@@ -104,15 +104,14 @@ def indices(value, name: str, size: int) -> np.ndarray:
     except ValueError:
         raise ValidationError(f"{name} indices must form a 1-D sequence of integers, "
                               f"got {reprlib.repr(value)}") from None
-    idx = idx.astype(np.int64, copy=False)
-    # Sets drawn by the package arrive sorted: one O(n) pass confirms it, no sort.
+    # Checked in the input's dtype, which int64 may wrap; package sets arrive sorted.
     if not np.all(idx[1:] > idx[:-1]):
         idx = np.sort(idx)
         if np.any(idx[1:] == idx[:-1]):
             raise ValidationError(f"{name} indices must be distinct")
     if idx.size and (idx[0] < 0 or idx[-1] >= size):
         raise ValidationError(f"{name} indices must lie in [0, {size}), got {idx[0]} to {idx[-1]}")
-    return idx
+    return idx.astype(np.int64, copy=False)
 
 
 def native(x):
@@ -175,7 +174,8 @@ class Environment:
 class SignalSpec:
     """Joint law of the two signals given the state: (tau_h, tau_a, lam).
 
-    Floats, or three float arrays of one shape holding one spec per element.
+    Floats, or three float arrays of one shape holding one spec per element;
+    an array is stored as a read-only copy, so the caller's stays its own.
     Accepts the closed region :func:`feasible`.  Operations that need the
     innovation decomposition additionally require ``lam < 1`` and raise
     :class:`DegenerateDecompositionError` otherwise.
@@ -196,6 +196,9 @@ class SignalSpec:
                 "overlap lam={} exceeds the feasibility bound min(tau_h/tau_a, 1) "
                 "(tau_h={}, tau_a={})", lam, tau_h, tau_a)
         for name, value in (("tau_h", tau_h), ("tau_a", tau_a), ("lam", lam)):
+            if isinstance(value, np.ndarray):  # a copy of its own, which no caller can change
+                value = value.copy()
+                value.flags.writeable = False
             object.__setattr__(self, name, value)
 
 

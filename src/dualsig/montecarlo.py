@@ -21,13 +21,14 @@ is updated in place, with the IEEE operations of the plain expressions in
 their order, so in-place and plain code give the same bits.
 
 :func:`verify_closed_forms` runs its grid cells through :func:`parallel_map`
-on ``min(cells, usable CPUs)`` worker processes made by ``os.fork``, with
-no process-pool module.  Each cell draws from its own substream
-``rng.split(cell)`` and the results come back in input order, so the
-output bytes do not depend on the worker count; one usable CPU (for
-example under ``taskset -c 0``) gives the serial loop.  A command's peak
-RSS as reported by ``wait4`` covers the workers, because it is the maximum
-over the process and its waited-for descendants.
+on ``W = min(cells, usable CPUs)`` worker processes made by ``os.fork``,
+with no process-pool module; worker ``k`` runs every ``W``-th cell from
+the ``k``-th on, a split fixed before the fork.  Each cell draws from its
+own substream ``rng.split(cell)`` and the results come back in input
+order, so the output bytes do not depend on the worker count; one usable
+CPU (for example under ``taskset -c 0``) gives the serial loop.  A
+command's peak RSS as reported by ``wait4`` covers the workers, because it
+is the maximum over the process and its waited-for descendants.
 """
 
 from __future__ import annotations
@@ -178,19 +179,21 @@ def parallel_map(tasks: Iterable[Sequence], local: int = 0) -> list:
     """``[fn(*args) for fn, *args in tasks]``, spread over forked processes.
 
     The first ``local`` tasks run in this process, one after another, while
-    ``min(len(tasks) - local, usable CPUs)`` workers made by ``os.fork`` run
-    the others, the CPUs being those of this process's affinity mask.  Each
-    worker claims task indices from one shared pipe until none are left,
-    then sends its pickled ``(index, result)`` pairs, or the exception a
-    task raised, over a pipe of its own and exits.  A task kept local costs
-    no pickling, and its calls stay visible to anything that patches this
-    process's module attributes, such as an in-process tracer.  With one
-    usable CPU, with too few tasks to use two processes, or without
-    ``os.fork``, the plain loop runs in this process.  Results keep the
-    order of ``tasks``.  An exception raised by a task, here or in a
-    worker, is raised here as itself, and no task starts after it; a worker
-    that exits without its results raises :class:`RuntimeError` naming it.
-    No worker outlives the call.  Forking is safe only from a process that
+    ``W = min(len(tasks) - local, usable CPUs)`` workers made by ``os.fork``
+    run the others, the CPUs being those of this process's affinity mask.
+    Worker ``k`` runs ``tasks[local + k :: W]`` from its forked copy of
+    the list, a split that suits tasks of equal cost such as ``verify``'s,
+    then sends its pickled results, or the exception a task raised, over a
+    pipe of its own and exits.  A task kept local costs no pickling, and
+    its calls stay visible to anything that patches this process's module
+    attributes, such as an in-process tracer.  With one usable CPU, with
+    too few tasks to use two processes, or without ``os.fork``, the plain
+    loop runs in this process.  Results keep the order of ``tasks``.  An
+    exception raised by a task, here or in a worker, is raised here as
+    itself once every worker has ended; the rest of that worker's share
+    never starts, but the other shares run to their end.  A worker that
+    exits without its results raises :class:`RuntimeError` naming it.  No
+    worker outlives the call.  Forking is safe only from a process that
     has not started threads.
     """
     tasks, local = list(tasks), count(local, "local", 0)
@@ -198,59 +201,38 @@ def parallel_map(tasks: Iterable[Sequence], local: int = 0) -> list:
     workers = min(len(tasks) - local, cpus)
     if cpus < 2 or workers + (local > 0) < 2 or not hasattr(os, "fork"):
         return [fn(*args) for fn, *args in tasks]
-    # the workers claim the indices of their tasks, 4 bytes each, from one pipe
-    claims, feed = os.pipe()
-    outputs = {}  # worker pid -> the read end of its result pipe
+    # worker pid -> the read end of its result pipe, in the order of the workers
+    outputs = {}
     try:
-        try:
-            for _ in range(workers):
-                out, out_w = os.pipe()
-                if (pid := os.fork()) == 0:
-                    try:  # the worker, which exits here and never returns
-                        os.close(feed)
-                        done, error = [], None
-                        try:
-                            while claim := os.read(claims, 4):
-                                fn, *args = tasks[i := int.from_bytes(claim, "little")]
-                                done.append((i, fn(*args)))
-                        except BaseException as exc:  # sent on, raised by the caller
-                            error = exc
-                            while os.read(claims, 512):  # no unclaimed task starts
-                                pass
-                        with os.fdopen(out_w, "wb") as pipe:
-                            pickle.dump((done, error), pipe)
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
-                os.close(out_w)
-                outputs[pid] = out
-            todo = b"".join(i.to_bytes(4, "little") for i in range(local, len(tasks)))
-            # a pipe write of at most 512 bytes (PIPE_BUF or less) is never
-            # split, so every read of 4 bytes returns one whole index
-            for start in range(0, len(todo), 512):
-                os.write(feed, todo[start:start + 512])
-        finally:
-            os.close(feed)
-        results = [fn(*args) for fn, *args in tasks[:local]]
-    except BaseException:
-        while os.read(claims, 512):  # no unclaimed task starts
-            pass
-        raise
+        for k in range(workers):
+            out, out_w = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:  # the worker, which exits here and never returns
+                    try:
+                        sent = [fn(*args) for fn, *args in tasks[local + k::workers]], None
+                    except BaseException as exc:  # sent on, raised by the caller
+                        sent = None, exc
+                    with os.fdopen(out_w, "wb") as pipe:
+                        pickle.dump(sent, pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(out_w)
+            outputs[pid] = out
+        results = [fn(*args) for fn, *args in tasks[:local]] + [None] * (len(tasks) - local)
     finally:
-        os.close(claims)
         for pid, out in outputs.items():
             with os.fdopen(out, "rb") as pipe:  # read before waiting: a full pipe blocks
                 outputs[pid] = pipe.read(), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    by_index = {}
-    for pid, (data, code) in outputs.items():
+    for k, (pid, (data, code)) in enumerate(outputs.items()):
         if code:
             raise RuntimeError(f"worker process {pid} exited with code {code} "
                                "without sending its results")
         done, error = pickle.loads(data)
         if error is not None:
             raise error
-        by_index.update(done)
-    return results + [by_index[i] for i in range(local, len(tasks))]
+        results[local + k::workers] = done
+    return results
 
 
 def _cell_losses(env: Environment, spec: SignalSpec, n: int,
@@ -275,7 +257,7 @@ def verify_closed_forms(env: Environment, tau_h: float,
     worker of :func:`parallel_map` runs them.  ``n`` must be at least 2, the
     fewest draws with a standard error.
     """
-    tau_h = real_scalar(tau_h, "tau_h", positive=True)
+    tau_h, n = real_scalar(tau_h, "tau_h", positive=True), count(n, "n", 2)
     tau_a_grid = np.ravel(real(tau_a_grid, "tau_a_grid")).tolist()
     cells = [(tau_a, lam, SignalSpec(tau_h=tau_h, tau_a=tau_a, lam=lam)
               if lam < 1.0 and feasible(tau_h, tau_a, lam) else None)

@@ -113,7 +113,7 @@ def _worst_discrete_residual(rng: RngHandle, problems: int, rule_offset: int, ge
 def _random_feasible_specs(seed: int, specs: int):
     rng = RngHandle(seed, stream=11)
     out = []
-    while len(out) < specs:
+    for _ in range(specs):
         tau0, tau_h, tau_a, frac = rng.uniforms(4)
         tau0 = 0.2 + 2.0 * tau0
         tau_h = 0.2 + 2.0 * tau_h

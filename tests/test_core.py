@@ -152,6 +152,18 @@ class TestArraySpecs:
         with pytest.raises(DegenerateDecompositionError, match="lam=1.0"):
             innovation_precision(spec)
 
+    def test_the_spec_keeps_read_only_copies_of_the_callers_arrays(self):
+        tau_h, tau_a, lam = np.ones(2), np.ones(2), np.full(2, 0.5)
+        spec = SignalSpec(tau_h, tau_a, lam)
+        before = loss_profile(ENV, spec)
+        tau_h[0], tau_a[1], lam[:] = 0.1, 9.0, 0.9  # now infeasible, were the arrays shared
+        assert [spec.tau_h.tolist(), spec.tau_a.tolist(), spec.lam.tolist()] == [
+            [1.0, 1.0], [1.0, 1.0], [0.5, 0.5]]
+        assert loss_profile(ENV, spec).l_joint_bayes.tolist() == before.l_joint_bayes.tolist()
+        assert not any(x.flags.writeable for x in (spec.tau_h, spec.tau_a, spec.lam))
+        with pytest.raises(ValueError, match="read-only"):
+            spec.lam[0] = 0.0
+
     def test_shapes_must_agree(self):
         with pytest.raises(ValidationError, match="one shape"):
             SignalSpec(np.ones(3), np.ones(3), 0.5)
@@ -259,6 +271,13 @@ class TestIndices:
     def test_a_bad_set_raises_naming_it(self, value, message):
         with pytest.raises(ValidationError, match=message):
             indices(value, "s", 8)
+
+    def test_a_large_unsigned_index_is_named_as_passed(self):
+        # the int64 cast wraps 2**64 - 1 to -1; the range is checked before it
+        with pytest.raises(ValidationError, match=r"got 0 to 18446744073709551615$"):
+            indices(np.array([0, 2**64 - 1], dtype=np.uint64), "x", 5)
+        with pytest.raises(ValidationError, match=r"got 0 to 18446744073709551615$"):
+            indices(np.array([2**64 - 1, 0], dtype=np.uint64), "x", 5)
 
 
 class TestInnovationPrecision:

@@ -1,6 +1,5 @@
 import math
 import os
-import time
 
 import numpy as np
 import pytest
@@ -49,9 +48,8 @@ def _pair(a, b):
 
 
 def _touch(directory, i):
-    """Mark task ``i`` as run by a file, then take 50 ms."""
+    """Mark task ``i`` as run by a file."""
     (directory / f"{i}").touch()
-    time.sleep(0.05)
 
 
 class TestSampleTriple:
@@ -153,7 +151,6 @@ class TestAccumulate:
         assert est.mean == 1.0 and drew_triples(rng, 2)
 
     def test_grid_needs_two_draws_per_cell(self):
-        # verify_closed_forms leaves the rule to accumulate, which a worker re-raises
         with pytest.raises(ValidationError, match="n must be >= 2, got 1"):
             verify_closed_forms(ENV, 1.0, [0.5, 1.0], [0.25], n=1, rng=RngHandle(0, 0))
 
@@ -181,6 +178,17 @@ def _losses(cells, rule=None, tau_a=None):
 
 
 class TestVerifyClosedForms:
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the workers are made by os.fork")
+    @pytest.mark.parametrize("n", [-1, 1, 2.5, "100"])
+    def test_a_bad_n_raises_before_any_fork(self, monkeypatch, n):
+        # n = -1 used to fork both workers, whose tasks then rejected it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        with pytest.raises(ValidationError, match="n must be"):
+            verify_closed_forms(ENV, 1.0, [0.5, 1.0], [0.25], n=n, rng=RngHandle(0, 0))
+        assert forks == []
+
     def test_smoke_grid_runs_fast_and_flags_infeasible(self):
         import time
         start = time.perf_counter()
@@ -324,21 +332,28 @@ class TestParallelMap:
         # task 0 runs in this process, the others in workers
         assert (f"process {os.getpid()}" in str(exc.value)) == (bad == 0)
 
-    def test_an_error_cancels_the_tasks_not_yet_started(self, cpus, tmp_path):
-        cpus(2)
-        tasks = [(_reject, 0, 0)] + [(_touch, tmp_path, i) for i in range(40)]
-        with pytest.raises(ValidationError, match="task 0 rejected"):
-            parallel_map(tasks)
-        # at most the tasks already handed to the two workers still run
-        assert len(list(tmp_path.iterdir())) <= 10
+    def test_worker_k_runs_every_w_th_task_from_the_k_th(self, cpus):
+        cpus(3)
+        pids = [pid for pid, _ in parallel_map([(_pid_and_square, i) for i in range(11)],
+                                               local=2)]
+        assert pids[:2] == [os.getpid()] * 2
+        assert [len(set(pids[2 + k::3])) for k in range(3)] == [1, 1, 1]
+        assert len(set(pids)) == 4
 
-    @pytest.mark.parametrize("local", [0, 1], ids=["worker", "local"])
-    def test_no_task_starts_and_no_child_outlives_an_error(self, cpus, tmp_path, local):
+    # Worker 0 runs tasks 0, 2, 4, ... and worker 1 the odd ones.  An error
+    # stops the rest of its own worker's share only; every other share, and
+    # with local=1 every worker task, runs to its end.
+    @pytest.mark.parametrize("local, ran", [(0, [1, 3, 5, 7]), (1, [1, 2, 3, 4, 5, 6, 7, 8])],
+                             ids=["worker", "local"])
+    def test_an_error_stops_only_its_own_share_and_no_child_outlives_it(
+            self, cpus, tmp_path, local, ran):
         cpus(2)
-        tasks = [(_reject, 0, 0)] + [(_touch, tmp_path, i) for i in range(40)]
-        with pytest.raises(ValidationError, match="task 0 rejected"):
+        tasks = [(_reject, 0, 0)] + [(_touch, tmp_path, i) for i in range(1, 9)]
+        with pytest.raises(ValidationError, match="task 0 rejected in process") as exc:
             parallel_map(tasks, local=local)
-        assert len(list(tmp_path.iterdir())) <= 10
+        assert type(exc.value) is ValidationError
+        assert (f"process {os.getpid()}" in str(exc.value)) == (local == 1)
+        assert sorted(int(path.name) for path in tmp_path.iterdir()) == ran
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

@@ -40,11 +40,13 @@ def test_zero_sigma_mult_fails_checks_and_the_cli_exits_1(capsys):
 
 @pytest.mark.parametrize("suite", ["closed_forms", "gap"])
 def test_pool_and_serial_loop_give_equal_checks(monkeypatch, suite):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    pooled = run(suite, n=500, seed=3)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    serial = run(suite, n=500, seed=3)
-    assert pooled == serial
+    # each CPU count splits the tasks into its own strides; the rows never change
+    checks = []
+    for cpus in (3, 2, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)),
+                            raising=False)
+        checks.append(run(suite, n=500, seed=3))
+    assert checks[0] == checks[1] == checks[2]
 
 
 @pytest.mark.parametrize("suite", ["gap", "lemma"])
