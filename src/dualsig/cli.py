@@ -16,9 +16,10 @@ closed forms; ``simulate`` consumes only integer-derived uniforms; only
 
 Only ``core`` and ``regimes`` load with this module, which is all the
 closed-form commands need; ``simulate`` imports ``cueworld`` and ``verify``
-imports ``verify`` when they run.  The library is the one check on
-``--mode`` and ``--suite``: an unknown name raises its ``ValidationError``,
-which lists the valid names, before any work starts.
+imports ``verify`` when they run.  The parser only parses; the library is
+the one check on every value, ``--seed``, ``--mode`` and ``--suite``
+included: a bad one raises its ``ValidationError`` (an unknown name lists
+the valid names) before any work starts.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or validation error,
 including an ``--out`` path that cannot be written.
@@ -67,18 +68,6 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> No
         raise ValidationError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
 
 
-def _seed(text: str) -> int:
-    """A ``--seed`` value: an integer in ``[0, 2**64)``, the seeds of
-    :class:`dualsig.rng.RngHandle`."""
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
-    if not 0 <= seed < 1 << 64:
-        raise argparse.ArgumentTypeError(f"seed must lie in [0, 2**64), got {seed}")
-    return seed
-
-
 def _linspace(lo: float, hi: float, steps: int, name: str) -> list[float]:
     steps = core.count(steps, name + " steps", 1)
     core.require(steps == 1 or hi > lo,
@@ -101,8 +90,8 @@ def cmd_losses(args) -> int:
 
 def cmd_thresholds(args) -> int:
     env = Environment(tau0=args.tau0)
-    lam = np.array(args.lam if args.lam else _linspace(
-        args.lambda_min, args.lambda_max, args.lambda_steps, "lambda"))
+    axis = _linspace(args.lambda_min, args.lambda_max, args.lambda_steps, "lambda")
+    lam = np.array(args.lam or axis)  # --lambda replaces the axis, which is still checked
     auto = np.full(lam.shape, np.nan)  # blank at lam = 0: no crossing exists there
     auto[lam > 0.0] = regimes.tau_auto(env, args.tauH, lam[lam > 0.0])
     rows = np.column_stack([lam, regimes.tau_aug(env, args.tauH, lam), auto,
@@ -125,11 +114,12 @@ def cmd_phase(args) -> int:
 def cmd_simulate(args) -> int:
     from . import cueworld
     plan = cueworld.SamplingPlan(a=args.a, m=args.m, k=args.k, h_total=args.h_total)
+    sizes = args.n or [100_000]
     summaries = cueworld.concentration_experiment(
-        args.n or [100_000], plan, reps=args.reps, mode=args.mode, seed=args.seed,
+        sizes, plan, reps=args.reps, mode=args.mode, seed=args.seed,
         tau_bounds=(args.tau_min, args.tau_max))
-    rows = [[s.n_cues, args.reps, args.mode, s.target, s.mean_abs_error, s.max_abs_error]
-            for s in summaries]
+    rows = [[n, args.reps, args.mode, s.target, s.mean_abs_error, s.max_abs_error]
+            for n, s in zip(sizes, summaries)]
     _write_csv(args.out, ["N", "reps", "mode", "target", "mean_err", "max_err"], rows)
     return 0
 
@@ -152,45 +142,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decision losses, regimes, and verification for two-signal "
                     "Gaussian estimation with overlapping information.")
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="RNG seed in [0, 2**64) (default 0)")
+    prior = argparse.ArgumentParser(add_help=False)
+    prior.add_argument("--tau0", type=float, default=1.0, help="prior precision")
+    prior.add_argument("--tauH", type=float, default=1.0, help="own-signal precision")
 
-    def common(p, seed=False):
-        p.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
-        if seed:
-            p.add_argument("--seed", type=_seed, default=0,
-                           help="RNG seed in [0, 2**64) (default 0)")
-
-    p = sub.add_parser("losses", help="losses and regime at one parameter point")
-    p.add_argument("--tau0", type=float, default=1.0)
-    p.add_argument("--tauH", type=float, default=1.0)
+    p = sub.add_parser("losses", parents=[prior, out],
+                       help="losses and regime at one parameter point")
     p.add_argument("--tauA", type=float, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    common(p)
     p.set_defaults(func=cmd_losses)
 
-    p = sub.add_parser("thresholds", help="capability thresholds per overlap level")
-    p.add_argument("--tau0", type=float, default=1.0)
-    p.add_argument("--tauH", type=float, default=1.0)
+    p = sub.add_parser("thresholds", parents=[prior, out],
+                       help="capability thresholds per overlap level")
     p.add_argument("--lambda", dest="lam", type=float, action="append",
-                   help="overlap level (repeatable)")
+                   help="overlap level (repeatable; replaces the axis below)")
     p.add_argument("--lambda-min", type=float, default=0.0)
     p.add_argument("--lambda-max", type=float, default=1.0)
     p.add_argument("--lambda-steps", type=int, default=101)
-    common(p)
     p.set_defaults(func=cmd_thresholds)
 
-    p = sub.add_parser("phase", help="regime phase diagram over (tauA, lambda)")
-    p.add_argument("--tau0", type=float, default=1.0)
-    p.add_argument("--tauH", type=float, default=1.0)
+    p = sub.add_parser("phase", parents=[prior, out],
+                       help="regime phase diagram over (tauA, lambda)")
     p.add_argument("--tauA-min", type=float, default=0.02)
     p.add_argument("--tauA-max", type=float, default=2.2)
     p.add_argument("--tauA-steps", type=int, default=111)
     p.add_argument("--lambda-min", type=float, default=0.0)
     p.add_argument("--lambda-max", type=float, default=1.0)
     p.add_argument("--lambda-steps", type=int, default=101)
-    common(p)
     p.set_defaults(func=cmd_phase)
 
-    p = sub.add_parser("simulate", help="cue-pool overlap concentration experiment")
+    p = sub.add_parser("simulate", parents=[seed, out],
+                       help="cue-pool overlap concentration experiment")
     p.add_argument("--n", type=int, action="append",
                    help="cue pool size (repeatable; default 100000)")
     p.add_argument("--reps", type=int, default=100)
@@ -202,10 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h-total", type=float, default=0.5, help="total human fraction")
     p.add_argument("--tau-min", type=float, default=0.5)
     p.add_argument("--tau-max", type=float, default=2.0)
-    common(p, seed=True)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("verify", help="run a verification suite (exit 1 on failure)")
+    p = sub.add_parser("verify", parents=[prior, seed, out],
+                       help="run a verification suite (exit 1 on failure)",
+                       description="--tau0 and --tauH set the grid of closed_forms only; "
+                                   "every suite checks them.")
     p.add_argument("--suite", required=True,
                    help="suite name; an unknown one exits 2 with the list")
     p.add_argument("--n", type=int, default=1_000_000,
@@ -213,11 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "voi ignores it)")
     p.add_argument("--sigma-mult", type=float, default=4.0,
                    help="standard errors a Monte Carlo check accepts (voi ignores it)")
-    p.add_argument("--tau0", type=float, default=1.0,
-                   help="prior precision; read by closed_forms only, validated by all")
-    p.add_argument("--tauH", type=float, default=1.0,
-                   help="own-signal precision; read by closed_forms only, validated by all")
-    common(p, seed=True)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ValidationError, count, finite_total, indices, real, real_scalar
+from .core import ValidationError, count, finite_total, indices, real, real_scalar, require
 from .rng import RngHandle, derive_seed
 
 __all__ = [
@@ -135,9 +135,9 @@ class CueWorld:
 
 @dataclass(frozen=True)
 class ConcentrationSummary:
-    """Overlap-error summary for one pool size (CSV row of ``simulate``)."""
+    """Overlap-error summary for one pool size, in the order of ``n_values``
+    (CSV row of ``simulate``)."""
 
-    n_cues: int
     target: float
     mean_abs_error: float
     max_abs_error: float
@@ -151,7 +151,9 @@ def build_world(n_cues: int, plan: SamplingPlan, mode: str = "homogeneous",
     combines a uniform ``round(k*N)``-subset of the accessible pool with a
     uniform draw of the remainder from the inaccessible pool, for a total of
     ``round(h_total*N)`` cues.  Heterogeneous precisions are i.i.d. uniform
-    on ``tau_bounds``; homogeneous precisions are 1.
+    on ``tau_bounds``, which either mode checks; homogeneous precisions are
+    1.  The rounded sizes keep the plan's ``k <= m`` and ``k <= h_total``, as
+    scaling by ``N > 0`` and ``round_half_away`` are monotone.
     """
     if not isinstance(mode, str) or mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
@@ -162,23 +164,18 @@ def build_world(n_cues: int, plan: SamplingPlan, mode: str = "homogeneous",
     if n_acc < 1:
         raise ValidationError(
             f"accessible pool rounds to {n_acc} cues (m*N = {plan.m * n_cues}); need >= 1")
-    if n_overlap > n_acc:
-        raise ValidationError(
-            f"rounded sizes violate k <= m: |H∩acc|={n_overlap} > |acc|={n_acc}")
-    if n_overlap > n_human:
-        raise ValidationError(
-            f"rounded sizes violate k <= h_total: |H∩acc|={n_overlap} > |H|={n_human}")
     if n_human - n_overlap > n_cues - n_acc:
         raise ValidationError(
             f"human set needs {n_human - n_overlap} inaccessible cues but only "
             f"{n_cues - n_acc} exist")
 
+    bounds = real(tau_bounds, "tau_bounds")
+    if np.shape(bounds) != (2,) or not 0.0 < bounds[0] <= bounds[1]:
+        raise ValidationError(
+            f"tau_bounds must be a pair (lo, hi) with 0 < lo <= hi, got {tau_bounds}")
+
     rng = RngHandle(seed, stream=0)
     if mode == "heterogeneous":
-        bounds = real(tau_bounds, "tau_bounds")
-        if np.shape(bounds) != (2,) or not 0.0 < bounds[0] <= bounds[1]:
-            raise ValidationError(
-                f"tau_bounds must be a pair (lo, hi) with 0 < lo <= hi, got {tau_bounds}")
         lo, hi = bounds.tolist()
         precisions = lo + (hi - lo) * rng.uniforms(n_cues)
     else:
@@ -275,6 +272,8 @@ def concentration_experiment(n_values: Sequence[int], plan: SamplingPlan,
     except TypeError:  # not iterable
         raise ValidationError(
             f"n_values must be a sequence of pool sizes, got {n_values!r}") from None
+    # the first world then reads seed, mode and tau_bounds before any draw
+    require(len(n_values) > 0, "n_values must hold at least one pool size, got []")
     out = []
     for i, n_cues in enumerate(n_values):
         world = build_world(n_cues, plan, mode=mode, tau_bounds=tau_bounds,
@@ -282,8 +281,6 @@ def concentration_experiment(n_values: Sequence[int], plan: SamplingPlan,
         target = (plan.k / plan.m if mode == "homogeneous"
                   else empirical_lambda(world, np.arange(world.n_accessible)))
         errors = np.abs(overlap_estimates(world, plan.a, reps, derive_seed(seed, i)) - target)
-        out.append(ConcentrationSummary(
-            n_cues=world.n_cues, target=target,
-            mean_abs_error=float(np.mean(errors)),
-            max_abs_error=float(np.max(errors))))
+        out.append(ConcentrationSummary(target=target, mean_abs_error=float(np.mean(errors)),
+                                        max_abs_error=float(np.max(errors))))
     return out

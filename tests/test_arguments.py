@@ -56,6 +56,22 @@ def world(**fields):
                                 "human_set": [0], **fields})
 
 
+def every_mode(call):
+    """``call(v, mode)`` in each mode, raising only when each mode raises the
+    same error, so a row checks the modes alike."""
+    def each(v):
+        errors = []
+        for mode in cueworld.MODES:
+            try:
+                call(v, mode)
+            except ValidationError as exc:
+                errors.append(str(exc))
+        if errors:
+            assert errors == errors[:1] * len(cueworld.MODES), errors
+            raise ValidationError(errors[0])
+    return each
+
+
 def run(**args):
     """The ``voi`` suite, the quickest to run in full."""
     return verify.run(**{"suite": "voi", "n": 0, "seed": 0, "sigma_mult": 4.0, "tau0": 1.0,
@@ -99,9 +115,9 @@ ENTRY_POINTS = {
                                     100),
     "cueworld.build_world.mode": ("mode", lambda v: cueworld.build_world(100, PLAN, v), True,
                                   "heterogeneous"),
-    # read in heterogeneous mode only
-    "cueworld.build_world.tau_bounds": ("tau_bounds", lambda v: cueworld.build_world(
-        100, PLAN, "heterogeneous", v), False, np.array([0.5, 2.0])),
+    "cueworld.build_world.tau_bounds": ("tau_bounds", every_mode(
+        lambda v, mode: cueworld.build_world(100, PLAN, mode, v)), False,
+        np.array([0.5, 2.0])),
     "cueworld.build_world.seed": ("seed", lambda v: cueworld.build_world(100, PLAN, seed=v),
                                   True, 0),
     "cueworld.sample_ai_set.a": ("a", lambda v: cueworld.sample_ai_set(WORLD, v), True, 0.3),
@@ -128,8 +144,8 @@ ENTRY_POINTS = {
     "cueworld.concentration_experiment.seed": (
         "seed", lambda v: cueworld.concentration_experiment([100], PLAN, 2, seed=v), True, 0),
     "cueworld.concentration_experiment.tau_bounds": (
-        "tau_bounds", lambda v: cueworld.concentration_experiment(
-            [100], PLAN, 2, "heterogeneous", tau_bounds=v), False, np.array([0.5, 2.0])),
+        "tau_bounds", every_mode(lambda v, mode: cueworld.concentration_experiment(
+            [100], PLAN, 2, mode, tau_bounds=v)), False, np.array([0.5, 2.0])),
     "montecarlo.sample_triple.size": ("size", lambda v: montecarlo.sample_triple(
         ENV, SPEC, rng.RngHandle(0), v), True, 2),
     "montecarlo.accumulate.n": ("n", lambda v: montecarlo.accumulate(

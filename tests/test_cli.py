@@ -97,6 +97,17 @@ class TestThresholds:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("axis, message", [
+        (["--lambda-steps", "0"], "error: lambda steps must be >= 1, got 0"),
+        (["--lambda-min", "2"], "error: lambda range must satisfy min < max, got [2.0, 1.0]"),
+    ])
+    def test_a_bad_axis_exits_2_even_beside_lambda(self, capsys, axis, message):
+        # --lambda replaces the axis, but the axis flags are still read
+        assert main(["thresholds", "--lambda", "0.5", *axis]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
     def test_lambda_axis_fallback(self, tmp_path):
         code, data = run(tmp_path, "thr.csv",
                          ["thresholds", "--lambda-min", "0.1", "--lambda-max", "0.9",
@@ -186,6 +197,16 @@ class TestSimulate:
         assert captured.err.startswith(message)
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("mode", ["homogeneous", "heterogeneous"])
+    @pytest.mark.parametrize("bounds", [["--tau-min", "nan"],
+                                        ["--tau-min", "3", "--tau-max", "1"]],
+                             ids=["nan", "reversed"])
+    def test_bad_precision_bounds_exit_2_in_either_mode(self, capsys, mode, bounds):
+        assert main(["simulate", "--n", "1000", "--reps", "2", "--mode", mode, *bounds]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tau_bounds") and captured.err.count("\n") == 1
+
     def test_repeatable_n(self, tmp_path):
         code, data = run(tmp_path, "sim.csv",
                          ["simulate", "--n", "400", "--n", "800", "--reps", "5"])
@@ -254,20 +275,39 @@ def test_an_unknown_name_exits_2_listing_the_names_before_any_work(capsys, argv,
     assert all(repr(name) in captured.err for name in names)
 
 
+# the commands that read a seed
+SEEDED = [
+    ["verify", "--suite", "voi"],
+    ["verify", "--suite", "closed_forms", "--n", "100"],
+    ["simulate", "--n", "100", "--reps", "2"],
+]
+
+
 class TestSeed:
-    @pytest.mark.parametrize("argv", [
-        ["verify", "--suite", "voi"],
-        ["verify", "--suite", "closed_forms", "--n", "100"],
-        ["simulate", "--n", "100", "--reps", "2"],
-    ])
-    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "1.5"])
+    @pytest.mark.parametrize("argv", SEEDED)
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_seed_outside_the_uint64_range_exits_2(self, capsys, argv, seed):
+        # the parser reads an int; the library owns the range
+        assert main(argv + ["--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: seed") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", SEEDED)
+    def test_a_fractional_seed_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--seed", seed])
+            main(argv + ["--seed", "1.5"])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert "--seed" in captured.err
         assert captured.out == ""
+
+    def test_a_bad_seed_exits_2_before_any_work(self, capsys):
+        # 2000 repetitions take seconds, had any of them run
+        start = time.perf_counter()
+        assert main(["simulate", "--reps", "2000", "--seed", "-1"]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr().err.startswith("error: seed")
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--suite", "closed_forms", "--n", "100"],
@@ -335,14 +375,26 @@ UNREAD_BY_DESIGN = {
 }
 
 
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    commands, = (action.choices for action in build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    return commands
+
+
 def parser_options() -> set[tuple[str, str]]:
     """``(subcommand, option)`` for every option of the parser but ``--out``
     and ``--help``."""
-    commands, = (action.choices for action in build_parser()._actions
-                 if isinstance(action, argparse._SubParsersAction))
-    return {(name, action.option_strings[0]) for name, sub in commands.items()
+    return {(name, action.option_strings[0]) for name, sub in subcommands().items()
             for action in sub._actions
             if action.option_strings and action.dest not in ("help", "out")}
+
+
+def test_the_parser_only_parses():
+    # the library checks every value, so the parser holds no rule of its own
+    actions = [(name, action) for name, sub in subcommands().items() for action in sub._actions
+               if action.option_strings]
+    assert [(name, action.dest) for name, action in actions
+            if action.type not in (None, int, float) or action.choices is not None] == []
 
 
 def test_every_option_has_a_flag_run():

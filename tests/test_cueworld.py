@@ -134,6 +134,23 @@ class TestBuildWorld:
         with pytest.raises(ValidationError, match="tau_bounds must be"):
             build_world(100, PLAN, mode="heterogeneous", tau_bounds=bounds)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n_cues=st.integers(1, 10**6))
+    def test_rounded_sizes_keep_the_plans_order(self, data, n_cues):
+        # why build_world needs no check of k <= m or k <= h_total after rounding
+        m = data.draw(st.floats(0.0, 1.0, exclude_min=True))
+        k = data.draw(st.floats(0.0, m))
+        h_total = min(1.0, k + data.draw(st.floats(0.0, 1.0 - m)))  # fits outside the pool
+        plan = SamplingPlan(a=m, m=m, k=k, h_total=h_total)
+        n_overlap = round_half_away(plan.k * n_cues)
+        try:
+            world = build_world(n_cues, plan)
+        except ValidationError as exc:  # the two checks that can fire
+            assert str(exc).startswith(("accessible pool rounds to 0", "human set needs"))
+            return
+        assert n_overlap <= world.n_accessible
+        assert n_overlap <= world.human_set.size
+
     def test_impossible_rounding_rejected(self):
         # the human set cannot need more inaccessible cues than exist
         with pytest.raises(ValidationError):
@@ -421,6 +438,8 @@ class TestConcentration:
         ([100, 200, 1.5], "n_values must be an integer, got 1.5"),
         ([100, "200"], "n_values must be an integer"),
         ([100, 0], "n_values must be >= 1, got 0"),
+        # no world would read the other arguments
+        ([], "n_values must hold at least one pool size"),
     ])
     def test_every_pool_size_is_read_before_the_first_world(self, monkeypatch, n_values,
                                                              message):
