@@ -42,7 +42,6 @@ import numpy as np
 
 __all__ = [
     "ValidationError",
-    "DegenerateDecompositionError",
     "Environment",
     "SignalSpec",
     "LossProfile",
@@ -65,20 +64,13 @@ class ValidationError(ValueError):
     """An input violates a documented invariant (never clamped silently)."""
 
 
-class DegenerateDecompositionError(ValidationError):
-    """The innovation decomposition does not exist for these parameters.
-
-    Raised when ``lam`` is not in [0, 1) or the innovation variance
-    denominator ``1/tau_a - lam**2 / tau_h`` is not strictly positive.
-    """
-
-
-def require(ok, message: str, *values, error: type[ValidationError] = ValidationError) -> None:
-    """Raise ``error`` unless ``ok`` (a bool or bool array) holds everywhere;
-    ``message`` is formatted with ``values`` at the first failing element."""
+def require(ok, message: str, *values) -> None:
+    """Raise :class:`ValidationError` unless ``ok`` (a bool or bool array) holds
+    everywhere; ``message`` is formatted with ``values`` at the first failing element."""
     if not (ok is True or ok is np.True_ or np.all(ok)):  # a scalar skips the reduction
         i = np.flatnonzero(np.logical_not(ok))[0]
-        raise error(message.format(*(np.broadcast_to(v, np.shape(ok)).flat[i] for v in values)))
+        raise ValidationError(message.format(*(np.broadcast_to(v, np.shape(ok)).flat[i]
+                                               for v in values)))
 
 
 def count(value, name: str, least: int) -> int:
@@ -176,9 +168,9 @@ class SignalSpec:
 
     Floats, or three float arrays of one shape holding one spec per element;
     an array is stored as a read-only copy, so the caller's stays its own.
-    Accepts the closed region :func:`feasible`.  Operations that need the
-    innovation decomposition additionally require ``lam < 1`` and raise
-    :class:`DegenerateDecompositionError` otherwise.
+    Accepts the closed region :func:`feasible`.  :func:`innovation_precision`
+    additionally requires ``lam < 1`` and raises :class:`ValidationError`
+    otherwise, before any Monte Carlo draw of the spec.
     """
 
     tau_h: float | np.ndarray
@@ -239,16 +231,16 @@ def innovation_precision(spec: SignalSpec):
     ``((1-lam)*(1+lam) + lam**2*(tau_h-tau_a)/tau_h) / tau_a`` replaces it.
     Squares use ``float_power``, the C library's pow that Python floats use:
     numpy's ``x**2`` multiplies, which differs in the last bit at times.
+    ``lam >= 1``, or a denominator still <= 0, raises :class:`ValidationError`.
     """
     lam, tau_h, tau_a = spec.lam, spec.tau_h, spec.tau_a
-    require(lam < 1.0, "innovation decomposition requires lam < 1, got lam={}", lam,
-            error=DegenerateDecompositionError)
+    require(lam < 1.0, "innovation decomposition requires lam < 1, got lam={}", lam)
     lam2 = np.float_power(lam, 2.0)
     den = 1.0 / tau_a - lam2 / tau_h
     den = np.where(den > 0.0, den,
                    ((1.0 - lam) * (1.0 + lam) + lam2 * (tau_h - tau_a) / tau_h) / tau_a)
     require(den > 0.0, "innovation-variance denominator 1/tau_a - lam^2/tau_h = {} "
-            "must be strictly positive", den, error=DegenerateDecompositionError)
+            "must be strictly positive", den)
     return native(np.float_power(1.0 - lam, 2.0) / den)
 
 

@@ -153,21 +153,20 @@ def build_world(n_cues: int, plan: SamplingPlan, mode: str = "homogeneous",
     ``round(h_total*N)`` cues.  Heterogeneous precisions are i.i.d. uniform
     on ``tau_bounds``, which either mode checks; homogeneous precisions are
     1.  The rounded sizes keep the plan's ``k <= m`` and ``k <= h_total``, as
-    scaling by ``N > 0`` and ``round_half_away`` are monotone.
+    scaling by ``N > 0`` and ``round_half_away`` are monotone; the assistant
+    sample ``round(a*N)`` is checked to be >= 1 here, before any draw.
     """
     if not isinstance(mode, str) or mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     n_cues = count(n_cues, "n_cues", 1)
-    n_acc = round_half_away(plan.m * n_cues)
+    n_acc, n_ai = round_half_away(plan.m * n_cues), round_half_away(plan.a * n_cues)
     n_overlap = round_half_away(plan.k * n_cues)
     n_human = round_half_away(plan.h_total * n_cues)
-    if n_acc < 1:
-        raise ValidationError(
-            f"accessible pool rounds to {n_acc} cues (m*N = {plan.m * n_cues}); need >= 1")
-    if n_human - n_overlap > n_cues - n_acc:
-        raise ValidationError(
-            f"human set needs {n_human - n_overlap} inaccessible cues but only "
-            f"{n_cues - n_acc} exist")
+    require(n_acc >= 1, "accessible pool rounds to {} cues (m*N = {}); need >= 1", n_acc,
+            plan.m * n_cues)
+    require(n_ai >= 1, "assistant sample size rounds to {}; need >= 1", n_ai)
+    require(n_human - n_overlap <= n_cues - n_acc, "human set needs {} inaccessible cues "
+            "but only {} exist", n_human - n_overlap, n_cues - n_acc)
 
     bounds = real(tau_bounds, "tau_bounds")
     if np.shape(bounds) != (2,) or not 0.0 < bounds[0] <= bounds[1]:

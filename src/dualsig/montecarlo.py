@@ -20,15 +20,17 @@ conditional moments of ``verify --suite lemma``, goes through it.  A chunk
 is updated in place, with the IEEE operations of the plain expressions in
 their order, so in-place and plain code give the same bits.
 
-:func:`verify_closed_forms` runs its grid cells through :func:`parallel_map`
-on ``W = min(cells, usable CPUs)`` worker processes made by ``os.fork``,
-with no process-pool module; worker ``k`` runs every ``W``-th cell from
-the ``k``-th on, a split fixed before the fork.  Each cell draws from its
-own substream ``rng.split(cell)`` and the results come back in input
-order, so the output bytes do not depend on the worker count; one usable
-CPU (for example under ``taskset -c 0``) gives the serial loop.  A
-command's peak RSS as reported by ``wait4`` covers the workers, because it
-is the maximum over the process and its waited-for descendants.
+:func:`verify_closed_forms` evaluates every closed form of its grid in the
+calling process before any draw, then runs each cell's Monte Carlo through
+:func:`parallel_map` on ``W = min(cells, usable CPUs)`` worker processes
+made by ``os.fork``, with no process-pool module; worker ``k`` runs every
+``W``-th cell from the ``k``-th on, a split fixed before the fork.  Each
+cell draws from its own substream ``rng.split(cell)`` and the results come
+back in input order, so the output bytes do not depend on the worker
+count; one usable CPU (for example under ``taskset -c 0``) gives the
+serial loop.  A command's peak RSS as reported by ``wait4`` covers the
+workers, because it is the maximum over the process and its waited-for
+descendants.
 """
 
 from __future__ import annotations
@@ -235,14 +237,6 @@ def parallel_map(tasks: Iterable[Sequence], local: int = 0) -> list:
     return results
 
 
-def _cell_losses(env: Environment, spec: SignalSpec, n: int,
-                 rng: RngHandle) -> list[tuple[str, Estimate, float]]:
-    """``(rule, estimate, closed_form)`` of the four rules at one cell."""
-    estimates = paired_loss_estimates(env, spec, n, rng)
-    profile = loss_profile(env, spec)
-    return [(rule, estimates[rule], getattr(profile, field)) for rule, field in RULES.items()]
-
-
 def verify_closed_forms(env: Environment, tau_h: float,
                         tau_a_grid: Sequence[float], lambda_grid: Sequence[float],
                         n: int, rng: RngHandle) -> list[tuple]:
@@ -259,12 +253,16 @@ def verify_closed_forms(env: Environment, tau_h: float,
     """
     tau_h, n = real_scalar(tau_h, "tau_h", positive=True), count(n, "n", 2)
     tau_a_grid = np.ravel(real(tau_a_grid, "tau_a_grid")).tolist()
-    cells = [(tau_a, lam, SignalSpec(tau_h=tau_h, tau_a=tau_a, lam=lam)
-              if lam < 1.0 and feasible(tau_h, tau_a, lam) else None)
-             for lam in np.ravel(real(lambda_grid, "lambda_grid")).tolist()
+    cells = [(tau_a, lam) for lam in np.ravel(real(lambda_grid, "lambda_grid")).tolist()
              for tau_a in tau_a_grid]
-    losses = iter(parallel_map([(_cell_losses, env, spec, n, rng.split(cell))
-                                for cell, (_, _, spec) in enumerate(cells, 1)
-                                if spec is not None]))
-    return [(tau_a, lam, None if spec is None else next(losses))
-            for tau_a, lam, spec in cells]
+    tested = {i: (tau_a, lam) for i, (tau_a, lam) in enumerate(cells, 1)
+              if lam < 1.0 and feasible(tau_h, tau_a, lam)}
+    # every closed form before the first draw, as one array spec with each cell's bits
+    tau_a, lam = np.array(list(tested.values())).reshape(-1, 2).T
+    profile = loss_profile(env, SignalSpec(np.full(len(tested), tau_h), tau_a, lam))
+    closed = zip(*(getattr(profile, field).tolist() for field in RULES.values()))
+    estimates = parallel_map([(paired_loss_estimates, env, SignalSpec(tau_h, *cell), n,
+                               rng.split(i)) for i, cell in tested.items()])
+    losses = {i: [(rule, est[rule], form) for rule, form in zip(RULES, forms)]
+              for i, est, forms in zip(tested, estimates, closed)}
+    return [(tau_a, lam, losses.get(i)) for i, (tau_a, lam) in enumerate(cells, 1)]

@@ -280,6 +280,6 @@ def run(suite: str, *, n: int, seed: int, sigma_mult: float, tau0: float,
     seed = derive_seed(seed)  # no indices: the seed itself, checked to lie in [0, 2**64)
     tau0 = real_scalar(tau0, "tau0", positive=True)
     tau_h = real_scalar(tau_h, "tau_h", positive=True)
-    sigma_mult = real_scalar(sigma_mult, "sigma_mult")
+    sigma_mult = real_scalar(sigma_mult, "sigma_mult") + 0.0  # -0.0 would print -0 tolerances
     require(sigma_mult >= 0.0, "sigma_mult must be >= 0, got {}", sigma_mult)
     return list(SUITES[suite](n, seed, sigma_mult, tau0, tau_h))

@@ -221,7 +221,7 @@ EXEMPT = {
         "bregman.GapReport", "core.LossProfile", "cueworld.ConcentrationSummary",
         "montecarlo.Estimate", "regimes.PhaseGrid", "verify.Check", "voi.VoiReport"),
     "an exception, whose arguments are its message": (
-        "core.ValidationError", "core.DegenerateDecompositionError"),
+        "core.ValidationError",),
     "an enum: calling it looks a member up by value": ("regimes.Regime",),
     "a reader or check of core, which every row above runs": (
         "core.require", "core.count", "core.indices", "core.real", "core.real_scalar",

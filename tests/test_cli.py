@@ -189,6 +189,9 @@ class TestSimulate:
         # the precisions are finite, their sum is not
         (["--n", "10", "--mode", "heterogeneous", "--tau-min", "1e300", "--tau-max", "1e308"],
          "error: total cue precision = inf is not finite"),
+        # round(a*N) = 0: the assistant draws no cue
+        (["--n", "1000", "--a", "1e-4", "--mode", "heterogeneous"],
+         "error: assistant sample size rounds to 0"),
     ])
     def test_degenerate_world_exits_2_with_one_error_line(self, capsys, args, message):
         assert main(["simulate"] + args) == 2
@@ -246,6 +249,24 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "n must be >= 2" in captured.err
         assert captured.out == ""
+
+    def test_overflowing_closed_forms_exit_2_before_any_fork(self, monkeypatch, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a worker was forked before the closed forms were read")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "fork", forbidden, raising=False)
+        assert main(["verify", "--suite", "closed_forms", "--tau0", "1e300"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: T**2 = inf is not finite; the precisions are too large\n"
+
+    def test_a_negative_zero_sigma_mult_prints_zero_tolerances(self, capsys):
+        # -0.0 passed sigma_mult >= 0 and printed -0 in every tol cell
+        assert main(["verify", "--suite", "gap", "--n", "2", "--sigma-mult", "-0.0"]) == 1
+        header, *rows = capsys.readouterr().out.splitlines()
+        tols = [row.split(",")[header.split(",").index("tol")] for row in rows]
+        assert "0" in tols and "-0" not in tols
 
     @pytest.mark.parametrize("flag, value", list(PARAMETER_ERRORS))
     def test_out_of_range_parameters_exit_2_before_any_work(self, monkeypatch, capsys,

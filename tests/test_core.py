@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from dualsig.core import (
-    DegenerateDecompositionError,
     Environment,
     LossProfile,
     SignalSpec,
@@ -149,7 +148,7 @@ class TestArraySpecs:
         assert p.l_joint_bayes[:2].tolist() == p.l_human[:2].tolist()
         assert p.v_marginal[:2].tolist() == [0.0, 0.0]
         assert p.v_marginal[2] > 0.0
-        with pytest.raises(DegenerateDecompositionError, match="lam=1.0"):
+        with pytest.raises(ValidationError, match="lam=1.0"):
             innovation_precision(spec)
 
     def test_the_spec_keeps_read_only_copies_of_the_callers_arrays(self):
@@ -325,7 +324,7 @@ class TestInnovationPrecision:
             assert innovation_precision(spec) == direct
 
     def test_degenerate_cases_raise(self):
-        with pytest.raises(DegenerateDecompositionError):
+        with pytest.raises(ValidationError):
             innovation_precision(SignalSpec(1.0, 1.0, 1.0))
 
     @pytest.mark.parametrize("spec", [SignalSpec(1.0, 1.0, 1.0), SignalSpec(2.0, 1.0, 1.0)])

@@ -20,7 +20,7 @@ from dualsig.cueworld import (
     round_half_away,
     sample_ai_set,
 )
-from dualsig.rng import derive_seed
+from dualsig.rng import RngHandle, derive_seed
 
 PLAN = SamplingPlan(a=0.3, m=0.5, k=0.25, h_total=0.5)
 
@@ -450,6 +450,18 @@ class TestConcentration:
         monkeypatch.setattr(cueworld, "build_world", forbidden)
         with pytest.raises(ValidationError, match=message):
             concentration_experiment(n_values, PLAN, reps=2)
+
+    @pytest.mark.parametrize("mode", ["homogeneous", "heterogeneous"])
+    def test_an_assistant_sample_rounding_to_0_is_rejected_before_any_draw(self, monkeypatch,
+                                                                          mode):
+        # sample_ai_set used to find round(a*N) = 0 after the world had been drawn
+        draws, uniforms = [], RngHandle.uniforms
+        monkeypatch.setattr(RngHandle, "uniforms",
+                            lambda self, n: draws.append(n) or uniforms(self, n))
+        plan = SamplingPlan(a=1e-4, m=0.5, k=0.25, h_total=0.5)
+        with pytest.raises(ValidationError, match="assistant sample size rounds to 0"):
+            concentration_experiment([1000], plan, reps=2, mode=mode)
+        assert draws == []
 
     def test_deterministic(self):
         a = concentration_experiment([1000], PLAN, reps=10, seed=3)

@@ -30,7 +30,9 @@ Each public name has one import path, its own module: the package's
 command line loads only what a command runs: ``losses``, ``thresholds`` and
 ``phase`` read the closed forms of ``core`` and ``regimes`` alone, and
 ``simulate`` adds ``cueworld`` and ``rng``.  ``pyproject.toml`` and
-``dualsig.__version__``, the package's two version strings, agree.
+``dualsig.__version__``, the package's two version strings, agree.  The
+package defines one exception class, ``core.ValidationError``, which
+``cli.main`` maps to exit 2.
 
 Only ``core`` turns an argument into floats or integers with
 ``np.asarray``/``np.array`` and a float or integer dtype, or with
@@ -217,6 +219,20 @@ COMMAND_MODULES = (
 def test_a_command_loads_only_the_modules_it_runs(argv, expected):
     loaded = fresh_imports(f"import dualsig.cli\nassert dualsig.cli.main({argv!r}) == 0")
     assert [m for m in loaded if m.split(".")[0] == "dualsig"] == expected
+
+
+def test_the_package_defines_one_exception_class():
+    import importlib
+    import pkgutil
+
+    import dualsig
+    found = []
+    for info in pkgutil.iter_modules(dualsig.__path__):
+        module = importlib.import_module(f"dualsig.{info.name}")
+        found += [f"{info.name}.{name}" for name, obj in vars(module).items()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)
+                  and obj.__module__ == module.__name__]
+    assert found == ["core.ValidationError"]
 
 
 def test_pyproject_version_is_the_package_version():

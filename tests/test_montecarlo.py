@@ -4,9 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from dualsig import bregman, verify
-from dualsig.core import DegenerateDecompositionError, Environment, SignalSpec, ValidationError
-from dualsig.core import bayes_posterior_mean
+from dualsig import bregman, montecarlo, verify
+from dualsig.core import Environment, SignalSpec, ValidationError
+from dualsig.core import bayes_posterior_mean, feasible, loss_profile
 from dualsig.montecarlo import (
     CHUNK,
     RULES,
@@ -80,7 +80,7 @@ class TestSampleTriple:
         assert abs(corr) <= 4.0 / math.sqrt(y.size)
 
     def test_degenerate_spec_raises(self):
-        with pytest.raises(DegenerateDecompositionError):
+        with pytest.raises(ValidationError):
             sample_triple(ENV, SignalSpec(1.0, 1.0, 1.0), RngHandle(0, 0), size=1)
 
     def test_non_integer_size_rejected(self):
@@ -188,6 +188,49 @@ class TestVerifyClosedForms:
         with pytest.raises(ValidationError, match="n must be"):
             verify_closed_forms(ENV, 1.0, [0.5, 1.0], [0.25], n=n, rng=RngHandle(0, 0))
         assert forks == []
+
+    def test_closed_forms_raise_before_any_draw_or_fork(self, monkeypatch):
+        # the cell used to draw its estimates before loss_profile met T**2 = inf
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a cell was simulated before its closed forms were read")
+
+        monkeypatch.setattr(montecarlo, "paired_loss_estimates", forbidden)
+        monkeypatch.setattr(os, "fork", forbidden, raising=False)
+        with pytest.raises(ValidationError, match=r"T\*\*2 = inf is not finite"):
+            verify_closed_forms(Environment(tau0=1e300), 1.0, [0.5], [0.25], 100, RngHandle(0))
+
+    def test_closed_forms_are_each_cells_own_bits(self):
+        # one array loss_profile over the tested cells, against one call per cell
+        env, tau_h = Environment(tau0=0.7), 1.3
+        tau_a_grid = [round(0.15 * i, 10) for i in range(1, 15)]
+        lambda_grid = [0.0, 0.1, 0.33, 0.5, 0.67, 0.85, 0.99, 1.0]
+        cells = verify_closed_forms(env, tau_h, tau_a_grid, lambda_grid, n=2,
+                                    rng=RngHandle(13, 0))
+        assert [(t, lam) for t, lam, _ in cells] == [(t, lam) for lam in lambda_grid
+                                                     for t in tau_a_grid]
+        skipped = [(t, lam) for t, lam, losses in cells if losses is None]
+        assert skipped == [(t, lam) for t, lam, _ in cells
+                           if lam == 1.0 or not feasible(tau_h, t, lam)]
+        assert any(lam < 1.0 for _, lam in skipped)  # infeasible cells
+        assert any(lam == 1.0 and feasible(tau_h, t, lam) for t, lam in skipped)
+        for t, lam, losses in cells:
+            if losses is not None:
+                profile = loss_profile(env, SignalSpec(tau_h, t, lam))
+                assert [(rule, form) for rule, _, form in losses] == [
+                    (rule, getattr(profile, field)) for rule, field in RULES.items()]
+                assert all(type(form) is float for _, _, form in losses)
+
+    def test_a_grid_without_tested_cells_draws_nothing(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a cell without a test was simulated")
+
+        monkeypatch.setattr(montecarlo, "paired_loss_estimates", forbidden)
+        # infeasible cells, then feasible cells at lam = 1, which have no innovation
+        assert verify_closed_forms(ENV, 1.0, [2.0, 4.0], [0.75, 1.0], n=100,
+                                   rng=RngHandle(0, 0)) == [
+            (2.0, 0.75, None), (4.0, 0.75, None), (2.0, 1.0, None), (4.0, 1.0, None)]
+        assert verify_closed_forms(ENV, 1.0, [0.5, 1.0], [1.0], n=100,
+                                   rng=RngHandle(0, 0)) == [(0.5, 1.0, None), (1.0, 1.0, None)]
 
     def test_smoke_grid_runs_fast_and_flags_infeasible(self):
         import time
