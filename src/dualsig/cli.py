@@ -14,12 +14,17 @@ writes byte-identical files.  ``losses``/``thresholds``/``phase`` are pure
 closed forms; ``simulate`` consumes only integer-derived uniforms; only
 ``verify`` draws normal deviates.
 
-Only ``core`` and ``regimes`` load with this module, which is all the
-closed-form commands need; ``simulate`` imports ``cueworld`` and ``verify``
-imports ``verify`` when they run.  The parser only parses; the library is
-the one check on every value, ``--seed``, ``--mode`` and ``--suite``
-included: a bad one raises its ``ValidationError`` (an unknown name lists
-the valid names) before any work starts.
+``import dualsig.cli`` loads the standard library only, so ``--help`` and
+every parser error cost no numpy.  Each command imports what it runs once
+the arguments are parsed: ``losses``, ``thresholds`` and ``phase`` load
+``core`` and ``regimes``; ``simulate`` loads ``cueworld``, with ``core``
+and ``rng``; ``verify`` loads ``verify`` and the modules its suites run.
+The parser only parses; the library is the one check on every value,
+``--seed``, ``--mode`` and ``--suite`` included: a bad one raises its
+``ValidationError`` (an unknown name lists the valid names) before any work
+starts.  An ``--out`` file is opened for writing before the command runs, so
+a path that cannot be written fails first; the CSV is written to it at the
+end, and a file the run created is removed again if the run fails.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or validation error,
 including an ``--out`` path that cannot be written.
@@ -28,36 +33,60 @@ including an ``--out`` path that cannot be written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 from typing import Iterable, Sequence
-
-import numpy as np
-
-from . import core, regimes
-from .core import Environment, SignalSpec, ValidationError
 
 __all__ = ["main", "build_parser"]
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    x = float(value)
-    if math.isnan(x):
-        return ""
-    return f"{x:.12g}"
+def _unwritable(path: str, exc: OSError):
+    from .core import ValidationError
+    return ValidationError(f"cannot write --out {path}: {exc.strerror or exc}")
+
+
+@contextlib.contextmanager
+def _claimed(path: str):
+    """Open ``path`` for writing, creating it if need be, before the command
+    runs; if the command then raises, remove the file again if this created
+    it.  Nothing is written or truncated here, and ``-`` is stdout."""
+    if path == "-":
+        yield
+        return
+    created = not os.path.lexists(path)
+    try:
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
+    try:
+        yield
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    import numpy as np
+
+    def fmt(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, str):
+            return value
+        if isinstance(value, (bool, np.bool_)):
+            return "1" if value else "0"
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        x = float(value)
+        if math.isnan(x):
+            return ""
+        return f"{x:.12g}"
+
     text = ",".join(header) + "\n"
-    text += "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    text += "".join(",".join(fmt(v) for v in row) + "\n" for row in rows)
     if path == "-":
         sys.stdout.write(text)
         return
@@ -65,10 +94,13 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> No
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ValidationError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
+        raise _unwritable(path, exc) from exc
 
 
 def _linspace(lo: float, hi: float, steps: int, name: str) -> list[float]:
+    import numpy as np
+
+    from . import core
     steps = core.count(steps, name + " steps", 1)
     core.require(steps == 1 or hi > lo,
                  name + " range must satisfy min < max, got [{}, {}]", lo, hi)
@@ -76,8 +108,9 @@ def _linspace(lo: float, hi: float, steps: int, name: str) -> list[float]:
 
 
 def cmd_losses(args) -> int:
-    env = Environment(tau0=args.tau0)
-    spec = SignalSpec(tau_h=args.tauH, tau_a=args.tauA, lam=args.lam)
+    from . import core, regimes
+    env = core.Environment(tau0=args.tau0)
+    spec = core.SignalSpec(tau_h=args.tauH, tau_a=args.tauA, lam=args.lam)
     profile = core.loss_profile(env, spec)
     regime = regimes.classify(profile)
     rows = [[args.tau0, args.tauH, args.tauA, args.lam,
@@ -89,6 +122,10 @@ def cmd_losses(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
+    import numpy as np
+
+    from . import regimes
+    from .core import Environment
     env = Environment(tau0=args.tau0)
     axis = _linspace(args.lambda_min, args.lambda_max, args.lambda_steps, "lambda")
     lam = np.array(args.lam or axis)  # --lambda replaces the axis, which is still checked
@@ -101,6 +138,8 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_phase(args) -> int:
+    from . import regimes
+    from .core import Environment
     env = Environment(tau0=args.tau0)
     tau_a_axis = _linspace(args.tauA_min, args.tauA_max, args.tauA_steps, "tauA")
     lambda_axis = _linspace(args.lambda_min, args.lambda_max, args.lambda_steps, "lambda")
@@ -207,8 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    from .core import ValidationError
     try:
-        return args.func(args)
+        with _claimed(args.out):
+            return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -152,13 +152,38 @@ def build_world(n_cues: int, plan: SamplingPlan, mode: str = "homogeneous",
     uniform draw of the remainder from the inaccessible pool, for a total of
     ``round(h_total*N)`` cues.  Heterogeneous precisions are i.i.d. uniform
     on ``tau_bounds``, which either mode checks; homogeneous precisions are
-    1.  The rounded sizes keep the plan's ``k <= m`` and ``k <= h_total``, as
-    scaling by ``N > 0`` and ``round_half_away`` are monotone; the assistant
-    sample ``round(a*N)`` is checked to be >= 1 here, before any draw.
+    1.  Every argument is checked before any draw.
+    """
+    n_cues = count(n_cues, "n_cues", 1)
+    n_acc, n_overlap, n_human, lo, hi = _read_world_args(n_cues, plan, mode, tau_bounds)
+    rng = RngHandle(seed, stream=0)
+    if mode == "heterogeneous":
+        precisions = lo + (hi - lo) * rng.uniforms(n_cues)
+    else:
+        precisions = np.ones(n_cues)
+
+    human_acc = rng.subset(n_acc, n_overlap)
+    human_rest = n_acc + rng.subset(n_cues - n_acc, n_human - n_overlap)
+    human_set = np.concatenate([human_acc, human_rest])
+    return CueWorld(precisions=precisions, n_accessible=n_acc, human_set=human_set)
+
+
+def _read_world_args(n_cues: int, plan: SamplingPlan, mode: str,
+                     tau_bounds) -> tuple[int, int, int, float, float]:
+    """Check the arguments of a world of ``n_cues`` cues before any draw and
+    return its accessible pool size, the size of the human set's accessible
+    part and of the whole set, and the precision bounds ``(lo, hi)``.
+
+    The rounded sizes keep the plan's ``k <= m`` and ``k <= h_total``, as
+    scaling by ``N > 0`` and ``round_half_away`` are monotone; the checks
+    are that the accessible pool and the assistant sample ``round(a*N)`` are
+    nonempty and that the inaccessible pool holds the rest of the human set.
+    Heterogeneous precisions sum to at most ``N*hi``, up to rounding, so that
+    bound must be finite: whether a world can be built does not depend on its
+    seed.
     """
     if not isinstance(mode, str) or mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-    n_cues = count(n_cues, "n_cues", 1)
     n_acc, n_ai = round_half_away(plan.m * n_cues), round_half_away(plan.a * n_cues)
     n_overlap = round_half_away(plan.k * n_cues)
     n_human = round_half_away(plan.h_total * n_cues)
@@ -172,18 +197,10 @@ def build_world(n_cues: int, plan: SamplingPlan, mode: str = "homogeneous",
     if np.shape(bounds) != (2,) or not 0.0 < bounds[0] <= bounds[1]:
         raise ValidationError(
             f"tau_bounds must be a pair (lo, hi) with 0 < lo <= hi, got {tau_bounds}")
-
-    rng = RngHandle(seed, stream=0)
+    lo, hi = bounds.tolist()
     if mode == "heterogeneous":
-        lo, hi = bounds.tolist()
-        precisions = lo + (hi - lo) * rng.uniforms(n_cues)
-    else:
-        precisions = np.ones(n_cues)
-
-    human_acc = rng.subset(n_acc, n_overlap)
-    human_rest = n_acc + rng.subset(n_cues - n_acc, n_human - n_overlap)
-    human_set = np.concatenate([human_acc, human_rest])
-    return CueWorld(precisions=precisions, n_accessible=n_acc, human_set=human_set)
+        finite_total(n_cues * hi, "total cue precision")
+    return n_acc, n_overlap, n_human, lo, hi
 
 
 def sample_ai_set(world: CueWorld, a: float, seed: int = 0) -> np.ndarray:
@@ -263,7 +280,9 @@ def concentration_experiment(n_values: Sequence[int], plan: SamplingPlan,
     i)``) and ``reps`` assistant sets are drawn (child seeds
     ``derive_seed(seed, i, rep)``); the summary records mean and max
     ``|lambda_hat - target|``, with the target ``k/m`` in homogeneous mode
-    and the accessible pool's :func:`empirical_lambda` otherwise.
+    and the accessible pool's :func:`empirical_lambda` otherwise.  Every
+    pool size is checked, as :func:`build_world` checks its arguments,
+    before the first world is built.
     """
     reps = count(reps, "reps", 1)
     try:
@@ -271,8 +290,9 @@ def concentration_experiment(n_values: Sequence[int], plan: SamplingPlan,
     except TypeError:  # not iterable
         raise ValidationError(
             f"n_values must be a sequence of pool sizes, got {n_values!r}") from None
-    # the first world then reads seed, mode and tau_bounds before any draw
     require(len(n_values) > 0, "n_values must hold at least one pool size, got []")
+    for n_cues in n_values:  # so that a later pool fails before the first one draws
+        _read_world_args(n_cues, plan, mode, tau_bounds)
     out = []
     for i, n_cues in enumerate(n_values):
         world = build_world(n_cues, plan, mode=mode, tau_bounds=tau_bounds,

@@ -5,10 +5,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dualsig import cueworld, montecarlo, verify
-from dualsig.cli import build_parser, main
+from dualsig.cli import _write_csv, build_parser, main
+from dualsig.regimes import Regime
+from dualsig.rng import RngHandle
 
 SRC = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
                                     os.environ.get("PYTHONPATH")]))
@@ -66,6 +69,53 @@ def test_unwritable_out_exits_2_with_one_error_line(tmp_path, capsys, argv, targ
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write --out ")
     assert captured.err.count("\n") == 1
+
+
+class TestOut:
+    def test_a_failed_verify_still_writes_its_csv(self, tmp_path, capsys):
+        argv = ["verify", "--suite", "gap", "--n", "2"]  # two draws fail some checks
+        assert main(argv) == 1
+        stdout = capsys.readouterr().out
+        assert main(argv + ["--out", str(tmp_path / "gap.csv")]) == 1
+        assert (tmp_path / "gap.csv").read_text(encoding="utf-8") == stdout
+
+    def test_a_failed_run_leaves_no_new_file_and_an_old_one_as_it_was(self, tmp_path):
+        argv = ["losses", "--tauA", "4", "--lambda", "0.5", "--out"]  # infeasible
+        assert main(argv + [str(tmp_path / "new.csv")]) == 2
+        assert list(tmp_path.iterdir()) == []
+        old = tmp_path / "old.csv"
+        old.write_bytes(b"kept\n")
+        assert main(argv + [str(old)]) == 2
+        assert old.read_bytes() == b"kept\n"
+
+    def test_the_file_has_the_bytes_and_mode_of_a_plain_open(self, tmp_path, capsys):
+        argv = ["phase", "--tauA-steps", "4", "--lambda-steps", "3"]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        with open(tmp_path / "plain.csv", "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(stdout)
+        assert main(argv + ["--out", str(tmp_path / "new.csv")]) == 0
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        assert (tmp_path / "new.csv").stat().st_mode == (tmp_path / "plain.csv").stat().st_mode
+        # an existing file keeps its mode and loses its old bytes
+        old = tmp_path / "old.csv"
+        old.write_text("x" * 10_000, encoding="utf-8")
+        old.chmod(0o640)
+        assert main(argv + ["--out", str(old)]) == 0
+        assert old.read_text(encoding="utf-8") == stdout
+        assert old.stat().st_mode & 0o777 == 0o640
+
+
+@pytest.mark.parametrize("value, text", [
+    (np.True_, "1"), (np.False_, "0"), (np.int64(2**53), "9007199254740992"),
+    (np.float64(0.1), "0.1"), (None, ""), (float("nan"), ""),
+    (Regime.COMPLEMENTARITY, Regime.COMPLEMENTARITY.value),
+])
+def test_write_csv_formats_each_value_type(capsys, value, text):
+    # verify's rows send np.bool_ and np.float64; without the np.integer
+    # check, 2**53 would print as 9.00719925474e+15
+    _write_csv("-", ["a", "b"], [[value, "x"]])
+    assert capsys.readouterr().out == f"a,b\n{text},x\n"
 
 
 class TestThresholds:
@@ -339,6 +389,72 @@ class TestSeed:
         assert code == 0
         _, zero = run(tmp_path, "zero.csv", argv + ["--seed", "0"])
         assert top != zero
+
+
+# Every usage error above, and two that used to be found late: each exits 2
+# with one error line before any draw.  "{tmp}" is a per-test directory.
+USAGE_ERRORS = [
+    ["losses", "--tauA", "1"],  # the parser's own: --lambda missing
+    ["losses", "--tauA", "4", "--lambda", "0.5"],
+    ["losses", "--tauH", "1e308", "--tauA", "1e308", "--lambda", "0"],
+    ["losses", "--tauH", "1e200", "--tauA", "1e200", "--lambda", "0.5"],
+    # closed_forms ran all its cells (3.9 s at the default --n) before this failed
+    *([*argv, "--out", target] for argv in (["losses", "--tauA", "1", "--lambda", "0.3"],
+                                             ["verify", "--suite", "voi"],
+                                             ["verify", "--suite", "closed_forms"])
+      for target in ("{tmp}/missing/x.csv", "{tmp}")),
+    ["thresholds", "--tauH=nan", "--lambda", "0.5"],
+    ["thresholds", "--tauH=inf", "--lambda", "0.5"],
+    ["thresholds", "--tau0", "1e-300", "--tauH", "1e-300", "--lambda", "0.5"],
+    ["thresholds", "--tauH", "1e200", "--lambda", "0.5"],
+    ["thresholds", "--tau0", "1e308", "--tauH", "1e308"],
+    ["thresholds", "--lambda", "0.5", "--lambda-steps", "0"],
+    ["thresholds", "--lambda", "0.5", "--lambda-min", "2"],
+    ["phase", "--tauH", "1e200", "--tauA-min", "1e199", "--tauA-max", "1e201"],
+    ["phase", "--tauA-steps", "0"],
+    ["phase", "--tauA-min", "3", "--tauA-max", "1"],
+    ["simulate", "--n", "1", "--m", "0.4", "--a", "0.3", "--k", "0.1", "--h-total", "0.5",
+     "--mode", "heterogeneous"],
+    ["simulate", "--n", "2", "--m", "0.2", "--a", "0.2", "--k", "0.1"],
+    ["simulate", "--n", "10", "--mode", "heterogeneous", "--tau-min", "1e300",
+     "--tau-max", "1e308"],
+    ["simulate", "--n", "1000", "--a", "1e-4", "--mode", "heterogeneous"],
+    *(["simulate", "--n", "1000", "--reps", "2", "--mode", mode, *bounds]
+      for mode in cueworld.MODES for bounds in (["--tau-min", "nan"],
+                                                 ["--tau-min", "3", "--tau-max", "1"])),
+    ["simulate", "--mode", "bogus", "--reps", "2000"],
+    ["simulate", "--reps", "2000", "--seed", "-1"],
+    # a later pool size that rounds to an empty assistant sample
+    ["simulate", "--n", "2000000", "--n", "1", "--reps", "20", "--mode", "heterogeneous"],
+    *(["verify", "--suite", suite, "--n", n]
+      for suite in ("closed_forms", "gap", "lemma") for n in ("1", "0")),
+    ["verify", "--suite", "closed_forms", "--tau0", "1e300"],
+    *(["verify", "--suite", "closed_forms", "--n", "100", flag, value]
+      for flag, value in PARAMETER_ERRORS),
+    ["verify", "--suite", "bogus"],
+    *([*argv, "--seed", seed] for argv in SEEDED
+      for seed in ("-1", "18446744073709551616", "1.5")),
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+def test_a_usage_error_exits_2_with_one_error_line_and_no_draw(monkeypatch, capsys,
+                                                               tmp_path, argv):
+    # one CPU, so that a task forked to a worker would draw in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    drawn, words = [], RngHandle.words
+    monkeypatch.setattr(RngHandle, "words", lambda self, n: drawn.append(n) or words(self, n))
+    try:
+        code, parser_error = main([arg.format(tmp=tmp_path) for arg in argv]), False
+    except SystemExit as exc:  # the parser prints its usage lines before the error line
+        code, parser_error = exc.code, True
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert code == 2
+    assert captured.out == ""
+    assert [line for line in lines if "error: " in line] == lines[-1:]
+    assert parser_error or len(lines) == 1
+    assert sum(drawn) == 0
 
 
 class TestDeterminism:

@@ -126,6 +126,22 @@ class TestBuildWorld:
         with pytest.raises(ValidationError, match="not finite"):
             CueWorld(precisions=np.array([1e308, 1e308]), n_accessible=2, human_set=[0])
 
+    def test_a_precision_mass_that_can_overflow_is_rejected_before_any_draw(self,
+                                                                          monkeypatch):
+        # N*hi = inf: the drawn total used to overflow for some seeds only
+        draws, uniforms = [], RngHandle.uniforms
+        monkeypatch.setattr(RngHandle, "uniforms",
+                            lambda self, n: draws.append(n) or uniforms(self, n))
+        for seed in range(5):
+            with pytest.raises(ValidationError, match="total cue precision = inf is not finite"):
+                build_world(2, PLAN, mode="heterogeneous", tau_bounds=(0.5, 1e308), seed=seed)
+        with pytest.raises(ValidationError, match="total cue precision = inf is not finite"):
+            concentration_experiment([2, 100], PLAN, reps=2, mode="heterogeneous",
+                                     tau_bounds=(0.5, 1e307))
+        assert draws == []
+        # unit precisions ignore the bounds
+        assert build_world(100, PLAN, tau_bounds=(0.5, 1e307)).n_cues == 100
+
     @pytest.mark.parametrize("bounds", [(None, 2.0), (0.5, "2"), (0.5, math.inf), None, (1.0,),
                                         (0.5, 1.0, 2.0)],
                              ids=["None-lo", "numeric-str", "inf", "None", "one", "three"])
@@ -440,6 +456,8 @@ class TestConcentration:
         ([100, 0], "n_values must be >= 1, got 0"),
         # no world would read the other arguments
         ([], "n_values must hold at least one pool size"),
+        # a later pool whose assistant sample rounds to 0 drew the earlier pool first
+        ([2_000_000, 1], "assistant sample size rounds to 0"),
     ])
     def test_every_pool_size_is_read_before_the_first_world(self, monkeypatch, n_values,
                                                              message):

@@ -27,9 +27,11 @@ Python-level float sum is the left fold ``functools.reduce(operator.add,
 
 Each public name has one import path, its own module: the package's
 ``__init__`` imports nothing, so ``import dualsig`` loads no submodule.  The
-command line loads only what a command runs: ``losses``, ``thresholds`` and
-``phase`` read the closed forms of ``core`` and ``regimes`` alone, and
-``simulate`` adds ``cueworld`` and ``rng``.  ``pyproject.toml`` and
+command line loads only what a command runs: importing it, ``--help`` and a
+parser error load no numpy and no other module of the package; ``losses``,
+``thresholds`` and ``phase`` read the closed forms of ``core`` and
+``regimes`` alone, ``simulate`` reads ``cueworld`` with ``core`` and
+``rng``, and ``verify`` every module but ``regimes``.  ``pyproject.toml`` and
 ``dualsig.__version__``, the package's two version strings, agree.  The
 package defines one exception class, ``core.ValidationError``, which
 ``cli.main`` maps to exit 2.
@@ -202,22 +204,45 @@ def test_the_package_root_imports_nothing():
     assert fresh_imports("import dualsig") == ["dualsig"]
 
 
-CLOSED_FORM_MODULES = ["dualsig", "dualsig.cli", "dualsig.core", "dualsig.regimes"]
+def test_importing_the_cli_loads_only_the_standard_library():
+    loaded = fresh_imports("import dualsig.cli")
+    assert [m for m in loaded if m.split(".")[0] in ("dualsig", "numpy")] == [
+        "dualsig", "dualsig.cli"]
 
-# command line: the dualsig modules it leaves loaded
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify"]], ids=["help", "parser-error"])
+def test_the_parser_alone_loads_no_numpy(argv):
+    # verify without --suite: argparse exits 2 before any command runs
+    loaded = fresh_imports("import dualsig.cli\n"
+                           f"try:\n    dualsig.cli.main({argv!r})\n"
+                           "except SystemExit:\n    pass")
+    assert [m for m in loaded if m.split(".")[0] in ("dualsig", "numpy")] == [
+        "dualsig", "dualsig.cli"]
+
+
+CLOSED_FORM_MODULES = ["dualsig", "dualsig.cli", "dualsig.core", "dualsig.regimes"]
+VERIFY_MODULES = ["dualsig", "dualsig._search", "dualsig.bregman", "dualsig.cli",
+                  "dualsig.core", "dualsig.cueworld", "dualsig.montecarlo", "dualsig.rng",
+                  "dualsig.verify", "dualsig.voi"]
+
+# command line, its exit code and the dualsig modules it leaves loaded
 COMMAND_MODULES = (
-    (["losses", "--tauA", "1", "--lambda", "0.5"], CLOSED_FORM_MODULES),
-    (["thresholds", "--lambda-steps", "3"], CLOSED_FORM_MODULES),
-    (["phase", "--tauA-steps", "3", "--lambda-steps", "3"], CLOSED_FORM_MODULES),
-    (["simulate", "--n", "2000", "--reps", "2"],
-     sorted(CLOSED_FORM_MODULES + ["dualsig.cueworld", "dualsig.rng"])),
+    (["losses", "--tauA", "1", "--lambda", "0.5"], 0, CLOSED_FORM_MODULES),
+    (["thresholds", "--lambda-steps", "3"], 0, CLOSED_FORM_MODULES),
+    (["phase", "--tauA-steps", "3", "--lambda-steps", "3"], 0, CLOSED_FORM_MODULES),
+    (["simulate", "--n", "2000", "--reps", "2"], 0,
+     ["dualsig", "dualsig.cli", "dualsig.core", "dualsig.cueworld", "dualsig.rng"]),
+    (["verify", "--suite", "voi"], 0, VERIFY_MODULES),
+    # two draws per cell fail some checks; the modules are what is tested
+    (["verify", "--suite", "closed_forms", "--n", "2"], 1, VERIFY_MODULES),
 )
 
 
-@pytest.mark.parametrize("argv, expected", COMMAND_MODULES,
-                         ids=[argv[0] for argv, _ in COMMAND_MODULES])
-def test_a_command_loads_only_the_modules_it_runs(argv, expected):
-    loaded = fresh_imports(f"import dualsig.cli\nassert dualsig.cli.main({argv!r}) == 0")
+@pytest.mark.parametrize("argv, code, expected", COMMAND_MODULES,
+                         ids=[argv[0] + (f"-{argv[2]}" if argv[0] == "verify" else "")
+                              for argv, _, _ in COMMAND_MODULES])
+def test_a_command_loads_only_the_modules_it_runs(argv, code, expected):
+    loaded = fresh_imports(f"import dualsig.cli\nassert dualsig.cli.main({argv!r}) == {code}")
     assert [m for m in loaded if m.split(".")[0] == "dualsig"] == expected
 
 
@@ -328,6 +353,7 @@ REACH_RUNS = (
     (0, ["phase", "--tauA-steps", "5", "--lambda-steps", "4"]),
     (0, ["phase", "--tauA-steps", "1", "--lambda-steps", "1", "--out", "{tmp}/phase.csv"]),
     (0, ["thresholds"]),
+    (2, ["losses", "--tauA", "0.9", "--lambda", "0.5", "--out", "{tmp}/missing/x.csv"]),
     (0, ["losses", "--tauA", "0.9", "--lambda", "0.5"]),
     (2, ["losses", "--tauA", "1", "--lambda", "2"]),
 )
