@@ -20,17 +20,17 @@ conditional moments of ``verify --suite lemma``, goes through it.  A chunk
 is updated in place, with the IEEE operations of the plain expressions in
 their order, so in-place and plain code give the same bits.
 
-:func:`verify_closed_forms` evaluates every closed form of its grid in the
-calling process before any draw, then runs each cell's Monte Carlo through
-:func:`parallel_map` on ``W = min(cells, usable CPUs)`` worker processes
-made by ``os.fork``, with no process-pool module; worker ``k`` runs every
-``W``-th cell from the ``k``-th on, a split fixed before the fork.  Each
-cell draws from its own substream ``rng.split(cell)`` and the results come
-back in input order, so the output bytes do not depend on the worker
-count; one usable CPU (for example under ``taskset -c 0``) gives the
-serial loop.  A command's peak RSS as reported by ``wait4`` covers the
-workers, because it is the maximum over the process and its waited-for
-descendants.
+:func:`verify_closed_forms` reads the closed forms of its grid from the phase
+grid of :func:`dualsig.regimes.phase_sweep` before any draw, then runs each
+cell's Monte Carlo through :func:`parallel_map` on ``W = min(cells, usable
+CPUs)`` worker processes made by ``os.fork``, with no process-pool module;
+worker ``k`` runs every ``W``-th cell from the ``k``-th on, a split fixed
+before the fork.  Each cell draws from its own substream ``rng.split(cell)``
+and the results come back in input order, so the output bytes do not
+depend on the worker count; one usable CPU (for example under ``taskset -c
+0``) gives the serial loop.  A command's peak RSS as reported by ``wait4``
+covers the workers, because it is the maximum over the process and its
+waited-for descendants.
 """
 
 from __future__ import annotations
@@ -43,17 +43,14 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import regimes
 from .core import (
     Environment,
     SignalSpec,
     bayes_posterior_mean,
     cn_posterior_mean,
     count,
-    feasible,
     innovation_precision,
-    loss_profile,
-    real,
-    real_scalar,
 )
 from .rng import RngHandle
 
@@ -238,31 +235,26 @@ def parallel_map(tasks: Iterable[Sequence], local: int = 0) -> list:
 
 
 def verify_closed_forms(env: Environment, tau_h: float,
-                        tau_a_grid: Sequence[float], lambda_grid: Sequence[float],
+                        tau_a_axis: Sequence[float], lambda_axis: Sequence[float],
                         n: int, rng: RngHandle) -> list[tuple]:
     """Monte Carlo and closed-form losses of all four rules on a grid.
 
-    Returns one ``(tau_a, lam, losses)`` per cell, in lambda-major order.
-    ``losses`` is None for a cell that is infeasible or has ``lam = 1``, and
-    otherwise ``[(rule, estimate, closed_form), ...]`` in ``RULES`` order;
-    judging the difference is left to the caller.  Cells are numbered from 1
-    in lambda-major order, and cell ``i`` uses the substream
-    ``rng.split(i)``, so cell results do not depend on grid order or on which
-    worker of :func:`parallel_map` runs them.  ``n`` must be at least 2, the
-    fewest draws with a standard error.
+    Returns one ``(tau_a, lam, losses)`` per cell of the phase grid that
+    :func:`dualsig.regimes.phase_sweep` makes of the two strictly increasing
+    axes, in its lambda-major order, with the grid's closed forms.  ``losses``
+    is None for a cell that is infeasible or has ``lam = 1``, and otherwise
+    ``[(rule, estimate, closed_form), ...]`` in ``RULES`` order; judging the
+    difference is left to the caller.  Cell ``i``, counted from 1, uses the
+    substream ``rng.split(i)``, whichever worker of :func:`parallel_map` runs
+    it.  ``n`` must be at least 2, the fewest draws with a standard error.
     """
-    tau_h, n = real_scalar(tau_h, "tau_h", positive=True), count(n, "n", 2)
-    tau_a_grid = np.ravel(real(tau_a_grid, "tau_a_grid")).tolist()
-    cells = [(tau_a, lam) for lam in np.ravel(real(lambda_grid, "lambda_grid")).tolist()
-             for tau_a in tau_a_grid]
-    tested = {i: (tau_a, lam) for i, (tau_a, lam) in enumerate(cells, 1)
-              if lam < 1.0 and feasible(tau_h, tau_a, lam)}
-    # every closed form before the first draw, as one array spec with each cell's bits
-    tau_a, lam = np.array(list(tested.values())).reshape(-1, 2).T
-    profile = loss_profile(env, SignalSpec(np.full(len(tested), tau_h), tau_a, lam))
-    closed = zip(*(getattr(profile, field).tolist() for field in RULES.values()))
-    estimates = parallel_map([(paired_loss_estimates, env, SignalSpec(tau_h, *cell), n,
-                               rng.split(i)) for i, cell in tested.items()])
-    losses = {i: [(rule, est[rule], form) for rule, form in zip(RULES, forms)]
-              for i, est, forms in zip(tested, estimates, closed)}
-    return [(tau_a, lam, losses.get(i)) for i, (tau_a, lam) in enumerate(cells, 1)]
+    n = count(n, "n", 2)
+    # every closed form before the first draw, read from the phase grid's cells
+    grid = regimes.phase_sweep(env, tau_h, tau_a_axis, lambda_axis).cells.ravel()
+    cells = grid[["tau_a", "lam", "feasible", *RULES.values()]].tolist()
+    tested = [i for i, (_, lam, ok, *_) in enumerate(cells) if ok and lam < 1.0]
+    estimates = parallel_map([(paired_loss_estimates, env, SignalSpec(tau_h, *cells[i][:2]), n,
+                               rng.split(i + 1)) for i in tested])
+    losses = {i: [(rule, est[rule], form) for rule, form in zip(RULES, cells[i][3:])]
+              for i, est in zip(tested, estimates)}
+    return [(tau_a, lam, losses.get(i)) for i, (tau_a, lam, *_) in enumerate(cells)]

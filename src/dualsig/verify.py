@@ -66,10 +66,10 @@ class Check:
 
 def _closed_forms(n, seed, sigma_mult, tau0, tau_h):
     env = Environment(tau0=tau0)
-    tau_a_grid = [round(0.2 * i, 10) for i in range(1, 11)]
-    lambda_grid = [0.0, 0.25, 0.45, 0.5, 0.67, 0.75, 0.85]
+    tau_a_axis = [round(0.2 * i, 10) for i in range(1, 11)]
+    lambda_axis = [0.0, 0.25, 0.45, 0.5, 0.67, 0.75, 0.85]
     for tau_a, lam, losses in montecarlo.verify_closed_forms(
-            env, tau_h, tau_a_grid, lambda_grid, n, RngHandle(seed, stream=0)):
+            env, tau_h, tau_a_axis, lambda_axis, n, RngHandle(seed, stream=0)):
         cell = f"tauA={tau_a:g},lam={lam:g}"
         if losses is None:
             yield Check(f"skip[{cell}]")

@@ -156,11 +156,11 @@ ENTRY_POINTS = {
                                       0),
     "montecarlo.verify_closed_forms.tau_h": ("tau_h", lambda v: montecarlo.verify_closed_forms(
         ENV, v, [1.0], [0.5], 2, rng.RngHandle(0)), True, 1.0),
-    "montecarlo.verify_closed_forms.tau_a_grid": (
-        "tau_a_grid", lambda v: montecarlo.verify_closed_forms(
+    "montecarlo.verify_closed_forms.tau_a_axis": (
+        "tau_a_axis", lambda v: montecarlo.verify_closed_forms(
             ENV, 1.0, v, [0.5], 2, rng.RngHandle(0)), False, np.array([1.0])),
-    "montecarlo.verify_closed_forms.lambda_grid": (
-        "lambda_grid", lambda v: montecarlo.verify_closed_forms(
+    "montecarlo.verify_closed_forms.lambda_axis": (
+        "lambda_axis", lambda v: montecarlo.verify_closed_forms(
             ENV, 1.0, [1.0], v, 2, rng.RngHandle(0)), False, np.array([0.5])),
     "montecarlo.verify_closed_forms.n": ("n", lambda v: montecarlo.verify_closed_forms(
         ENV, 1.0, [1.0], [0.5], v, rng.RngHandle(0)), True, 2),

@@ -222,8 +222,8 @@ def test_the_parser_alone_loads_no_numpy(argv):
 
 CLOSED_FORM_MODULES = ["dualsig", "dualsig.cli", "dualsig.core", "dualsig.regimes"]
 VERIFY_MODULES = ["dualsig", "dualsig._search", "dualsig.bregman", "dualsig.cli",
-                  "dualsig.core", "dualsig.cueworld", "dualsig.montecarlo", "dualsig.rng",
-                  "dualsig.verify", "dualsig.voi"]
+                  "dualsig.core", "dualsig.cueworld", "dualsig.montecarlo", "dualsig.regimes",
+                  "dualsig.rng", "dualsig.verify", "dualsig.voi"]
 
 # command line, its exit code and the dualsig modules it leaves loaded
 COMMAND_MODULES = (

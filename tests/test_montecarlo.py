@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from dualsig import bregman, montecarlo, verify
+from dualsig import bregman, core, montecarlo, regimes, verify
 from dualsig.core import Environment, SignalSpec, ValidationError
 from dualsig.core import bayes_posterior_mean, feasible, loss_profile
 from dualsig.montecarlo import (
@@ -200,25 +200,63 @@ class TestVerifyClosedForms:
             verify_closed_forms(Environment(tau0=1e300), 1.0, [0.5], [0.25], 100, RngHandle(0))
 
     def test_closed_forms_are_each_cells_own_bits(self):
-        # one array loss_profile over the tested cells, against one call per cell
+        # the phase grid's cells, each equal to one loss_profile call of its own
         env, tau_h = Environment(tau0=0.7), 1.3
-        tau_a_grid = [round(0.15 * i, 10) for i in range(1, 15)]
-        lambda_grid = [0.0, 0.1, 0.33, 0.5, 0.67, 0.85, 0.99, 1.0]
-        cells = verify_closed_forms(env, tau_h, tau_a_grid, lambda_grid, n=2,
+        tau_a_axis = [round(0.15 * i, 10) for i in range(1, 15)]
+        lambda_axis = [0.0, 0.1, 0.33, 0.5, 0.67, 0.85, 0.99, 1.0]
+        cells = verify_closed_forms(env, tau_h, tau_a_axis, lambda_axis, n=2,
                                     rng=RngHandle(13, 0))
-        assert [(t, lam) for t, lam, _ in cells] == [(t, lam) for lam in lambda_grid
-                                                     for t in tau_a_grid]
+        grid = regimes.phase_sweep(env, tau_h, tau_a_axis, lambda_axis).cells.ravel()
+        assert [(t, lam) for t, lam, _ in cells] == [(t, lam) for lam in lambda_axis
+                                                     for t in tau_a_axis]
+        assert [(t, lam) for t, lam, _ in cells] == list(zip(grid["tau_a"], grid["lam"]))
         skipped = [(t, lam) for t, lam, losses in cells if losses is None]
         assert skipped == [(t, lam) for t, lam, _ in cells
                            if lam == 1.0 or not feasible(tau_h, t, lam)]
+        assert [losses is None for _, _, losses in cells] == (
+            ~grid["feasible"] | (grid["lam"] == 1.0)).tolist()
         assert any(lam < 1.0 for _, lam in skipped)  # infeasible cells
         assert any(lam == 1.0 and feasible(tau_h, t, lam) for t, lam in skipped)
-        for t, lam, losses in cells:
+        for (t, lam, losses), cell in zip(cells, grid):
             if losses is not None:
                 profile = loss_profile(env, SignalSpec(tau_h, t, lam))
                 assert [(rule, form) for rule, _, form in losses] == [
                     (rule, getattr(profile, field)) for rule, field in RULES.items()]
+                assert [form for _, _, form in losses] == [cell[f] for f in RULES.values()]
                 assert all(type(form) is float for _, _, form in losses)
+
+    @pytest.mark.parametrize("bad", [[1.0, 0.5], [0.5, 0.5], [], [[0.25, 0.5]]],
+                             ids=["decreasing", "repeated", "empty", "2-D"])
+    @pytest.mark.parametrize("axis", ["tau_a_axis", "lambda_axis"])
+    def test_an_axis_that_is_not_strictly_increasing_raises_before_any_fork(
+            self, monkeypatch, axis, bad):
+        # such axes used to be raveled and run
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a worker was forked for a bad axis")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "fork", forbidden, raising=False)
+        axes = {"tau_a_axis": [0.5, 1.0], "lambda_axis": [0.25, 0.5], axis: bad}
+        with pytest.raises(ValidationError, match=axis):
+            verify_closed_forms(ENV, 1.0, axes["tau_a_axis"], axes["lambda_axis"], 100,
+                                RngHandle(0))
+
+    def test_the_closed_forms_are_one_loss_profile_call_of_the_phase_grid(self, monkeypatch):
+        # montecarlo used to call loss_profile through a binding of its own
+        def forbidden(*args, **kwargs):
+            raise AssertionError("loss_profile was called outside regimes.phase_sweep")
+
+        calls, evaluate = [], core.loss_profile
+        for module in (core, montecarlo, regimes):
+            for name, value in list(vars(module).items()):
+                if value is evaluate:
+                    monkeypatch.setattr(module, name, forbidden)
+        monkeypatch.setattr(regimes, "loss_profile",
+                            lambda env, spec: calls.append(spec) or evaluate(env, spec))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        cells = verify_closed_forms(ENV, 1.0, [0.5, 2.0], [0.0, 0.67, 1.0], n=2,
+                                    rng=RngHandle(0))
+        assert len(calls) == 1 and len(cells) == 6
 
     def test_a_grid_without_tested_cells_draws_nothing(self, monkeypatch):
         def forbidden(*args, **kwargs):
