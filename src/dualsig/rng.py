@@ -8,16 +8,16 @@ IEEE-754 doubles.
 Generator algorithm (fixed; do not change without bumping output versions):
 
 * 64-bit output words are produced counter-style from the splitmix64
-  finalizer ``mix64``:
+  finalizer ``_mix64``:
 
-      word(i) = mix64(key + (i + 1) * GAMMA   mod 2**64)
+      word(i) = _mix64(key + (i + 1) * GAMMA   mod 2**64)
 
   where ``GAMMA = 0x9E3779B97F4A7C15`` and the per-handle key folds seed and
   stream through two extra finalizer rounds:
 
-      key = mix64(mix64(seed + GAMMA) ^ mix64(stream + STREAM_SALT))
+      key = _mix64(_mix64(seed + GAMMA) ^ _mix64(stream + STREAM_SALT))
 
-  ``mix64`` is the murmur-style avalanche used by splitmix64
+  ``_mix64`` is the murmur-style avalanche used by splitmix64
   (xor-shift 30 / multiply 0xBF58476D1CE4E5B9 / xor-shift 27 /
   multiply 0x94D049BB133111EB / xor-shift 31).  With key = 0 the word
   sequence equals the reference splitmix64 stream for seed 0.
@@ -26,12 +26,13 @@ Generator algorithm (fixed; do not change without bumping output versions):
   word: ``u = (k + 0.5) * 2**-53``, where the ``+ 0.5`` rounds to even from
   ``k = 2**52`` on, and the 1.0 of ``k = 2**53 - 1`` is clamped to ``1 - 2**-53``.
 
-* Standard normals are the inverse normal CDF of those uniforms, evaluated
-  with Acklam's rational approximation (|relative error| < 1.15e-9).  The
-  evaluation uses only +, -, *, /, sqrt and log in a fixed order; sqrt is
-  IEEE-exact and log is the single libm call in the pipeline.  The central
-  fit runs in place over the whole array and the two tails overwrite their
-  entries, so each element sees the operations of a masked evaluation.
+* Standard normals are the inverse normal CDF ``_normal_ppf`` of those
+  uniforms, evaluated with Acklam's rational approximation (|relative
+  error| < 1.15e-9).  The evaluation uses only +, -, *, /, sqrt and log in
+  a fixed order; sqrt is IEEE-exact and log is the single libm call in the
+  pipeline.  The central fit runs in place over the whole array and the two
+  tails overwrite their entries, so each element sees the operations of a
+  masked evaluation.
 
 * Uniform k-subsets of ``range(n)`` are the indices of the k smallest of n
   i.i.d. uniforms, ties to the lower index, found by selection.  The rule is
@@ -39,13 +40,17 @@ Generator algorithm (fixed; do not change without bumping output versions):
   set as the first k entries of a stable argsort.
 
 Derived streams for parallel or repeated work come from :func:`derive_seed`,
-which hashes the parent identity with ``mix64`` so that child streams are
+which hashes the parent identity with ``_mix64`` so that child streams are
 statistically unrelated; :meth:`RngHandle.split` applies it to the stream.
 Seeds and streams must lie in ``[0, 2**64)``; neither is reduced mod 2**64,
 so no out-of-range value draws the words of an in-range one.  Nor is any
 integer argument truncated: every one goes through :func:`dualsig.core.count`,
 so a float seed, stream, index or count raises
 :class:`dualsig.core.ValidationError`, as a negative one does.
+
+``_mix64`` and ``_normal_ppf`` are the handle's internals: they take only
+what the handle has already read, an int and a float64 array of uniforms,
+and check neither.
 """
 
 from __future__ import annotations
@@ -56,16 +61,16 @@ import numpy as np
 
 from .core import ValidationError, count
 
-__all__ = ["RngHandle", "derive_seed", "mix64", "normal_ppf"]
+__all__ = ["RngHandle", "derive_seed"]
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _STREAM_SALT = 0x632BE59BD9B4E019
 
 
-def mix64(z: int) -> int:
-    """Splitmix64 finalizer of a nonnegative integer, taken mod 2**64."""
-    z = count(z, "z", 0) & _MASK
+def _mix64(z: int) -> int:
+    """Splitmix64 finalizer of a nonnegative int, taken mod 2**64."""
+    z &= _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return (z ^ (z >> 31)) & _MASK
@@ -101,7 +106,7 @@ def derive_seed(seed: int, *indices: int) -> int:
     """
     out = _word(seed, "seed")
     for ix in indices:
-        out = mix64(out ^ ((count(ix, "split index", 0) + 1) * _GAMMA & _MASK))
+        out = _mix64(out ^ ((count(ix, "split index", 0) + 1) * _GAMMA & _MASK))
     return out
 
 
@@ -127,15 +132,9 @@ def _horner(coefs: tuple[float, ...], t: np.ndarray, out: np.ndarray) -> np.ndar
     return out
 
 
-def normal_ppf(p) -> np.ndarray:
-    """Inverse standard normal CDF (Acklam's rational approximation) of real
-    ``p`` strictly inside (0, 1), as a new array of its shape.  Not read by
-    :func:`dualsig.core.real`: one range scan also rejects NaN and inf."""
-    if np.asarray(p).dtype.kind not in "biuf":  # text is not a number
-        raise ValidationError(f"p must be real numbers, got {p!r}")
-    p = np.asarray(p, dtype=np.float64)
-    if not np.all((p > 0.0) & (p < 1.0)):
-        raise ValidationError("normal_ppf requires p strictly inside (0, 1)")
+def _normal_ppf(p: np.ndarray) -> np.ndarray:
+    """Inverse standard normal CDF (Acklam's rational approximation) of a
+    float64 array ``p`` strictly inside (0, 1), as a new array of its shape."""
     # The central fit is finite on all of (0, 1); ``out=`` keeps 0-d input an array.
     q = np.subtract(p, 0.5, out=np.empty_like(p))
     r = np.multiply(q, q, out=np.empty_like(p))
@@ -186,7 +185,7 @@ class RngHandle:
     def __post_init__(self) -> None:
         self.seed = _word(self.seed, "seed")
         self.stream = _word(self.stream, "stream")
-        self._key = mix64(mix64(self.seed + _GAMMA) ^ mix64(self.stream + _STREAM_SALT))
+        self._key = _mix64(_mix64(self.seed + _GAMMA) ^ _mix64(self.stream + _STREAM_SALT))
 
     def words(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit words as a uint64 array."""
@@ -208,7 +207,7 @@ class RngHandle:
 
     def normals(self, n: int) -> np.ndarray:
         """Next ``n`` standard normal deviates (one uniform per normal)."""
-        return normal_ppf(self.uniforms(n))
+        return _normal_ppf(self.uniforms(n))
 
     def subset(self, pool_size: int, k: int) -> np.ndarray:
         """Uniformly random k-subset of ``range(pool_size)``, sorted.

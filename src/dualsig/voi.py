@@ -46,13 +46,10 @@ __all__ = [
     "LogLoss",
     "DiscreteProblem",
     "VoiReport",
-    "binary_entropy",
     "bayes_risk",
     "value_of_information",
     "marginal_value_discrete",
     "xor_construction",
-    "erasure_construction",
-    "xor_q_for_ratio",
     "ratio_construction",
     "posterior_two_tests",
     "brute_force_voi",
@@ -65,9 +62,8 @@ NULL_SIGNAL = "null"
 NOISE_P = 0.1
 
 
-def binary_entropy(p: float) -> float:
+def _binary_entropy(p: float) -> float:
     """Entropy of a Bernoulli(p) in bits; 0 at p in {0, 1}, 1 at p = 1/2."""
-    p = real_scalar(p, "p")
     require(0.0 <= p <= 1.0, "binary_entropy needs p in [0, 1], got {}", p)
     if p == 0.0 or p == 1.0:
         return 0.0
@@ -196,7 +192,7 @@ def _optimal_conditional_loss(problem: DiscreteProblem, cond: np.ndarray) -> flo
     if isinstance(problem.loss, QuadraticLoss):
         mean = float(np.dot(cond, y))
         return float(np.dot(cond, y * y)) - mean * mean
-    return binary_entropy(float(np.dot(cond, y)))
+    return _binary_entropy(float(np.dot(cond, y)))
 
 
 def _risk(problem: DiscreteProblem, signals: Sequence[str], conditional_loss) -> float:
@@ -250,15 +246,14 @@ def xor_construction(q: float) -> DiscreteProblem:
                            loss=LogLoss())
 
 
-def erasure_construction(t: float) -> DiscreteProblem:
-    """Binary problem whose conditional/standalone value ratio is exactly t.
+def _erasure_construction(t: float) -> DiscreteProblem:
+    """Binary problem whose conditional/standalone value ratio is exactly
+    ``t`` in [0, 1).
 
     ``a = y XOR u`` with ``u ~ Bernoulli(NOISE_P)``; the own signal repeats
     ``a`` but is erased to the null symbol with probability ``t``.
     """
     p = NOISE_P
-    t = real_scalar(t, "t")
-    require(0.0 <= t < 1.0, "t must lie in [0, 1), got {}", t)
     h_alphabet = (0, 1, NULL_SIGNAL)
     probs = np.zeros((2, 3, 2))
     for y, a in itertools.product((0, 1), repeat=2):
@@ -272,15 +267,13 @@ def erasure_construction(t: float) -> DiscreteProblem:
 
 def xor_ratio(q: float) -> float:
     """Closed-form value ratio of :func:`xor_construction`; its denominator
-    is positive for ``q <= 1/2 - 1e-5``, all that :func:`xor_q_for_ratio` asks."""
+    is positive for ``q <= 1/2 - 1e-5``, all that :func:`_xor_q_for_ratio` asks."""
     p = NOISE_P
-    return (1.0 - binary_entropy(p)) / (1.0 - binary_entropy(p + q - 2.0 * p * q))
+    return (1.0 - _binary_entropy(p)) / (1.0 - _binary_entropy(p + q - 2.0 * p * q))
 
 
-def xor_q_for_ratio(t: float) -> float:
+def _xor_q_for_ratio(t: float) -> float:
     """Solve the XOR noise level q such that the value ratio equals t >= 1."""
-    t = real_scalar(t, "t")
-    require(t >= 1.0, "XOR ratios start at 1, got target t = {}", t)
     if t == 1.0:
         return 0.0
     hi = 0.5 - 1e-5  # close enough to 1/2 for ratios beyond 1e9
@@ -297,8 +290,8 @@ def ratio_construction(t: float) -> DiscreteProblem:
     t = real_scalar(t, "t")
     require(t >= 0.0, "ratio target t must be nonnegative, got {}", t)
     if t < 1.0:
-        return erasure_construction(t)
-    return xor_construction(xor_q_for_ratio(t))
+        return _erasure_construction(t)
+    return xor_construction(_xor_q_for_ratio(t))
 
 
 def posterior_two_tests(prior: float, tpr: float, fpr: float) -> tuple[float, float]:

@@ -1,7 +1,8 @@
 """Every public argument is read by the readers of ``dualsig.core``, so a bad
 one raises ``ValidationError`` naming it, from whichever entry point it
 enters: text is never a number, even where ``float`` would parse it, a
-two-element array is not one number, and NaN and inf are not finite.
+two-element array is not one number, NaN and inf are not finite, and None is
+no value at all.
 
 Every parameter of every public callable has a row in ``ENTRY_POINTS`` or an
 exemption with its reason in ``EXEMPT``, so a new parameter cannot go
@@ -110,7 +111,6 @@ ENTRY_POINTS = {
     # an index set is a sequence of integers, a set or an array; never one number
     "cueworld.CueWorld.human_set": ("human_set", lambda v: world(human_set=v), True,
                                     np.array([0])),
-    "cueworld.round_half_away.x": ("x", cueworld.round_half_away, True, 2.5),
     "cueworld.build_world.n_cues": ("n_cues", lambda v: cueworld.build_world(v, PLAN), True,
                                     100),
     "cueworld.build_world.mode": ("mode", lambda v: cueworld.build_world(100, PLAN, v), True,
@@ -127,12 +127,6 @@ ENTRY_POINTS = {
         WORLD, v), True, {0, 1}),
     "cueworld.covariance_lambda.ai_set": ("ai_set", lambda v: cueworld.covariance_lambda(
         WORLD, v), True, np.array([0, 1])),
-    "cueworld.overlap_estimates.a": ("a", lambda v: cueworld.overlap_estimates(
-        WORLD, v, 2, 0), True, 0.3),
-    "cueworld.overlap_estimates.reps": ("reps", lambda v: cueworld.overlap_estimates(
-        WORLD, 0.3, v, 0), True, 2),
-    "cueworld.overlap_estimates.seed": ("seed", lambda v: cueworld.overlap_estimates(
-        WORLD, 0.3, 2, v), True, 0),
     "cueworld.concentration_experiment.n_values": (
         "n_values", lambda v: cueworld.concentration_experiment(v, PLAN, 2), True,
         np.array([100])),
@@ -181,8 +175,6 @@ ENTRY_POINTS = {
     "rng.RngHandle.stream": ("stream", lambda v: rng.RngHandle(0, v), True, 0),
     "rng.derive_seed.seed": ("seed", rng.derive_seed, True, 0),
     "rng.derive_seed.indices": ("split index", lambda v: rng.derive_seed(0, v), True, 1),
-    "rng.mix64.z": ("z", rng.mix64, True, 1),
-    "rng.normal_ppf.p": ("p", rng.normal_ppf, False, np.array([0.25])),
     "verify.run.suite": ("suite", lambda v: run(suite=v), True, "voi"),
     "verify.run.n": ("n", lambda v: run(n=v), True, 0),
     "verify.run.seed": ("seed", lambda v: run(seed=v), True, 0),
@@ -195,13 +187,10 @@ ENTRY_POINTS = {
                                       ((0, 1), (0, 1))),
     "voi.DiscreteProblem.probs": ("probs", lambda v: problem(probs=v), True,
                                   np.full((2, 2, 2), 0.125)),
-    "voi.binary_entropy.p": ("p", voi.binary_entropy, True, 0.25),
     "voi.bayes_risk.signals": ("signals", lambda v: voi.bayes_risk(XOR, v), True, ("h",)),
     "voi.value_of_information.signals": ("signals", lambda v: voi.value_of_information(
         XOR, v), True, ("h", "a")),
     "voi.xor_construction.q": ("q", voi.xor_construction, True, 0.25),
-    "voi.erasure_construction.t": ("t", voi.erasure_construction, True, 0.25),
-    "voi.xor_q_for_ratio.t": ("t", voi.xor_q_for_ratio, True, 2.0),
     "voi.ratio_construction.t": ("t", voi.ratio_construction, True, 2.0),
     "voi.posterior_two_tests.prior": ("prior", lambda v: voi.posterior_two_tests(
         v, 0.7, 0.01), True, 0.1),
@@ -236,7 +225,7 @@ EXEMPT = {
 }
 
 BAD_VALUES = {"text": "0.5", "array": np.array([0.5, 0.5]), "nan": math.nan,
-              "inf": math.inf}
+              "inf": math.inf, "none": None}
 
 
 @pytest.mark.parametrize("entry, case", [

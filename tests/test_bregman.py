@@ -17,7 +17,7 @@ from dualsig.bregman import (
 )
 from dualsig.core import Environment, SignalSpec, ValidationError
 from dualsig.rng import RngHandle
-from dualsig.voi import DiscreteProblem, LogLoss, QuadraticLoss, erasure_construction
+from dualsig.voi import DiscreteProblem, LogLoss, QuadraticLoss, _erasure_construction
 
 SQUARED = BregmanGenerator(kind="squared")
 NEGENT = BregmanGenerator(kind="negative_entropy")
@@ -173,7 +173,7 @@ def test_gap_check_equals_the_per_term_loop_exactly(seed):
         gen = BregmanGenerator(kind=kind)
         # the erasure problem's null own signal has probability 0
         problems = [verify._random_discrete_problem(rng.split(i)) for i in range(100)]
-        problems += [erasure_construction(0.0), zero_pair_problem()]
+        problems += [_erasure_construction(0.0), zero_pair_problem()]
         for i, problem in enumerate(problems):
             rule = verify._random_rule(problem, gen, rng.split(1000 + i))
             report = gap_check_discrete(problem, rule, gen)

@@ -218,6 +218,23 @@ class TestPhase:
         assert lams == sorted(lams)
 
 
+# one command per exit code: success, a failed check, a rejected value
+SPAWNED = (
+    (0, ["losses", "--tauA", "1.5", "--lambda", "0.3"]),
+    (1, ["verify", "--suite", "closed_forms", "--n", "2"]),
+    (2, ["losses", "--tauA", "-1", "--lambda", "0.3"]),
+)
+
+
+@pytest.mark.parametrize("code, argv", SPAWNED, ids=[f"exit-{code}" for code, _ in SPAWNED])
+def test_a_spawned_command_exits_and_prints_as_main_returns(capsys, code, argv):
+    # python -m runs the module's __main__ block, which an in-process main() skips
+    proc = subprocess.run([sys.executable, "-m", "dualsig.cli", *argv], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+    assert main(argv) == code
+    assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out.encode())
+
+
 class TestSimulate:
     def test_zero_overlap_plan(self, tmp_path):
         code, data = run(tmp_path, "sim.csv",

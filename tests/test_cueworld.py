@@ -12,12 +12,11 @@ from dualsig.cueworld import (
     ConcentrationSummary,
     CueWorld,
     SamplingPlan,
+    _round_half_away,
     build_world,
     concentration_experiment,
     covariance_lambda,
     empirical_lambda,
-    overlap_estimates,
-    round_half_away,
     sample_ai_set,
 )
 from dualsig.rng import RngHandle, derive_seed
@@ -75,14 +74,9 @@ class TestPlanValidation:
             SamplingPlan(**fractions)
 
     def test_rounding(self):
-        assert round_half_away(2.5) == 3
-        assert round_half_away(2.4999) == 2
-        assert round_half_away(-2.5) == -3
-
-    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
-    def test_rounding_rejects_non_finite(self, x):
-        with pytest.raises(ValidationError):
-            round_half_away(x)
+        assert _round_half_away(2.5) == 3
+        assert _round_half_away(2.4999) == 2
+        assert _round_half_away(-2.5) == -3
 
 
 class TestBuildWorld:
@@ -158,7 +152,7 @@ class TestBuildWorld:
         k = data.draw(st.floats(0.0, m))
         h_total = min(1.0, k + data.draw(st.floats(0.0, 1.0 - m)))  # fits outside the pool
         plan = SamplingPlan(a=m, m=m, k=k, h_total=h_total)
-        n_overlap = round_half_away(plan.k * n_cues)
+        n_overlap = _round_half_away(plan.k * n_cues)
         try:
             world = build_world(n_cues, plan)
         except ValidationError as exc:  # the two checks that can fire
@@ -252,10 +246,11 @@ class TestSampleAiSet:
         with pytest.raises(ValidationError):
             sample_ai_set(world, 0.7, seed=0)
 
-    @pytest.mark.parametrize("a", [math.nan, math.inf])
-    def test_non_finite_fraction_rejected(self, a):
+    # a*N of +-1e308 overflows to +-inf, which no integer rounds to
+    @pytest.mark.parametrize("a", [math.nan, math.inf, 0.0, -0.5, 1.5, 1e308, -1e308])
+    def test_fraction_outside_the_unit_interval_rejected(self, a):
         world = build_world(100, PLAN, seed=0)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^a must"):
             sample_ai_set(world, a, seed=0)
 
     def test_inclusion_frequencies_hypergeometric(self):
@@ -446,8 +441,6 @@ class TestConcentration:
         # a float used to escape as a bare TypeError from range()
         with pytest.raises(ValidationError, match=message):
             concentration_experiment([100], PLAN, reps=reps)
-        with pytest.raises(ValidationError, match=message):
-            overlap_estimates(build_world(100, PLAN), PLAN.a, reps, seed=0)
 
     @pytest.mark.parametrize("n_values, message", [
         (100, "n_values must be a sequence of pool sizes, got 100"),
@@ -487,17 +480,14 @@ class TestConcentration:
         assert a == b
 
     def test_per_rep_estimates_back_the_summary(self):
-        world = build_world(1000, PLAN, seed=4)
-        estimates = overlap_estimates(world, PLAN.a, reps=25, seed=4)
-        assert estimates.shape == (25,) and estimates.dtype == np.float64
-        assert estimates.tolist() == [
-            empirical_lambda(world, sample_ai_set(world, PLAN.a, seed=derive_seed(4, rep)))
-            for rep in range(25)]
-        assert np.all((0.0 <= estimates) & (estimates <= 1.0))
-        # concentration_experiment summarizes the same estimates of pool 0
+        # pool 0's world and its repetitions' assistant sets, from their child seeds
         summary, = concentration_experiment([1000], PLAN, reps=25, seed=4)
-        errors = np.abs(overlap_estimates(build_world(1000, PLAN, seed=derive_seed(4, 0)),
-                                          PLAN.a, 25, derive_seed(4, 0)) - summary.target)
+        world = build_world(1000, PLAN, seed=derive_seed(4, 0))
+        estimates = np.array([
+            empirical_lambda(world, sample_ai_set(world, PLAN.a, seed=derive_seed(4, 0, rep)))
+            for rep in range(25)])
+        assert np.all((0.0 <= estimates) & (estimates <= 1.0))
+        errors = np.abs(estimates - summary.target)
         assert summary.mean_abs_error == float(np.mean(errors))
         assert summary.max_abs_error == float(np.max(errors))
 

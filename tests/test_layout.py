@@ -40,10 +40,13 @@ Only ``core`` turns an argument into floats or integers with
 ``np.asarray``/``np.array`` and a float or integer dtype, or with
 ``.astype`` and an integer dtype: its readers ``real`` and ``real_scalar``
 reject text and check finiteness, ``indices`` rejects floats, bools and
-repeats, and a hand conversion elsewhere would parse text or truncate.  The
-one exemption is ``rng.normal_ppf``, which rejects text by dtype and then
-lets its range scan, which also rejects NaN and inf, be the only pass over
-the input on the Monte Carlo hot path.
+repeats, and a hand conversion elsewhere would parse text or truncate.
+
+Every function in a module's ``__all__`` has a caller outside its module:
+another module of the package, the benchmark's tracer or the README.  A
+helper that only its own module calls is private, and takes its arguments
+as its caller has read them.  ``cli.main`` and ``cli.build_parser``, the
+command line's entry points, are exempt.
 
 Every statement of every function and method of the package runs in at
 least one small run of a CLI command, so no code is kept alive by tests
@@ -56,7 +59,10 @@ with its reason.
 """
 
 import ast
+import importlib
+import inspect
 import os
+import re
 import subprocess
 import sys
 import types
@@ -324,20 +330,80 @@ def test_conversion_checker_flags_every_float_and_integer_dtype():
 def test_only_core_converts_arguments_to_numbers():
     found = {path.stem: number_conversions(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py")) if path.stem != "core"}
-    assert {stem: hits for stem, hits in found.items() if hits} == {"rng": ["normal_ppf"]}
+    assert {stem: hits for stem, hits in found.items() if hits} == {}
 
 
-def test_every_traced_name_resolves():
-    # executed from its source text, so nothing is imported or cached from bench/
+def bench_spans() -> types.ModuleType:
+    """``bench/spans.py`` executed from its source text, so nothing is
+    imported or cached from bench/."""
     path = ROOT / "bench" / "spans.py"
     spans = types.ModuleType("bench_spans")
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), spans.__dict__)
+    return spans
+
+
+def test_every_traced_name_resolves():
+    spans = bench_spans()
     missing = []
     for module, attr, _ in spans.Tracer().patches():
         owner, name = spans.target(module, attr)
         if name not in vars(owner):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def sibling_references(source: str) -> set[tuple[str, str]]:
+    """``(module, name)`` of every ``from .module import name`` in
+    ``source`` and every ``module.name`` read through ``from . import
+    module``."""
+    tree = ast.parse(source)
+    siblings, found = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level >= 1:
+            for alias in node.names:
+                if node.module is None:
+                    siblings[alias.asname or alias.name] = alias.name
+                else:
+                    found.add((node.module, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings):
+            found.add((siblings[node.value.id], node.attr))
+    return found
+
+
+def test_reference_checker_reads_both_forms():
+    source = ("from . import montecarlo as mc\n"
+              "from .core import count, require\n"
+              "def f(x):\n"
+              "    from . import regimes\n"
+              "    return mc.accumulate(regimes.classify(x)), x.run\n")
+    assert sibling_references(source) == {("core", "count"), ("core", "require"),
+                                           ("montecarlo", "accumulate"),
+                                           ("regimes", "classify")}
+
+
+# called from outside the package, not by it
+COMMAND_LINE_ENTRIES = {"cli.main", "cli.build_parser"}
+
+
+def test_every_public_function_has_a_caller_outside_its_module():
+    # a caller is another module of the package, the benchmark's tracer, or
+    # the README, which documents the names a user calls
+    called = {(module, attr) for module, attr, _ in bench_spans().Tracer().patches()}
+    for path in PACKAGE.glob("*.py"):
+        called |= {(module, name) for module, name in
+                   sibling_references(path.read_text(encoding="utf-8")) if module != path.stem}
+    documented = set(re.findall(r"\w+", " ".join(
+        re.findall(r"`+([^`]+)`+", (ROOT / "README.md").read_text(encoding="utf-8")))))
+    uncalled = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"dualsig.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            if (inspect.isfunction(getattr(module, name))
+                    and (path.stem, name) not in called and name not in documented):
+                uncalled.append(f"{path.stem}.{name}")
+    assert [name for name in uncalled if name not in COMMAND_LINE_ENTRIES] == []
 
 
 # (expected exit code, argv); "{tmp}" is a per-test directory
@@ -376,7 +442,7 @@ UNREACHED_BY_DESIGN = {
         ("rng", "_smallest_k", "chosen[np.flatnonzero(u == kth)[-extra:]] = False"),
     ],
     "log2(0) is undefined; no command asks for the entropy of a sure event": [
-        ("voi", "binary_entropy", "return 0.0"),
+        ("voi", "_binary_entropy", "return 0.0"),
     ],
     "no voi row has a quadratic loss; adding one changes a pinned digest": [
         ("voi", "_brute_conditional_loss", "lo, hi = min(y), max(y)"),
