@@ -108,7 +108,7 @@ def _linspace(lo: float, hi: float, steps: int, name: str) -> list[float]:
     return np.linspace(lo, hi, steps).tolist()
 
 
-def cmd_losses(args) -> int:
+def _cmd_losses(args) -> int:
     from . import core, regimes
     env = core.Environment(tau0=args.tau0)
     spec = core.SignalSpec(tau_h=args.tauH, tau_a=args.tauA, lam=args.lam)
@@ -122,7 +122,7 @@ def cmd_losses(args) -> int:
     return 0
 
 
-def cmd_thresholds(args) -> int:
+def _cmd_thresholds(args) -> int:
     import numpy as np
 
     from . import regimes
@@ -138,7 +138,7 @@ def cmd_thresholds(args) -> int:
     return 0
 
 
-def cmd_phase(args) -> int:
+def _cmd_phase(args) -> int:
     from . import regimes
     from .core import Environment
     env = Environment(tau0=args.tau0)
@@ -151,7 +151,7 @@ def cmd_phase(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> int:
     from . import cueworld
     plan = cueworld.SamplingPlan(a=args.a, m=args.m, k=args.k, h_total=args.h_total)
     sizes = args.n or [100_000]
@@ -164,7 +164,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def _cmd_verify(args) -> int:
     from . import verify
     checks = verify.run(args.suite, n=args.n, seed=args.seed, sigma_mult=args.sigma_mult,
                         tau0=args.tau0, tau_h=args.tauH)
@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="losses and regime at one parameter point")
     p.add_argument("--tauA", type=float, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.set_defaults(func=cmd_losses)
+    p.set_defaults(func=_cmd_losses)
 
     p = sub.add_parser("thresholds", parents=[prior, out],
                        help="capability thresholds per overlap level")
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-min", type=float, default=0.0)
     p.add_argument("--lambda-max", type=float, default=1.0)
     p.add_argument("--lambda-steps", type=int, default=101)
-    p.set_defaults(func=cmd_thresholds)
+    p.set_defaults(func=_cmd_thresholds)
 
     p = sub.add_parser("phase", parents=[prior, out],
                        help="regime phase diagram over (tauA, lambda)")
@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-min", type=float, default=0.0)
     p.add_argument("--lambda-max", type=float, default=1.0)
     p.add_argument("--lambda-steps", type=int, default=101)
-    p.set_defaults(func=cmd_phase)
+    p.set_defaults(func=_cmd_phase)
 
     p = sub.add_parser("simulate", parents=[seed, out],
                        help="cue-pool overlap concentration experiment")
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h-total", type=float, default=0.5, help="total human fraction")
     p.add_argument("--tau-min", type=float, default=0.5)
     p.add_argument("--tau-max", type=float, default=2.0)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", parents=[prior, seed, out],
                        help="run a verification suite (exit 1 on failure)",
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "voi ignores it)")
     p.add_argument("--sigma-mult", type=float, default=4.0,
                    help="standard errors a Monte Carlo check accepts (voi ignores it)")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=_cmd_verify)
     return parser
 
 

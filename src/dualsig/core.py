@@ -29,7 +29,9 @@ conditionally independent and thereby double-counts shared evidence:
 and the marginal value of the assistant, into one :class:`LossProfile`.
 
 All functions are pure and thread-safe.  Parameters are 64-bit floats, or
-float64 arrays of points, on which every formula acts element-wise.
+float64 arrays of points, on which every formula acts element-wise; they are
+read from integers and floats only, since a bool, text, bytes or a value
+boxed in an object array is not a number.
 """
 
 from __future__ import annotations
@@ -74,8 +76,11 @@ def require(ok, message: str, *values) -> None:
 
 
 def count(value, name: str, least: int) -> int:
-    """``value`` as an int >= ``least``; a float is rejected, not truncated."""
+    """``value`` as an int >= ``least``; a float is rejected, not truncated,
+    and a bool is not a number."""
     try:
+        if isinstance(value, bool):  # numpy's bool already fails operator.index
+            raise TypeError
         out = operator.index(value)
     except TypeError:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None
@@ -114,12 +119,13 @@ def native(x):
 
 def real(value, name: str, positive: bool = False):
     """``value`` as a float, or a float64 array if array-like; finite and,
-    if ``positive``, strictly positive.  Text is not a number, even where
-    ``float`` would parse it, and an array must have a numeric dtype."""
+    if ``positive``, strictly positive.  Only an integer or float dtype is a
+    number, at every shape: text is not, even where ``float`` would parse
+    it, nor is a bool, bytes or a value boxed in an object array."""
     try:
         raw = np.asarray(value)
         # float() parses text, drops an imaginary part, reads a str in an object array
-        if raw.dtype.kind not in ("biuf" if raw.ndim else "biufO"):
+        if raw.dtype.kind not in "iuf":
             raise TypeError("not a real number")
         x = float(value) if raw.ndim == 0 else np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:

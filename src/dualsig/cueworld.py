@@ -57,8 +57,12 @@ MODES = ("homogeneous", "heterogeneous")
 
 
 def _round_half_away(x: float) -> int:
-    """Round a finite float to the nearest integer, halves away from zero."""
-    return int(math.floor(x + 0.5)) if x >= 0.0 else -int(math.floor(-x + 0.5))
+    """Round a finite float ``x >= 0`` to the nearest integer, halves up
+    (away from zero), exactly: ``x - floor(x)`` rounds nothing, where
+    ``x + 0.5`` would.  Every caller passes a fraction in [0, 1] of a pool
+    size ``N >= 1``."""
+    q = math.floor(x)
+    return q + (x - q >= 0.5)
 
 
 @dataclass(frozen=True)
@@ -107,10 +111,10 @@ class CueWorld:
     human_mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # a view: freezing it leaves the caller's own array writable
-        prec = real(self.precisions, "precisions", positive=True).view()
-        if np.ndim(prec) != 1:
+        prec = real(self.precisions, "precisions", positive=True)
+        if np.ndim(prec) != 1:  # before the view, which a float does not have
             raise ValidationError(f"precisions must form a 1-D array, got shape {np.shape(prec)}")
+        prec = prec.view()  # a view: freezing it leaves the caller's own array writable
         if count(self.n_accessible, "n_accessible", 1) > prec.size:
             raise ValidationError(
                 f"n_accessible must be <= {prec.size}, the number of cues, "
@@ -275,6 +279,8 @@ def concentration_experiment(n_values: Sequence[int], plan: SamplingPlan,
     """
     reps = count(reps, "reps", 1)
     try:
+        if isinstance(n_values, (bytes, bytearray)):  # iterates as ints, but is no list of sizes
+            raise TypeError
         n_values = [count(n_cues, "n_values", 1) for n_cues in n_values]
     except TypeError:  # not iterable
         raise ValidationError(

@@ -14,7 +14,7 @@ problem has the two signals of the model, named by :data:`SIGNALS`: the own
 signal ``"h"`` and the assistant signal ``"a"``.  A signal set is a tuple of
 those names, each at most once.
 
-Two binary constructions, each with a noise bit ``u ~ Bernoulli(NOISE_P)``,
+Two binary constructions, each with a noise bit ``u ~ Bernoulli(0.1)``,
 make the ratio of conditional to standalone value ``v(a|h) / v(a)`` take any
 target in [0, inf):
 
@@ -40,8 +40,6 @@ from .core import ValidationError, real, real_scalar, require
 
 __all__ = [
     "SIGNALS",
-    "NULL_SIGNAL",
-    "NOISE_P",
     "QuadraticLoss",
     "LogLoss",
     "DiscreteProblem",
@@ -57,9 +55,9 @@ __all__ = [
 
 SIGNALS = ("h", "a")
 
-NULL_SIGNAL = "null"
+_NULL_SIGNAL = "null"
 
-NOISE_P = 0.1
+_NOISE_P = 0.1
 
 
 def _binary_entropy(p: float) -> float:
@@ -232,10 +230,10 @@ def xor_construction(q: float) -> DiscreteProblem:
 
     ``y ~ Bernoulli(1/2)``, ``a = y XOR u XOR v`` with independent noise bits
     ``u ~ Bernoulli(p)``, ``v ~ Bernoulli(q)``, and ``h = v``, where
-    ``p = NOISE_P``.  Under log loss the ratio equals
+    ``p = 0.1``.  Under log loss the ratio equals
     ``(1 - H2(p)) / (1 - H2(p + q - 2pq))``.
     """
-    p = NOISE_P
+    p = _NOISE_P
     q = real_scalar(q, "q")
     require(0.0 <= q < 0.5, "q must lie in [0, 1/2), got {}", q)
     probs = np.zeros((2, 2, 2))
@@ -250,11 +248,11 @@ def _erasure_construction(t: float) -> DiscreteProblem:
     """Binary problem whose conditional/standalone value ratio is exactly
     ``t`` in [0, 1).
 
-    ``a = y XOR u`` with ``u ~ Bernoulli(NOISE_P)``; the own signal repeats
+    ``a = y XOR u`` with ``u ~ Bernoulli(_NOISE_P)``; the own signal repeats
     ``a`` but is erased to the null symbol with probability ``t``.
     """
-    p = NOISE_P
-    h_alphabet = (0, 1, NULL_SIGNAL)
+    p = _NOISE_P
+    h_alphabet = (0, 1, _NULL_SIGNAL)
     probs = np.zeros((2, 3, 2))
     for y, a in itertools.product((0, 1), repeat=2):
         u = a ^ y
@@ -265,10 +263,10 @@ def _erasure_construction(t: float) -> DiscreteProblem:
                            loss=LogLoss())
 
 
-def xor_ratio(q: float) -> float:
+def _xor_ratio(q: float) -> float:
     """Closed-form value ratio of :func:`xor_construction`; its denominator
     is positive for ``q <= 1/2 - 1e-5``, all that :func:`_xor_q_for_ratio` asks."""
-    p = NOISE_P
+    p = _NOISE_P
     return (1.0 - _binary_entropy(p)) / (1.0 - _binary_entropy(p + q - 2.0 * p * q))
 
 
@@ -277,8 +275,8 @@ def _xor_q_for_ratio(t: float) -> float:
     if t == 1.0:
         return 0.0
     hi = 0.5 - 1e-5  # close enough to 1/2 for ratios beyond 1e9
-    require(xor_ratio(hi) >= t, "ratio target t = {} out of solvable range", t)
-    return bisect(lambda q: xor_ratio(q) - t, 0.0, hi)
+    require(_xor_ratio(hi) >= t, "ratio target t = {} out of solvable range", t)
+    return bisect(lambda q: _xor_ratio(q) - t, 0.0, hi)
 
 
 def ratio_construction(t: float) -> DiscreteProblem:

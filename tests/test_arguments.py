@@ -1,8 +1,8 @@
 """Every public argument is read by the readers of ``dualsig.core``, so a bad
 one raises ``ValidationError`` naming it, from whichever entry point it
-enters: text is never a number, even where ``float`` would parse it, a
-two-element array is not one number, NaN and inf are not finite, and None is
-no value at all.
+enters: text is never a number, even where ``float`` would parse it, nor
+are a bool, bytes or a value boxed in an object array; a two-element array is
+not one number, NaN and inf are not finite, and None is no value at all.
 
 Every parameter of every public callable has a row in ``ENTRY_POINTS`` or an
 exemption with its reason in ``EXEMPT``, so a new parameter cannot go
@@ -225,7 +225,8 @@ EXEMPT = {
 }
 
 BAD_VALUES = {"text": "0.5", "array": np.array([0.5, 0.5]), "nan": math.nan,
-              "inf": math.inf, "none": None}
+              "inf": math.inf, "none": None, "bool": True,
+              "boxed": np.array("0.5", dtype=object), "bytes": b"0.5"}
 
 
 @pytest.mark.parametrize("entry, case", [

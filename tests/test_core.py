@@ -198,6 +198,14 @@ class TestArraySpecs:
         with pytest.raises(ValidationError, match="lam must be a real number"):
             SignalSpec(1.0, 1.0, text)
 
+    # tests/test_arguments.py passes True and a boxed str to every entry point
+    @pytest.mark.parametrize("value", [np.bool_(False), [True, False], Fraction(1, 2), 2**70],
+                             ids=["numpy-bool", "bool-list", "fraction", "int-2**70"])
+    def test_only_an_integer_or_float_dtype_is_a_number(self, value):
+        # the last two are boxed in an object array, which float() reads at 0-d
+        with pytest.raises(ValidationError, match="tau_h must be a real number"):
+            real(value, "tau_h")
+
     def test_prior_precision_is_one_number(self):
         with pytest.raises(ValidationError, match="tau0 must be a real number"):
             Environment(np.array([1.0, 2.0]))

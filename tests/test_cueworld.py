@@ -76,7 +76,9 @@ class TestPlanValidation:
     def test_rounding(self):
         assert _round_half_away(2.5) == 3
         assert _round_half_away(2.4999) == 2
-        assert _round_half_away(-2.5) == -3
+        # x + 0.5 rounds up to 1.0 here, and to 2**52 + 2 at 2**52 + 1
+        assert _round_half_away(0.49999999999999994) == 0
+        assert _round_half_away(2.0**52 + 1) == 2**52 + 1
 
 
 class TestBuildWorld:
@@ -175,6 +177,13 @@ class TestBuildWorld:
                      human_set=np.array([5]))
         with pytest.raises(ValidationError, match="1-D"):
             CueWorld(precisions=np.ones((2, 2)), n_accessible=2, human_set=[0])
+
+    @pytest.mark.parametrize("precisions", [1.0, 2, np.float64(1.0), np.array(1.0)],
+                             ids=["float", "int", "numpy-float", "0-d-array"])
+    def test_one_number_is_not_an_array_of_precisions(self, precisions):
+        # a float has no .view(): this raised a bare AttributeError
+        with pytest.raises(ValidationError, match=r"^precisions must form a 1-D array"):
+            CueWorld(precisions=precisions, n_accessible=1, human_set=[0])
 
     @pytest.mark.parametrize("n_accessible, message", [
         (0, "n_accessible must be >= 1, got 0"),

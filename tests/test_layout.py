@@ -46,7 +46,9 @@ Every function in a module's ``__all__`` has a caller outside its module:
 another module of the package, the benchmark's tracer or the README.  A
 helper that only its own module calls is private, and takes its arguments
 as its caller has read them.  ``cli.main`` and ``cli.build_parser``, the
-command line's entry points, are exempt.
+command line's entry points, are exempt.  A module-level function of a
+public module whose name has no leading underscore is in its ``__all__``,
+so that it cannot look public without an outside caller.
 
 Every statement of every function and method of the package runs in at
 least one small run of a CLI command, so no code is kept alive by tests
@@ -404,6 +406,18 @@ def test_every_public_function_has_a_caller_outside_its_module():
                     and (path.stem, name) not in called and name not in documented):
                 uncalled.append(f"{path.stem}.{name}")
     assert [name for name in uncalled if name not in COMMAND_LINE_ENTRIES] == []
+
+
+def test_every_public_looking_function_is_in_all():
+    # otherwise a helper could look public and escape the test above
+    unlisted = []
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
+        listed = importlib.import_module(f"dualsig.{path.stem}").__all__
+        unlisted += [f"{path.stem}.{node.name}"
+                     for node in ast.parse(path.read_text(encoding="utf-8")).body
+                     if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                     and node.name not in listed]
+    assert unlisted == []
 
 
 # (expected exit code, argv); "{tmp}" is a per-test directory
