@@ -98,11 +98,17 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> No
         raise _unwritable(path, exc) from exc
 
 
+# a million CSV rows: thresholds then writes about 70 MB, peaking near 510 MB
+_MAX_STEPS = 1_000_000
+
+
 def _linspace(lo: float, hi: float, steps: int, name: str) -> list[float]:
     import numpy as np
 
     from . import core
     steps = core.count(steps, name + " steps", 1)
+    if steps > _MAX_STEPS:  # before the axis is allocated
+        raise core.ValidationError(f"{name} steps must be <= {_MAX_STEPS}, got {steps}")
     core.require(steps == 1 or hi > lo,
                  name + " range must satisfy min < max, got [{}, {}]", lo, hi)
     return np.linspace(lo, hi, steps).tolist()
@@ -202,23 +208,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="overlap level (repeatable; replaces the axis below)")
     p.add_argument("--lambda-min", type=float, default=0.0)
     p.add_argument("--lambda-max", type=float, default=1.0)
-    p.add_argument("--lambda-steps", type=int, default=101)
+    p.add_argument("--lambda-steps", type=int, default=101,
+                   help="axis points, 1 to 1000000 (default 101)")
     p.set_defaults(func=_cmd_thresholds)
 
     p = sub.add_parser("phase", parents=[prior, out],
                        help="regime phase diagram over (tauA, lambda)")
     p.add_argument("--tauA-min", type=float, default=0.02)
     p.add_argument("--tauA-max", type=float, default=2.2)
-    p.add_argument("--tauA-steps", type=int, default=111)
+    p.add_argument("--tauA-steps", type=int, default=111,
+                   help="axis points (default 111); the grid holds at most 1000000 cells")
     p.add_argument("--lambda-min", type=float, default=0.0)
     p.add_argument("--lambda-max", type=float, default=1.0)
-    p.add_argument("--lambda-steps", type=int, default=101)
+    p.add_argument("--lambda-steps", type=int, default=101,
+                   help="axis points (default 101); the grid holds at most 1000000 cells")
     p.set_defaults(func=_cmd_phase)
 
     p = sub.add_parser("simulate", parents=[seed, out],
                        help="cue-pool overlap concentration experiment")
     p.add_argument("--n", type=int, action="append",
-                   help="cue pool size (repeatable; default 100000)")
+                   help="cue pool size, 1 to 2**53 (repeatable; default 100000)")
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--mode", default="homogeneous",
                    help="cue precision model; an unknown one exits 2 with the list")

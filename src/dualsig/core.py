@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import operator
 import reprlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -227,6 +227,18 @@ class LossProfile:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value fails a check
+def _innovation_precision(tau_h, tau_a, lam):
+    """``tilde_tau`` of read values with ``lam < 1``; squares are products,
+    which IEEE 754 rounds correctly on every platform."""
+    lam2 = lam * lam
+    den = 1.0 / tau_a - lam2 / tau_h
+    den = np.where(den > 0.0, den,
+                   ((1.0 - lam) * (1.0 + lam) + lam2 * (tau_h - tau_a) / tau_h) / tau_a)
+    require(den > 0.0, "innovation-variance denominator 1/tau_a - lam^2/tau_h = {} "
+            "must be strictly positive", den)
+    return native((1.0 - lam) * (1.0 - lam) / den)
+
+
 def innovation_precision(spec: SignalSpec):
     """Precision of the assistant's innovation component.
 
@@ -235,19 +247,10 @@ def innovation_precision(spec: SignalSpec):
     boundary ``lam = tau_h/tau_a`` with ``tau_a`` a few ulps above ``tau_h``;
     it is positive for every feasible ``lam < 1``), the equal form
     ``((1-lam)*(1+lam) + lam**2*(tau_h-tau_a)/tau_h) / tau_a`` replaces it.
-    Squares use ``float_power``, the C library's pow that Python floats use:
-    numpy's ``x**2`` multiplies, which differs in the last bit at times.
     ``lam >= 1``, or a denominator still <= 0, raises :class:`ValidationError`.
     """
-    lam, tau_h, tau_a = spec.lam, spec.tau_h, spec.tau_a
-    require(lam < 1.0, "innovation decomposition requires lam < 1, got lam={}", lam)
-    lam2 = np.float_power(lam, 2.0)
-    den = 1.0 / tau_a - lam2 / tau_h
-    den = np.where(den > 0.0, den,
-                   ((1.0 - lam) * (1.0 + lam) + lam2 * (tau_h - tau_a) / tau_h) / tau_a)
-    require(den > 0.0, "innovation-variance denominator 1/tau_a - lam^2/tau_h = {} "
-            "must be strictly positive", den)
-    return native(np.float_power(1.0 - lam, 2.0) / den)
+    require(spec.lam < 1.0, "innovation decomposition requires lam < 1, got lam={}", spec.lam)
+    return _innovation_precision(spec.tau_h, spec.tau_a, spec.lam)
 
 
 @np.errstate(over="ignore")
@@ -271,9 +274,9 @@ def loss_profile(env: Environment, spec: SignalSpec) -> LossProfile:
     lh = 1.0 / finite_total(env.tau0 + spec.tau_h, "tau0 + tau_h")
     full = spec.lam == 1.0
     # lam = 0 stands in where lam = 1; those cells keep lh instead.
-    innovating = replace(spec, lam=native(np.where(full, 0.0, spec.lam)))
+    tilde = _innovation_precision(spec.tau_h, spec.tau_a, np.where(full, 0.0, spec.lam))
     ljb = native(np.where(full, lh, 1.0 / finite_total(
-        env.tau0 + spec.tau_h + innovation_precision(innovating), "tau0 + tau_h + tilde_tau")))
+        env.tau0 + spec.tau_h + tilde, "tau0 + tau_h + tilde_tau")))
     T = env.tau0 + spec.tau_h + spec.tau_a
     return LossProfile(
         l_human=lh,

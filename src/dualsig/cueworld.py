@@ -181,10 +181,13 @@ def _read_world_args(n_cues: int, plan: SamplingPlan, mode: str,
     nonempty and that the inaccessible pool holds the rest of the human set.
     Heterogeneous precisions sum to at most ``N*hi``, up to rounding, so that
     bound must be finite: whether a world can be built does not depend on its
-    seed.
+    seed.  ``N`` is at most 2**53, checked before it meets a float: a float
+    holds every such ``N`` exactly, so ``m*N`` rounds once.
     """
     if not isinstance(mode, str) or mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
+    if n_cues > 2**53:
+        raise ValidationError(f"n_cues must be <= 2**53 = {2**53}, got {n_cues}")
     n_acc, n_ai = _round_half_away(plan.m * n_cues), _round_half_away(plan.a * n_cues)
     n_overlap = _round_half_away(plan.k * n_cues)
     n_human = _round_half_away(plan.h_total * n_cues)

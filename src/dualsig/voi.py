@@ -303,7 +303,7 @@ def posterior_two_tests(prior: float, tpr: float, fpr: float) -> tuple[float, fl
     for v, name in zip((prior, tpr, fpr), names):
         require(0.0 < v < 1.0, name + " must lie in (0, 1), got {}", v)
     single = prior * tpr / (prior * tpr + (1.0 - prior) * fpr)
-    both = prior * tpr ** 2 / (prior * tpr ** 2 + (1.0 - prior) * fpr ** 2)
+    both = prior * (tpr * tpr) / (prior * (tpr * tpr) + (1.0 - prior) * (fpr * fpr))
     return single, both
 
 
@@ -315,10 +315,8 @@ def _brute_conditional_loss(problem: DiscreteProblem, cond: np.ndarray) -> float
     y = problem.states
     if isinstance(problem.loss, QuadraticLoss):
         lo, hi = min(y), max(y)
-        if lo == hi:
-            return float(reduce(add, (p * (s - lo) ** 2 for p, s in zip(cond, y)), 0.0))
-        f = lambda d: reduce(add, (p * (s - d) ** 2 for p, s in zip(cond, y)), 0.0)
-        return minimize_grid_refine(f, lo, hi)
+        f = lambda d: reduce(add, (p * ((s - d) * (s - d)) for p, s in zip(cond, y)), 0.0)
+        return float(f(lo)) if lo == hi else minimize_grid_refine(f, lo, hi)
     p1 = float(reduce(add, (p for p, s in zip(cond, y) if s == 1.0), 0.0))
     f = lambda d: -(p1 * np.log2(d) + (1.0 - p1) * np.log2(1.0 - d))
     return minimize_grid_refine(f, 1e-12, 1.0 - 1e-12)

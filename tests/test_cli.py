@@ -430,9 +430,15 @@ USAGE_ERRORS = [
     ["phase", "--tauH", "1e200", "--tauA-min", "1e199", "--tauA-max", "1e201"],
     ["phase", "--tauA-steps", "0"],
     ["phase", "--tauA-min", "3", "--tauA-max", "1"],
+    # each bound is checked before the axis or the grid is allocated
+    ["thresholds", "--lambda-steps", "1000000000000"],
+    ["phase", "--tauA-steps", "1000000000000"],
     ["simulate", "--n", "1", "--m", "0.4", "--a", "0.3", "--k", "0.1", "--h-total", "0.5",
      "--mode", "heterogeneous"],
     ["simulate", "--n", "2", "--m", "0.2", "--a", "0.2", "--k", "0.1"],
+    # too large for a float, and for a numpy dimension
+    ["simulate", "--n", "1" + "0" * 400],
+    ["simulate", "--n", str(2**63)],
     ["simulate", "--n", "10", "--mode", "heterogeneous", "--tau-min", "1e300",
      "--tau-max", "1e308"],
     ["simulate", "--n", "1000", "--a", "1e-4", "--mode", "heterogeneous"],

@@ -308,7 +308,7 @@ class TestInnovationPrecision:
         tau_h, tau_a, lam = boundary_specs(2000, seed=1)
         tilde = innovation_precision(SignalSpec(tau_h, tau_a, lam))
         assert (tilde > 0.0).all()
-        cancelled = np.flatnonzero(1.0 / tau_a - np.float_power(lam, 2.0) / tau_h <= 0.0)
+        cancelled = np.flatnonzero(1.0 / tau_a - lam * lam / tau_h <= 0.0)
         assert len(cancelled) > 20
         for i in cancelled:
             exact = exact_tilde(SignalSpec(float(tau_h[i]), float(tau_a[i]), float(lam[i])))
@@ -317,7 +317,7 @@ class TestInnovationPrecision:
     def test_ulp_adjacent_boundary_sweep_through_loss_profile(self):
         tau_h, tau_a, lam = boundary_specs(20000)
         assert (lam < 1.0).all()
-        direct = 1.0 / tau_a - np.float_power(lam, 2.0) / tau_h
+        direct = 1.0 / tau_a - lam * lam / tau_h
         assert (direct <= 0.0).sum() > 100  # the sweep reaches the cancelling specs
         p = loss_profile(ENV, SignalSpec(tau_h, tau_a, lam))
         assert (p.v_marginal >= 0.0).all() and (p.l_joint_bayes <= p.l_human).all()
@@ -328,8 +328,16 @@ class TestInnovationPrecision:
     def test_direct_form_kept_off_the_boundary(self):
         for spec in (SignalSpec(1.0, 1.0, 0.5), SignalSpec(2.0, 1.0, 0.5),
                      SignalSpec(0.37, 2.2, 0.16), SignalSpec(1.0, 1.0 + 1e-9, 0.999999)):
-            direct = (1.0 - spec.lam) ** 2 / (1.0 / spec.tau_a - spec.lam ** 2 / spec.tau_h)
+            direct = ((1.0 - spec.lam) * (1.0 - spec.lam)
+                      / (1.0 / spec.tau_a - spec.lam * spec.lam / spec.tau_h))
             assert innovation_precision(spec) == direct
+
+    def test_squares_are_correctly_rounded_products(self):
+        # glibc 2.36's pow(0.5102, 2) is one ulp off the correctly rounded
+        # square, and tilde_tau moved with it; a product rounds correctly
+        lam = 0.5102
+        assert innovation_precision(SignalSpec(1.0, 1.0, lam)) == \
+            (1.0 - lam) * (1.0 - lam) / (1.0 - lam * lam)
 
     def test_degenerate_cases_raise(self):
         with pytest.raises(ValidationError):

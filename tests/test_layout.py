@@ -25,6 +25,12 @@ with compensation, so the same program would print other bytes there.  A
 Python-level float sum is the left fold ``functools.reduce(operator.add,
 ..., 0.0)``, the same on every interpreter.
 
+A square is a product: no module refers to ``float_power``, ``np.power``,
+``math.pow`` or the builtin ``pow``, or writes ``**`` on a base that is not
+a constant.  IEEE 754 rounds ``x * x`` correctly everywhere, while the C
+library's ``pow`` need not, so the closed forms' bytes do not hang on it.
+``**`` on a constant base, as in ``2.0 ** -53``, stays legal: it squares nothing.
+
 Each public name has one import path, its own module: the package's
 ``__init__`` imports nothing, so ``import dualsig`` loads no submodule.  The
 command line loads only what a command runs: importing it, ``--help`` and a
@@ -192,6 +198,48 @@ def test_no_module_calls_the_builtin_sum():
     found = {path.name: builtin_sum_calls(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+POWER_NAMES = ("float_power", "power", "pow")
+
+
+def power_sites(source: str) -> list[str]:
+    """Every reference to ``float_power``, ``power`` or ``pow`` in
+    ``source``, and every ``**`` or ``**=`` whose base is not a constant."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in POWER_NAMES:
+            found.append(f"{node.attr} at line {node.lineno}")
+        elif isinstance(node, ast.Name) and node.id in POWER_NAMES:
+            found.append(f"{node.id} at line {node.lineno}")
+        elif isinstance(node, ast.alias) and node.name in POWER_NAMES:
+            found.append(f"import {node.name}")
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Pow) or (
+                isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                and not isinstance(node.left, ast.Constant)):
+            found.append(f"** at line {node.lineno}")
+    return found
+
+
+def test_power_checker_flags_every_form():
+    source = ('"""x ** 2 in a docstring."""\n'
+              "import math\n"
+              "from numpy import power\n"
+              "a = np.float_power(x, 2.0) + np.power(x, 2) + math.pow(x, 2) + pow(x, 2)\n"
+              "b = x ** 2 + (x - y) ** 2 + 2.0 ** -53 + 2 ** n\n"
+              "c **= 2\n"
+              "d = x * x\n")
+    assert sorted(power_sites(source)) == [
+        "** at line 5", "** at line 5", "** at line 6", "float_power at line 4",
+        "import power", "pow at line 4", "pow at line 4", "power at line 4"]
+
+
+def test_squares_are_products():
+    # x*x is the correctly rounded square everywhere; libm's pow(x, 2) is
+    # not always, and numpy's x**2 multiplies only for an array
+    found = {path.name: power_sites(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
 
 
 def fresh_imports(statement: str) -> list[str]:

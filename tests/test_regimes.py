@@ -295,3 +295,11 @@ class TestPhaseSweep:
             phase_sweep(ENV, 1.0, [], [0.1])
         with pytest.raises(ValidationError):
             phase_sweep(ENV, 1.0, [-0.5, 0.5], [0.1])
+
+    def test_grid_size_is_bounded_before_allocation(self):
+        # a million cells pass; one more assistant precision is too many
+        ta_axis, lam_axis = np.linspace(0.1, 2.0, 1000), np.linspace(0.0, 1.0, 1000)
+        with pytest.raises(ValidationError, match="at most 1000000 cells, got 1000 overlaps "
+                                                  "x 1001 assistant precisions"):
+            phase_sweep(ENV, 1.0, np.append(ta_axis, 2.5), lam_axis)
+        assert phase_sweep(ENV, 1.0, ta_axis[:10], lam_axis).cells.shape == (1000, 10)
