@@ -41,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
-from typing import Mapping
 
 import numpy as np
 
@@ -148,46 +147,31 @@ def _mixture(weights: np.ndarray, enc: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rule_table(delta_hat: Mapping, pairs, dimension: int) -> np.ndarray:
-    """The decisions of ``delta_hat`` at ``pairs``, one row of length
-    ``dimension``, the length of the state encoding, each."""
-    rows = []
-    for h, a in pairs:
-        try:
-            value = delta_hat[(h, a)]
-        except KeyError as exc:
-            raise ValidationError(
-                f"decision rule table has no entry for signal pair ({h!r}, {a!r})") from exc
-        v = np.atleast_1d(real(value, f"decision for signal pair ({h!r}, {a!r})"))
-        if v.shape != (dimension,):
-            raise ValidationError(
-                f"decision for signal pair ({h!r}, {a!r}) must be a vector of length "
-                f"{dimension}, got shape {v.shape}")
-        rows.append(v)
-    return np.stack(rows)
-
-
-def gap_check_discrete(problem: DiscreteProblem, delta_hat: Mapping,
+def gap_check_discrete(problem: DiscreteProblem, delta_hat,
                        gen: BregmanGenerator) -> GapReport:
     """Evaluate every gap-identity term exactly on a finite problem.
 
-    ``delta_hat`` maps each signal pair ``(h, a)`` to a decision; it must
-    cover every pair with positive probability.  States are one-hot encoded
-    for negative entropy and are scalars for the squared generator; the
-    problem's own loss is not read.  The conditionals given ``h`` and given
-    the pair come from :meth:`DiscreteProblem.conditionals`, the losses of
-    all (pair, state) terms from two stacked :func:`bregman_loss` calls.
+    ``delta_hat`` is the rule as one table of shape ``problem.signal_shape
+    + (k,)``: ``delta_hat[h, a]`` is the decision at own signal ``h`` and
+    assistant signal ``a``, with ``k = len(states)`` for negative entropy,
+    whose states are one-hot, and ``k = 1`` for the squared generator, whose
+    states are scalars; the problem's own loss is not read.  Every entry must
+    be finite, at pairs of zero probability too, but only the pairs of
+    positive probability enter the terms and the negative-entropy domain
+    check.  The conditionals come from :meth:`DiscreteProblem.conditionals`,
+    the (pair, state) losses from two stacked :func:`bregman_loss` calls.
     """
     enc = _encode_states(problem, gen)
-    alphabet_h, alphabet_a = problem.alphabets
-    n_a = len(alphabet_a)
+    shape = problem.signal_shape + enc.shape[1:]
+    rule = real(delta_hat, "delta_hat")
+    if np.shape(rule) != shape:
+        raise ValidationError(f"delta_hat must have shape {shape}, got {np.shape(rule)}")
     live_h, _, cond_h = problem.conditionals(("h",))
     live, p_pair, cond = problem.conditionals(SIGNALS)
     # conditional means given h alone, one row per live pair
-    d_h = _mixture(cond_h, enc)[np.searchsorted(live_h, live // n_a)]
+    d_h = _mixture(cond_h, enc)[np.searchsorted(live_h, live // shape[1])]
     d_star = _mixture(cond, enc)
-    d_hat = _rule_table(delta_hat, [(alphabet_h[j // n_a], alphabet_a[j % n_a]) for j in live],
-                        enc.shape[1])
+    d_hat = rule.reshape(-1, shape[2])[live]
 
     weights = cond * p_pair
     keep = (cond > 0.0).T

@@ -30,7 +30,6 @@ grow with ``n``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -79,24 +78,21 @@ def _closed_forms(n, seed, sigma_mult, tau0, tau_h):
 
 
 def _random_discrete_problem(rng: RngHandle):
-    """Small random joint over the states 0, 1 and 2x2 or 2x3 signal alphabets."""
+    """Small random joint over the states 0, 1 and 2x2 or 3x2 signal values."""
     n_h = 2 + (rng.uniforms(1)[0] > 0.5)
     shape = (2, int(n_h), 2)
     raw = rng.uniforms(int(np.prod(shape))).reshape(shape)
     probs = raw / raw.sum()
-    return voi.DiscreteProblem(
-        states=(0.0, 1.0), alphabets=(tuple(range(shape[1])), (0, 1)), probs=probs,
-        loss=voi.LogLoss())
+    return voi.DiscreteProblem(states=(0.0, 1.0), probs=probs, loss=voi.LogLoss())
 
 
 def _random_rule(problem, gen, rng: RngHandle):
-    """A random decision per signal pair: a scalar in [-0.5, 1.5) for the
-    squared generator, a distribution over the states for negative entropy."""
+    """A random decision table: per signal pair, a scalar in [-0.5, 1.5) for
+    the squared generator, a distribution over the states for negative entropy."""
     squared = gen.kind == "squared"
-    pairs = list(itertools.product(*problem.alphabets))
-    width = 1 if squared else len(problem.states)
-    u = rng.uniforms(len(pairs) * width).reshape(len(pairs), width)
-    return dict(zip(pairs, 2.0 * u - 0.5 if squared else u / u.sum(axis=1, keepdims=True)))
+    shape = problem.signal_shape + (1 if squared else len(problem.states),)
+    u = rng.uniforms(int(np.prod(shape))).reshape(shape)
+    return 2.0 * u - 0.5 if squared else u / u.sum(axis=-1, keepdims=True)
 
 
 def _worst_discrete_residual(rng: RngHandle, problems: int, rule_offset: int, gen) -> float:
@@ -188,7 +184,7 @@ def _voi(n, seed, sigma_mult, tau0, tau_h):
                     _mutual_information_bits(problem, signals), 1e-12)
 
     quad = voi.DiscreteProblem(
-        states=(-1.0, 0.5, 2.0), alphabets=((0, 1), (0, 1, 2)),
+        states=(-1.0, 0.5, 2.0),
         probs=np.array([[[0.10, 0.05, 0.05], [0.02, 0.08, 0.03]],
                         [[0.06, 0.04, 0.10], [0.07, 0.03, 0.04]],
                         [[0.05, 0.09, 0.02], [0.08, 0.05, 0.04]]]),

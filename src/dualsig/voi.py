@@ -12,7 +12,8 @@ refinement), and is the independent oracle for the closed-form paths.
 signal set, for the risks here and for :mod:`dualsig.bregman` alike.  A
 problem has the two signals of the model, named by :data:`SIGNALS`: the own
 signal ``"h"`` and the assistant signal ``"a"``.  A signal set is a tuple of
-those names, each at most once.
+those names, each at most once; a signal's values index its axis of the
+joint table.
 
 Two binary constructions, each with a noise bit ``u ~ Bernoulli(0.1)``,
 make the ratio of conditional to standalone value ``v(a|h) / v(a)`` take any
@@ -20,8 +21,8 @@ target in [0, inf):
 
 * XOR: ``a = y XOR u XOR v`` with ``h = v``; knowing ``h`` strips one noise
   layer, so the conditional value exceeds the standalone one (ratio >= 1).
-* Erasure: ``a = y XOR u`` and ``h`` equals ``a`` except it is erased (the
-  null symbol) with probability ``t``; then the ratio is exactly ``t`` < 1.
+* Erasure: ``a = y XOR u`` and ``h`` equals ``a`` except it is erased (own
+  signal 2) with probability ``t``; then the ratio is exactly ``t`` < 1.
 """
 
 from __future__ import annotations
@@ -55,8 +56,6 @@ __all__ = [
 
 SIGNALS = ("h", "a")
 
-_NULL_SIGNAL = "null"
-
 _NOISE_P = 0.1
 
 
@@ -87,13 +86,12 @@ class DiscreteProblem:
     plus a loss.
 
     ``probs[i, j, k]`` is the probability of state ``states[i]`` jointly
-    with the own signal ``alphabets[0][j]`` and the assistant signal
-    ``alphabets[1][k]``.  ``states`` are finite reals, stored as a tuple of
-    floats.
+    with own signal ``j`` and assistant signal ``k``: one state axis, then
+    one axis per signal of :data:`SIGNALS`.  ``states`` are finite reals,
+    stored as a tuple of floats.
     """
 
     states: tuple[float, ...]
-    alphabets: tuple[tuple, ...]
     probs: np.ndarray
     loss: Loss
 
@@ -106,15 +104,10 @@ class DiscreteProblem:
         states = tuple(states.tolist())
         if isinstance(self.loss, LogLoss) and set(states) - {0.0, 1.0}:
             raise ValidationError("log loss requires states in {0, 1}")
-        nested = np.iterable(self.alphabets) and all(map(np.iterable, self.alphabets))
-        alphabets = tuple(map(tuple, self.alphabets)) if nested else ()
-        if len(alphabets) != len(SIGNALS):
-            raise ValidationError(f"alphabets must hold one alphabet per signal of {SIGNALS}, "
-                                  f"got {self.alphabets!r}")
         probs = real(self.probs, "probs")
-        shape = (len(states),) + tuple(len(ab) for ab in alphabets)
-        if np.shape(probs) != shape:
-            raise ValidationError(f"probs shape {np.shape(probs)} != expected {shape}")
+        if np.ndim(probs) != 1 + len(SIGNALS) or np.shape(probs)[0] != len(states):
+            raise ValidationError(f"probs must have shape (len(states), n_h, n_a) = "
+                                  f"({len(states)}, n_h, n_a), got {np.shape(probs)}")
         require(probs >= 0.0, "probs must be nonnegative, got {}", probs)
         total = float(probs.sum())
         if abs(total - 1.0) > 1e-12:
@@ -123,7 +116,11 @@ class DiscreteProblem:
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "alphabets", alphabets)
+
+    @property
+    def signal_shape(self) -> tuple[int, int]:
+        """``(n_h, n_a)``: the number of values of each signal."""
+        return self.probs.shape[1:]
 
     def signal_axes(self, signals: Sequence[str]) -> tuple[int, ...]:
         """The ``probs`` axes of a signal set: a sequence of names from
@@ -143,10 +140,10 @@ class DiscreteProblem:
         """The state given each realization of ``signals`` that can occur.
 
         Returns ``(live, p, cond)``: the flat indices of the realizations
-        with positive probability, in C order of the signals' alphabets
-        taken in problem order (so the order of ``signals`` does not
-        matter); their probabilities; and the conditional state
-        distributions, one column per realization.
+        with positive probability, in C order of the signal axes taken in
+        problem order (so the order of ``signals`` does not matter); their
+        probabilities; and the conditional state distributions, one column
+        per realization.
         """
         axes = self.signal_axes(signals)
         dropped = tuple(ax for ax in range(1, self.probs.ndim) if ax not in axes)
@@ -240,8 +237,7 @@ def xor_construction(q: float) -> DiscreteProblem:
     for y, v, a in itertools.product((0, 1), repeat=3):
         u = a ^ y ^ v
         probs[y, v, a] = 0.5 * (q if v else 1.0 - q) * (p if u else 1.0 - p)
-    return DiscreteProblem(states=(0, 1), alphabets=((0, 1), (0, 1)), probs=probs,
-                           loss=LogLoss())
+    return DiscreteProblem(states=(0, 1), probs=probs, loss=LogLoss())
 
 
 def _erasure_construction(t: float) -> DiscreteProblem:
@@ -249,18 +245,16 @@ def _erasure_construction(t: float) -> DiscreteProblem:
     ``t`` in [0, 1).
 
     ``a = y XOR u`` with ``u ~ Bernoulli(_NOISE_P)``; the own signal repeats
-    ``a`` but is erased to the null symbol with probability ``t``.
+    ``a`` but is erased, to own signal 2, with probability ``t``.
     """
     p = _NOISE_P
-    h_alphabet = (0, 1, _NULL_SIGNAL)
     probs = np.zeros((2, 3, 2))
     for y, a in itertools.product((0, 1), repeat=2):
         u = a ^ y
         p_ya = 0.5 * (p if u else 1.0 - p)
         probs[y, a, a] = p_ya * (1.0 - t)
         probs[y, 2, a] = p_ya * t
-    return DiscreteProblem(states=(0, 1), alphabets=(h_alphabet, (0, 1)), probs=probs,
-                           loss=LogLoss())
+    return DiscreteProblem(states=(0, 1), probs=probs, loss=LogLoss())
 
 
 def _xor_ratio(q: float) -> float:

@@ -144,14 +144,12 @@ def _random_problem_and_rule(rng, gen):
     probs = raw / raw.sum()
     numeric = gen.kind == "squared"
     problem = DiscreteProblem(
-        states=(0.0, 1.0) if numeric else (0, 1),
-        alphabets=((0, 1), (0, 1)), probs=probs,
+        states=(0.0, 1.0) if numeric else (0, 1), probs=probs,
         loss=QuadraticLoss() if numeric else LogLoss())
-    rule = {}
-    for h in (0, 1):
-        for a in (0, 1):
-            u = rng.uniforms(1 if numeric else 2)
-            rule[(h, a)] = 2.0 * u - 0.5 if numeric else u / u.sum()
+    rule = np.empty((2, 2, 1 if numeric else 2))
+    for h, a in np.ndindex(2, 2):
+        u = rng.uniforms(1 if numeric else 2)
+        rule[h, a] = 2.0 * u - 0.5 if numeric else u / u.sum()
     return problem, rule
 
 

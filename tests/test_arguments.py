@@ -11,7 +11,6 @@ unread.  No entry point freezes or changes an array the caller passes.
 
 import importlib
 import inspect
-import itertools
 import math
 import pkgutil
 import re
@@ -31,14 +30,8 @@ XOR = voi.xor_construction(0.25)
 SQUARED = bregman.BregmanGenerator("squared")
 
 
-def problem(states=(0.0, 1.0), alphabets=((0, 1), (0, 1)), probs=np.full((2, 2, 2), 0.125)):
-    return voi.DiscreteProblem(states=states, alphabets=alphabets, probs=probs,
-                               loss=voi.QuadraticLoss())
-
-
-def rule(decision):
-    """One decision for every signal pair of ``XOR``."""
-    return dict.fromkeys(itertools.product(*XOR.alphabets), decision)
+def problem(states=(0.0, 1.0), probs=np.full((2, 2, 2), 0.125)):
+    return voi.DiscreteProblem(states=states, probs=probs, loss=voi.QuadraticLoss())
 
 
 def plan(**fractions):
@@ -89,9 +82,9 @@ ENTRY_POINTS = {
                                np.array([1.0])),
     "bregman.bregman_loss.d": ("d", lambda v: bregman.bregman_loss(SQUARED, [1.0], v), False,
                                np.array([0.5])),
-    # the squared generator takes one number per signal pair
-    "bregman.gap_check_discrete.delta_hat": ("decision", lambda v: bregman.gap_check_discrete(
-        XOR, rule(v), SQUARED), True, 0.5),
+    # the squared generator takes a table of one number per signal pair
+    "bregman.gap_check_discrete.delta_hat": ("delta_hat", lambda v: bregman.gap_check_discrete(
+        XOR, v, SQUARED), True, np.full((2, 2, 1), 0.5)),
     "bregman.gap_check_gaussian_cn.n": ("n", lambda v: bregman.gap_check_gaussian_cn(
         ENV, SPEC, v), True, 2),
     "bregman.gap_check_gaussian_cn.seed": ("seed", lambda v: bregman.gap_check_gaussian_cn(
@@ -183,8 +176,6 @@ ENTRY_POINTS = {
     "verify.run.tau_h": ("tau_h", lambda v: run(tau_h=v), True, 1.0),
     "voi.DiscreteProblem.states": ("states", lambda v: problem(states=v), False,
                                    np.array([0.0, 2.0])),
-    "voi.DiscreteProblem.alphabets": ("alphabets", lambda v: problem(alphabets=v), True,
-                                      ((0, 1), (0, 1))),
     "voi.DiscreteProblem.probs": ("probs", lambda v: problem(probs=v), True,
                                   np.full((2, 2, 2), 0.125)),
     "voi.bayes_risk.signals": ("signals", lambda v: voi.bayes_risk(XOR, v), True, ("h",)),
@@ -236,6 +227,26 @@ def test_a_bad_argument_raises_a_validation_error_naming_it(entry, case):
     name, call, _, _ = ENTRY_POINTS[entry]
     with pytest.raises(ValidationError, match=rf"\b{re.escape(name)}\b"):
         call(BAD_VALUES[case])
+
+
+# the erasure problem at t = 0 never erases: own signal 2 has probability 0,
+# and a NaN decision there is read all the same
+ERASURE = voi.ratio_construction(0.0)
+NAN_AT_ERASURE = np.full((3, 2, 1), 0.5)
+NAN_AT_ERASURE[2] = math.nan
+
+
+@pytest.mark.parametrize("problem, table", [
+    (XOR, np.full((2, 2), 0.5)),
+    (XOR, np.full((2, 3, 1), 0.5)),
+    (XOR, np.full((2, 2, 2), 0.5)),
+    (ERASURE, NAN_AT_ERASURE),
+    (XOR, {(h, a): 0.5 for h in (0, 1) for a in (0, 1)}),
+], ids=["no-decision-axis", "wrong-signal-shape", "wrong-decision-length",
+        "nan-at-a-zero-probability-pair", "label-keyed-dict"])
+def test_a_bad_rule_table_raises_a_validation_error_naming_delta_hat(problem, table):
+    with pytest.raises(ValidationError, match=r"\bdelta_hat\b"):
+        bregman.gap_check_discrete(problem, table, SQUARED)
 
 
 def test_the_good_values_of_the_table_pass():

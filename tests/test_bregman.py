@@ -27,24 +27,39 @@ def random_problem(rng, numeric_states):
     raw = rng.uniform(size=(2, 2, 2))
     probs = raw / raw.sum()
     states = (0.0, 1.0) if numeric_states else (0, 1)
-    return DiscreteProblem(states=states, alphabets=((0, 1), (0, 1)), probs=probs,
+    return DiscreteProblem(states=states, probs=probs,
                            loss=QuadraticLoss() if numeric_states else LogLoss())
 
 
 def conditional_means(problem, gen):
-    """Oracle rule table: exact conditional means per signal pair."""
+    """Oracle rule table: exact conditional means per signal pair, zeros
+    where the pair has probability 0."""
+    enc = encoding(problem, gen)
+    rule = np.zeros(problem.signal_shape + enc[0].shape)
+    for i_h, i_a in np.ndindex(problem.signal_shape):
+        col = problem.probs[:, i_h, i_a]
+        p = col.sum()
+        if p > 0:
+            cond = col / p
+            rule[i_h, i_a] = sum(c * e for c, e in zip(cond, enc))
+    return rule
+
+
+def encoding(problem, gen):
+    """The state encodings of a binary problem, one vector per state."""
     if gen.kind == "negative_entropy":
-        enc = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    else:
-        enc = [np.array([float(s)]) for s in problem.states]
-    rule = {}
-    for i_h, h in enumerate(problem.alphabets[0]):
-        for i_a, a in enumerate(problem.alphabets[1]):
-            col = problem.probs[:, i_h, i_a]
-            p = col.sum()
-            if p > 0:
-                cond = col / p
-                rule[(h, a)] = sum(c * e for c, e in zip(cond, enc))
+        return [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    return [np.array([float(s)]) for s in problem.states]
+
+
+def random_rule(problem, gen, rng, lo, hi):
+    """A table of decisions drawn pair by pair in C order: a scalar in
+    [lo, hi) for the squared generator, ``[t, 1 - t]`` with t in [lo, hi)
+    for negative entropy."""
+    rule = np.empty(problem.signal_shape + (1 if gen.kind == "squared" else 2,))
+    for pair in np.ndindex(problem.signal_shape):
+        t = rng.uniform(lo, hi)
+        rule[pair] = t if gen.kind == "squared" else (t, 1.0 - t)
     return rule
 
 
@@ -103,27 +118,25 @@ def reference_gap(problem, rule, gen):
         enc = [np.eye(len(problem.states))[i] for i in range(len(problem.states))]
     else:
         enc = [np.atleast_1d(np.asarray(s, dtype=np.float64)) for s in problem.states]
-    flat = problem.probs.reshape(len(problem.states), len(problem.alphabets[0]),
-                                 len(problem.alphabets[1]))
+    flat = problem.probs
     p_h = flat.sum(axis=(0, 2))
     mean_h = {i_h: sum(c * e for c, e in zip(flat[:, i_h, :].sum(axis=1) / p_h[i_h], enc))
               for i_h in range(len(p_h)) if p_h[i_h] > 0.0}
     l_human = l_hat = l_star = penalty = 0.0
-    for i_h, h in enumerate(problem.alphabets[0]):
-        for i_a, a in enumerate(problem.alphabets[1]):
-            col = flat[:, i_h, i_a]
-            p_ha = float(col.sum())
-            if p_ha == 0.0:
-                continue
-            cond = col / p_ha
-            d_star = sum(c * e for c, e in zip(cond, enc))
-            d_hat = rule[(h, a)]
-            for c, e in zip(cond, enc):
-                if c > 0.0:
-                    l_human += p_ha * c * reference_loss(gen, e, mean_h[i_h])
-                    l_hat += p_ha * c * reference_loss(gen, e, d_hat)
-                    l_star += p_ha * c * reference_loss(gen, e, d_star)
-            penalty += p_ha * reference_loss(gen, d_star, d_hat)
+    for i_h, i_a in np.ndindex(problem.signal_shape):
+        col = flat[:, i_h, i_a]
+        p_ha = float(col.sum())
+        if p_ha == 0.0:
+            continue
+        cond = col / p_ha
+        d_star = sum(c * e for c, e in zip(cond, enc))
+        d_hat = rule[i_h, i_a]
+        for c, e in zip(cond, enc):
+            if c > 0.0:
+                l_human += p_ha * c * reference_loss(gen, e, mean_h[i_h])
+                l_hat += p_ha * c * reference_loss(gen, e, d_hat)
+                l_star += p_ha * c * reference_loss(gen, e, d_star)
+        penalty += p_ha * reference_loss(gen, d_star, d_hat)
     lhs, marginal = l_human - l_hat, l_human - l_star
     return lhs, marginal, penalty, lhs - (marginal - penalty)
 
@@ -162,8 +175,7 @@ def zero_pair_problem():
     """A log-loss problem on a 3x2 alphabet whose pair (1, 1) never occurs."""
     probs = np.arange(1.0, 13.0).reshape(2, 3, 2)
     probs[:, 1, 1] = 0.0
-    return DiscreteProblem(states=(0, 1), alphabets=((0, 1, 2), (0, 1)), probs=probs / probs.sum(),
-                           loss=LogLoss())
+    return DiscreteProblem(states=(0, 1), probs=probs / probs.sum(), loss=LogLoss())
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -237,16 +249,12 @@ class TestGapCheckDiscrete:
         for gen, numeric in ((SQUARED, True), (NEGENT, False)):
             problem = random_problem(rng, numeric)
             # rule that ignores the assistant signal: conditional mean given h
-            if gen.kind == "negative_entropy":
-                enc = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-            else:
-                enc = [np.array([float(s)]) for s in problem.states]
-            rule = {}
-            for i_h, h in enumerate(problem.alphabets[0]):
+            enc = encoding(problem, gen)
+            rule = np.empty(problem.signal_shape + enc[0].shape)
+            for i_h in range(problem.signal_shape[0]):
                 col = problem.probs[:, i_h, :].sum(axis=1)
                 cond = col / col.sum()
-                for a in problem.alphabets[1]:
-                    rule[(h, a)] = sum(c * e for c, e in zip(cond, enc))
+                rule[i_h, :] = sum(c * e for c, e in zip(cond, enc))
             report = gap_check_discrete(problem, rule, gen)
             assert abs(report.lhs) < 1e-14
             assert abs(report.penalty - report.marginal) < 1e-13
@@ -257,33 +265,53 @@ class TestGapCheckDiscrete:
         for gen, numeric in ((SQUARED, True), (NEGENT, False)):
             for _ in range(100):
                 problem = random_problem(rng, numeric)
-                rule = {}
-                for h in problem.alphabets[0]:
-                    for a in problem.alphabets[1]:
-                        if gen.kind == "squared":
-                            rule[(h, a)] = rng.uniform(-0.5, 1.5)
-                        else:
-                            t = rng.uniform(0.05, 0.95)
-                            rule[(h, a)] = np.array([t, 1.0 - t])
+                if gen.kind == "squared":
+                    rule = random_rule(problem, gen, rng, -0.5, 1.5)
+                else:
+                    rule = random_rule(problem, gen, rng, 0.05, 0.95)
                 report = gap_check_discrete(problem, rule, gen)
                 assert abs(report.residual) < 1e-12
 
     def test_incomplete_rule_table_rejected(self):
         rng = np.random.default_rng(8)
         problem = random_problem(rng, True)
-        with pytest.raises(ValidationError):
-            gap_check_discrete(problem, {(0, 0): 0.5}, SQUARED)
+        for table in (np.full((1, 1, 1), 0.5), np.full((2, 1, 1), 0.5)):
+            with pytest.raises(ValidationError, match="delta_hat must have shape"):
+                gap_check_discrete(problem, table, SQUARED)
 
-    def test_zero_probability_pair_needs_no_rule(self):
+    def test_zero_probability_pair_decision_is_never_used(self):
         problem = random_problem(np.random.default_rng(13), True)
         probs = problem.probs.copy()
         probs[:, 1, 1] = 0.0
-        problem = DiscreteProblem(states=problem.states,
-                                  alphabets=problem.alphabets, probs=probs / probs.sum(),
+        problem = DiscreteProblem(states=problem.states, probs=probs / probs.sum(),
                                   loss=QuadraticLoss())
-        rule = conditional_means(problem, SQUARED)
-        assert (1, 1) not in rule
-        assert abs(gap_check_discrete(problem, rule, SQUARED).residual) < 1e-12
+        for gen in (SQUARED, NEGENT):
+            rule = conditional_means(problem, gen)
+            report = gap_check_discrete(problem, rule, gen)
+            assert abs(report.residual) < 1e-12
+            # zeros there lie outside the negative-entropy domain, and no
+            # decision there moves a term
+            assert not rule[1, 1].any()
+            rule[1, 1] = 1e6
+            assert gap_check_discrete(problem, rule, gen) == report
+
+    def test_each_own_signal_row_reads_its_own_decision(self):
+        # the two own-signal rows have different conditionals, and the rule
+        # decides differently in each row; by hand, with m = P(y=1 | pair):
+        # m = 0.2, 1/3, 2/3, 0.8 at pairs 00, 01, 10, 11 of probability
+        # 5/16, 3/16, 3/16, 5/16, and P(y=1 | h) = 1/4, 3/4 with h = 0, 1
+        probs = np.array([[[4.0, 2.0], [1.0, 1.0]], [[1.0, 1.0], [2.0, 4.0]]]) / 16.0
+        problem = DiscreteProblem(states=(0.0, 1.0), probs=probs, loss=QuadraticLoss())
+        rule = np.array([[[0.0], [0.5]], [[0.5], [1.0]]])
+        report = gap_check_discrete(problem, rule, SQUARED)
+        l_human = 3.0 / 16.0                       # E[Var(y | h)]
+        l_star = 11.0 / 60.0                       # E[Var(y | h, a)]
+        penalty = 17.0 / 480.0                     # E[(m - d_hat)**2]
+        assert abs(report.marginal - (l_human - l_star)) <= 1e-15
+        assert abs(report.penalty - penalty) <= 1e-15
+        assert abs(report.lhs - (l_human - l_star - penalty)) <= 1e-15
+        assert abs(report.lhs - -1.0 / 32.0) <= 1e-15
+        assert abs(report.residual) <= 1e-12
 
     @pytest.mark.parametrize("gen, bad", [
         (SQUARED, np.inf),
@@ -294,9 +322,10 @@ class TestGapCheckDiscrete:
         (NEGENT, np.array([-0.5, 1.5])),
     ])
     def test_bad_rule_value_rejected(self, gen, bad):
+        # a decision of the wrong length leaves the nested table ragged
         problem = random_problem(np.random.default_rng(14), gen is SQUARED)
-        rule = conditional_means(problem, gen)
-        rule[(1, 0)] = bad
+        rule = conditional_means(problem, gen).tolist()
+        rule[1][0] = np.atleast_1d(bad).tolist()
         with pytest.raises(ValidationError):
             gap_check_discrete(problem, rule, gen)
 
@@ -305,10 +334,8 @@ class TestGapCheckDiscrete:
         # zero entry, outside the negative-entropy domain
         probs = np.full((2, 2, 2), 0.125)
         probs[1, 0, :] = 0.0
-        problem = DiscreteProblem(states=(0, 1),
-                                  alphabets=((0, 1), (0, 1)), probs=probs / probs.sum(),
-                                  loss=LogLoss())
-        rule = {pair: np.array([0.5, 0.5]) for pair in ((0, 0), (0, 1), (1, 0), (1, 1))}
+        problem = DiscreteProblem(states=(0, 1), probs=probs / probs.sum(), loss=LogLoss())
+        rule = np.full((2, 2, 2), 0.5)
         with pytest.raises(ValidationError):
             gap_check_discrete(problem, rule, NEGENT)
 
@@ -360,8 +387,7 @@ class TestConditionalMeanOptimality:
 
     def test_negative_entropy_search_needs_two_states(self):
         probs = np.full((3, 2, 2), 1.0 / 12.0)
-        problem = DiscreteProblem(states=(-1.0, 0.5, 2.0), alphabets=((0, 1), (0, 1)), probs=probs,
-                                  loss=QuadraticLoss())
+        problem = DiscreteProblem(states=(-1.0, 0.5, 2.0), probs=probs, loss=QuadraticLoss())
         with pytest.raises(ValidationError, match="binary negative entropy"):
             conditional_mean_optimality(problem, NEGENT)
         assert 0.0 <= conditional_mean_optimality(problem, SQUARED) <= 1e-9
@@ -370,8 +396,7 @@ class TestConditionalMeanOptimality:
         probs = np.zeros((2, 2, 1))
         probs[1, 0, 0] = 0.5
         probs[1, 1, 0] = 0.5
-        problem = DiscreteProblem(states=(0.0, 3.0), alphabets=((0, 1), (0,)), probs=probs,
-                                  loss=QuadraticLoss())
+        problem = DiscreteProblem(states=(0.0, 3.0), probs=probs, loss=QuadraticLoss())
         assert 0.0 <= conditional_mean_optimality(problem, SQUARED) <= 1e-9
 
 
@@ -381,14 +406,10 @@ def test_three_point_identity_randomized_rules():
     for gen, numeric in ((SQUARED, True), (NEGENT, False)):
         for _ in range(50):
             problem = random_problem(rng, numeric)
-            rule = {}
-            for h in problem.alphabets[0]:
-                for a in problem.alphabets[1]:
-                    if gen.kind == "squared":
-                        rule[(h, a)] = rng.uniform(-1.0, 2.0)
-                    else:
-                        t = rng.uniform(0.02, 0.98)
-                        rule[(h, a)] = np.array([t, 1.0 - t])
+            if gen.kind == "squared":
+                rule = random_rule(problem, gen, rng, -1.0, 2.0)
+            else:
+                rule = random_rule(problem, gen, rng, 0.02, 0.98)
             report = gap_check_discrete(problem, rule, gen)
             # the gap residual is the three-point residual up to sign
             assert abs(report.residual) < 1e-12

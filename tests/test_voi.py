@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -34,11 +35,9 @@ def random_problems(rng, n_h=2, n_a=2):
     and under quadratic loss (states drawn from [-2, 2])."""
     raw = rng.uniform(size=(2, n_h, n_a))
     probs = raw / raw.sum()
-    alphabets = (tuple(range(n_h)), tuple(range(n_a)))
-    return (DiscreteProblem(states=(0, 1), alphabets=alphabets,
-                            probs=probs, loss=LogLoss()),
+    return (DiscreteProblem(states=(0, 1), probs=probs, loss=LogLoss()),
             DiscreteProblem(states=tuple(np.sort(rng.uniform(-2.0, 2.0, size=2))),
-                            alphabets=alphabets, probs=probs, loss=QuadraticLoss()))
+                            probs=probs, loss=QuadraticLoss()))
 
 
 class TestBinaryEntropy:
@@ -61,7 +60,7 @@ class TestProblemValidation:
     def test_probabilities_must_normalize(self):
         probs = np.full((2, 2, 2), 0.2)
         with pytest.raises(ValidationError):
-            DiscreteProblem(states=(0, 1), alphabets=((0, 1), (0, 1)), probs=probs, loss=LogLoss())
+            DiscreteProblem(states=(0, 1), probs=probs, loss=LogLoss())
 
     @pytest.mark.parametrize("states, loss", [
         (("x", "y"), QuadraticLoss()),
@@ -72,26 +71,29 @@ class TestProblemValidation:
     ])
     def test_states_and_loss_validated(self, states, loss):
         with pytest.raises(ValidationError):
-            DiscreteProblem(states=states, alphabets=((0,), (0,)),
-                            probs=np.full((2, 1, 1), 0.5), loss=loss)
+            DiscreteProblem(states=states, probs=np.full((2, 1, 1), 0.5), loss=loss)
 
     def test_states_stored_as_floats(self):
         problem = xor_construction(0.25)
         assert problem.states == (0.0, 1.0)
         assert all(type(s) is float for s in problem.states)
 
-    @pytest.mark.parametrize("alphabets, shape", [(((0, 1),), (2, 2)),
-                                                  (((0, 1), (0, 1), (0, 1)), (2, 2, 2, 2))])
-    def test_needs_exactly_two_alphabets(self, alphabets, shape):
-        # one for the own signal "h", one for the assistant signal "a"
-        with pytest.raises(ValidationError, match="one alphabet per signal"):
-            DiscreteProblem(states=(0, 1), alphabets=alphabets,
-                            probs=np.full(shape, 1.0 / np.prod(shape)), loss=LogLoss())
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 2, 2), (3, 2, 2)])
+    def test_needs_one_state_axis_and_one_axis_per_signal(self, shape):
+        # a state axis of len(states), then "h" and "a"
+        with pytest.raises(ValidationError, match=r"probs must have shape \(len\(states\)"):
+            DiscreteProblem(states=(0, 1), probs=np.full(shape, 1.0 / np.prod(shape)),
+                            loss=LogLoss())
+
+    def test_fields_are_the_states_the_joint_table_and_the_loss(self):
+        assert [f.name for f in dataclasses.fields(DiscreteProblem)] == ["states", "probs", "loss"]
+        assert xor_construction(0.25).signal_shape == (2, 2)
+        assert _erasure_construction(0.4).signal_shape == (3, 2)
 
     def test_log_loss_needs_binary_states(self):
         probs = np.full((3, 1, 1), 1.0 / 3.0)
         with pytest.raises(ValidationError):
-            DiscreteProblem(states=(0, 1, 2), alphabets=((0,), (0,)), probs=probs, loss=LogLoss())
+            DiscreteProblem(states=(0, 1, 2), probs=probs, loss=LogLoss())
 
     def test_report_invariants(self):
         # v_a_given_h = v_joint - v_h = -0.1
@@ -108,8 +110,7 @@ def three_symbol_problem():
     """A strictly positive joint over three states, a 3-symbol own signal
     and a binary assistant signal."""
     raw = np.random.default_rng(4).uniform(size=(3, 3, 2))
-    return DiscreteProblem(states=(-1.0, 0.5, 2.0), alphabets=(("x", "y", "z"), (0, 1)),
-                           probs=raw / raw.sum(), loss=QuadraticLoss())
+    return DiscreteProblem(states=(-1.0, 0.5, 2.0), probs=raw / raw.sum(), loss=QuadraticLoss())
 
 
 class TestConditionals:
@@ -122,7 +123,7 @@ class TestConditionals:
         assert live.tolist() == [0, 3]  # the pairs (0, 0) and (1, 1)
         assert p.tolist() == [0.5, 0.5] and cond.shape == (2, 2)
 
-    def test_flat_indices_in_c_order_of_the_alphabets(self):
+    def test_flat_indices_in_c_order_of_the_signal_axes(self):
         problem = three_symbol_problem()
         live, p, cond = problem.conditionals(("h", "a"))
         assert live.tolist() == list(range(6))
@@ -180,7 +181,7 @@ class TestBayesRisk:
         probs[0, 0, 0] = 0.5
         probs[1, 1, 0] = 0.5
         problem = DiscreteProblem(states=(0, 1),
-                                  alphabets=((0, 1), (0,)), probs=probs, loss=LogLoss())
+                                  probs=probs, loss=LogLoss())
         assert bayes_risk(problem, ("h",)) == 0.0
         assert value_of_information(problem, ("h",)) == 1.0
 
@@ -188,7 +189,7 @@ class TestBayesRisk:
         probs = np.zeros((2, 2, 1))
         probs[:, :, 0] = 0.25
         problem = DiscreteProblem(states=(0, 1),
-                                  alphabets=((0, 1), (0,)), probs=probs, loss=LogLoss())
+                                  probs=probs, loss=LogLoss())
         assert abs(value_of_information(problem, ("h",))) < 1e-15
 
     def test_xor_conditional_risk_relation(self):
@@ -209,7 +210,7 @@ class TestInformationIdentities:
         raw = rng.uniform(size=(3, 2, 3))
         probs = raw / raw.sum()
         problem = DiscreteProblem(states=(-1.0, 0.5, 2.0),
-                                  alphabets=((0, 1), (0, 1, 2)), probs=probs,
+                                  probs=probs,
                                   loss=QuadraticLoss())
         for signals in (("h",), ("a",), ("h", "a")):
             assert abs(value_of_information(problem, signals)
@@ -233,7 +234,7 @@ class TestInformationIdentities:
         for y, h, a in np.ndindex(2, 2, 2):
             probs[y, h, a] = 0.5 * (0.1 if h != y else 0.9) * (0.1 if a != y else 0.9)
         problem = DiscreteProblem(states=(0, 1),
-                                  alphabets=((0, 1), (0, 1)), probs=probs, loss=LogLoss())
+                                  probs=probs, loss=LogLoss())
         report = marginal_value_discrete(problem)
         assert report.v_joint > report.v_h
         assert report.v_a_given_h < report.v_a
@@ -334,7 +335,7 @@ class TestBruteForce:
         probs = np.multiply.outer(np.array([0.3, 0.7]), np.array([[0.1, 0.2], [0.4, 0.3]]))
         for loss in (LogLoss(), QuadraticLoss()):
             problem = DiscreteProblem(states=(0, 1),
-                                      alphabets=((0, 1), (0, 1)), probs=probs, loss=loss)
+                                      probs=probs, loss=loss)
             report = brute_force_voi(problem)
             for value in (report.v_h, report.v_a, report.v_joint, report.v_a_given_h):
                 assert abs(value) < 1e-12
@@ -346,7 +347,6 @@ class TestBruteForce:
         monkeypatch.setattr("dualsig.voi.minimize_grid_refine", no_search)
         n = 40
         probs = np.full((2, n, n), 1.0 / (2 * n * n))
-        problem = DiscreteProblem(states=(0, 1), alphabets=(tuple(range(n)), tuple(range(n))),
-                                  probs=probs, loss=QuadraticLoss())
+        problem = DiscreteProblem(states=(0, 1), probs=probs, loss=QuadraticLoss())
         with pytest.raises(ValidationError):
             brute_force_voi(problem)
