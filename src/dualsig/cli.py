@@ -109,8 +109,11 @@ def _linspace(lo: float, hi: float, steps: int, name: str) -> list[float]:
     steps = core.count(steps, name + " steps", 1)
     if steps > _MAX_STEPS:  # before the axis is allocated
         raise core.ValidationError(f"{name} steps must be <= {_MAX_STEPS}, got {steps}")
+    lo, hi = core.real_scalar(lo, name + " min"), core.real_scalar(hi, name + " max")
     core.require(steps == 1 or hi > lo,
                  name + " range must satisfy min < max, got [{}, {}]", lo, hi)
+    # np.linspace steps by hi - lo, which must not overflow
+    core.require(math.isfinite(hi - lo), name + " range [{}, {}] is wider than a float", lo, hi)
     return np.linspace(lo, hi, steps).tolist()
 
 

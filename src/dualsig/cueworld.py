@@ -20,9 +20,11 @@ quantity from the covariance definition and serves as the independent
 cross-check of the ratio.
 
 When the assistant samples its set uniformly from the accessible pool, the
-measured overlap concentrates (as ``N`` grows) on the pool-level rate:
-``k/m`` with unit precisions, or the realized precision-weighted rate
-``theta = T(H ∩ accessible) / T(accessible)``.
+measured overlap concentrates (as ``N`` grows) on the pool-level rate, the
+realized precision-mass ratio ``theta = T(H ∩ accessible) / T(accessible)``
+of the world at hand.  With unit precisions that is the count ratio
+``round(k*N) / round(m*N)`` bit for bit, not the nominal ``k/m``: with the
+default plan at ``N = 1001`` it is 250/501.
 :func:`concentration_experiment` measures that convergence.
 
 Stream conventions (see :mod:`dualsig.rng`): world construction consumes
@@ -137,7 +139,10 @@ class CueWorld:
 @dataclass(frozen=True)
 class ConcentrationSummary:
     """Overlap-error summary for one pool size, in the order of ``n_values``
-    (CSV row of ``simulate``)."""
+    (CSV row of ``simulate``).
+
+    ``target`` is the world's realized pool rate ``theta``, a measurement in
+    either mode, so the two errors are sampling error only."""
 
     target: float
     mean_abs_error: float
@@ -275,10 +280,11 @@ def concentration_experiment(n_values: Sequence[int], plan: SamplingPlan,
     For each pool size, one world is built (child seed ``derive_seed(seed,
     i)``) and ``reps`` assistant sets are drawn (child seeds
     ``derive_seed(seed, i, rep)``); the summary records mean and max
-    ``|lambda_hat - target|``, with the target ``k/m`` in homogeneous mode
-    and the accessible pool's :func:`empirical_lambda` otherwise.  Every
-    pool size is checked, as :func:`build_world` checks its arguments,
-    before the first world is built.
+    ``|lambda_hat - target|``.  The target is ``theta``, the accessible
+    pool's :func:`empirical_lambda`, in either mode; with unit precisions it
+    is ``round(k*N) / round(m*N)``.  Every pool size is checked, as
+    :func:`build_world` checks its arguments, before the first world is
+    built.
     """
     reps = count(reps, "reps", 1)
     try:
@@ -295,8 +301,7 @@ def concentration_experiment(n_values: Sequence[int], plan: SamplingPlan,
     for i, n_cues in enumerate(n_values):
         world = build_world(n_cues, plan, mode=mode, tau_bounds=tau_bounds,
                             seed=derive_seed(seed, i))
-        target = (plan.k / plan.m if mode == "homogeneous"
-                  else empirical_lambda(world, np.arange(world.n_accessible)))
+        target = empirical_lambda(world, np.arange(world.n_accessible))
         estimates = np.array([empirical_lambda(world, sample_ai_set(
             world, plan.a, derive_seed(seed, i, rep))) for rep in range(reps)])
         errors = np.abs(estimates - target)

@@ -157,7 +157,6 @@ class DiscreteProblem:
 class VoiReport:
     """Values of each signal set plus the conditional value of the second."""
 
-    l0: float
     v_h: float
     v_a: float
     v_joint: float
@@ -214,7 +213,7 @@ def _report(problem: DiscreteProblem, conditional_loss) -> VoiReport:
     """Values of a problem's signals from its four risks."""
     l0, r_h, r_a, r_joint = (_risk(problem, signals, conditional_loss)
                              for signals in ((), ("h",), ("a",), SIGNALS))
-    return VoiReport(l0=l0, v_h=l0 - r_h, v_a=l0 - r_a, v_joint=l0 - r_joint)
+    return VoiReport(v_h=l0 - r_h, v_a=l0 - r_a, v_joint=l0 - r_joint)
 
 
 def marginal_value_discrete(problem: DiscreteProblem) -> VoiReport:

@@ -1,12 +1,19 @@
 import argparse
+import contextlib
+import io
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualsig import cueworld, montecarlo, verify
 from dualsig.cli import _write_csv, build_parser, main
@@ -433,6 +440,11 @@ USAGE_ERRORS = [
     # each bound is checked before the axis or the grid is allocated
     ["thresholds", "--lambda-steps", "1000000000000"],
     ["phase", "--tauA-steps", "1000000000000"],
+    # an axis bound that is not finite, or a range whose width overflows,
+    # printed numpy's RuntimeWarning above the error line
+    ["phase", "--lambda-max", "1" + "0" * 400],
+    ["phase", "--tauA-steps", "1", "--tauA-max", "inf"],
+    ["thresholds", "--lambda", "0.5", "--lambda-min=-1e308", "--lambda-max", "1e308"],
     ["simulate", "--n", "1", "--m", "0.4", "--a", "0.3", "--k", "0.1", "--h-total", "0.5",
      "--mode", "heterogeneous"],
     ["simulate", "--n", "2", "--m", "0.2", "--a", "0.2", "--k", "0.1"],
@@ -461,23 +473,34 @@ USAGE_ERRORS = [
 
 
 @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
-def test_a_usage_error_exits_2_with_one_error_line_and_no_draw(monkeypatch, capsys,
-                                                               tmp_path, argv):
-    # one CPU, so that a task forked to a worker would draw in this process
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+def test_a_usage_error_exits_2_with_one_error_line_and_no_draw(tmp_path, argv):
+    assert_usage_error(counted_main([arg.format(tmp=tmp_path) for arg in argv]))
+
+
+def counted_main(argv):
+    """``main(argv)`` on one usable CPU, so that a task forked to a worker
+    would draw in this process: its exit code, whether the parser raised it,
+    its stdout, its stderr lines and the number of words drawn."""
     drawn, words = [], RngHandle.words
-    monkeypatch.setattr(RngHandle, "words", lambda self, n: drawn.append(n) or words(self, n))
-    try:
-        code, parser_error = main([arg.format(tmp=tmp_path) for arg in argv]), False
-    except SystemExit as exc:  # the parser prints its usage lines before the error line
-        code, parser_error = exc.code, True
-    captured = capsys.readouterr()
-    lines = captured.err.splitlines()
+    out, err = io.StringIO(), io.StringIO()
+    with (mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True),
+          mock.patch.object(RngHandle, "words",
+                            lambda self, n: drawn.append(n) or words(self, n)),
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        try:
+            code, parser_error = main(argv), False
+        except SystemExit as exc:  # the parser prints its usage lines before the error line
+            code, parser_error = exc.code, True
+    return code, parser_error, out.getvalue(), err.getvalue().splitlines(), sum(drawn)
+
+
+def assert_usage_error(result):
+    code, parser_error, out, lines, drawn = result
     assert code == 2
-    assert captured.out == ""
+    assert out == ""
     assert [line for line in lines if "error: " in line] == lines[-1:]
     assert parser_error or len(lines) == 1
-    assert sum(drawn) == 0
+    assert drawn == 0
 
 
 class TestDeterminism:
@@ -580,3 +603,85 @@ def test_every_option_changes_stdout(monkeypatch, capsys, command):
             for option, value in values.items()}
     assert {option: code for option, (code, _) in runs.items() if code} == {}
     assert [option for option, (_, out) in runs.items() if out == base[1]] == []
+
+
+# Hostile values, tried in every option: a pool size too
+# large for a float or for numpy, a float that overflows, text that is no
+# number in one or another reader, and U+0663, an Arabic-Indic digit three,
+# which int() and float() read as 3
+HOSTILE = ["1" + "0" * 400, str(2**63), "1e400", "nan", "inf", "-0", "", "0x10", "\u0663"]
+
+# Options whose legal values above 10**4 are long runs or large allocations,
+# not usage errors, each with its largest legal value: their pools keep
+# small and illegal values only.  Their defaults are among those values, so
+# each generated argv gives them.
+LONG_RUNS = {("simulate", "--n"): 2**53, ("simulate", "--reps"): math.inf,
+             ("verify", "--n"): math.inf}
+ALWAYS_GIVEN = {"simulate": ["--n"], "verify": ["--n"]}
+
+
+def long_run(command, option, value) -> bool:
+    try:
+        return 10**4 < int(value) <= LONG_RUNS.get((command, option), 10**4)
+    except ValueError:
+        return False
+
+
+def small_legal_values(command, action) -> list[str]:
+    """The option's values in ``FLAG_RUNS``, and a few more of its kind; a
+    new text option has none until it is given some here."""
+    option = action.option_strings[0]
+    base, values = FLAG_RUNS.get(command, ([], {}))
+    given = [value for flag, value in zip(base, base[1:]) if flag == option]
+    given += [values[option]] if option in values else []
+    more = ({"mode": cueworld.MODES, "suite": sorted(verify.SUITES),
+             "out": ["-", "out.csv"]}[action.dest] if action.type is None
+            else {int: ["1", "2"], float: ["0.5", "1"]}[action.type])
+    return [*given, *more]
+
+
+def option_pools() -> dict[str, dict[str, list[str]]]:
+    """For each subcommand, each option but ``--help`` with its pool."""
+    pools = {}
+    for command, sub in subcommands().items():
+        pools[command] = {}
+        for action in sub._actions:
+            if action.option_strings and action.dest != "help":
+                option = action.option_strings[0]
+                pools[command][option] = [
+                    value for value in HOSTILE + small_legal_values(command, action)
+                    if not long_run(command, option, value)]
+    return pools
+
+
+POOLS = option_pools()
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(POOLS)))
+    pools = POOLS[command]
+    options = [*ALWAYS_GIVEN.get(command, []),
+               *draw(st.lists(st.sampled_from(sorted(pools)), max_size=4))]
+    return [command, *(arg for option in options
+                       for arg in (option, draw(st.sampled_from(pools[option]))))]
+
+
+# a few seconds; most examples are usage errors, which cost no draw
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(argvs())
+def test_no_argv_ends_in_a_traceback(argv):
+    # in a directory of its own, as --out may name any file
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            result = counted_main(argv)
+        finally:
+            os.chdir(cwd)
+    code, _, _, lines, _ = result
+    assert [line for line in lines if "Traceback" in line] == []
+    if code == 2:
+        assert_usage_error(result)
+    else:  # verify alone exits 1, when a check fails
+        assert code == 0 or (code == 1 and argv[0] == "verify")

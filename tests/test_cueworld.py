@@ -430,6 +430,13 @@ class TestConcentration:
         # roughly square-root decay: quadrupling N should about halve the error
         assert errs[0] / errs[2] > 2.0
 
+    @pytest.mark.parametrize("n_cues, target", [(1001, 250 / 501), (100_000, 0.5)])
+    def test_homogeneous_targets_the_realized_count_ratio(self, n_cues, target):
+        # the pool holds round(k*N) human cues among round(m*N): 250/501, not
+        # the nominal k/m = 0.5, at N = 1001
+        summary, = concentration_experiment([n_cues], PLAN, reps=1, mode="homogeneous")
+        assert summary.target == target
+
     def test_heterogeneous_targets_realized_rate(self):
         summaries = concentration_experiment([20_000], PLAN, reps=30,
                                              mode="heterogeneous", seed=2,

@@ -98,12 +98,15 @@ class TestProblemValidation:
     def test_report_invariants(self):
         # v_a_given_h = v_joint - v_h = -0.1
         with pytest.raises(ValidationError, match="v_a_given_h must be nonnegative"):
-            VoiReport(l0=1.0, v_h=0.5, v_a=0.2, v_joint=0.4)
+            VoiReport(v_h=0.5, v_a=0.2, v_joint=0.4)
+
+    def test_report_fields_are_the_three_values(self):
+        assert [f.name for f in dataclasses.fields(VoiReport)] == ["v_h", "v_a", "v_joint"]
 
     def test_report_derives_the_conditional_value_and_the_ratio(self):
-        report = VoiReport(l0=1.0, v_h=0.5, v_a=0.25, v_joint=0.625)
+        report = VoiReport(v_h=0.5, v_a=0.25, v_joint=0.625)
         assert report.v_a_given_h == 0.125 and report.ratio == 0.5
-        assert math.isnan(VoiReport(l0=1.0, v_h=0.5, v_a=0.0, v_joint=0.5).ratio)
+        assert math.isnan(VoiReport(v_h=0.5, v_a=0.0, v_joint=0.5).ratio)
 
 
 def three_symbol_problem():
@@ -318,7 +321,7 @@ class TestBruteForce:
     def test_matches_closed_form_on_xor(self):
         closed = marginal_value_discrete(xor_construction(0.25))
         brute = brute_force_voi(xor_construction(0.25))
-        for field in ("l0", "v_h", "v_a", "v_joint", "v_a_given_h"):
+        for field in ("v_h", "v_a", "v_joint", "v_a_given_h"):
             assert abs(getattr(closed, field) - getattr(brute, field)) < 1e-9
 
     def test_matches_fast_path_on_random_problems(self):
@@ -327,7 +330,7 @@ class TestBruteForce:
             for problem in random_problems(rng, n_h=rng.integers(2, 4)):
                 closed = marginal_value_discrete(problem)
                 brute = brute_force_voi(problem)
-                for field in ("l0", "v_h", "v_a", "v_joint", "v_a_given_h"):
+                for field in ("v_h", "v_a", "v_joint", "v_a_given_h"):
                     assert abs(getattr(closed, field) - getattr(brute, field)) < 1e-9
 
     def test_signals_independent_of_the_state_are_worthless(self):
