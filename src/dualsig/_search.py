@@ -32,7 +32,7 @@ def bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
         if (fmid > 0.0) == (flo > 0.0):
             lo, flo = mid, fmid
         else:
-            hi, fhi = mid, fmid
+            hi = mid
     return 0.5 * (lo + hi)
 
 

@@ -21,9 +21,9 @@ turns the realized benefit of consulting the assistant signal into
         = (marginal value of the assistant) - E[D(d_star, d_hat)],
 
 i.e. information gain minus a misuse penalty.  ``gap_check_discrete``
-verifies this exactly by enumeration on finite problems;
-``gap_check_gaussian_cn`` verifies it for the Gaussian correlation-neglect
-rule with a Monte Carlo estimate of the penalty term.
+verifies this exactly by enumeration on finite problems; ``gap_check_gaussian_cn``
+verifies it for the Gaussian correlation-neglect rule with a Monte Carlo estimate
+of the penalty term, drawn from the caller's :class:`dualsig.rng.RngHandle`.
 
 Stacked convention: :func:`bregman_loss` takes for ``y`` and ``d`` one
 vector or a stack of them, shape ``(..., k)`` (a scalar is one vector of
@@ -188,13 +188,13 @@ def gap_check_discrete(problem: DiscreteProblem, delta_hat,
 
 
 def gap_check_gaussian_cn(env: Environment, spec: SignalSpec, n: int,
-                          seed: int = 0) -> GapReport:
+                          rng: RngHandle) -> GapReport:
     """Gap identity for the Gaussian model with the correlation-neglect rule.
 
     The left side and the marginal value come from closed forms; the misuse
-    penalty ``E[(d_star - d_cn)**2]`` is estimated from ``n`` simulated
-    triples (stream 3 of the seed), so ``|residual|`` should fall within a
-    few reported ``penalty_se``; ``n`` must be at least 2.
+    penalty ``E[(d_star - d_cn)**2]`` is estimated from ``n`` triples drawn
+    from ``rng``, so ``|residual|`` should fall within a few reported
+    ``penalty_se``; ``n`` must be at least 2.
     """
     profile = loss_profile(env, spec)
     lhs = profile.l_human - profile.l_joint_cn
@@ -206,8 +206,7 @@ def gap_check_gaussian_cn(env: Environment, spec: SignalSpec, n: int,
         d *= d
         return d
 
-    est = montecarlo.accumulate(env, spec, n, RngHandle(seed, stream=3),
-                                {"penalty": misuse})["penalty"]
+    est = montecarlo.accumulate(env, spec, n, rng, {"penalty": misuse})["penalty"]
     return GapReport(lhs=lhs, marginal=marg, penalty=est.mean, penalty_se=est.std_error)
 
 

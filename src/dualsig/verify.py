@@ -2,13 +2,22 @@
 
 Suites
 ------
-closed_forms  the four Gaussian losses against paired Monte Carlo estimates
-gap           the gap identity, exactly on random discrete problems and by
-              Monte Carlo for the Gaussian correlation-neglect rule
+Each row names the ``RngHandle(seed, stream)`` of every draw, with ``s`` the seed of
+:func:`run`, ``d`` :func:`~dualsig.rng.derive_seed` and ``t.i`` ``split(i)`` of stream ``t``:
+
+closed_forms  the four Gaussian losses against paired Monte Carlo estimates;
+              cell ``i`` of the grid, counted from 1, ``(s, 0.i)``
+gap           the gap identity, exactly on random discrete problems, problem ``i < 100``
+              ``(s, 10.i)`` and its rule ``(s, 10.(1000+i))``, and by Monte Carlo for
+              the Gaussian correlation-neglect rule, specs ``(d(s, 7), 11)``, penalty
+              ``(s, 3)`` at the reference spec and ``(d(s, 8, i), 3)`` at spec ``i``
 voi           discrete value of information against brute force, a worked
-              clinical example, and information-theoretic identities
-lemma         simulated conditional moments, the three-point identity,
-              conditional-mean optimality, and the cue-pool overlap ratio
+              clinical example, and information-theoretic identities; no draws
+lemma         simulated conditional moments, spec ``i`` ``(d(s, 20, i), 0)``; the
+              three-point identity, problem ``i < 50`` ``(s, 21.i)`` and its rule
+              ``(s, 21.(500+i))``; conditional-mean optimality ``(s, 21.999)``; and
+              the cue-pool overlap ratio, world ``(d(s, 30), 0)`` and assistant set
+              ``(d(s, 31), 1)``, both drawn in :mod:`dualsig.cueworld`
 
 :func:`run` returns one :class:`Check` per comparison, keyed by a name
 unique within the suite; a check does not repeat the suite it was asked
@@ -135,7 +144,7 @@ def _gap(n, seed, sigma_mult, tau0, tau_h):
     # an in-process tracer still counts every gap_check_discrete call.
     worst, report, *reports = montecarlo.parallel_map(
         [(_discrete_residuals, seed)]
-        + [(bregman.gap_check_gaussian_cn, env_i, spec_i, n, seed_i)
+        + [(bregman.gap_check_gaussian_cn, env_i, spec_i, n, RngHandle(seed_i, stream=3))
            for env_i, spec_i, seed_i in specs], local=1)
 
     for kind, residual in zip(bregman.GENERATOR_KINDS, worst):
@@ -175,9 +184,9 @@ def _voi(n, seed, sigma_mult, tau0, tau_h):
     yield Check("clinical_both_positive", both, 0.8306, 5e-4)
 
     problem = voi.xor_construction(0.25)
-    for name, signals in (("mi_identity[h]", ("h",)), ("mi_identity[a]", ("a",)),
-                          ("mi_identity[h,a]", ("h", "a"))):
-        yield Check(name, voi.value_of_information(problem, signals),
+    rep = voi.marginal_value_discrete(problem)
+    for signals, value in ((("h",), rep.v_h), (("a",), rep.v_a), (voi.SIGNALS, rep.v_joint)):
+        yield Check(f"mi_identity[{','.join(signals)}]", value,
                     _mutual_information_bits(problem, signals), 1e-12)
 
     quad = voi.DiscreteProblem(
@@ -190,8 +199,7 @@ def _voi(n, seed, sigma_mult, tau0, tau_h):
     y = np.array([-1.0, 0.5, 2.0])
     mean_y = prior @ y
     var_y = float(prior @ (y * y) - mean_y * mean_y)
-    yield Check("variance_reduction_identity",
-                voi.value_of_information(quad, ("h", "a")),
+    yield Check("variance_reduction_identity", voi.marginal_value_discrete(quad).v_joint,
                 var_y - voi.bayes_risk(quad, ("h", "a")), 1e-12)
 
 

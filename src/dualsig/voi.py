@@ -46,7 +46,6 @@ __all__ = [
     "DiscreteProblem",
     "VoiReport",
     "bayes_risk",
-    "value_of_information",
     "marginal_value_discrete",
     "xor_construction",
     "ratio_construction",
@@ -204,11 +203,6 @@ def bayes_risk(problem: DiscreteProblem, signals: Sequence[str] = ()) -> float:
     return _risk(problem, signals, _optimal_conditional_loss)
 
 
-def value_of_information(problem: DiscreteProblem, signals: Sequence[str]) -> float:
-    """Risk reduction of the signal set relative to the best constant decision."""
-    return bayes_risk(problem, ()) - bayes_risk(problem, signals)
-
-
 def _report(problem: DiscreteProblem, conditional_loss) -> VoiReport:
     """Values of a problem's signals from its four risks."""
     l0, r_h, r_a, r_joint = (_risk(problem, signals, conditional_loss)
@@ -257,16 +251,14 @@ def _erasure_construction(t: float) -> DiscreteProblem:
 
 
 def _xor_ratio(q: float) -> float:
-    """Closed-form value ratio of :func:`xor_construction`; its denominator
-    is positive for ``q <= 1/2 - 1e-5``, all that :func:`_xor_q_for_ratio` asks."""
+    """Closed-form value ratio of :func:`xor_construction`, exactly 1.0 at q = 0; its
+    denominator is positive for ``q <= 1/2 - 1e-5``, all that :func:`_xor_q_for_ratio` asks."""
     p = _NOISE_P
     return (1.0 - _binary_entropy(p)) / (1.0 - _binary_entropy(p + q - 2.0 * p * q))
 
 
 def _xor_q_for_ratio(t: float) -> float:
     """Solve the XOR noise level q such that the value ratio equals t >= 1."""
-    if t == 1.0:
-        return 0.0
     hi = 0.5 - 1e-5  # close enough to 1/2 for ratios beyond 1e9
     require(_xor_ratio(hi) >= t, "ratio target t = {} out of solvable range", t)
     return bisect(lambda q: _xor_ratio(q) - t, 0.0, hi)

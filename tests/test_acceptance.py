@@ -163,7 +163,8 @@ def test_criterion_6_gap_identity():
             worst = max(worst, abs(gap_check_discrete(problem, rule, gen).residual))
     ok = worst <= 1e-12
 
-    ref = gap_check_gaussian_cn(ENV, SignalSpec(1.0, 1.0, 0.5), n=1_000_000, seed=61)
+    ref = gap_check_gaussian_cn(ENV, SignalSpec(1.0, 1.0, 0.5), n=1_000_000,
+                                rng=RngHandle(61, stream=3))
     ok &= abs(ref.penalty - 1.0 / 63.0) <= 4.0 * ref.penalty_se
 
     rng = RngHandle(62, 0)
@@ -173,7 +174,7 @@ def test_criterion_6_gap_identity():
         tau_a = 0.2 + 2.3 * rng.uniforms(1)[0]
         lam = (0.05 + 0.85 * rng.uniforms(1)[0]) * min(tau_h / tau_a, 1.0)
         rep = gap_check_gaussian_cn(ENV, SignalSpec(tau_h, tau_a, lam),
-                                    n=1_000_000, seed=63 + i)
+                                    n=1_000_000, rng=RngHandle(63 + i, stream=3))
         worst_sigma = max(worst_sigma, abs(rep.residual) / rep.penalty_se)
     ok &= worst_sigma <= 4.0
     report("gap identity (discrete 1e-12; Gaussian 4 s.e. incl. 1/63 point)",

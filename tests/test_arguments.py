@@ -86,9 +86,7 @@ ENTRY_POINTS = {
     "bregman.gap_check_discrete.delta_hat": ("delta_hat", lambda v: bregman.gap_check_discrete(
         XOR, v, SQUARED), True, np.full((2, 2, 1), 0.5)),
     "bregman.gap_check_gaussian_cn.n": ("n", lambda v: bregman.gap_check_gaussian_cn(
-        ENV, SPEC, v), True, 2),
-    "bregman.gap_check_gaussian_cn.seed": ("seed", lambda v: bregman.gap_check_gaussian_cn(
-        ENV, SPEC, 2, v), True, 0),
+        ENV, SPEC, v, rng.RngHandle(0)), True, 2),
     "core.Environment.tau0": ("tau0", Environment, True, 1.0),
     "core.SignalSpec.tau_h": ("tau_h", lambda v: spec(tau_h=v), False, np.ones(1)),
     "core.SignalSpec.tau_a": ("tau_a", lambda v: spec(tau_a=v), False, np.ones(1)),
@@ -179,8 +177,6 @@ ENTRY_POINTS = {
     "voi.DiscreteProblem.probs": ("probs", lambda v: problem(probs=v), True,
                                   np.full((2, 2, 2), 0.125)),
     "voi.bayes_risk.signals": ("signals", lambda v: voi.bayes_risk(XOR, v), True, ("h",)),
-    "voi.value_of_information.signals": ("signals", lambda v: voi.value_of_information(
-        XOR, v), True, ("h", "a")),
     "voi.xor_construction.q": ("q", voi.xor_construction, True, 0.25),
     "voi.ratio_construction.t": ("t", voi.ratio_construction, True, 2.0),
     "voi.posterior_two_tests.prior": ("prior", lambda v: voi.posterior_two_tests(

@@ -422,6 +422,9 @@ USAGE_ERRORS = [
     ["losses", "--tauA", "4", "--lambda", "0.5"],
     ["losses", "--tauH", "1e308", "--tauA", "1e308", "--lambda", "0"],
     ["losses", "--tauH", "1e200", "--tauA", "1e200", "--lambda", "0.5"],
+    # argparse reads "-1e-3" after a space as an option; "=" hands it to the library
+    ["losses", "--tauA", "1", "--lambda", "-1e-3"],
+    ["losses", "--tauA", "1", "--lambda=-1e-3"],
     # closed_forms ran all its cells (3.9 s at the default --n) before this failed
     *([*argv, "--out", target] for argv in (["losses", "--tauA", "1", "--lambda", "0.3"],
                                              ["verify", "--suite", "voi"],

@@ -48,6 +48,10 @@ Only ``core`` turns an argument into floats or integers with
 reject text and check finiteness, ``indices`` rejects floats, bools and
 repeats, and a hand conversion elsewhere would parse text or truncate.
 
+Only ``rng``, ``cueworld`` and ``verify`` construct an ``RngHandle``: they
+choose the seeds and streams, and every other module draws from the handle
+its caller passes, as ``montecarlo`` and ``bregman`` do.
+
 Every function in a module's ``__all__`` has a caller outside its module:
 another module of the package, the benchmark's tracer or the README.  A
 helper that only its own module calls is private, and takes its arguments
@@ -383,6 +387,44 @@ def test_only_core_converts_arguments_to_numbers():
     assert {stem: hits for stem, hits in found.items() if hits} == {}
 
 
+# the modules that pick a (seed, stream): the generator's own, the cue world's
+# samplers and the verification suites; every other one draws from its caller's handle
+HANDLE_MAKERS = {"rng", "cueworld", "verify"}
+
+
+def handle_constructions(source: str) -> list[str]:
+    """The enclosing function of every ``RngHandle(...)`` or
+    ``rng.RngHandle(...)`` call in ``source``."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and "RngHandle" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.append(function)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_handle_checker_flags_calls_only():
+    source = ("from . import rng\n"
+              "from .rng import RngHandle\n"
+              "def f(n, handle: RngHandle) -> RngHandle:\n"
+              "    return RngHandle(n, stream=3)\n"
+              "def g(seed):\n"
+              "    return rng.RngHandle(seed).split(1), isinstance(seed, RngHandle)\n"
+              "h = RngHandle(0)\n")
+    assert handle_constructions(source) == ["f", "g", "<module>"]
+
+
+def test_only_the_seed_owners_construct_a_handle():
+    found = {path.stem: handle_constructions(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py")) if path.stem not in HANDLE_MAKERS}
+    assert {stem: hits for stem, hits in found.items() if hits} == {}
+
+
 def bench_spans() -> types.ModuleType:
     """``bench/spans.py`` executed from its source text, so nothing is
     imported or cached from bench/."""
@@ -493,7 +535,6 @@ UNREACHED_BY_DESIGN = {
         ("montecarlo", "parallel_map", "outputs = {}"),
     ],
     "exact roots come from library inputs; tests/test_search.py pins them": [
-        ("_search", "bisect", "return lo"),
         ("_search", "bisect", "return hi"),
         ("_search", "bisect", "return mid"),
     ],

@@ -4,8 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualsig import cueworld, verify
-from dualsig.bregman import gap_check_gaussian_cn
-from dualsig.core import Environment, SignalSpec, ValidationError
+from dualsig.core import ValidationError
 from dualsig.rng import RngHandle, _mix64, _normal_ppf, _smallest_k, derive_seed
 
 from helpers import refined_normal_ppf
@@ -322,9 +321,7 @@ PLAN = cueworld.SamplingPlan(a=0.3, m=0.5, k=0.25, h_total=0.5)
      "seed must be >= 0"),
     (lambda: cueworld.concentration_experiment([100], PLAN, reps=2, seed=1.5),
      "seed must be an integer"),
-    (lambda: gap_check_gaussian_cn(Environment(1.0), SignalSpec(1.0, 1.0, 0.5), 100, seed=1.5),
-     "seed must be an integer"),
-], ids=["build_world", "verify", "concentration_experiment", "gap_check_gaussian_cn"])
+], ids=["build_world", "verify", "concentration_experiment"])
 def test_a_bad_library_seed_raises_a_validation_error(call, message):
     # these raised a bare ValueError or TypeError from the generator
     with pytest.raises(ValidationError, match=message):

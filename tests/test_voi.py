@@ -18,7 +18,6 @@ from dualsig.voi import (
     marginal_value_discrete,
     posterior_two_tests,
     ratio_construction,
-    value_of_information,
     xor_construction,
 )
 
@@ -109,6 +108,33 @@ class TestProblemValidation:
         assert math.isnan(VoiReport(v_h=0.5, v_a=0.0, v_joint=0.5).ratio)
 
 
+def quadratic_problem():
+    """Three states under quadratic loss, the problem of the variance row of
+    ``verify``'s ``voi`` suite."""
+    probs = np.array([[[0.10, 0.05, 0.05], [0.02, 0.08, 0.03]],
+                      [[0.06, 0.04, 0.10], [0.07, 0.03, 0.04]],
+                      [[0.05, 0.09, 0.02], [0.08, 0.05, 0.04]]])
+    return DiscreteProblem(states=(-1.0, 0.5, 2.0), probs=probs, loss=QuadraticLoss())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: xor_construction(0.25),
+    lambda: xor_construction(0.0),
+    lambda: ratio_construction(0.5),
+    lambda: random_problems(np.random.default_rng(2), n_h=3)[0],
+    quadratic_problem,
+], ids=["xor", "xor-q0", "erasure", "random-log", "quadratic"])
+def test_report_values_are_bayes_risk_differences(make):
+    # each value of the report is the risk reduction of its signal set from
+    # the no-information baseline, to the last bit
+    problem = make()
+    report = marginal_value_discrete(problem)
+    l0 = bayes_risk(problem, ())
+    assert (report.v_h, report.v_a, report.v_joint) == (
+        l0 - bayes_risk(problem, ("h",)), l0 - bayes_risk(problem, ("a",)),
+        l0 - bayes_risk(problem, ("h", "a")))
+
+
 def three_symbol_problem():
     """A strictly positive joint over three states, a 3-symbol own signal
     and a binary assistant signal."""
@@ -165,8 +191,7 @@ class TestConditionals:
     @pytest.mark.parametrize("call", [
         lambda problem, signals: problem.conditionals(signals),
         bayes_risk,
-        value_of_information,
-    ], ids=["conditionals", "bayes_risk", "value_of_information"])
+    ], ids=["conditionals", "bayes_risk"])
     def test_bare_string_and_repeated_signals_rejected(self, call, signals, message):
         # "ha" used to read as ("h", "a"), and ("a", "a") as ("a",)
         with pytest.raises(ValidationError, match=message):
@@ -177,7 +202,6 @@ class TestBayesRisk:
     def test_empty_subset_gives_baseline(self):
         problem = xor_construction(0.25)
         assert bayes_risk(problem, ()) == 1.0  # fair-coin entropy in bits
-        assert value_of_information(problem, ()) == 0.0
 
     def test_perfectly_revealing_signal(self):
         probs = np.zeros((2, 2, 1))
@@ -186,14 +210,14 @@ class TestBayesRisk:
         problem = DiscreteProblem(states=(0, 1),
                                   probs=probs, loss=LogLoss())
         assert bayes_risk(problem, ("h",)) == 0.0
-        assert value_of_information(problem, ("h",)) == 1.0
+        assert marginal_value_discrete(problem).v_h == 1.0
 
     def test_uninformative_signal_is_worthless(self):
         probs = np.zeros((2, 2, 1))
         probs[:, :, 0] = 0.25
         problem = DiscreteProblem(states=(0, 1),
                                   probs=probs, loss=LogLoss())
-        assert abs(value_of_information(problem, ("h",))) < 1e-15
+        assert abs(marginal_value_discrete(problem).v_h) < 1e-15
 
     def test_xor_conditional_risk_relation(self):
         # with h observed, a is a p-noisy copy of y: risk H2(0.1)
@@ -205,7 +229,7 @@ class TestInformationIdentities:
     def test_log_loss_value_equals_mutual_information(self):
         problem = xor_construction(0.25)
         for signals in ((), ("h",), ("a",), ("h", "a")):
-            assert abs(value_of_information(problem, signals)
+            assert abs(bayes_risk(problem, ()) - bayes_risk(problem, signals)
                        - mutual_information_bits(problem, signals)) < 1e-12
 
     def test_quadratic_value_equals_variance_reduction(self):
@@ -216,7 +240,7 @@ class TestInformationIdentities:
                                   probs=probs,
                                   loss=QuadraticLoss())
         for signals in (("h",), ("a",), ("h", "a")):
-            assert abs(value_of_information(problem, signals)
+            assert abs(bayes_risk(problem, ()) - bayes_risk(problem, signals)
                        - variance_reduction(problem, signals)) < 1e-12
 
     def test_joint_dominates_singles(self):
@@ -286,6 +310,21 @@ class TestConstructions:
         assert _xor_q_for_ratio(1.0) == 0.0
         q = _xor_q_for_ratio(3.0)
         assert 0.0 < q < 0.5
+
+    @pytest.mark.parametrize("t, q", [
+        (1.0, "0x0.0p+0"),
+        (1.0 + 2**-52, "0x1.fffd60e94ee39p-55"),
+        (1.25, "0x1.768564175a96ep-5"),
+        (2.0, "0x1.10526c4efd740p-3"),
+        (3.0, "0x1.9347ddb6fb8cap-3"),
+        (10.0, "0x1.536e5a67d1b02p-2"),
+        (1e3, "0x1.eea304668725ep-2"),
+        (1e9, "0x1.fffb8e03bedf4p-2"),
+    ])
+    def test_xor_q_solver_keeps_its_recorded_bits(self, t, q):
+        # the roots the solver found when it returned 0.0 for t = 1 by a branch
+        # of its own; bisect now reaches that exact root itself
+        assert _xor_q_for_ratio(t).hex() == q
 
     def test_nan_ratio_target_rejected(self):
         with pytest.raises(ValidationError):
