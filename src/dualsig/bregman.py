@@ -4,11 +4,12 @@ For a strictly convex differentiable generator ``phi`` the Bregman loss is
 
     D(y, d) = phi(y) - phi(d) - <y - d, grad phi(d)>,
 
-nonnegative and zero only at ``y = d``.  Two generators are provided: the
-squared norm (loss ``|y - d|**2``) and negative entropy (loss ``KL(y || d)``
-in nats; this module deliberately stays in natural-log units, while
-:mod:`dualsig.voi` works in bits — the gap identity below is unit-invariant,
-but mixing the two silently would corrupt cross-checks).
+nonnegative and zero only at ``y = d``.  A problem's loss names its
+generator: :class:`~dualsig.voi.QuadraticLoss` is the loss of the squared
+norm, ``|y - d|**2`` on scalar states, and :class:`~dualsig.voi.LogLoss`
+that of negative entropy, ``KL(y || d)`` on one-hot states, which is the log
+loss in nats: :mod:`dualsig.voi` reports it in bits, so a log-loss value
+here is the one there times ``ln 2``.
 
 Under any Bregman loss, the conditional mean is the unique optimal decision,
 and for an arbitrary decision rule ``d_hat`` the three-point identity
@@ -27,7 +28,7 @@ of the penalty term, drawn from the caller's :class:`dualsig.rng.RngHandle`.
 
 Stacked convention: :func:`bregman_loss` takes for ``y`` and ``d`` one
 vector or a stack of them, shape ``(..., k)`` (a scalar is one vector of
-length 1), and broadcasts ``y`` against ``d``.  A generator declares no
+length 1), and broadcasts ``y`` against ``d``.  A loss declares no
 dimension: the inputs fix it, and ``y`` and ``d`` must have the same
 trailing length ``k``.  Each call validates its whole input once: the
 trailing lengths, finiteness and the negative-entropy domain, where one
@@ -54,13 +55,13 @@ from .core import (
     loss_profile,
     native,
     real,
+    typed,
 )
 from ._search import minimize_grid_refine
 from .rng import RngHandle
-from .voi import SIGNALS, DiscreteProblem
+from .voi import SIGNALS, DiscreteProblem, Loss, QuadraticLoss
 
 __all__ = [
-    "BregmanGenerator",
     "GapReport",
     "bregman_loss",
     "gap_check_discrete",
@@ -68,49 +69,40 @@ __all__ = [
     "conditional_mean_optimality",
 ]
 
-GENERATOR_KINDS = ("squared", "negative_entropy")
+
+def _phi(loss: Loss, x: np.ndarray) -> np.ndarray:
+    if isinstance(loss, QuadraticLoss):
+        return np.vecdot(x, x)
+    if (x < 0.0).any():
+        raise ValidationError("negative-entropy arguments must be nonnegative")
+    # 0 log 0 = 0: zero entries take log(1) = 0, never log(0)
+    return np.sum(x * np.log(np.where(x > 0.0, x, 1.0)), axis=-1)
 
 
-@dataclass(frozen=True)
-class BregmanGenerator:
-    """A named strictly convex generator; it applies to vectors of any length."""
-
-    kind: str
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, str) or self.kind not in GENERATOR_KINDS:
-            raise ValidationError(f"kind must be one of {GENERATOR_KINDS}, got {self.kind!r}")
-
-    def _phi(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "squared":
-            return np.vecdot(x, x)
-        if (x < 0.0).any():
-            raise ValidationError("negative-entropy arguments must be nonnegative")
-        # 0 log 0 = 0: zero entries take log(1) = 0, never log(0)
-        return np.sum(x * np.log(np.where(x > 0.0, x, 1.0)), axis=-1)
-
-    def _grad(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "squared":
-            return 2.0 * x
-        if not (x > 0.0).all():
-            raise ValidationError(
-                "negative-entropy decisions must have strictly positive entries")
-        return np.log(x) + 1.0
+def _grad(loss: Loss, x: np.ndarray) -> np.ndarray:
+    if isinstance(loss, QuadraticLoss):
+        return 2.0 * x
+    if not (x > 0.0).all():
+        raise ValidationError(
+            "negative-entropy decisions must have strictly positive entries")
+    return np.log(x) + 1.0
 
 
-def bregman_loss(gen: BregmanGenerator, y, d):
-    """``phi(y) - phi(d) - <y - d, grad phi(d)>``; >= 0, zero only at y = d.
+def bregman_loss(loss: Loss, y, d):
+    """``phi(y) - phi(d) - <y - d, grad phi(d)>`` for the generator of
+    ``loss``; >= 0, zero only at y = d.
 
     ``y`` and ``d`` are vectors or broadcasting stacks of them; a float for
     one pair, else an array of the broadcast leading shape.  ``y`` and
     ``d`` must have the same trailing length.
     """
+    typed(loss, Loss, "loss")
     yv, dv = np.atleast_1d(real(y, "y"), real(d, "d"))
     if yv.shape[-1] != dv.shape[-1]:
         raise ValidationError(
             f"y and d must be vectors of one length, got shapes {yv.shape} and {dv.shape}")
-    grad = gen._grad(dv)  # rejects decisions outside the domain
-    return native(gen._phi(yv) - gen._phi(dv) - np.vecdot(yv - dv, grad))
+    grad = _grad(loss, dv)  # rejects decisions outside the domain
+    return native(_phi(loss, yv) - _phi(loss, dv) - np.vecdot(yv - dv, grad))
 
 
 @dataclass(frozen=True)
@@ -131,11 +123,11 @@ class GapReport:
         return self.lhs - (self.marginal - self.penalty)
 
 
-def _encode_states(problem: DiscreteProblem, gen: BregmanGenerator) -> np.ndarray:
-    """One row per state: one-hot for negative entropy, else the state's value."""
-    if gen.kind == "negative_entropy":
-        return np.eye(len(problem.states))
-    return np.array(problem.states)[:, None]
+def _encode_states(problem: DiscreteProblem) -> np.ndarray:
+    """One row per state: its value under quadratic loss, else one-hot."""
+    if isinstance(problem.loss, QuadraticLoss):
+        return np.array(problem.states)[:, None]
+    return np.eye(len(problem.states))
 
 
 def _mixture(weights: np.ndarray, enc: np.ndarray) -> np.ndarray:
@@ -147,21 +139,20 @@ def _mixture(weights: np.ndarray, enc: np.ndarray) -> np.ndarray:
     return out
 
 
-def gap_check_discrete(problem: DiscreteProblem, delta_hat,
-                       gen: BregmanGenerator) -> GapReport:
-    """Evaluate every gap-identity term exactly on a finite problem.
+def gap_check_discrete(problem: DiscreteProblem, delta_hat) -> GapReport:
+    """Evaluate every gap-identity term exactly on a finite problem, under its loss.
 
     ``delta_hat`` is the rule as one table of shape ``problem.signal_shape
     + (k,)``: ``delta_hat[h, a]`` is the decision at own signal ``h`` and
-    assistant signal ``a``, with ``k = len(states)`` for negative entropy,
-    whose states are one-hot, and ``k = 1`` for the squared generator, whose
-    states are scalars; the problem's own loss is not read.  Every entry must
+    assistant signal ``a``, with ``k = 1`` under quadratic loss, whose
+    states are scalars, and ``k = 2`` under log loss, whose states are
+    one-hot and whose decisions are distributions over them.  Every entry must
     be finite, at pairs of zero probability too, but only the pairs of
-    positive probability enter the terms and the negative-entropy domain
-    check.  The conditionals come from :meth:`DiscreteProblem.conditionals`,
-    the (pair, state) losses from two stacked :func:`bregman_loss` calls.
+    positive probability enter the terms and the log-loss domain check.  The
+    conditionals come from :meth:`DiscreteProblem.conditionals`, the (pair,
+    state) losses from two stacked :func:`bregman_loss` calls.
     """
-    enc = _encode_states(problem, gen)
+    enc = _encode_states(problem)
     shape = problem.signal_shape + enc.shape[1:]
     rule = real(delta_hat, "delta_hat")
     if np.shape(rule) != shape:
@@ -178,10 +169,11 @@ def gap_check_discrete(problem: DiscreteProblem, delta_hat,
     # one (state, pair) loss table per decision d_h, d_hat, d_star; each
     # expected loss adds its terms one by one in (pair, state) order: np.sum
     # would pair them up, and from Python 3.12 on sum() compensates
-    tables = bregman_loss(gen, enc[:, None, :], np.stack([d_h, d_hat, d_star])[:, None])
+    tables = bregman_loss(problem.loss, enc[:, None, :],
+                          np.stack([d_h, d_hat, d_star])[:, None])
     l_human_term, l_hat, l_star = (reduce(add, (weights * table).T[keep].tolist(), 0.0)
                                    for table in tables)
-    penalty = reduce(add, (p_pair * bregman_loss(gen, d_star, d_hat)).tolist(), 0.0)
+    penalty = reduce(add, (p_pair * bregman_loss(problem.loss, d_star, d_hat)).tolist(), 0.0)
     lhs = l_human_term - l_hat
     marginal = l_human_term - l_star
     return GapReport(lhs=lhs, marginal=marginal, penalty=penalty)
@@ -210,19 +202,18 @@ def gap_check_gaussian_cn(env: Environment, spec: SignalSpec, n: int,
     return GapReport(lhs=lhs, marginal=marg, penalty=est.mean, penalty_se=est.std_error)
 
 
-def conditional_mean_optimality(problem: DiscreteProblem, gen: BregmanGenerator) -> float:
+def conditional_mean_optimality(problem: DiscreteProblem) -> float:
     """Largest advantage of any searched decision over the conditional mean.
 
     For every realization of the full signal tuple with positive probability, a
     grid scan plus ternary refinement looks for a decision with lower
-    conditional expected Bregman loss than the conditional mean.  Returns the
-    largest reduction found, or 0.0 when the conditional mean is never beaten;
-    it should vanish up to rounding.  Supported searches: scalar decisions for
-    the squared generator, binary distributions for negative entropy.
+    conditional expected loss, under the problem's own loss, than the
+    conditional mean.  Returns the largest reduction found, or 0.0 when the
+    conditional mean is never beaten; it should vanish up to rounding.  The
+    search runs over scalar decisions under quadratic loss and over the
+    distributions on the two states under log loss.
     """
-    if gen.kind == "negative_entropy" and len(problem.states) != 2:
-        raise ValidationError("optimality search supports binary negative entropy only")
-    enc = _encode_states(problem, gen)
+    enc = _encode_states(problem)
     _, _, conds = problem.conditionals(SIGNALS)
     max_advantage = 0.0
     for cond, d_star in zip(conds.T, _mixture(conds, enc)):
@@ -231,9 +222,9 @@ def conditional_mean_optimality(problem: DiscreteProblem, gen: BregmanGenerator)
 
         def expected(decisions: np.ndarray) -> np.ndarray:
             # rows summed in state order: one expected loss per decision
-            return (weights * bregman_loss(gen, states, decisions)).sum(axis=0)
+            return (weights * bregman_loss(problem.loss, states, decisions)).sum(axis=0)
 
-        if gen.kind == "squared":
+        if isinstance(problem.loss, QuadraticLoss):
             lo, hi = enc[:, 0].min() - 1.0, enc[:, 0].max() + 1.0
             best = minimize_grid_refine(lambda t: expected(t[:, None]), lo, hi)
         else:

@@ -230,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[seed, out],
                        help="cue-pool overlap concentration experiment")
     p.add_argument("--n", type=int, action="append",
-                   help="cue pool size, 1 to 2**53 (repeatable; default 100000)")
+                   help="cue pool size, 1 to 100000000, about 24 bytes of memory a cue "
+                        "(repeatable; default 100000)")
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--mode", default="homogeneous",
                    help="cue precision model; an unknown one exits 2 with the list")

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import operator
 import reprlib
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,7 @@ __all__ = [
     "require",
     "count",
     "indices",
+    "typed",
     "real",
     "real_scalar",
     "native",
@@ -109,6 +111,16 @@ def indices(value, name: str, size: int) -> np.ndarray:
     if idx.size and (idx[0] < 0 or idx[-1] >= size):
         raise ValidationError(f"{name} indices must lie in [0, {size}), got {idx[0]} to {idx[-1]}")
     return idx.astype(np.int64, copy=False)
+
+
+def typed(value, kind, name: str):
+    """``value`` if it is an instance of ``kind``, a class or a union of
+    classes, else a :class:`ValidationError` naming ``name``: a library
+    object read where a wrong one would fail later as an ``AttributeError``."""
+    if not isinstance(value, kind):
+        names = " or ".join(k.__name__ for k in typing.get_args(kind) or (kind,))
+        raise ValidationError(f"{name} must be {names}, got {reprlib.repr(value)}")
+    return value
 
 
 def native(x):

@@ -57,6 +57,10 @@ __all__ = [
 
 MODES = ("homogeneous", "heterogeneous")
 
+# the largest pool: a world and one assistant set hold about 24 bytes a cue,
+# so 10**8 cues peak near 2.5 GB
+MAX_CUES = 10**8
+
 
 def _round_half_away(x: float) -> int:
     """Round a finite float ``x >= 0`` to the nearest integer, halves up
@@ -186,13 +190,14 @@ def _read_world_args(n_cues: int, plan: SamplingPlan, mode: str,
     nonempty and that the inaccessible pool holds the rest of the human set.
     Heterogeneous precisions sum to at most ``N*hi``, up to rounding, so that
     bound must be finite: whether a world can be built does not depend on its
-    seed.  ``N`` is at most 2**53, checked before it meets a float: a float
-    holds every such ``N`` exactly, so ``m*N`` rounds once.
+    seed.  ``N`` is at most :data:`MAX_CUES`, checked before anything is
+    allocated and before ``N`` meets a float: a float holds every such ``N``
+    exactly, so ``m*N`` rounds once.
     """
     if not isinstance(mode, str) or mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-    if n_cues > 2**53:
-        raise ValidationError(f"n_cues must be <= 2**53 = {2**53}, got {n_cues}")
+    if n_cues > MAX_CUES:
+        raise ValidationError(f"n_cues must be <= {MAX_CUES}, got {n_cues}")
     n_acc, n_ai = _round_half_away(plan.m * n_cues), _round_half_away(plan.a * n_cues)
     n_overlap = _round_half_away(plan.k * n_cues)
     n_human = _round_half_away(plan.h_total * n_cues)

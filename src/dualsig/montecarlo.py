@@ -51,6 +51,7 @@ from .core import (
     cn_posterior_mean,
     count,
     innovation_precision,
+    typed,
 )
 from .rng import RngHandle
 
@@ -101,7 +102,9 @@ def sample_triple(env: Environment, spec: SignalSpec, rng: RngHandle, size: int)
 
     The state and own-signal noise are independent normals; the assistant
     signal composes the overlap share of ``h`` with an independent
-    innovation: ``a = lam*h + (1-lam)*(y + innovation noise)``.
+    innovation: ``a = lam*h + (1-lam)*(y + innovation noise)``.  It runs on
+    every chunk, so ``rng`` is not checked here: :func:`accumulate` reads
+    it once per estimate.
     """
     tilde = innovation_precision(spec)
     n = count(size, "size", 1)
@@ -125,9 +128,11 @@ def accumulate(env: Environment, spec: SignalSpec, n: int, rng: RngHandle,
     Streams ``n`` triples from :func:`sample_triple` in chunks of ``CHUNK``;
     each ``stats[name](y, h, a)`` maps a chunk to per-draw values.  Per-chunk
     sums of the values and of their squares are reduced by a fixed pairwise
-    tree.  ``n`` must be at least 2, the fewest draws with a standard error.
+    tree.  ``n`` must be at least 2, the fewest draws with a standard error,
+    and ``rng`` an :class:`~dualsig.rng.RngHandle`, both checked before any draw.
     """
     n = count(n, "n", 2)
+    typed(rng, RngHandle, "rng")
     sums = {name: [] for name in stats}
     sums_sq = {name: [] for name in stats}
     done = 0
@@ -246,9 +251,11 @@ def verify_closed_forms(env: Environment, tau_h: float,
     ``[(rule, estimate, closed_form), ...]`` in ``RULES`` order; judging the
     difference is left to the caller.  Cell ``i``, counted from 1, uses the
     substream ``rng.split(i)``, whichever worker of :func:`parallel_map` runs
-    it.  ``n`` must be at least 2, the fewest draws with a standard error.
+    it.  ``n`` must be at least 2, the fewest draws with a standard error,
+    and ``rng`` an :class:`~dualsig.rng.RngHandle`, both checked before any fork.
     """
     n = count(n, "n", 2)
+    typed(rng, RngHandle, "rng")
     # every closed form before the first draw, read from the phase grid's cells
     grid = regimes.phase_sweep(env, tau_h, tau_a_axis, lambda_axis).cells.ravel()
     cells = grid[["tau_a", "lam", "feasible", *RULES.values()]].tolist()

@@ -86,32 +86,36 @@ def _closed_forms(n, seed, sigma_mult, tau0, tau_h):
             yield Check(f"loss[{rule}][{cell}]", est.mean, closed_form, sigma_mult * est.std_error)
 
 
-def _random_discrete_problem(rng: RngHandle):
+# the name of each loss in the rows of the discrete checks
+_LOSSES = (("squared", voi.QuadraticLoss()), ("negative_entropy", voi.LogLoss()))
+
+
+def _random_discrete_problem(rng: RngHandle, loss):
     """Small random joint over the states 0, 1 and 2x2 or 3x2 signal values."""
     n_h = 2 + (rng.uniforms(1)[0] > 0.5)
     shape = (2, int(n_h), 2)
     raw = rng.uniforms(int(np.prod(shape))).reshape(shape)
     probs = raw / raw.sum()
-    return voi.DiscreteProblem(states=(0.0, 1.0), probs=probs, loss=voi.LogLoss())
+    return voi.DiscreteProblem(states=(0.0, 1.0), probs=probs, loss=loss)
 
 
-def _random_rule(problem, gen, rng: RngHandle):
-    """A random decision table: per signal pair, a scalar in [-0.5, 1.5) for
-    the squared generator, a distribution over the states for negative entropy."""
-    squared = gen.kind == "squared"
-    shape = problem.signal_shape + (1 if squared else len(problem.states),)
+def _random_rule(problem, rng: RngHandle):
+    """A random decision table: per signal pair, a scalar in [-0.5, 1.5) under
+    quadratic loss, a distribution over the states under log loss."""
+    quadratic = isinstance(problem.loss, voi.QuadraticLoss)
+    shape = problem.signal_shape + (1 if quadratic else len(problem.states),)
     u = rng.uniforms(int(np.prod(shape))).reshape(shape)
-    return 2.0 * u - 0.5 if squared else u / u.sum(axis=-1, keepdims=True)
+    return 2.0 * u - 0.5 if quadratic else u / u.sum(axis=-1, keepdims=True)
 
 
-def _worst_discrete_residual(rng: RngHandle, problems: int, rule_offset: int, gen) -> float:
-    """Largest ``|residual|`` of the exact gap identity over ``problems`` random
-    problems (substreams ``i``) and rules (substreams ``rule_offset + i``)."""
+def _worst_discrete_residual(rng: RngHandle, problems: int, rule_offset: int, loss) -> float:
+    """Largest ``|residual|`` of the exact gap identity under ``loss`` over ``problems``
+    random problems (substreams ``i``) and rules (substreams ``rule_offset + i``)."""
     worst = 0.0
     for i in range(problems):
-        problem = _random_discrete_problem(rng.split(i))
-        rule = _random_rule(problem, gen, rng.split(rule_offset + i))
-        worst = max(worst, abs(bregman.gap_check_discrete(problem, rule, gen).residual))
+        problem = _random_discrete_problem(rng.split(i), loss)
+        rule = _random_rule(problem, rng.split(rule_offset + i))
+        worst = max(worst, abs(bregman.gap_check_discrete(problem, rule).residual))
     return worst
 
 
@@ -130,10 +134,9 @@ def _random_feasible_specs(seed: int, specs: int):
 
 
 def _discrete_residuals(seed: int) -> list[float]:
-    """Worst exact gap residual of each of ``bregman.GENERATOR_KINDS``."""
+    """Worst exact gap residual under each loss of ``_LOSSES``."""
     rng = RngHandle(seed, stream=10)
-    return [_worst_discrete_residual(rng, 100, 1000, bregman.BregmanGenerator(kind))
-            for kind in bregman.GENERATOR_KINDS]
+    return [_worst_discrete_residual(rng, 100, 1000, loss) for _, loss in _LOSSES]
 
 
 def _gap(n, seed, sigma_mult, tau0, tau_h):
@@ -147,8 +150,8 @@ def _gap(n, seed, sigma_mult, tau0, tau_h):
         + [(bregman.gap_check_gaussian_cn, env_i, spec_i, n, RngHandle(seed_i, stream=3))
            for env_i, spec_i, seed_i in specs], local=1)
 
-    for kind, residual in zip(bregman.GENERATOR_KINDS, worst):
-        yield Check(f"discrete_residual[{kind}]", residual, 0.0, 1e-12)
+    for (name, _), residual in zip(_LOSSES, worst):
+        yield Check(f"discrete_residual[{name}]", residual, 0.0, 1e-12)
     yield Check("gaussian_penalty[1,1,1,0.5]", report.penalty, 1.0 / 63.0,
                 sigma_mult * report.penalty_se)
     for i, report in enumerate(reports):
@@ -246,14 +249,12 @@ def _lemma(n, seed, sigma_mult, tau0, tau_h):
         yield Check(f"corr_innovation_h_given_y[spec{i}]", corr, 0.0, sigma_mult * se)
 
     rng = RngHandle(seed, stream=21)
-    for kind in bregman.GENERATOR_KINDS:
-        gen = bregman.BregmanGenerator(kind)
+    for name, loss in _LOSSES:
         # the three-point identity residual equals the gap residual up to sign
-        yield Check(f"three_point_residual[{kind}]",
-                    _worst_discrete_residual(rng, 50, 500, gen), 0.0, 1e-12)
-        problem = _random_discrete_problem(rng.split(999))
-        yield Check(f"conditional_mean_optimal[{kind}]",
-                    bregman.conditional_mean_optimality(problem, gen), 0.0, 1e-9)
+        yield Check(f"three_point_residual[{name}]",
+                    _worst_discrete_residual(rng, 50, 500, loss), 0.0, 1e-12)
+        yield Check(f"conditional_mean_optimal[{name}]", bregman.conditional_mean_optimality(
+            _random_discrete_problem(rng.split(999), loss)), 0.0, 1e-9)
 
     plan = cueworld.SamplingPlan(a=0.3, m=0.5, k=0.25, h_total=0.5)
     for mode in cueworld.MODES:

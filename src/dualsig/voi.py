@@ -2,11 +2,13 @@
 
 The value of a signal set is the drop in optimal Bayes risk relative to the
 best constant decision.  For quadratic loss it equals the expected variance
-reduction; for binary log loss (base 2 throughout this module) it equals the
-mutual information between state and signals.  :func:`brute_force_voi`
-recomputes every value by minimizing, per signal realization, the expected
-loss over the decision (an array objective: a grid scan, then ternary
-refinement), and is the independent oracle for the closed-form paths.
+reduction; for binary log loss it equals the mutual information between
+state and signals.  This module reports log loss in bits, and
+:mod:`dualsig.bregman` in nats: a log-loss value there is this one times
+``ln 2``.  :func:`brute_force_voi` recomputes every value by minimizing, per
+signal realization, the expected loss over the decision (an array
+objective: a grid scan, then ternary refinement), and is the independent
+oracle for the closed-form paths.
 
 :meth:`DiscreteProblem.conditionals` alone conditions the joint table on a
 signal set, for the risks here and for :mod:`dualsig.bregman` alike.  A
@@ -37,12 +39,13 @@ from typing import Sequence
 import numpy as np
 
 from ._search import GRID_CELLS, bisect, minimize_grid_refine
-from .core import ValidationError, real, real_scalar, require
+from .core import ValidationError, real, real_scalar, require, typed
 
 __all__ = [
     "SIGNALS",
     "QuadraticLoss",
     "LogLoss",
+    "Loss",
     "DiscreteProblem",
     "VoiReport",
     "bayes_risk",
@@ -73,7 +76,7 @@ class QuadraticLoss:
 
 @dataclass(frozen=True)
 class LogLoss:
-    """Binary log loss in bits; states must be 0/1, decisions lie in (0, 1)."""
+    """Binary log loss in bits; the states are 0 and 1, decisions lie in (0, 1)."""
 
 
 Loss = QuadraticLoss | LogLoss
@@ -86,8 +89,9 @@ class DiscreteProblem:
 
     ``probs[i, j, k]`` is the probability of state ``states[i]`` jointly
     with own signal ``j`` and assistant signal ``k``: one state axis, then
-    one axis per signal of :data:`SIGNALS`.  ``states`` are finite reals,
-    stored as a tuple of floats.
+    one axis per signal of :data:`SIGNALS`.  ``states`` are at least two
+    distinct finite reals, stored as a tuple of floats; under log loss they
+    are 0 and 1.
     """
 
     states: tuple[float, ...]
@@ -95,12 +99,13 @@ class DiscreteProblem:
     loss: Loss
 
     def __post_init__(self) -> None:
-        if not isinstance(self.loss, Loss):
-            raise ValidationError(f"loss must be QuadraticLoss or LogLoss, got {self.loss!r}")
+        typed(self.loss, Loss, "loss")
         states = real(self.states, "states")
         if np.ndim(states) != 1:
             raise ValidationError(f"states must be a 1-D sequence, got {self.states!r}")
         states = tuple(states.tolist())
+        if len(set(states)) != len(states) or len(states) < 2:
+            raise ValidationError(f"states must be two or more distinct values, got {states}")
         if isinstance(self.loss, LogLoss) and set(states) - {0.0, 1.0}:
             raise ValidationError("log loss requires states in {0, 1}")
         probs = real(self.probs, "probs")
@@ -301,7 +306,7 @@ def _brute_conditional_loss(problem: DiscreteProblem, cond: np.ndarray) -> float
     if isinstance(problem.loss, QuadraticLoss):
         lo, hi = min(y), max(y)
         f = lambda d: reduce(add, (p * ((s - d) * (s - d)) for p, s in zip(cond, y)), 0.0)
-        return float(f(lo)) if lo == hi else minimize_grid_refine(f, lo, hi)
+        return minimize_grid_refine(f, lo, hi)
     p1 = float(reduce(add, (p for p, s in zip(cond, y) if s == 1.0), 0.0))
     f = lambda d: -(p1 * np.log2(d) + (1.0 - p1) * np.log2(1.0 - d))
     return minimize_grid_refine(f, 1e-12, 1.0 - 1e-12)

@@ -27,11 +27,20 @@ SPEC = SignalSpec(tau_h=1.0, tau_a=1.0, lam=0.5)
 PLAN = cueworld.SamplingPlan(a=0.3, m=0.5, k=0.25, h_total=0.5)
 WORLD = cueworld.CueWorld(precisions=np.ones(10), n_accessible=5, human_set=[0, 1])
 XOR = voi.xor_construction(0.25)
-SQUARED = bregman.BregmanGenerator("squared")
+QUADRATIC = voi.QuadraticLoss()
 
 
-def problem(states=(0.0, 1.0), probs=np.full((2, 2, 2), 0.125)):
-    return voi.DiscreteProblem(states=states, probs=probs, loss=voi.QuadraticLoss())
+def problem(states=(0.0, 1.0), probs=np.full((2, 2, 2), 0.125), loss=QUADRATIC):
+    return voi.DiscreteProblem(states=states, probs=probs, loss=loss)
+
+
+def quadratic(twin):
+    """The joint table of ``twin`` under quadratic loss, whose rule table
+    holds one number per signal pair."""
+    return problem(twin.states, twin.probs)
+
+
+QUADRATIC_XOR = quadratic(XOR)
 
 
 def plan(**fractions):
@@ -77,14 +86,12 @@ def run(**args):
 # there: it is not where the parameter takes an array of any length, a good
 # value)
 ENTRY_POINTS = {
-    "bregman.BregmanGenerator.kind": ("kind", bregman.BregmanGenerator, True, "squared"),
-    "bregman.bregman_loss.y": ("y", lambda v: bregman.bregman_loss(SQUARED, v, [0.5]), False,
-                               np.array([1.0])),
-    "bregman.bregman_loss.d": ("d", lambda v: bregman.bregman_loss(SQUARED, [1.0], v), False,
-                               np.array([0.5])),
-    # the squared generator takes a table of one number per signal pair
+    "bregman.bregman_loss.y": ("y", lambda v: bregman.bregman_loss(QUADRATIC, v, [0.5]),
+                               False, np.array([1.0])),
+    "bregman.bregman_loss.d": ("d", lambda v: bregman.bregman_loss(QUADRATIC, [1.0], v),
+                               False, np.array([0.5])),
     "bregman.gap_check_discrete.delta_hat": ("delta_hat", lambda v: bregman.gap_check_discrete(
-        XOR, v, SQUARED), True, np.full((2, 2, 1), 0.5)),
+        QUADRATIC_XOR, v), True, np.full((2, 2, 1), 0.5)),
     "bregman.gap_check_gaussian_cn.n": ("n", lambda v: bregman.gap_check_gaussian_cn(
         ENV, SPEC, v, rng.RngHandle(0)), True, 2),
     "core.Environment.tau0": ("tau0", Environment, True, 1.0),
@@ -192,7 +199,9 @@ ENTRY_POINTS = {
 # or by a parameter name alone wherever it occurs
 EXEMPT = {
     "a typed library object, checked when it was built": (
-        "env", "spec", "plan", "world", "rng", "gen", "problem", "loss", "profile"),
+        "env", "spec", "plan", "world", "problem", "profile"),
+    "drawn from on every Monte Carlo chunk; accumulate, its caller, reads it once": (
+        "montecarlo.sample_triple.rng",),
     "a record that the library fills with values it has read": (
         "bregman.GapReport", "core.LossProfile", "cueworld.ConcentrationSummary",
         "montecarlo.Estimate", "regimes.PhaseGrid", "verify.Check", "voi.VoiReport"),
@@ -200,8 +209,8 @@ EXEMPT = {
         "core.ValidationError",),
     "an enum: calling it looks a member up by value": ("regimes.Regime",),
     "a reader or check of core, which every row above runs": (
-        "core.require", "core.count", "core.indices", "core.real", "core.real_scalar",
-        "core.native", "core.finite_total"),
+        "core.require", "core.count", "core.indices", "core.typed", "core.real",
+        "core.real_scalar", "core.native", "core.finite_total"),
     "an element-wise formula on numbers already read by SignalSpec, phase_sweep or "
     "sample_triple; a reader's pass would repeat theirs on every Monte Carlo chunk": (
         "core.feasible", "core.cn_posterior_mean.h", "core.cn_posterior_mean.a",
@@ -216,6 +225,34 @@ BAD_VALUES = {"text": "0.5", "array": np.array([0.5, 0.5]), "nan": math.nan,
               "boxed": np.array("0.5", dtype=object), "bytes": b"0.5"}
 
 
+# "module.callable.parameter": (a call that passes a value in that parameter,
+# a good value) for a parameter that takes a library object of one class,
+# which core.typed reads: any other object raises a ValidationError naming it
+TYPED = {
+    "bregman.bregman_loss.loss": (lambda v: bregman.bregman_loss(v, [1.0], [0.5]), QUADRATIC),
+    "bregman.gap_check_gaussian_cn.rng": (lambda v: bregman.gap_check_gaussian_cn(
+        ENV, SPEC, 2, v), rng.RngHandle(0)),
+    "montecarlo.accumulate.rng": (lambda v: montecarlo.accumulate(ENV, SPEC, 2, v, {}),
+                                  rng.RngHandle(0)),
+    "montecarlo.paired_loss_estimates.rng": (lambda v: montecarlo.paired_loss_estimates(
+        ENV, SPEC, 2, v), rng.RngHandle(0)),
+    "montecarlo.verify_closed_forms.rng": (lambda v: montecarlo.verify_closed_forms(
+        ENV, 1.0, [1.0], [0.5], 2, v), rng.RngHandle(0)),
+    "voi.DiscreteProblem.loss": (lambda v: problem(loss=v), voi.LogLoss()),
+}
+
+WRONG_OBJECTS = {"int": 0, "none": None, "tuple": (0, 1)}
+
+
+@pytest.mark.parametrize("entry, case", [(entry, case) for entry in TYPED
+                                         for case in WRONG_OBJECTS])
+def test_a_wrong_object_raises_a_validation_error_naming_it(entry, case):
+    call, _ = TYPED[entry]
+    name = entry.rsplit(".", 1)[1]
+    with pytest.raises(ValidationError, match=rf"^{name} must be \w+"):
+        call(WRONG_OBJECTS[case])
+
+
 @pytest.mark.parametrize("entry, case", [
     (entry, case) for entry, (_, _, pair_is_bad, _) in ENTRY_POINTS.items()
     for case in BAD_VALUES if pair_is_bad or case != "array"])
@@ -227,27 +264,29 @@ def test_a_bad_argument_raises_a_validation_error_naming_it(entry, case):
 
 # the erasure problem at t = 0 never erases: own signal 2 has probability 0,
 # and a NaN decision there is read all the same
-ERASURE = voi.ratio_construction(0.0)
+ERASURE = quadratic(voi.ratio_construction(0.0))
 NAN_AT_ERASURE = np.full((3, 2, 1), 0.5)
 NAN_AT_ERASURE[2] = math.nan
 
 
 @pytest.mark.parametrize("problem, table", [
-    (XOR, np.full((2, 2), 0.5)),
-    (XOR, np.full((2, 3, 1), 0.5)),
-    (XOR, np.full((2, 2, 2), 0.5)),
+    (QUADRATIC_XOR, np.full((2, 2), 0.5)),
+    (QUADRATIC_XOR, np.full((2, 3, 1), 0.5)),
+    (QUADRATIC_XOR, np.full((2, 2, 2), 0.5)),
     (ERASURE, NAN_AT_ERASURE),
-    (XOR, {(h, a): 0.5 for h in (0, 1) for a in (0, 1)}),
+    (QUADRATIC_XOR, {(h, a): 0.5 for h in (0, 1) for a in (0, 1)}),
 ], ids=["no-decision-axis", "wrong-signal-shape", "wrong-decision-length",
         "nan-at-a-zero-probability-pair", "label-keyed-dict"])
 def test_a_bad_rule_table_raises_a_validation_error_naming_delta_hat(problem, table):
     with pytest.raises(ValidationError, match=r"\bdelta_hat\b"):
-        bregman.gap_check_discrete(problem, table, SQUARED)
+        bregman.gap_check_discrete(problem, table)
 
 
 def test_the_good_values_of_the_table_pass():
     # each call above fails only through its bad argument
     for _, call, _, good in ENTRY_POINTS.values():
+        call(good)
+    for call, good in TYPED.values():
         call(good)
 
 
@@ -276,8 +315,9 @@ def test_every_public_parameter_has_a_row_or_a_reason():
             for param in inspect.signature(obj).parameters:
                 path = f"{owner}.{param}"
                 names.update((param, path))
-                if path not in ENTRY_POINTS and path not in exempt and param not in exempt:
+                if (path not in ENTRY_POINTS and path not in TYPED and path not in exempt
+                        and param not in exempt):
                     unread.append(path)
     assert unread == []
     # and each row and exemption names a parameter that exists
-    assert sorted((set(ENTRY_POINTS) | exempt) - names) == []
+    assert sorted((set(ENTRY_POINTS) | set(TYPED) | exempt) - names) == []

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from dualsig import verify
 from dualsig.bregman import (
-    GENERATOR_KINDS,
-    BregmanGenerator,
     GapReport,
     bregman_loss,
     conditional_mean_optimality,
@@ -17,24 +15,37 @@ from dualsig.bregman import (
 )
 from dualsig.core import Environment, SignalSpec, ValidationError
 from dualsig.rng import RngHandle
-from dualsig.voi import DiscreteProblem, LogLoss, QuadraticLoss, _erasure_construction
+from dualsig.voi import (
+    DiscreteProblem,
+    LogLoss,
+    QuadraticLoss,
+    _erasure_construction,
+    marginal_value_discrete,
+    ratio_construction,
+    xor_construction,
+)
 
-SQUARED = BregmanGenerator(kind="squared")
-NEGENT = BregmanGenerator(kind="negative_entropy")
+SQUARED = QuadraticLoss()
+NEGENT = LogLoss()
+LOSSES = [SQUARED, NEGENT]
+LOSS_IDS = ["squared", "negative_entropy"]
 
 
-def random_problem(rng, numeric_states):
+def with_loss(problem, loss):
+    """The same joint table under ``loss``."""
+    return DiscreteProblem(states=problem.states, probs=problem.probs, loss=loss)
+
+
+def random_problem(rng, loss):
     raw = rng.uniform(size=(2, 2, 2))
     probs = raw / raw.sum()
-    states = (0.0, 1.0) if numeric_states else (0, 1)
-    return DiscreteProblem(states=states, probs=probs,
-                           loss=QuadraticLoss() if numeric_states else LogLoss())
+    return DiscreteProblem(states=(0, 1), probs=probs, loss=loss)
 
 
-def conditional_means(problem, gen):
+def conditional_means(problem):
     """Oracle rule table: exact conditional means per signal pair, zeros
     where the pair has probability 0."""
-    enc = encoding(problem, gen)
+    enc = encoding(problem)
     rule = np.zeros(problem.signal_shape + enc[0].shape)
     for i_h, i_a in np.ndindex(problem.signal_shape):
         col = problem.probs[:, i_h, i_a]
@@ -45,21 +56,22 @@ def conditional_means(problem, gen):
     return rule
 
 
-def encoding(problem, gen):
+def encoding(problem):
     """The state encodings of a binary problem, one vector per state."""
-    if gen.kind == "negative_entropy":
+    if isinstance(problem.loss, LogLoss):
         return [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     return [np.array([float(s)]) for s in problem.states]
 
 
-def random_rule(problem, gen, rng, lo, hi):
+def random_rule(problem, rng, lo, hi):
     """A table of decisions drawn pair by pair in C order: a scalar in
-    [lo, hi) for the squared generator, ``[t, 1 - t]`` with t in [lo, hi)
-    for negative entropy."""
-    rule = np.empty(problem.signal_shape + (1 if gen.kind == "squared" else 2,))
+    [lo, hi) under quadratic loss, ``[t, 1 - t]`` with t in [lo, hi)
+    under log loss."""
+    quadratic = isinstance(problem.loss, QuadraticLoss)
+    rule = np.empty(problem.signal_shape + (1 if quadratic else 2,))
     for pair in np.ndindex(problem.signal_shape):
         t = rng.uniform(lo, hi)
-        rule[pair] = t if gen.kind == "squared" else (t, 1.0 - t)
+        rule[pair] = t if quadratic else (t, 1.0 - t)
     return rule
 
 
@@ -92,29 +104,32 @@ class TestBregmanLoss:
     def test_domain_violations(self):
         with pytest.raises(ValidationError):
             bregman_loss(NEGENT, np.array([0.5, 0.5]), np.array([0.0, 1.0]))
-        with pytest.raises(ValidationError):
-            BregmanGenerator(kind="huber")
+        with pytest.raises(ValidationError, match=r"^loss must be QuadraticLoss or LogLoss"):
+            bregman_loss("huber", 1.0, 0.0)
 
 
-def reference_loss(gen, y, d):
+def reference_loss(loss, y, d):
     """The per-vector loss as it was computed before the stacked one."""
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     d = np.atleast_1d(np.asarray(d, dtype=np.float64))
 
+    quadratic = isinstance(loss, QuadraticLoss)
+
     def phi(x):
-        if gen.kind == "squared":
+        if quadratic:
             return float(np.dot(x, x))
         mask = x > 0.0
         return float(np.sum(x[mask] * np.log(x[mask])))
 
-    grad = 2.0 * d if gen.kind == "squared" else np.log(d) + 1.0
+    grad = 2.0 * d if quadratic else np.log(d) + 1.0
     return phi(y) - phi(d) - float(np.dot(y - d, grad))
 
 
-def reference_gap(problem, rule, gen):
+def reference_gap(problem, rule):
     """(lhs, marginal, penalty, residual) by the per-term loop that preceded
     the stacked :func:`gap_check_discrete`."""
-    if gen.kind == "negative_entropy":
+    loss = problem.loss
+    if isinstance(loss, LogLoss):
         enc = [np.eye(len(problem.states))[i] for i in range(len(problem.states))]
     else:
         enc = [np.atleast_1d(np.asarray(s, dtype=np.float64)) for s in problem.states]
@@ -133,21 +148,22 @@ def reference_gap(problem, rule, gen):
         d_hat = rule[i_h, i_a]
         for c, e in zip(cond, enc):
             if c > 0.0:
-                l_human += p_ha * c * reference_loss(gen, e, mean_h[i_h])
-                l_hat += p_ha * c * reference_loss(gen, e, d_hat)
-                l_star += p_ha * c * reference_loss(gen, e, d_star)
-        penalty += p_ha * reference_loss(gen, d_star, d_hat)
+                l_human += p_ha * c * reference_loss(loss, e, mean_h[i_h])
+                l_hat += p_ha * c * reference_loss(loss, e, d_hat)
+                l_star += p_ha * c * reference_loss(loss, e, d_star)
+        penalty += p_ha * reference_loss(loss, d_star, d_hat)
     lhs, marginal = l_human - l_hat, l_human - l_star
     return lhs, marginal, penalty, lhs - (marginal - penalty)
 
 
 @st.composite
 def stacked_pairs(draw):
-    """A generator and two equal-shape stacks of vectors in its domain."""
-    kind = draw(st.sampled_from(("squared", "negative_entropy")))
-    dim = draw(st.integers(1, 3) if kind == "squared" else st.integers(2, 3))
+    """A loss and two equal-shape stacks of vectors in its domain."""
+    loss = draw(st.sampled_from(LOSSES))
+    quadratic = isinstance(loss, QuadraticLoss)
+    dim = draw(st.integers(1, 3) if quadratic else st.integers(2, 3))
     rows = draw(st.integers(1, 6))
-    if kind == "squared":
+    if quadratic:
         y_entry = d_entry = st.floats(-1e3, 1e3)
     else:
         y_entry = st.one_of(st.just(0.0), st.floats(1e-9, 1.0))
@@ -156,19 +172,19 @@ def stacked_pairs(draw):
                       min_size=rows, max_size=rows))
     d = draw(st.lists(st.lists(d_entry, min_size=dim, max_size=dim),
                       min_size=rows, max_size=rows))
-    return BregmanGenerator(kind=kind), np.array(y), np.array(d)
+    return loss, np.array(y), np.array(d)
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=stacked_pairs())
 def test_stacked_loss_equals_the_per_vector_loss_exactly(case):
-    gen, y, d = case
-    expected = [reference_loss(gen, yi, di) for yi, di in zip(y, d)]
-    assert bregman_loss(gen, y, d).tolist() == expected
+    loss, y, d = case
+    expected = [reference_loss(loss, yi, di) for yi, di in zip(y, d)]
+    assert bregman_loss(loss, y, d).tolist() == expected
     # broadcasting every y against every d gives the same bits
-    grid = bregman_loss(gen, y[:, None, :], d[None, :, :])
-    assert grid.tolist() == [[reference_loss(gen, yi, di) for di in d] for yi in y]
-    assert [bregman_loss(gen, yi, di) for yi, di in zip(y, d)] == expected
+    grid = bregman_loss(loss, y[:, None, :], d[None, :, :])
+    assert grid.tolist() == [[reference_loss(loss, yi, di) for di in d] for yi in y]
+    assert [bregman_loss(loss, yi, di) for yi, di in zip(y, d)] == expected
 
 
 def zero_pair_problem():
@@ -181,16 +197,16 @@ def zero_pair_problem():
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_gap_check_equals_the_per_term_loop_exactly(seed):
     rng = RngHandle(seed, stream=10)
-    for kind in GENERATOR_KINDS:
-        gen = BregmanGenerator(kind=kind)
+    for loss in LOSSES:
         # the erasure problem's null own signal has probability 0
-        problems = [verify._random_discrete_problem(rng.split(i)) for i in range(100)]
-        problems += [_erasure_construction(0.0), zero_pair_problem()]
+        problems = [verify._random_discrete_problem(rng.split(i), loss) for i in range(100)]
+        problems += [with_loss(_erasure_construction(0.0), loss),
+                     with_loss(zero_pair_problem(), loss)]
         for i, problem in enumerate(problems):
-            rule = verify._random_rule(problem, gen, rng.split(1000 + i))
-            report = gap_check_discrete(problem, rule, gen)
+            rule = verify._random_rule(problem, rng.split(1000 + i))
+            report = gap_check_discrete(problem, rule)
             assert (report.lhs, report.marginal, report.penalty,
-                    report.residual) == reference_gap(problem, rule, gen)
+                    report.residual) == reference_gap(problem, rule)
 
 
 class TestStackedApi:
@@ -205,95 +221,94 @@ class TestStackedApi:
         losses = bregman_loss(NEGENT, [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
         assert losses.tolist() == [math.log(2.0)] * 2
 
-    @pytest.mark.parametrize("gen, y, d", [
+    @pytest.mark.parametrize("loss, y, d", [
         (SQUARED, [[1.0], [np.inf]], [[0.0], [0.0]]),
         (SQUARED, [[1.0], [2.0]], [[0.0], [np.nan]]),
         (NEGENT, [[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.0, 1.0]]),
         (NEGENT, [[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [-0.2, 1.2]]),
         (NEGENT, [[0.5, 0.5], [-0.5, 1.5]], [[0.5, 0.5], [0.5, 0.5]]),
     ])
-    def test_one_bad_row_rejects_the_stack(self, gen, y, d):
+    def test_one_bad_row_rejects_the_stack(self, loss, y, d):
         with pytest.raises(ValidationError):
-            bregman_loss(gen, np.array(y), np.array(d))
+            bregman_loss(loss, np.array(y), np.array(d))
 
     def test_any_vector_length_is_legal(self):
-        # the inputs fix the dimension: squared losses on 2-vectors and
-        # negative entropy on 3-vectors need no declared dimension
+        # the inputs fix the dimension: quadratic losses on 2-vectors and
+        # log losses on 3-vectors need no declared dimension
         assert bregman_loss(SQUARED, [1.0, 2.0], [1.0, 0.0]) == 4.0
         assert bregman_loss(NEGENT, [0.2, 0.3, 0.5], [0.2, 0.3, 0.5]) == 0.0
 
-    @pytest.mark.parametrize("gen", [SQUARED, NEGENT], ids=["squared", "negative_entropy"])
+    @pytest.mark.parametrize("loss", LOSSES, ids=LOSS_IDS)
     @pytest.mark.parametrize("y, d", [
         ([0.5, 0.5], [1.0]),
         ([1.0], [0.5, 0.5]),
         ([[0.2, 0.3, 0.5]], [[0.5, 0.5]]),
     ])
-    def test_unequal_lengths_rejected(self, gen, y, d):
+    def test_unequal_lengths_rejected(self, loss, y, d):
         # numpy would broadcast a length-1 vector against any length
         with pytest.raises(ValidationError, match="one length"):
-            bregman_loss(gen, y, d)
+            bregman_loss(loss, y, d)
 
 
 class TestGapCheckDiscrete:
     def test_optimal_rule_has_no_penalty(self):
         rng = np.random.default_rng(5)
-        for gen, numeric in ((SQUARED, True), (NEGENT, False)):
-            problem = random_problem(rng, numeric)
-            report = gap_check_discrete(problem, conditional_means(problem, gen), gen)
+        for loss in LOSSES:
+            problem = random_problem(rng, loss)
+            report = gap_check_discrete(problem, conditional_means(problem))
             assert abs(report.penalty) < 1e-14
             assert abs(report.lhs - report.marginal) < 1e-14
             assert abs(report.residual) < 1e-12
 
     def test_own_signal_rule_penalty_equals_marginal(self):
         rng = np.random.default_rng(6)
-        for gen, numeric in ((SQUARED, True), (NEGENT, False)):
-            problem = random_problem(rng, numeric)
+        for loss in LOSSES:
+            problem = random_problem(rng, loss)
             # rule that ignores the assistant signal: conditional mean given h
-            enc = encoding(problem, gen)
+            enc = encoding(problem)
             rule = np.empty(problem.signal_shape + enc[0].shape)
             for i_h in range(problem.signal_shape[0]):
                 col = problem.probs[:, i_h, :].sum(axis=1)
                 cond = col / col.sum()
                 rule[i_h, :] = sum(c * e for c, e in zip(cond, enc))
-            report = gap_check_discrete(problem, rule, gen)
+            report = gap_check_discrete(problem, rule)
             assert abs(report.lhs) < 1e-14
             assert abs(report.penalty - report.marginal) < 1e-13
             assert abs(report.residual) < 1e-12
 
     def test_random_rules_residual_vanishes(self):
         rng = np.random.default_rng(7)
-        for gen, numeric in ((SQUARED, True), (NEGENT, False)):
+        for loss in LOSSES:
             for _ in range(100):
-                problem = random_problem(rng, numeric)
-                if gen.kind == "squared":
-                    rule = random_rule(problem, gen, rng, -0.5, 1.5)
+                problem = random_problem(rng, loss)
+                if loss is SQUARED:
+                    rule = random_rule(problem, rng, -0.5, 1.5)
                 else:
-                    rule = random_rule(problem, gen, rng, 0.05, 0.95)
-                report = gap_check_discrete(problem, rule, gen)
+                    rule = random_rule(problem, rng, 0.05, 0.95)
+                report = gap_check_discrete(problem, rule)
                 assert abs(report.residual) < 1e-12
 
     def test_incomplete_rule_table_rejected(self):
         rng = np.random.default_rng(8)
-        problem = random_problem(rng, True)
+        problem = random_problem(rng, SQUARED)
         for table in (np.full((1, 1, 1), 0.5), np.full((2, 1, 1), 0.5)):
             with pytest.raises(ValidationError, match="delta_hat must have shape"):
-                gap_check_discrete(problem, table, SQUARED)
+                gap_check_discrete(problem, table)
 
     def test_zero_probability_pair_decision_is_never_used(self):
-        problem = random_problem(np.random.default_rng(13), True)
+        problem = random_problem(np.random.default_rng(13), SQUARED)
         probs = problem.probs.copy()
         probs[:, 1, 1] = 0.0
-        problem = DiscreteProblem(states=problem.states, probs=probs / probs.sum(),
-                                  loss=QuadraticLoss())
-        for gen in (SQUARED, NEGENT):
-            rule = conditional_means(problem, gen)
-            report = gap_check_discrete(problem, rule, gen)
+        for loss in LOSSES:
+            problem = DiscreteProblem(states=problem.states, probs=probs / probs.sum(), loss=loss)
+            rule = conditional_means(problem)
+            report = gap_check_discrete(problem, rule)
             assert abs(report.residual) < 1e-12
             # zeros there lie outside the negative-entropy domain, and no
             # decision there moves a term
             assert not rule[1, 1].any()
             rule[1, 1] = 1e6
-            assert gap_check_discrete(problem, rule, gen) == report
+            assert gap_check_discrete(problem, rule) == report
 
     def test_each_own_signal_row_reads_its_own_decision(self):
         # the two own-signal rows have different conditionals, and the rule
@@ -303,7 +318,7 @@ class TestGapCheckDiscrete:
         probs = np.array([[[4.0, 2.0], [1.0, 1.0]], [[1.0, 1.0], [2.0, 4.0]]]) / 16.0
         problem = DiscreteProblem(states=(0.0, 1.0), probs=probs, loss=QuadraticLoss())
         rule = np.array([[[0.0], [0.5]], [[0.5], [1.0]]])
-        report = gap_check_discrete(problem, rule, SQUARED)
+        report = gap_check_discrete(problem, rule)
         l_human = 3.0 / 16.0                       # E[Var(y | h)]
         l_star = 11.0 / 60.0                       # E[Var(y | h, a)]
         penalty = 17.0 / 480.0                     # E[(m - d_hat)**2]
@@ -313,7 +328,7 @@ class TestGapCheckDiscrete:
         assert abs(report.lhs - -1.0 / 32.0) <= 1e-15
         assert abs(report.residual) <= 1e-12
 
-    @pytest.mark.parametrize("gen, bad", [
+    @pytest.mark.parametrize("loss, bad", [
         (SQUARED, np.inf),
         (SQUARED, np.array([0.2, 0.4])),
         (NEGENT, np.array([0.5, np.nan])),
@@ -321,13 +336,13 @@ class TestGapCheckDiscrete:
         (NEGENT, np.array([0.0, 1.0])),
         (NEGENT, np.array([-0.5, 1.5])),
     ])
-    def test_bad_rule_value_rejected(self, gen, bad):
+    def test_bad_rule_value_rejected(self, loss, bad):
         # a decision of the wrong length leaves the nested table ragged
-        problem = random_problem(np.random.default_rng(14), gen is SQUARED)
-        rule = conditional_means(problem, gen).tolist()
+        problem = random_problem(np.random.default_rng(14), loss)
+        rule = conditional_means(problem).tolist()
         rule[1][0] = np.atleast_1d(bad).tolist()
         with pytest.raises(ValidationError):
-            gap_check_discrete(problem, rule, gen)
+            gap_check_discrete(problem, rule)
 
     def test_degenerate_conditional_rejected_for_negative_entropy(self):
         # state 1 never occurs with h = 0, so d_h and d_star there have a
@@ -337,7 +352,7 @@ class TestGapCheckDiscrete:
         problem = DiscreteProblem(states=(0, 1), probs=probs / probs.sum(), loss=LogLoss())
         rule = np.full((2, 2, 2), 0.5)
         with pytest.raises(ValidationError):
-            gap_check_discrete(problem, rule, NEGENT)
+            gap_check_discrete(problem, rule)
 
 
 class TestGapCheckGaussian:
@@ -398,41 +413,61 @@ class TestGapCheckGaussian:
 class TestConditionalMeanOptimality:
     def test_squared_conditional_mean_wins(self):
         rng = np.random.default_rng(10)
-        problem = random_problem(rng, True)
-        advantage = conditional_mean_optimality(problem, SQUARED)
+        problem = random_problem(rng, SQUARED)
+        advantage = conditional_mean_optimality(problem)
         assert isinstance(advantage, float)
         assert 0.0 <= advantage <= 1e-9
 
     def test_negative_entropy_conditional_distribution_wins(self):
         rng = np.random.default_rng(11)
-        problem = random_problem(rng, False)
-        assert 0.0 <= conditional_mean_optimality(problem, NEGENT) <= 1e-9
+        problem = random_problem(rng, NEGENT)
+        assert 0.0 <= conditional_mean_optimality(problem) <= 1e-9
 
     def test_negative_entropy_search_needs_two_states(self):
+        # a log-loss problem has the two states 0 and 1, so its search over
+        # two-state distributions covers every decision; three states are
+        # searched under quadratic loss only
         probs = np.full((3, 2, 2), 1.0 / 12.0)
+        with pytest.raises(ValidationError, match="log loss requires states in"):
+            DiscreteProblem(states=(-1.0, 0.5, 2.0), probs=probs, loss=LogLoss())
         problem = DiscreteProblem(states=(-1.0, 0.5, 2.0), probs=probs, loss=QuadraticLoss())
-        with pytest.raises(ValidationError, match="binary negative entropy"):
-            conditional_mean_optimality(problem, NEGENT)
-        assert 0.0 <= conditional_mean_optimality(problem, SQUARED) <= 1e-9
+        assert 0.0 <= conditional_mean_optimality(problem) <= 1e-9
 
     def test_constant_state_problem(self):
         probs = np.zeros((2, 2, 1))
         probs[1, 0, 0] = 0.5
         probs[1, 1, 0] = 0.5
         problem = DiscreteProblem(states=(0.0, 3.0), probs=probs, loss=QuadraticLoss())
-        assert 0.0 <= conditional_mean_optimality(problem, SQUARED) <= 1e-9
+        assert 0.0 <= conditional_mean_optimality(problem) <= 1e-9
 
 
 def test_three_point_identity_randomized_rules():
     # E[D(Y, d_hat)] - E[D(Y, d_star)] = E[D(d_star, d_hat)], exactly
     rng = np.random.default_rng(12)
-    for gen, numeric in ((SQUARED, True), (NEGENT, False)):
+    for loss in LOSSES:
         for _ in range(50):
-            problem = random_problem(rng, numeric)
-            if gen.kind == "squared":
-                rule = random_rule(problem, gen, rng, -1.0, 2.0)
+            problem = random_problem(rng, loss)
+            if loss is SQUARED:
+                rule = random_rule(problem, rng, -1.0, 2.0)
             else:
-                rule = random_rule(problem, gen, rng, 0.02, 0.98)
-            report = gap_check_discrete(problem, rule, gen)
+                rule = random_rule(problem, rng, 0.02, 0.98)
+            report = gap_check_discrete(problem, rule)
             # the gap residual is the three-point residual up to sign
             assert abs(report.residual) < 1e-12
+
+
+
+@pytest.mark.parametrize("loss", LOSSES, ids=LOSS_IDS)
+def test_the_problems_loss_is_its_bregman_loss(loss):
+    # the gap identity's marginal value is voi's conditional value of the
+    # assistant, in nats under log loss, where voi reports bits: on the gap
+    # suite's seed-0 random problems and on three constructions
+    rng = RngHandle(0, stream=10)
+    problems = [verify._random_discrete_problem(rng.split(i), loss) for i in range(100)]
+    problems += [with_loss(problem, loss) for problem in (
+        xor_construction(0.25), ratio_construction(0.3), ratio_construction(2.0))]
+    nats = math.log(2.0) if loss is NEGENT else 1.0
+    for i, problem in enumerate(problems):
+        rule = verify._random_rule(problem, rng.split(1000 + i))
+        expected = marginal_value_discrete(problem).v_a_given_h * nats
+        assert abs(gap_check_discrete(problem, rule).marginal - expected) <= 1e-12

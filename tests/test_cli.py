@@ -284,6 +284,20 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err.startswith("error: tau_bounds") and captured.err.count("\n") == 1
 
+    def test_one_cue_above_the_bound_exits_2_before_any_world_is_built(self, monkeypatch,
+                                                                       capsys):
+        # every pool size is read before the first world: 10**11 cues, under
+        # 2**53, would need about 2.4 TB
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a world was built before every pool size was checked")
+
+        monkeypatch.setattr(cueworld, "build_world", forbidden)
+        too_many = cueworld.MAX_CUES + 1
+        assert main(["simulate", "--n", "1000", "--n", str(too_many)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: n_cues must be <= {cueworld.MAX_CUES}, got {too_many}\n"
+
     def test_repeatable_n(self, tmp_path):
         code, data = run(tmp_path, "sim.csv",
                          ["simulate", "--n", "400", "--n", "800", "--reps", "5"])
@@ -454,6 +468,9 @@ USAGE_ERRORS = [
     # too large for a float, and for a numpy dimension
     ["simulate", "--n", "1" + "0" * 400],
     ["simulate", "--n", str(2**63)],
+    # one cue above the bound, and a pool that would not fit in memory
+    ["simulate", "--n", str(cueworld.MAX_CUES + 1)],
+    ["simulate", "--n", "100000000000"],
     ["simulate", "--n", "10", "--mode", "heterogeneous", "--tau-min", "1e300",
      "--tau-max", "1e308"],
     ["simulate", "--n", "1000", "--a", "1e-4", "--mode", "heterogeneous"],
@@ -618,7 +635,7 @@ HOSTILE = ["1" + "0" * 400, str(2**63), "1e400", "nan", "inf", "-0", "", "0x10",
 # not usage errors, each with its largest legal value: their pools keep
 # small and illegal values only.  Their defaults are among those values, so
 # each generated argv gives them.
-LONG_RUNS = {("simulate", "--n"): 2**53, ("simulate", "--reps"): math.inf,
+LONG_RUNS = {("simulate", "--n"): cueworld.MAX_CUES, ("simulate", "--reps"): math.inf,
              ("verify", "--n"): math.inf}
 ALWAYS_GIVEN = {"simulate": ["--n"], "verify": ["--n"]}
 

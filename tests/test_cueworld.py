@@ -204,9 +204,9 @@ class TestBuildWorld:
         (0, "n_cues must be >= 1, got 0"),
         (100.5, "n_cues must be an integer"),
         (100.0, "n_cues must be an integer"),
-        # too large for a float, and for a float to hold exactly
-        (10**400, r"n_cues must be <= 2\*\*53 = 9007199254740992, got 1000"),
-        (2**53 + 1, r"n_cues must be <= 2\*\*53 = 9007199254740992, got 9007199254740993$"),
+        # too large for a float, and one cue above the bound
+        (10**400, r"n_cues must be <= 100000000, got 1000"),
+        (10**8 + 1, r"n_cues must be <= 100000000, got 100000001$"),
     ])
     def test_pool_size_must_be_a_positive_integer(self, n_cues, message):
         # a float used to escape as a bare TypeError from the generator

@@ -89,6 +89,17 @@ class TestProblemValidation:
         assert xor_construction(0.25).signal_shape == (2, 2)
         assert _erasure_construction(0.4).signal_shape == (3, 2)
 
+    @pytest.mark.parametrize("states, loss", [
+        # one-hot encoding would split the one label 0 in two
+        ((0, 0, 1), LogLoss()),
+        ((2.0, 2.0), QuadraticLoss()),
+        ((1.0,), QuadraticLoss()),
+    ])
+    def test_states_are_two_or_more_distinct_values(self, states, loss):
+        probs = np.full((len(states), 1, 1), 1.0 / len(states))
+        with pytest.raises(ValidationError, match="states must be two or more distinct values"):
+            DiscreteProblem(states=states, probs=probs, loss=loss)
+
     def test_log_loss_needs_binary_states(self):
         probs = np.full((3, 1, 1), 1.0 / 3.0)
         with pytest.raises(ValidationError):
