@@ -25,6 +25,9 @@ i.e. information gain minus a misuse penalty.  ``gap_check_discrete``
 verifies this exactly by enumeration on finite problems; ``gap_check_gaussian_cn``
 verifies it for the Gaussian correlation-neglect rule with a Monte Carlo estimate
 of the penalty term, drawn from the caller's :class:`dualsig.rng.RngHandle`.
+This module searches nothing: the optimality of the conditional mean on a
+finite problem is checked by :func:`dualsig.voi.conditional_mean_optimality`
+on :mod:`dualsig.voi`'s brute-force search.
 
 Stacked convention: :func:`bregman_loss` takes for ``y`` and ``d`` one
 vector or a stack of them, shape ``(..., k)`` (a scalar is one vector of
@@ -57,7 +60,6 @@ from .core import (
     real,
     typed,
 )
-from ._search import minimize_grid_refine
 from .rng import RngHandle
 from .voi import SIGNALS, DiscreteProblem, Loss, QuadraticLoss
 
@@ -66,7 +68,6 @@ __all__ = [
     "bregman_loss",
     "gap_check_discrete",
     "gap_check_gaussian_cn",
-    "conditional_mean_optimality",
 ]
 
 
@@ -152,6 +153,7 @@ def gap_check_discrete(problem: DiscreteProblem, delta_hat) -> GapReport:
     conditionals come from :meth:`DiscreteProblem.conditionals`, the (pair,
     state) losses from two stacked :func:`bregman_loss` calls.
     """
+    typed(problem, DiscreteProblem, "problem")
     enc = _encode_states(problem)
     shape = problem.signal_shape + enc.shape[1:]
     rule = real(delta_hat, "delta_hat")
@@ -201,34 +203,3 @@ def gap_check_gaussian_cn(env: Environment, spec: SignalSpec, n: int,
     est = montecarlo.accumulate(env, spec, n, rng, {"penalty": misuse})["penalty"]
     return GapReport(lhs=lhs, marginal=marg, penalty=est.mean, penalty_se=est.std_error)
 
-
-def conditional_mean_optimality(problem: DiscreteProblem) -> float:
-    """Largest advantage of any searched decision over the conditional mean.
-
-    For every realization of the full signal tuple with positive probability, a
-    grid scan plus ternary refinement looks for a decision with lower
-    conditional expected loss, under the problem's own loss, than the
-    conditional mean.  Returns the largest reduction found, or 0.0 when the
-    conditional mean is never beaten; it should vanish up to rounding.  The
-    search runs over scalar decisions under quadratic loss and over the
-    distributions on the two states under log loss.
-    """
-    enc = _encode_states(problem)
-    _, _, conds = problem.conditionals(SIGNALS)
-    max_advantage = 0.0
-    for cond, d_star in zip(conds.T, _mixture(conds, enc)):
-        live = cond > 0.0
-        weights, states = cond[live, None], enc[live, None, :]
-
-        def expected(decisions: np.ndarray) -> np.ndarray:
-            # rows summed in state order: one expected loss per decision
-            return (weights * bregman_loss(problem.loss, states, decisions)).sum(axis=0)
-
-        if isinstance(problem.loss, QuadraticLoss):
-            lo, hi = enc[:, 0].min() - 1.0, enc[:, 0].max() + 1.0
-            best = minimize_grid_refine(lambda t: expected(t[:, None]), lo, hi)
-        else:
-            best = minimize_grid_refine(lambda t: expected(np.stack([t, 1.0 - t], axis=-1)),
-                                        1e-12, 1.0 - 1e-12)
-        max_advantage = max(max_advantage, float(expected(d_star[None, :])[0]) - best)
-    return max_advantage

@@ -15,7 +15,9 @@ voi           discrete value of information against brute force, a worked
               clinical example, and information-theoretic identities; no draws
 lemma         simulated conditional moments, spec ``i`` ``(d(s, 20, i), 0)``; the
               three-point identity, problem ``i < 50`` ``(s, 21.i)`` and its rule
-              ``(s, 21.(500+i))``; conditional-mean optimality ``(s, 21.999)``; and
+              ``(s, 21.(500+i))``; conditional-mean optimality against
+              :mod:`dualsig.voi`'s brute-force oracle, its log-loss value in
+              bits, ``(s, 21.999)``; and
               the cue-pool overlap ratio, world ``(d(s, 30), 0)`` and assistant set
               ``(d(s, 31), 1)``, both drawn in :mod:`dualsig.cueworld`
 
@@ -253,7 +255,7 @@ def _lemma(n, seed, sigma_mult, tau0, tau_h):
         # the three-point identity residual equals the gap residual up to sign
         yield Check(f"three_point_residual[{name}]",
                     _worst_discrete_residual(rng, 50, 500, loss), 0.0, 1e-12)
-        yield Check(f"conditional_mean_optimal[{name}]", bregman.conditional_mean_optimality(
+        yield Check(f"conditional_mean_optimal[{name}]", voi.conditional_mean_optimality(
             _random_discrete_problem(rng.split(999), loss)), 0.0, 1e-9)
 
     plan = cueworld.SamplingPlan(a=0.3, m=0.5, k=0.25, h_total=0.5)

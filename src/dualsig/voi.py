@@ -8,7 +8,9 @@ state and signals.  This module reports log loss in bits, and
 ``ln 2``.  :func:`brute_force_voi` recomputes every value by minimizing, per
 signal realization, the expected loss over the decision (an array
 objective: a grid scan, then ternary refinement), and is the independent
-oracle for the closed-form paths.
+oracle for the closed-form paths; :func:`conditional_mean_optimality`
+runs the same search against the conditional mean, realization by
+realization.  It is the package's one brute-force search of a finite problem.
 
 :meth:`DiscreteProblem.conditionals` alone conditions the joint table on a
 signal set, for the risks here and for :mod:`dualsig.bregman` alike.  A
@@ -54,6 +56,7 @@ __all__ = [
     "ratio_construction",
     "posterior_two_tests",
     "brute_force_voi",
+    "conditional_mean_optimality",
 ]
 
 SIGNALS = ("h", "a")
@@ -205,6 +208,7 @@ def bayes_risk(problem: DiscreteProblem, signals: Sequence[str] = ()) -> float:
 
     The empty signal set gives the no-information baseline risk.
     """
+    typed(problem, DiscreteProblem, "problem")
     return _risk(problem, signals, _optimal_conditional_loss)
 
 
@@ -217,6 +221,7 @@ def _report(problem: DiscreteProblem, conditional_loss) -> VoiReport:
 
 def marginal_value_discrete(problem: DiscreteProblem) -> VoiReport:
     """Full value report of a problem's own and assistant signals."""
+    typed(problem, DiscreteProblem, "problem")
     return _report(problem, _optimal_conditional_loss)
 
 
@@ -320,6 +325,22 @@ def brute_force_voi(problem: DiscreteProblem) -> VoiReport:
     problem whose signal tuple has more than ``_GUARD / GRID_CELLS``
     realizations of positive probability is rejected before any search.
     """
+    typed(problem, DiscreteProblem, "problem")
     if problem.conditionals(SIGNALS)[0].size * GRID_CELLS > _GUARD:
         raise ValidationError("brute-force enumeration guard exceeded")
     return _report(problem, _brute_conditional_loss)
+
+
+def conditional_mean_optimality(problem: DiscreteProblem) -> float:
+    """Largest advantage of the brute-force search over the conditional mean.
+
+    For each realization of the full signal tuple with positive probability,
+    the closed-form expected loss of the conditional mean minus the minimum
+    that :func:`brute_force_voi`'s search finds; returns the largest, or 0.0
+    when the search never beats the conditional mean.  It should vanish up
+    to rounding; under log loss it is in bits.
+    """
+    typed(problem, DiscreteProblem, "problem")
+    _, _, conds = problem.conditionals(SIGNALS)
+    return max(0.0, *(_optimal_conditional_loss(problem, c) - _brute_conditional_loss(problem, c)
+                      for c in conds.T))

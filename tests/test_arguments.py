@@ -199,7 +199,7 @@ ENTRY_POINTS = {
 # or by a parameter name alone wherever it occurs
 EXEMPT = {
     "a typed library object, checked when it was built": (
-        "env", "spec", "plan", "world", "problem", "profile"),
+        "env", "spec", "plan", "world", "profile"),
     "drawn from on every Monte Carlo chunk; accumulate, its caller, reads it once": (
         "montecarlo.sample_triple.rng",),
     "a record that the library fills with values it has read": (
@@ -238,7 +238,13 @@ TYPED = {
         ENV, SPEC, 2, v), rng.RngHandle(0)),
     "montecarlo.verify_closed_forms.rng": (lambda v: montecarlo.verify_closed_forms(
         ENV, 1.0, [1.0], [0.5], 2, v), rng.RngHandle(0)),
+    "bregman.gap_check_discrete.problem": (lambda v: bregman.gap_check_discrete(
+        v, np.full((2, 2, 2), 0.5)), XOR),
     "voi.DiscreteProblem.loss": (lambda v: problem(loss=v), voi.LogLoss()),
+    "voi.bayes_risk.problem": (voi.bayes_risk, XOR),
+    "voi.marginal_value_discrete.problem": (voi.marginal_value_discrete, XOR),
+    "voi.brute_force_voi.problem": (voi.brute_force_voi, XOR),
+    "voi.conditional_mean_optimality.problem": (voi.conditional_mean_optimality, XOR),
 }
 
 WRONG_OBJECTS = {"int": 0, "none": None, "tuple": (0, 1)}

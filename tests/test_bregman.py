@@ -9,7 +9,6 @@ from dualsig import verify
 from dualsig.bregman import (
     GapReport,
     bregman_loss,
-    conditional_mean_optimality,
     gap_check_discrete,
     gap_check_gaussian_cn,
 )
@@ -408,37 +407,6 @@ class TestGapCheckGaussian:
         assert isinstance(report, GapReport)
         assert report.penalty_se > 0.0
         assert abs(report.residual - (report.lhs - report.marginal + report.penalty)) < 1e-15
-
-
-class TestConditionalMeanOptimality:
-    def test_squared_conditional_mean_wins(self):
-        rng = np.random.default_rng(10)
-        problem = random_problem(rng, SQUARED)
-        advantage = conditional_mean_optimality(problem)
-        assert isinstance(advantage, float)
-        assert 0.0 <= advantage <= 1e-9
-
-    def test_negative_entropy_conditional_distribution_wins(self):
-        rng = np.random.default_rng(11)
-        problem = random_problem(rng, NEGENT)
-        assert 0.0 <= conditional_mean_optimality(problem) <= 1e-9
-
-    def test_negative_entropy_search_needs_two_states(self):
-        # a log-loss problem has the two states 0 and 1, so its search over
-        # two-state distributions covers every decision; three states are
-        # searched under quadratic loss only
-        probs = np.full((3, 2, 2), 1.0 / 12.0)
-        with pytest.raises(ValidationError, match="log loss requires states in"):
-            DiscreteProblem(states=(-1.0, 0.5, 2.0), probs=probs, loss=LogLoss())
-        problem = DiscreteProblem(states=(-1.0, 0.5, 2.0), probs=probs, loss=QuadraticLoss())
-        assert 0.0 <= conditional_mean_optimality(problem) <= 1e-9
-
-    def test_constant_state_problem(self):
-        probs = np.zeros((2, 2, 1))
-        probs[1, 0, 0] = 0.5
-        probs[1, 1, 0] = 0.5
-        problem = DiscreteProblem(states=(0.0, 3.0), probs=probs, loss=QuadraticLoss())
-        assert 0.0 <= conditional_mean_optimality(problem) <= 1e-9
 
 
 def test_three_point_identity_randomized_rules():

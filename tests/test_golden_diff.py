@@ -50,3 +50,26 @@ def test_ulps_count_across_zero_and_blank_cells_count_as_changed():
     assert golden_diff.compare_column(["-0.0", "5e-324"], ["0.0", "-5e-324"])["ulps"] == 2
     column = golden_diff.compare_column(["", "1"], ["1", "1"])
     assert column == {"kind": "numeric", "changed": 1, "abs": 0.0, "rel": 0.0, "ulps": 0}
+
+
+def test_changed_rows_are_named_by_number_and_label(tmp_path, capsys):
+    # rows 1 and 3 of three move; the check column names them, the suite
+    # column repeats one value and names nothing
+    header = ["suite", "check", "observed"]
+    old = write(tmp_path / "old.csv", [header, ["lemma", "a[x]", "0.5"],
+                                       ["lemma", "b[y]", "1"], ["lemma", "c[z]", "2"]])
+    new = write(tmp_path / "new.csv", [header, ["lemma", "a[x]", "0"],
+                                       ["lemma", "b[y]", "1"], ["lemma", "c[z]", "0"]])
+    assert golden_diff.main([old, new]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3].split()[:3] == ["observed", "numeric", "2"]
+    assert lines[4].split() == ["rows", "1", "a[x],", "3", "c[z]"]
+    assert len(lines) == 5
+
+
+def test_rows_without_a_label_column_are_numbers_and_stop_at_five(tmp_path, capsys):
+    old = write(tmp_path / "old.csv", [["N", "mode"]] + [[str(i), "m"] for i in range(7)])
+    new = write(tmp_path / "new.csv", [["N", "mode"]] + [[str(i + 1), "m"] for i in range(7)])
+    assert golden_diff.main([old, new]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].split() == ["rows", "1,", "2,", "3,", "4,", "5,", "..."]

@@ -48,6 +48,11 @@ Only ``core`` turns an argument into floats or integers with
 reject text and check finiteness, ``indices`` rejects floats, bools and
 repeats, and a hand conversion elsewhere would parse text or truncate.
 
+Only ``voi`` runs the 1-D search of ``_search``: no other module refers to
+``minimize_grid_refine``, so a finite problem has one brute-force oracle,
+and the benchmark's tracer, which patches that name in ``_search`` and
+``voi`` alone, sees every search.
+
 Only ``rng``, ``cueworld`` and ``verify`` construct an ``RngHandle``: they
 choose the seeds and streams, and every other module draws from the handle
 its caller passes, as ``montecarlo`` and ``bregman`` do.
@@ -425,6 +430,40 @@ def test_only_the_seed_owners_construct_a_handle():
     assert {stem: hits for stem, hits in found.items() if hits} == {}
 
 
+# the module that defines the 1-D search and the one that runs it
+SEARCH_MODULES = {"_search", "voi"}
+
+
+def search_references(source: str) -> list[str]:
+    """Every import of and reference to ``minimize_grid_refine`` in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias) and node.name == "minimize_grid_refine":
+            found.append("import minimize_grid_refine")
+        elif ((isinstance(node, ast.Attribute) and node.attr == "minimize_grid_refine")
+              or (isinstance(node, ast.Name) and node.id == "minimize_grid_refine")):
+            found.append(f"minimize_grid_refine at line {node.lineno}")
+    return found
+
+
+def test_search_checker_flags_imports_and_references():
+    source = ('"""minimize_grid_refine in a docstring."""\n'
+              "from . import _search\n"
+              "from ._search import bisect, minimize_grid_refine as search\n"
+              "a = _search.minimize_grid_refine(f, 0.0, 1.0)\n"
+              "b = search(f, 0.0, 1.0) + bisect(f, 0.0, 1.0)\n"
+              "c = minimize_grid_refine\n")
+    assert sorted(search_references(source)) == [
+        "import minimize_grid_refine", "minimize_grid_refine at line 4",
+        "minimize_grid_refine at line 6"]
+
+
+def test_only_voi_runs_the_search():
+    found = {path.stem: search_references(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py")) if path.stem not in SEARCH_MODULES}
+    assert {stem: hits for stem, hits in found.items() if hits} == {}
+
+
 def bench_spans() -> types.ModuleType:
     """``bench/spans.py`` executed from its source text, so nothing is
     imported or cached from bench/."""
@@ -546,9 +585,6 @@ UNREACHED_BY_DESIGN = {
     ],
     "log2(0) is undefined; no command asks for the entropy of a sure event": [
         ("voi", "_binary_entropy", "return 0.0"),
-    ],
-    "no voi row has a quadratic loss; adding one changes a pinned digest": [
-        ("voi", "_brute_conditional_loss", "lo, hi = min(y), max(y)"),
     ],
 }
 

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from dualsig import bregman, core, montecarlo, regimes, verify
+from dualsig import core, montecarlo, regimes, verify, voi
 from dualsig.core import Environment, SignalSpec, ValidationError
 from dualsig.core import bayes_posterior_mean, feasible, loss_profile
 from dualsig.montecarlo import (
@@ -321,7 +321,7 @@ class TestVerifyDecomposition:
         """The 12 moment rows of the suite, in order.  The optimality search,
         which they do not use and which dominates the suite, is replaced by a
         constant."""
-        monkeypatch.setattr(bregman, "conditional_mean_optimality", lambda problem: 0.0)
+        monkeypatch.setattr(voi, "conditional_mean_optimality", lambda problem: 0.0)
         checks = verify.run("lemma", n=n, seed=seed, sigma_mult=sigma_mult, tau0=1.0, tau_h=1.0)
         rows = [c for c in checks if c.name.split("[")[0] in self.MOMENTS]
         assert [c.name for c in rows] == [f"{name}[spec{i}]" for i in range(3)

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from dualsig import bregman, verify
+from dualsig import bregman, verify, voi
 from dualsig.cli import main
 from dualsig.core import ValidationError
 
@@ -55,7 +55,7 @@ def test_small_n_is_rejected_before_any_work(monkeypatch, capsys, suite):
         raise AssertionError("suite ran before n was checked")
 
     monkeypatch.setattr(bregman, "gap_check_discrete", forbidden)
-    monkeypatch.setattr(bregman, "conditional_mean_optimality", forbidden)
+    monkeypatch.setattr(voi, "conditional_mean_optimality", forbidden)
     with pytest.raises(ValidationError, match="n must be >= 2"):
         run(suite, n=1)
     assert main(["verify", "--suite", suite, "--n", "1"]) == 2

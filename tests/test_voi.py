@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dualsig import verify, voi
 from dualsig.core import ValidationError
 from dualsig.voi import (
     DiscreteProblem,
@@ -15,6 +16,7 @@ from dualsig.voi import (
     _xor_q_for_ratio,
     bayes_risk,
     brute_force_voi,
+    conditional_mean_optimality,
     marginal_value_discrete,
     posterior_two_tests,
     ratio_construction,
@@ -403,3 +405,62 @@ class TestBruteForce:
         problem = DiscreteProblem(states=(0, 1), probs=probs, loss=QuadraticLoss())
         with pytest.raises(ValidationError):
             brute_force_voi(problem)
+
+
+def binary_problem(rng, loss):
+    """A random joint over the states 0 and 1 and two values of each signal."""
+    raw = rng.uniform(size=(2, 2, 2))
+    return DiscreteProblem(states=(0, 1), probs=raw / raw.sum(), loss=loss)
+
+
+class TestConditionalMeanOptimality:
+    def test_squared_conditional_mean_wins(self):
+        rng = np.random.default_rng(10)
+        problem = binary_problem(rng, QuadraticLoss())
+        advantage = conditional_mean_optimality(problem)
+        assert isinstance(advantage, float)
+        assert 0.0 <= advantage <= 1e-9
+
+    def test_negative_entropy_conditional_distribution_wins(self):
+        rng = np.random.default_rng(11)
+        problem = binary_problem(rng, LogLoss())
+        assert 0.0 <= conditional_mean_optimality(problem) <= 1e-9
+
+    def test_negative_entropy_search_needs_two_states(self):
+        # a log-loss problem has the two states 0 and 1, so its search over
+        # two-state distributions covers every decision; three states are
+        # searched under quadratic loss only
+        probs = np.full((3, 2, 2), 1.0 / 12.0)
+        with pytest.raises(ValidationError, match="log loss requires states in"):
+            DiscreteProblem(states=(-1.0, 0.5, 2.0), probs=probs, loss=LogLoss())
+        problem = DiscreteProblem(states=(-1.0, 0.5, 2.0), probs=probs, loss=QuadraticLoss())
+        assert 0.0 <= conditional_mean_optimality(problem) <= 1e-9
+
+    def test_constant_state_problem(self):
+        probs = np.zeros((2, 2, 1))
+        probs[1, 0, 0] = 0.5
+        probs[1, 1, 0] = 0.5
+        problem = DiscreteProblem(states=(0.0, 3.0), probs=probs, loss=QuadraticLoss())
+        assert 0.0 <= conditional_mean_optimality(problem) <= 1e-9
+
+    def test_a_pair_that_reveals_the_state_needs_no_decision(self):
+        # at (h=0, a=0) the state is 0 for sure: its conditional mean is the
+        # decision (1, 0), outside the domain of the log loss's gradient,
+        # yet the search only needs the conditional distribution
+        problem = DiscreteProblem((0, 1), [[[0.25, 0.1], [0.1, 0.05]],
+                                           [[0.0, 0.2], [0.2, 0.1]]], LogLoss())
+        advantage = conditional_mean_optimality(problem)
+        assert isinstance(advantage, float)
+        assert 0.0 <= advantage <= 1e-9
+
+    def test_the_lemma_rows_read_this_oracle(self, monkeypatch):
+        # a conditional-mean loss 1e-6 too high is beaten by the search, and
+        # both rows of verify's lemma suite fail
+        exact = voi._optimal_conditional_loss
+        monkeypatch.setattr(voi, "_optimal_conditional_loss",
+                            lambda problem, cond: exact(problem, cond) + 1e-6)
+        checks = verify.run("lemma", n=2, seed=0, sigma_mult=4.0, tau0=1.0, tau_h=1.0)
+        rows = [c for c in checks if c.name.startswith("conditional_mean_optimal[")]
+        assert [c.name for c in rows] == ["conditional_mean_optimal[squared]",
+                                          "conditional_mean_optimal[negative_entropy]"]
+        assert [c.ok for c in rows] == [False, False]

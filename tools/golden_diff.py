@@ -9,9 +9,13 @@ column:
 For a numeric column it prints how many rows changed, the largest absolute
 and relative difference, and the largest difference in ulps (units in the
 last place of a float64, between the printed values as parsed); for a text
-column, how many rows changed.  Columns are matched by name.  A column is
-numeric when every nonblank cell of it parses as a float in both files, and
-a change from or to a blank cell counts as a changed row with no difference.
+column, how many rows changed.  Under each column with a change it names
+the first five changed rows by their 1-based number among the data rows,
+each with its label: the row's cell in the old file's first text column
+whose cells are all distinct, such as the ``check`` names of ``verify``.
+Columns are matched by name.  A column is numeric when every nonblank cell
+of it parses as a float in both files, and a change from or to a blank cell
+counts as a changed row with no difference.
 
 Make the two files by running the command at two revisions, for example with
 a checkout of the parent commit::
@@ -53,6 +57,16 @@ def _ordered(x: float) -> int:
     return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
 
 
+def _labels(header: list[str], rows: list[list[str]]) -> list[str]:
+    """Each row's cell in the first text column whose cells are all
+    distinct, so that it names the row; blanks if no column does."""
+    for i in range(len(header)):
+        cells = [row[i] for row in rows]
+        if compare_column(cells, cells)["kind"] == "text" and len(set(cells)) == len(cells):
+            return cells
+    return [""] * len(rows)
+
+
 def compare_column(old: list[str], new: list[str]) -> dict:
     """Summary of one column over the rows both files hold."""
     changed = sum(a != b for a, b in zip(old, new))
@@ -89,14 +103,22 @@ def diff(old_path: str, new_path: str) -> tuple[list[str], bool]:
         lines.append(f"column {name!r} only in new")
     lines.append(f"{'column':<14} {'kind':<8} {'changed':>8} {'max_abs':>10} "
                  f"{'max_rel':>10} {'max_ulps':>18}")
+    labels = _labels(old_header, old_rows)
     for name in (c for c in old_header if c in new_header):
         i, j = old_header.index(name), new_header.index(name)
-        column = compare_column([row[i] for row in old_rows], [row[j] for row in new_rows])
+        old_cells, new_cells = [row[i] for row in old_rows], [row[j] for row in new_rows]
+        column = compare_column(old_cells, new_cells)
         differs |= column["changed"] > 0
         line = f"{name:<14} {column['kind']:<8} {column['changed']:>8}"
         if column["kind"] == "numeric":
             line += f" {column['abs']:>10.3g} {column['rel']:>10.3g} {column['ulps']:>18}"
         lines.append(line)
+        moved = [k for k, (a, b) in enumerate(zip(old_cells, new_cells)) if a != b]
+        if moved:
+            named = [f"{k + 1} {labels[k]}".rstrip() for k in moved[:5]]
+            if len(moved) > 5:
+                named.append("...")
+            lines.append(f"{'':<14} rows " + ", ".join(named))
     return lines, differs
 
 
