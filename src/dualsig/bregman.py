@@ -4,12 +4,11 @@ For a strictly convex differentiable generator ``phi`` the Bregman loss is
 
     D(y, d) = phi(y) - phi(d) - <y - d, grad phi(d)>,
 
-nonnegative and zero only at ``y = d``.  A problem's loss names its
-generator: :class:`~dualsig.voi.QuadraticLoss` is the loss of the squared
-norm, ``|y - d|**2`` on scalar states, and :class:`~dualsig.voi.LogLoss`
-that of negative entropy, ``KL(y || d)`` on one-hot states, which is the log
-loss in nats: :mod:`dualsig.voi` reports it in bits, so a log-loss value
-here is the one there times ``ln 2``.
+nonnegative and zero only at ``y = d``.  This module holds no loss: it
+calls the problem's :data:`dualsig.voi.Loss` for its generator, gradient
+and state encoding.  A log-loss value here is in nats, the bits of
+:mod:`dualsig.voi` times ``ln 2``, and a log-loss decision may be zero only
+where ``y`` is, such an entry adding ``0 log 0 = 0`` to the inner product.
 
 Under any Bregman loss, the conditional mean is the unique optimal decision,
 and for an arbitrary decision rule ``d_hat`` the three-point identity
@@ -25,17 +24,16 @@ i.e. information gain minus a misuse penalty.  ``gap_check_discrete``
 verifies this exactly by enumeration on finite problems; ``gap_check_gaussian_cn``
 verifies it for the Gaussian correlation-neglect rule with a Monte Carlo estimate
 of the penalty term, drawn from the caller's :class:`dualsig.rng.RngHandle`.
-This module searches nothing: the optimality of the conditional mean on a
-finite problem is checked by :func:`dualsig.voi.conditional_mean_optimality`
-on :mod:`dualsig.voi`'s brute-force search.
+It searches nothing: :func:`dualsig.voi.conditional_mean_optimality` checks
+that the conditional mean of a finite problem is optimal.
 
 Stacked convention: :func:`bregman_loss` takes for ``y`` and ``d`` one
 vector or a stack of them, shape ``(..., k)`` (a scalar is one vector of
 length 1), and broadcasts ``y`` against ``d``.  A loss declares no
 dimension: the inputs fix it, and ``y`` and ``d`` must have the same
 trailing length ``k``.  Each call validates its whole input once: the
-trailing lengths, finiteness and the negative-entropy domain, where one
-bad row rejects the stack.  One pair gives a float, a stack an array.
+trailing lengths, finiteness and the loss's domain, where one bad row
+rejects the stack.  One pair gives a float, a stack an array.
 Every inner product goes through ``np.vecdot``, which rounds as ``np.dot``
 does, so a stacked loss equals the per-vector losses bit for bit.
 """
@@ -61,7 +59,7 @@ from .core import (
     typed,
 )
 from .rng import RngHandle
-from .voi import SIGNALS, DiscreteProblem, Loss, QuadraticLoss
+from .voi import SIGNALS, DiscreteProblem, Loss
 
 __all__ = [
     "GapReport",
@@ -69,24 +67,6 @@ __all__ = [
     "gap_check_discrete",
     "gap_check_gaussian_cn",
 ]
-
-
-def _phi(loss: Loss, x: np.ndarray) -> np.ndarray:
-    if isinstance(loss, QuadraticLoss):
-        return np.vecdot(x, x)
-    if (x < 0.0).any():
-        raise ValidationError("negative-entropy arguments must be nonnegative")
-    # 0 log 0 = 0: zero entries take log(1) = 0, never log(0)
-    return np.sum(x * np.log(np.where(x > 0.0, x, 1.0)), axis=-1)
-
-
-def _grad(loss: Loss, x: np.ndarray) -> np.ndarray:
-    if isinstance(loss, QuadraticLoss):
-        return 2.0 * x
-    if not (x > 0.0).all():
-        raise ValidationError(
-            "negative-entropy decisions must have strictly positive entries")
-    return np.log(x) + 1.0
 
 
 def bregman_loss(loss: Loss, y, d):
@@ -102,8 +82,8 @@ def bregman_loss(loss: Loss, y, d):
     if yv.shape[-1] != dv.shape[-1]:
         raise ValidationError(
             f"y and d must be vectors of one length, got shapes {yv.shape} and {dv.shape}")
-    grad = _grad(loss, dv)  # rejects decisions outside the domain
-    return native(_phi(loss, yv) - _phi(loss, dv) - np.vecdot(yv - dv, grad))
+    grad = loss.grad(dv, yv)  # rejects decisions outside the domain
+    return native(loss.phi(yv) - loss.phi(dv) - np.vecdot(yv - dv, grad))
 
 
 @dataclass(frozen=True)
@@ -124,13 +104,6 @@ class GapReport:
         return self.lhs - (self.marginal - self.penalty)
 
 
-def _encode_states(problem: DiscreteProblem) -> np.ndarray:
-    """One row per state: its value under quadratic loss, else one-hot."""
-    if isinstance(problem.loss, QuadraticLoss):
-        return np.array(problem.states)[:, None]
-    return np.eye(len(problem.states))
-
-
 def _mixture(weights: np.ndarray, enc: np.ndarray) -> np.ndarray:
     """``sum(w * e for w, e in zip(weights, enc))`` for each column of the
     ``(states, k)`` weights: ``k`` rows, each summed in state order."""
@@ -145,16 +118,16 @@ def gap_check_discrete(problem: DiscreteProblem, delta_hat) -> GapReport:
 
     ``delta_hat`` is the rule as one table of shape ``problem.signal_shape
     + (k,)``: ``delta_hat[h, a]`` is the decision at own signal ``h`` and
-    assistant signal ``a``, with ``k = 1`` under quadratic loss, whose
-    states are scalars, and ``k = 2`` under log loss, whose states are
-    one-hot and whose decisions are distributions over them.  Every entry must
-    be finite, at pairs of zero probability too, but only the pairs of
-    positive probability enter the terms and the log-loss domain check.  The
-    conditionals come from :meth:`DiscreteProblem.conditionals`, the (pair,
-    state) losses from two stacked :func:`bregman_loss` calls.
+    assistant signal ``a``, of the length ``k`` of the loss's state encoding:
+    a scalar under quadratic loss, a distribution over the one-hot states
+    under log loss.  Every entry must be finite, at pairs of zero
+    probability too, but only the (pair, state) entries of positive
+    probability enter the terms and the loss's domain check.  The
+    conditionals come from :meth:`DiscreteProblem.conditionals`, the
+    losses from two stacked :func:`bregman_loss` calls.
     """
     typed(problem, DiscreteProblem, "problem")
-    enc = _encode_states(problem)
+    enc = problem.loss.encode(problem.states)
     shape = problem.signal_shape + enc.shape[1:]
     rule = real(delta_hat, "delta_hat")
     if np.shape(rule) != shape:
@@ -166,14 +139,13 @@ def gap_check_discrete(problem: DiscreteProblem, delta_hat) -> GapReport:
     d_star = _mixture(cond, enc)
     d_hat = rule.reshape(-1, shape[2])[live]
 
-    weights = cond * p_pair
-    keep = (cond > 0.0).T
-    # one (state, pair) loss table per decision d_h, d_hat, d_star; each
-    # expected loss adds its terms one by one in (pair, state) order: np.sum
-    # would pair them up, and from Python 3.12 on sum() compensates
-    tables = bregman_loss(problem.loss, enc[:, None, :],
-                          np.stack([d_h, d_hat, d_star])[:, None])
-    l_human_term, l_hat, l_star = (reduce(add, (weights * table).T[keep].tolist(), 0.0)
+    # the (pair, state) entries whose state can occur, pair-major; each expected
+    # loss adds its terms one by one in that order: np.sum would pair them up,
+    # and from Python 3.12 on sum() compensates
+    pairs, states = (cond > 0.0).T.nonzero()
+    weights = (cond * p_pair)[states, pairs]
+    tables = bregman_loss(problem.loss, enc[states], np.stack([d_h, d_hat, d_star])[:, pairs])
+    l_human_term, l_hat, l_star = (reduce(add, (weights * table).tolist(), 0.0)
                                    for table in tables)
     penalty = reduce(add, (p_pair * bregman_loss(problem.loss, d_star, d_hat)).tolist(), 0.0)
     lhs = l_human_term - l_hat

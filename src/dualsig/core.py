@@ -283,6 +283,8 @@ def loss_profile(env: Environment, spec: SignalSpec) -> LossProfile:
     equals the own-signal posterior and the marginal value is 0.  A total
     that overflows raises :class:`ValidationError` naming it.
     """
+    typed(env, Environment, "env")
+    typed(spec, SignalSpec, "spec")
     lh = 1.0 / finite_total(env.tau0 + spec.tau_h, "tau0 + tau_h")
     full = spec.lam == 1.0
     # lam = 0 stands in where lam = 1; those cells keep lh instead.

@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ValidationError, count, finite_total, indices, real, real_scalar, require
+from .core import ValidationError, count, finite_total, indices, real, real_scalar, require, typed
 from .rng import RngHandle, derive_seed
 
 __all__ = [
@@ -164,6 +164,7 @@ def build_world(n_cues: int, plan: SamplingPlan, mode: str = "homogeneous",
     on ``tau_bounds``, which either mode checks; homogeneous precisions are
     1.  Every argument is checked before any draw.
     """
+    typed(plan, SamplingPlan, "plan")
     n_cues = count(n_cues, "n_cues", 1)
     n_acc, n_overlap, n_human, lo, hi = _read_world_args(n_cues, plan, mode, tau_bounds)
     rng = RngHandle(seed, stream=0)
@@ -220,6 +221,7 @@ def _read_world_args(n_cues: int, plan: SamplingPlan, mode: str,
 def sample_ai_set(world: CueWorld, a: float, seed: int = 0) -> np.ndarray:
     """Uniform ``round(a*N)``-subset of the accessible pool (stream 1), for a
     fraction ``a`` of the pool in (0, 1]."""
+    typed(world, CueWorld, "world")
     a = real_scalar(a, "a")
     require(0.0 < a <= 1.0, "a must lie in (0, 1], got {}", a)  # so that a*N is finite
     n_ai = _round_half_away(a * world.n_cues)
@@ -239,6 +241,7 @@ def empirical_lambda(world: CueWorld, ai_set: Iterable[int]) -> float:
     count ratio ``|A∩H| / |A|`` bit for bit.  ``ai_set`` may be unsorted;
     its indices must be distinct.
     """
+    typed(world, CueWorld, "world")
     a_idx = indices(ai_set, "ai_set", world.n_cues)
     if a_idx.size == 0:
         raise ValidationError("ai_set must be nonempty")
@@ -255,6 +258,7 @@ def covariance_lambda(world: CueWorld, ai_set: Iterable[int]) -> float:
     it shares no shortcut with :func:`empirical_lambda`; the two agree up to
     rounding, which is the identity the ratio formulas rest on.
     """
+    typed(world, CueWorld, "world")
     h_idx = world.human_set
     a_idx = indices(ai_set, "ai_set", world.n_cues)
     if h_idx.size == 0 or a_idx.size == 0:
@@ -291,6 +295,7 @@ def concentration_experiment(n_values: Sequence[int], plan: SamplingPlan,
     :func:`build_world` checks its arguments, before the first world is
     built.
     """
+    typed(plan, SamplingPlan, "plan")
     reps = count(reps, "reps", 1)
     try:
         if isinstance(n_values, (bytes, bytearray)):  # iterates as ints, but is no list of sizes

@@ -131,6 +131,8 @@ def accumulate(env: Environment, spec: SignalSpec, n: int, rng: RngHandle,
     tree.  ``n`` must be at least 2, the fewest draws with a standard error,
     and ``rng`` an :class:`~dualsig.rng.RngHandle`, both checked before any draw.
     """
+    typed(env, Environment, "env")
+    typed(spec, SignalSpec, "spec")
     n = count(n, "n", 2)
     typed(rng, RngHandle, "rng")
     sums = {name: [] for name in stats}

@@ -36,6 +36,7 @@ from .core import (
     real,
     real_scalar,
     require,
+    typed,
 )
 
 __all__ = [
@@ -86,6 +87,7 @@ def tau_aug(env: Environment, tau_h: float, lam):
     reads as "any positive assistant precision already augments".
     Broadcasts over an array ``lam``.
     """
+    typed(env, Environment, "env")
     lam = _check_lambda(lam, lo_open=False)
     tau_h = real_scalar(tau_h, "tau_h", positive=True)
     return finite_total(env.tau0 + tau_h, "tau0 + tau_h") * (2.0 * lam - 1.0)
@@ -101,6 +103,7 @@ def tau_auto(env: Environment, tau_h: float, lam):
     array ``lam``; raises where the discriminant or the root is not finite,
     or the root is not positive.
     """
+    typed(env, Environment, "env")
     lam = _check_lambda(lam, lo_open=True)
     tau_h = real_scalar(tau_h, "tau_h", positive=True)
     b = tau_h - 2.0 * lam * env.tau0
@@ -115,6 +118,7 @@ def tau_auto(env: Environment, tau_h: float, lam):
 
 def lambda_bar(env: Environment, tau_h: float) -> float:
     """Overlap level above which the combination is never the best choice."""
+    typed(env, Environment, "env")
     tau_h = real_scalar(tau_h, "tau_h", positive=True)
     return 0.5 + tau_h / finite_total(2.0 * (env.tau0 + tau_h), "2*(tau0 + tau_h)")
 
@@ -127,6 +131,7 @@ def classify(profile: LossProfile):
     then the combination.  A :class:`Regime` for a profile of floats, an
     object array of them for a profile of arrays.
     """
+    typed(profile, LossProfile, "profile")
     lh, la, lcn = profile.l_human, profile.l_ai, profile.l_joint_cn
     return _TIE_ORDER[np.where((lh <= la) & (lh <= lcn), 0, np.where(la <= lcn, 1, 2))]
 
@@ -164,6 +169,7 @@ def phase_sweep(env: Environment, tau_h: float,
     spec, and give the same bits as evaluating each cell on its own.  The
     grid holds at most a million cells, checked before it is allocated.
     """
+    typed(env, Environment, "env")
     tau_h = real_scalar(tau_h, "tau_h", positive=True)
     ta_axis = _check_axis(tau_a_axis, "tau_a_axis", positive=True)
     lam_axis = _check_axis(lambda_axis, "lambda_axis")

@@ -5,11 +5,17 @@ best constant decision.  For quadratic loss it equals the expected variance
 reduction; for binary log loss it equals the mutual information between
 state and signals.  This module reports log loss in bits, and
 :mod:`dualsig.bregman` in nats: a log-loss value there is this one times
-``ln 2``.  :func:`brute_force_voi` recomputes every value by minimizing, per
-signal realization, the expected loss over the decision (an array
-objective: a grid scan, then ternary refinement), and is the independent
-oracle for the closed-form paths; :func:`conditional_mean_optimality`
-runs the same search against the conditional mean, realization by
+``ln 2``.
+
+Each :data:`Loss` owns its algebra, which no other module holds: its
+``encode(states)``, one row per state; its Bregman generator ``phi`` and
+``grad(d, y)``, which rejects decisions outside its domain; and its expected
+loss against a conditional state distribution, of the conditional mean
+(``closed_form_risk``) and the least that a search finds (``searched_risk``).
+:func:`brute_force_voi` recomputes every value from ``searched_risk``, which
+minimizes over the decision (an array objective: a grid scan, then ternary
+refinement), and is the independent oracle for the closed-form paths;
+:func:`conditional_mean_optimality` compares the two risks, realization by
 realization.  It is the package's one brute-force search of a finite problem.
 
 :meth:`DiscreteProblem.conditionals` alone conditions the joint table on a
@@ -74,12 +80,56 @@ def _binary_entropy(p: float) -> float:
 
 @dataclass(frozen=True)
 class QuadraticLoss:
-    """Squared error; states must be real, decisions range over the reals."""
+    """Squared error, the Bregman loss of ``phi(x) = <x, x>``; states and decisions are real."""
+
+    def encode(self, states) -> np.ndarray:
+        return np.array(states)[:, None]
+
+    def phi(self, x: np.ndarray) -> np.ndarray:
+        return np.vecdot(x, x)
+
+    def grad(self, d: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return 2.0 * d
+
+    def closed_form_risk(self, y, cond: np.ndarray) -> float:
+        y = np.asarray(y)
+        mean = float(np.dot(cond, y))
+        return float(np.dot(cond, y * y)) - mean * mean
+
+    def searched_risk(self, y, cond: np.ndarray) -> float:
+        lo, hi = min(y), max(y)
+        f = lambda d: reduce(add, (p * ((s - d) * (s - d)) for p, s in zip(cond, y)), 0.0)
+        return minimize_grid_refine(f, lo, hi)
 
 
 @dataclass(frozen=True)
 class LogLoss:
-    """Binary log loss in bits; the states are 0 and 1, decisions lie in (0, 1)."""
+    """Binary log loss in bits, and in nats the Bregman loss of negative entropy,
+    ``KL(y || d)`` on one-hot states; the states are 0 and 1."""
+
+    def encode(self, states) -> np.ndarray:
+        return np.eye(len(states))
+
+    def phi(self, x: np.ndarray) -> np.ndarray:
+        if (x < 0.0).any():
+            raise ValidationError("negative-entropy arguments must be nonnegative")
+        # 0 log 0 = 0: zero entries take log(1) = 0, never log(0)
+        return np.sum(x * np.log(np.where(x > 0.0, x, 1.0)), axis=-1)
+
+    def grad(self, d: np.ndarray, y: np.ndarray) -> np.ndarray:
+        if not ((d > 0.0) | (d == 0.0) & (y == 0.0)).all():
+            raise ValidationError(
+                "negative-entropy decisions must be positive, or zero where y is")
+        # where d is 0 so is y - d: the entry adds 0 log 0 = 0 to the inner product
+        return np.log(np.where(d > 0.0, d, 1.0)) + 1.0
+
+    def closed_form_risk(self, y, cond: np.ndarray) -> float:
+        return _binary_entropy(float(np.dot(cond, np.asarray(y))))
+
+    def searched_risk(self, y, cond: np.ndarray) -> float:
+        p1 = float(reduce(add, (p for p, s in zip(cond, y) if s == 1.0), 0.0))
+        f = lambda d: -(p1 * np.log2(d) + (1.0 - p1) * np.log2(1.0 - d))
+        return minimize_grid_refine(f, 1e-12, 1.0 - 1e-12)
 
 
 Loss = QuadraticLoss | LogLoss
@@ -187,19 +237,10 @@ class VoiReport:
         return self.v_a_given_h / self.v_a if self.v_a > 0.0 else math.nan
 
 
-def _optimal_conditional_loss(problem: DiscreteProblem, cond: np.ndarray) -> float:
-    """Minimal expected loss against a conditional state distribution."""
-    y = np.asarray(problem.states)
-    if isinstance(problem.loss, QuadraticLoss):
-        mean = float(np.dot(cond, y))
-        return float(np.dot(cond, y * y)) - mean * mean
-    return _binary_entropy(float(np.dot(cond, y)))
-
-
-def _risk(problem: DiscreteProblem, signals: Sequence[str], conditional_loss) -> float:
-    """Expected ``conditional_loss(problem, cond)`` over the realizations."""
+def _risk(problem: DiscreteProblem, signals: Sequence[str], risk) -> float:
+    """Expected ``risk(problem.states, cond)`` over the realizations."""
     _, p, cond = problem.conditionals(signals)
-    return float(reduce(add, (p_j * conditional_loss(problem, c)
+    return float(reduce(add, (p_j * risk(problem.states, c)
                               for p_j, c in zip(p.tolist(), cond.T)), 0.0))
 
 
@@ -209,12 +250,12 @@ def bayes_risk(problem: DiscreteProblem, signals: Sequence[str] = ()) -> float:
     The empty signal set gives the no-information baseline risk.
     """
     typed(problem, DiscreteProblem, "problem")
-    return _risk(problem, signals, _optimal_conditional_loss)
+    return _risk(problem, signals, problem.loss.closed_form_risk)
 
 
-def _report(problem: DiscreteProblem, conditional_loss) -> VoiReport:
+def _report(problem: DiscreteProblem, risk) -> VoiReport:
     """Values of a problem's signals from its four risks."""
-    l0, r_h, r_a, r_joint = (_risk(problem, signals, conditional_loss)
+    l0, r_h, r_a, r_joint = (_risk(problem, signals, risk)
                              for signals in ((), ("h",), ("a",), SIGNALS))
     return VoiReport(v_h=l0 - r_h, v_a=l0 - r_a, v_joint=l0 - r_joint)
 
@@ -222,7 +263,7 @@ def _report(problem: DiscreteProblem, conditional_loss) -> VoiReport:
 def marginal_value_discrete(problem: DiscreteProblem) -> VoiReport:
     """Full value report of a problem's own and assistant signals."""
     typed(problem, DiscreteProblem, "problem")
-    return _report(problem, _optimal_conditional_loss)
+    return _report(problem, problem.loss.closed_form_risk)
 
 
 def xor_construction(q: float) -> DiscreteProblem:
@@ -305,18 +346,6 @@ def posterior_two_tests(prior: float, tpr: float, fpr: float) -> tuple[float, fl
 _GUARD = 10_000_000
 
 
-def _brute_conditional_loss(problem: DiscreteProblem, cond: np.ndarray) -> float:
-    """Numerically minimized expected loss for one realization (no closed forms)."""
-    y = problem.states
-    if isinstance(problem.loss, QuadraticLoss):
-        lo, hi = min(y), max(y)
-        f = lambda d: reduce(add, (p * ((s - d) * (s - d)) for p, s in zip(cond, y)), 0.0)
-        return minimize_grid_refine(f, lo, hi)
-    p1 = float(reduce(add, (p for p, s in zip(cond, y) if s == 1.0), 0.0))
-    f = lambda d: -(p1 * np.log2(d) + (1.0 - p1) * np.log2(1.0 - d))
-    return minimize_grid_refine(f, 1e-12, 1.0 - 1e-12)
-
-
 def brute_force_voi(problem: DiscreteProblem) -> VoiReport:
     """Value report computed by direct rule-space minimization.
 
@@ -328,7 +357,7 @@ def brute_force_voi(problem: DiscreteProblem) -> VoiReport:
     typed(problem, DiscreteProblem, "problem")
     if problem.conditionals(SIGNALS)[0].size * GRID_CELLS > _GUARD:
         raise ValidationError("brute-force enumeration guard exceeded")
-    return _report(problem, _brute_conditional_loss)
+    return _report(problem, problem.loss.searched_risk)
 
 
 def conditional_mean_optimality(problem: DiscreteProblem) -> float:
@@ -342,5 +371,5 @@ def conditional_mean_optimality(problem: DiscreteProblem) -> float:
     """
     typed(problem, DiscreteProblem, "problem")
     _, _, conds = problem.conditionals(SIGNALS)
-    return max(0.0, *(_optimal_conditional_loss(problem, c) - _brute_conditional_loss(problem, c)
-                      for c in conds.T))
+    loss, y = problem.loss, problem.states
+    return max(0.0, *(loss.closed_form_risk(y, c) - loss.searched_risk(y, c) for c in conds.T))

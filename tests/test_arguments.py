@@ -20,7 +20,7 @@ import pytest
 
 import dualsig
 from dualsig import bregman, cueworld, montecarlo, regimes, rng, verify, voi
-from dualsig.core import Environment, SignalSpec, ValidationError
+from dualsig.core import Environment, SignalSpec, ValidationError, loss_profile
 
 ENV = Environment(tau0=1.0)
 SPEC = SignalSpec(tau_h=1.0, tau_a=1.0, lam=0.5)
@@ -198,10 +198,11 @@ ENTRY_POINTS = {
 # "module.callable.parameter", as "module.callable" for all its parameters,
 # or by a parameter name alone wherever it occurs
 EXEMPT = {
-    "a typed library object, checked when it was built": (
-        "env", "spec", "plan", "world", "profile"),
-    "drawn from on every Monte Carlo chunk; accumulate, its caller, reads it once": (
-        "montecarlo.sample_triple.rng",),
+    "read on every Monte Carlo chunk; accumulate, which runs the chunks, reads it once": (
+        "montecarlo.sample_triple.env", "montecarlo.sample_triple.spec",
+        "montecarlo.sample_triple.rng", "core.innovation_precision.spec",
+        "core.cn_posterior_mean.env", "core.cn_posterior_mean.spec",
+        "core.bayes_posterior_mean.env", "core.bayes_posterior_mean.spec"),
     "a record that the library fills with values it has read": (
         "bregman.GapReport", "core.LossProfile", "cueworld.ConcentrationSummary",
         "montecarlo.Estimate", "regimes.PhaseGrid", "verify.Check", "voi.VoiReport"),
@@ -245,6 +246,34 @@ TYPED = {
     "voi.marginal_value_discrete.problem": (voi.marginal_value_discrete, XOR),
     "voi.brute_force_voi.problem": (voi.brute_force_voi, XOR),
     "voi.conditional_mean_optimality.problem": (voi.conditional_mean_optimality, XOR),
+    "core.loss_profile.env": (lambda v: loss_profile(v, SPEC), ENV),
+    "core.loss_profile.spec": (lambda v: loss_profile(ENV, v), SPEC),
+    "montecarlo.accumulate.env": (lambda v: montecarlo.accumulate(
+        v, SPEC, 2, rng.RngHandle(0), {}), ENV),
+    "montecarlo.accumulate.spec": (lambda v: montecarlo.accumulate(
+        ENV, v, 2, rng.RngHandle(0), {}), SPEC),
+    "montecarlo.paired_loss_estimates.env": (lambda v: montecarlo.paired_loss_estimates(
+        v, SPEC, 2, rng.RngHandle(0)), ENV),
+    "montecarlo.paired_loss_estimates.spec": (lambda v: montecarlo.paired_loss_estimates(
+        ENV, v, 2, rng.RngHandle(0)), SPEC),
+    "montecarlo.verify_closed_forms.env": (lambda v: montecarlo.verify_closed_forms(
+        v, 1.0, [1.0], [0.5], 2, rng.RngHandle(0)), ENV),
+    "bregman.gap_check_gaussian_cn.env": (lambda v: bregman.gap_check_gaussian_cn(
+        v, SPEC, 2, rng.RngHandle(0)), ENV),
+    "bregman.gap_check_gaussian_cn.spec": (lambda v: bregman.gap_check_gaussian_cn(
+        ENV, v, 2, rng.RngHandle(0)), SPEC),
+    "regimes.tau_aug.env": (lambda v: regimes.tau_aug(v, 1.0, 0.5), ENV),
+    "regimes.tau_auto.env": (lambda v: regimes.tau_auto(v, 1.0, 0.5), ENV),
+    "regimes.lambda_bar.env": (lambda v: regimes.lambda_bar(v, 1.0), ENV),
+    "regimes.phase_sweep.env": (lambda v: regimes.phase_sweep(v, 1.0, [1.0], [0.5]), ENV),
+    "regimes.classify.profile": (regimes.classify, loss_profile(ENV, SPEC)),
+    "cueworld.build_world.plan": (lambda v: cueworld.build_world(100, v), PLAN),
+    "cueworld.concentration_experiment.plan": (lambda v: cueworld.concentration_experiment(
+        [100], v, 2), PLAN),
+    "cueworld.sample_ai_set.world": (lambda v: cueworld.sample_ai_set(v, 0.3), WORLD),
+    "cueworld.empirical_lambda.world": (lambda v: cueworld.empirical_lambda(v, [0, 1]), WORLD),
+    "cueworld.covariance_lambda.world": (lambda v: cueworld.covariance_lambda(v, [0, 1]),
+                                         WORLD),
 }
 
 WRONG_OBJECTS = {"int": 0, "none": None, "tuple": (0, 1)}

@@ -103,6 +103,8 @@ class TestBregmanLoss:
     def test_domain_violations(self):
         with pytest.raises(ValidationError):
             bregman_loss(NEGENT, np.array([0.5, 0.5]), np.array([0.0, 1.0]))
+        with pytest.raises(ValidationError, match="zero where y is"):
+            bregman_loss(NEGENT, [0, 1], [1, 0])
         with pytest.raises(ValidationError, match=r"^loss must be QuadraticLoss or LogLoss"):
             bregman_loss("huber", 1.0, 0.0)
 
@@ -120,8 +122,11 @@ def reference_loss(loss, y, d):
         mask = x > 0.0
         return float(np.sum(x[mask] * np.log(x[mask])))
 
-    grad = 2.0 * d if quadratic else np.log(d) + 1.0
-    return phi(y) - phi(d) - float(np.dot(y - d, grad))
+    if quadratic:
+        return phi(y) - phi(d) - float(np.dot(y - d, 2.0 * d))
+    # a zero entry of d, where y is zero too, adds 0 log 0 = 0 to the inner product
+    live = d > 0.0
+    return phi(y) - phi(d) - float(np.dot((y - d)[live], np.log(d[live]) + 1.0))
 
 
 def reference_gap(problem, rule):
@@ -219,6 +224,15 @@ class TestStackedApi:
         # phi(one-hot y) = 0, so KL(y || uniform) = -phi(uniform) = log 2
         losses = bregman_loss(NEGENT, [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
         assert losses.tolist() == [math.log(2.0)] * 2
+
+    def test_a_decision_may_be_zero_where_y_is(self):
+        # KL(delta || delta) = 0; a zero entry of d adds 0 log 0 = 0
+        assert bregman_loss(NEGENT, [1, 0], [1, 0]) == 0.0
+        got = bregman_loss(NEGENT, [0.3, 0.7, 0.0], [0.6, 0.4, 0.0])
+        assert got == bregman_loss(NEGENT, [0.3, 0.7], [0.6, 0.4])
+        # but not where y is positive, in any row of a stack
+        with pytest.raises(ValidationError, match="zero where y is"):
+            bregman_loss(NEGENT, [[1.0, 0.0], [0.5, 0.5]], [1.0, 0.0])
 
     @pytest.mark.parametrize("loss, y, d", [
         (SQUARED, [[1.0], [np.inf]], [[0.0], [0.0]]),
@@ -343,15 +357,30 @@ class TestGapCheckDiscrete:
         with pytest.raises(ValidationError):
             gap_check_discrete(problem, rule)
 
-    def test_degenerate_conditional_rejected_for_negative_entropy(self):
+    def test_degenerate_conditional_is_in_the_negative_entropy_domain(self):
         # state 1 never occurs with h = 0, so d_h and d_star there have a
-        # zero entry, outside the negative-entropy domain
+        # zero entry, and only where the state cannot occur: its loss is
+        # never built, and the identity holds
         probs = np.full((2, 2, 2), 0.125)
         probs[1, 0, :] = 0.0
         problem = DiscreteProblem(states=(0, 1), probs=probs / probs.sum(), loss=LogLoss())
         rule = np.full((2, 2, 2), 0.5)
-        with pytest.raises(ValidationError):
+        report = gap_check_discrete(problem, rule)
+        assert report == GapReport(*reference_gap(problem, rule)[:3])
+        assert abs(report.residual) <= 1e-12
+        # a decision that is zero where the state can occur is still rejected
+        rule[1, 0] = (0.0, 1.0)
+        with pytest.raises(ValidationError, match="zero where y is"):
             gap_check_discrete(problem, rule)
+
+    def test_a_pair_that_reveals_the_state_keeps_the_identity(self):
+        # at (h=0, a=0) the state is 0 for sure, so d_star there is (1, 0)
+        problem = DiscreteProblem((0, 1), [[[0.25, 0.1], [0.1, 0.05]],
+                                           [[0.0, 0.2], [0.2, 0.1]]], LogLoss())
+        rule = np.full((2, 2, 2), 0.5)
+        report = gap_check_discrete(problem, rule)
+        assert abs(report.residual) <= 1e-12
+        assert report == GapReport(*reference_gap(problem, rule)[:3])
 
 
 class TestGapCheckGaussian:

@@ -53,6 +53,11 @@ Only ``voi`` runs the 1-D search of ``_search``: no other module refers to
 and the benchmark's tracer, which patches that name in ``_search`` and
 ``voi`` alone, sees every search.
 
+Each loss class of ``voi`` owns its algebra: its state encoding, Bregman
+generator and gradient, and its two risks.  ``bregman`` names neither
+``QuadraticLoss`` nor ``LogLoss``, and ``voi`` branches on a loss class only
+in ``DiscreteProblem``, whose log-loss states are 0 and 1.
+
 Only ``rng``, ``cueworld`` and ``verify`` construct an ``RngHandle``: they
 choose the seeds and streams, and every other module draws from the handle
 its caller passes, as ``montecarlo`` and ``bregman`` do.
@@ -462,6 +467,63 @@ def test_only_voi_runs_the_search():
     found = {path.stem: search_references(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py")) if path.stem not in SEARCH_MODULES}
     assert {stem: hits for stem, hits in found.items() if hits} == {}
+
+
+LOSS_CLASSES = ("QuadraticLoss", "LogLoss")
+
+
+def loss_references(source: str) -> list[str]:
+    """Every import of and reference to a loss class in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias) and node.name in LOSS_CLASSES:
+            found.append(f"import {node.name}")
+        elif isinstance(node, ast.Name) and node.id in LOSS_CLASSES:
+            found.append(f"{node.id} at line {node.lineno}")
+        elif isinstance(node, ast.Attribute) and node.attr in LOSS_CLASSES:
+            found.append(f"{node.attr} at line {node.lineno}")
+    return found
+
+
+def loss_dispatches(source: str) -> list[str]:
+    """The dotted scope of every ``isinstance`` call on a loss class in
+    ``source``, outside the class ``DiscreteProblem``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and getattr(child.func, "id", None) == "isinstance"
+                    and loss_references(ast.unparse(child.args[-1]))
+                    and scope[:1] != ("DiscreteProblem",)):
+                found.append(".".join(scope))
+            visit(child, scope + (child.name,) if isinstance(
+                child, (ast.FunctionDef, ast.ClassDef)) else scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_loss_checkers_flag_names_and_dispatches():
+    source = ('"""QuadraticLoss in a docstring."""\n'
+              "from . import voi\n"
+              "from .voi import LogLoss, Loss\n"
+              "class DiscreteProblem:\n"
+              "    def __post_init__(self):\n"
+              "        assert isinstance(self.loss, LogLoss)\n"
+              "def f(problem):\n"
+              "    if isinstance(problem.loss, voi.QuadraticLoss):\n"
+              "        return isinstance(problem.loss, Loss)\n"
+              "    return isinstance(problem, DiscreteProblem) or isinstance(\n"
+              "        problem.loss, (LogLoss, int))\n")
+    assert sorted(loss_references(source)) == ["LogLoss at line 11", "LogLoss at line 6",
+                                               "QuadraticLoss at line 8", "import LogLoss"]
+    assert loss_dispatches(source) == ["f", "f"]
+
+
+def test_each_loss_class_owns_its_algebra():
+    # bregman calls the problem's loss, and voi's risks read the loss's own
+    assert loss_references((PACKAGE / "bregman.py").read_text(encoding="utf-8")) == []
+    assert loss_dispatches((PACKAGE / "voi.py").read_text(encoding="utf-8")) == []
 
 
 def bench_spans() -> types.ModuleType:

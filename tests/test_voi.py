@@ -407,6 +407,29 @@ class TestBruteForce:
             brute_force_voi(problem)
 
 
+class TestLossAlgebra:
+    def test_each_loss_encodes_its_states(self):
+        assert QuadraticLoss().encode((-1.0, 0.5, 2.0)).tolist() == [[-1.0], [0.5], [2.0]]
+        assert LogLoss().encode((0.0, 1.0)).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize("loss, y, cond, risk", [
+        (QuadraticLoss(), (-1.0, 0.5, 2.0), [0.2, 0.3, 0.5], 1.3725),  # Var(y)
+        (LogLoss(), (0.0, 1.0), [0.5, 0.5], 1.0),                     # H2(1/2) bits
+        (LogLoss(), (0.0, 1.0), [1.0, 0.0], 0.0),                     # a sure state
+    ], ids=["quadratic", "log-uniform", "log-sure"])
+    def test_the_search_finds_the_closed_form_risk(self, loss, y, cond, risk):
+        cond = np.array(cond)
+        assert abs(loss.closed_form_risk(y, cond) - risk) <= 1e-12
+        assert 0.0 <= loss.searched_risk(y, cond) - risk <= 1e-9
+
+    def test_a_log_loss_decision_is_zero_only_where_the_state_is(self):
+        y = np.array([[1.0, 0.0], [0.5, 0.5]])
+        assert LogLoss().grad(np.array([1.0, 0.0]), y[0]).tolist() == [1.0, 1.0]
+        with pytest.raises(ValidationError, match="zero where y is"):
+            LogLoss().grad(np.array([1.0, 0.0]), y)
+        assert QuadraticLoss().grad(np.array([1.5]), np.array([-2.0])).tolist() == [3.0]
+
+
 def binary_problem(rng, loss):
     """A random joint over the states 0 and 1 and two values of each signal."""
     raw = rng.uniform(size=(2, 2, 2))
@@ -445,8 +468,8 @@ class TestConditionalMeanOptimality:
 
     def test_a_pair_that_reveals_the_state_needs_no_decision(self):
         # at (h=0, a=0) the state is 0 for sure: its conditional mean is the
-        # decision (1, 0), outside the domain of the log loss's gradient,
-        # yet the search only needs the conditional distribution
+        # one-hot decision (1, 0), and the search reads only the conditional
+        # distribution
         problem = DiscreteProblem((0, 1), [[[0.25, 0.1], [0.1, 0.05]],
                                            [[0.0, 0.2], [0.2, 0.1]]], LogLoss())
         advantage = conditional_mean_optimality(problem)
@@ -456,9 +479,10 @@ class TestConditionalMeanOptimality:
     def test_the_lemma_rows_read_this_oracle(self, monkeypatch):
         # a conditional-mean loss 1e-6 too high is beaten by the search, and
         # both rows of verify's lemma suite fail
-        exact = voi._optimal_conditional_loss
-        monkeypatch.setattr(voi, "_optimal_conditional_loss",
-                            lambda problem, cond: exact(problem, cond) + 1e-6)
+        for loss in (QuadraticLoss, LogLoss):
+            exact = loss.closed_form_risk
+            monkeypatch.setattr(loss, "closed_form_risk",
+                                lambda self, y, cond, exact=exact: exact(self, y, cond) + 1e-6)
         checks = verify.run("lemma", n=2, seed=0, sigma_mult=4.0, tau0=1.0, tau_h=1.0)
         rows = [c for c in checks if c.name.startswith("conditional_mean_optimal[")]
         assert [c.name for c in rows] == ["conditional_mean_optimal[squared]",
