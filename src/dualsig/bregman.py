@@ -48,7 +48,6 @@ import numpy as np
 
 from . import montecarlo
 from .core import (
-    Environment,
     SignalSpec,
     ValidationError,
     bayes_posterior_mean,
@@ -56,6 +55,7 @@ from .core import (
     loss_profile,
     native,
     real,
+    real_scalar,
     typed,
 )
 from .rng import RngHandle
@@ -153,25 +153,27 @@ def gap_check_discrete(problem: DiscreteProblem, delta_hat) -> GapReport:
     return GapReport(lhs=lhs, marginal=marginal, penalty=penalty)
 
 
-def gap_check_gaussian_cn(env: Environment, spec: SignalSpec, n: int,
+def gap_check_gaussian_cn(tau0: float, spec: SignalSpec, n: int,
                           rng: RngHandle) -> GapReport:
     """Gap identity for the Gaussian model with the correlation-neglect rule.
 
     The left side and the marginal value come from closed forms; the misuse
     penalty ``E[(d_star - d_cn)**2]`` is estimated from ``n`` triples drawn
     from ``rng``, so ``|residual|`` should fall within a few reported
-    ``penalty_se``; ``n`` must be at least 2.
+    ``penalty_se``; ``tau0`` must be a finite positive number and ``n`` at
+    least 2.
     """
-    profile = loss_profile(env, spec)
+    tau0 = real_scalar(tau0, "tau0", positive=True)  # misuse reads it per chunk
+    profile = loss_profile(tau0, spec)
     lhs = profile.l_human - profile.l_joint_cn
     marg = profile.v_marginal
 
     def misuse(y, h, a):
-        d = bayes_posterior_mean(env, spec, h, a)
-        d -= cn_posterior_mean(env, spec, h, a)
+        d = bayes_posterior_mean(tau0, spec, h, a)
+        d -= cn_posterior_mean(tau0, spec, h, a)
         d *= d
         return d
 
-    est = montecarlo.accumulate(env, spec, n, rng, {"penalty": misuse})["penalty"]
+    est = montecarlo.accumulate(tau0, spec, n, rng, {"penalty": misuse})["penalty"]
     return GapReport(lhs=lhs, marginal=marg, penalty=est.mean, penalty_se=est.std_error)
 

@@ -119,9 +119,8 @@ def _linspace(lo: float, hi: float, steps: int, name: str) -> list[float]:
 
 def _cmd_losses(args) -> int:
     from . import core, regimes
-    env = core.Environment(tau0=args.tau0)
     spec = core.SignalSpec(tau_h=args.tauH, tau_a=args.tauA, lam=args.lam)
-    profile = core.loss_profile(env, spec)
+    profile = core.loss_profile(args.tau0, spec)
     regime = regimes.classify(profile)
     rows = [[args.tau0, args.tauH, args.tauA, args.lam,
              profile.l_human, profile.l_ai, profile.l_joint_cn,
@@ -135,25 +134,21 @@ def _cmd_thresholds(args) -> int:
     import numpy as np
 
     from . import regimes
-    from .core import Environment
-    env = Environment(tau0=args.tau0)
     axis = _linspace(args.lambda_min, args.lambda_max, args.lambda_steps, "lambda")
     lam = np.array(args.lam or axis)  # --lambda replaces the axis, which is still checked
     auto = np.full(lam.shape, np.nan)  # blank at lam = 0: no crossing exists there
-    auto[lam > 0.0] = regimes.tau_auto(env, args.tauH, lam[lam > 0.0])
-    rows = np.column_stack([lam, regimes.tau_aug(env, args.tauH, lam), auto,
-                            np.full(lam.shape, regimes.lambda_bar(env, args.tauH))])
+    auto[lam > 0.0] = regimes.tau_auto(args.tau0, args.tauH, lam[lam > 0.0])
+    rows = np.column_stack([lam, regimes.tau_aug(args.tau0, args.tauH, lam), auto,
+                            np.full(lam.shape, regimes.lambda_bar(args.tau0, args.tauH))])
     _write_csv(args.out, ["lambda", "tau_aug", "tau_auto", "lambda_bar"], rows.tolist())
     return 0
 
 
 def _cmd_phase(args) -> int:
     from . import regimes
-    from .core import Environment
-    env = Environment(tau0=args.tau0)
     tau_a_axis = _linspace(args.tauA_min, args.tauA_max, args.tauA_steps, "tauA")
     lambda_axis = _linspace(args.lambda_min, args.lambda_max, args.lambda_steps, "lambda")
-    grid = regimes.phase_sweep(env, args.tauH, tau_a_axis, lambda_axis)
+    grid = regimes.phase_sweep(args.tau0, args.tauH, tau_a_axis, lambda_axis)
     _write_csv(args.out, ["lambda", "tauA", "feasible", "L_H", "L_AI",
                           "L_HA_CN", "L_HA_Bayes", "v_marg", "regime"],
                (rec for row in grid.cells for rec in row.tolist()))

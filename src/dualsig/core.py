@@ -45,7 +45,6 @@ import numpy as np
 
 __all__ = [
     "ValidationError",
-    "Environment",
     "SignalSpec",
     "LossProfile",
     "require",
@@ -171,16 +170,6 @@ def feasible(tau_h, tau_a, lam):
 
 
 @dataclass(frozen=True)
-class Environment:
-    """Prior over the state: mean 0, precision ``tau0`` (1/variance)."""
-
-    tau0: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tau0", real_scalar(self.tau0, "tau0", positive=True))
-
-
-@dataclass(frozen=True)
 class SignalSpec:
     """Joint law of the two signals given the state: (tau_h, tau_a, lam).
 
@@ -266,8 +255,9 @@ def innovation_precision(spec: SignalSpec):
 
 
 @np.errstate(over="ignore")
-def loss_profile(env: Environment, spec: SignalSpec) -> LossProfile:
-    """The four expected losses and the marginal value for a spec (floats or
+def loss_profile(tau0: float, spec: SignalSpec) -> LossProfile:
+    """The four expected losses and the marginal value for the prior
+    precision ``tau0``, one finite positive number, and a spec (floats or
     arrays); the one evaluation of the closed forms.
 
     * ``l_human = 1/(tau0 + tau_h)``: the own signal alone;
@@ -283,36 +273,36 @@ def loss_profile(env: Environment, spec: SignalSpec) -> LossProfile:
     equals the own-signal posterior and the marginal value is 0.  A total
     that overflows raises :class:`ValidationError` naming it.
     """
-    typed(env, Environment, "env")
+    tau0 = real_scalar(tau0, "tau0", positive=True)
     typed(spec, SignalSpec, "spec")
-    lh = 1.0 / finite_total(env.tau0 + spec.tau_h, "tau0 + tau_h")
+    lh = 1.0 / finite_total(tau0 + spec.tau_h, "tau0 + tau_h")
     full = spec.lam == 1.0
     # lam = 0 stands in where lam = 1; those cells keep lh instead.
     tilde = _innovation_precision(spec.tau_h, spec.tau_a, np.where(full, 0.0, spec.lam))
     ljb = native(np.where(full, lh, 1.0 / finite_total(
-        env.tau0 + spec.tau_h + tilde, "tau0 + tau_h + tilde_tau")))
-    T = env.tau0 + spec.tau_h + spec.tau_a
+        tau0 + spec.tau_h + tilde, "tau0 + tau_h + tilde_tau")))
+    T = tau0 + spec.tau_h + spec.tau_a
     return LossProfile(
         l_human=lh,
-        l_ai=1.0 / finite_total(env.tau0 + spec.tau_a, "tau0 + tau_a"),
+        l_ai=1.0 / finite_total(tau0 + spec.tau_a, "tau0 + tau_a"),
         l_joint_bayes=ljb,
         l_joint_cn=1.0 / T + 2.0 * spec.lam * spec.tau_a / finite_total(T * T, "T**2"),
         v_marginal=lh - ljb,
     )
 
 
-def cn_posterior_mean(env: Environment, spec: SignalSpec, h, a):
+def cn_posterior_mean(tau0: float, spec: SignalSpec, h, a):
     """Posterior mean under the (mistaken) independent-signals model.
 
     ``(tau_h*h + tau_a*a) / (tau0 + tau_h + tau_a)``.
     Broadcasts over array-valued ``h`` and ``a``.
     """
     d = spec.tau_h * h + spec.tau_a * a
-    d /= env.tau0 + spec.tau_h + spec.tau_a
+    d /= tau0 + spec.tau_h + spec.tau_a
     return d
 
 
-def bayes_posterior_mean(env: Environment, spec: SignalSpec, h, a):
+def bayes_posterior_mean(tau0: float, spec: SignalSpec, h, a):
     """True posterior mean; extracts the innovation before fusing.
 
     With ``innov = (a - lam*h) / (1 - lam)`` of precision ``tilde_tau``:
@@ -324,6 +314,6 @@ def bayes_posterior_mean(env: Environment, spec: SignalSpec, h, a):
     d /= 1.0 - spec.lam
     d *= tilde
     d += spec.tau_h * h
-    d /= env.tau0 + spec.tau_h + tilde
+    d /= tau0 + spec.tau_h + tilde
     return d
 

@@ -45,12 +45,12 @@ import numpy as np
 
 from . import regimes
 from .core import (
-    Environment,
     SignalSpec,
     bayes_posterior_mean,
     cn_posterior_mean,
     count,
     innovation_precision,
+    real_scalar,
     typed,
 )
 from .rng import RngHandle
@@ -96,20 +96,20 @@ def _pairwise_total(values: Sequence[float]) -> float:
     return vals[0]
 
 
-def sample_triple(env: Environment, spec: SignalSpec, rng: RngHandle, size: int):
+def sample_triple(tau0: float, spec: SignalSpec, rng: RngHandle, size: int):
     """Draw ``size`` triples (y, h, a) from the joint model, as three float64
     arrays of length ``size``.
 
     The state and own-signal noise are independent normals; the assistant
     signal composes the overlap share of ``h`` with an independent
     innovation: ``a = lam*h + (1-lam)*(y + innovation noise)``.  It runs on
-    every chunk, so ``rng`` is not checked here: :func:`accumulate` reads
-    it once per estimate.
+    every chunk, so ``tau0`` and ``rng`` are not checked here: :func:`accumulate`
+    reads them once per estimate.
     """
     tilde = innovation_precision(spec)
     n = count(size, "size", 1)
     y = rng.normals(n)
-    y /= math.sqrt(env.tau0)
+    y /= math.sqrt(tau0)
     h = rng.normals(n)
     h /= math.sqrt(spec.tau_h)
     h += y
@@ -121,17 +121,18 @@ def sample_triple(env: Environment, spec: SignalSpec, rng: RngHandle, size: int)
     return y, h, a
 
 
-def accumulate(env: Environment, spec: SignalSpec, n: int, rng: RngHandle,
+def accumulate(tau0: float, spec: SignalSpec, n: int, rng: RngHandle,
                stats: Mapping[str, Callable]) -> dict[str, Estimate]:
     """Monte Carlo means of several statistics on one shared set of draws.
 
     Streams ``n`` triples from :func:`sample_triple` in chunks of ``CHUNK``;
     each ``stats[name](y, h, a)`` maps a chunk to per-draw values.  Per-chunk
     sums of the values and of their squares are reduced by a fixed pairwise
-    tree.  ``n`` must be at least 2, the fewest draws with a standard error,
-    and ``rng`` an :class:`~dualsig.rng.RngHandle`, both checked before any draw.
+    tree.  ``tau0`` must be a finite positive number, ``n`` at least 2, the
+    fewest draws with a standard error, and ``rng`` an
+    :class:`~dualsig.rng.RngHandle`, all checked before any draw.
     """
-    typed(env, Environment, "env")
+    tau0 = real_scalar(tau0, "tau0", positive=True)
     typed(spec, SignalSpec, "spec")
     n = count(n, "n", 2)
     typed(rng, RngHandle, "rng")
@@ -140,7 +141,7 @@ def accumulate(env: Environment, spec: SignalSpec, n: int, rng: RngHandle,
     done = 0
     while done < n:
         m = min(CHUNK, n - done)
-        y, h, a = sample_triple(env, spec, rng, size=m)
+        y, h, a = sample_triple(tau0, spec, rng, size=m)
         for name, stat in stats.items():
             x = stat(y, h, a)
             sums[name].append(float(np.sum(x)))
@@ -154,23 +155,25 @@ def accumulate(env: Environment, spec: SignalSpec, n: int, rng: RngHandle,
     return out
 
 
-def paired_loss_estimates(env: Environment, spec: SignalSpec, n: int,
+def paired_loss_estimates(tau0: float, spec: SignalSpec, n: int,
                           rng: RngHandle) -> dict[str, Estimate]:
     """All four rule losses evaluated on one shared set of draws.
 
     Shared draws make ordering comparisons (e.g. Bayes-joint never worse
     than the correlation-neglect joint) far tighter than independent runs.
     """
+    tau0 = real_scalar(tau0, "tau0", positive=True)  # the rules below read it per chunk
+
     def alone(tau, signal, y):
         d = tau * signal  # the posterior mean from this signal alone
-        d /= env.tau0 + tau
+        d /= tau0 + tau
         return _squared_error(d, y)
 
-    return accumulate(env, spec, n, rng, {
+    return accumulate(tau0, spec, n, rng, {
         "human_only": lambda y, h, a: alone(spec.tau_h, h, y),
         "ai_only": lambda y, h, a: alone(spec.tau_a, a, y),
-        "bayes_joint": lambda y, h, a: _squared_error(bayes_posterior_mean(env, spec, h, a), y),
-        "cn_joint": lambda y, h, a: _squared_error(cn_posterior_mean(env, spec, h, a), y),
+        "bayes_joint": lambda y, h, a: _squared_error(bayes_posterior_mean(tau0, spec, h, a), y),
+        "cn_joint": lambda y, h, a: _squared_error(cn_posterior_mean(tau0, spec, h, a), y),
     })
 
 
@@ -241,7 +244,7 @@ def parallel_map(tasks: Iterable[Sequence], local: int = 0) -> list:
     return results
 
 
-def verify_closed_forms(env: Environment, tau_h: float,
+def verify_closed_forms(tau0: float, tau_h: float,
                         tau_a_axis: Sequence[float], lambda_axis: Sequence[float],
                         n: int, rng: RngHandle) -> list[tuple]:
     """Monte Carlo and closed-form losses of all four rules on a grid.
@@ -253,16 +256,17 @@ def verify_closed_forms(env: Environment, tau_h: float,
     ``[(rule, estimate, closed_form), ...]`` in ``RULES`` order; judging the
     difference is left to the caller.  Cell ``i``, counted from 1, uses the
     substream ``rng.split(i)``, whichever worker of :func:`parallel_map` runs
-    it.  ``n`` must be at least 2, the fewest draws with a standard error,
-    and ``rng`` an :class:`~dualsig.rng.RngHandle`, both checked before any fork.
+    it.  ``tau0`` must be a finite positive number, ``n`` at least 2, the
+    fewest draws with a standard error, and ``rng`` an
+    :class:`~dualsig.rng.RngHandle`, all checked before any fork.
     """
     n = count(n, "n", 2)
     typed(rng, RngHandle, "rng")
     # every closed form before the first draw, read from the phase grid's cells
-    grid = regimes.phase_sweep(env, tau_h, tau_a_axis, lambda_axis).cells.ravel()
+    grid = regimes.phase_sweep(tau0, tau_h, tau_a_axis, lambda_axis).cells.ravel()
     cells = grid[["tau_a", "lam", "feasible", *RULES.values()]].tolist()
     tested = [i for i, (_, lam, ok, *_) in enumerate(cells) if ok and lam < 1.0]
-    estimates = parallel_map([(paired_loss_estimates, env, SignalSpec(tau_h, *cells[i][:2]), n,
+    estimates = parallel_map([(paired_loss_estimates, tau0, SignalSpec(tau_h, *cells[i][:2]), n,
                                rng.split(i + 1)) for i in tested])
     losses = {i: [(rule, est[rule], form) for rule, form in zip(RULES, cells[i][3:])]
               for i, est in zip(tested, estimates)}

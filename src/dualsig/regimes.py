@@ -27,7 +27,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    Environment,
     LossProfile,
     SignalSpec,
     feasible,
@@ -80,21 +79,21 @@ def _check_lambda(lam, lo_open: bool):
     return lam
 
 
-def tau_aug(env: Environment, tau_h: float, lam):
+def tau_aug(tau0: float, tau_h: float, lam):
     """Assistant precision above which the combination beats the own signal.
 
     ``(tau0 + tau_h) * (2*lam - 1)``; negative or zero for lam <= 1/2, which
     reads as "any positive assistant precision already augments".
     Broadcasts over an array ``lam``.
     """
-    typed(env, Environment, "env")
+    tau0 = real_scalar(tau0, "tau0", positive=True)
     lam = _check_lambda(lam, lo_open=False)
     tau_h = real_scalar(tau_h, "tau_h", positive=True)
-    return finite_total(env.tau0 + tau_h, "tau0 + tau_h") * (2.0 * lam - 1.0)
+    return finite_total(tau0 + tau_h, "tau0 + tau_h") * (2.0 * lam - 1.0)
 
 
 @np.errstate(over="ignore")  # an overflow fails the finiteness checks below
-def tau_auto(env: Environment, tau_h: float, lam):
+def tau_auto(tau0: float, tau_h: float, lam):
     """Assistant precision above which going assistant-only beats the combination.
 
     Positive root of a quadratic; requires lam > 0 (at lam = 0 the
@@ -103,11 +102,11 @@ def tau_auto(env: Environment, tau_h: float, lam):
     array ``lam``; raises where the discriminant or the root is not finite,
     or the root is not positive.
     """
-    typed(env, Environment, "env")
+    tau0 = real_scalar(tau0, "tau0", positive=True)
     lam = _check_lambda(lam, lo_open=True)
     tau_h = real_scalar(tau_h, "tau_h", positive=True)
-    b = tau_h - 2.0 * lam * env.tau0
-    disc = finite_total(b * b + 8.0 * lam * tau_h * (env.tau0 + tau_h),
+    b = tau_h - 2.0 * lam * tau0
+    disc = finite_total(b * b + 8.0 * lam * tau_h * (tau0 + tau_h),
                         "the tau_auto discriminant")
     root = (b + np.sqrt(disc)) / (4.0 * lam)
     require((root > 0.0) & np.isfinite(root),
@@ -116,11 +115,11 @@ def tau_auto(env: Environment, tau_h: float, lam):
     return root
 
 
-def lambda_bar(env: Environment, tau_h: float) -> float:
+def lambda_bar(tau0: float, tau_h: float) -> float:
     """Overlap level above which the combination is never the best choice."""
-    typed(env, Environment, "env")
+    tau0 = real_scalar(tau0, "tau0", positive=True)
     tau_h = real_scalar(tau_h, "tau_h", positive=True)
-    return 0.5 + tau_h / finite_total(2.0 * (env.tau0 + tau_h), "2*(tau0 + tau_h)")
+    return 0.5 + tau_h / finite_total(2.0 * (tau0 + tau_h), "2*(tau0 + tau_h)")
 
 
 def classify(profile: LossProfile):
@@ -159,7 +158,7 @@ def _check_axis(values: Sequence[float], name: str, positive: bool = False) -> n
     return axis
 
 
-def phase_sweep(env: Environment, tau_h: float,
+def phase_sweep(tau0: float, tau_h: float,
                 tau_a_axis: Sequence[float],
                 lambda_axis: Sequence[float]) -> PhaseGrid:
     """Evaluate losses and regimes over the product grid.
@@ -169,7 +168,7 @@ def phase_sweep(env: Environment, tau_h: float,
     spec, and give the same bits as evaluating each cell on its own.  The
     grid holds at most a million cells, checked before it is allocated.
     """
-    typed(env, Environment, "env")
+    tau0 = real_scalar(tau0, "tau0", positive=True)
     tau_h = real_scalar(tau_h, "tau_h", positive=True)
     ta_axis = _check_axis(tau_a_axis, "tau_a_axis", positive=True)
     lam_axis = _check_axis(lambda_axis, "lambda_axis")
@@ -182,7 +181,7 @@ def phase_sweep(env: Environment, tau_h: float,
     cells["feasible"] = ok
     lam = cells["lam"][ok]
     spec = SignalSpec(tau_h=np.full(lam.shape, tau_h), tau_a=cells["tau_a"][ok], lam=lam)
-    profile = loss_profile(env, spec)
+    profile = loss_profile(tau0, spec)
     for name, value in vars(profile).items():
         cells[name] = np.nan
         cells[name][ok] = value

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bregman, cueworld, montecarlo, voi
-from .core import Environment, SignalSpec, ValidationError, count, real_scalar, require
+from .core import SignalSpec, ValidationError, count, real_scalar, require
 from .rng import RngHandle, derive_seed
 
 __all__ = ["Check", "SUITES", "run"]
@@ -75,11 +75,10 @@ class Check:
 
 
 def _closed_forms(n, seed, sigma_mult, tau0, tau_h):
-    env = Environment(tau0=tau0)
     tau_a_axis = [round(0.2 * i, 10) for i in range(1, 11)]
     lambda_axis = [0.0, 0.25, 0.45, 0.5, 0.67, 0.75, 0.85]
     for tau_a, lam, losses in montecarlo.verify_closed_forms(
-            env, tau_h, tau_a_axis, lambda_axis, n, RngHandle(seed, stream=0)):
+            tau0, tau_h, tau_a_axis, lambda_axis, n, RngHandle(seed, stream=0)):
         cell = f"tauA={tau_a:g},lam={lam:g}"
         if losses is None:
             yield Check(f"skip[{cell}]")
@@ -130,8 +129,7 @@ def _random_feasible_specs(seed: int, specs: int):
         tau_h = 0.2 + 2.0 * tau_h
         tau_a = 0.1 + 2.0 * tau_a
         lam = (0.05 + 0.85 * frac) * min(tau_h / tau_a, 1.0)
-        out.append((Environment(tau0=tau0),
-                    SignalSpec(tau_h=tau_h, tau_a=tau_a, lam=lam)))
+        out.append((tau0, SignalSpec(tau_h=tau_h, tau_a=tau_a, lam=lam)))
     return out
 
 
@@ -142,15 +140,15 @@ def _discrete_residuals(seed: int) -> list[float]:
 
 
 def _gap(n, seed, sigma_mult, tau0, tau_h):
-    specs = [(Environment(tau0=1.0), SignalSpec(tau_h=1.0, tau_a=1.0, lam=0.5), seed)]
-    specs += [(env_i, spec_i, derive_seed(seed, 8, i)) for i, (env_i, spec_i)
+    specs = [(1.0, SignalSpec(tau_h=1.0, tau_a=1.0, lam=0.5), seed)]
+    specs += [(tau0_i, spec_i, derive_seed(seed, 8, i)) for i, (tau0_i, spec_i)
               in enumerate(_random_feasible_specs(derive_seed(seed, 7), 20))]
     # The discrete residuals run in this process, beside the workers, so that
     # an in-process tracer still counts every gap_check_discrete call.
     worst, report, *reports = montecarlo.parallel_map(
         [(_discrete_residuals, seed)]
-        + [(bregman.gap_check_gaussian_cn, env_i, spec_i, n, RngHandle(seed_i, stream=3))
-           for env_i, spec_i, seed_i in specs], local=1)
+        + [(bregman.gap_check_gaussian_cn, tau0_i, spec_i, n, RngHandle(seed_i, stream=3))
+           for tau0_i, spec_i, seed_i in specs], local=1)
 
     for (name, _), residual in zip(_LOSSES, worst):
         yield Check(f"discrete_residual[{name}]", residual, 0.0, 1e-12)
@@ -165,14 +163,12 @@ def _mutual_information_bits(problem, signals) -> float:
     axes = problem.signal_axes(signals)
     drop = tuple(ax for ax in range(1, problem.probs.ndim) if ax not in axes)
     flat = problem.probs.sum(axis=drop).reshape(len(problem.states), -1)
-    p_y = flat.sum(axis=1)
-    p_s = flat.sum(axis=0)
+    p_s = flat.sum(axis=0).tolist()
     total = 0.0
-    for i in range(flat.shape[0]):
-        for j in range(flat.shape[1]):
-            p = flat[i, j]
+    for row, p_y in zip(flat.tolist(), flat.sum(axis=1).tolist()):
+        for p, p_sj in zip(row, p_s):
             if p > 0.0:
-                total += p * math.log2(p / (p_y[i] * p_s[j]))
+                total += p * math.log2(p / (p_y * p_sj))
     return total
 
 
@@ -230,11 +226,10 @@ def _moment_stats(spec: SignalSpec) -> dict:
 
 
 def _lemma(n, seed, sigma_mult, tau0, tau_h):
-    env = Environment(tau0=1.0)
     for i, spec in enumerate((SignalSpec(1.0, 1.0, 0.5),
                               SignalSpec(2.0, 1.0, 0.5),
                               SignalSpec(1.5, 0.8, 0.3))):
-        est = montecarlo.accumulate(env, spec, n, RngHandle(derive_seed(seed, 20, i), stream=0),
+        est = montecarlo.accumulate(1.0, spec, n, RngHandle(derive_seed(seed, 20, i), stream=0),
                                     _moment_stats(spec))
         for name, expected in (("var_h_given_y", 1.0 / spec.tau_h),
                                ("var_a_given_y", 1.0 / spec.tau_a),

@@ -11,7 +11,7 @@ import numpy as np
 from dualsig.bregman import gap_check_discrete, gap_check_gaussian_cn
 from dualsig import verify
 from dualsig.cli import main
-from dualsig.core import Environment, SignalSpec, loss_profile
+from dualsig.core import SignalSpec, loss_profile
 from dualsig.cueworld import SamplingPlan, concentration_experiment
 from dualsig.regimes import Regime, classify, lambda_bar, phase_sweep, tau_aug, tau_auto
 from dualsig.rng import RngHandle
@@ -27,7 +27,7 @@ from dualsig.voi import (
 
 from helpers import bisect_root
 
-ENV = Environment(tau0=1.0)
+TAU0 = 1.0
 TAU_H = 1.0
 
 
@@ -46,7 +46,7 @@ def test_criterion_1_closed_form_agreement():
     # tau_a in {0.2, ..., 2.0} x lam in {0, 0.25, 0.45, 0.5, 0.67, 0.75, 0.85}
     start = time.perf_counter()
     checks = verify.run("closed_forms", n=1_000_000, seed=0, sigma_mult=4.0,
-                        tau0=ENV.tau0, tau_h=TAU_H)
+                        tau0=TAU0, tau_h=TAU_H)
     elapsed = time.perf_counter() - start
     tested = [c for c in checks if c.observed is not None]
     ok = len(tested) == 4 * 58 and all(c.ok for c in tested) and elapsed <= 60.0
@@ -57,8 +57,8 @@ def test_criterion_1_closed_form_agreement():
 def test_criterion_2_regime_boundaries():
     # lam = 0.67: augmentation boundary 0.68, automation boundary from the
     # closed form, cross-checked by bisection on the loss crossings
-    aug = tau_aug(ENV, TAU_H, 0.67)
-    auto = tau_auto(ENV, TAU_H, 0.67)
+    aug = tau_aug(TAU0, TAU_H, 0.67)
+    auto = tau_auto(TAU0, TAU_H, 0.67)
     aug_bisect = bisect_root(lambda t: cn_loss(t, 0.67) - 0.5, 1e-9, 5.0)
     auto_bisect = bisect_root(lambda t: 1.0 / (1.0 + t) - cn_loss(t, 0.67), 0.05, 8.0)
     ok = (abs(aug - 0.68) <= 1e-12
@@ -67,15 +67,15 @@ def test_criterion_2_regime_boundaries():
           and abs(auto - 1.1013982299990406) <= 1e-9)
 
     # lam = 0.45: no impairment region anywhere on the feasible slice
-    slice45 = phase_sweep(ENV, TAU_H, np.linspace(0.02, 2.2, 221), [0.45])
+    slice45 = phase_sweep(TAU0, TAU_H, np.linspace(0.02, 2.2, 221), [0.45])
     ok &= all(c["regime"] is not Regime.IMPAIRMENT
               for c in slice45.cells[0] if c["feasible"])
 
     # lam = 0.85: direct transition with the boundary exactly at tau_a = 1
-    ok &= classify(loss_profile(ENV, SignalSpec(TAU_H, 1.0, 0.85))) is Regime.IMPAIRMENT
-    ok &= classify(loss_profile(ENV, SignalSpec(TAU_H, 1.0 - 1e-9, 0.85))) is Regime.IMPAIRMENT
-    ok &= classify(loss_profile(ENV, SignalSpec(TAU_H, 1.0 + 1e-9, 0.85))) is Regime.AUTOMATION
-    slice85 = phase_sweep(ENV, TAU_H, np.linspace(0.02, 1.15, 200), [0.85])
+    ok &= classify(loss_profile(TAU0, SignalSpec(TAU_H, 1.0, 0.85))) is Regime.IMPAIRMENT
+    ok &= classify(loss_profile(TAU0, SignalSpec(TAU_H, 1.0 - 1e-9, 0.85))) is Regime.IMPAIRMENT
+    ok &= classify(loss_profile(TAU0, SignalSpec(TAU_H, 1.0 + 1e-9, 0.85))) is Regime.AUTOMATION
+    slice85 = phase_sweep(TAU0, TAU_H, np.linspace(0.02, 1.15, 200), [0.85])
     ok &= all(c["regime"] is not Regime.COMPLEMENTARITY
               for c in slice85.cells[0] if c["feasible"])
     report("regime boundaries at lam in {0.67, 0.45, 0.85}", ok,
@@ -83,12 +83,12 @@ def test_criterion_2_regime_boundaries():
 
 
 def test_criterion_3_phase_diagram_structure():
-    crit = lambda_bar(ENV, TAU_H)
+    crit = lambda_bar(TAU0, TAU_H)
     ok = abs(crit - 0.75) <= 1e-12
-    ok &= abs(tau_aug(ENV, TAU_H, 0.75) - 1.0) <= 1e-12
-    ok &= abs(tau_auto(ENV, TAU_H, 0.75) - 1.0) <= 1e-12
+    ok &= abs(tau_aug(TAU0, TAU_H, 0.75) - 1.0) <= 1e-12
+    ok &= abs(tau_auto(TAU0, TAU_H, 0.75) - 1.0) <= 1e-12
 
-    grid = phase_sweep(ENV, TAU_H,
+    grid = phase_sweep(TAU0, TAU_H,
                        np.linspace(0.02, 2.2, 111), np.linspace(0.0, 1.0, 101))
     patterns_ok = True
     for row, lam in zip(grid.cells, grid.cells["lam"][:, 0]):
@@ -160,7 +160,7 @@ def test_criterion_6_gap_identity():
             worst = max(worst, abs(gap_check_discrete(problem, rule).residual))
     ok = worst <= 1e-12
 
-    ref = gap_check_gaussian_cn(ENV, SignalSpec(1.0, 1.0, 0.5), n=1_000_000,
+    ref = gap_check_gaussian_cn(TAU0, SignalSpec(1.0, 1.0, 0.5), n=1_000_000,
                                 rng=RngHandle(61, stream=3))
     ok &= abs(ref.penalty - 1.0 / 63.0) <= 4.0 * ref.penalty_se
 
@@ -170,7 +170,7 @@ def test_criterion_6_gap_identity():
         tau_h = 0.3 + 2.2 * rng.uniforms(1)[0]
         tau_a = 0.2 + 2.3 * rng.uniforms(1)[0]
         lam = (0.05 + 0.85 * rng.uniforms(1)[0]) * min(tau_h / tau_a, 1.0)
-        rep = gap_check_gaussian_cn(ENV, SignalSpec(tau_h, tau_a, lam),
+        rep = gap_check_gaussian_cn(TAU0, SignalSpec(tau_h, tau_a, lam),
                                     n=1_000_000, rng=RngHandle(63 + i, stream=3))
         worst_sigma = max(worst_sigma, abs(rep.residual) / rep.penalty_se)
     ok &= worst_sigma <= 4.0
@@ -188,14 +188,13 @@ def test_criterion_7_marginal_value_monotonicity():
         tau_h = 0.3 + 2.0 * rng.uniforms(1)[0]
         tau_a = 0.2 + 1.8 * rng.uniforms(1)[0]
         lam = (0.05 + 0.8 * rng.uniforms(1)[0]) * min(tau_h / tau_a, 1.0)
-        env = Environment(tau0)
         step = 1e-4
         if lam > min(tau_h / (tau_a + step), 1.0) - step:
             continue
-        base = loss_profile(env, SignalSpec(tau_h, tau_a, lam)).v_marginal
-        up_a = loss_profile(env, SignalSpec(tau_h, tau_a + step, lam)).v_marginal
-        up_l = loss_profile(env, SignalSpec(tau_h, tau_a, lam + step)).v_marginal
-        up_h = loss_profile(env, SignalSpec(tau_h + step, tau_a, lam)).v_marginal
+        base = loss_profile(tau0, SignalSpec(tau_h, tau_a, lam)).v_marginal
+        up_a = loss_profile(tau0, SignalSpec(tau_h, tau_a + step, lam)).v_marginal
+        up_l = loss_profile(tau0, SignalSpec(tau_h, tau_a, lam + step)).v_marginal
+        up_h = loss_profile(tau0, SignalSpec(tau_h + step, tau_a, lam)).v_marginal
         ok &= (up_a - base) / step > margin
         ok &= (up_l - base) / step < -margin
         ok &= (up_h - base) / step < -margin

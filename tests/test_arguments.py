@@ -20,9 +20,8 @@ import pytest
 
 import dualsig
 from dualsig import bregman, cueworld, montecarlo, regimes, rng, verify, voi
-from dualsig.core import Environment, SignalSpec, ValidationError, loss_profile
+from dualsig.core import SignalSpec, ValidationError, loss_profile
 
-ENV = Environment(tau0=1.0)
 SPEC = SignalSpec(tau_h=1.0, tau_a=1.0, lam=0.5)
 PLAN = cueworld.SamplingPlan(a=0.3, m=0.5, k=0.25, h_total=0.5)
 WORLD = cueworld.CueWorld(precisions=np.ones(10), n_accessible=5, human_set=[0, 1])
@@ -92,9 +91,11 @@ ENTRY_POINTS = {
                                False, np.array([0.5])),
     "bregman.gap_check_discrete.delta_hat": ("delta_hat", lambda v: bregman.gap_check_discrete(
         QUADRATIC_XOR, v), True, np.full((2, 2, 1), 0.5)),
+    "bregman.gap_check_gaussian_cn.tau0": ("tau0", lambda v: bregman.gap_check_gaussian_cn(
+        v, SPEC, 2, rng.RngHandle(0)), True, 1.0),
     "bregman.gap_check_gaussian_cn.n": ("n", lambda v: bregman.gap_check_gaussian_cn(
-        ENV, SPEC, v, rng.RngHandle(0)), True, 2),
-    "core.Environment.tau0": ("tau0", Environment, True, 1.0),
+        1.0, SPEC, v, rng.RngHandle(0)), True, 2),
+    "core.loss_profile.tau0": ("tau0", lambda v: loss_profile(v, SPEC), True, 1.0),
     "core.SignalSpec.tau_h": ("tau_h", lambda v: spec(tau_h=v), False, np.ones(1)),
     "core.SignalSpec.tau_a": ("tau_a", lambda v: spec(tau_a=v), False, np.ones(1)),
     "core.SignalSpec.lam": ("lam", lambda v: spec(lam=v), False, np.full(1, 0.5)),
@@ -139,36 +140,48 @@ ENTRY_POINTS = {
         "tau_bounds", every_mode(lambda v, mode: cueworld.concentration_experiment(
             [100], PLAN, 2, mode, tau_bounds=v)), False, np.array([0.5, 2.0])),
     "montecarlo.sample_triple.size": ("size", lambda v: montecarlo.sample_triple(
-        ENV, SPEC, rng.RngHandle(0), v), True, 2),
+        1.0, SPEC, rng.RngHandle(0), v), True, 2),
+    "montecarlo.accumulate.tau0": ("tau0", lambda v: montecarlo.accumulate(
+        v, SPEC, 2, rng.RngHandle(0), {}), True, 1.0),
     "montecarlo.accumulate.n": ("n", lambda v: montecarlo.accumulate(
-        ENV, SPEC, v, rng.RngHandle(0), {}), True, 2),
+        1.0, SPEC, v, rng.RngHandle(0), {}), True, 2),
+    "montecarlo.paired_loss_estimates.tau0": (
+        "tau0", lambda v: montecarlo.paired_loss_estimates(v, SPEC, 2, rng.RngHandle(0)), True,
+        1.0),
     "montecarlo.paired_loss_estimates.n": ("n", lambda v: montecarlo.paired_loss_estimates(
-        ENV, SPEC, v, rng.RngHandle(0)), True, 2),
+        1.0, SPEC, v, rng.RngHandle(0)), True, 2),
     "montecarlo.parallel_map.local": ("local", lambda v: montecarlo.parallel_map([], v), True,
                                       0),
+    "montecarlo.verify_closed_forms.tau0": ("tau0", lambda v: montecarlo.verify_closed_forms(
+        v, 1.0, [1.0], [0.5], 2, rng.RngHandle(0)), True, 1.0),
     "montecarlo.verify_closed_forms.tau_h": ("tau_h", lambda v: montecarlo.verify_closed_forms(
-        ENV, v, [1.0], [0.5], 2, rng.RngHandle(0)), True, 1.0),
+        1.0, v, [1.0], [0.5], 2, rng.RngHandle(0)), True, 1.0),
     "montecarlo.verify_closed_forms.tau_a_axis": (
         "tau_a_axis", lambda v: montecarlo.verify_closed_forms(
-            ENV, 1.0, v, [0.5], 2, rng.RngHandle(0)), False, np.array([1.0])),
+            1.0, 1.0, v, [0.5], 2, rng.RngHandle(0)), False, np.array([1.0])),
     "montecarlo.verify_closed_forms.lambda_axis": (
         "lambda_axis", lambda v: montecarlo.verify_closed_forms(
-            ENV, 1.0, [1.0], v, 2, rng.RngHandle(0)), False, np.array([0.5])),
+            1.0, 1.0, [1.0], v, 2, rng.RngHandle(0)), False, np.array([0.5])),
     "montecarlo.verify_closed_forms.n": ("n", lambda v: montecarlo.verify_closed_forms(
-        ENV, 1.0, [1.0], [0.5], v, rng.RngHandle(0)), True, 2),
-    "regimes.tau_aug.tau_h": ("tau_h", lambda v: regimes.tau_aug(ENV, v, 0.5), True, 1.0),
-    "regimes.tau_aug.lam": ("lam", lambda v: regimes.tau_aug(ENV, 1.0, v), False,
+        1.0, 1.0, [1.0], [0.5], v, rng.RngHandle(0)), True, 2),
+    "regimes.tau_aug.tau0": ("tau0", lambda v: regimes.tau_aug(v, 1.0, 0.5), True, 1.0),
+    "regimes.tau_aug.tau_h": ("tau_h", lambda v: regimes.tau_aug(1.0, v, 0.5), True, 1.0),
+    "regimes.tau_aug.lam": ("lam", lambda v: regimes.tau_aug(1.0, 1.0, v), False,
                             np.array([0.25, 0.5])),
-    "regimes.tau_auto.tau_h": ("tau_h", lambda v: regimes.tau_auto(ENV, v, 0.5), True, 1.0),
-    "regimes.tau_auto.lam": ("lam", lambda v: regimes.tau_auto(ENV, 1.0, v), False,
+    "regimes.tau_auto.tau0": ("tau0", lambda v: regimes.tau_auto(v, 1.0, 0.5), True, 1.0),
+    "regimes.tau_auto.tau_h": ("tau_h", lambda v: regimes.tau_auto(1.0, v, 0.5), True, 1.0),
+    "regimes.tau_auto.lam": ("lam", lambda v: regimes.tau_auto(1.0, 1.0, v), False,
                              np.array([0.25, 0.5])),
-    "regimes.lambda_bar.tau_h": ("tau_h", lambda v: regimes.lambda_bar(ENV, v), True, 1.0),
+    "regimes.lambda_bar.tau0": ("tau0", lambda v: regimes.lambda_bar(v, 1.0), True, 1.0),
+    "regimes.lambda_bar.tau_h": ("tau_h", lambda v: regimes.lambda_bar(1.0, v), True, 1.0),
+    "regimes.phase_sweep.tau0": ("tau0", lambda v: regimes.phase_sweep(
+        v, 1.0, [1.0], [0.5]), True, 1.0),
     "regimes.phase_sweep.tau_h": ("tau_h", lambda v: regimes.phase_sweep(
-        ENV, v, [1.0], [0.5]), True, 1.0),
+        1.0, v, [1.0], [0.5]), True, 1.0),
     "regimes.phase_sweep.tau_a_axis": ("tau_a_axis", lambda v: regimes.phase_sweep(
-        ENV, 1.0, v, [0.5]), False, np.array([1.0])),
+        1.0, 1.0, v, [0.5]), False, np.array([1.0])),
     "regimes.phase_sweep.lambda_axis": ("lambda_axis", lambda v: regimes.phase_sweep(
-        ENV, 1.0, [1.0], v), False, np.array([0.5])),
+        1.0, 1.0, [1.0], v), False, np.array([0.5])),
     "rng.RngHandle.seed": ("seed", rng.RngHandle, True, 0),
     "rng.RngHandle.stream": ("stream", lambda v: rng.RngHandle(0, v), True, 0),
     "rng.derive_seed.seed": ("seed", rng.derive_seed, True, 0),
@@ -199,10 +212,10 @@ ENTRY_POINTS = {
 # or by a parameter name alone wherever it occurs
 EXEMPT = {
     "read on every Monte Carlo chunk; accumulate, which runs the chunks, reads it once": (
-        "montecarlo.sample_triple.env", "montecarlo.sample_triple.spec",
+        "montecarlo.sample_triple.tau0", "montecarlo.sample_triple.spec",
         "montecarlo.sample_triple.rng", "core.innovation_precision.spec",
-        "core.cn_posterior_mean.env", "core.cn_posterior_mean.spec",
-        "core.bayes_posterior_mean.env", "core.bayes_posterior_mean.spec"),
+        "core.cn_posterior_mean.tau0", "core.cn_posterior_mean.spec",
+        "core.bayes_posterior_mean.tau0", "core.bayes_posterior_mean.spec"),
     "a record that the library fills with values it has read": (
         "bregman.GapReport", "core.LossProfile", "cueworld.ConcentrationSummary",
         "montecarlo.Estimate", "regimes.PhaseGrid", "verify.Check", "voi.VoiReport"),
@@ -232,13 +245,13 @@ BAD_VALUES = {"text": "0.5", "array": np.array([0.5, 0.5]), "nan": math.nan,
 TYPED = {
     "bregman.bregman_loss.loss": (lambda v: bregman.bregman_loss(v, [1.0], [0.5]), QUADRATIC),
     "bregman.gap_check_gaussian_cn.rng": (lambda v: bregman.gap_check_gaussian_cn(
-        ENV, SPEC, 2, v), rng.RngHandle(0)),
-    "montecarlo.accumulate.rng": (lambda v: montecarlo.accumulate(ENV, SPEC, 2, v, {}),
+        1.0, SPEC, 2, v), rng.RngHandle(0)),
+    "montecarlo.accumulate.rng": (lambda v: montecarlo.accumulate(1.0, SPEC, 2, v, {}),
                                   rng.RngHandle(0)),
     "montecarlo.paired_loss_estimates.rng": (lambda v: montecarlo.paired_loss_estimates(
-        ENV, SPEC, 2, v), rng.RngHandle(0)),
+        1.0, SPEC, 2, v), rng.RngHandle(0)),
     "montecarlo.verify_closed_forms.rng": (lambda v: montecarlo.verify_closed_forms(
-        ENV, 1.0, [1.0], [0.5], 2, v), rng.RngHandle(0)),
+        1.0, 1.0, [1.0], [0.5], 2, v), rng.RngHandle(0)),
     "bregman.gap_check_discrete.problem": (lambda v: bregman.gap_check_discrete(
         v, np.full((2, 2, 2), 0.5)), XOR),
     "voi.DiscreteProblem.loss": (lambda v: problem(loss=v), voi.LogLoss()),
@@ -246,27 +259,14 @@ TYPED = {
     "voi.marginal_value_discrete.problem": (voi.marginal_value_discrete, XOR),
     "voi.brute_force_voi.problem": (voi.brute_force_voi, XOR),
     "voi.conditional_mean_optimality.problem": (voi.conditional_mean_optimality, XOR),
-    "core.loss_profile.env": (lambda v: loss_profile(v, SPEC), ENV),
-    "core.loss_profile.spec": (lambda v: loss_profile(ENV, v), SPEC),
-    "montecarlo.accumulate.env": (lambda v: montecarlo.accumulate(
-        v, SPEC, 2, rng.RngHandle(0), {}), ENV),
+    "core.loss_profile.spec": (lambda v: loss_profile(1.0, v), SPEC),
     "montecarlo.accumulate.spec": (lambda v: montecarlo.accumulate(
-        ENV, v, 2, rng.RngHandle(0), {}), SPEC),
-    "montecarlo.paired_loss_estimates.env": (lambda v: montecarlo.paired_loss_estimates(
-        v, SPEC, 2, rng.RngHandle(0)), ENV),
+        1.0, v, 2, rng.RngHandle(0), {}), SPEC),
     "montecarlo.paired_loss_estimates.spec": (lambda v: montecarlo.paired_loss_estimates(
-        ENV, v, 2, rng.RngHandle(0)), SPEC),
-    "montecarlo.verify_closed_forms.env": (lambda v: montecarlo.verify_closed_forms(
-        v, 1.0, [1.0], [0.5], 2, rng.RngHandle(0)), ENV),
-    "bregman.gap_check_gaussian_cn.env": (lambda v: bregman.gap_check_gaussian_cn(
-        v, SPEC, 2, rng.RngHandle(0)), ENV),
+        1.0, v, 2, rng.RngHandle(0)), SPEC),
     "bregman.gap_check_gaussian_cn.spec": (lambda v: bregman.gap_check_gaussian_cn(
-        ENV, v, 2, rng.RngHandle(0)), SPEC),
-    "regimes.tau_aug.env": (lambda v: regimes.tau_aug(v, 1.0, 0.5), ENV),
-    "regimes.tau_auto.env": (lambda v: regimes.tau_auto(v, 1.0, 0.5), ENV),
-    "regimes.lambda_bar.env": (lambda v: regimes.lambda_bar(v, 1.0), ENV),
-    "regimes.phase_sweep.env": (lambda v: regimes.phase_sweep(v, 1.0, [1.0], [0.5]), ENV),
-    "regimes.classify.profile": (regimes.classify, loss_profile(ENV, SPEC)),
+        1.0, v, 2, rng.RngHandle(0)), SPEC),
+    "regimes.classify.profile": (regimes.classify, loss_profile(1.0, SPEC)),
     "cueworld.build_world.plan": (lambda v: cueworld.build_world(100, v), PLAN),
     "cueworld.concentration_experiment.plan": (lambda v: cueworld.concentration_experiment(
         [100], v, 2), PLAN),
@@ -295,6 +295,20 @@ def test_a_bad_argument_raises_a_validation_error_naming_it(entry, case):
     name, call, _, _ = ENTRY_POINTS[entry]
     with pytest.raises(ValidationError, match=rf"\b{re.escape(name)}\b"):
         call(BAD_VALUES[case])
+
+
+@pytest.mark.parametrize("entry, case", [
+    (entry, case) for entry in ENTRY_POINTS if entry.endswith(".tau0")
+    for case in ("zero", "negative", *BAD_VALUES)])
+def test_a_bad_prior_precision_is_rejected_before_any_draw_or_fork(entry, case, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("drew or forked before reading tau0")
+
+    monkeypatch.setattr(montecarlo, "sample_triple", never)
+    monkeypatch.setattr(montecarlo, "parallel_map", never)
+    _, call, _, _ = ENTRY_POINTS[entry]
+    with pytest.raises(ValidationError, match=r"^tau0 must be"):
+        call({"zero": 0, "negative": -1.0, **BAD_VALUES}[case])
 
 
 # the erasure problem at t = 0 never erases: own signal 2 has probability 0,

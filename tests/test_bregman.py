@@ -12,7 +12,7 @@ from dualsig.bregman import (
     gap_check_discrete,
     gap_check_gaussian_cn,
 )
-from dualsig.core import Environment, SignalSpec, ValidationError
+from dualsig.core import SignalSpec, ValidationError
 from dualsig.rng import RngHandle
 from dualsig.voi import (
     DiscreteProblem,
@@ -385,53 +385,49 @@ class TestGapCheckDiscrete:
 
 class TestGapCheckGaussian:
     def test_zero_overlap_penalty_vanishes(self):
-        env = Environment(1.0)
-        report = gap_check_gaussian_cn(env, SignalSpec(1.0, 0.7, 0.0), n=50_000,
+        report = gap_check_gaussian_cn(1.0, SignalSpec(1.0, 0.7, 0.0), n=50_000,
                                        rng=RngHandle(0, stream=3))
         assert report.penalty <= 4.0 * report.penalty_se + 1e-12
         assert abs(report.residual) <= 4.0 * report.penalty_se + 1e-12
 
     def test_reference_point_penalty(self):
-        env = Environment(1.0)
-        report = gap_check_gaussian_cn(env, SignalSpec(1.0, 1.0, 0.5), n=1_000_000,
+        report = gap_check_gaussian_cn(1.0, SignalSpec(1.0, 1.0, 0.5), n=1_000_000,
                                        rng=RngHandle(1, stream=3))
         assert abs(report.penalty - 1.0 / 63.0) <= 4.0 * report.penalty_se
         assert abs(report.residual) <= 4.0 * report.penalty_se
 
     def test_random_specs_residuals_within_noise(self):
         rng = np.random.default_rng(9)
-        env = Environment(1.0)
         for i in range(20):
             tau_h = rng.uniform(0.3, 2.5)
             tau_a = rng.uniform(0.2, 2.5)
             lam = rng.uniform(0.05, 0.9) * min(tau_h / tau_a, 1.0)
             spec = SignalSpec(tau_h, tau_a, lam)
-            report = gap_check_gaussian_cn(env, spec, n=200_000, rng=RngHandle(100 + i, stream=3))
+            report = gap_check_gaussian_cn(1.0, spec, n=200_000, rng=RngHandle(100 + i, stream=3))
             assert abs(report.residual) <= 4.0 * report.penalty_se
 
-    @pytest.mark.parametrize("env, spec, n, seed, penalty, penalty_se", [
-        (Environment(1.0), SignalSpec(1.0, 1.0, 0.5), 1000, 5,
+    @pytest.mark.parametrize("tau0, spec, n, seed, penalty, penalty_se", [
+        (1.0, SignalSpec(1.0, 1.0, 0.5), 1000, 5,
          "0x1.e973de86c9dcdp-7", "0x1.52faecdc15305p-11"),
-        (Environment(0.7), SignalSpec(1.3, 0.6, 0.2), 70_001, 12,
+        (0.7, SignalSpec(1.3, 0.6, 0.2), 70_001, 12,
          "0x1.f7f9074b1ecb1p-10", "0x1.597b05acd62f1p-17"),
-        (Environment(1.0), SignalSpec(1.0, 0.7, 0.3), 2, 0,
+        (1.0, SignalSpec(1.0, 0.7, 0.3), 2, 0,
          "0x1.58975955b94afp-8", "0x1.577331b9c2d68p-8"),
-        (Environment(2.5), SignalSpec(0.4, 1.6, 0.25), 65_536, 0,
+        (2.5, SignalSpec(0.4, 1.6, 0.25), 65_536, 0,
          "0x1.2302ea2d369d8p-6", "0x1.9c0afc13d49f3p-14"),
-        (Environment(1.0), SignalSpec(2.0, 1.0, 0.9), 3001, 7,
+        (1.0, SignalSpec(2.0, 1.0, 0.9), 3001, 7,
          "0x1.fafb09977a31ap-6", "0x1.8fcb88a3489f5p-11"),
-        (Environment(0.3), SignalSpec(0.8, 3.0, 0.1), 131_073, 2**63,
+        (0.3, SignalSpec(0.8, 3.0, 0.1), 131_073, 2**63,
          "0x1.e8533f73ee58bp-9", "0x1.e5147df7bf796p-17"),
     ], ids=["n1000", "two-chunks", "n2", "one-full-chunk", "lam0.9", "seed2^63"])
-    def test_stream_three_of_a_seed_draws_the_recorded_penalty(self, env, spec, n, seed,
+    def test_stream_three_of_a_seed_draws_the_recorded_penalty(self, tau0, spec, n, seed,
                                                                penalty, penalty_se):
         # the bits the penalty had when the oracle drew stream 3 of its own seed
-        report = gap_check_gaussian_cn(env, spec, n, RngHandle(seed, stream=3))
+        report = gap_check_gaussian_cn(tau0, spec, n, RngHandle(seed, stream=3))
         assert (report.penalty.hex(), report.penalty_se.hex()) == (penalty, penalty_se)
 
     def test_report_structure(self):
-        env = Environment(1.0)
-        report = gap_check_gaussian_cn(env, SignalSpec(1.0, 1.0, 0.5), n=10_000,
+        report = gap_check_gaussian_cn(1.0, SignalSpec(1.0, 1.0, 0.5), n=10_000,
                                        rng=RngHandle(2, stream=3))
         assert isinstance(report, GapReport)
         assert report.penalty_se > 0.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dualsig import core, montecarlo, regimes, verify, voi
-from dualsig.core import Environment, SignalSpec, ValidationError
+from dualsig.core import SignalSpec, ValidationError
 from dualsig.core import bayes_posterior_mean, feasible, loss_profile
 from dualsig.montecarlo import (
     CHUNK,
@@ -19,7 +19,6 @@ from dualsig.montecarlo import (
 )
 from dualsig.rng import RngHandle, derive_seed
 
-ENV = Environment(tau0=1.0)
 SPEC = SignalSpec(tau_h=1.0, tau_a=1.0, lam=0.5)
 
 
@@ -54,16 +53,16 @@ def _touch(directory, i):
 
 class TestSampleTriple:
     def test_fixed_seed_reproduces_first_triples(self):
-        a = sample_triple(ENV, SPEC, RngHandle(0, 0), size=10)
-        b = sample_triple(ENV, SPEC, RngHandle(0, 0), size=10)
+        a = sample_triple(1.0, SPEC, RngHandle(0, 0), size=10)
+        b = sample_triple(1.0, SPEC, RngHandle(0, 0), size=10)
         assert all(np.array_equal(x, z) for x, z in zip(a, b))
 
     def test_batch_matches_scalar_consumption(self):
-        y, h, a = sample_triple(ENV, SPEC, RngHandle(1, 2), size=5)
+        y, h, a = sample_triple(1.0, SPEC, RngHandle(1, 2), size=5)
         assert y.shape == h.shape == a.shape == (5,)
 
     def test_conditional_moments(self):
-        y, h, a = sample_triple(ENV, SPEC, RngHandle(3, 0), size=1_000_000)
+        y, h, a = sample_triple(1.0, SPEC, RngHandle(3, 0), size=1_000_000)
         n = y.size
         eh, ea = h - y, a - y
         for observed, expected, spread in (
@@ -75,44 +74,44 @@ class TestSampleTriple:
 
     def test_zero_overlap_independence(self):
         spec = SignalSpec(1.0, 1.0, 0.0)
-        y, h, a = sample_triple(ENV, spec, RngHandle(4, 0), size=1_000_000)
+        y, h, a = sample_triple(1.0, spec, RngHandle(4, 0), size=1_000_000)
         corr = np.corrcoef(h - y, a - y)[0, 1]
         assert abs(corr) <= 4.0 / math.sqrt(y.size)
 
     def test_degenerate_spec_raises(self):
         with pytest.raises(ValidationError):
-            sample_triple(ENV, SignalSpec(1.0, 1.0, 1.0), RngHandle(0, 0), size=1)
+            sample_triple(1.0, SignalSpec(1.0, 1.0, 1.0), RngHandle(0, 0), size=1)
 
     def test_non_integer_size_rejected(self):
         # a float size is rejected, not truncated to fewer draws
         with pytest.raises(ValidationError, match="size must be an integer"):
-            sample_triple(ENV, SPEC, RngHandle(0, 0), size=2.7)
-        y, _, _ = sample_triple(ENV, SPEC, RngHandle(0, 0), size=np.int64(3))
+            sample_triple(1.0, SPEC, RngHandle(0, 0), size=2.7)
+        y, _, _ = sample_triple(1.0, SPEC, RngHandle(0, 0), size=np.int64(3))
         assert y.shape == (3,)
 
 
 class TestEstimateLoss:
     def test_matches_closed_forms_at_reference_point(self):
-        estimates = paired_loss_estimates(ENV, SPEC, 1_000_000, RngHandle(5, 0))
+        estimates = paired_loss_estimates(1.0, SPEC, 1_000_000, RngHandle(5, 0))
         for rule, closed in (("cn_joint", 4.0 / 9.0), ("human_only", 0.5),
                              ("ai_only", 0.5), ("bayes_joint", 3.0 / 7.0)):
             est = estimates[rule]
             assert abs(est.mean - closed) <= 4.0 * est.std_error
 
     def test_deterministic_estimates(self):
-        a = paired_loss_estimates(ENV, SPEC, 200_000, RngHandle(6, 1))
-        b = paired_loss_estimates(ENV, SPEC, 200_000, RngHandle(6, 1))
+        a = paired_loss_estimates(1.0, SPEC, 200_000, RngHandle(6, 1))
+        b = paired_loss_estimates(1.0, SPEC, 200_000, RngHandle(6, 1))
         assert a == b  # bit-identical, including the standard errors
 
     def test_empty_run_rejected(self):
         with pytest.raises(ValidationError):
-            paired_loss_estimates(ENV, SPEC, 0, RngHandle(0, 0))
+            paired_loss_estimates(1.0, SPEC, 0, RngHandle(0, 0))
         with pytest.raises(ValidationError):
-            accumulate(ENV, SPEC, 0, RngHandle(0, 0), {"y": lambda y, h, a: y})
+            accumulate(1.0, SPEC, 0, RngHandle(0, 0), {"y": lambda y, h, a: y})
 
     def test_estimate_fields(self):
         rng = RngHandle(7, 0)
-        est = paired_loss_estimates(ENV, SPEC, 1000, rng)["human_only"]
+        est = paired_loss_estimates(1.0, SPEC, 1000, rng)["human_only"]
         assert isinstance(est, Estimate)
         assert drew_triples(rng, 1000)
         assert est.std_error > 0.0
@@ -122,13 +121,13 @@ class TestAccumulate:
     def test_one_statistic_equals_its_paired_entry_bit_for_bit(self):
         # a statistic's estimate does not depend on what else shares the draws
         n = CHUNK + 1234  # a partial second chunk
-        paired = paired_loss_estimates(ENV, SPEC, n, RngHandle(15, 2))
-        alone = accumulate(ENV, SPEC, n, RngHandle(15, 2), {
-            "bayes": lambda y, h, a: (bayes_posterior_mean(ENV, SPEC, h, a) - y) ** 2})
+        paired = paired_loss_estimates(1.0, SPEC, n, RngHandle(15, 2))
+        alone = accumulate(1.0, SPEC, n, RngHandle(15, 2), {
+            "bayes": lambda y, h, a: (bayes_posterior_mean(1.0, SPEC, h, a) - y) ** 2})
         assert alone["bayes"] == paired["bayes_joint"]
 
     def test_moments_of_the_state(self):
-        est = accumulate(ENV, SPEC, 200_000, RngHandle(16, 0),
+        est = accumulate(1.0, SPEC, 200_000, RngHandle(16, 0),
                          {"y": lambda y, h, a: y, "y2": lambda y, h, a: y * y})
         assert list(est) == ["y", "y2"]
         assert abs(est["y"].mean) <= 4.0 * est["y"].std_error
@@ -137,22 +136,22 @@ class TestAccumulate:
     def test_fewer_than_two_draws_rejected(self):
         # two draws are the fewest with a standard error
         with pytest.raises(ValidationError, match="n must be >= 2, got 1"):
-            accumulate(ENV, SPEC, 1, RngHandle(17, 0), {"y": lambda y, h, a: y})
+            accumulate(1.0, SPEC, 1, RngHandle(17, 0), {"y": lambda y, h, a: y})
         rng = RngHandle(17, 0)
-        est = accumulate(ENV, SPEC, 2, rng, {"y": lambda y, h, a: y})["y"]
+        est = accumulate(1.0, SPEC, 2, rng, {"y": lambda y, h, a: y})["y"]
         assert drew_triples(rng, 2) and math.isfinite(est.std_error)
 
     def test_non_integer_n_rejected(self):
         # 2.5 would draw 2 triples and divide their sum by 2.5
         with pytest.raises(ValidationError, match="n must be an integer"):
-            accumulate(ENV, SPEC, 2.5, RngHandle(17, 0), {"y": lambda y, h, a: y})
+            accumulate(1.0, SPEC, 2.5, RngHandle(17, 0), {"y": lambda y, h, a: y})
         rng = RngHandle(17, 0)
-        est = accumulate(ENV, SPEC, np.int64(2), rng, {"y": lambda y, h, a: np.ones_like(y)})["y"]
+        est = accumulate(1.0, SPEC, np.int64(2), rng, {"y": lambda y, h, a: np.ones_like(y)})["y"]
         assert est.mean == 1.0 and drew_triples(rng, 2)
 
     def test_grid_needs_two_draws_per_cell(self):
         with pytest.raises(ValidationError, match="n must be >= 2, got 1"):
-            verify_closed_forms(ENV, 1.0, [0.5, 1.0], [0.25], n=1, rng=RngHandle(0, 0))
+            verify_closed_forms(1.0, 1.0, [0.5, 1.0], [0.25], n=1, rng=RngHandle(0, 0))
 
 
 class TestPairedOrderings:
@@ -160,13 +159,13 @@ class TestPairedOrderings:
         specs = [SignalSpec(1.0, 1.0, 0.5), SignalSpec(1.5, 0.7, 0.4),
                  SignalSpec(0.8, 1.2, 0.3), SignalSpec(2.0, 0.5, 0.9)]
         for i, spec in enumerate(specs):
-            est = paired_loss_estimates(ENV, spec, 400_000, RngHandle(8, i))
+            est = paired_loss_estimates(1.0, spec, 400_000, RngHandle(8, i))
             assert est["bayes_joint"].mean <= est["human_only"].mean
             assert est["bayes_joint"].mean <= est["cn_joint"].mean
 
     def test_zero_overlap_rules_coincide(self):
         spec = SignalSpec(1.0, 0.9, 0.0)
-        est = paired_loss_estimates(ENV, spec, 100_000, RngHandle(9, 0))
+        est = paired_loss_estimates(1.0, spec, 100_000, RngHandle(9, 0))
         assert abs(est["bayes_joint"].mean - est["cn_joint"].mean) < 1e-12
 
 
@@ -186,7 +185,7 @@ class TestVerifyClosedForms:
         forks, fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         with pytest.raises(ValidationError, match="n must be"):
-            verify_closed_forms(ENV, 1.0, [0.5, 1.0], [0.25], n=n, rng=RngHandle(0, 0))
+            verify_closed_forms(1.0, 1.0, [0.5, 1.0], [0.25], n=n, rng=RngHandle(0, 0))
         assert forks == []
 
     def test_closed_forms_raise_before_any_draw_or_fork(self, monkeypatch):
@@ -197,16 +196,16 @@ class TestVerifyClosedForms:
         monkeypatch.setattr(montecarlo, "paired_loss_estimates", forbidden)
         monkeypatch.setattr(os, "fork", forbidden, raising=False)
         with pytest.raises(ValidationError, match=r"T\*\*2 = inf is not finite"):
-            verify_closed_forms(Environment(tau0=1e300), 1.0, [0.5], [0.25], 100, RngHandle(0))
+            verify_closed_forms(1e300, 1.0, [0.5], [0.25], 100, RngHandle(0))
 
     def test_closed_forms_are_each_cells_own_bits(self):
         # the phase grid's cells, each equal to one loss_profile call of its own
-        env, tau_h = Environment(tau0=0.7), 1.3
+        tau0, tau_h = 0.7, 1.3
         tau_a_axis = [round(0.15 * i, 10) for i in range(1, 15)]
         lambda_axis = [0.0, 0.1, 0.33, 0.5, 0.67, 0.85, 0.99, 1.0]
-        cells = verify_closed_forms(env, tau_h, tau_a_axis, lambda_axis, n=2,
+        cells = verify_closed_forms(tau0, tau_h, tau_a_axis, lambda_axis, n=2,
                                     rng=RngHandle(13, 0))
-        grid = regimes.phase_sweep(env, tau_h, tau_a_axis, lambda_axis).cells.ravel()
+        grid = regimes.phase_sweep(tau0, tau_h, tau_a_axis, lambda_axis).cells.ravel()
         assert [(t, lam) for t, lam, _ in cells] == [(t, lam) for lam in lambda_axis
                                                      for t in tau_a_axis]
         assert [(t, lam) for t, lam, _ in cells] == list(zip(grid["tau_a"], grid["lam"]))
@@ -219,7 +218,7 @@ class TestVerifyClosedForms:
         assert any(lam == 1.0 and feasible(tau_h, t, lam) for t, lam in skipped)
         for (t, lam, losses), cell in zip(cells, grid):
             if losses is not None:
-                profile = loss_profile(env, SignalSpec(tau_h, t, lam))
+                profile = loss_profile(tau0, SignalSpec(tau_h, t, lam))
                 assert [(rule, form) for rule, _, form in losses] == [
                     (rule, getattr(profile, field)) for rule, field in RULES.items()]
                 assert [form for _, _, form in losses] == [cell[f] for f in RULES.values()]
@@ -238,7 +237,7 @@ class TestVerifyClosedForms:
         monkeypatch.setattr(os, "fork", forbidden, raising=False)
         axes = {"tau_a_axis": [0.5, 1.0], "lambda_axis": [0.25, 0.5], axis: bad}
         with pytest.raises(ValidationError, match=axis):
-            verify_closed_forms(ENV, 1.0, axes["tau_a_axis"], axes["lambda_axis"], 100,
+            verify_closed_forms(1.0, 1.0, axes["tau_a_axis"], axes["lambda_axis"], 100,
                                 RngHandle(0))
 
     def test_the_closed_forms_are_one_loss_profile_call_of_the_phase_grid(self, monkeypatch):
@@ -252,9 +251,9 @@ class TestVerifyClosedForms:
                 if value is evaluate:
                     monkeypatch.setattr(module, name, forbidden)
         monkeypatch.setattr(regimes, "loss_profile",
-                            lambda env, spec: calls.append(spec) or evaluate(env, spec))
+                            lambda tau0, spec: calls.append(spec) or evaluate(tau0, spec))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        cells = verify_closed_forms(ENV, 1.0, [0.5, 2.0], [0.0, 0.67, 1.0], n=2,
+        cells = verify_closed_forms(1.0, 1.0, [0.5, 2.0], [0.0, 0.67, 1.0], n=2,
                                     rng=RngHandle(0))
         assert len(calls) == 1 and len(cells) == 6
 
@@ -264,16 +263,16 @@ class TestVerifyClosedForms:
 
         monkeypatch.setattr(montecarlo, "paired_loss_estimates", forbidden)
         # infeasible cells, then feasible cells at lam = 1, which have no innovation
-        assert verify_closed_forms(ENV, 1.0, [2.0, 4.0], [0.75, 1.0], n=100,
+        assert verify_closed_forms(1.0, 1.0, [2.0, 4.0], [0.75, 1.0], n=100,
                                    rng=RngHandle(0, 0)) == [
             (2.0, 0.75, None), (4.0, 0.75, None), (2.0, 1.0, None), (4.0, 1.0, None)]
-        assert verify_closed_forms(ENV, 1.0, [0.5, 1.0], [1.0], n=100,
+        assert verify_closed_forms(1.0, 1.0, [0.5, 1.0], [1.0], n=100,
                                    rng=RngHandle(0, 0)) == [(0.5, 1.0, None), (1.0, 1.0, None)]
 
     def test_smoke_grid_runs_fast_and_flags_infeasible(self):
         import time
         start = time.perf_counter()
-        cells = verify_closed_forms(ENV, 1.0, [0.5, 2.0], [0.0, 0.67], n=100,
+        cells = verify_closed_forms(1.0, 1.0, [0.5, 2.0], [0.0, 0.67], n=100,
                                     rng=RngHandle(10, 0))
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0
@@ -286,24 +285,24 @@ class TestVerifyClosedForms:
         for cell, (t, lam, losses) in enumerate(cells, 1):
             if losses is not None:
                 assert [est for _, est, _ in losses] == list(paired_loss_estimates(
-                    ENV, SignalSpec(1.0, t, lam), 100, RngHandle(10, 0).split(cell)).values())
+                    1.0, SignalSpec(1.0, t, lam), 100, RngHandle(10, 0).split(cell)).values())
 
     def test_all_pass_with_moderate_samples(self):
-        cells = verify_closed_forms(ENV, 1.0, [0.4, 1.0, 1.8], [0.0, 0.45, 0.67],
+        cells = verify_closed_forms(1.0, 1.0, [0.4, 1.0, 1.8], [0.0, 0.45, 0.67],
                                     n=200_000, rng=RngHandle(11, 0))
         assert all(abs(est.mean - closed) <= 4.0 * est.std_error
                    for _, est, closed in _losses(cells))
 
     def test_cell_results_independent_of_grid_shape(self):
         rng = RngHandle(12, 0)
-        full = verify_closed_forms(ENV, 1.0, [0.5, 1.0], [0.25], n=1000, rng=rng)
-        single = verify_closed_forms(ENV, 1.0, [1.0], [0.25], n=1000,
+        full = verify_closed_forms(1.0, 1.0, [0.5, 1.0], [0.25], n=1000, rng=rng)
+        single = verify_closed_forms(1.0, 1.0, [1.0], [0.25], n=1000,
                                      rng=RngHandle(12, 0))
         # the (1.0, 0.25) cell keeps its substream even when the grid changes
         (_, full_cell, _), = _losses(full, "cn_joint", 1.0)
         (_, single_cell, _), = _losses(single, "cn_joint")
         assert full_cell.mean != single_cell.mean  # different cell index
-        again = verify_closed_forms(ENV, 1.0, [0.5, 1.0], [0.25], n=1000,
+        again = verify_closed_forms(1.0, 1.0, [0.5, 1.0], [0.25], n=1000,
                                     rng=RngHandle(12, 0))
         assert again == full
 
@@ -349,7 +348,7 @@ class TestVerifyDecomposition:
         rows = iter(self.moments(monkeypatch, 2 * CHUNK + 1, 5))
         for i, spec in enumerate(self.SPECS):
             rng = RngHandle(derive_seed(5, 20, i), stream=0)
-            y, h, a = map(np.concatenate, zip(*(sample_triple(ENV, spec, rng, size=m)
+            y, h, a = map(np.concatenate, zip(*(sample_triple(1.0, spec, rng, size=m)
                                                 for m in (CHUNK, CHUNK, 1))))
             eh, ea = h - y, a - y
             innov = (ea - spec.lam * eh) / (1.0 - spec.lam)

@@ -67,6 +67,14 @@ def test_voi_suite_draws_nothing_so_needs_no_minimum_n():
     assert checks and all(c.ok for c in checks)
 
 
+def test_voi_checks_hold_python_floats_and_bools():
+    # the CSV writer formats a numpy scalar by another branch than a Python one
+    for check in run("voi"):
+        values = (check.observed, check.expected, check.tol, check.delta)
+        assert all(type(v) is float for v in values), (check.name, [type(v) for v in values])
+        assert type(check.ok) is bool, check.name
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValidationError, match="unknown suite"):
         run("nonsense")
